@@ -16,7 +16,7 @@ import os
 import sys
 
 from .arith import render_scalar
-from .errors import JackLaxError
+from .errors import BadBox, JackLaxError
 from .partitions import (count_by_corners, count_lattice_q, count_partitions,
                          format_partition, parse_partition, series_P)
 from .report import RunConfig
@@ -24,9 +24,12 @@ from .verify import SUITES
 
 
 def _parse_box(text):
-    t = text.strip().strip("()")
-    a, b = t.split(",")
-    return (int(a), int(b))
+    """A box "(i,j)" (parentheses optional) with integer coordinates."""
+    try:
+        a, b = text.strip().strip("()").split(",")
+        return (int(a), int(b))
+    except ValueError:
+        raise BadBox("bad box %r: expected (row,col), e.g. (2,1)" % text) from None
 
 
 def _mono_str(mu, var="V"):
@@ -316,9 +319,21 @@ def run(argv=None):
     return main(argv)
 
 
+def _join_spec_points(argv):
+    """Glue "--spec-points VALUE" into "--spec-points=VALUE": argparse takes a
+    value such as "-10007,9973;..." that starts with "-" for an option."""
+    out = []
+    for a in argv:
+        if out and out[-1] == "--spec-points":
+            out[-1] += "=" + a
+        else:
+            out.append(a)
+    return out
+
+
 def main(argv=None):
     ap = build_parser()
-    args = ap.parse_args(argv)
+    args = ap.parse_args(_join_spec_points(sys.argv[1:] if argv is None else argv))
     try:
         return args.fn(args)
     except JackLaxError as e:

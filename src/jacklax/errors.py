@@ -63,3 +63,11 @@ class TruncationExceeded(JackLaxError):
 
 class BadSpecPoint(JackLaxError):
     pass
+
+
+class BadPartition(JackLaxError):
+    pass
+
+
+class BadBox(JackLaxError):
+    pass

@@ -9,13 +9,11 @@ stored.  The V-monomial inner product is diagonal:
     <V_mu, V_mu> = prod_k (hbar*k)^{d_k} d_k!   (d_k = multiplicity of k).
 """
 
-from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
 from .errors import DegreeMismatch, InhomogeneousForPiStar, JackLaxError
-from .linalg import invert
-from .partitions import partition, partitions_of
+from .partitions import partitions_of
 
 
 # ---------------------------------------------------------------------------
@@ -276,110 +274,6 @@ def fock_adjoint_apply(g, f, field):
     out = {}
     for mu, c in g.items():
         out = v_add(out, v_scale(annihilate(f, mu, field), c))
-    return out
-
-
-# ---------------------------------------------------------------------------
-# monomial <-> power-sum transitions (rational, mode independent)
-# ---------------------------------------------------------------------------
-
-def _mult_m_by_p(mvec, r):
-    """Multiply a monomial-basis vector {nu: Fraction} by p_r."""
-    out = {}
-    for nu, c in mvec.items():
-        values = set(nu) | {0}
-        seen = set()
-        for v in values:
-            lst = list(nu)
-            if v:
-                lst.remove(v)
-            lst.append(v + r)
-            rho = partition(lst)
-            if rho in seen:
-                continue
-            seen.add(rho)
-            # number of positions of rho holding u=v+r whose removal gives nu
-            count = 0
-            for u in set(rho):
-                if u >= r:
-                    lst2 = list(rho)
-                    lst2.remove(u)
-                    lst2.append(u - r)
-                    if partition(lst2) == nu:
-                        count += rho.count(u) if u != 0 else 0
-            w = out.get(rho, Fraction(0)) + c * count
-            if w:
-                out[rho] = w
-            elif rho in out:
-                del out[rho]
-    return out
-
-
-@lru_cache(maxsize=None)
-def monomial_powersum_transition(n):
-    """(plist, P2M, M2P): P2M[i][j] = [m_{plist[j]}] p_{plist[i]} (integers),
-    M2P its inverse over Q."""
-    plist = list(partitions_of(n))
-    index = {mu: i for i, mu in enumerate(plist)}
-    P2M = []
-    for mu in plist:
-        vec = {(): Fraction(1)}
-        for r in mu:
-            vec = _mult_m_by_p(vec, r)
-        row = [Fraction(0)] * len(plist)
-        for nu, c in vec.items():
-            row[index[nu]] = c
-        P2M.append(row)
-
-    class _Q:
-        zero = Fraction(0)
-        one = Fraction(1)
-
-    M2P = invert([list(map(Fraction, row)) for row in _transpose(P2M)], _Q)
-    return plist, P2M, M2P
-
-
-def _transpose(M):
-    return [list(col) for col in zip(*M)]
-
-
-def p_to_m(pvec, n):
-    """Convert {mu: scalar} in the p-basis to the m-basis (degree n)."""
-    plist, P2M, _ = monomial_powersum_transition(n)
-    index = {mu: i for i, mu in enumerate(plist)}
-    out = {}
-    for mu, c in pvec.items():
-        row = P2M[index[mu]]
-        for j, q in enumerate(row):
-            if q:
-                key = plist[j]
-                w = out.get(key)
-                w = c * q if w is None else w + c * q
-                if w:
-                    out[key] = w
-                elif key in out:
-                    del out[key]
-    return out
-
-
-def m_to_p(mvec, n, field):
-    """Convert {mu: scalar} in the m-basis to the p-basis (degree n)."""
-    plist, _, M2P = monomial_powersum_transition(n)
-    index = {mu: i for i, mu in enumerate(plist)}
-    out = {}
-    for mu, c in mvec.items():
-        col = index[mu]
-        for i in range(len(plist)):
-            q = M2P[i][col]
-            if q:
-                key = plist[i]
-                w = out.get(key)
-                term = c * field.from_fraction(q)
-                w = term if w is None else w + term
-                if w:
-                    out[key] = w
-                elif key in out:
-                    del out[key]
     return out
 
 

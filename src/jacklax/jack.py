@@ -1,85 +1,37 @@
-"""Integral Jack functions, their homogeneous form, norms, and the Stanley
-Pieri rule.
+"""Homogeneous Jack functions, their norms, and the Stanley Pieri rule.
 
-Construction is Gram-Schmidt against the alpha-deformed Hall product over
-the monomial basis, taken in the fixed dominance-compatible order, then
-rescaled to [m_{1^n}] J = n!.
+The Jacks of degree n come from the degree-(n-1) Lax eigenfunctions.  The
+shift identity L j_lam = sum_{t in R_lam} tau~_lam^{t+(1,1)} w psi_{lam-t}^t
+and Euler's relation (the w^0 part of L w V_mu w^m is V_{m+1} V_mu) give
+    j_lam = (n hbar)^{-1} A sum_{t in R_lam} tau~_lam^{t+(1,1)} psi_{lam-t}^t
+with A = pi0 L w.  No pairing, basis change or matrix inverse is needed.
 """
 
-from math import factorial
-
 from .errors import JackLaxError
-from .fock import hall_inner_alpha, m_to_p, monomial_powersum_transition
+from .fock import v_add, v_scale
+from .lax import op_A
 from .partitions import (arm, boxes, boxes_x, contains, hooks_lower,
-                         hooks_upper, leg, partition, partitions_of)
+                         hooks_upper, leg, partitions_of, rem_set, remove_box)
+from .spectral import tau_tilde
 
 
-def compute_integral_jacks(field, n):
-    """All integral Jacks of degree n: {lam: p-basis dict over the field}."""
+def compute_homogeneous_jacks(ws, n):
+    """All homogeneous Jacks of degree n: {lam: FockVec} over ws.field.
+
+    Reads the degree-(n-1) eigenfunctions through ws.psi, which in turn
+    reads the lower-degree Jacks through ws.jack."""
+    field = ws.field
     if n == 0:
         return {(): {(): field.one}}
-    plist = list(partitions_of(n))  # most dominated first, 1^n at index 0
-    # p-basis expansion of each m_mu (rational, promoted to the field)
-    m_in_p = {mu: m_to_p({mu: field.one}, n, field) for mu in plist}
-    alpha = field.alpha
-
-    def pairing(f, g):
-        return hall_inner_alpha(f, g, field, alpha)
-
-    built = []  # (lam, p-vec, norm)
+    scale = field.one / (field.num(n) * field.hbar)
     out = {}
-    for lam in plist:
-        vec = dict(m_in_p[lam])
-        for (mu, jvec, nrm) in built:
-            c = pairing(vec, jvec)
-            if c:
-                f = c / nrm
-                for k, v in jvec.items():
-                    w = vec.get(k)
-                    w = -f * v if w is None else w - f * v
-                    if w:
-                        vec[k] = w
-                    elif k in vec:
-                        del vec[k]
-        nrm = pairing(vec, vec)
-        if not nrm:
-            raise JackLaxError("Gram-Schmidt degenerated at %s" % (lam,))
-        built.append((lam, vec, nrm))
-        # normalize [m_{1^n}] J = n!
-        plist_n, P2M, _ = monomial_powersum_transition(n)
-        col = plist_n.index((1,) * n)
-        idx = {mu: i for i, mu in enumerate(plist_n)}
-        lead = field.zero
-        for mu, c in vec.items():
-            q = P2M[idx[mu]][col]
-            if q:
-                lead = lead + c * field.from_fraction(q)
-        if not lead:
-            raise JackLaxError("vanishing m_{1^n} coefficient at %s" % (lam,))
-        scale = field.num(factorial(n)) / lead
-        out[lam] = {k: v * scale for k, v in vec.items()}
+    for lam in partitions_of(n):
+        q = {}
+        for t in rem_set(lam):
+            c = tau_tilde(field, lam, (t[0] + 1, t[1] + 1))
+            q = v_add(q, v_scale(ws.psi(remove_box(lam, t), t), c))
+        out[lam] = v_scale(op_A(field, q), scale)
     return out
-
-
-def jack_integral(field, lam):
-    """Single integral Jack J_lam in the p-basis (computed with its degree)."""
-    return compute_integral_jacks(field, sum(lam))[lam]
-
-
-def jack_homogeneous(field, lam):
-    """Single homogeneous Jack j_lam as a FockVec."""
-    return homogenize(field, jack_integral(field, lam), sum(lam))
-
-
-def homogenize(field, pvec, n):
-    """j = (-e1)^n J(p -> (-e1)^{-1} V): FockVec from a p-basis dict."""
-    me1 = -field.e1
-    return {mu: c * me1 ** (n - len(mu)) for mu, c in pvec.items()}
-
-
-def compute_homogeneous_jacks(field, n):
-    return {lam: homogenize(field, pvec, n)
-            for lam, pvec in compute_integral_jacks(field, n).items()}
 
 
 def varpi(field, lam):

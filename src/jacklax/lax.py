@@ -104,6 +104,11 @@ def lax_plus_shift_check(ws, n):
 # ---------------------------------------------------------------------------
 
 def compute_psi(ws, lam, s):
+    """psi_lam^s by the corner recursion in the module docstring.
+
+    Reads j_lam through ws.jack, whose builder in turn reads the
+    degree-(|lam|-1) eigenfunctions through ws.psi: the two recursions
+    alternate down the degrees."""
     field = ws.field
     if not lam:
         if s != (0, 0):

@@ -15,7 +15,7 @@ being [2,-2]):
 from fractions import Fraction
 from functools import cmp_to_key, lru_cache
 
-from .errors import BoxNotInPartition, JackLaxError
+from .errors import BadPartition, BoxNotInPartition, JackLaxError
 
 
 # ---------------------------------------------------------------------------
@@ -41,12 +41,14 @@ def parse_partition(text):
         return ()
     parts = []
     for item in text.split(","):
-        item = item.strip()
-        if "^" in item:
-            base, mult = item.split("^")
-            parts.extend([int(base)] * int(mult))
-        else:
-            parts.append(int(item))
+        base, _, rep = item.strip().partition("^")
+        try:
+            part, mult = int(base), int(rep) if rep else 1
+        except ValueError:
+            raise BadPartition("bad partition %r: expected parts like 1^2,3" % text) from None
+        if mult < 0:
+            raise BadPartition("bad partition %r: negative multiplicity" % text)
+        parts.extend([part] * mult)
     return partition(parts)
 
 

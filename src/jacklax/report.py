@@ -5,7 +5,7 @@ import time
 from fractions import Fraction
 
 from .arith import DEFAULT_SPEC_POINTS, SpecPoint
-from .errors import JackLaxError
+from .errors import BadSpecPoint, JackLaxError
 
 
 SYMBOLIC_DEFAULT_MAX = 5
@@ -48,8 +48,13 @@ class RunConfig:
     def parse_points(text):
         pts = []
         for chunk in text.split(";"):
-            a, b = chunk.split(",")
-            pts.append(SpecPoint(Fraction(a), Fraction(b)))
+            try:
+                a, b = chunk.split(",")
+                e1, e2 = Fraction(a), Fraction(b)
+            except (ValueError, ZeroDivisionError):
+                raise BadSpecPoint("bad spec point %r: expected two rationals e1,e2, "
+                                   "e.g. -3/2,22/7" % chunk) from None
+            pts.append(SpecPoint(e1, e2))
         return tuple(pts)
 
 

@@ -8,15 +8,20 @@ immutable.
 
 import json
 import os
+import sys
+import tempfile
 import threading
 
-from .arith import (DEFAULT_SPEC_POINTS, SpecializedField, SymbolicField,
-                    parse_scalar, render_scalar)
+from .arith import SymbolicField, parse_scalar, render_scalar
 from .fock import inner_hbar, vector_to_coords
 from .jack import compute_homogeneous_jacks, jack_norm_sq, varpi
 from .linalg import invert, matvec
 from .partitions import (add_set, format_partition, parse_partition,
                          partitions_of)
+
+
+# Version of the disk cache blob; a file in any other format is rebuilt.
+CACHE_FORMAT = 2
 
 
 def _cache_env_dir():
@@ -34,6 +39,10 @@ class Workspace:
         self._psi = {}      # (lam, s) -> ExtVec
         self._psi_solver = {}   # degree -> (pairs, inverse matrix)
 
+    def key(self):
+        """Cache key of the coefficient field ("symbolic" or the point)."""
+        return self.field.key()
+
     # ------------------------------------------------------------------
     # Jack basis with optional disk cache
     # ------------------------------------------------------------------
@@ -41,7 +50,7 @@ class Workspace:
     def _cache_path(self, n):
         if not self.cache_dir:
             return None
-        return os.path.join(self.cache_dir, "jack_%02d_%s.json" % (n, _slug(self.field.key())))
+        return os.path.join(self.cache_dir, "jack_%02d_%s.json" % (n, _slug(self.key())))
 
     def jack_degree(self, n):
         with self._lock:
@@ -49,7 +58,7 @@ class Workspace:
                 return self._jack[n]
             data = self._load_degree(n)
             if data is None:
-                jacks = compute_homogeneous_jacks(self.field, n)
+                jacks = compute_homogeneous_jacks(self, n)
                 norms = {lam: jack_norm_sq(self.field, lam) for lam in jacks}
                 vps = {lam: varpi(self.field, lam) for lam in jacks}
                 self._store_degree(n, jacks, norms, vps)
@@ -67,7 +76,11 @@ class Workspace:
         try:
             with open(path) as fh:
                 blob = json.load(fh)
-            if blob.get("degree") != n or blob.get("mode") != self.field.key():
+            if blob.get("format") != CACHE_FORMAT:
+                print("warning: stale cache file %s (format %s, want %d); rebuilding"
+                      % (path, blob.get("format"), CACHE_FORMAT), file=sys.stderr)
+                return None
+            if blob.get("degree") != n or blob.get("mode") != self.key():
                 raise ValueError("cache key mismatch")
             jacks, norms, vps = {}, {}, {}
             for lam_s, entry in blob["jacks"].items():
@@ -78,8 +91,6 @@ class Workspace:
                 vps[lam] = parse_scalar(blob["varpi"][lam_s], self.field)
             return jacks, norms, vps
         except Exception:
-            # corrupt cache: rebuild
-            import sys
             print("warning: corrupt cache file %s; rebuilding" % path, file=sys.stderr)
             try:
                 os.remove(path)
@@ -88,12 +99,15 @@ class Workspace:
             return None
 
     def _store_degree(self, n, jacks, norms, vps):
+        """Write one degree atomically: a private temp file, then os.replace,
+        so concurrent writers never see or leave a partial file."""
         path = self._cache_path(n)
         if not path:
             return
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        blob = {"degree": n, "mode": self.field.key(), "jacks": {}, "norms": {}, "varpi": {}}
-        for lam in sorted(jacks, key=lambda l: l):
+        os.makedirs(self.cache_dir, exist_ok=True)
+        blob = {"format": CACHE_FORMAT, "degree": n, "mode": self.key(),
+                "jacks": {}, "norms": {}, "varpi": {}}
+        for lam in sorted(jacks):
             key = format_partition(lam)
             blob["jacks"][key] = [
                 {"w": 0, "partition": format_partition(mu), "coeff": render_scalar(c)}
@@ -101,10 +115,15 @@ class Workspace:
             ]
             blob["norms"][key] = render_scalar(norms[lam])
             blob["varpi"][key] = render_scalar(vps[lam])
-        tmp = path + ".tmp"
-        with open(tmp, "w") as fh:
-            json.dump(blob, fh, sort_keys=True)
-        os.replace(tmp, path)
+        fd, tmp = tempfile.mkstemp(dir=self.cache_dir,
+                                   prefix=os.path.basename(path) + ".", suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w") as fh:
+                json.dump(blob, fh, sort_keys=True)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
 
     # ------------------------------------------------------------------
     # accessors
@@ -239,11 +258,3 @@ class Workspace:
 def _slug(s):
     return "".join(ch if ch.isalnum() else "_" for ch in s)
 
-
-def symbolic_workspace(cache_dir=None):
-    return Workspace(SymbolicField(), cache_dir)
-
-
-def specialized_workspaces(points=None, cache_dir=None):
-    points = DEFAULT_SPEC_POINTS if points is None else points
-    return [Workspace(SpecializedField(p), cache_dir) for p in points]

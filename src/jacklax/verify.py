@@ -546,6 +546,17 @@ def _refined_pieri(ws, lam):
 # LR oracle suite (Pieri agreement, marginalization, determination)
 # ---------------------------------------------------------------------------
 
+def _marg_worker(args):
+    lam, s, nu, t = args
+    ok = True
+    for ws in _PAR_WSS:
+        tab = lr_mod.jacklax_lr(ws, lam, s, nu, t)
+        if lr_mod.marginalize(tab) != lr_mod.jack_lr(ws, lam, nu):
+            ok = False
+    return {"id": "marginalize %s:%s * %s:%s" % (_fmt(lam), (s,), _fmt(nu), (t,)),
+            "status": _status(ok), "witness": ""}
+
+
 def suite_pieri(cfg, max_total=7, marg_max=6):
     rep = Report("pieri", cfg)
     wss = cfg.workspaces()
@@ -570,18 +581,9 @@ def suite_pieri(cfg, max_total=7, marg_max=6):
                     for s in add_set(lam):
                         for t in add_set(nu):
                             quads.append((lam, s, nu, t))
-    def marg_worker(args):
-        lam, s, nu, t = args
-        ok = True
-        for ws in _PAR_WSS:
-            tab = lr_mod.jacklax_lr(ws, lam, s, nu, t)
-            if lr_mod.marginalize(tab) != lr_mod.jack_lr(ws, lam, nu):
-                ok = False
-        return {"id": "marginalize %s:%s * %s:%s" % (_fmt(lam), (s,), _fmt(nu), (t,)),
-                "status": _status(ok), "witness": ""}
     for ws in wss:
         ws.warm(marg_max)
-    rep.extend(_run_parallel(marg_worker, quads, cfg.jobs, wss, "marg"))
+    rep.extend(_run_parallel(_marg_worker, quads, cfg.jobs, wss, "marg"))
     for n in range(2, 7):
         rep.add("determination of LR coefficients at size %d" % n,
                 _status(_all(wss, lambda ws: lr_mod.determination_check(ws, n))))

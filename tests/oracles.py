@@ -1,0 +1,172 @@
+"""Independent test oracles for algorithms the library no longer runs.
+
+The Jack basis is built at runtime from the Lax eigenfunction recursion.
+Here it is rebuilt the classical way: Gram-Schmidt against the
+alpha-deformed Hall product over the monomial basis, taken in the fixed
+dominance-compatible order, then rescaled to [m_{1^n}] J = n!.  The
+monomial <-> power-sum transition matrices it needs live here too.
+"""
+
+from fractions import Fraction
+from functools import lru_cache
+from math import factorial
+
+from jacklax.errors import JackLaxError
+from jacklax.fock import hall_inner_alpha
+from jacklax.linalg import invert
+from jacklax.partitions import partition, partitions_of
+
+
+# ---------------------------------------------------------------------------
+# monomial <-> power-sum transitions (rational, mode independent)
+# ---------------------------------------------------------------------------
+
+def _mult_m_by_p(mvec, r):
+    """Multiply a monomial-basis vector {nu: Fraction} by p_r."""
+    out = {}
+    for nu, c in mvec.items():
+        values = set(nu) | {0}
+        seen = set()
+        for v in values:
+            lst = list(nu)
+            if v:
+                lst.remove(v)
+            lst.append(v + r)
+            rho = partition(lst)
+            if rho in seen:
+                continue
+            seen.add(rho)
+            # number of positions of rho holding u=v+r whose removal gives nu
+            count = 0
+            for u in set(rho):
+                if u >= r:
+                    lst2 = list(rho)
+                    lst2.remove(u)
+                    lst2.append(u - r)
+                    if partition(lst2) == nu:
+                        count += rho.count(u) if u != 0 else 0
+            w = out.get(rho, Fraction(0)) + c * count
+            if w:
+                out[rho] = w
+            elif rho in out:
+                del out[rho]
+    return out
+
+
+@lru_cache(maxsize=None)
+def monomial_powersum_transition(n):
+    """(plist, P2M, M2P): P2M[i][j] = [m_{plist[j]}] p_{plist[i]} (integers),
+    M2P its inverse over Q."""
+    plist = list(partitions_of(n))
+    index = {mu: i for i, mu in enumerate(plist)}
+    P2M = []
+    for mu in plist:
+        vec = {(): Fraction(1)}
+        for r in mu:
+            vec = _mult_m_by_p(vec, r)
+        row = [Fraction(0)] * len(plist)
+        for nu, c in vec.items():
+            row[index[nu]] = c
+        P2M.append(row)
+
+    class _Q:
+        zero = Fraction(0)
+        one = Fraction(1)
+
+    M2P = invert([list(map(Fraction, col)) for col in zip(*P2M)], _Q)
+    return plist, P2M, M2P
+
+
+def p_to_m(pvec, n):
+    """Convert {mu: scalar} in the p-basis to the m-basis (degree n)."""
+    plist, P2M, _ = monomial_powersum_transition(n)
+    index = {mu: i for i, mu in enumerate(plist)}
+    out = {}
+    for mu, c in pvec.items():
+        for j, q in enumerate(P2M[index[mu]]):
+            if q:
+                key = plist[j]
+                w = out.get(key)
+                w = c * q if w is None else w + c * q
+                if w:
+                    out[key] = w
+                elif key in out:
+                    del out[key]
+    return out
+
+
+def m_to_p(mvec, n, field):
+    """Convert {mu: scalar} in the m-basis to the p-basis (degree n)."""
+    plist, _, M2P = monomial_powersum_transition(n)
+    index = {mu: i for i, mu in enumerate(plist)}
+    out = {}
+    for mu, c in mvec.items():
+        col = index[mu]
+        for i in range(len(plist)):
+            q = M2P[i][col]
+            if q:
+                key = plist[i]
+                w = out.get(key)
+                term = c * field.from_fraction(q)
+                w = term if w is None else w + term
+                if w:
+                    out[key] = w
+                elif key in out:
+                    del out[key]
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Gram-Schmidt Jack basis
+# ---------------------------------------------------------------------------
+
+def compute_integral_jacks(field, n):
+    """All integral Jacks of degree n: {lam: p-basis dict over the field}."""
+    if n == 0:
+        return {(): {(): field.one}}
+    plist = list(partitions_of(n))  # most dominated first, 1^n at index 0
+    m_in_p = {mu: m_to_p({mu: field.one}, n, field) for mu in plist}
+    _, P2M, _ = monomial_powersum_transition(n)
+    col = plist.index((1,) * n)
+    idx = {mu: i for i, mu in enumerate(plist)}
+
+    def pairing(f, g):
+        return hall_inner_alpha(f, g, field)
+
+    built = []  # (p-vec, norm)
+    out = {}
+    for lam in plist:
+        vec = dict(m_in_p[lam])
+        for jvec, nrm in built:
+            c = pairing(vec, jvec)
+            if c:
+                f = c / nrm
+                for k, v in jvec.items():
+                    w = vec.get(k)
+                    w = -f * v if w is None else w - f * v
+                    if w:
+                        vec[k] = w
+                    elif k in vec:
+                        del vec[k]
+        nrm = pairing(vec, vec)
+        if not nrm:
+            raise JackLaxError("Gram-Schmidt degenerated at %s" % (lam,))
+        built.append((vec, nrm))
+        # normalize [m_{1^n}] J = n!
+        lead = field.zero
+        for mu, c in vec.items():
+            q = P2M[idx[mu]][col]
+            if q:
+                lead = lead + c * field.from_fraction(q)
+        if not lead:
+            raise JackLaxError("vanishing m_{1^n} coefficient at %s" % (lam,))
+        scale = field.num(factorial(n)) / lead
+        out[lam] = {k: v * scale for k, v in vec.items()}
+    return out
+
+
+def homogeneous_jacks(field, n):
+    """j = (-e1)^n J(p -> (-e1)^{-1} V): {lam: FockVec} for all lam |- n."""
+    me1 = -field.e1
+    return {lam: {mu: c * me1 ** (n - len(mu)) for mu, c in pvec.items()}
+            for lam, pvec in compute_integral_jacks(field, n).items()}

@@ -7,7 +7,8 @@ import pytest
 
 from jacklax.cli import main
 from jacklax.report import RunConfig
-from jacklax.verify import suite_counts, suite_delta
+from jacklax.session import CACHE_FORMAT
+from jacklax.verify import suite_counts, suite_delta, suite_pieri
 
 
 def run_cli(args, **kw):
@@ -110,6 +111,37 @@ def test_parallel_matches_serial():
     assert r1.canonical_json() == r2.canonical_json()
 
 
+def test_pieri_parallel_matches_serial():
+    # at least 4 marginalization quads, so jobs=2 really forks a pool
+    r1 = suite_pieri(RunConfig(mode="specialized", jobs=1), max_total=4, marg_max=4)
+    r2 = suite_pieri(RunConfig(mode="specialized", jobs=2), max_total=4, marg_max=4)
+    assert sum(i["id"].startswith("marginalize") for i in r1.instances) >= 4
+    assert r1.all_pass()
+    assert r1.canonical_json() == r2.canonical_json()
+
+
+@pytest.mark.parametrize("argv,needle", [
+    (["jack", "show", "abc"], "bad partition 'abc'"),
+    (["psi", "show", "1,2", "(1)"], "bad box '(1)'"),
+    (["verify", "counts", "--spec-points=a,b"], "bad spec point 'a,b'"),
+    (["verify", "counts", "--spec-points=3/0,2"], "bad spec point '3/0,2'"),
+])
+def test_bad_input_exits_2_with_one_error_line(argv, needle):
+    r = run_cli(argv)
+    assert r.returncode == 2
+    assert r.stderr.splitlines() == [r.stderr.strip()]
+    assert r.stderr.startswith("error: ") and needle in r.stderr
+    assert "Traceback" not in r.stderr
+
+
+def test_spec_points_space_separated(capsys):
+    # a value starting with "-" must not be taken for an option
+    assert main(["verify", "counts", "--format", "json",
+                 "--spec-points", "-10007,9973;-3/2,22/7"]) == 0
+    blob = json.loads(capsys.readouterr().out)
+    assert blob["config"]["spec_points"] == ["e1=-10007,e2=9973", "e1=-3/2,e2=22/7"]
+
+
 def test_conjectures_never_gate(tmp_path):
     # the conjecture suite contains honest FAILs but exits 0
     r = run_cli(["verify", "conjectures", "--max-degree", "3"])
@@ -151,6 +183,49 @@ def test_corrupt_cache_rebuilt(tmp_path, capsys):
     files[0].write_text("{ not json")
     ws2 = Workspace(SymbolicField(), str(cache))
     assert ws2.jack((2,)) == ws.jack((2,))  # rebuilt transparently
+
+
+def test_stale_cache_format_rebuilt(tmp_path, capsys):
+    from jacklax.arith import SymbolicField
+    from jacklax.session import Workspace
+    cache = tmp_path / "cache"
+    ws = Workspace(SymbolicField(), str(cache))
+    ws.jack_degree(2)
+    path = next(p for p in cache.iterdir() if p.name.startswith("jack_02"))
+    blob = json.loads(path.read_text())
+    assert blob["format"] == CACHE_FORMAT
+    # an old-format blob is not trusted, even when it parses
+    del blob["format"]
+    blob["norms"]["2"] = "12345"
+    path.write_text(json.dumps(blob))
+    capsys.readouterr()
+    ws2 = Workspace(SymbolicField(), str(cache))
+    assert ws2.norm_sq((2,)) == ws.norm_sq((2,))
+    err = capsys.readouterr().err
+    assert "stale cache file" in err and "corrupt" not in err
+    rewritten = json.loads(path.read_text())
+    assert rewritten["format"] == CACHE_FORMAT
+    assert rewritten["norms"]["2"] != "12345"
+
+
+def test_concurrent_cache_warm(tmp_path):
+    shared, serial = tmp_path / "shared", tmp_path / "serial"
+    env = dict(os.environ)
+    env.pop("JACKLAX_CACHE_DIR", None)
+    cmd = [sys.executable, "-m", "jacklax.cli", "cache", "warm", "--degree", "5",
+           "--cache-dir"]
+    procs = [subprocess.Popen(cmd + [str(shared)], env=env, stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE, text=True) for _ in range(2)]
+    for p in procs:
+        out, err = p.communicate(timeout=120)
+        assert p.returncode == 0, err
+    assert run_cli(["cache", "warm", "--degree", "5", "--cache-dir", str(serial)],
+                   env=env).returncode == 0
+    names = sorted(p.name for p in shared.iterdir())
+    assert names == sorted(p.name for p in serial.iterdir())
+    assert names == ["jack_%02d_symbolic.json" % n for n in range(6)]
+    for name in names:
+        assert (shared / name).read_bytes() == (serial / name).read_bytes()
 
 
 def test_spec_point_parsing():

@@ -7,9 +7,10 @@ from jacklax.arith import SymbolicField
 from jacklax.errors import DegreeMismatch, InhomogeneousForPiStar
 from jacklax.fock import (Pi, annihilate, deriv_V, dim_hn, ext_mul,
                           fock_to_ext, hall_inner_alpha, hn_basis, inner_hbar,
-                          monomial_norm_sq, monomial_powersum_transition,
-                          pi0, pi_plus, project, v_add, v_scale, w_mul, zmu)
+                          monomial_norm_sq, pi0, pi_plus, project, v_add,
+                          v_scale, w_mul, zmu)
 from jacklax.partitions import partitions_of, series_P, SeriesZ
+from oracles import m_to_p, monomial_powersum_transition, p_to_m
 
 F = SymbolicField()
 
@@ -105,10 +106,9 @@ def test_transitions():
         N = len(plist)
         for i in range(N):
             for j in range(N):
-                acc = sum(P2M[i][k] * M2P[j][k] for k in range(N))
-                # p -> m -> p: M2P columns invert P2M transpose
+                # p -> m -> p: M2P inverts the transpose of P2M
+                assert sum(P2M[i][k] * M2P[j][k] for k in range(N)) == (i == j)
         # spot: converting p_mu to m and back is identity
-        from jacklax.fock import m_to_p, p_to_m
         for mu in plist:
             back = m_to_p(p_to_m({mu: F.one}, n), n, F)
             assert back == {mu: F.one}

@@ -1,12 +1,12 @@
 from jacklax.arith import SymbolicField
 from jacklax.fock import fock_mul, inner_hbar
-from jacklax.jack import (compute_integral_jacks, content_product_poly,
-                          jack_norm_sq, pieri_stanley,
+from jacklax.jack import (content_product_poly, jack_norm_sq, pieri_stanley,
                           principal_specialization, varpi)
 from jacklax.partitions import (add_box, add_set, parse_partition,
                                 partitions_of, transpose)
 from jacklax.spectral import tau
 from jacklax import lr
+from oracles import compute_integral_jacks, homogeneous_jacks
 
 F = SymbolicField()
 e1, e2 = F.e1, F.e2
@@ -19,6 +19,13 @@ def test_integral_jacks_n3():
     assert J[(1, 1, 1)] == {(1, 1, 1): one, (2, 1): F.num(-3), (3,): F.num(2)}
     assert J[(2, 1)] == {(1, 1, 1): one, (2, 1): a - 1, (3,): -a}
     assert J[(3,)] == {(1, 1, 1): one, (2, 1): 3 * a, (3,): 2 * a ** 2}
+
+
+def test_lax_recursion_matches_gram_schmidt(sym, spec_all):
+    # the runtime basis (Lax recursion) against the Gram-Schmidt oracle
+    for ws, maxn in [(sym, 6)] + [(point_ws, 9) for point_ws in spec_all]:
+        for n in range(maxn + 1):
+            assert ws.jack_degree(n) == homogeneous_jacks(ws.field, n), (ws.key(), n)
 
 
 def test_homogeneous_jacks_n3(sym):
