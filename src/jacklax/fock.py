@@ -56,10 +56,6 @@ def v_scale(a, c):
     return {k: v * c for k, v in a.items()}
 
 
-def v_eq(a, b):
-    return a == b
-
-
 # ---------------------------------------------------------------------------
 # multiplication
 # ---------------------------------------------------------------------------
@@ -304,7 +300,3 @@ def vector_to_coords(zeta, n, field):
         coords[index[k]] = c
     return coords
 
-
-def coords_to_vector(coords, n):
-    basis = hn_basis(n)
-    return {basis[i]: c for i, c in enumerate(coords) if c}

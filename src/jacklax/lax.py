@@ -48,21 +48,6 @@ def lax_apply(field, zeta):
     return out
 
 
-def lax_prime_apply(field, zeta):
-    """The F-linear part L' (w^n -> sum_{0<k<=n} w^{n-k} V_k)."""
-    out = {}
-    for (m, mu), c in zeta.items():
-        for k in range(1, m + 1):
-            key = (m - k, tuple(sorted(mu + (k,), reverse=True)))
-            w = out.get(key)
-            w = c if w is None else w + c
-            if w:
-                out[key] = w
-            elif key in out:
-                del out[key]
-    return out
-
-
 def op_A(field, zeta):
     """A = pi0 L w : H_n -> F_{n+1} (returns a FockVec)."""
     return pi0(lax_apply(field, w_mul(zeta)))
@@ -215,15 +200,6 @@ def decompose(ws, zeta, scheme):
         else:
             raise ValueError("scheme must be Z, X or Y")
         out[key] = v_add(out.get(key, {}), v_scale(ws.psi(lam, s), c))
-    return out
-
-
-def project_Z(ws, zeta, lam):
-    """P_{Z_lam} zeta."""
-    out = {}
-    for (mu, s), c in ws.expand_psi(zeta).items():
-        if mu == lam:
-            out = v_add(out, v_scale(ws.psi(mu, s), c))
     return out
 
 

@@ -41,7 +41,10 @@ def solve(A, b, field):
 
 
 def invert(A, field):
-    """Inverse of a square matrix (raises if singular)."""
+    """Inverse of a square matrix (raises if singular).
+
+    Not called at runtime: the test oracles use it, with matvec, and
+    bench/tracer.py wraps both by name."""
     n = len(A)
     M = [list(row) + [field.one if i == j else field.zero for j in range(n)]
          for i, row in enumerate(A)]

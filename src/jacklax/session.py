@@ -13,11 +13,11 @@ import tempfile
 import threading
 
 from .arith import SymbolicField, parse_scalar, render_scalar
-from .fock import inner_hbar, vector_to_coords
+from .fock import degree_of, hn_basis, inner_hbar, monomial_norm_sq, v_scale
 from .jack import compute_homogeneous_jacks, jack_norm_sq, varpi
-from .linalg import invert, matvec
 from .partitions import (add_set, format_partition, parse_partition,
                          partitions_of)
+from .spectral import tau
 
 
 # Version of the disk cache blob; a file in any other format is rebuilt.
@@ -37,7 +37,7 @@ class Workspace:
         self._norm = {}     # degree -> {lam: scalar}
         self._varpi = {}    # degree -> {lam: scalar}
         self._psi = {}      # (lam, s) -> ExtVec
-        self._psi_solver = {}   # degree -> (pairs, inverse matrix)
+        self._psi_solver = {}   # degree -> (pairs, dual index, scales)
 
     def key(self):
         """Cache key of the coefficient field ("symbolic" or the point)."""
@@ -177,7 +177,6 @@ class Workspace:
             return got
 
     def psi_hat(self, lam, s):
-        from .fock import v_scale
         scale = self.field.one / self.pi_star_psi(lam, s)
         return v_scale(self.psi(lam, s), scale)
 
@@ -196,29 +195,41 @@ class Workspace:
         return out
 
     def psi_hat_solver(self, n):
-        """(pairs, M_inv) with M the matrix of psi-hat coordinates."""
+        """(pairs, index, scales): the orthogonal dual of the psi-hat basis.
+
+        The psi_lam^s are pairwise orthogonal under inner_hbar with
+        |psi_lam^s|^2 = |j_lam|^2 / tau_lam^s, so the psi-hat coefficient
+        of zeta is <zeta, psi_lam^s> * tau_lam^s pi_* psi_lam^s / |j_lam|^2.
+        index maps each basis key of H_n to [(i, psi_i[key] <key, key>)];
+        scales[i] is the factor above for pairs[i]."""
         with self._lock:
             got = self._psi_solver.get(n)
             if got is None:
+                f = self.field
                 pairs = self.eigen_pairs(n)
-                cols = [vector_to_coords(self.psi_hat(lam, s), n, self.field)
-                        for (lam, s) in pairs]
-                M = [[cols[j][i] for j in range(len(cols))] for i in range(len(cols[0]))]
-                Minv = invert(M, self.field)
-                got = (pairs, Minv)
+                gram = {key: monomial_norm_sq(key[1], f) for key in hn_basis(n)}
+                index = {key: [] for key in gram}
+                scales = []
+                for i, (lam, s) in enumerate(pairs):
+                    for key, c in self.psi(lam, s).items():
+                        index[key].append((i, c * gram[key]))
+                    scales.append(tau(f, lam, s) * self.pi_star_psi(lam, s)
+                                  / self.norm_sq(lam))
+                got = (pairs, index, scales)
                 self._psi_solver[n] = got
             return got
 
     def expand_psi_hat(self, zeta):
         """Expand a homogeneous ExtVec in the psi-hat basis."""
-        from .fock import degree_of
         if not zeta:
             return {}
-        n = degree_of(zeta)
-        pairs, Minv = self.psi_hat_solver(n)
-        coords = vector_to_coords(zeta, n, self.field)
-        sol = matvec(Minv, coords, self.field)
-        return {pairs[i]: c for i, c in enumerate(sol) if c}
+        pairs, index, scales = self.psi_hat_solver(degree_of(zeta))
+        acc = {}
+        for key, c in zeta.items():
+            for i, w in index[key]:
+                a = acc.get(i)
+                acc[i] = c * w if a is None else a + c * w
+        return {pairs[i]: acc[i] * scales[i] for i in sorted(acc) if acc[i]}
 
     def expand_psi(self, zeta):
         """Expansion in the unhatted psi basis."""

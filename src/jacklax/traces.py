@@ -62,18 +62,6 @@ def full_trace(ws, zeta):
     return TraceVector(n, x, y, z)
 
 
-def trace_x(ws, gam, zeta):
-    return full_trace(ws, zeta).x.get(gam, ws.field.zero)
-
-
-def trace_z(ws, lam, zeta):
-    return full_trace(ws, zeta).z.get(lam, ws.field.zero)
-
-
-def trace_y_s(ws, s, zeta):
-    return full_trace(ws, zeta).y.get(s, ws.field.zero)
-
-
 def trace_y_u(ws, zeta):
     """y_u(zeta) as a partial-fraction map {pole-box: residue}."""
     return dict(full_trace(ws, zeta).y)
@@ -340,17 +328,21 @@ def d_Pi(ws, z1, z2):
     return Pi(ext_mul(pi_plus(z1), pi_plus(z2)))
 
 
-def verify_twisted_traces(ws, z1, z2):
-    """Check Tr(beta) = rho_* Tr(theta): y equal, x(beta)=0, z(theta)=0,
-    z(beta) = -x(theta)."""
-    tb = full_trace(ws, beta(ws, z1, z2))
-    tt = full_trace(ws, theta(ws, z1, z2))
+def twisted_trace_checks(tb, tt):
+    """Tr(beta) = rho_* Tr(theta) on the traces tb = Tr(beta), tt = Tr(theta):
+    y equal, x(beta)=0, z(theta)=0, z(beta) = -x(theta)."""
     return {
         "y_equal": pf_eq(tb.y, tt.y),
         "x_beta_zero": not tb.x,
         "z_theta_zero": not tt.z,
         "z_beta_is_minus_x_theta": pf_eq(tb.z, {k: -v for k, v in tt.x.items()}),
     }
+
+
+def verify_twisted_traces(ws, z1, z2):
+    """twisted_trace_checks on the traces of beta(z1, z2) and theta(z1, z2)."""
+    return twisted_trace_checks(full_trace(ws, beta(ws, z1, z2)),
+                                full_trace(ws, theta(ws, z1, z2)))
 
 
 def y_trace_product(ws, lam, s, nu, t):
@@ -363,22 +355,27 @@ def y_trace_product(ws, lam, s, nu, t):
     return SpectralFun(T.pre, dict(T.num), den)
 
 
-def verify_y_trace_product(ws, lam, s, nu, t):
+def y_trace_product_check(ws, lam, s, nu, t, t_prod, t_beta):
     """y_u(psi-hat psi-hat) = T_{lam*nu}/(u-[s+t]) and
-    y_u(beta(psi-hat,psi-hat)) = T_{lam*nu} - 1, by residue comparison."""
+    y_u(beta(psi-hat,psi-hat)) = T_{lam*nu} - 1, by residue comparison, on
+    the traces t_prod and t_beta of the product and of beta of the pair
+    psi-hat_lam^s, psi-hat_nu^t."""
     field = ws.field
-    p1 = ws.psi_hat(lam, s)
-    p2 = ws.psi_hat(nu, t)
-    lhs = trace_y_u(ws, ext_mul(p1, p2))
-    rhs_fun = y_trace_product(ws, lam, s, nu, t)
-    poly, res = rhs_fun.partial_fractions(field)
+    poly, res = y_trace_product(ws, lam, s, nu, t).partial_fractions(field)
     if poly:
         return False
-    if not pf_eq(lhs, res):
+    if not pf_eq(t_prod.y, res):
         return False
-    lhs_beta = trace_y_u(ws, beta(ws, p1, p2))
-    rhs_beta = star_residues(field, lam, nu)
-    return pf_eq(lhs_beta, rhs_beta)
+    return pf_eq(t_beta.y, star_residues(field, lam, nu))
+
+
+def verify_y_trace_product(ws, lam, s, nu, t):
+    """y_trace_product_check on freshly computed traces."""
+    p1 = ws.psi_hat(lam, s)
+    p2 = ws.psi_hat(nu, t)
+    return y_trace_product_check(ws, lam, s, nu, t,
+                                 full_trace(ws, ext_mul(p1, p2)),
+                                 full_trace(ws, beta(ws, p1, p2)))
 
 
 # ---------------------------------------------------------------------------

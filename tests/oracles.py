@@ -5,6 +5,10 @@ Here it is rebuilt the classical way: Gram-Schmidt against the
 alpha-deformed Hall product over the monomial basis, taken in the fixed
 dominance-compatible order, then rescaled to [m_{1^n}] J = n!.  The
 monomial <-> power-sum transition matrices it needs live here too.
+
+The psi-hat expansion is computed at runtime from the orthogonal dual of
+the eigenbasis.  Here it is the solution of the dense coordinate system:
+the inverse of the matrix whose columns are the psi-hat vectors.
 """
 
 from fractions import Fraction
@@ -12,8 +16,8 @@ from functools import lru_cache
 from math import factorial
 
 from jacklax.errors import JackLaxError
-from jacklax.fock import hall_inner_alpha
-from jacklax.linalg import invert
+from jacklax.fock import degree_of, hall_inner_alpha, vector_to_coords
+from jacklax.linalg import invert, matvec
 from jacklax.partitions import partition, partitions_of
 
 
@@ -170,3 +174,22 @@ def homogeneous_jacks(field, n):
     me1 = -field.e1
     return {lam: {mu: c * me1 ** (n - len(mu)) for mu, c in pvec.items()}
             for lam, pvec in compute_integral_jacks(field, n).items()}
+
+
+# ---------------------------------------------------------------------------
+# psi-hat expansion by the dense inverse
+# ---------------------------------------------------------------------------
+
+def dense_psi_hat_solver(ws, n):
+    """(pairs, M^-1) with the columns of M the psi-hat coordinates in H_n."""
+    pairs = ws.eigen_pairs(n)
+    cols = [vector_to_coords(ws.psi_hat(lam, s), n, ws.field) for lam, s in pairs]
+    return pairs, invert([list(row) for row in zip(*cols)], ws.field)
+
+
+def dense_expand_psi_hat(ws, zeta, solver):
+    """Expand a nonzero homogeneous ExtVec in the psi-hat basis as M^-1
+    times its coordinates; solver is dense_psi_hat_solver of its degree."""
+    pairs, Minv = solver
+    sol = matvec(Minv, vector_to_coords(zeta, degree_of(zeta), ws.field), ws.field)
+    return {pairs[i]: c for i, c in enumerate(sol) if c}

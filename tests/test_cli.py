@@ -111,6 +111,32 @@ def test_parallel_matches_serial():
     assert r1.canonical_json() == r2.canonical_json()
 
 
+@pytest.mark.parametrize("suite, kwargs", [
+    ("traces", {"max_degree": 5}),
+    ("spectral", {"max_degree": 5}),
+    ("kernel", {"to": 6}),
+    ("cokernel", {"to": 6}),
+])
+def test_suite_parallel_matches_serial(suite, kwargs):
+    from jacklax.verify import SUITES
+    r1 = SUITES[suite](RunConfig(mode="specialized", jobs=1), **kwargs)
+    r2 = SUITES[suite](RunConfig(mode="specialized", jobs=2), **kwargs)
+    assert r1.all_pass()
+    assert r1.canonical_json() == r2.canonical_json()
+
+
+def test_trace_witness_names_the_spec_point(monkeypatch):
+    from jacklax import spectral
+    from jacklax.arith import DEFAULT_SPEC_POINTS
+    from jacklax.verify import suite_traces
+    monkeypatch.setattr(spectral, "star_residues", lambda f, lam, nu: {(9, 9): f.one})
+    rep = suite_traces(RunConfig(mode="specialized"), max_degree=2)
+    bad = [i for i in rep.instances if i["status"] == "FAIL"]
+    assert bad
+    for inst in bad:
+        assert inst["witness"] == "%s: y != tau-hat(star)" % DEFAULT_SPEC_POINTS[0].key()
+
+
 def test_pieri_parallel_matches_serial():
     # at least 4 marginalization quads, so jobs=2 really forks a pool
     r1 = suite_pieri(RunConfig(mode="specialized", jobs=1), max_total=4, marg_max=4)

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from jacklax.errors import NotAnAddableBox, NotARemovableCorner, EmptyPartition
@@ -166,11 +168,38 @@ def test_Pi_action(sym):
 
 
 def test_completeness(spec):
-    # the psi-hat expansion solver inverts, i.e. {psi} spans H_n
+    # dim H_n psi-hat vectors, each expanding to itself alone under the
+    # orthogonal dual: the Gram matrix is diagonal with nonzero norms, so
+    # the psi-hat vectors are a basis of H_n
+    from jacklax.fock import dim_hn
     for n in range(8):
-        pairs, _ = spec.psi_hat_solver(n)
-        from jacklax.fock import dim_hn
+        pairs = spec.eigen_pairs(n)
         assert len(pairs) == dim_hn(n)
+        for lam, s in pairs:
+            assert spec.expand_psi_hat(spec.psi_hat(lam, s)) == {(lam, s): spec.field.one}
+
+
+@pytest.mark.parametrize("point, maxn", [(0, 6), (1, 6), (2, 6), (None, 4)])
+def test_dual_expansion_matches_dense_inverse(point, maxn, sym, spec_all):
+    # the replaced dense-inverse expansion stays as the oracle
+    from jacklax.fock import ext_mul, hn_basis
+    from oracles import dense_expand_psi_hat, dense_psi_hat_solver
+    ws = sym if point is None else spec_all[point]
+    field = ws.field
+    rng = random.Random(20261018)
+    for n in range(maxn + 1):
+        solver = dense_psi_hat_solver(ws, n)
+        vecs = [ws.psi_hat(lam, s) for lam, s in ws.eigen_pairs(n)]
+        for a in range(1, n // 2 + 1):
+            for p1 in ws.eigen_pairs(a):
+                for p2 in ws.eigen_pairs(n - a):
+                    vecs.append(ext_mul(ws.psi_hat(*p1), ws.psi_hat(*p2)))
+        basis = hn_basis(n)
+        for _ in range(3):
+            keys = rng.sample(basis, min(4, len(basis)))
+            vecs.append({k: field.num(rng.randint(-9, 9) or 1) for k in keys})
+        for v in vecs:
+            assert ws.expand_psi_hat(v) == dense_expand_psi_hat(ws, v, solver)
 
 
 def test_structural_theorem(spec):
