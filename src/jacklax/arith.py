@@ -562,11 +562,6 @@ _C_ZERO = Coeff.from_int(0)
 _C_ONE = Coeff.from_int(1)
 
 
-def coeff_normalize(num, den):
-    """Reduced fraction from a BiPoly pair (raises on zero denominator)."""
-    return Coeff(num, den)
-
-
 # ---------------------------------------------------------------------------
 # canonical text form and parsing
 # ---------------------------------------------------------------------------
@@ -777,11 +772,6 @@ class SpecializedField:
 
     def key(self):
         return self.point.key()
-
-
-def specialize(c, point):
-    """Evaluate a Coeff at a SpecPoint (ring homomorphism where defined)."""
-    return c.evaluate(point.e1, point.e2)
 
 
 # ---------------------------------------------------------------------------
@@ -1004,11 +994,3 @@ def _poly_divmod(a, b, field):
         a.pop()
         _trim_poly(a)
     return _trim_poly(q), _trim_poly(a)
-
-
-def sfun_equal(f, g, field):
-    return f.equal(g, field)
-
-
-def sfun_residue(f, pole, field):
-    return f.residue(pole, field)

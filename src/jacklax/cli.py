@@ -16,11 +16,11 @@ import os
 import sys
 
 from .arith import render_scalar
-from .errors import BadBox, JackLaxError
+from .errors import BadBox, BadSize, JackLaxError
 from .partitions import (count_by_corners, count_lattice_q, count_partitions,
                          format_partition, parse_partition, series_P)
 from .report import RunConfig
-from .verify import SUITES
+from .verify import SUITES, suite_sizes
 
 
 def _parse_box(text):
@@ -141,6 +141,8 @@ def cmd_lr(args):
 
 
 def cmd_counts(args):
+    if args.to < 0:
+        raise BadSize("bad size to=%d for counts: sizes are >= 0" % args.to)
     if args.kernel:
         from .traces import kernel_dim_series
         ser = kernel_dim_series(args.to)
@@ -195,24 +197,14 @@ def cmd_verify(args):
     suites = list(SUITES) if args.suite == "all" else [args.suite]
     if "conjectures" in suites and args.suite == "all" and not cfg.include_conjectures:
         suites.remove("conjectures")
+    given = {"max_size": args.max_size, "max_total": args.max_size,
+             "max_degree": args.max_degree, "to": args.to}
+    # every size is checked before any suite runs
+    sizes = {name: suite_sizes(name, cfg.mode, **given) for name in suites}
     reports = []
     gate = True
     for name in suites:
-        fn = SUITES[name]
-        kwargs = {}
-        if name == "main-theorem":
-            kwargs["max_size"] = args.max_size or (6 if cfg.mode == "symbolic" else 8)
-        elif name in ("spectral",):
-            kwargs["max_degree"] = args.max_degree or 7
-        elif name in ("traces", "shc", "conjectures"):
-            kwargs["max_degree"] = args.max_degree or 6
-        elif name in ("cokernel", "kernel"):
-            kwargs["to"] = args.to or 7
-        elif name == "tau":
-            kwargs["max_size"] = args.max_size or 8
-        elif name == "pieri":
-            kwargs["max_total"] = args.max_size or 7
-        rep = fn(cfg, **kwargs)
+        rep = SUITES[name](cfg, **sizes[name])
         reports.append(rep)
         if name != "conjectures" and not rep.all_pass():
             gate = False
@@ -312,11 +304,6 @@ def build_parser():
     add_mode(p, "symbolic")
     p.set_defaults(fn=cmd_cache)
     return ap
-
-
-def run(argv=None):
-    """Entry point alias: exit 0 iff all requested checks pass."""
-    return main(argv)
 
 
 def _join_spec_points(argv):

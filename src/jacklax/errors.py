@@ -57,10 +57,6 @@ class NotACycle(JackLaxError):
     pass
 
 
-class TruncationExceeded(JackLaxError):
-    pass
-
-
 class BadSpecPoint(JackLaxError):
     pass
 
@@ -70,4 +66,8 @@ class BadPartition(JackLaxError):
 
 
 class BadBox(JackLaxError):
+    pass
+
+
+class BadSize(JackLaxError):
     pass

@@ -20,29 +20,31 @@ from .partitions import partitions_of
 # sparse vector helpers (shared by FockVec and ExtVec dicts)
 # ---------------------------------------------------------------------------
 
-def v_add(a, b):
-    out = dict(a)
-    for k, v in b.items():
+def bump(out, key, val):
+    """out[key] += val in place; a sum that vanishes is dropped."""
+    w = out.get(key)
+    w = val if w is None else w + val
+    if w:
+        out[key] = w
+    elif key in out:
+        del out[key]
+
+
+def v_accum(out, vec, c=None):
+    """out += c * vec in place (c=None adds vec itself) and returns out.
+
+    Sums that vanish are dropped and c == 0 adds nothing.  out must be a
+    dict the caller owns, never a cached vector."""
+    if c is not None and not c:
+        return out
+    for k, v in vec.items():
+        if c is not None:
+            v = v * c
         w = out.get(k)
         if w is None:
             out[k] = v
         else:
             w = w + v
-            if w:
-                out[k] = w
-            else:
-                del out[k]
-    return out
-
-
-def v_sub(a, b):
-    out = dict(a)
-    for k, v in b.items():
-        w = out.get(k)
-        if w is None:
-            out[k] = -v
-        else:
-            w = w - v
             if w:
                 out[k] = w
             else:
@@ -68,13 +70,7 @@ def fock_mul(f, g):
     out = {}
     for mu, a in f.items():
         for nu, b in g.items():
-            key = _merge_parts(mu, nu)
-            w = out.get(key)
-            w = a * b if w is None else w + a * b
-            if w:
-                out[key] = w
-            elif key in out:
-                del out[key]
+            bump(out, _merge_parts(mu, nu), a * b)
     return out
 
 
@@ -82,13 +78,7 @@ def ext_mul(f, g):
     out = {}
     for (m, mu), a in f.items():
         for (n, nu), b in g.items():
-            key = (m + n, _merge_parts(mu, nu))
-            w = out.get(key)
-            w = a * b if w is None else w + a * b
-            if w:
-                out[key] = w
-            elif key in out:
-                del out[key]
+            bump(out, (m + n, _merge_parts(mu, nu)), a * b)
     return out
 
 
@@ -243,17 +233,11 @@ def deriv_V(f, k):
     out = {}
     for mu, c in f.items():
         d = mu.count(k)
-        if not d:
-            continue
-        lst = list(mu)
-        lst.remove(k)
-        key = tuple(lst)
-        w = out.get(key)
-        w = c * d if w is None else w + c * d
-        if w:
-            out[key] = w
-        elif key in out:
-            del out[key]
+        if d:
+            lst = list(mu)
+            lst.remove(k)
+            # mu -> mu - k is injective: no two terms share a key
+            out[tuple(lst)] = c * d
     return out
 
 
@@ -269,7 +253,7 @@ def fock_adjoint_apply(g, f, field):
     """Apply (multiplication by g)^dagger to f; both FockVecs."""
     out = {}
     for mu, c in g.items():
-        out = v_add(out, v_scale(annihilate(f, mu, field), c))
+        v_accum(out, annihilate(f, mu, field), c)
     return out
 
 

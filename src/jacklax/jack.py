@@ -8,7 +8,7 @@ with A = pi0 L w.  No pairing, basis change or matrix inverse is needed.
 """
 
 from .errors import JackLaxError
-from .fock import v_add, v_scale
+from .fock import bump, v_accum, v_scale
 from .lax import op_A
 from .partitions import (arm, boxes, boxes_x, contains, hooks_lower,
                          hooks_upper, leg, partitions_of, rem_set, remove_box)
@@ -29,7 +29,7 @@ def compute_homogeneous_jacks(ws, n):
         q = {}
         for t in rem_set(lam):
             c = tau_tilde(field, lam, (t[0] + 1, t[1] + 1))
-            q = v_add(q, v_scale(ws.psi(remove_box(lam, t), t), c))
+            v_accum(q, ws.psi(remove_box(lam, t), t), c)
         out[lam] = v_scale(op_A(field, q), scale)
     return out
 
@@ -56,13 +56,7 @@ def principal_specialization(f, field):
     """Substitute V_k -> z for all k: {z-degree: scalar} from a FockVec."""
     out = {}
     for mu, c in f.items():
-        d = len(mu)
-        w = out.get(d)
-        w = c if w is None else w + c
-        if w:
-            out[d] = w
-        elif d in out:
-            del out[d]
+        bump(out, len(mu), c)
     return out
 
 

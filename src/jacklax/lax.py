@@ -9,8 +9,8 @@ and satisfy L psi = [s] psi with pi0 psi = j_lam.
 """
 
 from .errors import EmptyPartition, NotARemovableCorner, NotAnAddableBox
-from .fock import (Pi, degree_of, fock_to_ext, hn_basis, pi0, pi_plus,
-                   pi_star, v_add, v_scale, w_mul)
+from .fock import (Pi, bump, degree_of, fock_to_ext, hn_basis, pi0, pi_plus,
+                   v_accum, v_scale, w_mul)
 from .partitions import (add_set, add_box, rem_set, rem_set_plus,
                          remove_box)
 from .spectral import tau, tau_hat, tau_tilde
@@ -23,28 +23,19 @@ from .spectral import tau, tau_hat, tau_tilde
 def lax_apply(field, zeta):
     """Apply L to an ExtVec."""
     out = {}
-
-    def bump(key, val):
-        w = out.get(key)
-        w = val if w is None else w + val
-        if w:
-            out[key] = w
-        elif key in out:
-            del out[key]
-
     ebar, hbar = field.ebar, field.hbar
     for (m, mu), c in zeta.items():
         if m:
-            bump((m, mu), c * ebar * field.num(m))
+            bump(out, (m, mu), c * ebar * field.num(m))
         # w^{-k} V_k terms, k <= m
         for k in range(1, m + 1):
-            bump((m - k, tuple(sorted(mu + (k,), reverse=True))), c)
+            bump(out, (m - k, tuple(sorted(mu + (k,), reverse=True))), c)
         # w^k V_{-k} terms: V_{-k} = hbar k d/dV_k
         for k in set(mu):
             d = mu.count(k)
             lst = list(mu)
             lst.remove(k)
-            bump((m + k, tuple(lst)), c * hbar * field.num(k * d))
+            bump(out, (m + k, tuple(lst)), c * hbar * field.num(k * d))
     return out
 
 
@@ -78,7 +69,7 @@ def lax_plus_shift_check(ws, n):
     for key in hn_basis(n):
         one = {key: field.one}
         lhs = Pi(pi_plus(lax_apply(field, w_mul(one))))
-        rhs = v_add(lax_apply(field, one), v_scale(one, field.ebar))
+        rhs = v_accum(lax_apply(field, one), one, field.ebar)
         if lhs != rhs:
             return False
     return True
@@ -109,7 +100,7 @@ def compute_psi(ws, lam, s):
             raise ZeroDivisionError("degenerate denominator in psi recursion")
         coeff = tau_tilde(field, lam, tp) / den
         sub = ws.psi(remove_box(lam, t), t)
-        acc = v_add(acc, v_scale(w_mul(sub), coeff))
+        v_accum(acc, w_mul(sub), coeff)
     return acc
 
 
@@ -140,7 +131,7 @@ def resolvent_at_form(ws, form, zeta, shift=(0, 0)):
     out = {}
     for (lam, s), c in ws.expand_psi(zeta).items():
         den = field.lf((form[0] + shift[0] - s[0], form[1] + shift[1] - s[1]))
-        out = v_add(out, v_scale(ws.psi(lam, s), c / den))
+        v_accum(out, ws.psi(lam, s), c / den)
     return out
 
 
@@ -199,7 +190,7 @@ def decompose(ws, zeta, scheme):
             key = s
         else:
             raise ValueError("scheme must be Z, X or Y")
-        out[key] = v_add(out.get(key, {}), v_scale(ws.psi(lam, s), c))
+        v_accum(out.setdefault(key, {}), ws.psi(lam, s), c)
     return out
 
 

@@ -8,11 +8,11 @@ with chat = c * varpi_gamma / (varpi_mu varpi_nu).
 """
 
 from .errors import JackLaxError, NotACycle
-from .fock import ext_mul, fock_mul, v_add, v_scale
+from .fock import bump, ext_mul, fock_mul, v_accum
 from .linalg import rank, solve
 from .partitions import (boxes, contains, diagram_union, partitions_of,
                          size)
-from .spectral import T_star, star_residues
+from .spectral import star_residues
 
 
 # ---------------------------------------------------------------------------
@@ -42,27 +42,8 @@ def marginalize(table):
     """Sum a Jack-Lax table over the eigen-box: {gamma: sum_u c}."""
     out = {}
     for (gamma, u), c in table.items():
-        w = out.get(gamma)
-        w = c if w is None else w + c
-        if w:
-            out[gamma] = w
-        elif gamma in out:
-            del out[gamma]
+        bump(out, gamma, c)
     return out
-
-
-def rectangle_corner_value(ws, mu, s, nu, t, m, n):
-    """The closed-form hatted Jack-Lax coefficient onto the rectangle-minus-
-    box partition m^n - v*, v* = (n-1, m-1):
-        Res_{u=[v*]} T_{mu*nu}(u) / (u - [s+t])."""
-    field = ws.field
-    vstar = (n - 1, m - 1)
-    T = T_star(field, mu, nu)
-    st = (s[0] + t[0], s[1] + t[1])
-    from .arith import SpectralFun
-    den = dict(T.den)
-    den[st] = den.get(st, 0) + 1
-    return SpectralFun(T.pre, dict(T.num), den).residue(vstar, field)
 
 
 # ---------------------------------------------------------------------------
@@ -85,22 +66,11 @@ def main_theorem_residual(ws, mu, nu):
                 raise JackLaxError("selection rule violated at %s" % (gamma,))
             continue
         for b in boxes(gamma):
-            if b in union_boxes:
-                continue
-            w = lhs.get(b, field.zero) + chat
-            if w:
-                lhs[b] = w
-            elif b in lhs:
-                del lhs[b]
-    rhs = star_residues(field, mu, nu)
-    residual = dict(lhs)
-    for pole, r in rhs.items():
-        w = residual.get(pole, field.zero) - r
-        if w:
-            residual[pole] = w
-        elif pole in residual:
-            del residual[pole]
-    return residual
+            if b not in union_boxes:
+                bump(lhs, b, chat)
+    for pole, r in star_residues(field, mu, nu).items():
+        bump(lhs, pole, -r)
+    return lhs
 
 
 def main_theorem_check(ws, mu, nu):
@@ -153,16 +123,11 @@ def delta_map(ws, f):
     """Delta(f) as a partial-fraction map {pole-box: scalar}.
 
     On the Jack basis: Delta(j_lam) = varpi_lam sum_{b in lam} 1/(u-[b])."""
-    field = ws.field
     out = {}
     for lam, c in ws.expand_in_jacks(f).items():
         w = c * ws.varpi(lam)
         for b in boxes(lam):
-            acc = out.get(b, field.zero) + w
-            if acc:
-                out[b] = acc
-            elif b in out:
-                del out[b]
+            bump(out, b, w)
     return out
 
 
@@ -204,7 +169,7 @@ def delta_kernel_check(ws, lams):
     acc = {}
     for i, lam in enumerate(lams):
         sign = field.one if i % 2 == 0 else -field.one
-        acc = v_add(acc, v_scale(ws.jack_hat(lam), sign))
+        v_accum(acc, ws.jack_hat(lam), sign)
     return not delta_map(ws, acc)
 
 

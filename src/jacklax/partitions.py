@@ -189,19 +189,6 @@ def _grevlex_cmp(a, b):
 partition_sort_key = cmp_to_key(_grevlex_cmp)
 
 
-def dominates(lam, mu):
-    """lam >= mu in dominance order (same size)."""
-    if sum(lam) != sum(mu):
-        return False
-    total_l = total_m = 0
-    for i in range(max(len(lam), len(mu))):
-        total_l += lam[i] if i < len(lam) else 0
-        total_m += mu[i] if i < len(mu) else 0
-        if total_l < total_m:
-            return False
-    return True
-
-
 @lru_cache(maxsize=None)
 def partitions_of(n):
     """All partitions of n, sorted in the fixed linear extension
@@ -221,6 +208,30 @@ def partitions_of(n):
 
     rec(n, n, [])
     return tuple(sorted(out, key=partition_sort_key))
+
+
+def eigen_pairs(n):
+    """Labels of the eigenbasis of H_n: all (lam |- n, s in add_set(lam))."""
+    return [(lam, s) for lam in partitions_of(n) for s in add_set(lam)]
+
+
+def partition_pairs(max_total):
+    """All (mu, nu) with 1 <= |mu| <= |nu| and |mu| + |nu| <= max_total, by
+    total size, then |mu|, then the partition order."""
+    for total in range(2, max_total + 1):
+        for a in range(1, total // 2 + 1):
+            for mu in partitions_of(a):
+                for nu in partitions_of(total - a):
+                    yield mu, nu
+
+
+def pair_quads(max_total):
+    """(lam, s, nu, t) for (lam, nu) in partition_pairs(max_total) and s, t
+    addable to lam, nu."""
+    for lam, nu in partition_pairs(max_total):
+        for s in add_set(lam):
+            for t in add_set(nu):
+                yield lam, s, nu, t
 
 
 def count_partitions(n):
@@ -247,15 +258,6 @@ def lattice_points(n):
 
 def count_lattice_q(n):
     return len(lattice_points(n))
-
-
-def addable_positions(n):
-    """Union of add-sets over all partitions of n.
-
-    For n > 0 this equals Lambda(n) minus (0,0); for n = 0 it is {(0,0)}."""
-    if n == 0:
-        return [(0, 0)]
-    return [s for s in lattice_points(n) if s != (0, 0)]
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,6 @@ from .arith import DEFAULT_SPEC_POINTS, SpecPoint
 from .errors import BadSpecPoint, JackLaxError
 
 
-SYMBOLIC_DEFAULT_MAX = 5
-SPECIALIZED_DEFAULT_MAX = 8
-
-
 class RunConfig:
     def __init__(self, mode="specialized", points=None, cache_dir=None,
                  jobs=1, fmt="text", include_conjectures=False):
@@ -25,9 +21,6 @@ class RunConfig:
         self.jobs = max(1, jobs)
         self.fmt = fmt
         self.include_conjectures = include_conjectures
-
-    def default_max(self):
-        return SYMBOLIC_DEFAULT_MAX if self.mode == "symbolic" else SPECIALIZED_DEFAULT_MAX
 
     def workspaces(self):
         from .session import Workspace
@@ -70,6 +63,15 @@ class Report:
 
     def add(self, instance_id, status, witness=""):
         self.instances.append({"id": instance_id, "status": status, "witness": witness})
+
+    def check(self, instance_id, wss, fn):
+        """PASS iff fn(ws) holds in every workspace; a FAIL names the first
+        workspace where it fails (its spec point, or "symbolic")."""
+        for ws in wss:
+            if not fn(ws):
+                self.add(instance_id, "FAIL", ws.field.name)
+                return
+        self.add(instance_id, "PASS")
 
     def extend(self, instances):
         self.instances.extend(instances)

@@ -15,7 +15,7 @@ import threading
 from .arith import SymbolicField, parse_scalar, render_scalar
 from .fock import degree_of, hn_basis, inner_hbar, monomial_norm_sq, v_scale
 from .jack import compute_homogeneous_jacks, jack_norm_sq, varpi
-from .partitions import (add_set, format_partition, parse_partition,
+from .partitions import (eigen_pairs, format_partition, parse_partition,
                          partitions_of)
 from .spectral import tau
 
@@ -186,14 +186,6 @@ class Workspace:
             return self.field.one
         return self.field.lf(s) * self.varpi(lam)
 
-    def eigen_pairs(self, n):
-        """Basis labels of H_n: all (lam |- n, s in add_set)."""
-        out = []
-        for lam in partitions_of(n):
-            for s in add_set(lam):
-                out.append((lam, s))
-        return out
-
     def psi_hat_solver(self, n):
         """(pairs, index, scales): the orthogonal dual of the psi-hat basis.
 
@@ -206,7 +198,7 @@ class Workspace:
             got = self._psi_solver.get(n)
             if got is None:
                 f = self.field
-                pairs = self.eigen_pairs(n)
+                pairs = eigen_pairs(n)
                 gram = {key: monomial_norm_sq(key[1], f) for key in hn_basis(n)}
                 index = {key: [] for key in gram}
                 scales = []
@@ -242,7 +234,7 @@ class Workspace:
         """Precompute Jack and psi data up to the given degree."""
         for n in range(degree + 1):
             self.jack_degree(n)
-            for lam, s in self.eigen_pairs(n):
+            for lam, s in eigen_pairs(n):
                 self.psi(lam, s)
 
     def cache_stat(self):

@@ -11,32 +11,21 @@ partial-fraction maps {key: state} with keys
 """
 
 from .errors import JackLaxError
-from .fock import (fock_adjoint_apply, fock_mul, fock_to_ext, inner_hbar,
-                   v_add, v_scale)
+from .fock import (bump, fock_adjoint_apply, fock_mul, fock_to_ext, inner_hbar,
+                   v_accum, v_scale)
 from .lax import lax_apply, op_A, op_B
 from .partitions import (add_box, add_set, boxes, partitions_of, rem_set,
                          remove_box, size)
-from .spectral import T_partition, T_star, tau, tau_tilde
+from .spectral import T_partition, T_star, tau, tau_tilde, with_pole
 
 
 # ---------------------------------------------------------------------------
 # partial-fraction values
 # ---------------------------------------------------------------------------
 
-def pf_zero():
-    return {}
-
-
 def pf_accum(pf, key, lam, c):
-    if not c:
-        return
-    st = pf.setdefault(key, {})
-    w = st.get(lam)
-    w = c if w is None else w + c
-    if w:
-        st[lam] = w
-    elif lam in st:
-        del st[lam]
+    if c:
+        bump(pf.setdefault(key, {}), lam, c)
 
 
 def pf_clean(pf):
@@ -54,7 +43,7 @@ def pf_scale(pf, c):
 def pf_add(a, b):
     out = {k: dict(v) for k, v in a.items()}
     for k, v in b.items():
-        out[k] = v_add(out.get(k, {}), v)
+        v_accum(out.setdefault(k, {}), v)
     return pf_clean(out)
 
 
@@ -87,11 +76,7 @@ def _z_factor(field):
 
 def Yinv_eig(field, lam):
     """z^{-1} T_lam(z)."""
-    T = T_partition(field, lam)
-    from .arith import SpectralFun
-    den = dict(T.den)
-    den[(0, 0)] = den.get((0, 0), 0) + 1
-    return SpectralFun(T.pre, dict(T.num), den)
+    return with_pole(T_partition(field, lam), (0, 0))
 
 
 def Psi_eig(field, lam):
@@ -159,12 +144,6 @@ def apply_V1(ws, state, sign):
     return fock_to_jack(ws, vec)
 
 
-def apply_jhat_mult(ws, mu, state):
-    vec = fock_mul(jack_to_fock(ws, state),
-                   {k: c / ws.varpi(mu) for k, c in ws.jack(mu).items()})
-    return fock_to_jack(ws, vec)
-
-
 def apply_jhat_dagger(ws, mu, state):
     vec = fock_adjoint_apply({k: c / ws.varpi(mu) for k, c in ws.jack(mu).items()},
                              jack_to_fock(ws, state), ws.field)
@@ -174,31 +153,12 @@ def apply_jhat_dagger(ws, mu, state):
 def jack_to_fock(ws, state):
     out = {}
     for lam, c in state.items():
-        out = v_add(out, v_scale(ws.jack(lam), c))
+        v_accum(out, ws.jack(lam), c)
     return out
 
 
 def fock_to_jack(ws, vec):
     return ws.expand_in_jacks(vec)
-
-
-def op_apply(ws, name, state):
-    """CLI-facing dispatcher; returns a PF map {key: JackState}."""
-    if name == "Y":
-        return apply_diagonal(ws, state, Y_eig)
-    if name == "Yinv":
-        return apply_diagonal(ws, state, Yinv_eig)
-    if name == "Psi":
-        return apply_diagonal(ws, state, Psi_eig)
-    if name == "Xplus":
-        return apply_X_plus(ws, state)
-    if name == "Xminus":
-        return apply_X_minus(ws, state)
-    if name == "dPhi":
-        return apply_dPhi(ws, state)
-    if name == "U":
-        return {None: apply_U(ws, state)}
-    raise JackLaxError("unknown operator %r" % name)
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +376,7 @@ def whittaker_checks(ws, N):
                     if not (isinstance(key, tuple) and key[0] == "p"):
                         ok = False
                         continue
-                    tot = v_add(tot, stv)
+                    v_accum(tot, stv)
                 if tot != apply_V1(ws, st, sign):
                     ok = False
     report["x_leading_term"] = ok
@@ -472,7 +432,7 @@ def _lifted_identity(ws, N):
     lhs = {}
     for key, st in apply_dPhi(ws, H).items():
         vec = lax_apply(field, fock_to_ext(jack_to_fock(ws, st)))
-        val = cut(v_add(Pi(vec), v_scale(vec, -field.one)))
+        val = cut(v_accum(Pi(vec), vec, -field.one))
         if val:
             lhs[key] = val
     rhs = {}
@@ -481,10 +441,8 @@ def _lifted_identity(ws, N):
             coeff = c * tau(field, mu, s) * field.lf(s)
             if not coeff:
                 continue
-            cur = rhs.setdefault(("p", s), {})
-            rhs[("p", s)] = v_add(cur, cut(v_scale(ws.psi(mu, s), coeff)))
-    rhs.setdefault(("p", (0, 0)), {})
-    rhs[("p", (0, 0))] = v_add(rhs[("p", (0, 0))], {(0, ()): field.one})
+            v_accum(rhs.setdefault(("p", s), {}), cut(ws.psi(mu, s)), coeff)
+    bump(rhs.setdefault(("p", (0, 0)), {}), (0, ()), field.one)
     lhs = pf_clean(lhs)
     rhs = pf_clean(rhs)
     return lhs == rhs
@@ -500,22 +458,14 @@ def _commutator_check(ws, lam):
         for ki, sti in inner(ws, st).items():
             for ko, sto in outer(ws, sti).items():
                 key = (ki, ko) if inner_is_z else (ko, ki)
-                for mu, c in sto.items():
-                    cur = out.setdefault(key, {})
-                    w = cur.get(mu)
-                    w = c if w is None else w + c
-                    if w:
-                        cur[mu] = w
-                    elif mu in cur:
-                        del cur[mu]
+                v_accum(out.setdefault(key, {}), sto)
         return pf_clean(out)
 
     # X+(z) X-(w): X- acts first (w-keys inside), then X+ (z-keys outside)
     lhs = bivariate(apply_X_minus, apply_X_plus, inner_is_z=False)
     # minus X-(w) X+(z): X+ acts first (z-keys inside), then X- (w-keys)
     for key, stv in bivariate(apply_X_plus, apply_X_minus, inner_is_z=True).items():
-        cur = lhs.setdefault(key, {})
-        lhs[key] = v_sub_local(cur, stv)
+        v_accum(lhs.setdefault(key, {}), stv, -field.one)
     lhs = pf_clean(lhs)
     # RHS: (Psi(z)-Psi(w))/(z-w) collapses to -sum_p r_p/((z-p)(w-p)).
     # With the Lax-normalized X^+- the commutator carries the global factor
@@ -524,25 +474,9 @@ def _commutator_check(ws, lam):
     psi_fun = Psi_eig(field, lam)
     factor = field.hbar / field.ebar
     for pole in psi_fun.den:
-        r = psi_fun.residue(pole, field)
-        key = (("p", pole), ("p", pole))
-        cur = rhs.setdefault(key, {})
-        w = cur.get(lam, field.zero) - r * factor
-        if w:
-            cur[lam] = w
+        pf_accum(rhs, (("p", pole), ("p", pole)), lam,
+                 -(psi_fun.residue(pole, field) * factor))
     return lhs == pf_clean(rhs)
-
-
-def v_sub_local(a, b):
-    out = dict(a)
-    for k, v in b.items():
-        w = out.get(k)
-        w = -v if w is None else w - v
-        if w:
-            out[k] = w
-        elif k in out:
-            del out[k]
-    return out
 
 
 def delta_via_states(ws, zeta, N):

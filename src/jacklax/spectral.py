@@ -10,8 +10,8 @@ choice breaks all of them (see tests).
 
 from .arith import SpectralFun
 from .errors import JackLaxError, NotASimplePole
-from .partitions import (add_set, boxes, rem_set, rem_set_plus,
-                         star_product)
+from .partitions import (add_box, add_set, rem_set, rem_set_plus,
+                         remove_box, star_product)
 
 
 def N_fun(field):
@@ -42,6 +42,13 @@ def T_partition(field, lam):
 
 def T_star(field, mu, nu):
     return T_of_boxes(field, star_product(mu, nu))
+
+
+def with_pole(T, pole):
+    """T(u) / (u - [pole]): T with one more simple pole (or one root less)."""
+    den = dict(T.den)
+    den[pole] = den.get(pole, 0) + 1
+    return SpectralFun(T.pre, dict(T.num), den)
 
 
 def T1_scalar(field, form):
@@ -106,7 +113,7 @@ def verify_tau_identities(field, lam, s):
     A = add_set(lam)
     if s not in A:
         raise JackLaxError("s must be addable to lam")
-    lam_s = _add(lam, s)
+    lam_s = add_box(lam, s)
 
     # (i) tau_{lam+s}^b = T1([s-b]) tau_lam^b for b != s addable
     status = []
@@ -146,7 +153,7 @@ def verify_tau_identities(field, lam, s):
             d1 = (sp[0] - q[0], sp[1] - q[1])
             d2 = (sp[0] - q[0] + 1, sp[1] - q[1] + 1)
             acc = acc + field.hbar * tau(field, lam, q) / (field.lf(d1) * field.lf(d2))
-        status.append(acc == tau(field, _remove(lam, sp), sp))
+        status.append(acc == tau(field, remove_box(lam, sp), sp))
     report["tau_sum"] = _verdict(status)
 
     # (v) sum_t hbar tau~_lam^t / ([s-t][s-t+(1,1)]) = -hbar + tau~_{lam+s}^{s+(1,1)}
@@ -166,14 +173,3 @@ def _verdict(status):
         return "SKIP"
     return "PASS" if all(status) else "FAIL"
 
-
-def _add(lam, s):
-    rows = list(lam) + [0]
-    rows[s[0]] += 1
-    return tuple(x for x in sorted(rows, reverse=True) if x)
-
-
-def _remove(lam, s):
-    rows = list(lam)
-    rows[s[0]] -= 1
-    return tuple(x for x in sorted(rows, reverse=True) if x)

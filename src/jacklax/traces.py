@@ -13,13 +13,14 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import JackLaxError, NotGood, NotInNullSpace
-from .fock import (Pi, degree_of, ext_mul, pi_plus, v_add, v_scale, w_mul,
-                   deriv_V)
+from .fock import (Pi, bump, degree_of, deriv_V, ext_mul, hn_basis, pi_plus,
+                   v_accum, v_scale, w_mul)
 from .lax import lax_apply, q_poly_hat
 from .linalg import rank
 from .partitions import (SeriesZ, add_box, add_set, boxes, count_lattice_q,
-                         partition, partitions_of, series_P)
-from .spectral import T_star, star_residues, tau
+                         eigen_pairs, pair_quads, partition, partitions_of,
+                         series_P)
+from .spectral import T_star, star_residues, tau, with_pole
 from jacklax import partitions as _parts
 
 
@@ -52,13 +53,9 @@ def full_trace(ws, zeta):
     exp = ws.expand_psi_hat(zeta)
     x, y, z = {}, {}, {}
     for (lam, s), c in exp.items():
-        gam = add_box(lam, s)
-        x[gam] = x.get(gam, ws.field.zero) + c
-        y[s] = y.get(s, ws.field.zero) + c
-        z[lam] = z.get(lam, ws.field.zero) + c
-    x = {k: v for k, v in x.items() if v}
-    y = {k: v for k, v in y.items() if v}
-    z = {k: v for k, v in z.items() if v}
+        bump(x, add_box(lam, s), c)
+        bump(y, s, c)
+        bump(z, lam, c)
     return TraceVector(n, x, y, z)
 
 
@@ -89,10 +86,7 @@ def w_index(n):
 
 def trace_incidence_matrix(n):
     """Integer matrix of Tr_n: rows = W_n coordinates, columns = eigen pairs."""
-    pairs = []
-    for lam in partitions_of(n):
-        for s in add_set(lam):
-            pairs.append((lam, s))
+    pairs = eigen_pairs(n)
     rows = w_index(n)
     row_pos = {r: i for i, r in enumerate(rows)}
     M = [[0] * len(pairs) for _ in rows]
@@ -191,19 +185,18 @@ def resolvent_w_identity(ws, n):
     wn = {(n, ()): field.one}
     lhs = {}
     for (lam, s), c in ws.expand_psi_hat(wn).items():
-        cur = lhs.setdefault(s, {})
-        lhs[s] = v_add(cur, v_scale(ws.psi_hat(lam, s), c))
+        v_accum(lhs.setdefault(s, {}), ws.psi_hat(lam, s), c)
     rhs = {}
     for gam in partitions_of(n + 1):
         vec = v_scale(q_poly_hat(ws, gam), field.one / ws.norm_sq_hat(gam))
         for t in boxes(gam):
-            rhs[t] = v_add(rhs.get(t, {}), vec)
+            v_accum(rhs.setdefault(t, {}), vec)
     for lam in partitions_of(n):
         if not lam:
             continue
         vec = v_scale(w_mul(q_poly_hat(ws, lam)), -field.one / ws.norm_sq_hat(lam))
         for s in boxes(lam):
-            rhs[s] = v_add(rhs.get(s, {}), vec)
+            v_accum(rhs.setdefault(s, {}), vec)
     lhs = {k: v for k, v in lhs.items() if v}
     rhs = {k: v for k, v in rhs.items() if v}
     return lhs == rhs
@@ -233,7 +226,7 @@ class HexagonElement:
     def value(self, ws):
         out = {}
         for (lam, s), sign in self.coords.items():
-            out = v_add(out, v_scale(ws.psi_hat(lam, s), ws.field.num(sign)))
+            v_accum(out, ws.psi_hat(lam, s), ws.field.num(sign))
         return out
 
     def __repr__(self):
@@ -262,14 +255,10 @@ def hexagon_span_dimension(n):
     hexes = kernel_basis(n)
     if not hexes:
         return 0
-    pairs = []
-    for lam in partitions_of(n):
-        for s in add_set(lam):
-            pairs.append((lam, s))
-    pos = {p: i for i, p in enumerate(pairs)}
+    pos = {p: i for i, p in enumerate(eigen_pairs(n))}
     rows = []
     for h in hexes:
-        row = [0] * len(pairs)
+        row = [0] * len(pos)
         for key, sign in h.coords.items():
             row[pos[key]] = sign
         rows.append(row)
@@ -302,9 +291,8 @@ def beta(ws, z1, z2):
     field = ws.field
     prod = ext_mul(z1, z2)
     out = lax_apply(field, prod)
-    out = v_add(out, v_scale(ext_mul(lax_apply(field, z1), z2), -field.one))
-    out = v_add(out, v_scale(ext_mul(z1, lax_apply(field, z2)), -field.one))
-    return out
+    v_accum(out, ext_mul(lax_apply(field, z1), z2), -field.one)
+    return v_accum(out, ext_mul(z1, lax_apply(field, z2)), -field.one)
 
 
 def beta_basic(ws, n, m):
@@ -314,9 +302,8 @@ def beta_basic(ws, n, m):
 def theta(ws, z1, z2):
     """theta = {beta, Pi}: beta(Pi a, b) + beta(a, Pi b) - Pi beta(a, b)."""
     out = beta(ws, Pi(z1), z2)
-    out = v_add(out, beta(ws, z1, Pi(z2)))
-    out = v_add(out, v_scale(Pi(beta(ws, z1, z2)), -ws.field.one))
-    return out
+    v_accum(out, beta(ws, z1, Pi(z2)))
+    return v_accum(out, Pi(beta(ws, z1, z2)), -ws.field.one)
 
 
 def theta_basic(ws, n, m):
@@ -345,23 +332,14 @@ def verify_twisted_traces(ws, z1, z2):
                                 full_trace(ws, theta(ws, z1, z2)))
 
 
-def y_trace_product(ws, lam, s, nu, t):
-    """The closed form T_{lam*nu}(u) / (u - [s+t]) as a SpectralFun."""
-    T = T_star(ws.field, lam, nu)
-    st = (s[0] + t[0], s[1] + t[1])
-    den = dict(T.den)
-    den[st] = den.get(st, 0) + 1
-    from .arith import SpectralFun
-    return SpectralFun(T.pre, dict(T.num), den)
-
-
 def y_trace_product_check(ws, lam, s, nu, t, t_prod, t_beta):
     """y_u(psi-hat psi-hat) = T_{lam*nu}/(u-[s+t]) and
     y_u(beta(psi-hat,psi-hat)) = T_{lam*nu} - 1, by residue comparison, on
     the traces t_prod and t_beta of the product and of beta of the pair
     psi-hat_lam^s, psi-hat_nu^t."""
     field = ws.field
-    poly, res = y_trace_product(ws, lam, s, nu, t).partial_fractions(field)
+    T = T_star(field, lam, nu)
+    poly, res = with_pole(T, (s[0] + t[0], s[1] + t[1])).partial_fractions(field)
     if poly:
         return False
     if not pf_eq(t_prod.y, res):
@@ -448,8 +426,8 @@ def rho_apply(ws, lam, s, zeta):
     for t, c in coeffs.items():
         if t == s or not c:
             continue
-        out = v_add(out, v_scale(ws.psi_hat(add_box(lam, s), t), c))
-        out = v_add(out, v_scale(ws.psi_hat(add_box(lam, t), s), -c))
+        v_accum(out, ws.psi_hat(add_box(lam, s), t), c)
+        v_accum(out, ws.psi_hat(add_box(lam, t), s), -c)
     return out
 
 
@@ -475,8 +453,8 @@ def rho_general(ws, xi, zeta):
         for t, c in comp.items():
             if t == s or not c:
                 continue
-            out = v_add(out, v_scale(ws.psi_hat(add_box(lam, s), t), xc * c))
-            out = v_add(out, v_scale(ws.psi_hat(add_box(lam, t), s), -(xc * c)))
+            v_accum(out, ws.psi_hat(add_box(lam, s), t), xc * c)
+            v_accum(out, ws.psi_hat(add_box(lam, t), s), -(xc * c))
     return out
 
 
@@ -495,7 +473,7 @@ def good_normalizer_F(ws, xi):
         if not tot:
             raise NotGood("Z_%s component has vanishing z-trace" % (lam,))
         for s, c in comp.items():
-            out = v_add(out, v_scale(ws.psi_hat(lam, s), c / tot))
+            v_accum(out, ws.psi_hat(lam, s), c / tot)
     return out
 
 
@@ -516,21 +494,16 @@ def conjecture_checks(ws, max_degree):
     out = []
 
     # selection rule: support of psi-hat products lies over mu union nu
-    for n1 in range(1, max_degree):
-        for n2 in range(n1, max_degree - n1 + 1):
-            for mu in partitions_of(n1):
-                for nu in partitions_of(n2):
-                    union = _parts.diagram_union(mu, nu)
-                    for s in add_set(mu):
-                        for t in add_set(nu):
-                            prod = ext_mul(ws.psi_hat(mu, s), ws.psi_hat(nu, t))
-                            bad = [g for (g, u) in ws.expand_psi_hat(prod)
-                                   if not _parts.contains(g, union)]
-                            out.append({
-                                "id": "selection-rule %s:%s * %s:%s" % (mu, s, nu, t),
-                                "status": "PASS" if not bad else "FAIL",
-                                "witness": "" if not bad else "support hits %s" % bad,
-                            })
+    for mu, s, nu, t in pair_quads(max_degree):
+        union = _parts.diagram_union(mu, nu)
+        prod = ext_mul(ws.psi_hat(mu, s), ws.psi_hat(nu, t))
+        bad = [g for (g, u) in ws.expand_psi_hat(prod)
+               if not _parts.contains(g, union)]
+        out.append({
+            "id": "selection-rule %s:%s * %s:%s" % (mu, s, nu, t),
+            "status": "PASS" if not bad else "FAIL",
+            "witness": "" if not bad else "support hits %s" % bad,
+        })
 
     # closed-form product expansions for psi-hat_{1^r} psi-hat_m
     for r in range(1, max_degree):
@@ -563,17 +536,9 @@ def conjecture_checks(ws, max_degree):
                 bwk = beta(ws, {(1, ()): field.one}, {(k, ()): field.one})
                 dz = {}
                 for (mm, mu), c in zeta.items():
-                    der = deriv_V({mu: c}, k)
-                    for nu, c2 in der.items():
-                        key = (mm, nu)
-                        w = dz.get(key)
-                        w = c2 if w is None else w + c2
-                        if w:
-                            dz[key] = w
-                        elif key in dz:
-                            del dz[key]
-                term = ext_mul(bwk, dz)
-                rhs = v_add(rhs, v_scale(term, field.hbar * field.num(k)))
+                    for nu, c2 in deriv_V({mu: c}, k).items():
+                        bump(dz, (mm, nu), c2)
+                v_accum(rhs, ext_mul(bwk, dz), field.hbar * field.num(k))
             rhs = v_scale(rhs, field.one / (field.num(n) * field.hbar))
             if lhs != rhs:
                 if all(m == 0 for (m, mu) in zeta):
@@ -589,8 +554,8 @@ def conjecture_checks(ws, max_degree):
     # beta(z,x) = rho(F(dPi(z,x))) theta(z,x) for good basic pairs
     for d1 in range(1, max_degree):
         for d2 in range(d1, max_degree - d1 + 1):
-            for k1 in _basis_keys(d1):
-                for k2 in _basis_keys(d2):
+            for k1 in hn_basis(d1):
+                for k2 in hn_basis(d2):
                     z1 = {k1: field.one}
                     z2 = {k2: field.one}
                     dp = d_Pi(ws, z1, z2)
@@ -629,14 +594,6 @@ def conjecture_checks(ws, max_degree):
         out.append({"id": "hook-sum claim %s" % (lam,),
                     "status": "PASS" if tot == hu else "FAIL",
                     "witness": "sum != prod h^U"})
-    return out
-
-
-def _basis_keys(d):
-    out = []
-    for m in range(d + 1):
-        for mu in partitions_of(d - m):
-            out.append((m, mu))
     return out
 
 

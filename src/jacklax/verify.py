@@ -10,20 +10,51 @@ from fractions import Fraction
 from . import lr as lr_mod
 from . import shc as shc_mod
 from . import traces as tr_mod
-from .errors import JackLaxError
-from .fock import (dim_hn, ext_mul, fock_to_ext, hn_basis, inner_hbar, pi0,
-                   pi_star, v_add, v_scale, w_mul)
+from .errors import BadSize, JackLaxError
+from .fock import (bump, dim_hn, ext_mul, fock_to_ext, hn_basis, inner_hbar,
+                   pi0, pi_star, v_accum, v_scale, w_mul)
 from .jack import jack_norm_sq, pieri_stanley
 from .lax import (lax_apply, lax_matrix, lax_plus_shift_check,
                   phi_column_coeff, pi_diamond, psi_tilde)
 from .linalg import rank
 from .partitions import (add_box, add_set, boxes, count_by_corners,
-                         count_lattice_q, count_partitions, format_partition,
+                         count_lattice_q, count_partitions, eigen_pairs,
+                         format_partition, pair_quads, partition_pairs,
                          partitions_of, rem_set, rem_set_plus, series_P,
                          series_P_xt, series_Q, size)
 from .report import Report
 from .spectral import (T_of_boxes, T_partition, tau, tau_hat, tau_tilde,
-                       verify_tau_identities)
+                       verify_tau_identities, with_pole)
+
+
+# Default sizes of each suite's size keywords: {suite: {keyword: (symbolic,
+# specialized)}}.  The CLI fills max_size and max_total from --max-size,
+# max_degree from --max-degree and to from --to.
+DEFAULT_SIZES = {
+    "tau": {"max_size": (8, 8)},
+    "spectral": {"max_degree": (7, 7)},
+    "main-theorem": {"max_size": (6, 8)},
+    "cokernel": {"to": (7, 7)},
+    "kernel": {"to": (7, 7)},
+    "traces": {"max_degree": (6, 6)},
+    "pieri": {"max_total": (7, 7), "marg_max": (6, 6)},
+    "shc": {"max_degree": (6, 6)},
+    "conjectures": {"max_degree": (6, 6)},
+}
+
+
+def suite_sizes(suite, mode, **given):
+    """{keyword: size} for the suite's size keywords: the given size, or the
+    mode's default where it is None.  Raises BadSize on a negative size."""
+    out = {}
+    for kw, (symbolic, specialized) in DEFAULT_SIZES.get(suite, {}).items():
+        size = given.get(kw)
+        if size is None:
+            size = symbolic if mode == "symbolic" else specialized
+        elif size < 0:
+            raise BadSize("bad size %s=%d for %s: sizes are >= 0" % (kw, size, suite))
+        out[kw] = size
+    return out
 
 
 def _fmt(lam):
@@ -32,13 +63,6 @@ def _fmt(lam):
 
 def _status(ok):
     return "PASS" if ok else "FAIL"
-
-
-def _all(wss, fn):
-    for ws in wss:
-        if not fn(ws):
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +111,8 @@ def _one_minus_x(order):
 # tau identities
 # ---------------------------------------------------------------------------
 
-def suite_tau(cfg, max_size=8):
+def suite_tau(cfg, max_size=None):
+    max_size = suite_sizes("tau", cfg.mode, max_size=max_size)["max_size"]
     rep = Report("tau", cfg)
     wss = cfg.workspaces()
     for n in range(0, max_size + 1):
@@ -96,18 +121,14 @@ def suite_tau(cfg, max_size=8):
                 def check(ws):
                     r = verify_tau_identities(ws.field, lam, s)
                     return all(v != "FAIL" for v in r.values())
-                rep.add("identities %s s=%s" % (_fmt(lam), (s,)), _status(_all(wss, check)))
+                rep.check("identities %s s=%s" % (_fmt(lam), (s,)), wss, check)
     for n in range(0, max_size + 1):
         for lam in partitions_of(n):
             def kerov(ws):
                 f = ws.field
                 T = T_partition(f, lam)
                 # u^{-1} T_lam: poles at the add set with residues tau
-                den = dict(T.den)
-                den[(0, 0)] = den.get((0, 0), 0) + 1
-                from .arith import SpectralFun
-                ut = SpectralFun(T.pre, dict(T.num), den)
-                poly, res = ut.partial_fractions(f)
+                poly, res = with_pole(T, (0, 0)).partial_fractions(f)
                 if poly:
                     return False
                 if res != {s: tau(f, lam, s) for s in add_set(lam)}:
@@ -122,7 +143,7 @@ def suite_tau(cfg, max_size=8):
                         return False
                     tot = tot + resT.get(s, f.zero)
                 return not tot
-            rep.add("kerov expansion %s" % _fmt(lam), _status(_all(wss, kerov)))
+            rep.check("kerov expansion %s" % _fmt(lam), wss, kerov)
     # norm ratio |j_{lam+s}|^2/|j_lam|^2 = tau~/tau, sizes <= 7
     for n in range(0, min(max_size, 7)):
         for lam in partitions_of(n):
@@ -133,7 +154,7 @@ def suite_tau(cfg, max_size=8):
                     lhs = jack_norm_sq(f, lam_s) / jack_norm_sq(f, lam)
                     rhs = tau_tilde(f, lam_s, (s[0] + 1, s[1] + 1)) / tau(f, lam, s)
                     return lhs == rhs
-                rep.add("norm ratio %s + %s" % (_fmt(lam), (s,)), _status(_all(wss, ratio)))
+                rep.check("norm ratio %s + %s" % (_fmt(lam), (s,)), wss, ratio)
     # star-factor identity for single boxes
     for n in range(0, 5):
         for lam in partitions_of(n):
@@ -143,7 +164,7 @@ def suite_tau(cfg, max_size=8):
                     lhs = T_of_boxes(ws.field, star_product(lam, {t: 1}))
                     rhs = T_partition(ws.field, lam).shift(t)
                     return lhs.num == rhs.num and lhs.den == rhs.den and lhs.pre == rhs.pre
-                rep.add("star factor %s * box%s" % (_fmt(lam), (t,)), _status(_all(wss, star)))
+                rep.check("star factor %s * box%s" % (_fmt(lam), (t,)), wss, star)
     return rep.done()
 
 
@@ -151,19 +172,19 @@ def suite_tau(cfg, max_size=8):
 # spectral suite
 # ---------------------------------------------------------------------------
 
-def suite_spectral(cfg, max_degree=7):
+def suite_spectral(cfg, max_degree=None):
+    max_degree = suite_sizes("spectral", cfg.mode, max_degree=max_degree)["max_degree"]
     rep = Report("spectral", cfg)
     wss = cfg.workspaces()
     for n in range(max_degree + 1):
-        rep.add("completeness H_%d" % n, _status(_all(wss, lambda ws: _complete(ws, n))))
-        rep.add("shift property n=%d" % n,
-                _status(_all(wss, lambda ws: lax_plus_shift_check(ws, n))))
+        rep.check("completeness H_%d" % n, wss, lambda ws: _complete(ws, n))
+        rep.check("shift property n=%d" % n,
+                  wss, lambda ws: lax_plus_shift_check(ws, n))
         if n <= 7:
-            rep.add("self-adjointness L_%d" % n,
-                    _status(_all(wss, lambda ws: _self_adjoint(ws, n))))
+            rep.check("self-adjointness L_%d" % n, wss, lambda ws: _self_adjoint(ws, n))
         if 1 <= n <= 6:
-            rep.add("pi-diamond projection H_%d" % n,
-                    _status(_all(wss, lambda ws: _pi_diamond_ok(ws, n))))
+            rep.check("pi-diamond projection H_%d" % n,
+                      wss, lambda ws: _pi_diamond_ok(ws, n))
     for n in range(max_degree + 1):
         for lam in partitions_of(n):
             for s in add_set(lam):
@@ -174,14 +195,13 @@ def suite_spectral(cfg, max_degree=7):
                     if pi0(psi) != ws.jack(lam):
                         return False
                     return pi_star(psi, ws.field) == ws.pi_star_psi(lam, s)
-                rep.add("eigen %s s=%s" % (_fmt(lam), (s,)), _status(_all(wss, eig)))
+                rep.check("eigen %s s=%s" % (_fmt(lam), (s,)), wss, eig)
             if n:
-                rep.add("jacksum %s" % _fmt(lam),
-                        _status(_all(wss, lambda ws: _jacksums(ws, lam))))
-                rep.add("shift theorem %s" % _fmt(lam),
-                        _status(_all(wss, lambda ws: _shift_thm(ws, lam))))
-                rep.add("structural Z=Cj+wX %s" % _fmt(lam),
-                        _status(_all(wss, lambda ws: _structural(ws, lam))))
+                rep.check("jacksum %s" % _fmt(lam), wss, lambda ws: _jacksums(ws, lam))
+                rep.check("shift theorem %s" % _fmt(lam),
+                          wss, lambda ws: _shift_thm(ws, lam))
+                rep.check("structural Z=Cj+wX %s" % _fmt(lam),
+                          wss, lambda ws: _structural(ws, lam))
             if n and n <= 6:
                 def norms(ws):
                     f = ws.field
@@ -193,7 +213,7 @@ def suite_spectral(cfg, max_degree=7):
                         if n2 != _psi_norm_hooks(ws, lam, s):
                             return False
                     return True
-                rep.add("psi norms %s" % _fmt(lam), _status(_all(wss, norms)))
+                rep.check("psi norms %s" % _fmt(lam), wss, norms)
     for r in range(1, min(max_degree, 6) + 1):
         def phi(ws):
             col = (1,) * r
@@ -206,7 +226,7 @@ def suite_spectral(cfg, max_degree=7):
                     if got != expect:
                         return False
             return True
-        rep.add("phi expansion 1^%d" % r, _status(_all(wss, phi)))
+        rep.check("phi expansion 1^%d" % r, wss, phi)
     return rep.done()
 
 
@@ -215,7 +235,7 @@ def _complete(ws, n):
     itself alone.  The dual expansion reads <zeta, psi> off the diagonal
     norms, so this makes the Gram matrix diagonal and nonsingular: the
     psi-hat vectors are an orthogonal basis of H_n."""
-    pairs = ws.eigen_pairs(n)
+    pairs = eigen_pairs(n)
     if len(pairs) != dim_hn(n):
         return False
     one = ws.field.one
@@ -253,12 +273,12 @@ def _jacksums(ws, lam):
     f = ws.field
     acc = {}
     for s in add_set(lam):
-        acc = v_add(acc, v_scale(ws.psi(lam, s), tau(f, lam, s)))
+        v_accum(acc, ws.psi(lam, s), tau(f, lam, s))
     if acc != fock_to_ext(ws.jack(lam)):
         return False
     acc2 = {}
     for tp in rem_set_plus(lam):
-        acc2 = v_add(acc2, v_scale(psi_tilde(ws, lam, tp), tau_tilde(f, lam, tp)))
+        v_accum(acc2, psi_tilde(ws, lam, tp), tau_tilde(f, lam, tp))
     return acc2 == lax_apply(f, fock_to_ext(ws.jack(lam)))
 
 
@@ -273,7 +293,7 @@ def _shift_thm(ws, lam):
         if img != v_scale(pt, f.lf(tp)):
             return False
         # resolvent normalization: ([t'] - L) psi~ = -j_lam
-        lhs = v_add(v_scale(pt, f.lf(tp)), v_scale(lax_apply(f, pt), -f.one))
+        lhs = v_accum(v_scale(pt, f.lf(tp)), lax_apply(f, pt), -f.one)
         if lhs != v_scale(fock_to_ext(ws.jack(lam)), -f.one):
             return False
     return True
@@ -311,7 +331,6 @@ def _psi_norm_hooks(ws, lam, s):
 # ---------------------------------------------------------------------------
 
 _PAR_WSS = None
-_PAR_KIND = None
 
 
 def _pair_worker(args):
@@ -330,9 +349,9 @@ def _pair_worker(args):
             "witness": "; ".join(bad)}
 
 
-def _run_parallel(worker, items, jobs, wss, kind):
-    global _PAR_WSS, _PAR_KIND
-    _PAR_WSS, _PAR_KIND = wss, kind
+def _run_parallel(worker, items, jobs, wss):
+    global _PAR_WSS
+    _PAR_WSS = wss
     if jobs <= 1 or len(items) < 4:
         return [worker(it) for it in items]
     import multiprocessing as mp
@@ -342,22 +361,14 @@ def _run_parallel(worker, items, jobs, wss, kind):
 
 
 def suite_main_theorem(cfg, max_size=None):
-    max_size = cfg.default_max() + (1 if cfg.mode == "symbolic" else 0) if max_size is None else max_size
+    max_size = suite_sizes("main-theorem", cfg.mode, max_size=max_size)["max_size"]
     rep = Report("main-theorem", cfg)
     wss = cfg.workspaces()
     for ws in wss:
         for n in range(max_size + 1):
             ws.jack_degree(n)
-    pairs = []
-    for total in range(2, max_size + 1):
-        for a in range(1, total):
-            b = total - a
-            if b < a:
-                continue
-            for mu in partitions_of(a):
-                for nu in partitions_of(b):
-                    pairs.append((mu, nu))
-    rep.extend(_run_parallel(_pair_worker, pairs, cfg.jobs, wss, "mt"))
+    pairs = list(partition_pairs(max_size))
+    rep.extend(_run_parallel(_pair_worker, pairs, cfg.jobs, wss))
 
     # worked example: chat and c values for (1^2, 2)
     def worked(ws):
@@ -367,7 +378,7 @@ def suite_main_theorem(cfg, max_size=None):
         chat = f.lf((2, 0)) * f.lf((0, -2)) / f.lf((2, -2))
         c = -f.lf((0, 1)) / f.lf((1, -1))
         return tabh.get((2, 1, 1)) == chat and tab.get((2, 1, 1)) == c
-    rep.add("worked example (1^2,2)", _status(_all(wss, worked)))
+    rep.check("worked example (1^2,2)", wss, worked)
     return rep.done()
 
 
@@ -375,7 +386,8 @@ def suite_main_theorem(cfg, max_size=None):
 # cokernel / kernel
 # ---------------------------------------------------------------------------
 
-def suite_cokernel(cfg, to=7):
+def suite_cokernel(cfg, to=None):
+    to = suite_sizes("cokernel", cfg.mode, to=to)["to"]
     rep = Report("cokernel", cfg)
     wss = cfg.workspaces()
     for n in range(to + 1):
@@ -384,12 +396,13 @@ def suite_cokernel(cfg, to=7):
         rep.add("cokernel dim = q(%d) = %d" % (n, r["q(n)"]), _status(r["exhausts"]),
                 "" if r["exhausts"] else repr(r))
     for n in range(min(to, 5) + 1):
-        rep.add("resolvent w-identity n=%d" % n,
-                _status(_all(wss, lambda ws: tr_mod.resolvent_w_identity(ws, n))))
+        rep.check("resolvent w-identity n=%d" % n,
+                  wss, lambda ws: tr_mod.resolvent_w_identity(ws, n))
     return rep.done()
 
 
-def suite_kernel(cfg, to=7):
+def suite_kernel(cfg, to=None):
+    to = suite_sizes("kernel", cfg.mode, to=to)["to"]
     rep = Report("kernel", cfg)
     wss = cfg.workspaces()
     ser = tr_mod.kernel_dim_series(to)
@@ -406,7 +419,7 @@ def suite_kernel(cfg, to=7):
                 if tv.x or tv.y or tv.z:
                     return False
             return True
-        rep.add("hexagons lie in ker Tr_%d" % n, _status(_all(wss, hexzero)))
+        rep.check("hexagons lie in ker Tr_%d" % n, wss, hexzero)
     hx4 = tr_mod.kernel_basis(4)
     rep.add("n=4 generator is Gamma_{1,2}^{(2,0),(1,1),(0,2)}",
             _status(len(hx4) == 1 and hx4[0].eta == (2, 1)
@@ -452,23 +465,14 @@ def _trace_worker(args):
             "witness": "; ".join(bad)}
 
 
-def suite_traces(cfg, max_degree=6):
+def suite_traces(cfg, max_degree=None):
+    max_degree = suite_sizes("traces", cfg.mode, max_degree=max_degree)["max_degree"]
     rep = Report("traces", cfg)
     wss = cfg.workspaces()
     for ws in wss:
         ws.warm(max_degree)
-    quads = []
-    for total in range(2, max_degree + 1):
-        for a in range(1, total):
-            b = total - a
-            if b < a:
-                continue
-            for lam in partitions_of(a):
-                for nu in partitions_of(b):
-                    for s in add_set(lam):
-                        for t in add_set(nu):
-                            quads.append((lam, s, nu, t))
-    rep.extend(_run_parallel(_trace_worker, quads, cfg.jobs, wss, "tr"))
+    quads = list(pair_quads(max_degree))
+    rep.extend(_run_parallel(_trace_worker, quads, cfg.jobs, wss))
 
     # trace property chain on seeded random vectors
     rng = random.Random(20260810)
@@ -482,7 +486,7 @@ def suite_traces(cfg, max_degree=6):
             for p, cs in zip(picks, coeffs):
                 zeta = {}
                 for idx, c in zip(p, cs):
-                    zeta = v_add(zeta, {basis[idx]: f.num(c)})
+                    bump(zeta, basis[idx], f.num(c))
                 tv = tr_mod.full_trace(ws, zeta)
                 tvd = tr_mod.full_trace(ws, pi_diamond(ws, zeta))
                 if not tr_mod.pf_eq(tv.x, tvd.x):
@@ -511,20 +515,20 @@ def suite_traces(cfg, max_degree=6):
                 if tot - pi_star(zeta, f) != f.zero:
                     return False
             return True
-        rep.add("trace property chain n=%d" % n, _status(_all(wss, chain)))
+        rep.check("trace property chain n=%d" % n, wss, chain)
 
     for n in range(1, min(max_degree, 6) + 1):
         def nulls(ws):
             return (tr_mod.null_module_rank(ws, n, "Z0") == tr_mod.null_module_expected_dim(n, "Z0")
                     and tr_mod.null_module_rank(ws, n, "X0") == tr_mod.null_module_expected_dim(n, "X0"))
-        rep.add("null module ranks n=%d" % n, _status(_all(wss, nulls)))
+        rep.check("null module ranks n=%d" % n, wss, nulls)
 
     # refined Pieri for |lam| <= 5
     for n in range(0, min(max_degree - 1, 5) + 1):
         for lam in partitions_of(n):
             def pieri(ws):
                 return _refined_pieri(ws, lam)
-            rep.add("refined Pieri %s" % _fmt(lam), _status(_all(wss, pieri)))
+            rep.check("refined Pieri %s" % _fmt(lam), wss, pieri)
     return rep.done()
 
 
@@ -540,11 +544,10 @@ def _refined_pieri(ws, lam):
                                                    s[1] - u[1] - v[1] + 1))
                 den = f.lf((s[0] - u[0], s[1] - u[1])) * f.lf((s[0] - u[0] + 1,
                                                                s[1] - u[1] + 1))
-                acc = v_add(acc, v_scale(ws.psi(gamma, u), num / den * tau(f, gamma, u)))
+                v_accum(acc, ws.psi(gamma, u), num / den * tau(f, gamma, u))
             for t in add_set(lam):
-                if t == s:
-                    continue
-                acc = v_add(acc, v_scale(ws.psi(add_box(lam, t), s), tau(f, lam, t)))
+                if t != s:
+                    v_accum(acc, ws.psi(add_box(lam, t), s), tau(f, lam, t))
             if lhs != acc:
                 return False
     return True
@@ -565,7 +568,9 @@ def _marg_worker(args):
             "status": _status(ok), "witness": ""}
 
 
-def suite_pieri(cfg, max_total=7, marg_max=6):
+def suite_pieri(cfg, max_total=None, marg_max=None):
+    sizes = suite_sizes("pieri", cfg.mode, max_total=max_total, marg_max=marg_max)
+    max_total, marg_max = sizes["max_total"], sizes["marg_max"]
     rep = Report("pieri", cfg)
     wss = cfg.workspaces()
     for total in range(1, max_total + 1):
@@ -576,25 +581,14 @@ def suite_pieri(cfg, max_total=7, marg_max=6):
                     direct = lr_mod.jack_lr(ws, (1,) * r, mu) if mu or r else {}
                     direct = {g: c for g, c in direct.items() if c}
                     return tab == direct
-                rep.add("stanley pieri r=%d mu=%s" % (r, _fmt(mu)),
-                        _status(_all(wss, agree)))
-    quads = []
-    for total in range(2, marg_max + 1):
-        for a in range(1, total):
-            b = total - a
-            if b < a:
-                continue
-            for lam in partitions_of(a):
-                for nu in partitions_of(b):
-                    for s in add_set(lam):
-                        for t in add_set(nu):
-                            quads.append((lam, s, nu, t))
+                rep.check("stanley pieri r=%d mu=%s" % (r, _fmt(mu)), wss, agree)
+    quads = list(pair_quads(marg_max))
     for ws in wss:
         ws.warm(marg_max)
-    rep.extend(_run_parallel(_marg_worker, quads, cfg.jobs, wss, "marg"))
+    rep.extend(_run_parallel(_marg_worker, quads, cfg.jobs, wss))
     for n in range(2, 7):
-        rep.add("determination of LR coefficients at size %d" % n,
-                _status(_all(wss, lambda ws: lr_mod.determination_check(ws, n))))
+        rep.check("determination of LR coefficients at size %d" % n,
+                  wss, lambda ws: lr_mod.determination_check(ws, n))
     return rep.done()
 
 
@@ -609,10 +603,10 @@ def suite_delta(cfg):
     c8 = [parse_partition(s) for s in ("1,3,4", "2^2,4", "1,2^2,3", "1^2,3^2")]
     c7 = [parse_partition(s) for s in ("2^2,1^3", "2^3,1", "3,2^2", "4,2,1",
                                        "4,1^3", "3,1^4")]
-    rep.add("degree-8 4-cycle in ker Delta",
-            _status(_all(wss, lambda ws: lr_mod.delta_kernel_check(ws, c8))))
-    rep.add("degree-7 6-cycle in ker Delta",
-            _status(_all(wss, lambda ws: lr_mod.delta_kernel_check(ws, c7))))
+    rep.check("degree-8 4-cycle in ker Delta",
+              wss, lambda ws: lr_mod.delta_kernel_check(ws, c8))
+    rep.check("degree-7 6-cycle in ker Delta",
+              wss, lambda ws: lr_mod.delta_kernel_check(ws, c7))
     rep.add("rank ker Delta_7 = 2", _status(lr_mod.delta_kernel_rank(7) == 2))
     rep.add("ker Delta_n empty for 1<=n<7",
             _status(all(lr_mod.delta_kernel_rank(n) == 0 for n in range(1, 7))))
@@ -621,15 +615,14 @@ def suite_delta(cfg):
         from .fock import fock_mul
         prod = fock_mul(ws.jack((1, 1)), ws.jack((2,)))
         return lr_mod.delta_map(ws, prod) == lr_mod.delta_of_jack_product(ws, (1, 1), (2,))
-    rep.add("Delta(j_{1^2} j_2) equals varpi*varpi*(T-1)", _status(_all(wss, worked)))
+    rep.check("Delta(j_{1^2} j_2) equals varpi*varpi*(T-1)", wss, worked)
 
     def nothom(ws):
         from .fock import fock_mul
         d1 = lr_mod.delta_map(ws, ws.jack((1,)))
         dd = lr_mod.delta_map(ws, fock_mul(ws.jack((1,)), ws.jack((1,))))
         return d1 == {(0, 0): ws.field.one} and dd != d1
-    rep.add("Delta is not a ring homomorphism (witness j_1, j_1)",
-            _status(_all(wss, nothom)))
+    rep.check("Delta is not a ring homomorphism (witness j_1, j_1)", wss, nothom)
     return rep.done()
 
 
@@ -637,7 +630,8 @@ def suite_delta(cfg):
 # SHc suite
 # ---------------------------------------------------------------------------
 
-def suite_shc(cfg, max_degree=6):
+def suite_shc(cfg, max_degree=None):
+    max_degree = suite_sizes("shc", cfg.mode, max_degree=max_degree)["max_degree"]
     rep = Report("shc", cfg)
     wss = cfg.workspaces()
     for ws in wss:
@@ -672,8 +666,8 @@ def suite_shc(cfg, max_degree=6):
                 if a != lr_mod.delta_map(ws, ws.jack(lam)):
                     return False
         return True
-    rep.add("Delta = <zeta| dPhi(u) U |G> agrees with the LR module",
-            _status(_all(wss, delta_agree)))
+    rep.check("Delta = <zeta| dPhi(u) U |G> agrees with the LR module",
+              wss, delta_agree)
     return rep.done()
 
 
@@ -681,7 +675,8 @@ def suite_shc(cfg, max_degree=6):
 # conjecture suite (never gating)
 # ---------------------------------------------------------------------------
 
-def suite_conjectures(cfg, max_degree=6):
+def suite_conjectures(cfg, max_degree=None):
+    max_degree = suite_sizes("conjectures", cfg.mode, max_degree=max_degree)["max_degree"]
     rep = Report("conjectures", cfg)
     wss = cfg.workspaces()
     per_ws = [tr_mod.conjecture_checks(ws, max_degree) for ws in wss]

@@ -18,7 +18,7 @@ from math import factorial
 from jacklax.errors import JackLaxError
 from jacklax.fock import degree_of, hall_inner_alpha, vector_to_coords
 from jacklax.linalg import invert, matvec
-from jacklax.partitions import partition, partitions_of
+from jacklax.partitions import eigen_pairs, partition, partitions_of
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +182,7 @@ def homogeneous_jacks(field, n):
 
 def dense_psi_hat_solver(ws, n):
     """(pairs, M^-1) with the columns of M the psi-hat coordinates in H_n."""
-    pairs = ws.eigen_pairs(n)
+    pairs = eigen_pairs(n)
     cols = [vector_to_coords(ws.psi_hat(lam, s), n, ws.field) for lam, s in pairs]
     return pairs, invert([list(row) for row in zip(*cols)], ws.field)
 

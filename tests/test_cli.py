@@ -137,6 +137,30 @@ def test_trace_witness_names_the_spec_point(monkeypatch):
         assert inst["witness"] == "%s: y != tau-hat(star)" % DEFAULT_SPEC_POINTS[0].key()
 
 
+def test_check_witness_names_the_failing_spec_point(monkeypatch):
+    from jacklax import verify
+    from jacklax.arith import DEFAULT_SPEC_POINTS
+    bad = DEFAULT_SPEC_POINTS[1].key()
+    real = verify._jacksums
+    monkeypatch.setattr(verify, "_jacksums",
+                        lambda ws, lam: ws.field.name != bad and real(ws, lam))
+    rep = verify.suite_spectral(RunConfig(mode="specialized"), max_degree=2)
+    failed = [i for i in rep.instances if i["status"] == "FAIL"]
+    assert [i["id"] for i in failed] == ["jacksum {1^2}", "jacksum {1}", "jacksum {2}"]
+    assert all(i["witness"] == bad for i in failed)
+    assert all(i["witness"] == "" for i in rep.instances if i["status"] == "PASS")
+
+
+def test_size_zero_is_not_the_default(capsys):
+    assert main(["verify", "cokernel", "--to", "0", "--format", "json"]) == 0
+    ids = [i["id"] for i in json.loads(capsys.readouterr().out)["instances"]]
+    assert ids == ["cokernel dim = q(0) = 1", "relations annihilate Tr, n=0",
+                   "resolvent w-identity n=0"]
+    assert main(["verify", "kernel", "--to", "0", "--format", "json"]) == 0
+    ids = [i["id"] for i in json.loads(capsys.readouterr().out)["instances"]]
+    assert [i for i in ids if i.startswith("dim ker")] == ["dim ker Tr_0 = 0"]
+
+
 def test_pieri_parallel_matches_serial():
     # at least 4 marginalization quads, so jobs=2 really forks a pool
     r1 = suite_pieri(RunConfig(mode="specialized", jobs=1), max_total=4, marg_max=4)
@@ -151,6 +175,9 @@ def test_pieri_parallel_matches_serial():
     (["psi", "show", "1,2", "(1)"], "bad box '(1)'"),
     (["verify", "counts", "--spec-points=a,b"], "bad spec point 'a,b'"),
     (["verify", "counts", "--spec-points=3/0,2"], "bad spec point '3/0,2'"),
+    (["verify", "cokernel", "--to", "-3"], "bad size to=-3"),
+    (["verify", "all", "--max-size", "-1"], "bad size max_size=-1"),
+    (["counts", "--kernel", "--to", "-2"], "bad size to=-2"),
 ])
 def test_bad_input_exits_2_with_one_error_line(argv, needle):
     r = run_cli(argv)

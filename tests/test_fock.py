@@ -7,7 +7,7 @@ from jacklax.arith import SymbolicField
 from jacklax.errors import DegreeMismatch, InhomogeneousForPiStar
 from jacklax.fock import (Pi, annihilate, deriv_V, dim_hn, ext_mul,
                           fock_to_ext, hall_inner_alpha, hn_basis, inner_hbar,
-                          monomial_norm_sq, pi0, pi_plus, project, v_add,
+                          monomial_norm_sq, pi0, pi_plus, project, v_accum,
                           v_scale, w_mul, zmu)
 from jacklax.partitions import partitions_of, series_P, SeriesZ
 from oracles import m_to_p, monomial_powersum_transition, p_to_m
@@ -56,7 +56,7 @@ def test_projections():
     assert project(zeta, "pi+") == {(1, (2,)): one}
     assert Pi({(2, (1,)): one}) == {(1, (1,)): one}
     # pi0 + pi+ = id
-    assert v_add(fock_to_ext(pi0(zeta)), pi_plus(zeta)) == zeta
+    assert v_accum(fock_to_ext(pi0(zeta)), pi_plus(zeta)) == zeta
     # Pi(w .) = id ; w Pi = pi+
     assert Pi(w_mul(zeta)) == zeta
     assert w_mul(Pi(zeta)) == pi_plus(zeta)
@@ -131,7 +131,7 @@ def test_grading_operator():
             lowered = v_scale(deriv_V({mu: one}, k), F.hbar * F.num(k))
             raised = {tuple(sorted(nu + (k,), reverse=True)): c
                       for nu, c in lowered.items()}
-            acc = v_add(acc, {(m, nu): c / F.hbar for nu, c in raised.items()})
+            v_accum(acc, {(m, nu): c / F.hbar for nu, c in raised.items()})
         assert acc == v_scale({(m, mu): one}, F.num(m + sum(mu)))
 
 

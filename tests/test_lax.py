@@ -3,14 +3,14 @@ import random
 import pytest
 
 from jacklax.errors import NotAnAddableBox, NotARemovableCorner, EmptyPartition
-from jacklax.fock import (fock_to_ext, pi0, pi_star, v_add, v_scale,
+from jacklax.fock import (fock_to_ext, pi0, pi_star, v_accum, v_scale,
                           vector_to_coords, w_mul)
 from jacklax.lax import (Pi_action_coeffs, lax_apply, lax_plus_shift_check,
                          op_A, op_B, phi_column_coeff, pi_diamond, psi_tilde,
                          q_poly, resolvent_at_form, w_action_coeffs)
 from jacklax.linalg import rank
-from jacklax.partitions import (add_box, add_set, partitions_of, rem_set,
-                                rem_set_plus, remove_box)
+from jacklax.partitions import (add_box, add_set, eigen_pairs, partitions_of,
+                                rem_set, rem_set_plus, remove_box)
 from jacklax.spectral import tau, tau_tilde
 from jacklax import traces as tr
 
@@ -40,10 +40,9 @@ def test_psi_base_and_column(sym):
     for s in add_set((1, 1, 1)):
         sval = F.lf(s)
         exp = fock_to_ext(sym.jack((1, 1, 1)))
-        exp = v_add(exp, v_scale(w_mul(fock_to_ext(sym.jack((1, 1)))), sval))
-        exp = v_add(exp, v_scale(w_mul(fock_to_ext(sym.jack((1,))), 2),
-                                 sval * F.lf((2, 0))))
-        exp = v_add(exp, v_scale({(3, ()): one}, sval * F.lf((2, 0)) * F.lf((1, 0))))
+        v_accum(exp, w_mul(fock_to_ext(sym.jack((1, 1)))), sval)
+        v_accum(exp, w_mul(fock_to_ext(sym.jack((1,))), 2), sval * F.lf((2, 0)))
+        v_accum(exp, {(3, ()): one}, sval * F.lf((2, 0)) * F.lf((1, 0)))
         assert sym.psi((1, 1, 1), s) == exp
         # the phi coefficients in closed form
         for k in range(3):
@@ -111,12 +110,11 @@ def test_jacksum_and_jacksum2(sym):
         for lam in partitions_of(n):
             acc = {}
             for s in add_set(lam):
-                acc = v_add(acc, v_scale(sym.psi(lam, s), tau(F, lam, s)))
+                v_accum(acc, sym.psi(lam, s), tau(F, lam, s))
             assert acc == fock_to_ext(sym.jack(lam))
             acc2 = {}
             for tp in rem_set_plus(lam):
-                acc2 = v_add(acc2, v_scale(psi_tilde(sym, lam, tp),
-                                           tau_tilde(F, lam, tp)))
+                v_accum(acc2, psi_tilde(sym, lam, tp), tau_tilde(F, lam, tp))
             assert acc2 == lax_apply(F, fock_to_ext(sym.jack(lam)))
 
 
@@ -129,8 +127,7 @@ def test_q_poly(sym):
         acc = {}
         for t in rem_set(gamma):
             tp = (t[0] + 1, t[1] + 1)
-            acc = v_add(acc, v_scale(sym.psi(remove_box(gamma, t), t),
-                                     tau_tilde(F, gamma, tp)))
+            v_accum(acc, sym.psi(remove_box(gamma, t), t), tau_tilde(F, gamma, tp))
         assert acc == q_poly(sym, gamma)
 
 
@@ -141,7 +138,7 @@ def test_w_action(sym):
         gamma = add_box(lam, t)
         acc = {}
         for s, c in co.items():
-            acc = v_add(acc, v_scale(sym.psi(gamma, s), c))
+            v_accum(acc, sym.psi(gamma, s), c)
         assert acc == w_mul(sym.psi(lam, t))
         coh = w_action_coeffs(sym, lam, t, hatted=True)
         tot = F.zero
@@ -158,7 +155,7 @@ def test_Pi_action(sym):
         co = Pi_action_coeffs(sym, lam, s)
         acc = {}
         for t, c in co.items():
-            acc = v_add(acc, v_scale(sym.psi(remove_box(lam, t), t), c))
+            v_accum(acc, sym.psi(remove_box(lam, t), t), c)
         assert acc == Pi(sym.psi(lam, s))
         coh = Pi_action_coeffs(sym, lam, s, hatted=True)
         tot = F.zero
@@ -173,7 +170,7 @@ def test_completeness(spec):
     # the psi-hat vectors are a basis of H_n
     from jacklax.fock import dim_hn
     for n in range(8):
-        pairs = spec.eigen_pairs(n)
+        pairs = eigen_pairs(n)
         assert len(pairs) == dim_hn(n)
         for lam, s in pairs:
             assert spec.expand_psi_hat(spec.psi_hat(lam, s)) == {(lam, s): spec.field.one}
@@ -189,10 +186,10 @@ def test_dual_expansion_matches_dense_inverse(point, maxn, sym, spec_all):
     rng = random.Random(20261018)
     for n in range(maxn + 1):
         solver = dense_psi_hat_solver(ws, n)
-        vecs = [ws.psi_hat(lam, s) for lam, s in ws.eigen_pairs(n)]
+        vecs = [ws.psi_hat(lam, s) for lam, s in eigen_pairs(n)]
         for a in range(1, n // 2 + 1):
-            for p1 in ws.eigen_pairs(a):
-                for p2 in ws.eigen_pairs(n - a):
+            for p1 in eigen_pairs(a):
+                for p2 in eigen_pairs(n - a):
                     vecs.append(ext_mul(ws.psi_hat(*p1), ws.psi_hat(*p2)))
         basis = hn_basis(n)
         for _ in range(3):
@@ -244,7 +241,7 @@ def test_decompose(spec):
     # components sum back
     total = {}
     for vec in comp.values():
-        total = v_add(total, vec)
+        v_accum(total, vec)
     assert total == {(n, ()): F.one}
 
 
@@ -296,3 +293,37 @@ def test_A_B_operators(spec):
             assert op_A(F, psi) == spec.jack(gamma)
         back = op_A(F, op_B(F, spec.jack(gamma)))
         assert back == v_scale(spec.jack(gamma), F.num(sum(gamma)) * F.hbar)
+
+
+def test_accumulators_leave_caches_unchanged():
+    # sums are accumulated in place, so no accumulator may be a cached vector
+    import copy
+    from jacklax.arith import DEFAULT_SPEC_POINTS, SpecializedField
+    from jacklax.lax import decompose
+    from jacklax.lr import jacklax_lr
+    from jacklax.session import Workspace
+    from jacklax.traces import resolvent_w_identity, rho_general
+    from jacklax.verify import _refined_pieri
+    ws = Workspace(SpecializedField(DEFAULT_SPEC_POINTS[0]))
+    ws.warm(5)
+    caches = (ws._jack, ws._psi, ws._norm)
+    before = copy.deepcopy(caches)
+    one = ws.field.one
+    for n in range(4):
+        assert resolvent_w_identity(ws, n)
+    for scheme in "ZXY":
+        decompose(ws, {(3, ()): one}, scheme)
+        for lam in partitions_of(3):
+            decompose(ws, fock_to_ext(ws.jack(lam)), scheme)
+    lam = (2, 1)
+    A = add_set(lam)
+    null = v_accum(ws.psi_hat(lam, A[0]), ws.psi_hat(lam, A[1]), -one)
+    rho_general(ws, fock_to_ext(ws.jack_hat(lam)), null)
+    for lam, s, nu, t in [((1,), (0, 1), (2,), (1, 0)), ((1,), (1, 0), (1, 1), (0, 1))]:
+        jacklax_lr(ws, lam, s, nu, t)
+        jacklax_lr(ws, lam, s, nu, t, hatted=True)
+    for n in range(4):
+        for lam in partitions_of(n):
+            assert _refined_pieri(ws, lam)
+    for cache, snapshot in zip(caches, before):
+        assert {k: cache[k] for k in snapshot} == snapshot

@@ -5,11 +5,10 @@ from jacklax.fock import fock_mul
 from jacklax.lr import (delta_kernel_check, delta_kernel_rank, delta_map,
                         delta_of_jack_product, determination_check, is_cycle,
                         jack_lr, jacklax_lr, main_theorem_check,
-                        main_theorem_residual, marginalize,
-                        rectangle_corner_value)
+                        main_theorem_residual, marginalize)
 from jacklax.partitions import (add_box, add_set, parse_partition,
                                 partitions_of, transpose)
-from jacklax.spectral import N_fun, tau
+from jacklax.spectral import N_fun, T_star, tau, with_pole
 
 
 def test_worked_example(sym):
@@ -102,12 +101,14 @@ def test_jacklax_identity(sym):
 
 
 def test_rectangle_corner(sym):
+    # the hatted coefficient onto the rectangle-minus-box m^n - v*,
+    # v* = (n-1, m-1), is Res_{u=[v*]} T_{mu*nu}(u) / (u - [s+t])
     F = sym.field
     tabh = jacklax_lr(sym, (1,), (0, 1), (1,), (0, 1), hatted=True)
-    val = rectangle_corner_value(sym, (1,), (0, 1), (1,), (0, 1), 3, 1)
+    val = with_pole(T_star(F, (1,), (1,)), (0, 2)).residue((0, 2), F)
     assert tabh.get(((2,), (0, 2)), F.zero) == val
     tabh2 = jacklax_lr(sym, (1,), (1, 0), (1,), (1, 0), hatted=True)
-    val2 = rectangle_corner_value(sym, (1,), (1, 0), (1,), (1, 0), 1, 3)
+    val2 = with_pole(T_star(F, (1,), (1,)), (2, 0)).residue((2, 0), F)
     assert tabh2.get(((1, 1), (2, 0)), F.zero) == val2
 
 

@@ -4,7 +4,7 @@ import pytest
 
 from jacklax.errors import NotGood, NotInNullSpace
 from jacklax.fock import (Pi, ext_mul, fock_to_ext, hn_basis, pi0, pi_plus,
-                          v_add, v_scale, v_sub, w_mul)
+                          v_accum, v_scale, w_mul)
 from jacklax.lax import lax_apply, q_poly_hat
 from jacklax.partitions import (add_box, add_set, parse_partition,
                                 partitions_of)
@@ -125,8 +125,8 @@ def test_beta_basics(spec):
         zeta = {k: F.num(rng.randint(-3, 3) or 1)
                 for k in rng.sample(keys, min(2, len(keys)))}
         lhs = beta(spec, {(1, ()): one}, zeta)
-        rhs = v_sub(fock_to_ext(pi0(lax_apply(F, w_mul(zeta)))),
-                    ext_mul({(0, (1,)): one}, zeta))
+        rhs = v_accum(fock_to_ext(pi0(lax_apply(F, w_mul(zeta)))),
+                      ext_mul({(0, (1,)): one}, zeta), -one)
         assert lhs == rhs
 
 
@@ -220,10 +220,10 @@ def test_rho(spec):
     A = add_set(lam)
     s = A[0]
     for t in A[1:]:
-        zeta = v_sub(spec.psi_hat(lam, t), spec.psi_hat(lam, s))
+        zeta = v_accum(spec.psi_hat(lam, t), spec.psi_hat(lam, s), -one)
         img = rho_apply(spec, lam, s, zeta)
-        exp = v_sub(spec.psi_hat(add_box(lam, s), t),
-                    spec.psi_hat(add_box(lam, t), s))
+        exp = v_accum(spec.psi_hat(add_box(lam, s), t),
+                      spec.psi_hat(add_box(lam, t), s), -one)
         assert img == exp
         tv_in = full_trace(spec, zeta)
         tv_out = full_trace(spec, img)
@@ -245,7 +245,7 @@ def test_rho_beta_relation(spec):
             assert lhs == rhs
     lam = (2, 1)
     A = add_set(lam)
-    zeta = v_sub(spec.psi_hat(lam, A[0]), spec.psi_hat(lam, A[1]))
+    zeta = v_accum(spec.psi_hat(lam, A[0]), spec.psi_hat(lam, A[1]), -one)
     assert rho_general(spec, zeta, zeta) == {}
     assert rho_general(spec, zeta, fock_to_ext(spec.jack_hat(lam))) == \
         beta(spec, {(1, ()): one}, zeta)
@@ -258,12 +258,11 @@ def test_good_normalizer(spec):
         f = good_normalizer_F(spec, {(n, ()): one})
         acc = {}
         for lam in partitions_of(n):
-            acc = v_add(acc, v_scale(w_mul(q_poly_hat(spec, lam)),
-                                     one / (F.num(n) * F.hbar)))
+            v_accum(acc, w_mul(q_poly_hat(spec, lam)), one / (F.num(n) * F.hbar))
         assert f == acc
     lam = (2, 1)
     A = add_set(lam)
-    bad = v_sub(spec.psi_hat(lam, A[0]), spec.psi_hat(lam, A[1]))
+    bad = v_accum(spec.psi_hat(lam, A[0]), spec.psi_hat(lam, A[1]), -one)
     with pytest.raises(NotGood):
         good_normalizer_F(spec, bad)
 
