@@ -179,6 +179,8 @@ def cmd_cache(args):
         print("no cache directory configured (use --cache-dir or JACKLAX_CACHE_DIR)",
               file=sys.stderr)
         return 2
+    if args.action == "warm" and args.degree < 0:
+        raise BadSize("bad size degree=%d for cache warm: sizes are >= 0" % args.degree)
     wss = cfg.workspaces()
     if args.action == "warm":
         for ws in wss:

@@ -10,8 +10,8 @@ with chat = c * varpi_gamma / (varpi_mu varpi_nu).
 from .errors import JackLaxError, NotACycle
 from .fock import bump, ext_mul, fock_mul, v_accum
 from .linalg import rank, solve
-from .partitions import (boxes, contains, diagram_union, partitions_of,
-                         size)
+from .partitions import (boxes, contains, diagram_union, partition_pairs,
+                         partitions_of, size)
 from .spectral import star_residues
 
 
@@ -82,36 +82,31 @@ def determination_check(ws, n):
     they determine the hatted LR coefficients uniquely (claimed for n < 7)."""
     field = ws.field
     ok = True
-    for a in range(1, n):
-        b = n - a
-        if b < a:
-            break
-        for mu in partitions_of(a):
-            for nu in partitions_of(b):
-                union = diagram_union(mu, nu)
-                if size(union) > n:
-                    continue
-                gammas = [g for g in partitions_of(n) if contains(g, union)]
-                union_boxes = set(boxes(union))
-                poles = sorted({bx for g in gammas for bx in boxes(g)
-                                if bx not in union_boxes})
-                pos = {p: i for i, p in enumerate(poles)}
-                rhs_map = star_residues(field, mu, nu)
-                # equations indexed by poles; unknowns by gamma
-                A = [[field.zero] * len(gammas) for _ in poles]
-                for j, g in enumerate(gammas):
-                    for bx in boxes(g):
-                        if bx not in union_boxes:
-                            A[pos[bx]][j] = field.one
-                bvec = [rhs_map.get(p, field.zero) for p in poles]
-                if rank([list(r) for r in A]) < len(gammas):
-                    ok = False
-                    continue
-                sol = solve(A, bvec, field)
-                truth = jack_lr(ws, mu, nu, hatted=True)
-                for j, g in enumerate(gammas):
-                    if sol[j] != truth.get(g, field.zero):
-                        ok = False
+    for mu, nu in partition_pairs(n):
+        if size(mu) + size(nu) != n:
+            continue
+        union = diagram_union(mu, nu)
+        gammas = [g for g in partitions_of(n) if contains(g, union)]
+        union_boxes = set(boxes(union))
+        poles = sorted({bx for g in gammas for bx in boxes(g)
+                        if bx not in union_boxes})
+        pos = {p: i for i, p in enumerate(poles)}
+        rhs_map = star_residues(field, mu, nu)
+        # equations indexed by poles; unknowns by gamma
+        A = [[field.zero] * len(gammas) for _ in poles]
+        for j, g in enumerate(gammas):
+            for bx in boxes(g):
+                if bx not in union_boxes:
+                    A[pos[bx]][j] = field.one
+        bvec = [rhs_map.get(p, field.zero) for p in poles]
+        if rank([list(r) for r in A]) < len(gammas):
+            ok = False
+            continue
+        sol = solve(A, bvec, field)
+        truth = jack_lr(ws, mu, nu, hatted=True)
+        for j, g in enumerate(gammas):
+            if sol[j] != truth.get(g, field.zero):
+                ok = False
     return ok
 
 

@@ -51,32 +51,88 @@ class RunConfig:
         return tuple(pts)
 
 
+# The workspaces and recorded checks of the Report being run: fork children
+# inherit them, so only check indices and resulting instances are pickled.
+_RUN = None
+
+
+def _fork_pool(processes):
+    import multiprocessing
+    return multiprocessing.get_context("fork").Pool(processes)
+
+
+def instance(instance_id, ok, witness=""):
+    """An instance dict: PASS if ok, else FAIL."""
+    return {"id": instance_id, "status": "PASS" if ok else "FAIL", "witness": witness}
+
+
+def _run_check(i):
+    """The instances of the i-th recorded check of _RUN."""
+    wss, checks = _RUN
+    kind, instance_id, fn, args = checks[i]
+    if kind == "sweep":
+        merged = {}
+        for ws in wss:
+            for inst in fn(ws, *args):
+                cur = merged.get(inst["id"])
+                if cur is None or (cur["status"] == "PASS" and inst["status"] != "PASS"):
+                    merged[inst["id"]] = inst
+        return list(merged.values())
+    for ws in wss:
+        res = fn(ws, *args)
+        if isinstance(res, str) or not res:
+            return [instance(instance_id, False,
+                             "%s: %s" % (ws.field.name, res) if res else ws.field.name)]
+    return [instance(instance_id, True)]
+
+
 class Report:
-    """A suite result: deterministically ordered instances with statuses."""
+    """A suite result: deterministically ordered instances with statuses.
+
+    The per-workspace checks of a suite are recorded with check() or sweep()
+    and run by done(), in recording order: in this process when the run has
+    one job, else in one fork pool.  A check returns a bool, or a non-empty
+    string that names what failed."""
 
     def __init__(self, suite, config):
         self.suite = suite
-        self.config = config.as_dict() if isinstance(config, RunConfig) else dict(config)
+        self.config = config.as_dict()
+        self.jobs = config.jobs
+        self.workspaces = config.workspaces()
         self.instances = []
+        self._checks = []
         self._t0 = time.monotonic()
         self.elapsed_ms = 0
 
-    def add(self, instance_id, status, witness=""):
-        self.instances.append({"id": instance_id, "status": status, "witness": witness})
+    def add(self, instance_id, ok, witness=""):
+        self.instances.append(instance(instance_id, ok, witness))
 
-    def check(self, instance_id, wss, fn):
-        """PASS iff fn(ws) holds in every workspace; a FAIL names the first
-        workspace where it fails (its spec point, or "symbolic")."""
-        for ws in wss:
-            if not fn(ws):
-                self.add(instance_id, "FAIL", ws.field.name)
-                return
-        self.add(instance_id, "PASS")
+    def check(self, instance_id, fn, *args):
+        """Record the check fn(ws, *args): PASS iff it holds in every workspace.
+        A FAIL names the first workspace where it fails (its spec point, or
+        "symbolic"), followed by ": " and the failure string if fn gave one."""
+        self._checks.append(("each", instance_id, fn, args))
 
-    def extend(self, instances):
-        self.instances.extend(instances)
+    def sweep(self, fn, *args):
+        """Record fn(ws, *args), a list of instance dicts per workspace.  Each
+        instance is taken from the first workspace where it does not PASS, or
+        else from the first workspace."""
+        self._checks.append(("sweep", None, fn, args))
 
     def done(self):
+        global _RUN
+        _RUN = (self.workspaces, self._checks)
+        try:
+            todo = range(len(self._checks))
+            if self.jobs == 1 or len(todo) < 2:
+                results = [_run_check(i) for i in todo]
+            else:
+                with _fork_pool(min(self.jobs, len(todo))) as pool:
+                    results = pool.map(_run_check, todo)
+        finally:
+            _RUN = self.workspaces = None
+        for insts in results:
+            self.instances.extend(insts)
         self.elapsed_ms = int((time.monotonic() - self._t0) * 1000)
         self.instances.sort(key=lambda r: r["id"])
         return self

@@ -360,10 +360,6 @@ def verify_y_trace_product(ws, lam, s, nu, t):
 # null submodules
 # ---------------------------------------------------------------------------
 
-def _fock_monomials(k):
-    return list(partitions_of(k))
-
-
 def null_module_span(ws, n, which):
     """Spanning vectors of Z0_n (theta elements) or X0_n (beta elements)."""
     vecs = []
@@ -383,7 +379,7 @@ def null_module_span(ws, n, which):
             if g is None:
                 g = gen(ws, a, b)
                 cache[(a, b)] = g
-            for mu in _fock_monomials(n - d):
+            for mu in partitions_of(n - d):
                 vecs.append(ext_mul({(0, mu): ws.field.one}, g))
     return vecs
 
@@ -487,28 +483,34 @@ def rho_tilde(ws, n, zeta):
 # conjectures and experimental checks (quarantined; never assumed)
 # ---------------------------------------------------------------------------
 
-def conjecture_checks(ws, max_degree):
-    """Run the selection-rule, rho, and beta=rho.theta conjecture sweeps.
-    Returns a list of instance dicts {id, status, witness}."""
-    field = ws.field
-    out = []
-
-    # selection rule: support of psi-hat products lies over mu union nu
-    for mu, s, nu, t in pair_quads(max_degree):
-        union = _parts.diagram_union(mu, nu)
-        prod = ext_mul(ws.psi_hat(mu, s), ws.psi_hat(nu, t))
-        bad = [g for (g, u) in ws.expand_psi_hat(prod)
-               if not _parts.contains(g, union)]
-        out.append({
-            "id": "selection-rule %s:%s * %s:%s" % (mu, s, nu, t),
-            "status": "PASS" if not bad else "FAIL",
-            "witness": "" if not bad else "support hits %s" % bad,
-        })
-
-    # closed-form product expansions for psi-hat_{1^r} psi-hat_m
+def conjecture_sweeps(max_degree):
+    """The selection-rule, rho, and beta=rho.theta conjecture sweeps, in
+    parts: pairs (fn, args) where fn(ws, *args) is a list of instance dicts
+    {id, status, witness}."""
+    for quad in pair_quads(max_degree):
+        yield _selection_rule, quad
     for r in range(1, max_degree):
         for m in range(1, max_degree - r + 1):
-            out.extend(_product_evidence(ws, r, m))
+            yield _product_evidence, (r, m)
+    yield _rho_conjectures, (max_degree,)
+
+
+def _selection_rule(ws, mu, s, nu, t):
+    """The support of psi-hat products lies over mu union nu."""
+    union = _parts.diagram_union(mu, nu)
+    prod = ext_mul(ws.psi_hat(mu, s), ws.psi_hat(nu, t))
+    bad = [g for (g, u) in ws.expand_psi_hat(prod)
+           if not _parts.contains(g, union)]
+    return [{
+        "id": "selection-rule %s:%s * %s:%s" % (mu, s, nu, t),
+        "status": "PASS" if not bad else "FAIL",
+        "witness": "" if not bad else "support hits %s" % bad,
+    }]
+
+
+def _rho_conjectures(ws, max_degree):
+    field = ws.field
+    out = []
 
     # beta^{n,m} = rho~_{n+m-1} theta^{n,m} for n+m <= min(5, max_degree)
     for a in range(1, 6):

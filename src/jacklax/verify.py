@@ -11,18 +11,20 @@ from . import lr as lr_mod
 from . import shc as shc_mod
 from . import traces as tr_mod
 from .errors import BadSize, JackLaxError
-from .fock import (bump, dim_hn, ext_mul, fock_to_ext, hn_basis, inner_hbar,
-                   pi0, pi_star, v_accum, v_scale, w_mul)
+from .fock import (Pi, bump, dim_hn, ext_mul, fock_mul, fock_to_ext, hn_basis,
+                   inner_hbar, monomial_norm_sq, pi0, pi_plus, pi_star,
+                   v_accum, v_scale, vector_to_coords, w_mul)
 from .jack import jack_norm_sq, pieri_stanley
 from .lax import (lax_apply, lax_matrix, lax_plus_shift_check,
                   phi_column_coeff, pi_diamond, psi_tilde)
 from .linalg import rank
-from .partitions import (add_box, add_set, boxes, count_by_corners,
+from .partitions import (SeriesZ, add_box, add_set, boxes, count_by_corners,
                          count_lattice_q, count_partitions, eigen_pairs,
-                         format_partition, pair_quads, partition_pairs,
-                         partitions_of, rem_set, rem_set_plus, series_P,
-                         series_P_xt, series_Q, size)
-from .report import Report
+                         format_partition, hook, pair_quads, parse_partition,
+                         partition_pairs, partitions_of, rem_set, rem_set_plus,
+                         remove_box, series_P, series_P_xt, series_Q, size,
+                         star_product)
+from .report import Report, instance
 from .spectral import (T_of_boxes, T_partition, tau, tau_hat, tau_tilde,
                        verify_tau_identities, with_pole)
 
@@ -61,10 +63,6 @@ def _fmt(lam):
     return "{%s}" % format_partition(lam)
 
 
-def _status(ok):
-    return "PASS" if ok else "FAIL"
-
-
 # ---------------------------------------------------------------------------
 # counting suite (mode independent)
 # ---------------------------------------------------------------------------
@@ -73,37 +71,36 @@ def suite_counts(cfg):
     rep = Report("counts", cfg)
     P = series_P(12)
     rep.add("P(x) coefficients to x^12",
-            _status(all(P.coeff(n) == count_partitions(n) for n in range(13))))
+            all(P.coeff(n) == count_partitions(n) for n in range(13)))
     Pxt = series_P_xt(6)
     expected = {(0, 1): 1, (1, 2): 1, (2, 2): 2, (3, 2): 2, (3, 3): 1,
                 (4, 2): 3, (4, 3): 2}
     ok = all(Pxt.coeff(n, r) == c for (n, r), c in expected.items())
     ok = ok and all(Pxt.coeff(n, r) == count_by_corners(n, r)
                     for n in range(7) for r in range(n + 2))
-    rep.add("P(x,t) coefficients to x^4", _status(ok))
+    rep.add("P(x,t) coefficients to x^4", ok)
     s = series_P_xt(12).subs_t_poly([1, -1])
     rep.add("P(x,1-x) = 1 to x^12",
-            _status(all(s.coeff(i) == (1 if i == 0 else 0) for i in range(13))))
+            all(s.coeff(i) == (1 if i == 0 else 0) for i in range(13)))
     lhs = series_P_xt(12).dt_at_1()
     rhs = series_P(12) / _one_minus_x(12)
-    rep.add("dP/dt at t=1 equals P(x)/(1-x) to x^12", _status(lhs == rhs))
+    rep.add("dP/dt at t=1 equals P(x)/(1-x) to x^12", lhs == rhs)
     dimser = series_P(9) / _one_minus_x(9)
     rep.add("graded dim H_n = [x^n] P(x)/(1-x) to x^9",
-            _status(all(dimser.coeff(n) == dim_hn(n) for n in range(10))))
+            all(dimser.coeff(n) == dim_hn(n) for n in range(10)))
     Q = series_Q(10)
     rep.add("Q(x) matches the lattice counts to x^10",
-            _status(all(Q.coeff(n) == count_lattice_q(n) for n in range(11))))
+            all(Q.coeff(n) == count_lattice_q(n) for n in range(11)))
     ker = tr_mod.kernel_dim_series(6)
     rep.add("kernel series x^4 + 2x^5 + 5x^6",
-            _status([ker.coeff(i) for i in range(7)] == [0, 0, 0, 0, 1, 2, 5]))
+            [ker.coeff(i) for i in range(7)] == [0, 0, 0, 0, 1, 2, 5])
     kz = tr_mod.koszul_hilbert_check(6, 12)
     rep.add("Koszul Hilbert identity to (z^6, x^12)",
-            _status(all(kz.values())), "" if all(kz.values()) else repr(kz))
+            all(kz.values()), "" if all(kz.values()) else repr(kz))
     return rep.done()
 
 
 def _one_minus_x(order):
-    from .partitions import SeriesZ
     return SeriesZ(order, [Fraction(1), Fraction(-1)])
 
 
@@ -114,58 +111,61 @@ def _one_minus_x(order):
 def suite_tau(cfg, max_size=None):
     max_size = suite_sizes("tau", cfg.mode, max_size=max_size)["max_size"]
     rep = Report("tau", cfg)
-    wss = cfg.workspaces()
     for n in range(0, max_size + 1):
         for lam in partitions_of(n):
             for s in add_set(lam):
-                def check(ws):
-                    r = verify_tau_identities(ws.field, lam, s)
-                    return all(v != "FAIL" for v in r.values())
-                rep.check("identities %s s=%s" % (_fmt(lam), (s,)), wss, check)
-    for n in range(0, max_size + 1):
-        for lam in partitions_of(n):
-            def kerov(ws):
-                f = ws.field
-                T = T_partition(f, lam)
-                # u^{-1} T_lam: poles at the add set with residues tau
-                poly, res = with_pole(T, (0, 0)).partial_fractions(f)
-                if poly:
-                    return False
-                if res != {s: tau(f, lam, s) for s in add_set(lam)}:
-                    return False
-                # hatted: T - 1 has residues tau-hat and they sum to zero
-                polyT, resT = T.partial_fractions(f)
-                if polyT != [f.one]:
-                    return False
-                tot = f.zero
-                for s in add_set(lam):
-                    if resT.get(s, f.zero) != tau_hat(f, lam, s):
-                        return False
-                    tot = tot + resT.get(s, f.zero)
-                return not tot
-            rep.check("kerov expansion %s" % _fmt(lam), wss, kerov)
+                rep.check("identities %s s=%s" % (_fmt(lam), (s,)), _tau_identities, lam, s)
+            rep.check("kerov expansion %s" % _fmt(lam), _kerov, lam)
     # norm ratio |j_{lam+s}|^2/|j_lam|^2 = tau~/tau, sizes <= 7
     for n in range(0, min(max_size, 7)):
         for lam in partitions_of(n):
             for s in add_set(lam):
-                def ratio(ws):
-                    f = ws.field
-                    lam_s = add_box(lam, s)
-                    lhs = jack_norm_sq(f, lam_s) / jack_norm_sq(f, lam)
-                    rhs = tau_tilde(f, lam_s, (s[0] + 1, s[1] + 1)) / tau(f, lam, s)
-                    return lhs == rhs
-                rep.check("norm ratio %s + %s" % (_fmt(lam), (s,)), wss, ratio)
+                rep.check("norm ratio %s + %s" % (_fmt(lam), (s,)), _norm_ratio, lam, s)
     # star-factor identity for single boxes
     for n in range(0, 5):
         for lam in partitions_of(n):
             for t in [(0, 0), (1, 0), (0, 1), (1, 2)]:
-                def star(ws):
-                    from .partitions import star_product
-                    lhs = T_of_boxes(ws.field, star_product(lam, {t: 1}))
-                    rhs = T_partition(ws.field, lam).shift(t)
-                    return lhs.num == rhs.num and lhs.den == rhs.den and lhs.pre == rhs.pre
-                rep.check("star factor %s * box%s" % (_fmt(lam), (t,)), wss, star)
+                rep.check("star factor %s * box%s" % (_fmt(lam), (t,)), _star_factor, lam, t)
     return rep.done()
+
+
+def _tau_identities(ws, lam, s):
+    return "FAIL" not in verify_tau_identities(ws.field, lam, s).values()
+
+
+def _kerov(ws, lam):
+    f = ws.field
+    T = T_partition(f, lam)
+    # u^{-1} T_lam: poles at the add set with residues tau
+    poly, res = with_pole(T, (0, 0)).partial_fractions(f)
+    if poly:
+        return False
+    if res != {s: tau(f, lam, s) for s in add_set(lam)}:
+        return False
+    # hatted: T - 1 has residues tau-hat and they sum to zero
+    polyT, resT = T.partial_fractions(f)
+    if polyT != [f.one]:
+        return False
+    tot = f.zero
+    for s in add_set(lam):
+        if resT.get(s, f.zero) != tau_hat(f, lam, s):
+            return False
+        tot = tot + resT.get(s, f.zero)
+    return not tot
+
+
+def _norm_ratio(ws, lam, s):
+    f = ws.field
+    lam_s = add_box(lam, s)
+    lhs = jack_norm_sq(f, lam_s) / jack_norm_sq(f, lam)
+    rhs = tau_tilde(f, lam_s, (s[0] + 1, s[1] + 1)) / tau(f, lam, s)
+    return lhs == rhs
+
+
+def _star_factor(ws, lam, t):
+    lhs = T_of_boxes(ws.field, star_product(lam, {t: 1}))
+    rhs = T_partition(ws.field, lam).shift(t)
+    return lhs.num == rhs.num and lhs.den == rhs.den and lhs.pre == rhs.pre
 
 
 # ---------------------------------------------------------------------------
@@ -175,59 +175,59 @@ def suite_tau(cfg, max_size=None):
 def suite_spectral(cfg, max_degree=None):
     max_degree = suite_sizes("spectral", cfg.mode, max_degree=max_degree)["max_degree"]
     rep = Report("spectral", cfg)
-    wss = cfg.workspaces()
     for n in range(max_degree + 1):
-        rep.check("completeness H_%d" % n, wss, lambda ws: _complete(ws, n))
-        rep.check("shift property n=%d" % n,
-                  wss, lambda ws: lax_plus_shift_check(ws, n))
+        rep.check("completeness H_%d" % n, _complete, n)
+        rep.check("shift property n=%d" % n, lax_plus_shift_check, n)
         if n <= 7:
-            rep.check("self-adjointness L_%d" % n, wss, lambda ws: _self_adjoint(ws, n))
+            rep.check("self-adjointness L_%d" % n, _self_adjoint, n)
         if 1 <= n <= 6:
-            rep.check("pi-diamond projection H_%d" % n,
-                      wss, lambda ws: _pi_diamond_ok(ws, n))
-    for n in range(max_degree + 1):
+            rep.check("pi-diamond projection H_%d" % n, _pi_diamond_ok, n)
         for lam in partitions_of(n):
             for s in add_set(lam):
-                def eig(ws):
-                    psi = ws.psi(lam, s)
-                    if lax_apply(ws.field, psi) != v_scale(psi, ws.field.lf(s)):
-                        return False
-                    if pi0(psi) != ws.jack(lam):
-                        return False
-                    return pi_star(psi, ws.field) == ws.pi_star_psi(lam, s)
-                rep.check("eigen %s s=%s" % (_fmt(lam), (s,)), wss, eig)
+                rep.check("eigen %s s=%s" % (_fmt(lam), (s,)), _eigen, lam, s)
             if n:
-                rep.check("jacksum %s" % _fmt(lam), wss, lambda ws: _jacksums(ws, lam))
-                rep.check("shift theorem %s" % _fmt(lam),
-                          wss, lambda ws: _shift_thm(ws, lam))
-                rep.check("structural Z=Cj+wX %s" % _fmt(lam),
-                          wss, lambda ws: _structural(ws, lam))
+                rep.check("jacksum %s" % _fmt(lam), _jacksums, lam)
+                rep.check("shift theorem %s" % _fmt(lam), _shift_thm, lam)
+                rep.check("structural Z=Cj+wX %s" % _fmt(lam), _structural, lam)
             if n and n <= 6:
-                def norms(ws):
-                    f = ws.field
-                    for s in add_set(lam):
-                        psi = ws.psi(lam, s)
-                        n2 = inner_hbar(psi, psi, f)
-                        if n2 != jack_norm_sq(f, lam) / tau(f, lam, s):
-                            return False
-                        if n2 != _psi_norm_hooks(ws, lam, s):
-                            return False
-                    return True
-                rep.check("psi norms %s" % _fmt(lam), wss, norms)
+                rep.check("psi norms %s" % _fmt(lam), _psi_norms, lam)
     for r in range(1, min(max_degree, 6) + 1):
-        def phi(ws):
-            col = (1,) * r
-            for s in add_set(col):
-                psi = ws.psi(col, s)
-                for k in range(r):
-                    expect = v_scale(fock_to_ext(ws.jack((1,) * k)),
-                                     phi_column_coeff(ws, r, k, s))
-                    got = {(0, mu): c for (m, mu), c in psi.items() if m == r - k}
-                    if got != expect:
-                        return False
-            return True
-        rep.check("phi expansion 1^%d" % r, wss, phi)
+        rep.check("phi expansion 1^%d" % r, _phi_expansion, r)
     return rep.done()
+
+
+def _eigen(ws, lam, s):
+    psi = ws.psi(lam, s)
+    if lax_apply(ws.field, psi) != v_scale(psi, ws.field.lf(s)):
+        return False
+    if pi0(psi) != ws.jack(lam):
+        return False
+    return pi_star(psi, ws.field) == ws.pi_star_psi(lam, s)
+
+
+def _psi_norms(ws, lam):
+    f = ws.field
+    for s in add_set(lam):
+        psi = ws.psi(lam, s)
+        n2 = inner_hbar(psi, psi, f)
+        if n2 != jack_norm_sq(f, lam) / tau(f, lam, s):
+            return False
+        if n2 != _psi_norm_hooks(ws, lam, s):
+            return False
+    return True
+
+
+def _phi_expansion(ws, r):
+    col = (1,) * r
+    for s in add_set(col):
+        psi = ws.psi(col, s)
+        for k in range(r):
+            expect = v_scale(fock_to_ext(ws.jack((1,) * k)),
+                             phi_column_coeff(ws, r, k, s))
+            got = {(0, mu): c for (m, mu), c in psi.items() if m == r - k}
+            if got != expect:
+                return False
+    return True
 
 
 def _complete(ws, n):
@@ -246,7 +246,6 @@ def _complete(ws, n):
 def _self_adjoint(ws, n):
     basis = hn_basis(n)
     f = ws.field
-    from .fock import monomial_norm_sq
     M = lax_matrix(ws, n)
     g = [monomial_norm_sq(mu, f) for (m, mu) in basis]
     N = len(basis)
@@ -258,7 +257,6 @@ def _self_adjoint(ws, n):
 
 
 def _pi_diamond_ok(ws, n):
-    from .fock import vector_to_coords
     mats = []
     for lam in partitions_of(n):
         for s in add_set(lam):
@@ -288,7 +286,6 @@ def _shift_thm(ws, lam):
     for tp in rem_set_plus(lam):
         pt = psi_tilde(ws, lam, tp)
         # L+ eigen equation on the positive block
-        from .fock import pi_plus
         img = pi_plus(lax_apply(f, pt))
         if img != v_scale(pt, f.lf(tp)):
             return False
@@ -300,11 +297,9 @@ def _shift_thm(ws, lam):
 
 
 def _structural(ws, lam):
-    from .fock import vector_to_coords
     n = size(lam)
     vecs = [fock_to_ext(ws.jack(lam))]
     for t in rem_set(lam):
-        from .partitions import remove_box
         vecs.append(w_mul(ws.psi(remove_box(lam, t), t)))
     for v in vecs:
         for (mu, s), c in ws.expand_psi_hat(v).items():
@@ -315,7 +310,6 @@ def _structural(ws, lam):
 
 
 def _psi_norm_hooks(ws, lam, s):
-    from .partitions import hook
     f = ws.field
     lam_s = add_box(lam, s)
     val = f.one
@@ -330,56 +324,34 @@ def _psi_norm_hooks(ws, lam, s):
 # main theorem
 # ---------------------------------------------------------------------------
 
-_PAR_WSS = None
-
-
-def _pair_worker(args):
-    mu, nu = args
-    bad = []
-    for ws in _PAR_WSS:
-        try:
-            res = lr_mod.main_theorem_residual(ws, mu, nu)
-        except JackLaxError as e:
-            bad.append(str(e))
-            continue
-        if res:
-            bad.append("%s: residual at %s" % (ws.field.name, sorted(res)))
-    return {"id": "residual %s * %s" % (_fmt(mu), _fmt(nu)),
-            "status": "PASS" if not bad else "FAIL",
-            "witness": "; ".join(bad)}
-
-
-def _run_parallel(worker, items, jobs, wss):
-    global _PAR_WSS
-    _PAR_WSS = wss
-    if jobs <= 1 or len(items) < 4:
-        return [worker(it) for it in items]
-    import multiprocessing as mp
-    ctx = mp.get_context("fork")
-    with ctx.Pool(jobs) as pool:
-        return pool.map(worker, items, chunksize=max(1, len(items) // (4 * jobs)))
-
-
 def suite_main_theorem(cfg, max_size=None):
     max_size = suite_sizes("main-theorem", cfg.mode, max_size=max_size)["max_size"]
     rep = Report("main-theorem", cfg)
-    wss = cfg.workspaces()
-    for ws in wss:
+    for ws in rep.workspaces:
         for n in range(max_size + 1):
             ws.jack_degree(n)
-    pairs = list(partition_pairs(max_size))
-    rep.extend(_run_parallel(_pair_worker, pairs, cfg.jobs, wss))
-
-    # worked example: chat and c values for (1^2, 2)
-    def worked(ws):
-        f = ws.field
-        tabh = lr_mod.jack_lr(ws, (1, 1), (2,), hatted=True)
-        tab = lr_mod.jack_lr(ws, (1, 1), (2,))
-        chat = f.lf((2, 0)) * f.lf((0, -2)) / f.lf((2, -2))
-        c = -f.lf((0, 1)) / f.lf((1, -1))
-        return tabh.get((2, 1, 1)) == chat and tab.get((2, 1, 1)) == c
-    rep.check("worked example (1^2,2)", wss, worked)
+    for mu, nu in partition_pairs(max_size):
+        rep.check("residual %s * %s" % (_fmt(mu), _fmt(nu)), _residual, mu, nu)
+    rep.check("worked example (1^2,2)", _worked_lr_example)
     return rep.done()
+
+
+def _residual(ws, mu, nu):
+    try:
+        res = lr_mod.main_theorem_residual(ws, mu, nu)
+    except JackLaxError as e:
+        return str(e)
+    return not res or "residual at %s" % sorted(res)
+
+
+def _worked_lr_example(ws):
+    """chat and c values for (1^2, 2)."""
+    f = ws.field
+    tabh = lr_mod.jack_lr(ws, (1, 1), (2,), hatted=True)
+    tab = lr_mod.jack_lr(ws, (1, 1), (2,))
+    chat = f.lf((2, 0)) * f.lf((0, -2)) / f.lf((2, -2))
+    c = -f.lf((0, 1)) / f.lf((1, -1))
+    return tabh.get((2, 1, 1)) == chat and tab.get((2, 1, 1)) == c
 
 
 # ---------------------------------------------------------------------------
@@ -389,147 +361,133 @@ def suite_main_theorem(cfg, max_size=None):
 def suite_cokernel(cfg, to=None):
     to = suite_sizes("cokernel", cfg.mode, to=to)["to"]
     rep = Report("cokernel", cfg)
-    wss = cfg.workspaces()
     for n in range(to + 1):
         r = tr_mod.verify_cokernel(n)
-        rep.add("relations annihilate Tr, n=%d" % n, _status(r["annihilate"]))
-        rep.add("cokernel dim = q(%d) = %d" % (n, r["q(n)"]), _status(r["exhausts"]),
+        rep.add("relations annihilate Tr, n=%d" % n, r["annihilate"])
+        rep.add("cokernel dim = q(%d) = %d" % (n, r["q(n)"]), r["exhausts"],
                 "" if r["exhausts"] else repr(r))
     for n in range(min(to, 5) + 1):
-        rep.check("resolvent w-identity n=%d" % n,
-                  wss, lambda ws: tr_mod.resolvent_w_identity(ws, n))
+        rep.check("resolvent w-identity n=%d" % n, tr_mod.resolvent_w_identity, n)
     return rep.done()
 
 
 def suite_kernel(cfg, to=None):
     to = suite_sizes("kernel", cfg.mode, to=to)["to"]
     rep = Report("kernel", cfg)
-    wss = cfg.workspaces()
     ser = tr_mod.kernel_dim_series(to)
     for n in range(to + 1):
         d = tr_mod.kernel_dimension(n)
         h = tr_mod.hexagon_span_dimension(n)
         ok = d == h == ser.coeff(n)
-        rep.add("dim ker Tr_%d = %d" % (n, d), _status(ok),
+        rep.add("dim ker Tr_%d = %d" % (n, d), ok,
                 "" if ok else "hexagon span %d, series %s" % (h, ser.coeff(n)))
     for n in range(4, min(to, 7) + 1):
-        def hexzero(ws):
-            for hx in tr_mod.kernel_basis(n):
-                tv = tr_mod.full_trace(ws, hx.value(ws))
-                if tv.x or tv.y or tv.z:
-                    return False
-            return True
-        rep.check("hexagons lie in ker Tr_%d" % n, wss, hexzero)
+        rep.check("hexagons lie in ker Tr_%d" % n, _hexagons_in_kernel, n)
     hx4 = tr_mod.kernel_basis(4)
     rep.add("n=4 generator is Gamma_{1,2}^{(2,0),(1,1),(0,2)}",
-            _status(len(hx4) == 1 and hx4[0].eta == (2, 1)
-                    and set(hx4[0].corners) == {(2, 0), (1, 1), (0, 2)}))
+            len(hx4) == 1 and hx4[0].eta == (2, 1)
+            and set(hx4[0].corners) == {(2, 0), (1, 1), (0, 2)})
     hx5 = {(h.eta, frozenset(h.corners)) for h in tr_mod.kernel_basis(5)}
     rep.add("n=5 generators are the expected pair",
-            _status(hx5 == {((3, 1), frozenset({(2, 0), (1, 1), (0, 3)})),
-                            ((2, 1, 1), frozenset({(3, 0), (1, 1), (0, 2)}))}))
+            hx5 == {((3, 1), frozenset({(2, 0), (1, 1), (0, 3)})),
+                    ((2, 1, 1), frozenset({(3, 0), (1, 1), (0, 2)}))})
     return rep.done()
+
+
+def _hexagons_in_kernel(ws, n):
+    for hx in tr_mod.kernel_basis(n):
+        tv = tr_mod.full_trace(ws, hx.value(ws))
+        if tv.x or tv.y or tv.z:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
 # traces suite
 # ---------------------------------------------------------------------------
 
-def _trace_worker(args):
-    lam, s, nu, t = args
-    bad = []
-    for ws in _PAR_WSS:
-        f = ws.field
-        p1 = ws.psi_hat(lam, s)
-        p2 = ws.psi_hat(nu, t)
-        t_prod = tr_mod.full_trace(ws, ext_mul(p1, p2))
-        t_beta = tr_mod.full_trace(ws, tr_mod.beta(ws, p1, p2))
-        tv = tr_mod.full_trace(ws, tr_mod.theta(ws, p1, p2))
-        from .spectral import star_residues
-        if not tr_mod.pf_eq(tv.x, lr_mod.jack_lr(ws, lam, nu, hatted=True)):
-            bad.append("x != chat")
-        if not tr_mod.pf_eq(tv.y, star_residues(f, lam, nu)):
-            bad.append("y != tau-hat(star)")
-        if tv.z:
-            bad.append("z != 0")
-        twisted = tr_mod.twisted_trace_checks(t_beta, tv)
-        if not all(twisted.values()):
-            bad.append("twisted: %r" % twisted)
-        if not tr_mod.y_trace_product_check(ws, lam, s, nu, t, t_prod, t_beta):
-            bad.append("y-product")
-        if bad:
-            bad = ["%s: %s" % (f.name, b) for b in bad]
-            break
-    return {"id": "theta/beta traces %s:%s * %s:%s" % (_fmt(lam), (s,), _fmt(nu), (t,)),
-            "status": "PASS" if not bad else "FAIL",
-            "witness": "; ".join(bad)}
-
-
 def suite_traces(cfg, max_degree=None):
     max_degree = suite_sizes("traces", cfg.mode, max_degree=max_degree)["max_degree"]
     rep = Report("traces", cfg)
-    wss = cfg.workspaces()
-    for ws in wss:
+    for ws in rep.workspaces:
         ws.warm(max_degree)
-    quads = list(pair_quads(max_degree))
-    rep.extend(_run_parallel(_trace_worker, quads, cfg.jobs, wss))
-
+    for lam, s, nu, t in pair_quads(max_degree):
+        rep.check("theta/beta traces %s:%s * %s:%s" % (_fmt(lam), (s,), _fmt(nu), (t,)),
+                  _theta_beta_traces, lam, s, nu, t)
     # trace property chain on seeded random vectors
     rng = random.Random(20260810)
     for n in range(1, min(max_degree, 6) + 1):
-        basis = hn_basis(n)
-        picks = [rng.sample(range(len(basis)), min(3, len(basis)))
-                 for _ in range(2)]
+        size_n = len(hn_basis(n))
+        picks = [rng.sample(range(size_n), min(3, size_n)) for _ in range(2)]
         coeffs = [[rng.randint(-5, 5) or 1 for _ in p] for p in picks]
-        def chain(ws):
-            f = ws.field
-            for p, cs in zip(picks, coeffs):
-                zeta = {}
-                for idx, c in zip(p, cs):
-                    bump(zeta, basis[idx], f.num(c))
-                tv = tr_mod.full_trace(ws, zeta)
-                tvd = tr_mod.full_trace(ws, pi_diamond(ws, zeta))
-                if not tr_mod.pf_eq(tv.x, tvd.x):
-                    return False
-                from .fock import pi_plus
-                tvp = tr_mod.full_trace(ws, pi_plus(zeta))
-                if not tr_mod.pf_eq(tv.z, tvp.z):
-                    return False
-                tw = tr_mod.full_trace(ws, w_mul(zeta))
-                if not tr_mod.pf_eq(tw.z, tv.x):
-                    return False
-                from .fock import Pi
-                tpi = tr_mod.full_trace(ws, Pi(zeta))
-                if not tr_mod.pf_eq(tpi.x, tv.z):
-                    return False
-                # y_u(L zeta) = u y_u(zeta) - pi_* zeta
-                tl = tr_mod.full_trace(ws, lax_apply(f, zeta))
-                ok_poles = True
-                tot = f.zero
-                for s0, c in tv.y.items():
-                    tot = tot + c
-                    if tl.y.get(s0, f.zero) != c * f.lf(s0):
-                        ok_poles = False
-                if not ok_poles:
-                    return False
-                if tot - pi_star(zeta, f) != f.zero:
-                    return False
-            return True
-        rep.check("trace property chain n=%d" % n, wss, chain)
-
+        rep.check("trace property chain n=%d" % n, _trace_chain, n, picks, coeffs)
     for n in range(1, min(max_degree, 6) + 1):
-        def nulls(ws):
-            return (tr_mod.null_module_rank(ws, n, "Z0") == tr_mod.null_module_expected_dim(n, "Z0")
-                    and tr_mod.null_module_rank(ws, n, "X0") == tr_mod.null_module_expected_dim(n, "X0"))
-        rep.check("null module ranks n=%d" % n, wss, nulls)
-
+        rep.check("null module ranks n=%d" % n, _null_ranks, n)
     # refined Pieri for |lam| <= 5
     for n in range(0, min(max_degree - 1, 5) + 1):
         for lam in partitions_of(n):
-            def pieri(ws):
-                return _refined_pieri(ws, lam)
-            rep.check("refined Pieri %s" % _fmt(lam), wss, pieri)
+            rep.check("refined Pieri %s" % _fmt(lam), _refined_pieri, lam)
     return rep.done()
+
+
+def _theta_beta_traces(ws, lam, s, nu, t):
+    from .spectral import star_residues
+    f = ws.field
+    p1 = ws.psi_hat(lam, s)
+    p2 = ws.psi_hat(nu, t)
+    t_prod = tr_mod.full_trace(ws, ext_mul(p1, p2))
+    t_beta = tr_mod.full_trace(ws, tr_mod.beta(ws, p1, p2))
+    tv = tr_mod.full_trace(ws, tr_mod.theta(ws, p1, p2))
+    bad = []
+    if not tr_mod.pf_eq(tv.x, lr_mod.jack_lr(ws, lam, nu, hatted=True)):
+        bad.append("x != chat")
+    if not tr_mod.pf_eq(tv.y, star_residues(f, lam, nu)):
+        bad.append("y != tau-hat(star)")
+    if tv.z:
+        bad.append("z != 0")
+    twisted = tr_mod.twisted_trace_checks(t_beta, tv)
+    if not all(twisted.values()):
+        bad.append("twisted: %r" % twisted)
+    if not tr_mod.y_trace_product_check(ws, lam, s, nu, t, t_prod, t_beta):
+        bad.append("y-product")
+    return "; ".join(bad) or True
+
+
+def _trace_chain(ws, n, picks, coeffs):
+    f = ws.field
+    basis = hn_basis(n)
+    for p, cs in zip(picks, coeffs):
+        zeta = {}
+        for idx, c in zip(p, cs):
+            bump(zeta, basis[idx], f.num(c))
+        tv = tr_mod.full_trace(ws, zeta)
+        tvd = tr_mod.full_trace(ws, pi_diamond(ws, zeta))
+        if not tr_mod.pf_eq(tv.x, tvd.x):
+            return False
+        tvp = tr_mod.full_trace(ws, pi_plus(zeta))
+        if not tr_mod.pf_eq(tv.z, tvp.z):
+            return False
+        tw = tr_mod.full_trace(ws, w_mul(zeta))
+        if not tr_mod.pf_eq(tw.z, tv.x):
+            return False
+        tpi = tr_mod.full_trace(ws, Pi(zeta))
+        if not tr_mod.pf_eq(tpi.x, tv.z):
+            return False
+        # y_u(L zeta) = u y_u(zeta) - pi_* zeta
+        tl = tr_mod.full_trace(ws, lax_apply(f, zeta))
+        tot = f.zero
+        for s0, c in tv.y.items():
+            tot = tot + c
+            if tl.y.get(s0, f.zero) != c * f.lf(s0):
+                return False
+        if tot - pi_star(zeta, f) != f.zero:
+            return False
+    return True
+
+
+def _null_ranks(ws, n):
+    return (tr_mod.null_module_rank(ws, n, "Z0") == tr_mod.null_module_expected_dim(n, "Z0")
+            and tr_mod.null_module_rank(ws, n, "X0") == tr_mod.null_module_expected_dim(n, "X0"))
 
 
 def _refined_pieri(ws, lam):
@@ -557,39 +515,33 @@ def _refined_pieri(ws, lam):
 # LR oracle suite (Pieri agreement, marginalization, determination)
 # ---------------------------------------------------------------------------
 
-def _marg_worker(args):
-    lam, s, nu, t = args
-    ok = True
-    for ws in _PAR_WSS:
-        tab = lr_mod.jacklax_lr(ws, lam, s, nu, t)
-        if lr_mod.marginalize(tab) != lr_mod.jack_lr(ws, lam, nu):
-            ok = False
-    return {"id": "marginalize %s:%s * %s:%s" % (_fmt(lam), (s,), _fmt(nu), (t,)),
-            "status": _status(ok), "witness": ""}
-
-
 def suite_pieri(cfg, max_total=None, marg_max=None):
     sizes = suite_sizes("pieri", cfg.mode, max_total=max_total, marg_max=marg_max)
     max_total, marg_max = sizes["max_total"], sizes["marg_max"]
     rep = Report("pieri", cfg)
-    wss = cfg.workspaces()
     for total in range(1, max_total + 1):
         for r in range(1, total + 1):
             for mu in partitions_of(total - r):
-                def agree(ws):
-                    tab = pieri_stanley(ws.field, r, mu)
-                    direct = lr_mod.jack_lr(ws, (1,) * r, mu) if mu or r else {}
-                    direct = {g: c for g, c in direct.items() if c}
-                    return tab == direct
-                rep.check("stanley pieri r=%d mu=%s" % (r, _fmt(mu)), wss, agree)
-    quads = list(pair_quads(marg_max))
-    for ws in wss:
+                rep.check("stanley pieri r=%d mu=%s" % (r, _fmt(mu)), _stanley_pieri, r, mu)
+    for ws in rep.workspaces:
         ws.warm(marg_max)
-    rep.extend(_run_parallel(_marg_worker, quads, cfg.jobs, wss))
+    for lam, s, nu, t in pair_quads(marg_max):
+        rep.check("marginalize %s:%s * %s:%s" % (_fmt(lam), (s,), _fmt(nu), (t,)),
+                  _marginalize, lam, s, nu, t)
     for n in range(2, 7):
         rep.check("determination of LR coefficients at size %d" % n,
-                  wss, lambda ws: lr_mod.determination_check(ws, n))
+                  lr_mod.determination_check, n)
     return rep.done()
+
+
+def _stanley_pieri(ws, r, mu):
+    direct = {g: c for g, c in lr_mod.jack_lr(ws, (1,) * r, mu).items() if c}
+    return pieri_stanley(ws.field, r, mu) == direct
+
+
+def _marginalize(ws, lam, s, nu, t):
+    return (lr_mod.marginalize(lr_mod.jacklax_lr(ws, lam, s, nu, t))
+            == lr_mod.jack_lr(ws, lam, nu))
 
 
 # ---------------------------------------------------------------------------
@@ -598,32 +550,28 @@ def suite_pieri(cfg, max_total=None, marg_max=None):
 
 def suite_delta(cfg):
     rep = Report("delta", cfg)
-    wss = cfg.workspaces()
-    from .partitions import parse_partition
     c8 = [parse_partition(s) for s in ("1,3,4", "2^2,4", "1,2^2,3", "1^2,3^2")]
     c7 = [parse_partition(s) for s in ("2^2,1^3", "2^3,1", "3,2^2", "4,2,1",
                                        "4,1^3", "3,1^4")]
-    rep.check("degree-8 4-cycle in ker Delta",
-              wss, lambda ws: lr_mod.delta_kernel_check(ws, c8))
-    rep.check("degree-7 6-cycle in ker Delta",
-              wss, lambda ws: lr_mod.delta_kernel_check(ws, c7))
-    rep.add("rank ker Delta_7 = 2", _status(lr_mod.delta_kernel_rank(7) == 2))
+    rep.check("degree-8 4-cycle in ker Delta", lr_mod.delta_kernel_check, c8)
+    rep.check("degree-7 6-cycle in ker Delta", lr_mod.delta_kernel_check, c7)
+    rep.add("rank ker Delta_7 = 2", lr_mod.delta_kernel_rank(7) == 2)
     rep.add("ker Delta_n empty for 1<=n<7",
-            _status(all(lr_mod.delta_kernel_rank(n) == 0 for n in range(1, 7))))
-
-    def worked(ws):
-        from .fock import fock_mul
-        prod = fock_mul(ws.jack((1, 1)), ws.jack((2,)))
-        return lr_mod.delta_map(ws, prod) == lr_mod.delta_of_jack_product(ws, (1, 1), (2,))
-    rep.check("Delta(j_{1^2} j_2) equals varpi*varpi*(T-1)", wss, worked)
-
-    def nothom(ws):
-        from .fock import fock_mul
-        d1 = lr_mod.delta_map(ws, ws.jack((1,)))
-        dd = lr_mod.delta_map(ws, fock_mul(ws.jack((1,)), ws.jack((1,))))
-        return d1 == {(0, 0): ws.field.one} and dd != d1
-    rep.check("Delta is not a ring homomorphism (witness j_1, j_1)", wss, nothom)
+            all(lr_mod.delta_kernel_rank(n) == 0 for n in range(1, 7)))
+    rep.check("Delta(j_{1^2} j_2) equals varpi*varpi*(T-1)", _delta_worked_example)
+    rep.check("Delta is not a ring homomorphism (witness j_1, j_1)", _delta_not_hom)
     return rep.done()
+
+
+def _delta_worked_example(ws):
+    prod = fock_mul(ws.jack((1, 1)), ws.jack((2,)))
+    return lr_mod.delta_map(ws, prod) == lr_mod.delta_of_jack_product(ws, (1, 1), (2,))
+
+
+def _delta_not_hom(ws):
+    d1 = lr_mod.delta_map(ws, ws.jack((1,)))
+    dd = lr_mod.delta_map(ws, fock_mul(ws.jack((1,)), ws.jack((1,))))
+    return d1 == {(0, 0): ws.field.one} and dd != d1
 
 
 # ---------------------------------------------------------------------------
@@ -633,42 +581,45 @@ def suite_delta(cfg):
 def suite_shc(cfg, max_degree=None):
     max_degree = suite_sizes("shc", cfg.mode, max_degree=max_degree)["max_degree"]
     rep = Report("shc", cfg)
-    wss = cfg.workspaces()
-    for ws in wss:
+    for ws in rep.workspaces:
         ws.warm(max_degree)
-    cons = [shc_mod.construction_from_lax_check(ws, max_degree) for ws in wss]
-    rep.add("X+ from Lax equals Jack-basis definition",
-            _status(all(c["xplus"] for c in cons)))
-    rep.add("Y^{-1} from Lax equals diagonal u^{-1}T(u)",
-            _status(all(c["yinv"] for c in cons)))
-    rep.add("X- from Lax equals Jack-basis definition",
-            _status(all(c["xminus_lax"] for c in cons)),
-            "residue-convention variant differs by sign %s" % cons[0]["xminus_literal_sign"])
-    rep.add("Y from Lax equals -(hbar N)^{-1} P^-(Y(z))",
-            _status(all(c["y_equals_minus_Pminus"] for c in cons)),
-            "the unprojected form is ruled out by asymptotics; see README")
-    whits = [shc_mod.whittaker_checks(ws, max_degree) for ws in wss]
-    keys = ["gaiotto_is_exponential", "H_is_sum_Vn", "whittaker_minus",
-            "whittaker_plus", "generalized_whittaker", "lifted_identity",
-            "x_commutator", "dPhi_V1_commutator", "x_leading_term"]
+    rep.sweep(_shc_construction, max_degree)
+    rep.sweep(_shc_whittaker, max_degree)
+    rep.check("Delta = <zeta| dPhi(u) U |G> agrees with the LR module",
+              _delta_via_states, max_degree)
+    return rep.done()
+
+
+def _shc_construction(ws, max_degree):
+    c = shc_mod.construction_from_lax_check(ws, max_degree)
+    return [
+        instance("X+ from Lax equals Jack-basis definition", c["xplus"]),
+        instance("Y^{-1} from Lax equals diagonal u^{-1}T(u)", c["yinv"]),
+        instance("X- from Lax equals Jack-basis definition", c["xminus_lax"],
+                 "residue-convention variant differs by sign %s" % c["xminus_literal_sign"]),
+        instance("Y from Lax equals -(hbar N)^{-1} P^-(Y(z))", c["y_equals_minus_Pminus"],
+                 "the unprojected form is ruled out by asymptotics; see README"),
+    ]
+
+
+def _shc_whittaker(ws, max_degree):
+    w = shc_mod.whittaker_checks(ws, max_degree)
     notes = {
-        "whittaker_plus": "holds with global sign %s" % whits[0].get("whittaker_plus_sign"),
+        "whittaker_plus": "holds with global sign %s" % w.get("whittaker_plus_sign"),
         "x_commutator": "with the Lax normalization the factor is hbar/ebar",
         "generalized_whittaker": "vacuum term sum_{b in lam} 1/(z-[b])",
     }
-    for k in keys:
-        rep.add(k, _status(all(w[k] for w in whits)), notes.get(k, ""))
+    return [instance(k, ok, notes.get(k, "")) for k, ok in w.items()
+            if k != "whittaker_plus_sign"]
 
-    def delta_agree(ws):
-        for n in range(1, max_degree + 1):
-            for lam in partitions_of(n):
-                a = shc_mod.delta_via_states(ws, ws.jack(lam), n)
-                if a != lr_mod.delta_map(ws, ws.jack(lam)):
-                    return False
-        return True
-    rep.check("Delta = <zeta| dPhi(u) U |G> agrees with the LR module",
-              wss, delta_agree)
-    return rep.done()
+
+def _delta_via_states(ws, max_degree):
+    for n in range(1, max_degree + 1):
+        for lam in partitions_of(n):
+            a = shc_mod.delta_via_states(ws, ws.jack(lam), n)
+            if a != lr_mod.delta_map(ws, ws.jack(lam)):
+                return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -678,15 +629,8 @@ def suite_shc(cfg, max_degree=None):
 def suite_conjectures(cfg, max_degree=None):
     max_degree = suite_sizes("conjectures", cfg.mode, max_degree=max_degree)["max_degree"]
     rep = Report("conjectures", cfg)
-    wss = cfg.workspaces()
-    per_ws = [tr_mod.conjecture_checks(ws, max_degree) for ws in wss]
-    merged = {}
-    for inst_list in per_ws:
-        for inst in inst_list:
-            cur = merged.get(inst["id"])
-            if cur is None or (cur["status"] == "PASS" and inst["status"] != "PASS"):
-                merged[inst["id"]] = inst
-    rep.extend(sorted(merged.values(), key=lambda r: r["id"]))
+    for fn, args in tr_mod.conjecture_sweeps(max_degree):
+        rep.sweep(fn, *args)
     return rep.done()
 
 

@@ -8,7 +8,7 @@ import pytest
 from jacklax.cli import main
 from jacklax.report import RunConfig
 from jacklax.session import CACHE_FORMAT
-from jacklax.verify import suite_counts, suite_delta, suite_pieri
+from jacklax.verify import suite_counts, suite_delta
 
 
 def run_cli(args, **kw):
@@ -104,25 +104,64 @@ def test_report_determinism():
     assert a == b
 
 
-def test_parallel_matches_serial():
-    from jacklax.verify import suite_main_theorem
-    r1 = suite_main_theorem(RunConfig(mode="specialized", jobs=1), max_size=5)
-    r2 = suite_main_theorem(RunConfig(mode="specialized", jobs=2), max_size=5)
-    assert r1.canonical_json() == r2.canonical_json()
-
-
 @pytest.mark.parametrize("suite, kwargs", [
     ("traces", {"max_degree": 5}),
     ("spectral", {"max_degree": 5}),
     ("kernel", {"to": 6}),
     ("cokernel", {"to": 6}),
+    ("main-theorem", {"max_size": 5}),
+    ("pieri", {"max_total": 4, "marg_max": 4}),
+    ("tau", {"max_size": 4}),
+    ("delta", {}),
+    ("shc", {"max_degree": 3}),
+    ("counts", {}),
+    ("conjectures", {"max_degree": 4}),
 ])
-def test_suite_parallel_matches_serial(suite, kwargs):
+def test_suite_parallel_matches_serial(suite, kwargs, monkeypatch):
+    from jacklax import report
     from jacklax.verify import SUITES
+    pools = []
+    real = report._fork_pool
+    monkeypatch.setattr(report, "_fork_pool", lambda n: pools.append(n) or real(n))
     r1 = SUITES[suite](RunConfig(mode="specialized", jobs=1), **kwargs)
+    assert pools == []
     r2 = SUITES[suite](RunConfig(mode="specialized", jobs=2), **kwargs)
-    assert r1.all_pass()
+    # the per-workspace checks of every suite ran in one fork pool, also in
+    # suites that ran them serially before (tau, delta, shc, conjectures,
+    # spectral, kernel, cokernel); counts has no per-workspace checks
+    assert pools == ([] if suite == "counts" else [2])
+    assert len(r1.instances) >= 4
+    if suite == "pieri":
+        assert sum(i["id"].startswith("marginalize") for i in r1.instances) >= 4
+    if suite != "conjectures":
+        assert r1.all_pass()
     assert r1.canonical_json() == r2.canonical_json()
+
+
+def _spy(real, fn_index, handed):
+    def spy(self, *args):
+        handed.append(args[fn_index])
+        return real(self, *args)
+    return spy
+
+
+def test_checks_take_their_loop_values_as_arguments(monkeypatch):
+    # checks run when the report is done, after the suite's loops have moved
+    # on: a check that read a loop variable from a closure would see only its
+    # last value
+    from jacklax.report import Report
+    from jacklax.verify import SUITES
+    handed = []
+    for name, fn_index in (("check", 1), ("sweep", 0)):
+        monkeypatch.setattr(Report, name, _spy(getattr(Report, name), fn_index, handed))
+    sizes = {"tau": {"max_size": 2}, "spectral": {"max_degree": 2},
+             "main-theorem": {"max_size": 3}, "cokernel": {"to": 2}, "kernel": {"to": 4},
+             "traces": {"max_degree": 2}, "pieri": {"max_total": 2, "marg_max": 2},
+             "shc": {"max_degree": 1}, "conjectures": {"max_degree": 2}}
+    for suite, fn in SUITES.items():
+        fn(RunConfig(mode="specialized", jobs=1), **sizes.get(suite, {}))
+    assert len(handed) > 100
+    assert [f.__qualname__ for f in handed if f.__code__.co_freevars] == []
 
 
 def test_trace_witness_names_the_spec_point(monkeypatch):
@@ -161,15 +200,6 @@ def test_size_zero_is_not_the_default(capsys):
     assert [i for i in ids if i.startswith("dim ker")] == ["dim ker Tr_0 = 0"]
 
 
-def test_pieri_parallel_matches_serial():
-    # at least 4 marginalization quads, so jobs=2 really forks a pool
-    r1 = suite_pieri(RunConfig(mode="specialized", jobs=1), max_total=4, marg_max=4)
-    r2 = suite_pieri(RunConfig(mode="specialized", jobs=2), max_total=4, marg_max=4)
-    assert sum(i["id"].startswith("marginalize") for i in r1.instances) >= 4
-    assert r1.all_pass()
-    assert r1.canonical_json() == r2.canonical_json()
-
-
 @pytest.mark.parametrize("argv,needle", [
     (["jack", "show", "abc"], "bad partition 'abc'"),
     (["psi", "show", "1,2", "(1)"], "bad box '(1)'"),
@@ -178,6 +208,7 @@ def test_pieri_parallel_matches_serial():
     (["verify", "cokernel", "--to", "-3"], "bad size to=-3"),
     (["verify", "all", "--max-size", "-1"], "bad size max_size=-1"),
     (["counts", "--kernel", "--to", "-2"], "bad size to=-2"),
+    (["cache", "warm", "--degree", "-1", "--cache-dir", "never-made"], "bad size degree=-1"),
 ])
 def test_bad_input_exits_2_with_one_error_line(argv, needle):
     r = run_cli(argv)

@@ -10,7 +10,7 @@ from jacklax.partitions import (add_box, add_set, parse_partition,
                                 partitions_of)
 from jacklax.spectral import T_partition, star_residues
 from jacklax.traces import (beta, beta_basic, cokernel_relations,
-                            conjecture_checks, d_Pi, full_trace,
+                            conjecture_sweeps, d_Pi, full_trace,
                             good_normalizer_F, hexagon_span_dimension,
                             kernel_basis, kernel_dim_series, kernel_dimension,
                             koszul_A_series, koszul_hilbert_check,
@@ -277,7 +277,7 @@ def test_koszul():
 
 
 def test_conjecture_checks_structure(spec):
-    insts = conjecture_checks(spec, 4)
+    insts = [i for fn, args in conjecture_sweeps(4) for i in fn(spec, *args)]
     ids = {r["id"] for r in insts}
     # the known-false hook-sum claim reports FAIL, never raises
     assert any(r["id"].startswith("hook-sum claim") and r["status"] == "FAIL"
