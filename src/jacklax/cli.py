@@ -187,8 +187,8 @@ def cmd_cache(args):
             ws.warm(args.degree)
         print("warmed to degree %d (%d workspace(s))" % (args.degree, len(wss)))
     elif args.action == "stat":
-        for name, entries in wss[0].cache_stat().items():
-            print("%s: %d entries" % (name, entries))
+        for name, status in wss[0].cache_stat().items():
+            print("%s: %s" % (name, status))
     elif args.action == "clear":
         print("removed %d cache file(s)" % wss[0].cache_clear())
     return 0

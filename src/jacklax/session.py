@@ -11,9 +11,12 @@ import os
 import sys
 import tempfile
 import threading
+from fractions import Fraction
+from math import lcm
 
 from .arith import SymbolicField, parse_scalar, render_scalar
-from .fock import degree_of, hn_basis, inner_hbar, monomial_norm_sq, v_scale
+from .fock import degree_of, hn_basis, monomial_norm_sq, v_scale
+from .fock import inner_hbar  # noqa: F401  (kept as session.inner_hbar)
 from .jack import compute_homogeneous_jacks, jack_norm_sq, varpi
 from .partitions import (eigen_pairs, format_partition, parse_partition,
                          partitions_of)
@@ -37,7 +40,9 @@ class Workspace:
         self._norm = {}     # degree -> {lam: scalar}
         self._varpi = {}    # degree -> {lam: scalar}
         self._psi = {}      # (lam, s) -> ExtVec
-        self._psi_solver = {}   # degree -> (pairs, dual index, scales)
+        self._psi_hat = {}  # (lam, s) -> ExtVec
+        self._jack_dual = {}    # degree -> DualIndex of the Jacks
+        self._psi_dual = {}     # degree -> DualIndex of the psi-hats
 
     def key(self):
         """Cache key of the coefficient field ("symbolic" or the point)."""
@@ -148,18 +153,30 @@ class Workspace:
         self.jack_degree(sum(lam))
         return self._varpi[sum(lam)][lam]
 
+    def jack_dual(self, n):
+        """DualIndex of the Jacks of degree n: they are pairwise orthogonal
+        under inner_hbar, so the j_lam coefficient of f is
+        <f, j_lam> / |j_lam|^2."""
+        with self._lock:
+            got = self._jack_dual.get(n)
+            if got is None:
+                f = self.field
+                labels = partitions_of(n)
+                gram = {mu: monomial_norm_sq(mu, f) for mu in labels}
+                rows = [{mu: c * gram[mu] for mu, c in self.jack(lam).items()}
+                        for lam in labels]
+                got = DualIndex(labels, rows, [f.one / self.norm_sq(lam) for lam in labels],
+                                f)
+                self._jack_dual[n] = got
+            return got
+
     def expand_in_jacks(self, f):
-        """FockVec -> {lam: coeff} via the diagonal V-monomial pairing."""
-        if not f:
-            return {}
+        """FockVec -> {lam: coeff}, each homogeneous part by its Jack dual."""
         degs = {sum(mu) for mu in f}
         out = {}
         for n in degs:
-            part = {mu: c for mu, c in f.items() if sum(mu) == n}
-            for lam in partitions_of(n):
-                c = inner_hbar(part, self.jack(lam), self.field)
-                if c:
-                    out[lam] = c / self.norm_sq(lam)
+            part = f if len(degs) == 1 else {mu: c for mu, c in f.items() if sum(mu) == n}
+            out.update(self.jack_dual(n).expand(part))
         return out
 
     # ------------------------------------------------------------------
@@ -177,8 +194,13 @@ class Workspace:
             return got
 
     def psi_hat(self, lam, s):
-        scale = self.field.one / self.pi_star_psi(lam, s)
-        return v_scale(self.psi(lam, s), scale)
+        key = (lam, s)
+        with self._lock:
+            got = self._psi_hat.get(key)
+            if got is None:
+                got = v_scale(self.psi(lam, s), self.field.one / self.pi_star_psi(lam, s))
+                self._psi_hat[key] = got
+            return got
 
     def pi_star_psi(self, lam, s):
         """[w^n] psi_lam^s = [s] varpi_lam (is 1 for the vacuum)."""
@@ -187,41 +209,30 @@ class Workspace:
         return self.field.lf(s) * self.varpi(lam)
 
     def psi_hat_solver(self, n):
-        """(pairs, index, scales): the orthogonal dual of the psi-hat basis.
+        """DualIndex of the psi-hat basis of H_n.
 
         The psi_lam^s are pairwise orthogonal under inner_hbar with
         |psi_lam^s|^2 = |j_lam|^2 / tau_lam^s, so the psi-hat coefficient
-        of zeta is <zeta, psi_lam^s> * tau_lam^s pi_* psi_lam^s / |j_lam|^2.
-        index maps each basis key of H_n to [(i, psi_i[key] <key, key>)];
-        scales[i] is the factor above for pairs[i]."""
+        of zeta is <zeta, psi_lam^s> * tau_lam^s pi_* psi_lam^s / |j_lam|^2."""
         with self._lock:
-            got = self._psi_solver.get(n)
+            got = self._psi_dual.get(n)
             if got is None:
                 f = self.field
-                pairs = eigen_pairs(n)
+                labels = eigen_pairs(n)
                 gram = {key: monomial_norm_sq(key[1], f) for key in hn_basis(n)}
-                index = {key: [] for key in gram}
-                scales = []
-                for i, (lam, s) in enumerate(pairs):
-                    for key, c in self.psi(lam, s).items():
-                        index[key].append((i, c * gram[key]))
-                    scales.append(tau(f, lam, s) * self.pi_star_psi(lam, s)
-                                  / self.norm_sq(lam))
-                got = (pairs, index, scales)
-                self._psi_solver[n] = got
+                rows = [{key: c * gram[key] for key, c in self.psi(lam, s).items()}
+                        for lam, s in labels]
+                scales = [tau(f, lam, s) * self.pi_star_psi(lam, s) / self.norm_sq(lam)
+                          for lam, s in labels]
+                got = DualIndex(labels, rows, scales, f)
+                self._psi_dual[n] = got
             return got
 
     def expand_psi_hat(self, zeta):
         """Expand a homogeneous ExtVec in the psi-hat basis."""
         if not zeta:
             return {}
-        pairs, index, scales = self.psi_hat_solver(degree_of(zeta))
-        acc = {}
-        for key, c in zeta.items():
-            for i, w in index[key]:
-                a = acc.get(i)
-                acc[i] = c * w if a is None else a + c * w
-        return {pairs[i]: acc[i] * scales[i] for i in sorted(acc) if acc[i]}
+        return self.psi_hat_solver(degree_of(zeta)).expand(zeta)
 
     def expand_psi(self, zeta):
         """Expansion in the unhatted psi basis."""
@@ -238,14 +249,22 @@ class Workspace:
                 self.psi(lam, s)
 
     def cache_stat(self):
+        """{file name: "<k> entries", "corrupt" or "stale (format N)"}; the
+        last two are the files the loader would rebuild."""
         out = {}
         if not self.cache_dir or not os.path.isdir(self.cache_dir):
             return out
         for name in sorted(os.listdir(self.cache_dir)):
             if name.startswith("jack_") and name.endswith(".json"):
-                with open(os.path.join(self.cache_dir, name)) as fh:
-                    blob = json.load(fh)
-                out[name] = len(blob.get("jacks", {}))
+                try:
+                    with open(os.path.join(self.cache_dir, name)) as fh:
+                        blob = json.load(fh)
+                    if blob.get("format") != CACHE_FORMAT:
+                        out[name] = "stale (format %s)" % blob.get("format")
+                    else:
+                        out[name] = "%d entries" % len(blob["jacks"])
+                except (OSError, ValueError, AttributeError, KeyError, TypeError):
+                    out[name] = "corrupt"
         return out
 
     def cache_clear(self):
@@ -256,6 +275,52 @@ class Workspace:
                     os.remove(os.path.join(self.cache_dir, name))
                     n += 1
         return n
+
+
+class DualIndex:
+    """The orthogonal dual of one basis b_i of a graded piece.
+
+    Built from rows[i][key] = b_i[key] <key, key>; the b_i coefficient of
+    v is scales[i] * sum_key v[key] rows[i][key].  The rows are kept by
+    key, as [(i, weight)].  At a specialized point each row is stored as
+    integer numerators and its denominator is folded into its scale, so
+    an expansion clears v to one denominator D, multiply-adds ints and
+    makes one Fraction per nonzero coefficient: exact, with every
+    denominator carried.  Symbolic weights are kept as they are."""
+
+    def __init__(self, labels, rows, scales, field):
+        self.labels = labels
+        self.integral = not field.symbolic
+        if self.integral:
+            dens = [lcm(*(w.denominator for w in row.values())) for row in rows]
+            rows = [{key: w.numerator * (d // w.denominator) for key, w in row.items()}
+                    for row, d in zip(rows, dens)]
+            scales = [(q.numerator, q.denominator * d) for q, d in zip(scales, dens)]
+        self.scales = scales
+        self.index = {}
+        for i, row in enumerate(rows):
+            for key, w in row.items():
+                self.index.setdefault(key, []).append((i, w))
+
+    def expand(self, vec):
+        """{label: coefficient} of the nonzero coefficients of vec, in
+        label order."""
+        index, labels, scales = self.index, self.labels, self.scales
+        if self.integral:
+            den = lcm(*(c.denominator for c in vec.values()))
+            acc = [0] * len(labels)
+            for key, c in vec.items():
+                a = c.numerator * (den // c.denominator)
+                for i, w in index[key]:
+                    acc[i] += a * w
+            return {labels[i]: Fraction(a * scales[i][0], den * scales[i][1])
+                    for i, a in enumerate(acc) if a}
+        acc = [None] * len(labels)
+        for key, c in vec.items():
+            for i, w in index[key]:
+                a = acc[i]
+                acc[i] = c * w if a is None else a + c * w
+        return {labels[i]: a * scales[i] for i, a in enumerate(acc) if a}
 
 
 def _slug(s):

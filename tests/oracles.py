@@ -6,9 +6,12 @@ alpha-deformed Hall product over the monomial basis, taken in the fixed
 dominance-compatible order, then rescaled to [m_{1^n}] J = n!.  The
 monomial <-> power-sum transition matrices it needs live here too.
 
-The psi-hat expansion is computed at runtime from the orthogonal dual of
-the eigenbasis.  Here it is the solution of the dense coordinate system:
-the inverse of the matrix whose columns are the psi-hat vectors.
+The psi-hat and Jack expansions are computed at runtime from one integer
+dual index per degree (session.DualIndex).  Here they are computed three
+other ways: the psi-hat expansion as the solution of the dense coordinate
+system (the inverse of the matrix whose columns are the psi-hat vectors)
+and by the same orthogonal dual with field weights, and the Jack expansion
+by one inner_hbar per partition.
 """
 
 from fractions import Fraction
@@ -16,9 +19,11 @@ from functools import lru_cache
 from math import factorial
 
 from jacklax.errors import JackLaxError
-from jacklax.fock import degree_of, hall_inner_alpha, vector_to_coords
+from jacklax.fock import (degree_of, hall_inner_alpha, hn_basis, inner_hbar,
+                          monomial_norm_sq, vector_to_coords)
 from jacklax.linalg import invert, matvec
 from jacklax.partitions import eigen_pairs, partition, partitions_of
+from jacklax.spectral import tau
 
 
 # ---------------------------------------------------------------------------
@@ -193,3 +198,50 @@ def dense_expand_psi_hat(ws, zeta, solver):
     pairs, Minv = solver
     sol = matvec(Minv, vector_to_coords(zeta, degree_of(zeta), ws.field), ws.field)
     return {pairs[i]: c for i, c in enumerate(sol) if c}
+
+
+# ---------------------------------------------------------------------------
+# orthogonal-dual expansions with field weights
+# ---------------------------------------------------------------------------
+
+def field_psi_hat_dual(ws, n):
+    """(pairs, index, scales): index maps each basis key of H_n to
+    [(i, psi_i[key] <key, key>)] with field weights, and scales[i] is
+    tau_lam^s pi_* psi_lam^s / |j_lam|^2 for pairs[i] = (lam, s)."""
+    f = ws.field
+    pairs = eigen_pairs(n)
+    gram = {key: monomial_norm_sq(key[1], f) for key in hn_basis(n)}
+    index = {key: [] for key in gram}
+    scales = []
+    for i, (lam, s) in enumerate(pairs):
+        for key, c in ws.psi(lam, s).items():
+            index[key].append((i, c * gram[key]))
+        scales.append(tau(f, lam, s) * ws.pi_star_psi(lam, s) / ws.norm_sq(lam))
+    return pairs, index, scales
+
+
+def field_expand_psi_hat(zeta, dual):
+    """Expand a nonzero homogeneous ExtVec in the psi-hat basis; dual is
+    field_psi_hat_dual of its degree."""
+    pairs, index, scales = dual
+    acc = {}
+    for key, c in zeta.items():
+        for i, w in index[key]:
+            a = acc.get(i)
+            acc[i] = c * w if a is None else a + c * w
+    return {pairs[i]: acc[i] * scales[i] for i in sorted(acc) if acc[i]}
+
+
+def inner_hbar_expand_in_jacks(ws, f):
+    """FockVec -> {lam: <f_n, j_lam> / |j_lam|^2}, f_n the degree-n part."""
+    if not f:
+        return {}
+    degs = {sum(mu) for mu in f}
+    out = {}
+    for n in degs:
+        part = {mu: c for mu, c in f.items() if sum(mu) == n}
+        for lam in partitions_of(n):
+            c = inner_hbar(part, ws.jack(lam), ws.field)
+            if c:
+                out[lam] = c / ws.norm_sq(lam)
+    return out

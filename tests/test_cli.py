@@ -292,6 +292,26 @@ def test_stale_cache_format_rebuilt(tmp_path, capsys):
     assert rewritten["norms"]["2"] != "12345"
 
 
+@pytest.mark.parametrize("text, status", [
+    ("{bad", "corrupt"),
+    ("[1, 2]", "corrupt"),
+    (json.dumps({"format": CACHE_FORMAT}), "corrupt"),
+    (json.dumps({"degree": 3, "jacks": {"3": []}}), "stale (format None)"),
+    (json.dumps({"format": 1, "degree": 3, "jacks": {"3": []}}), "stale (format 1)"),
+])
+def test_cache_stat_names_bad_files(tmp_path, capsys, text, status):
+    # a file the loader would rebuild is reported as such, beside the good ones
+    cache = tmp_path / "cache"
+    assert main(["cache", "warm", "--degree", "1", "--mode", "symbolic",
+                 "--cache-dir", str(cache)]) == 0
+    (cache / "jack_03_symbolic.json").write_text(text)
+    capsys.readouterr()
+    assert main(["cache", "stat", "--mode", "symbolic", "--cache-dir", str(cache)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "jack_00_symbolic.json: 1 entries", "jack_01_symbolic.json: 1 entries",
+        "jack_03_symbolic.json: " + status]
+
+
 def test_concurrent_cache_warm(tmp_path):
     shared, serial = tmp_path / "shared", tmp_path / "serial"
     env = dict(os.environ)

@@ -1,12 +1,14 @@
+import pytest
+
 from jacklax.arith import SymbolicField
-from jacklax.fock import fock_mul, inner_hbar
+from jacklax.fock import fock_mul, inner_hbar, v_accum
 from jacklax.jack import (content_product_poly, jack_norm_sq, pieri_stanley,
                           principal_specialization, varpi)
-from jacklax.partitions import (add_box, add_set, parse_partition,
+from jacklax.partitions import (add_box, add_set, parse_partition, partition_pairs,
                                 partitions_of, transpose)
 from jacklax.spectral import tau
 from jacklax import lr
-from oracles import compute_integral_jacks, homogeneous_jacks
+from oracles import compute_integral_jacks, homogeneous_jacks, inner_hbar_expand_in_jacks
 
 F = SymbolicField()
 e1, e2 = F.e1, F.e2
@@ -26,6 +28,25 @@ def test_lax_recursion_matches_gram_schmidt(sym, spec_all):
     for ws, maxn in [(sym, 6)] + [(point_ws, 9) for point_ws in spec_all]:
         for n in range(maxn + 1):
             assert ws.jack_degree(n) == homogeneous_jacks(ws.field, n), (ws.key(), n)
+
+
+@pytest.mark.parametrize("point, max_total", [(0, 7), (1, 7), (2, 7), (None, 5)])
+def test_jack_dual_matches_inner_hbar(point, max_total, sym, spec_all):
+    # the replaced expansion, one inner_hbar per partition, stays as the
+    # oracle: same dict, key order included
+    ws = sym if point is None else spec_all[point]
+    assert ws.jack_dual(max_total).integral == (point is not None)
+    vecs = [ws.jack(lam) for n in range(max_total + 1) for lam in partitions_of(n)]
+    mixed = {}
+    for mu, nu in partition_pairs(max_total):
+        vecs.append(fock_mul(ws.jack(mu), ws.jack(nu)))
+        if len(mu) == 1 and len(nu) == 1:
+            v_accum(mixed, vecs[-1], ws.field.num(sum(nu)))
+    # an inhomogeneous vector is expanded degree by degree
+    vecs.append(v_accum(mixed, ws.jack((1,))))
+    for v in vecs:
+        got = ws.expand_in_jacks(v)
+        assert list(got.items()) == list(inner_hbar_expand_in_jacks(ws, v).items())
 
 
 def test_homogeneous_jacks_n3(sym):

@@ -178,14 +178,18 @@ def test_completeness(spec):
 
 @pytest.mark.parametrize("point, maxn", [(0, 6), (1, 6), (2, 6), (None, 4)])
 def test_dual_expansion_matches_dense_inverse(point, maxn, sym, spec_all):
-    # the replaced dense-inverse expansion stays as the oracle
+    # the replaced expansions, by the dense inverse and by the dual with
+    # field weights, stay as oracles: same dict, key order included
     from jacklax.fock import ext_mul, hn_basis
-    from oracles import dense_expand_psi_hat, dense_psi_hat_solver
+    from oracles import (dense_expand_psi_hat, dense_psi_hat_solver, field_expand_psi_hat,
+                         field_psi_hat_dual)
     ws = sym if point is None else spec_all[point]
     field = ws.field
+    assert ws.psi_hat_solver(maxn).integral == (point is not None)
     rng = random.Random(20261018)
     for n in range(maxn + 1):
         solver = dense_psi_hat_solver(ws, n)
+        dual = field_psi_hat_dual(ws, n)
         vecs = [ws.psi_hat(lam, s) for lam, s in eigen_pairs(n)]
         for a in range(1, n // 2 + 1):
             for p1 in eigen_pairs(a):
@@ -196,7 +200,9 @@ def test_dual_expansion_matches_dense_inverse(point, maxn, sym, spec_all):
             keys = rng.sample(basis, min(4, len(basis)))
             vecs.append({k: field.num(rng.randint(-9, 9) or 1) for k in keys})
         for v in vecs:
-            assert ws.expand_psi_hat(v) == dense_expand_psi_hat(ws, v, solver)
+            got = list(ws.expand_psi_hat(v).items())
+            assert got == list(dense_expand_psi_hat(ws, v, solver).items())
+            assert got == list(field_expand_psi_hat(v, dual).items())
 
 
 def test_structural_theorem(spec):
@@ -306,8 +312,17 @@ def test_accumulators_leave_caches_unchanged():
     from jacklax.verify import _refined_pieri
     ws = Workspace(SpecializedField(DEFAULT_SPEC_POINTS[0]))
     ws.warm(5)
-    caches = (ws._jack, ws._psi, ws._norm)
-    before = copy.deepcopy(caches)
+    for n in range(6):
+        ws.jack_dual(n)
+        ws.psi_hat_solver(n)
+        for lam, s in eigen_pairs(n):
+            ws.psi_hat(lam, s)
+
+    def caches():
+        duals = [{n: vars(d) for n, d in c.items()} for c in (ws._jack_dual, ws._psi_dual)]
+        return [ws._jack, ws._psi, ws._norm, ws._psi_hat] + duals
+
+    before = copy.deepcopy(caches())
     one = ws.field.one
     for n in range(4):
         assert resolvent_w_identity(ws, n)
@@ -317,7 +332,7 @@ def test_accumulators_leave_caches_unchanged():
             decompose(ws, fock_to_ext(ws.jack(lam)), scheme)
     lam = (2, 1)
     A = add_set(lam)
-    null = v_accum(ws.psi_hat(lam, A[0]), ws.psi_hat(lam, A[1]), -one)
+    null = v_accum(dict(ws.psi_hat(lam, A[0])), ws.psi_hat(lam, A[1]), -one)
     rho_general(ws, fock_to_ext(ws.jack_hat(lam)), null)
     for lam, s, nu, t in [((1,), (0, 1), (2,), (1, 0)), ((1,), (1, 0), (1, 1), (0, 1))]:
         jacklax_lr(ws, lam, s, nu, t)
@@ -325,5 +340,5 @@ def test_accumulators_leave_caches_unchanged():
     for n in range(4):
         for lam in partitions_of(n):
             assert _refined_pieri(ws, lam)
-    for cache, snapshot in zip(caches, before):
+    for cache, snapshot in zip(caches(), before):
         assert {k: cache[k] for k in snapshot} == snapshot

@@ -220,9 +220,9 @@ def test_rho(spec):
     A = add_set(lam)
     s = A[0]
     for t in A[1:]:
-        zeta = v_accum(spec.psi_hat(lam, t), spec.psi_hat(lam, s), -one)
+        zeta = v_accum(dict(spec.psi_hat(lam, t)), spec.psi_hat(lam, s), -one)
         img = rho_apply(spec, lam, s, zeta)
-        exp = v_accum(spec.psi_hat(add_box(lam, s), t),
+        exp = v_accum(dict(spec.psi_hat(add_box(lam, s), t)),
                       spec.psi_hat(add_box(lam, t), s), -one)
         assert img == exp
         tv_in = full_trace(spec, zeta)
@@ -245,7 +245,7 @@ def test_rho_beta_relation(spec):
             assert lhs == rhs
     lam = (2, 1)
     A = add_set(lam)
-    zeta = v_accum(spec.psi_hat(lam, A[0]), spec.psi_hat(lam, A[1]), -one)
+    zeta = v_accum(dict(spec.psi_hat(lam, A[0])), spec.psi_hat(lam, A[1]), -one)
     assert rho_general(spec, zeta, zeta) == {}
     assert rho_general(spec, zeta, fock_to_ext(spec.jack_hat(lam))) == \
         beta(spec, {(1, ()): one}, zeta)
@@ -262,7 +262,7 @@ def test_good_normalizer(spec):
         assert f == acc
     lam = (2, 1)
     A = add_set(lam)
-    bad = v_accum(spec.psi_hat(lam, A[0]), spec.psi_hat(lam, A[1]), -one)
+    bad = v_accum(dict(spec.psi_hat(lam, A[0])), spec.psi_hat(lam, A[1]), -one)
     with pytest.raises(NotGood):
         good_normalizer_F(spec, bad)
 
