@@ -11,7 +11,7 @@ Conventions used everywhere:
 """
 
 from fractions import Fraction
-from math import gcd as _igcd
+from math import gcd as _igcd, lcm
 
 from .errors import ZeroDenominator, PoleAtSpecPoint, NotAPole, NotASimplePole, BadSpecPoint
 
@@ -756,6 +756,10 @@ class SpecializedField:
         self.hbar = -self.e1 * self.e2
         self.ebar = self.e1 + self.e2
         self.alpha = -self.e2 / self.e1
+        # (L ebar, L hbar, L) with L the lcm of the denominators of ebar
+        # and hbar: the integer constants lax.lax_apply runs on
+        lax_den = lcm(self.ebar.denominator, self.hbar.denominator)
+        self.lax_ints = (int(self.ebar * lax_den), int(self.hbar * lax_den), lax_den)
 
     def lf(self, form):
         c = self._lf_cache.get(form)

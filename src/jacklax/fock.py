@@ -10,7 +10,7 @@ stored.  The V-monomial inner product is diagonal:
 """
 
 from functools import lru_cache
-from math import factorial
+from math import factorial, lcm
 
 from .errors import DegreeMismatch, InhomogeneousForPiStar, JackLaxError
 from .partitions import partitions_of
@@ -56,6 +56,13 @@ def v_scale(a, c):
     if not c:
         return {}
     return {k: v * c for k, v in a.items()}
+
+
+def v_clear(vec):
+    """(numerators, D): the rational entries of vec as integer numerators
+    over one common denominator D, the lcm of theirs, key order kept."""
+    den = lcm(*(c.denominator for c in vec.values()))
+    return {k: c.numerator * (den // c.denominator) for k, c in vec.items()}, den
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,12 @@ recursion
 and satisfy L psi = [s] psi with pi0 psi = j_lam.
 """
 
+from fractions import Fraction
+from functools import lru_cache
+
 from .errors import EmptyPartition, NotARemovableCorner, NotAnAddableBox
 from .fock import (Pi, bump, degree_of, fock_to_ext, hn_basis, pi0, pi_plus,
-                   v_accum, v_scale, w_mul)
+                   v_accum, v_clear, v_scale, w_mul)
 from .partitions import (add_set, add_box, rem_set, rem_set_plus,
                          remove_box)
 from .spectral import tau, tau_hat, tau_tilde
@@ -20,23 +23,54 @@ from .spectral import tau, tau_hat, tau_tilde
 # the operator itself
 # ---------------------------------------------------------------------------
 
-def lax_apply(field, zeta):
-    """Apply L to an ExtVec."""
+@lru_cache(maxsize=None)
+def _lax_moves(key):
+    """Where L sends w^m V_mu: (m, the keys of the w^{-k} V_k terms for
+    k <= m, the (key, k d_k) pairs of the w^k V_{-k} = hbar k d/dV_k
+    terms); the w d/dw term keeps the key with weight ebar m."""
+    m, mu = key
+    lower = tuple((m - k, tuple(sorted(mu + (k,), reverse=True)))
+                  for k in range(1, m + 1))
+    raised = []
+    for k in set(mu):
+        lst = list(mu)
+        lst.remove(k)
+        raised.append(((m + k, tuple(lst)), k * mu.count(k)))
+    return m, lower, tuple(raised)
+
+
+def _lax_loop(zeta, ebar, hbar, one):
+    """one * L zeta, for entries and constants in any ring, with ebar and
+    hbar given already multiplied by one."""
     out = {}
-    ebar, hbar = field.ebar, field.hbar
-    for (m, mu), c in zeta.items():
+    for key, c in zeta.items():
+        m, lower, raised = _lax_moves(key)
         if m:
-            bump(out, (m, mu), c * ebar * field.num(m))
-        # w^{-k} V_k terms, k <= m
-        for k in range(1, m + 1):
-            bump(out, (m - k, tuple(sorted(mu + (k,), reverse=True))), c)
-        # w^k V_{-k} terms: V_{-k} = hbar k d/dV_k
-        for k in set(mu):
-            d = mu.count(k)
-            lst = list(mu)
-            lst.remove(k)
-            bump(out, (m + k, tuple(lst)), c * hbar * field.num(k * d))
+            bump(out, key, c * ebar * m)
+        c1 = c if one == 1 else c * one
+        for k in lower:
+            bump(out, k, c1)
+        for k, kd in raised:
+            bump(out, k, c * hbar * kd)
     return out
+
+
+def lax_apply(field, zeta, cleared=False):
+    """Apply L to an ExtVec.
+
+    At a specialized point the loop runs on integers: zeta is cleared to
+    numerators over one denominator D, ebar and hbar enter as the integers
+    L ebar and L hbar of field.lax_ints, and the image is read back over
+    D L.  With cleared=True zeta already holds the integer numerators, and
+    L times its image is returned, as integers."""
+    if field.symbolic:
+        return _lax_loop(zeta, field.ebar, field.hbar, 1)
+    ebar, hbar, den = field.lax_ints
+    if cleared:
+        return _lax_loop(zeta, ebar, hbar, den)
+    nums, d = v_clear(zeta)
+    d *= den
+    return {k: Fraction(v, d) for k, v in _lax_loop(nums, ebar, hbar, den).items()}
 
 
 def op_A(field, zeta):

@@ -12,10 +12,9 @@ import sys
 import tempfile
 import threading
 from fractions import Fraction
-from math import lcm
 
 from .arith import SymbolicField, parse_scalar, render_scalar
-from .fock import degree_of, hn_basis, monomial_norm_sq, v_scale
+from .fock import degree_of, hn_basis, monomial_norm_sq, v_clear, v_scale
 from .fock import inner_hbar  # noqa: F401  (kept as session.inner_hbar)
 from .jack import compute_homogeneous_jacks, jack_norm_sq, varpi
 from .partitions import (eigen_pairs, format_partition, parse_partition,
@@ -126,6 +125,10 @@ class Workspace:
             with os.fdopen(fd, "w") as fh:
                 json.dump(blob, fh, sort_keys=True)
             os.replace(tmp, path)
+        except FileNotFoundError:
+            # a `cache clear` removed the temp file under this writer: the
+            # clear wins, and this degree is not stored
+            return
         except BaseException:
             os.unlink(tmp)
             raise
@@ -228,11 +231,12 @@ class Workspace:
                 self._psi_dual[n] = got
             return got
 
-    def expand_psi_hat(self, zeta):
-        """Expand a homogeneous ExtVec in the psi-hat basis."""
+    def expand_psi_hat(self, zeta, den=None):
+        """Expand a homogeneous ExtVec in the psi-hat basis.  With den,
+        zeta holds integer numerators over den (at a specialized point)."""
         if not zeta:
             return {}
-        return self.psi_hat_solver(degree_of(zeta)).expand(zeta)
+        return self.psi_hat_solver(degree_of(zeta)).expand(zeta, den)
 
     def expand_psi(self, zeta):
         """Expansion in the unhatted psi basis."""
@@ -249,13 +253,16 @@ class Workspace:
                 self.psi(lam, s)
 
     def cache_stat(self):
-        """{file name: "<k> entries", "corrupt" or "stale (format N)"}; the
-        last two are the files the loader would rebuild."""
+        """{file name: "<k> entries", "corrupt", "stale (format N)" or
+        "temp"}; the loader would rebuild the corrupt and stale files, and a
+        temp file is one a writer killed before its os.replace left."""
         out = {}
         if not self.cache_dir or not os.path.isdir(self.cache_dir):
             return out
         for name in sorted(os.listdir(self.cache_dir)):
-            if name.startswith("jack_") and name.endswith(".json"):
+            if _is_cache_temp(name):
+                out[name] = "temp"
+            elif name.startswith("jack_") and name.endswith(".json"):
                 try:
                     with open(os.path.join(self.cache_dir, name)) as fh:
                         blob = json.load(fh)
@@ -268,11 +275,17 @@ class Workspace:
         return out
 
     def cache_clear(self):
+        """Remove the cache files and the temp files of _store_degree;
+        returns how many were removed."""
         n = 0
         if self.cache_dir and os.path.isdir(self.cache_dir):
             for name in list(os.listdir(self.cache_dir)):
-                if name.startswith("jack_") and name.endswith(".json"):
-                    os.remove(os.path.join(self.cache_dir, name))
+                if (name.startswith("jack_") and name.endswith(".json")) or _is_cache_temp(name):
+                    try:
+                        os.remove(os.path.join(self.cache_dir, name))
+                    except FileNotFoundError:
+                        # taken by a writer's os.replace or by another clear
+                        continue
                     n += 1
         return n
 
@@ -292,9 +305,7 @@ class DualIndex:
         self.labels = labels
         self.integral = not field.symbolic
         if self.integral:
-            dens = [lcm(*(w.denominator for w in row.values())) for row in rows]
-            rows = [{key: w.numerator * (d // w.denominator) for key, w in row.items()}
-                    for row, d in zip(rows, dens)]
+            rows, dens = zip(*map(v_clear, rows))
             scales = [(q.numerator, q.denominator * d) for q, d in zip(scales, dens)]
         self.scales = scales
         self.index = {}
@@ -302,15 +313,16 @@ class DualIndex:
             for key, w in row.items():
                 self.index.setdefault(key, []).append((i, w))
 
-    def expand(self, vec):
+    def expand(self, vec, den=None):
         """{label: coefficient} of the nonzero coefficients of vec, in
-        label order."""
+        label order.  With den, vec holds integer numerators over den (at
+        a specialized point)."""
         index, labels, scales = self.index, self.labels, self.scales
         if self.integral:
-            den = lcm(*(c.denominator for c in vec.values()))
+            if den is None:
+                vec, den = v_clear(vec)
             acc = [0] * len(labels)
-            for key, c in vec.items():
-                a = c.numerator * (den // c.denominator)
+            for key, a in vec.items():
                 for i, w in index[key]:
                     acc[i] += a * w
             return {labels[i]: Fraction(a * scales[i][0], den * scales[i][1])
@@ -321,6 +333,11 @@ class DualIndex:
                 a = acc[i]
                 acc[i] = c * w if a is None else a + c * w
         return {labels[i]: a * scales[i] for i, a in enumerate(acc) if a}
+
+
+def _is_cache_temp(name):
+    """A temp file of _store_degree: jack_NN_<mode>.json.<random>.tmp."""
+    return name.startswith("jack_") and ".json." in name and name.endswith(".tmp")
 
 
 def _slug(s):

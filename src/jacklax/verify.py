@@ -433,11 +433,7 @@ def suite_traces(cfg, max_degree=None):
 def _theta_beta_traces(ws, lam, s, nu, t):
     from .spectral import star_residues
     f = ws.field
-    p1 = ws.psi_hat(lam, s)
-    p2 = ws.psi_hat(nu, t)
-    t_prod = tr_mod.full_trace(ws, ext_mul(p1, p2))
-    t_beta = tr_mod.full_trace(ws, tr_mod.beta(ws, p1, p2))
-    tv = tr_mod.full_trace(ws, tr_mod.theta(ws, p1, p2))
+    t_prod, t_beta, tv = tr_mod.pair_traces(ws, ws.psi_hat(lam, s), ws.psi_hat(nu, t))
     bad = []
     if not tr_mod.pf_eq(tv.x, lr_mod.jack_lr(ws, lam, nu, hatted=True)):
         bad.append("x != chat")

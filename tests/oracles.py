@@ -12,6 +12,10 @@ other ways: the psi-hat expansion as the solution of the dense coordinate
 system (the inverse of the matrix whose columns are the psi-hat vectors)
 and by the same orthogonal dual with field weights, and the Jack expansion
 by one inner_hbar per partition.
+
+At a specialized point the Lax operator and the beta/theta derivators run
+on integer numerators over one denominator.  Here they run on field
+scalars, each derivator composed afresh from its three operator images.
 """
 
 from fractions import Fraction
@@ -19,11 +23,12 @@ from functools import lru_cache
 from math import factorial
 
 from jacklax.errors import JackLaxError
-from jacklax.fock import (degree_of, hall_inner_alpha, hn_basis, inner_hbar,
-                          monomial_norm_sq, vector_to_coords)
+from jacklax.fock import (Pi, bump, degree_of, ext_mul, hall_inner_alpha, hn_basis,
+                          inner_hbar, monomial_norm_sq, v_accum, vector_to_coords)
 from jacklax.linalg import invert, matvec
 from jacklax.partitions import eigen_pairs, partition, partitions_of
 from jacklax.spectral import tau
+from jacklax.traces import full_trace
 
 
 # ---------------------------------------------------------------------------
@@ -245,3 +250,48 @@ def inner_hbar_expand_in_jacks(ws, f):
             if c:
                 out[lam] = c / ws.norm_sq(lam)
     return out
+
+
+# ---------------------------------------------------------------------------
+# the Lax operator and the derivators on field scalars
+# ---------------------------------------------------------------------------
+
+def field_lax_apply(field, zeta):
+    """L zeta, every coefficient a field scalar."""
+    out = {}
+    ebar, hbar = field.ebar, field.hbar
+    for (m, mu), c in zeta.items():
+        if m:
+            bump(out, (m, mu), c * ebar * field.num(m))
+        # w^{-k} V_k terms, k <= m
+        for k in range(1, m + 1):
+            bump(out, (m - k, tuple(sorted(mu + (k,), reverse=True))), c)
+        # w^k V_{-k} terms: V_{-k} = hbar k d/dV_k
+        for k in set(mu):
+            d = mu.count(k)
+            lst = list(mu)
+            lst.remove(k)
+            bump(out, (m + k, tuple(lst)), c * hbar * field.num(k * d))
+    return out
+
+
+def field_beta(ws, z1, z2):
+    """L(ab) - (La)b - a(Lb) by field_lax_apply."""
+    field = ws.field
+    out = field_lax_apply(field, ext_mul(z1, z2))
+    v_accum(out, ext_mul(field_lax_apply(field, z1), z2), -field.one)
+    return v_accum(out, ext_mul(z1, field_lax_apply(field, z2)), -field.one)
+
+
+def field_theta(ws, z1, z2):
+    """beta(Pi a, b) + beta(a, Pi b) - Pi beta(a, b) by field_beta."""
+    out = field_beta(ws, Pi(z1), z2)
+    v_accum(out, field_beta(ws, z1, Pi(z2)))
+    return v_accum(out, Pi(field_beta(ws, z1, z2)), -ws.field.one)
+
+
+def field_pair_traces(ws, z1, z2):
+    """The traces of z1 z2, beta(z1, z2) and theta(z1, z2), each vector
+    computed on field scalars."""
+    return (full_trace(ws, ext_mul(z1, z2)), full_trace(ws, field_beta(ws, z1, z2)),
+            full_trace(ws, field_theta(ws, z1, z2)))

@@ -312,6 +312,38 @@ def test_cache_stat_names_bad_files(tmp_path, capsys, text, status):
         "jack_03_symbolic.json: " + status]
 
 
+def test_cache_clear_and_stat_see_temp_files(tmp_path, capsys):
+    # a writer killed between mkstemp and os.replace leaves a temp file
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    (cache / "jack_03_symbolic.json.abc123.tmp").write_text("{")
+    (cache / "notes.tmp").write_text("kept")
+    args = ["--mode", "symbolic", "--cache-dir", str(cache)]
+    assert main(["cache", "stat"] + args) == 0
+    assert capsys.readouterr().out.splitlines() == ["jack_03_symbolic.json.abc123.tmp: temp"]
+    assert main(["cache", "clear"] + args) == 0
+    assert capsys.readouterr().out.splitlines() == ["removed 1 cache file(s)"]
+    assert [p.name for p in cache.iterdir()] == ["notes.tmp"]
+
+
+def test_store_skipped_when_clear_takes_its_temp_file(tmp_path, monkeypatch):
+    # a `cache clear` that runs between a writer's mkstemp and os.replace
+    # removes the temp file; the writer then stores nothing and does not raise
+    from jacklax.arith import SymbolicField
+    from jacklax.session import Workspace
+    cache = tmp_path / "cache"
+    ws = Workspace(SymbolicField(), str(cache))
+    replace = os.replace
+
+    def clear_then_replace(src, dst):
+        assert ws.cache_clear() == 1
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", clear_then_replace)
+    assert ws.jack_degree(2) == Workspace(SymbolicField()).jack_degree(2)
+    assert list(cache.iterdir()) == []
+
+
 def test_concurrent_cache_warm(tmp_path):
     shared, serial = tmp_path / "shared", tmp_path / "serial"
     env = dict(os.environ)

@@ -205,6 +205,23 @@ def test_dual_expansion_matches_dense_inverse(point, maxn, sym, spec_all):
             assert got == list(field_expand_psi_hat(v, dual).items())
 
 
+@pytest.mark.parametrize("point, maxn", [(0, 6), (1, 6), (2, 6), (None, 4)])
+def test_lax_apply_matches_field_oracle(point, maxn, sym, spec_all):
+    # lax_apply runs on integer numerators at a specialized point; the
+    # field-scalar loop it replaced gives the same dict, key order included
+    from jacklax.fock import hn_basis
+    from oracles import field_lax_apply
+    ws = sym if point is None else spec_all[point]
+    field = ws.field
+    vecs = []
+    for n in range(maxn + 1):
+        vecs += [{key: field.one} for key in hn_basis(n)]
+        for lam, s in eigen_pairs(n):
+            vecs += [ws.psi(lam, s), ws.psi_hat(lam, s)]
+    for v in vecs:
+        assert list(lax_apply(field, v).items()) == list(field_lax_apply(field, v).items())
+
+
 def test_structural_theorem(spec):
     for n in range(1, 7):
         for lam in partitions_of(n):

@@ -1,6 +1,9 @@
 """Property tests: the partition box moves and the two text formats
-round-trip, and a combination of basis vectors expands back to its
-coefficients."""
+round-trip, Coeff is a field with one canonical form, its bivariate gcd
+agrees with sympy's, partial fractions reconstruct a SpectralFun, a
+combination of basis vectors expands back to its coefficients, and the
+Lax operator and beta on integer numerators agree with their field-scalar
+oracles."""
 
 from fractions import Fraction
 
@@ -9,19 +12,32 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from jacklax.arith import BiPoly, Coeff, parse_coeff, render_coeff  # noqa: E402
-from jacklax.fock import bump, v_accum  # noqa: E402
+from jacklax.arith import (BiPoly, Coeff, SpecializedField, SpectralFun,  # noqa: E402
+                           SymbolicField, DEFAULT_SPEC_POINTS, _bp_gcd, parse_coeff,
+                           render_coeff)
+from jacklax.fock import bump, hn_basis, v_accum, v_clear  # noqa: E402
+from jacklax.lax import lax_apply  # noqa: E402
 from jacklax.partitions import (add_box, add_set, eigen_pairs,  # noqa: E402
                                 format_partition, parse_partition, partitions_of,
                                 remove_box)
+from jacklax.traces import beta  # noqa: E402
+from oracles import field_beta, field_lax_apply  # noqa: E402
+
+try:
+    import sympy
+except ImportError:
+    sympy = None
 
 PARTITIONS = st.integers(0, 12).flatmap(lambda n: st.sampled_from(partitions_of(n)))
 BIPOLYS = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)),
                           st.integers(-6, 6), max_size=4).map(BiPoly)
+COEFFS = st.builds(Coeff, BIPOLYS, BIPOLYS.filter(bool))
+ROOTS = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
 # distinct primes, so the denominators of distinct terms are pairwise coprime
 BIG_PRIMES = (2**31 - 1, 2**61 - 1, 2**89 - 1, 2**107 - 1, 10**9 + 7, 10**9 + 9,
               998244353, 1000003)
 NUMERATORS = st.integers(-10**12, 10**12).filter(bool)
+EXT_KEYS = st.integers(0, 5).flatmap(lambda n: st.sampled_from(hn_basis(n)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -43,6 +59,66 @@ def test_partition_text_roundtrip(lam):
 def test_coeff_text_roundtrip(num, den):
     c = Coeff(num, den)
     assert parse_coeff(render_coeff(c)) == c
+
+
+@settings(max_examples=30, deadline=None)
+@given(COEFFS, COEFFS, COEFFS)
+def test_coeff_field_axioms(a, b, c):
+    zero, one = Coeff.from_int(0), Coeff.from_int(1)
+    assert a + b == b + a and a * b == b * a
+    assert (a + b) + c == a + (b + c)
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert a + zero == a and a * one == a and a - a == zero
+    if a:
+        assert a / a == one and (b / a) * a == b
+
+
+@settings(max_examples=30, deadline=None)
+@given(BIPOLYS, BIPOLYS.filter(bool), BIPOLYS.filter(bool))
+def test_coeff_canonical_form_is_unique(num, den, g):
+    # num/den and (g num)/(g den), of either sign, are stored alike
+    c = Coeff(num, den)
+    for d in (Coeff(num * g, den * g), Coeff(-num * g, -den * g)):
+        assert (d.num, d.den) == (c.num, c.den) and hash(d) == hash(c)
+    assert c.den.lead_coeff() > 0
+
+
+def _sympy_poly(p, e1, e2):
+    return sympy.Poly(sum((c * e1**i * e2**j for (i, j), c in p.t.items()),
+                          sympy.Integer(0)), e1, e2)
+
+
+@pytest.mark.skipif(sympy is None, reason="sympy is not installed")
+@settings(max_examples=30, deadline=None)
+@given(BIPOLYS, BIPOLYS, BIPOLYS)
+def test_bp_gcd_matches_sympy(a, b, g):
+    e1, e2 = sympy.symbols("e1 e2")
+    A, B = a * g, b * g
+    want = sympy.Poly(sympy.gcd(_sympy_poly(A, e1, e2).as_expr(),
+                                _sympy_poly(B, e1, e2).as_expr()), e1, e2)
+    got = _sympy_poly(_bp_gcd(A, B), e1, e2)
+    assert got == want or got == -want
+
+
+@pytest.mark.parametrize("field", [SpecializedField(DEFAULT_SPEC_POINTS[0]), SymbolicField()],
+                         ids=["specialized", "symbolic"])
+@settings(max_examples=30, deadline=None)
+@given(pre=st.integers(-5, 5).filter(bool), num=st.lists(ROOTS, max_size=4),
+       den=st.lists(ROOTS, max_size=4, unique=True))
+def test_partial_fractions_reconstruct(field, pre, num, den):
+    # the polynomial part plus the sum of residue/(u - [pole]) is the
+    # function again, checked at half-integers u (never an integer pole)
+    f = SpectralFun.from_factors(field, num, den) * field.num(pre)
+    poly, res = f.partial_fractions(field)
+    for k in range(-2, 3):
+        u = field.from_fraction(Fraction(2 * k + 1, 2))
+        total = field.zero
+        for i, c in enumerate(poly):
+            total = total + c * u ** i
+        for pole, r in res.items():
+            total = total + r / (u - field.lf(pole))
+        assert total == f.value_at(u, field)
 
 
 def _expands_back(data, labels, basis, expand):
@@ -78,3 +154,26 @@ def test_psi_hat_combination_expands_back(spec_all, data):
     ws = spec_all[-1]
     labels = eigen_pairs(data.draw(st.integers(1, 5)))
     _expands_back(data, labels, lambda p: ws.psi_hat(*p), ws.expand_psi_hat)
+
+
+def _sparse_ext(data):
+    """A few basis keys of H_0..H_5, with numerators up to 10^12 over
+    pairwise coprime large denominators."""
+    keys = data.draw(st.lists(EXT_KEYS, min_size=1, max_size=5, unique=True))
+    dens = data.draw(st.permutations(BIG_PRIMES))
+    return {k: Fraction(data.draw(NUMERATORS), d) for k, d in zip(keys, dens)}
+
+
+# the last default point has fractional ebar and hbar (L = 14)
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_lax_apply_and_beta_match_field_oracle(spec_all, data):
+    ws = spec_all[-1]
+    f = ws.field
+    a, b = _sparse_ext(data), _sparse_ext(data)
+    assert list(lax_apply(f, a).items()) == list(field_lax_apply(f, a).items())
+    want = list(field_beta(ws, a, b).items())
+    assert list(beta(ws, a, b).items()) == want
+    (na, da), (nb, db) = v_clear(a), v_clear(b)
+    den = da * db * f.lax_ints[2]
+    assert [(k, Fraction(v, den)) for k, v in beta(ws, na, nb, cleared=True).items()] == want

@@ -193,6 +193,56 @@ def test_y_trace_product(spec):
     assert verify_y_trace_product(spec, (), (0, 0), (2,), (1, 0))
 
 
+@pytest.mark.parametrize("point, maxn", [(0, 4), (1, 4), (2, 4), (None, 3)])
+def test_pair_traces_match_field_oracle(point, maxn, sym, spec_all):
+    # the product/beta/theta chain runs once per pair on integer numerators
+    # at a specialized point; composed afresh on field scalars it gives the
+    # same vectors and traces, key order included
+    from jacklax.partitions import pair_quads
+    from jacklax.traces import pair_traces
+    from oracles import field_beta, field_pair_traces, field_theta
+    ws = sym if point is None else spec_all[point]
+    for lam, s, nu, t in pair_quads(maxn):
+        p1, p2 = ws.psi_hat(lam, s), ws.psi_hat(nu, t)
+        assert list(beta(ws, p1, p2).items()) == list(field_beta(ws, p1, p2).items())
+        assert list(theta(ws, p1, p2).items()) == list(field_theta(ws, p1, p2).items())
+        for got, want in zip(pair_traces(ws, p1, p2), field_pair_traces(ws, p1, p2)):
+            assert got.n == want.n
+            for part in ("x", "y", "z"):
+                assert list(getattr(got, part).items()) == list(getattr(want, part).items())
+
+
+def test_suites_match_with_operator_layer_on_oracles(monkeypatch):
+    # the traces and spectral reports are byte-identical when lax_apply,
+    # beta, theta and the pair chain run on field scalars instead
+    import sys
+    import oracles
+    from jacklax import lax, traces
+    from jacklax.report import RunConfig
+    from jacklax.verify import suite_spectral, suite_traces
+
+    def reports():
+        cfg = RunConfig(mode="specialized", jobs=1)
+        return [suite(cfg, max_degree=5).canonical_json()
+                for suite in (suite_traces, suite_spectral)]
+
+    shipped = reports()
+    swaps = {id(lax.lax_apply): oracles.field_lax_apply, id(traces.beta): oracles.field_beta,
+             id(traces.theta): oracles.field_theta,
+             id(traces.pair_traces): oracles.field_pair_traces}
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("jacklax."):
+            for attr, value in list(vars(mod).items()):
+                if id(value) in swaps:
+                    monkeypatch.setattr(mod, attr, swaps[id(value)])
+
+    def unpatched(*args):
+        raise AssertionError("the integer Lax loop ran")
+
+    monkeypatch.setattr(lax, "_lax_loop", unpatched)
+    assert reports() == shipped
+
+
 def test_trace_formula(spec):
     from jacklax import lr
     F = spec.field
