@@ -76,14 +76,20 @@ def _run_check(i):
             for inst in fn(ws, *args):
                 cur = merged.get(inst["id"])
                 if cur is None or (cur["status"] == "PASS" and inst["status"] != "PASS"):
+                    if inst["status"] == "FAIL":
+                        inst = dict(inst, witness=_at(ws, inst["witness"]))
                     merged[inst["id"]] = inst
         return list(merged.values())
     for ws in wss:
         res = fn(ws, *args)
         if isinstance(res, str) or not res:
-            return [instance(instance_id, False,
-                             "%s: %s" % (ws.field.name, res) if res else ws.field.name)]
+            return [instance(instance_id, False, _at(ws, res or ""))]
     return [instance(instance_id, True)]
+
+
+def _at(ws, witness):
+    """A FAIL witness prefixed with the workspace's spec point."""
+    return "%s: %s" % (ws.field.name, witness) if witness else ws.field.name
 
 
 class Report:
@@ -116,7 +122,8 @@ class Report:
     def sweep(self, fn, *args):
         """Record fn(ws, *args), a list of instance dicts per workspace.  Each
         instance is taken from the first workspace where it does not PASS, or
-        else from the first workspace."""
+        else from the first workspace; a FAIL's witness is prefixed with that
+        workspace's spec point as check() does."""
         self._checks.append(("sweep", None, fn, args))
 
     def done(self):

@@ -11,8 +11,8 @@ partial-fraction maps {key: state} with keys
 """
 
 from .errors import JackLaxError
-from .fock import (bump, fock_adjoint_apply, fock_mul, fock_to_ext, inner_hbar,
-                   v_accum, v_scale)
+from .fock import (annihilate, bump, fock_adjoint_apply, fock_mul, fock_to_ext,
+                   inner_hbar, v_accum, v_scale)
 from .lax import lax_apply, op_A, op_B
 from .partitions import (add_box, add_set, boxes, partitions_of, rem_set,
                          remove_box, size)
@@ -144,10 +144,18 @@ def apply_V1(ws, state, sign):
     return fock_to_jack(ws, vec)
 
 
-def apply_jhat_dagger(ws, mu, state):
-    vec = fock_adjoint_apply({k: c / ws.varpi(mu) for k, c in ws.jack(mu).items()},
-                             jack_to_fock(ws, state), ws.field)
-    return fock_to_jack(ws, vec)
+def jhat_dagger(ws, lam, vec, memo):
+    """jhat_lam^dagger applied to the FockVec vec, in Jack coordinates.
+
+    memo maps mu to V_mu^dagger vec, is filled on first use and must belong
+    to vec alone; its vectors are shared and never mutated."""
+    out = {}
+    for mu, c in ws.jack(lam).items():
+        img = memo.get(mu)
+        if img is None:
+            img = memo[mu] = annihilate(vec, mu, ws.field)
+        v_accum(out, img, c / ws.varpi(lam))
+    return fock_to_jack(ws, out)
 
 
 def jack_to_fock(ws, state):
@@ -177,6 +185,15 @@ def gaiotto_state(ws, N):
 def h_state(ws, N):
     """H = U G = sum_{lam != 0} varpi_lam j_lam / |j_lam|^2 up to degree N."""
     return apply_U(ws, gaiotto_state(ws, N))
+
+
+def h_context(ws, N):
+    """(H, H as a FockVec, [(key, part as a FockVec)] for the parts of
+    dPhi(H)), H truncated at N: the lam-independent states that the
+    Whittaker and Delta checks of degree N share."""
+    H = h_state(ws, N)
+    return (H, jack_to_fock(ws, H),
+            [(key, jack_to_fock(ws, st)) for key, st in apply_dPhi(ws, H).items()])
 
 
 def state_truncate(state, N):
@@ -289,7 +306,6 @@ def whittaker_checks(ws, N):
             fact = fact * field.num(n)
         expect = field.one / (field.hbar ** n * fact)
         for mu in partitions_of(n):
-            got = vec.get((1,) * n if n else ())
             c = expect if mu == (1,) * n else field.zero
             if vec.get(mu, field.zero) != c:
                 ok = False
@@ -329,18 +345,18 @@ def whittaker_checks(ws, N):
     else:
         report["whittaker_plus"] = False
 
-    # generalized Whittaker for each lam with |lam| <= N
-    ok = True
-    equiv_note = []
-    for nl in range(1, N + 1):
-        for lam in partitions_of(nl):
-            if not _generalized_whittaker(ws, lam, N):
-                ok = False
-                equiv_note.append(lam)
-    report["generalized_whittaker"] = ok
+    # generalized Whittaker for each lam with |lam| <= N, on one H context;
+    # memos[i] holds the V_mu^dagger images of the i-th context vector
+    ctx = h_context(ws, N)
+    memos = [{} for _ in range(1 + len(ctx[2]))]
+    failing = [lam for nl in range(1, N + 1) for lam in partitions_of(nl)
+               if not _generalized_whittaker(ws, lam, N, ctx, memos)]
+    report["generalized_whittaker"] = not failing
+    if failing:
+        report["generalized_whittaker_first_fail"] = failing[0]
 
     # lifted identity on H
-    report["lifted_identity"] = _lifted_identity(ws, N)
+    report["lifted_identity"] = _lifted_identity(ws, N, ctx)
 
     # commutator [X+(z), X-(w)] = (Psi(z)-Psi(w))/(z-w) on Jack states
     ok = True
@@ -387,22 +403,30 @@ def _compose_V1(ws, pf, sign):
     return pf_clean({k: apply_V1(ws, v, sign) for k, v in pf.items()})
 
 
-def _generalized_whittaker(ws, lam, N):
+def generalized_whittaker_lhs(ws, lam, N, ctx, memos):
+    """-[dPhi, jhat_lam^dagger]|H> on degrees <= N - |lam|, with ctx =
+    h_context(ws, N) and memos[i] the V_mu^dagger memo of its i-th vector
+    (H first, then the parts of dPhi(H))."""
+    _, vec, parts = ctx
+    a = apply_dPhi(ws, jhat_dagger(ws, lam, vec, memos[0]))
+    b = pf_clean({k: jhat_dagger(ws, lam, v, memo)
+                  for (k, v), memo in zip(parts, memos[1:])})
+    return pf_truncate(pf_add(pf_scale(a, -ws.field.one), b), N - size(lam))
+
+
+def _generalized_whittaker(ws, lam, N, ctx, memos):
     """X_lam^-(z)|H> = P_z^-(prod_s T(z-[s]))|H> + (vacuum term).
 
     The vacuum term is sum_{b in lam} 1/(z-[b]); at lam={1} this reduces
     to the familiar z^{-1}.  Components of degree <= N - |lam| are exact for H
-    truncated at N and are the ones compared."""
+    truncated at N and are the ones compared.  ctx and memos are as for
+    generalized_whittaker_lhs."""
     field = ws.field
     keep = N - size(lam)
     if keep < 0:
         return True
-    H = h_state(ws, N)
-    # LHS: -[dPhi, jhat_lam^dagger] H
-    a = apply_dPhi(ws, apply_jhat_dagger(ws, lam, H))
-    b = pf_clean({k: apply_jhat_dagger(ws, lam, v)
-                  for k, v in apply_dPhi(ws, H).items()})
-    lhs = pf_truncate(pf_add(pf_scale(a, -field.one), b), keep)
+    H = ctx[0]
+    lhs = generalized_whittaker_lhs(ws, lam, N, ctx, memos)
     # RHS: diagonal P^-(T_{lam * mu}(z)) on each component, plus the vacuum
     rhs = {}
     for mu, c in state_truncate(H, keep).items():
@@ -416,22 +440,23 @@ def _generalized_whittaker(ws, lam, N):
     return pf_equal(lhs, pf_clean(rhs))
 
 
-def _lifted_identity(ws, N):
-    """(w^{-1} - 1) L dPhi(z)|H> = L/(z-L)|H> + z^{-1}.
+def _lifted_identity(ws, N, ctx):
+    """(w^{-1} - 1) L dPhi(z)|H> = L/(z-L)|H> + z^{-1}, with ctx =
+    h_context(ws, N).
 
     The w^{-1} part of the left side lowers degree, so with H truncated at N
     only components of degree <= N-1 are exact; both sides are compared
     there."""
     from .fock import Pi, ext_degree
     field = ws.field
-    H = h_state(ws, N)
+    H, _, parts = ctx
 
     def cut(vec):
         return {k: v for k, v in vec.items() if ext_degree(k) <= N - 1}
 
     lhs = {}
-    for key, st in apply_dPhi(ws, H).items():
-        vec = lax_apply(field, fock_to_ext(jack_to_fock(ws, st)))
+    for key, part in parts:
+        vec = lax_apply(field, fock_to_ext(part))
         val = cut(v_accum(Pi(vec), vec, -field.one))
         if val:
             lhs[key] = val
@@ -479,14 +504,12 @@ def _commutator_check(ws, lam):
     return lhs == pf_clean(rhs)
 
 
-def delta_via_states(ws, zeta, N):
-    """Delta(zeta) = <zeta| dPhi(u) U |G>: pole map {box: scalar}."""
-    field = ws.field
-    H = h_state(ws, N)
+def delta_via_states(ws, zeta, ctx):
+    """Delta(zeta) = <zeta| dPhi(u) U |G>: pole map {box: scalar}, with ctx =
+    h_context(ws, N) for N at least the degree of zeta."""
     out = {}
-    zvec = zeta
-    for key, st in apply_dPhi(ws, H).items():
-        val = inner_hbar(zvec, jack_to_fock(ws, st), field)
+    for key, part in ctx[2]:
+        val = inner_hbar(zeta, part, ws.field)
         if val:
             if not (isinstance(key, tuple) and key[0] == "p"):
                 raise JackLaxError("unexpected polynomial part in Delta")

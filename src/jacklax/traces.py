@@ -361,11 +361,11 @@ def verify_twisted_traces(ws, z1, z2):
                                 full_trace(ws, theta(ws, z1, z2)))
 
 
-def y_trace_product_check(ws, lam, s, nu, t, t_prod, t_beta):
+def y_trace_product_check(ws, lam, s, nu, t, t_prod, t_beta, star):
     """y_u(psi-hat psi-hat) = T_{lam*nu}/(u-[s+t]) and
     y_u(beta(psi-hat,psi-hat)) = T_{lam*nu} - 1, by residue comparison, on
     the traces t_prod and t_beta of the product and of beta of the pair
-    psi-hat_lam^s, psi-hat_nu^t."""
+    psi-hat_lam^s, psi-hat_nu^t; star is star_residues(field, lam, nu)."""
     field = ws.field
     T = T_star(field, lam, nu)
     poly, res = with_pole(T, (s[0] + t[0], s[1] + t[1])).partial_fractions(field)
@@ -373,7 +373,7 @@ def y_trace_product_check(ws, lam, s, nu, t, t_prod, t_beta):
         return False
     if not pf_eq(t_prod.y, res):
         return False
-    return pf_eq(t_beta.y, star_residues(field, lam, nu))
+    return pf_eq(t_beta.y, star)
 
 
 def verify_y_trace_product(ws, lam, s, nu, t):
@@ -382,7 +382,8 @@ def verify_y_trace_product(ws, lam, s, nu, t):
     p2 = ws.psi_hat(nu, t)
     return y_trace_product_check(ws, lam, s, nu, t,
                                  full_trace(ws, ext_mul(p1, p2)),
-                                 full_trace(ws, beta(ws, p1, p2)))
+                                 full_trace(ws, beta(ws, p1, p2)),
+                                 star_residues(ws.field, lam, nu))
 
 
 # ---------------------------------------------------------------------------

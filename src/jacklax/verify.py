@@ -437,14 +437,15 @@ def _theta_beta_traces(ws, lam, s, nu, t):
     bad = []
     if not tr_mod.pf_eq(tv.x, lr_mod.jack_lr(ws, lam, nu, hatted=True)):
         bad.append("x != chat")
-    if not tr_mod.pf_eq(tv.y, star_residues(f, lam, nu)):
+    star = star_residues(f, lam, nu)
+    if not tr_mod.pf_eq(tv.y, star):
         bad.append("y != tau-hat(star)")
     if tv.z:
         bad.append("z != 0")
     twisted = tr_mod.twisted_trace_checks(t_beta, tv)
     if not all(twisted.values()):
         bad.append("twisted: %r" % twisted)
-    if not tr_mod.y_trace_product_check(ws, lam, s, nu, t, t_prod, t_beta):
+    if not tr_mod.y_trace_product_check(ws, lam, s, nu, t, t_prod, t_beta, star):
         bad.append("y-product")
     return "; ".join(bad) or True
 
@@ -605,14 +606,18 @@ def _shc_whittaker(ws, max_degree):
         "x_commutator": "with the Lax normalization the factor is hbar/ebar",
         "generalized_whittaker": "vacuum term sum_{b in lam} 1/(z-[b])",
     }
+    if "generalized_whittaker_first_fail" in w:
+        notes["generalized_whittaker"] = "first failing lam %s" % _fmt(
+            w["generalized_whittaker_first_fail"])
     return [instance(k, ok, notes.get(k, "")) for k, ok in w.items()
-            if k != "whittaker_plus_sign"]
+            if k not in ("whittaker_plus_sign", "generalized_whittaker_first_fail")]
 
 
 def _delta_via_states(ws, max_degree):
     for n in range(1, max_degree + 1):
+        ctx = shc_mod.h_context(ws, n)
         for lam in partitions_of(n):
-            a = shc_mod.delta_via_states(ws, ws.jack(lam), n)
+            a = shc_mod.delta_via_states(ws, ws.jack(lam), ctx)
             if a != lr_mod.delta_map(ws, ws.jack(lam)):
                 return False
     return True

@@ -16,6 +16,11 @@ by one inner_hbar per partition.
 At a specialized point the Lax operator and the beta/theta derivators run
 on integer numerators over one denominator.  Here they run on field
 scalars, each derivator composed afresh from its three operator images.
+
+The Whittaker and Delta checks of the shc suite share one H context per
+workspace and degree (shc.h_context) and memoise each V_mu^dagger image.
+Here H, its Fock image and each jhat_lam^dagger image are rebuilt for
+every partition.
 """
 
 from fractions import Fraction
@@ -23,10 +28,13 @@ from functools import lru_cache
 from math import factorial
 
 from jacklax.errors import JackLaxError
-from jacklax.fock import (Pi, bump, degree_of, ext_mul, hall_inner_alpha, hn_basis,
-                          inner_hbar, monomial_norm_sq, v_accum, vector_to_coords)
+from jacklax.fock import (Pi, bump, degree_of, ext_mul, fock_adjoint_apply,
+                          hall_inner_alpha, hn_basis, inner_hbar, monomial_norm_sq,
+                          v_accum, vector_to_coords)
 from jacklax.linalg import invert, matvec
-from jacklax.partitions import eigen_pairs, partition, partitions_of
+from jacklax.partitions import eigen_pairs, partition, partitions_of, size
+from jacklax.shc import (apply_dPhi, fock_to_jack, h_state, jack_to_fock, pf_add,
+                         pf_clean, pf_scale, pf_truncate)
 from jacklax.spectral import tau
 from jacklax.traces import full_trace
 
@@ -295,3 +303,32 @@ def field_pair_traces(ws, z1, z2):
     computed on field scalars."""
     return (full_trace(ws, ext_mul(z1, z2)), full_trace(ws, field_beta(ws, z1, z2)),
             full_trace(ws, field_theta(ws, z1, z2)))
+
+
+# ---------------------------------------------------------------------------
+# the shc states rebuilt per partition
+# ---------------------------------------------------------------------------
+
+def apply_jhat_dagger(ws, mu, state):
+    """jhat_mu^dagger on a Jack-coordinate state, through a fresh Fock image."""
+    vec = fock_adjoint_apply({k: c / ws.varpi(mu) for k, c in ws.jack(mu).items()},
+                             jack_to_fock(ws, state), ws.field)
+    return fock_to_jack(ws, vec)
+
+
+def generalized_whittaker_lhs(ws, lam, N):
+    """-[dPhi, jhat_lam^dagger]|H> on degrees <= N - |lam|, H truncated at N."""
+    H = h_state(ws, N)
+    a = apply_dPhi(ws, apply_jhat_dagger(ws, lam, H))
+    b = pf_clean({k: apply_jhat_dagger(ws, lam, v) for k, v in apply_dPhi(ws, H).items()})
+    return pf_truncate(pf_add(pf_scale(a, -ws.field.one), b), N - size(lam))
+
+
+def delta_via_states(ws, zeta, N):
+    """Delta(zeta) = <zeta| dPhi(u) U |G> as {box: scalar}, H truncated at N."""
+    out = {}
+    for key, st in apply_dPhi(ws, h_state(ws, N)).items():
+        val = inner_hbar(zeta, jack_to_fock(ws, st), ws.field)
+        if val:
+            out[key[1]] = val
+    return out

@@ -173,7 +173,10 @@ def test_trace_witness_names_the_spec_point(monkeypatch):
     bad = [i for i in rep.instances if i["status"] == "FAIL"]
     assert bad
     for inst in bad:
-        assert inst["witness"] == "%s: y != tau-hat(star)" % DEFAULT_SPEC_POINTS[0].key()
+        # the star residues are computed once per quad, so the y-product
+        # check sees the same patched residues
+        assert inst["witness"] == ("%s: y != tau-hat(star); y-product"
+                                   % DEFAULT_SPEC_POINTS[0].key())
 
 
 def test_check_witness_names_the_failing_spec_point(monkeypatch):
@@ -188,6 +191,30 @@ def test_check_witness_names_the_failing_spec_point(monkeypatch):
     assert [i["id"] for i in failed] == ["jacksum {1^2}", "jacksum {1}", "jacksum {2}"]
     assert all(i["witness"] == bad for i in failed)
     assert all(i["witness"] == "" for i in rep.instances if i["status"] == "PASS")
+
+
+def test_sweep_witness_names_the_failing_spec_point(monkeypatch):
+    from jacklax import shc
+    from jacklax.arith import DEFAULT_SPEC_POINTS
+    from jacklax.verify import suite_shc
+    bad = DEFAULT_SPEC_POINTS[1].key()
+    real = shc.construction_from_lax_check
+
+    def fails_at_bad(ws, n):
+        c = real(ws, n)
+        if ws.field.name == bad:
+            c["xplus"] = c["xminus_lax"] = False
+        return c
+
+    monkeypatch.setattr(shc, "construction_from_lax_check", fails_at_bad)
+    rep = suite_shc(RunConfig(mode="specialized"), max_degree=1)
+    failed = {i["id"]: i["witness"] for i in rep.instances if i["status"] == "FAIL"}
+    assert failed == {
+        "X+ from Lax equals Jack-basis definition": bad,
+        "X- from Lax equals Jack-basis definition":
+            "%s: residue-convention variant differs by sign [-1]" % bad}
+    notes = {i["id"]: i["witness"] for i in rep.instances if i["status"] == "PASS"}
+    assert notes["whittaker_plus"] == "holds with global sign -1"
 
 
 def test_size_zero_is_not_the_default(capsys):

@@ -325,8 +325,9 @@ def test_accumulators_leave_caches_unchanged():
     from jacklax.lax import decompose
     from jacklax.lr import jacklax_lr
     from jacklax.session import Workspace
+    from jacklax.shc import whittaker_checks
     from jacklax.traces import resolvent_w_identity, rho_general
-    from jacklax.verify import _refined_pieri
+    from jacklax.verify import _delta_via_states, _refined_pieri
     ws = Workspace(SpecializedField(DEFAULT_SPEC_POINTS[0]))
     ws.warm(5)
     for n in range(6):
@@ -357,5 +358,8 @@ def test_accumulators_leave_caches_unchanged():
     for n in range(4):
         for lam in partitions_of(n):
             assert _refined_pieri(ws, lam)
+    # the shc states share their context vectors and V_mu^dagger images
+    assert all(v for k, v in whittaker_checks(ws, 4).items() if k != "whittaker_plus_sign")
+    assert _delta_via_states(ws, 4)
     for cache, snapshot in zip(caches(), before):
         assert {k: cache[k] for k in snapshot} == snapshot

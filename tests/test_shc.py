@@ -1,10 +1,12 @@
-from jacklax import lr
+import oracles
+from jacklax import lr, shc
 from jacklax.partitions import add_box, add_set, partitions_of
 from jacklax.shc import (apply_U, apply_X_plus, apply_dPhi,
                          construction_from_lax_check, delta_via_states,
-                         gaiotto_state, h_state, Psi_eig, Y_eig, Yinv_eig,
-                         whittaker_checks)
+                         gaiotto_state, generalized_whittaker_lhs, h_context,
+                         h_state, Psi_eig, Y_eig, Yinv_eig, whittaker_checks)
 from jacklax.spectral import tau
+from jacklax.verify import _shc_whittaker
 
 
 def test_xplus_action(spec):
@@ -55,6 +57,17 @@ def test_whittaker(spec):
     assert rep["whittaker_plus_sign"] == -1
 
 
+def test_whittaker_fail_names_the_first_failing_lam(spec, monkeypatch):
+    real = shc._generalized_whittaker
+    monkeypatch.setattr(shc, "_generalized_whittaker",
+                        lambda ws, lam, *args: lam != (2, 1) and real(ws, lam, *args))
+    insts = {i["id"]: i for i in _shc_whittaker(spec, 3)}
+    assert insts.pop("generalized_whittaker") == {
+        "id": "generalized_whittaker", "status": "FAIL",
+        "witness": "first failing lam {1,2}"}
+    assert all(i["status"] == "PASS" for i in insts.values())
+
+
 def test_states(spec):
     F = spec.field
     G = gaiotto_state(spec, 3)
@@ -69,7 +82,27 @@ def test_states(spec):
 
 def test_delta_agreement(spec):
     for n in range(1, 5):
+        ctx = h_context(spec, n)
         for lam in partitions_of(n):
-            a = delta_via_states(spec, spec.jack(lam), n)
+            a = delta_via_states(spec, spec.jack(lam), ctx)
             b = lr.delta_map(spec, spec.jack(lam))
             assert a == b
+
+
+
+def test_shared_h_context_matches_the_per_lam_oracle(spec_all, sym):
+    # one context and one V_mu^dagger memo per context vector, shared by
+    # every lam, give the partial fractions of H rebuilt for each lam
+    for ws, N in [(ws, 5) for ws in spec_all] + [(sym, 3)]:
+        ctx = h_context(ws, N)
+        memos = [{} for _ in range(1 + len(ctx[2]))]
+        for n in range(1, N + 1):
+            for lam in partitions_of(n):
+                got = generalized_whittaker_lhs(ws, lam, N, ctx, memos)
+                assert got == oracles.generalized_whittaker_lhs(ws, lam, N), (ws.field.name, lam)
+    for ws in spec_all:
+        for n in range(1, 6):
+            ctx = h_context(ws, n)
+            for lam in partitions_of(n):
+                got = delta_via_states(ws, ws.jack(lam), ctx)
+                assert got == oracles.delta_via_states(ws, ws.jack(lam), n), (ws.field.name, lam)
