@@ -677,15 +677,16 @@ class SpecPoint:
         if self.e1 + self.e2 == 0:
             raise BadSpecPoint("Schur-degenerate point e1+e2=0 rejected")
         # Same-sign difference vectors (a,b) of boxes inside one partition
-        # need (a+1)(b+1) <= size; mixed-sign ones need a+b+1 <= size.
-        for a in range(_SAFE_SPAN + 1):
-            for b in range(_SAFE_SPAN + 1):
-                if a == 0 and b == 0:
-                    continue
-                if (a + 1) * (b + 1) <= _SAFE_SPAN and a * self.e1 + b * self.e2 == 0:
-                    raise BadSpecPoint("collision %d*e1 + %d*e2 = 0" % (a, b))
-                if a + b <= _SAFE_SPAN and a * self.e1 - b * self.e2 == 0:
-                    raise BadSpecPoint("collision %d*e1 - %d*e2 = 0" % (a, b))
+        # need (a+1)(b+1) <= size; mixed-sign ones need a+b+1 <= size.  With
+        # e1/e2 = -p/q (or p/q) in lowest terms, a*e1 + b*e2 (or a*e1 - b*e2)
+        # vanishes exactly at the multiples of (a, b) = (q, p), so the
+        # smallest one decides.
+        r = self.e1 / self.e2
+        p, q = abs(r.numerator), r.denominator
+        if r < 0 and (p + 1) * (q + 1) <= _SAFE_SPAN:
+            raise BadSpecPoint("collision %d*e1 + %d*e2 = 0" % (q, p))
+        if r > 0 and p + q <= _SAFE_SPAN:
+            raise BadSpecPoint("collision %d*e1 - %d*e2 = 0" % (q, p))
 
     def key(self):
         return "e1=%s,e2=%s" % (self.e1, self.e2)
@@ -730,6 +731,16 @@ class SymbolicField:
             self._lf_cache[form] = c
         return c
 
+    def ratio(self, num_forms, den_forms, pre=None):
+        """pre (default 1) times the product of the linear forms num_forms
+        over the product of den_forms (forms may repeat)."""
+        val = self.one if pre is None else pre
+        for form in num_forms:
+            val = val * self.lf(form)
+        for form in den_forms:
+            val = val / self.lf(form)
+        return val
+
     def num(self, n):
         return Coeff.from_int(n)
 
@@ -760,6 +771,10 @@ class SpecializedField:
         # and hbar: the integer constants lax.lax_apply runs on
         lax_den = lcm(self.ebar.denominator, self.hbar.denominator)
         self.lax_ints = (int(self.ebar * lax_den), int(self.hbar * lax_den), lax_den)
+        # (C e1, C e2, C) with C the lcm of the denominators of e1 and e2:
+        # [a,b] is the integer a C e1 + b C e2 over C
+        c = lcm(self.e1.denominator, self.e2.denominator)
+        self.form_ints = (int(self.e1 * c), int(self.e2 * c), c)
 
     def lf(self, form):
         c = self._lf_cache.get(form)
@@ -767,6 +782,28 @@ class SpecializedField:
             c = form[0] * self.e1 + form[1] * self.e2
             self._lf_cache[form] = c
         return c
+
+    def ratio(self, num_forms, den_forms, pre=None):
+        """As SymbolicField.ratio, built as one Fraction: the integer
+        numerators of the forms over form_ints, multiplied out, with
+        C^(#den - #num) to make up the denominators."""
+        a1, a2, c = self.form_ints
+        num = den = 1
+        k = 0
+        for a, b in num_forms:
+            num *= a * a1 + b * a2
+            k -= 1
+        for a, b in den_forms:
+            den *= a * a1 + b * a2
+            k += 1
+        if k > 0:
+            num *= c ** k
+        elif k:
+            den *= c ** -k
+        if pre is not None:
+            num *= pre.numerator
+            den *= pre.denominator
+        return Fraction(num, den)
 
     def num(self, n):
         return Fraction(n)
@@ -791,6 +828,13 @@ def _merge_roots(a, b, sign=1):
         elif k in out:
             del out[k]
     return out
+
+
+def _forms_at(roots, form, skip=None):
+    """The forms form - r over the roots r but skip, each repeated by its
+    multiplicity."""
+    return [(form[0] - r[0], form[1] - r[1])
+            for r, m in roots.items() if r != skip for _ in range(m)]
 
 
 def _cancel(num, den):
@@ -872,25 +916,16 @@ class SpectralFun:
             raise NotAPole("u = [%d,%d] is not a pole" % pole)
         if m != 1:
             raise NotASimplePole("pole of order %d at [%d,%d]" % (m, *pole))
-        val = self.pre
-        for r, k in self.num.items():
-            val = val * field.lf((pole[0] - r[0], pole[1] - r[1])) ** k
-        for r, k in self.den.items():
-            if r != pole:
-                val = val / field.lf((pole[0] - r[0], pole[1] - r[1])) ** k
-        return val
+        return field.ratio(_forms_at(self.num, pole), _forms_at(self.den, pole, pole),
+                           self.pre)
 
     def value_at_form(self, form, field):
         """Evaluate at u = [form]."""
-        val = self.pre
-        for r, k in self.num.items():
-            val = val * field.lf((form[0] - r[0], form[1] - r[1])) ** k
-        for r, k in self.den.items():
-            v = field.lf((form[0] - r[0], form[1] - r[1]))
-            if not v:
-                raise PoleAtSpecPoint("evaluation at a pole")
-            val = val / v ** k
-        return val
+        try:
+            return field.ratio(_forms_at(self.num, form), _forms_at(self.den, form),
+                               self.pre)
+        except (ZeroDivisionError, ZeroDenominator):
+            raise PoleAtSpecPoint("evaluation at a pole") from None
 
     def value_at(self, u, field):
         """Evaluate at a scalar value of u."""

@@ -9,8 +9,9 @@ stored.  The V-monomial inner product is diagonal:
     <V_mu, V_mu> = prod_k (hbar*k)^{d_k} d_k!   (d_k = multiplicity of k).
 """
 
+from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 
 from .errors import DegreeMismatch, InhomogeneousForPiStar, JackLaxError
 from .partitions import partitions_of
@@ -60,15 +61,55 @@ def v_scale(a, c):
 
 def v_clear(vec):
     """(numerators, D): the rational entries of vec as integer numerators
-    over one common denominator D, the lcm of theirs, key order kept."""
+    over one common denominator D, the lcm of theirs, key order kept.
+    This pair is the cleared row of vec."""
     den = lcm(*(c.denominator for c in vec.values()))
     return {k: c.numerator * (den // c.denominator) for k, c in vec.items()}, den
+
+
+def v_combine(terms):
+    """The cleared row of sum c * nums / D over terms [(c, (nums, D))],
+    each c rational (an int or a Fraction).
+
+    The numerators are summed over the lcm of the c.denominator * D in
+    place, as v_accum sums (so the keys come in the same order), then
+    divided by their gcd with that lcm: the row is v_clear of the sum."""
+    dens = [c.denominator * row[1] for c, row in terms]
+    den = lcm(*dens)
+    out = {}
+    for (c, (nums, _)), d in zip(terms, dens):
+        m = c.numerator * (den // d)
+        if not m:
+            continue
+        for k, v in nums.items():
+            v *= m
+            w = out.get(k)
+            if w is None:
+                out[k] = v
+            else:
+                w += v
+                if w:
+                    out[k] = w
+                else:
+                    del out[k]
+    g = gcd(den, *out.values())
+    if g != 1:
+        den //= g
+        out = {k: v // g for k, v in out.items()}
+    return out, den
+
+
+def v_uncleared(row):
+    """The vector of rational entries of a cleared row."""
+    nums, den = row
+    return {k: Fraction(v, den) for k, v in nums.items()}
 
 
 # ---------------------------------------------------------------------------
 # multiplication
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
 def _merge_parts(mu, nu):
     return tuple(sorted(mu + nu, reverse=True))
 
@@ -159,25 +200,11 @@ def project(zeta, which, field=None):
 # inner products
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _norm_shape(mu):
-    """Integer data ((k, d_k) list, prod d_k!) for the V-monomial norm."""
-    mults = {}
-    for part in mu:
-        mults[part] = mults.get(part, 0) + 1
-    fact = 1
-    for d in mults.values():
-        fact *= factorial(d)
-    return tuple(sorted(mults.items())), fact
-
-
 def monomial_norm_sq(mu, field):
-    """<V_mu, V_mu> = prod (hbar k)^{d_k} d_k!."""
-    mults, fact = _norm_shape(mu)
-    val = field.num(fact)
-    for k, d in mults:
-        val = val * (field.hbar * field.num(k)) ** d
-    return val
+    """<V_mu, V_mu> = prod (hbar k)^{d_k} d_k! = z_mu hbar^{l(mu)}, with
+    hbar = -[1,0][0,1]."""
+    n = len(mu)
+    return field.ratio(((1, 0), (0, 1)) * n, (), field.num((-1) ** n * zmu(mu)))
 
 
 def inner_hbar(f, g, field):
@@ -202,12 +229,13 @@ def _as_ext(f):
     return fock_to_ext(f)
 
 
+@lru_cache(maxsize=None)
 def zmu(mu):
     """z_mu = prod_k d_k! k^{d_k} (multiplicities d_k of the part k)."""
-    mults, fact = _norm_shape(mu)
-    z = fact
-    for k, d in mults:
-        z *= k ** d
+    z = 1
+    for k in set(mu):
+        d = mu.count(k)
+        z *= factorial(d) * k ** d
     return z
 
 

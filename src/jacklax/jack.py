@@ -8,8 +8,8 @@ with A = pi0 L w.  No pairing, basis change or matrix inverse is needed.
 """
 
 from .errors import JackLaxError
-from .fock import bump, v_accum, v_scale
-from .lax import op_A
+from .fock import bump, pi0, v_accum, v_combine, v_scale, w_mul
+from .lax import lax_apply, op_A
 from .partitions import (arm, boxes, boxes_x, contains, hooks_lower,
                          hooks_upper, leg, partitions_of, rem_set, remove_box)
 from .spectral import tau_tilde
@@ -19,37 +19,37 @@ def compute_homogeneous_jacks(ws, n):
     """All homogeneous Jacks of degree n: {lam: FockVec} over ws.field.
 
     Reads the degree-(n-1) eigenfunctions through ws.psi, which in turn
-    reads the lower-degree Jacks through ws.jack."""
+    reads the lower-degree Jacks through ws.jack.  At a specialized point
+    both run on cleared rows (ws.psi_row, ws.jack_row), A runs on integer
+    numerators, and {lam: cleared row} is returned."""
     field = ws.field
     if n == 0:
-        return {(): {(): field.one}}
+        return {(): {(): field.one}} if field.symbolic else {(): ({(): 1}, 1)}
     scale = field.one / (field.num(n) * field.hbar)
     out = {}
     for lam in partitions_of(n):
-        q = {}
-        for t in rem_set(lam):
-            c = tau_tilde(field, lam, (t[0] + 1, t[1] + 1))
-            v_accum(q, ws.psi(remove_box(lam, t), t), c)
-        out[lam] = v_scale(op_A(field, q), scale)
+        terms = [(tau_tilde(field, lam, (t[0] + 1, t[1] + 1)), remove_box(lam, t), t)
+                 for t in rem_set(lam)]
+        if field.symbolic:
+            q = {}
+            for c, mu, t in terms:
+                v_accum(q, ws.psi(mu, t), c)
+            out[lam] = v_scale(op_A(field, q), scale)
+        else:
+            q, d = v_combine([(c, ws.psi_row(mu, t)) for c, mu, t in terms])
+            Aq = pi0(lax_apply(field, w_mul(q), cleared=True))
+            out[lam] = v_combine([(scale, (Aq, d * field.lax_ints[2]))])
     return out
 
 
 def varpi(field, lam):
     """Product of contents over all boxes but (0,0); the V_n coefficient."""
-    val = field.one
-    for b in boxes_x(lam):
-        val = val * field.lf(b)
-    return val
+    return field.ratio(boxes_x(lam), ())
 
 
 def jack_norm_sq(field, lam):
     """Stanley's hook-product norm |j_lam|^2."""
-    val = field.one
-    for h in hooks_upper(lam):
-        val = val * field.lf(h)
-    for h in hooks_lower(lam):
-        val = val * field.lf(h)
-    return val
+    return field.ratio(hooks_upper(lam) + hooks_lower(lam), ())
 
 
 def principal_specialization(f, field):
@@ -101,22 +101,17 @@ def pieri_stanley(field, r, mu):
     """
     if r < 1:
         raise JackLaxError("r must be >= 1")
-    col = (1,) * r
-    num_col = field.one
-    for h in hooks_lower(col):
-        num_col = num_col * field.lf(h)
+    num_col = field.ratio(hooks_lower((1,) * r), ())
     out = {}
     for lam in _strips_above(mu, r):
         rows = _strip_rows(lam, mu)
-        val = num_col
-        for b in boxes(mu):
-            kind = "lower" if b[0] in rows else "upper"
-            val = val * field.lf(_hook_form(mu, b, kind))
-        for b in boxes(lam):
-            kind = "lower" if b[0] in rows else "upper"
-            val = val / field.lf(_hook_form(lam, b, kind))
-        out[lam] = val
+        out[lam] = field.ratio(_strip_hooks(mu, rows), _strip_hooks(lam, rows), num_col)
     return out
+
+
+def _strip_hooks(lam, rows):
+    """The lower hooks of lam in the given rows, the upper ones elsewhere."""
+    return [_hook_form(lam, b, "lower" if b[0] in rows else "upper") for b in boxes(lam)]
 
 
 def _hook_form(lam, b, kind):

@@ -13,7 +13,7 @@ from functools import lru_cache
 
 from .errors import EmptyPartition, NotARemovableCorner, NotAnAddableBox
 from .fock import (Pi, bump, degree_of, fock_to_ext, hn_basis, pi0, pi_plus,
-                   v_accum, v_clear, v_scale, w_mul)
+                   v_accum, v_clear, v_combine, v_scale, w_mul)
 from .partitions import (add_set, add_box, rem_set, rem_set_plus,
                          remove_box)
 from .spectral import tau, tau_hat, tau_tilde
@@ -118,24 +118,33 @@ def compute_psi(ws, lam, s):
 
     Reads j_lam through ws.jack, whose builder in turn reads the
     degree-(|lam|-1) eigenfunctions through ws.psi: the two recursions
-    alternate down the degrees."""
+    alternate down the degrees.  At a specialized point both run on
+    cleared rows (ws.jack_row, ws.psi_row) and the psi row is returned."""
     field = ws.field
     if not lam:
         if s != (0, 0):
             raise NotAnAddableBox("only (0,0) is addable to the empty partition")
-        return {(0, ()): field.one}
+        return {(0, ()): field.one} if field.symbolic else ({(0, ()): 1}, 1)
     if s not in add_set(lam):
         raise NotAnAddableBox("box (%d,%d) not addable to %s" % (s[0], s[1], (lam,)))
-    acc = fock_to_ext(ws.jack(lam))
+    terms = []
     for t in rem_set(lam):
         tp = (t[0] + 1, t[1] + 1)
         den = field.lf((s[0] - tp[0], s[1] - tp[1]))
         if not den:
             raise ZeroDivisionError("degenerate denominator in psi recursion")
-        coeff = tau_tilde(field, lam, tp) / den
-        sub = ws.psi(remove_box(lam, t), t)
-        v_accum(acc, w_mul(sub), coeff)
-    return acc
+        terms.append((tau_tilde(field, lam, tp) / den, remove_box(lam, t), t))
+    if field.symbolic:
+        acc = fock_to_ext(ws.jack(lam))
+        for coeff, mu, t in terms:
+            v_accum(acc, w_mul(ws.psi(mu, t)), coeff)
+        return acc
+    nums, d = ws.jack_row(lam)
+    rows = [(1, (fock_to_ext(nums), d))]
+    for coeff, mu, t in terms:
+        nums, d = ws.psi_row(mu, t)
+        rows.append((coeff, (w_mul(nums), d)))
+    return v_combine(rows)
 
 
 def psi_tilde(ws, gamma, t_plus):

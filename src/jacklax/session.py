@@ -14,7 +14,8 @@ import threading
 from fractions import Fraction
 
 from .arith import SymbolicField, parse_scalar, render_scalar
-from .fock import degree_of, hn_basis, monomial_norm_sq, v_clear, v_scale
+from .fock import (degree_of, hn_basis, monomial_norm_sq, v_clear, v_scale,
+                   v_uncleared)
 from .fock import inner_hbar  # noqa: F401  (kept as session.inner_hbar)
 from .jack import compute_homogeneous_jacks, jack_norm_sq, varpi
 from .partitions import (eigen_pairs, format_partition, parse_partition,
@@ -39,6 +40,9 @@ class Workspace:
         self._norm = {}     # degree -> {lam: scalar}
         self._varpi = {}    # degree -> {lam: scalar}
         self._psi = {}      # (lam, s) -> ExtVec
+        # at a specialized point: the cleared rows the recursions run on
+        self._jack_rows = {}    # degree -> {lam: (numerators, D)}
+        self._psi_rows = {}     # (lam, s) -> (numerators, D)
         self._psi_hat = {}  # (lam, s) -> ExtVec
         self._jack_dual = {}    # degree -> DualIndex of the Jacks
         self._psi_dual = {}     # degree -> DualIndex of the psi-hats
@@ -63,6 +67,10 @@ class Workspace:
             data = self._load_degree(n)
             if data is None:
                 jacks = compute_homogeneous_jacks(self, n)
+                if not self.field.symbolic:
+                    # the builder returned cleared rows
+                    self._jack_rows[n] = rows = jacks
+                    jacks = {lam: v_uncleared(row) for lam, row in rows.items()}
                 norms = {lam: jack_norm_sq(self.field, lam) for lam in jacks}
                 vps = {lam: varpi(self.field, lam) for lam in jacks}
                 self._store_degree(n, jacks, norms, vps)
@@ -140,6 +148,18 @@ class Workspace:
     def jack(self, lam):
         return self.jack_degree(sum(lam))[lam]
 
+    def jack_row(self, lam):
+        """The cleared row of j_lam at a specialized point; a Jack loaded
+        from the disk cache is cleared on first use."""
+        n = sum(lam)
+        with self._lock:
+            jacks = self.jack_degree(n)
+            rows = self._jack_rows.setdefault(n, {})
+            got = rows.get(lam)
+            if got is None:
+                got = rows[lam] = v_clear(jacks[lam])
+            return got
+
     def jack_hat(self, lam):
         vp = self.varpi(lam)
         return {mu: c / vp for mu, c in self.jack(lam).items()}
@@ -173,13 +193,15 @@ class Workspace:
                 self._jack_dual[n] = got
             return got
 
-    def expand_in_jacks(self, f):
-        """FockVec -> {lam: coeff}, each homogeneous part by its Jack dual."""
+    def expand_in_jacks(self, f, den=None):
+        """FockVec -> {lam: coeff}, each homogeneous part by its Jack dual.
+        With den, f holds integer numerators over den (at a specialized
+        point)."""
         degs = {sum(mu) for mu in f}
         out = {}
         for n in degs:
             part = f if len(degs) == 1 else {mu: c for mu, c in f.items() if sum(mu) == n}
-            out.update(self.jack_dual(n).expand(part))
+            out.update(self.jack_dual(n).expand(part, den))
         return out
 
     # ------------------------------------------------------------------
@@ -192,8 +214,21 @@ class Workspace:
         with self._lock:
             got = self._psi.get(key)
             if got is None:
-                got = lax.compute_psi(self, lam, s)
+                if self.field.symbolic:
+                    got = lax.compute_psi(self, lam, s)
+                else:
+                    got = v_uncleared(self.psi_row(lam, s))
                 self._psi[key] = got
+            return got
+
+    def psi_row(self, lam, s):
+        """The cleared row of psi_lam^s at a specialized point."""
+        from . import lax
+        key = (lam, s)
+        with self._lock:
+            got = self._psi_rows.get(key)
+            if got is None:
+                got = self._psi_rows[key] = lax.compute_psi(self, lam, s)
             return got
 
     def psi_hat(self, lam, s):

@@ -10,9 +10,11 @@ partial-fraction maps {key: state} with keys
     ("p", box)  1/(z - [box]).
 """
 
+from fractions import Fraction
+
 from .errors import JackLaxError
-from .fock import (annihilate, bump, fock_adjoint_apply, fock_mul, fock_to_ext,
-                   inner_hbar, v_accum, v_scale)
+from .fock import (annihilate, bump, deriv_V, fock_adjoint_apply, fock_mul, fock_to_ext,
+                   inner_hbar, v_accum, v_clear, v_combine, v_scale, v_uncleared)
 from .lax import lax_apply, op_A, op_B
 from .partitions import (add_box, add_set, boxes, partitions_of, rem_set,
                          remove_box, size)
@@ -148,17 +150,43 @@ def jhat_dagger(ws, lam, vec, memo):
     """jhat_lam^dagger applied to the FockVec vec, in Jack coordinates.
 
     memo maps mu to V_mu^dagger vec, is filled on first use and must belong
-    to vec alone; its vectors are shared and never mutated."""
-    out = {}
-    for mu, c in ws.jack(lam).items():
-        img = memo.get(mu)
-        if img is None:
-            img = memo[mu] = annihilate(vec, mu, ws.field)
-        v_accum(out, img, c / ws.varpi(lam))
-    return fock_to_jack(ws, out)
+    to vec alone; its vectors are shared and never mutated.  At a
+    specialized point memo[mu] is instead hbar^{-l(mu)} V_mu^dagger vec as
+    integer numerators over the denominator of memo[()], the cleared row
+    of vec, and the sum runs on integers."""
+    field = ws.field
+    if field.symbolic:
+        out = {}
+        for mu, c in ws.jack(lam).items():
+            img = memo.get(mu)
+            if img is None:
+                img = memo[mu] = annihilate(vec, mu, field)
+            v_accum(out, img, c / ws.varpi(lam))
+        return fock_to_jack(ws, out)
+    if not memo:
+        memo[()] = v_clear(vec)
+    # jhat_lam = J / (D varpi_lam) for the cleared row (J, D) of j_lam
+    nums, d = ws.jack_row(lam)
+    vp = ws.varpi(lam)
+    hn, hd = field.hbar.numerator, field.hbar.denominator
+    terms = [(Fraction(c * hn ** len(mu) * vp.denominator, hd ** len(mu) * d * vp.numerator),
+              _dagger_row(memo, mu)) for mu, c in nums.items()]
+    return ws.expand_in_jacks(*v_combine(terms))
+
+
+def _dagger_row(memo, mu):
+    """(numerators, D) of prod_k (k d/dV_k) over the parts k of mu applied
+    to the vector memo[()] holds, over its D; memoised in memo."""
+    got = memo.get(mu)
+    if got is None:
+        nums, d = _dagger_row(memo, mu[1:])
+        got = memo[mu] = ({key: c * mu[0] for key, c in deriv_V(nums, mu[0]).items()}, d)
+    return got
 
 
 def jack_to_fock(ws, state):
+    if not ws.field.symbolic:
+        return v_uncleared(v_combine([(c, ws.jack_row(lam)) for lam, c in state.items()]))
     out = {}
     for lam, c in state.items():
         v_accum(out, ws.jack(lam), c)

@@ -9,7 +9,7 @@ choice breaks all of them (see tests).
 """
 
 from .arith import SpectralFun
-from .errors import JackLaxError, NotASimplePole
+from .errors import JackLaxError, NotASimplePole, ZeroDenominator
 from .partitions import (add_box, add_set, rem_set, rem_set_plus,
                          remove_box, star_product)
 
@@ -54,23 +54,23 @@ def with_pole(T, pole):
 def T1_scalar(field, form):
     """T_1 evaluated at the linear form x: [x][x+(1,1)] / ([x+(1,0)][x+(0,1)])."""
     a, b = form
-    den = field.lf((a + 1, b)) * field.lf((a, b + 1))
-    if not den:
-        raise JackLaxError("T1 undefined at [%d,%d]" % form)
-    return field.lf((a, b)) * field.lf((a + 1, b + 1)) / den
+    try:
+        return field.ratio((form, (a + 1, b + 1)), ((a + 1, b), (a, b + 1)))
+    except (ZeroDivisionError, ZeroDenominator):
+        raise JackLaxError("T1 undefined at [%d,%d]" % form) from None
+
+
+def _diffs(x, boxes, skip=None):
+    """The forms x - b over the boxes b but skip."""
+    return [(x[0] - b[0], x[1] - b[1]) for b in boxes if b != skip]
 
 
 def tau(field, lam, s):
     """Co-transition measure: residue of u^{-1} T_lam(u) at [s]."""
-    if s not in add_set(lam):
+    add = add_set(lam)
+    if s not in add:
         raise JackLaxError("box (%d,%d) not addable" % s)
-    val = field.one
-    for t in rem_set_plus(lam):
-        val = val * field.lf((s[0] - t[0], s[1] - t[1]))
-    for s2 in add_set(lam):
-        if s2 != s:
-            val = val / field.lf((s[0] - s2[0], s[1] - s2[1]))
-    return val
+    return field.ratio(_diffs(s, rem_set_plus(lam)), _diffs(s, add, s))
 
 
 def tau_hat(field, lam, s):
@@ -79,15 +79,11 @@ def tau_hat(field, lam, s):
 
 def tau_tilde(field, lam, t_plus):
     """Transition measure at an outer corner (sign as in the recursion)."""
-    if t_plus not in rem_set_plus(lam):
+    outer = rem_set_plus(lam)
+    if t_plus not in outer:
         raise JackLaxError("box (%d,%d) not an outer corner" % t_plus)
-    val = -field.one
-    for s in add_set(lam):
-        val = val * field.lf((t_plus[0] - s[0], t_plus[1] - s[1]))
-    for t2 in rem_set_plus(lam):
-        if t2 != t_plus:
-            val = val / field.lf((t_plus[0] - t2[0], t_plus[1] - t2[1]))
-    return val
+    return field.ratio(_diffs(t_plus, add_set(lam)), _diffs(t_plus, outer, t_plus),
+                       -field.one)
 
 
 def tau_boxes(field, gamma, s):

@@ -310,14 +310,12 @@ def _structural(ws, lam):
 
 
 def _psi_norm_hooks(ws, lam, s):
-    f = ws.field
     lam_s = add_box(lam, s)
-    val = f.one
+    forms = []
     for b in boxes(lam):
-        colU = lam_s if b[1] == s[1] else lam
-        rowL = lam_s if b[0] == s[0] else lam
-        val = val * f.lf(hook(colU, b, "upper")) * f.lf(hook(rowL, b, "lower"))
-    return val
+        forms.append(hook(lam_s if b[1] == s[1] else lam, b, "upper"))
+        forms.append(hook(lam_s if b[0] == s[0] else lam, b, "lower"))
+    return ws.field.ratio(forms, ())
 
 
 # ---------------------------------------------------------------------------

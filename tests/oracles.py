@@ -21,6 +21,13 @@ The Whittaker and Delta checks of the shc suite share one H context per
 workspace and degree (shc.h_context) and memoise each V_mu^dagger image.
 Here H, its Fock image and each jhat_lam^dagger image are rebuilt for
 every partition.
+
+At a specialized point each product of linear forms (field.ratio) is one
+integer ratio, SpecPoint.validate decides from e1/e2 in lowest terms, and
+psi, the Jacks and jhat_lam^dagger are built on cleared rows.  Here the
+products take one field operation per form, the point check scans every
+difference vector, and the recursions and jhat_lam^dagger run on field
+scalars.
 """
 
 from fractions import Fraction
@@ -28,14 +35,15 @@ from functools import lru_cache
 from math import factorial
 
 from jacklax.errors import JackLaxError
-from jacklax.fock import (Pi, bump, degree_of, ext_mul, fock_adjoint_apply,
-                          hall_inner_alpha, hn_basis, inner_hbar, monomial_norm_sq,
-                          v_accum, vector_to_coords)
+from jacklax.fock import (Pi, bump, degree_of, ext_mul, fock_adjoint_apply, fock_to_ext,
+                          hall_inner_alpha, hn_basis, inner_hbar, monomial_norm_sq, pi0,
+                          v_accum, v_scale, vector_to_coords, w_mul)
 from jacklax.linalg import invert, matvec
-from jacklax.partitions import eigen_pairs, partition, partitions_of, size
+from jacklax.partitions import (eigen_pairs, partition, partitions_of, rem_set, remove_box,
+                                 size)
 from jacklax.shc import (apply_dPhi, fock_to_jack, h_state, jack_to_fock, pf_add,
                          pf_clean, pf_scale, pf_truncate)
-from jacklax.spectral import tau
+from jacklax.spectral import tau, tau_tilde
 from jacklax.traces import full_trace
 
 
@@ -264,8 +272,14 @@ def inner_hbar_expand_in_jacks(ws, f):
 # the Lax operator and the derivators on field scalars
 # ---------------------------------------------------------------------------
 
-def field_lax_apply(field, zeta):
-    """L zeta, every coefficient a field scalar."""
+def field_lax_apply(field, zeta, cleared=False):
+    """L zeta, every coefficient a field scalar.  With cleared=True zeta
+    holds integer numerators and, as from lax.lax_apply, the integers
+    L * (L zeta) come back, L = field.lax_ints[2]."""
+    if cleared:
+        den = field.lax_ints[2]
+        img = field_lax_apply(field, {k: field.num(v) for k, v in zeta.items()})
+        return {k: int(c * den) for k, c in img.items()}
     out = {}
     ebar, hbar = field.ebar, field.hbar
     for (m, mu), c in zeta.items():
@@ -309,11 +323,16 @@ def field_pair_traces(ws, z1, z2):
 # the shc states rebuilt per partition
 # ---------------------------------------------------------------------------
 
+def field_jhat_dagger(ws, lam, vec):
+    """jhat_lam^dagger applied to the FockVec vec on field scalars, in Jack
+    coordinates."""
+    jhat = {k: c / ws.varpi(lam) for k, c in ws.jack(lam).items()}
+    return fock_to_jack(ws, fock_adjoint_apply(jhat, vec, ws.field))
+
+
 def apply_jhat_dagger(ws, mu, state):
     """jhat_mu^dagger on a Jack-coordinate state, through a fresh Fock image."""
-    vec = fock_adjoint_apply({k: c / ws.varpi(mu) for k, c in ws.jack(mu).items()},
-                             jack_to_fock(ws, state), ws.field)
-    return fock_to_jack(ws, vec)
+    return field_jhat_dagger(ws, mu, jack_to_fock(ws, state))
 
 
 def generalized_whittaker_lhs(ws, lam, N):
@@ -332,3 +351,78 @@ def delta_via_states(ws, zeta, N):
         if val:
             out[key[1]] = val
     return out
+
+
+# ---------------------------------------------------------------------------
+# the scalar layer, the point check and the recursions on field scalars
+# ---------------------------------------------------------------------------
+
+def lf_ratio(field, num_forms, den_forms, pre=None):
+    """pre (default 1) times the product of the forms num_forms over the
+    product of den_forms, one field operation per form."""
+    val = field.one if pre is None else pre
+    for form in num_forms:
+        val = val * field.lf(form)
+    for form in den_forms:
+        val = val / field.lf(form)
+    return val
+
+
+def scan_collision(e1, e2, span=68):
+    """The SpecPoint message for the first difference vector (a, b), a
+    and b at most span, with a*e1 + b*e2 = 0 and (a+1)(b+1) <= span or
+    a*e1 - b*e2 = 0 and a+b <= span; None if there is none."""
+    for a in range(span + 1):
+        for b in range(span + 1):
+            if a == 0 and b == 0:
+                continue
+            if (a + 1) * (b + 1) <= span and a * e1 + b * e2 == 0:
+                return "collision %d*e1 + %d*e2 = 0" % (a, b)
+            if a + b <= span and a * e1 - b * e2 == 0:
+                return "collision %d*e1 - %d*e2 = 0" % (a, b)
+    return None
+
+
+def field_psi(field, jack, psi, lam, s):
+    """psi_lam^s by the corner recursion on field scalars, for lam
+    nonempty; jack(lam) and psi(lam, s) give the lower vectors."""
+    acc = fock_to_ext(jack(lam))
+    for t in rem_set(lam):
+        tp = (t[0] + 1, t[1] + 1)
+        coeff = tau_tilde(field, lam, tp) / field.lf((s[0] - tp[0], s[1] - tp[1]))
+        v_accum(acc, w_mul(psi(remove_box(lam, t), t)), coeff)
+    return acc
+
+
+def field_jacks(field, psi, n):
+    """{lam: j_lam} over the partitions of n >= 1 by the Lax recursion on
+    field scalars; psi(lam, s) gives the degree-(n-1) eigenfunctions."""
+    scale = field.one / (field.num(n) * field.hbar)
+    out = {}
+    for lam in partitions_of(n):
+        q = {}
+        for t in rem_set(lam):
+            v_accum(q, psi(remove_box(lam, t), t), tau_tilde(field, lam, (t[0] + 1, t[1] + 1)))
+        out[lam] = v_scale(pi0(field_lax_apply(field, w_mul(q))), scale)
+    return out
+
+
+class FieldRecursion:
+    """psi and the Jacks of one field by field_psi and field_jacks, with
+    memos of their own."""
+
+    def __init__(self, field):
+        self.field = field
+        self.jacks = {0: {(): {(): field.one}}}
+        self.psis = {((), (0, 0)): {(0, ()): field.one}}
+
+    def jack(self, lam):
+        n = sum(lam)
+        if n not in self.jacks:
+            self.jacks[n] = field_jacks(self.field, self.psi, n)
+        return self.jacks[n][lam]
+
+    def psi(self, lam, s):
+        if (lam, s) not in self.psis:
+            self.psis[lam, s] = field_psi(self.field, self.jack, self.psi, lam, s)
+        return self.psis[lam, s]

@@ -397,3 +397,29 @@ def test_spec_point_parsing():
     assert str(pts[1].e1) == "-3/2"
     with pytest.raises(Exception):
         RunConfig.parse_points("1,-1")
+
+
+def test_specialized_main_theorem_through_the_disk_cache(tmp_path, capsys, monkeypatch):
+    # a cold run writes the cache, a warm run reads every Jack from it
+    # (clearing each to its row on first use), and both give the canonical
+    # report of a run without a cache
+    from jacklax import session
+    argv = ["verify", "main-theorem", "--mode", "specialized", "--max-size", "5",
+            "--format", "json"]
+
+    def report(*extra):
+        assert main(argv + list(extra)) == 0
+        blob = json.loads(capsys.readouterr().out)
+        blob.pop("elapsed_ms")
+        return json.dumps(blob, sort_keys=True)
+
+    want = report()
+    cache = str(tmp_path / "cache")
+    assert report("--cache-dir", cache) == want
+    assert len(os.listdir(cache)) == 6 * 3
+
+    def unbuilt(ws, n):
+        raise AssertionError("a Jack degree was built, not loaded")
+
+    monkeypatch.setattr(session, "compute_homogeneous_jacks", unbuilt)
+    assert report("--cache-dir", cache) == want

@@ -1,9 +1,12 @@
 import random
+from fractions import Fraction
 
 import pytest
 
+import oracles
+from jacklax.arith import DEFAULT_SPEC_POINTS, SpecializedField, SpecPoint
 from jacklax.errors import NotAnAddableBox, NotARemovableCorner, EmptyPartition
-from jacklax.fock import (fock_to_ext, pi0, pi_star, v_accum, v_scale,
+from jacklax.fock import (fock_to_ext, pi0, pi_star, v_accum, v_clear, v_scale,
                           vector_to_coords, w_mul)
 from jacklax.lax import (Pi_action_coeffs, lax_apply, lax_plus_shift_check,
                          op_A, op_B, phi_column_coeff, pi_diamond, psi_tilde,
@@ -11,6 +14,7 @@ from jacklax.lax import (Pi_action_coeffs, lax_apply, lax_plus_shift_check,
 from jacklax.linalg import rank
 from jacklax.partitions import (add_box, add_set, eigen_pairs, partitions_of,
                                 rem_set, rem_set_plus, remove_box)
+from jacklax.session import Workspace
 from jacklax.spectral import tau, tau_tilde
 from jacklax import traces as tr
 
@@ -321,10 +325,8 @@ def test_A_B_operators(spec):
 def test_accumulators_leave_caches_unchanged():
     # sums are accumulated in place, so no accumulator may be a cached vector
     import copy
-    from jacklax.arith import DEFAULT_SPEC_POINTS, SpecializedField
     from jacklax.lax import decompose
     from jacklax.lr import jacklax_lr
-    from jacklax.session import Workspace
     from jacklax.shc import whittaker_checks
     from jacklax.traces import resolvent_w_identity, rho_general
     from jacklax.verify import _delta_via_states, _refined_pieri
@@ -338,7 +340,7 @@ def test_accumulators_leave_caches_unchanged():
 
     def caches():
         duals = [{n: vars(d) for n, d in c.items()} for c in (ws._jack_dual, ws._psi_dual)]
-        return [ws._jack, ws._psi, ws._norm, ws._psi_hat] + duals
+        return [ws._jack, ws._psi, ws._norm, ws._psi_hat, ws._jack_rows, ws._psi_rows] + duals
 
     before = copy.deepcopy(caches())
     one = ws.field.one
@@ -363,3 +365,62 @@ def test_accumulators_leave_caches_unchanged():
     assert _delta_via_states(ws, 4)
     for cache, snapshot in zip(caches(), before):
         assert {k: cache[k] for k in snapshot} == snapshot
+
+
+@pytest.mark.parametrize("point", DEFAULT_SPEC_POINTS + (SpecPoint(Fraction(-2, 5), Fraction(9, 8)),),
+                         ids=str)
+def test_integer_rows_match_field_recursion(point):
+    # psi and the Jacks built on cleared rows are the vectors of the
+    # field-scalar recursions, key order included, and their rows are
+    # v_clear of those vectors
+    ws = Workspace(SpecializedField(point))
+    ref = oracles.FieldRecursion(ws.field)
+    for n in range(8):
+        for lam in partitions_of(n):
+            want = ref.jack(lam)
+            assert list(ws.jack(lam).items()) == list(want.items())
+            assert _row_items(ws.jack_row(lam)) == _row_items(v_clear(want))
+        for lam, s in eigen_pairs(n):
+            want = ref.psi(lam, s)
+            assert list(ws.psi(lam, s).items()) == list(want.items())
+            assert _row_items(ws.psi_row(lam, s)) == _row_items(v_clear(want))
+
+
+def _row_items(row):
+    return list(row[0].items()), row[1]
+
+
+def test_suites_match_with_scalars_and_recursions_on_oracles(monkeypatch):
+    # the spectral, tau and main-theorem reports are byte-identical when
+    # each product of linear forms takes one field operation per form and
+    # psi and the Jacks come from the field-scalar recursions
+    from jacklax import arith, jack, lax, session
+    from jacklax.report import RunConfig
+    from jacklax.verify import suite_main_theorem, suite_spectral, suite_tau
+
+    def reports():
+        cfg = RunConfig(mode="specialized", jobs=1)
+        return [suite_spectral(cfg, max_degree=5).canonical_json(),
+                suite_tau(cfg, max_size=6).canonical_json(),
+                suite_main_theorem(cfg, max_size=6).canonical_json()]
+
+    def field_psi_row(ws, lam, s):
+        if not lam:
+            return {(0, ()): 1}, 1
+        return v_clear(oracles.field_psi(ws.field, ws.jack, ws.psi, lam, s))
+
+    def field_jack_rows(ws, n):
+        if not n:
+            return {(): ({(): 1}, 1)}
+        return {lam: v_clear(v) for lam, v in oracles.field_jacks(ws.field, ws.psi, n).items()}
+
+    def unpatched(*args):
+        raise AssertionError("an integer path ran")
+
+    shipped = reports()
+    monkeypatch.setattr(arith.SpecializedField, "ratio", oracles.lf_ratio)
+    monkeypatch.setattr(lax, "compute_psi", field_psi_row)
+    monkeypatch.setattr(session, "compute_homogeneous_jacks", field_jack_rows)
+    for mod in (jack, lax):
+        monkeypatch.setattr(mod, "v_combine", unpatched)
+    assert reports() == shipped

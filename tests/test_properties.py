@@ -1,27 +1,30 @@
 """Property tests: the partition box moves and the two text formats
 round-trip, Coeff is a field with one canonical form, its bivariate gcd
 agrees with sympy's, partial fractions reconstruct a SpectralFun, a
-combination of basis vectors expands back to its coefficients, and the
-Lax operator and beta on integer numerators agree with their field-scalar
-oracles."""
+combination of basis vectors expands back to its coefficients, the Lax
+operator and beta on integer numerators agree with their field-scalar
+oracles, field.ratio agrees with one field operation per form, cleared
+rows sum as v_accum does, and the closed-form point check agrees with the
+scan over difference vectors."""
 
 from fractions import Fraction
 
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
-from jacklax.arith import (BiPoly, Coeff, SpecializedField, SpectralFun,  # noqa: E402
-                           SymbolicField, DEFAULT_SPEC_POINTS, _bp_gcd, parse_coeff,
-                           render_coeff)
-from jacklax.fock import bump, hn_basis, v_accum, v_clear  # noqa: E402
+from jacklax.arith import (BiPoly, Coeff, SpecializedField, SpecPoint,  # noqa: E402
+                           SpectralFun, SymbolicField, DEFAULT_SPEC_POINTS, _bp_gcd,
+                           parse_coeff, render_coeff)
+from jacklax.errors import BadSpecPoint, ZeroDenominator  # noqa: E402
+from jacklax.fock import bump, hn_basis, v_accum, v_clear, v_combine  # noqa: E402
 from jacklax.lax import lax_apply  # noqa: E402
 from jacklax.partitions import (add_box, add_set, eigen_pairs,  # noqa: E402
                                 format_partition, parse_partition, partitions_of,
                                 remove_box)
 from jacklax.traces import beta  # noqa: E402
-from oracles import field_beta, field_lax_apply  # noqa: E402
+from oracles import field_beta, field_lax_apply, lf_ratio, scan_collision  # noqa: E402
 
 try:
     import sympy
@@ -177,3 +180,66 @@ def test_lax_apply_and_beta_match_field_oracle(spec_all, data):
     (na, da), (nb, db) = v_clear(a), v_clear(b)
     den = da * db * f.lax_ints[2]
     assert [(k, Fraction(v, den)) for k, v in beta(ws, na, nb, cleared=True).items()] == want
+
+
+# C = lcm(den e1, den e2) is 1, 1, 14 and 40 at these points
+RATIO_FIELDS = [SpecializedField(p) for p in DEFAULT_SPEC_POINTS]
+RATIO_FIELDS += [SpecializedField(SpecPoint(Fraction(-2, 5), Fraction(9, 8))), SymbolicField()]
+
+
+@pytest.mark.parametrize("field", RATIO_FIELDS, ids=lambda f: f.key())
+@settings(max_examples=30, deadline=None)
+@given(pre=st.fractions(max_denominator=50).filter(bool), num=st.lists(ROOTS, max_size=5),
+       den=st.lists(ROOTS.filter(any), max_size=5), with_pre=st.booleans())
+def test_ratio_matches_one_operation_per_form(field, pre, num, den, with_pre):
+    pre = field.from_fraction(pre) if with_pre else None
+    assert field.ratio(num, den, pre) == lf_ratio(field, num, den, pre)
+    with pytest.raises((ZeroDivisionError, ZeroDenominator)):
+        field.ratio(num, den + [(0, 0)], pre)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_combined_rows_match_v_accum(data):
+    # v_combine is v_clear of the v_accum sum, key order included, also
+    # when some sums cancel
+    terms, want = [], {}
+    for _ in range(data.draw(st.integers(1, 4))):
+        vec = _sparse_ext(data)
+        c = data.draw(st.fractions(max_denominator=10**6).filter(bool))
+        terms.append((c, v_clear(vec)))
+        v_accum(want, vec, c)
+        if data.draw(st.booleans()):
+            terms.append((-c, v_clear(vec)))
+            v_accum(want, vec, -c)
+    nums, den = v_combine(terms)
+    assert list(nums.items()) == list(v_clear(want)[0].items()) and den == v_clear(want)[1]
+
+
+# e1/e2 = +-p/q with p, q small enough to collide half of the time
+SPEC_PAIRS = st.one_of(
+    st.tuples(st.fractions(max_denominator=12), st.fractions(max_denominator=12)),
+    st.builds(lambda e2, p, q, sign: (e2 * Fraction(sign * p, q), e2),
+              st.fractions(max_denominator=12), st.integers(1, 70), st.integers(1, 70),
+              st.sampled_from((1, -1))))
+
+
+# at the bounds: (p+1)(q+1) = 68 or 70 with e1/e2 = -p/q, p+q = 68 or 69
+# with e1/e2 = p/q
+@example((Fraction(-33), Fraction(1)))
+@example((Fraction(-80, 21), Fraction(5, 7)))
+@example((Fraction(-34), Fraction(1)))
+@example((Fraction(33, 35), Fraction(1)))
+@example((Fraction(-34, 35), Fraction(-1)))
+@settings(max_examples=150, deadline=None)
+@given(SPEC_PAIRS)
+def test_spec_point_check_matches_scan(pair):
+    e1, e2 = pair
+    if not e1 or not e2 or e1 + e2 == 0:
+        return
+    try:
+        SpecPoint(e1, e2)
+        got = None
+    except BadSpecPoint as exc:
+        got = str(exc)
+    assert got == scan_collision(e1, e2)

@@ -1,10 +1,12 @@
 import oracles
 from jacklax import lr, shc
+from jacklax.fock import v_accum
 from jacklax.partitions import add_box, add_set, partitions_of
 from jacklax.shc import (apply_U, apply_X_plus, apply_dPhi,
                          construction_from_lax_check, delta_via_states,
                          gaiotto_state, generalized_whittaker_lhs, h_context,
-                         h_state, Psi_eig, Y_eig, Yinv_eig, whittaker_checks)
+                         h_state, jhat_dagger, Psi_eig, Y_eig, Yinv_eig,
+                         whittaker_checks)
 from jacklax.spectral import tau
 from jacklax.verify import _shc_whittaker
 
@@ -106,3 +108,21 @@ def test_shared_h_context_matches_the_per_lam_oracle(spec_all, sym):
             for lam in partitions_of(n):
                 got = delta_via_states(ws, ws.jack(lam), ctx)
                 assert got == oracles.delta_via_states(ws, ws.jack(lam), n), (ws.field.name, lam)
+
+
+def test_integer_jhat_dagger_matches_field_path(spec_all):
+    # on cleared rows, jhat_lam^dagger of each H context vector is the
+    # field-scalar image, coefficient order included, for |lam| <= 5; and
+    # H's Fock image is the v_accum sum of its Jacks
+    for ws in spec_all:
+        H, vec, parts = h_context(ws, 6)
+        want = {}
+        for lam, c in H.items():
+            v_accum(want, ws.jack(lam), c)
+        assert list(vec.items()) == list(want.items())
+        for v in [vec] + [p for _, p in parts]:
+            memo = {}
+            for n in range(1, 6):
+                for lam in partitions_of(n):
+                    got = jhat_dagger(ws, lam, v, memo)
+                    assert list(got.items()) == list(oracles.field_jhat_dagger(ws, lam, v).items())
