@@ -14,6 +14,7 @@ from fractions import Fraction
 from math import gcd as _igcd, lcm
 
 from .errors import ZeroDenominator, PoleAtSpecPoint, NotAPole, NotASimplePole, BadSpecPoint
+from .fock import v_accum, v_clear, v_combine, v_uncleared
 
 
 # ---------------------------------------------------------------------------
@@ -708,6 +709,16 @@ DEFAULT_SPEC_POINTS = (
 )
 
 
+# Each field has one row format, the cleared row (numerators, D) of a
+# vector: clear(vec) makes it, uncleared(row) reads it back, combine(terms)
+# is the row of sum c * nums / D over terms [(c, (nums, D))], and
+# quotient(num, den) is the scalar num / den for num a numerator and den a
+# product of row denominators.  lax_ints is (L ebar, L hbar, L), the
+# constants lax.lax_apply runs its loop on.  At a point the numerators are
+# integers over their least D; over Q(e1,e2) a row is the Coeff vector
+# itself, and D and L are always 1.
+
+
 class SymbolicField:
     """Scalars are Coeff values; identities hold as rational functions."""
 
@@ -723,6 +734,22 @@ class SymbolicField:
         self.hbar = -self.e1 * self.e2
         self.ebar = self.e1 + self.e2
         self.alpha = -self.e2 / self.e1
+        self.lax_ints = (self.ebar, self.hbar, 1)
+
+    def clear(self, vec):
+        return vec, 1
+
+    def uncleared(self, row):
+        return row[0]
+
+    def combine(self, terms):
+        out = {}
+        for c, (vec, _) in terms:
+            v_accum(out, vec, None if c == 1 else c)
+        return out, 1
+
+    def quotient(self, num, den):
+        return num if den == 1 else num / den
 
     def lf(self, form):
         c = self._lf_cache.get(form)
@@ -755,6 +782,10 @@ class SpecializedField:
     """Scalars are Fractions obtained by evaluating at a SpecPoint."""
 
     symbolic = False
+    clear = staticmethod(v_clear)
+    uncleared = staticmethod(v_uncleared)
+    combine = staticmethod(v_combine)
+    quotient = Fraction
 
     def __init__(self, point):
         self.point = point

@@ -72,7 +72,7 @@ def _config(args):
         mode=getattr(args, "mode", "symbolic") or "symbolic",
         points=points,
         cache_dir=getattr(args, "cache_dir", None) or os.environ.get("JACKLAX_CACHE_DIR"),
-        jobs=getattr(args, "jobs", 1) or 1,
+        jobs=getattr(args, "jobs", 1),
         fmt=getattr(args, "format", "text") or "text",
         include_conjectures=getattr(args, "include_conjectures", False),
     )
@@ -176,9 +176,7 @@ def cmd_counts(args):
 def cmd_cache(args):
     cfg = _config(args)
     if not cfg.cache_dir:
-        print("no cache directory configured (use --cache-dir or JACKLAX_CACHE_DIR)",
-              file=sys.stderr)
-        return 2
+        raise JackLaxError("no cache directory configured (use --cache-dir or JACKLAX_CACHE_DIR)")
     if args.action == "warm" and args.degree < 0:
         raise BadSize("bad size degree=%d for cache warm: sizes are >= 0" % args.degree)
     wss = cfg.workspaces()

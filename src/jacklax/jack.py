@@ -8,37 +8,30 @@ with A = pi0 L w.  No pairing, basis change or matrix inverse is needed.
 """
 
 from .errors import JackLaxError
-from .fock import bump, pi0, v_accum, v_combine, v_scale, w_mul
-from .lax import lax_apply, op_A
+from .fock import bump, pi0, w_mul
+from .lax import lax_apply
 from .partitions import (arm, boxes, boxes_x, contains, hooks_lower,
                          hooks_upper, leg, partitions_of, rem_set, remove_box)
 from .spectral import tau_tilde
 
 
 def compute_homogeneous_jacks(ws, n):
-    """All homogeneous Jacks of degree n: {lam: FockVec} over ws.field.
+    """All homogeneous Jacks of degree n over ws.field, as {lam: cleared
+    row}.
 
-    Reads the degree-(n-1) eigenfunctions through ws.psi, which in turn
-    reads the lower-degree Jacks through ws.jack.  At a specialized point
-    both run on cleared rows (ws.psi_row, ws.jack_row), A runs on integer
-    numerators, and {lam: cleared row} is returned."""
+    Reads the degree-(n-1) eigenfunctions through ws.psi_row, which in
+    turn reads the lower-degree Jacks through ws.jack_row: both run on
+    cleared rows (field.combine), and A runs on their numerators."""
     field = ws.field
     if n == 0:
-        return {(): {(): field.one}} if field.symbolic else {(): ({(): 1}, 1)}
+        return {(): field.clear({(): field.one})}
     scale = field.one / (field.num(n) * field.hbar)
     out = {}
     for lam in partitions_of(n):
-        terms = [(tau_tilde(field, lam, (t[0] + 1, t[1] + 1)), remove_box(lam, t), t)
-                 for t in rem_set(lam)]
-        if field.symbolic:
-            q = {}
-            for c, mu, t in terms:
-                v_accum(q, ws.psi(mu, t), c)
-            out[lam] = v_scale(op_A(field, q), scale)
-        else:
-            q, d = v_combine([(c, ws.psi_row(mu, t)) for c, mu, t in terms])
-            Aq = pi0(lax_apply(field, w_mul(q), cleared=True))
-            out[lam] = v_combine([(scale, (Aq, d * field.lax_ints[2]))])
+        q, d = field.combine([(tau_tilde(field, lam, (t[0] + 1, t[1] + 1)),
+                               ws.psi_row(remove_box(lam, t), t)) for t in rem_set(lam)])
+        Aq = pi0(lax_apply(field, w_mul(q), cleared=True))
+        out[lam] = field.combine([(scale, (Aq, d * field.lax_ints[2]))])
     return out
 
 

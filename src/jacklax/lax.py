@@ -8,13 +8,12 @@ recursion
 and satisfy L psi = [s] psi with pi0 psi = j_lam.
 """
 
-from fractions import Fraction
 from functools import lru_cache
 
 from .errors import EmptyPartition, NotARemovableCorner, NotAnAddableBox
 from .fock import (Pi, bump, degree_of, fock_to_ext, hn_basis, pi0, pi_plus,
-                   v_accum, v_clear, v_combine, v_scale, w_mul)
-from .partitions import (add_set, add_box, rem_set, rem_set_plus,
+                   v_accum, v_scale, w_mul)
+from .partitions import (add_set, add_box, format_partition, rem_set, rem_set_plus,
                          remove_box)
 from .spectral import tau, tau_hat, tau_tilde
 
@@ -58,19 +57,16 @@ def _lax_loop(zeta, ebar, hbar, one):
 def lax_apply(field, zeta, cleared=False):
     """Apply L to an ExtVec.
 
-    At a specialized point the loop runs on integers: zeta is cleared to
-    numerators over one denominator D, ebar and hbar enter as the integers
-    L ebar and L hbar of field.lax_ints, and the image is read back over
-    D L.  With cleared=True zeta already holds the integer numerators, and
-    L times its image is returned, as integers."""
-    if field.symbolic:
-        return _lax_loop(zeta, field.ebar, field.hbar, 1)
+    The loop runs on the cleared row (nums, D) of zeta, with ebar and hbar
+    entering as the numerators L ebar and L hbar of field.lax_ints, and the
+    image is read back over D L.  With cleared=True zeta already holds the
+    numerators, and L times its image is returned as numerators.  (At a
+    point these are integers; over Q(e1,e2), D = L = 1.)"""
     ebar, hbar, den = field.lax_ints
     if cleared:
         return _lax_loop(zeta, ebar, hbar, den)
-    nums, d = v_clear(zeta)
-    d *= den
-    return {k: Fraction(v, d) for k, v in _lax_loop(nums, ebar, hbar, den).items()}
+    nums, d = field.clear(zeta)
+    return field.uncleared((_lax_loop(nums, ebar, hbar, den), d * den))
 
 
 def op_A(field, zeta):
@@ -118,33 +114,26 @@ def compute_psi(ws, lam, s):
 
     Reads j_lam through ws.jack, whose builder in turn reads the
     degree-(|lam|-1) eigenfunctions through ws.psi: the two recursions
-    alternate down the degrees.  At a specialized point both run on
-    cleared rows (ws.jack_row, ws.psi_row) and the psi row is returned."""
+    alternate down the degrees.  Both run on cleared rows (ws.jack_row,
+    ws.psi_row, field.combine) and the psi row is returned."""
     field = ws.field
     if not lam:
         if s != (0, 0):
             raise NotAnAddableBox("only (0,0) is addable to the empty partition")
-        return {(0, ()): field.one} if field.symbolic else ({(0, ()): 1}, 1)
+        return field.clear({(0, ()): field.one})
     if s not in add_set(lam):
-        raise NotAnAddableBox("box (%d,%d) not addable to %s" % (s[0], s[1], (lam,)))
-    terms = []
+        raise NotAnAddableBox("box (%d,%d) not addable to %s"
+                              % (s[0], s[1], format_partition(lam)))
+    nums, d = ws.jack_row(lam)
+    terms = [(1, (fock_to_ext(nums), d))]
     for t in rem_set(lam):
         tp = (t[0] + 1, t[1] + 1)
         den = field.lf((s[0] - tp[0], s[1] - tp[1]))
         if not den:
             raise ZeroDivisionError("degenerate denominator in psi recursion")
-        terms.append((tau_tilde(field, lam, tp) / den, remove_box(lam, t), t))
-    if field.symbolic:
-        acc = fock_to_ext(ws.jack(lam))
-        for coeff, mu, t in terms:
-            v_accum(acc, w_mul(ws.psi(mu, t)), coeff)
-        return acc
-    nums, d = ws.jack_row(lam)
-    rows = [(1, (fock_to_ext(nums), d))]
-    for coeff, mu, t in terms:
-        nums, d = ws.psi_row(mu, t)
-        rows.append((coeff, (w_mul(nums), d)))
-    return v_combine(rows)
+        nums, d = ws.psi_row(remove_box(lam, t), t)
+        terms.append((tau_tilde(field, lam, tp) / den, (w_mul(nums), d)))
+    return field.combine(terms)
 
 
 def psi_tilde(ws, gamma, t_plus):

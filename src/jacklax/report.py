@@ -18,7 +18,9 @@ class RunConfig:
         if mode == "specialized" and not self.points:
             raise JackLaxError("specialized mode needs at least one point")
         self.cache_dir = cache_dir
-        self.jobs = max(1, jobs)
+        if jobs < 1:
+            raise JackLaxError("bad jobs=%d: jobs are >= 1" % jobs)
+        self.jobs = jobs
         self.fmt = fmt
         self.include_conjectures = include_conjectures
 

@@ -11,11 +11,9 @@ import os
 import sys
 import tempfile
 import threading
-from fractions import Fraction
 
 from .arith import SymbolicField, parse_scalar, render_scalar
-from .fock import (degree_of, hn_basis, monomial_norm_sq, v_clear, v_scale,
-                   v_uncleared)
+from .fock import degree_of, hn_basis, monomial_norm_sq, v_scale
 from .fock import inner_hbar  # noqa: F401  (kept as session.inner_hbar)
 from .jack import compute_homogeneous_jacks, jack_norm_sq, varpi
 from .partitions import (eigen_pairs, format_partition, parse_partition,
@@ -40,7 +38,7 @@ class Workspace:
         self._norm = {}     # degree -> {lam: scalar}
         self._varpi = {}    # degree -> {lam: scalar}
         self._psi = {}      # (lam, s) -> ExtVec
-        # at a specialized point: the cleared rows the recursions run on
+        # the cleared rows (field.clear) the recursions run on
         self._jack_rows = {}    # degree -> {lam: (numerators, D)}
         self._psi_rows = {}     # (lam, s) -> (numerators, D)
         self._psi_hat = {}  # (lam, s) -> ExtVec
@@ -66,11 +64,8 @@ class Workspace:
                 return self._jack[n]
             data = self._load_degree(n)
             if data is None:
-                jacks = compute_homogeneous_jacks(self, n)
-                if not self.field.symbolic:
-                    # the builder returned cleared rows
-                    self._jack_rows[n] = rows = jacks
-                    jacks = {lam: v_uncleared(row) for lam, row in rows.items()}
+                self._jack_rows[n] = rows = compute_homogeneous_jacks(self, n)
+                jacks = {lam: self.field.uncleared(row) for lam, row in rows.items()}
                 norms = {lam: jack_norm_sq(self.field, lam) for lam in jacks}
                 vps = {lam: varpi(self.field, lam) for lam in jacks}
                 self._store_degree(n, jacks, norms, vps)
@@ -149,15 +144,15 @@ class Workspace:
         return self.jack_degree(sum(lam))[lam]
 
     def jack_row(self, lam):
-        """The cleared row of j_lam at a specialized point; a Jack loaded
-        from the disk cache is cleared on first use."""
+        """The cleared row of j_lam; a Jack loaded from the disk cache is
+        cleared on first use."""
         n = sum(lam)
         with self._lock:
             jacks = self.jack_degree(n)
             rows = self._jack_rows.setdefault(n, {})
             got = rows.get(lam)
             if got is None:
-                got = rows[lam] = v_clear(jacks[lam])
+                got = rows[lam] = self.field.clear(jacks[lam])
             return got
 
     def jack_hat(self, lam):
@@ -195,13 +190,12 @@ class Workspace:
 
     def expand_in_jacks(self, f, den=None):
         """FockVec -> {lam: coeff}, each homogeneous part by its Jack dual.
-        With den, f holds integer numerators over den (at a specialized
-        point)."""
+        With den, f holds the numerators of a cleared row over den."""
         degs = {sum(mu) for mu in f}
         out = {}
         for n in degs:
             part = f if len(degs) == 1 else {mu: c for mu, c in f.items() if sum(mu) == n}
-            out.update(self.jack_dual(n).expand(part, den))
+            out.update(self.jack_dual(n).expand(self.field, part, den))
         return out
 
     # ------------------------------------------------------------------
@@ -209,20 +203,15 @@ class Workspace:
     # ------------------------------------------------------------------
 
     def psi(self, lam, s):
-        from . import lax
         key = (lam, s)
         with self._lock:
             got = self._psi.get(key)
             if got is None:
-                if self.field.symbolic:
-                    got = lax.compute_psi(self, lam, s)
-                else:
-                    got = v_uncleared(self.psi_row(lam, s))
-                self._psi[key] = got
+                got = self._psi[key] = self.field.uncleared(self.psi_row(lam, s))
             return got
 
     def psi_row(self, lam, s):
-        """The cleared row of psi_lam^s at a specialized point."""
+        """The cleared row of psi_lam^s."""
         from . import lax
         key = (lam, s)
         with self._lock:
@@ -268,10 +257,10 @@ class Workspace:
 
     def expand_psi_hat(self, zeta, den=None):
         """Expand a homogeneous ExtVec in the psi-hat basis.  With den,
-        zeta holds integer numerators over den (at a specialized point)."""
+        zeta holds the numerators of a cleared row over den."""
         if not zeta:
             return {}
-        return self.psi_hat_solver(degree_of(zeta)).expand(zeta, den)
+        return self.psi_hat_solver(degree_of(zeta)).expand(self.field, zeta, den)
 
     def expand_psi(self, zeta):
         """Expansion in the unhatted psi basis."""
@@ -329,45 +318,38 @@ class DualIndex:
     """The orthogonal dual of one basis b_i of a graded piece.
 
     Built from rows[i][key] = b_i[key] <key, key>; the b_i coefficient of
-    v is scales[i] * sum_key v[key] rows[i][key].  The rows are kept by
-    key, as [(i, weight)].  At a specialized point each row is stored as
-    integer numerators and its denominator is folded into its scale, so
-    an expansion clears v to one denominator D, multiply-adds ints and
-    makes one Fraction per nonzero coefficient: exact, with every
-    denominator carried.  Symbolic weights are kept as they are."""
+    v is scales[i] * sum_key v[key] rows[i][key].  Each row is stored as
+    the numerators of its cleared row (field.clear), by key as
+    [(i, weight)], and its denominator is folded into its scale, kept as a
+    (numerator, denominator) pair.  So an expansion clears v to one
+    denominator D, multiply-adds numerators and makes one field.quotient
+    per nonzero coefficient: exact, with every denominator carried.  (At a
+    point the numerators are ints.)  The state is plain data: the field is
+    passed to expand."""
 
     def __init__(self, labels, rows, scales, field):
         self.labels = labels
-        self.integral = not field.symbolic
-        if self.integral:
-            rows, dens = zip(*map(v_clear, rows))
-            scales = [(q.numerator, q.denominator * d) for q, d in zip(scales, dens)]
-        self.scales = scales
+        rows, dens = zip(*map(field.clear, rows))
+        nums, den = field.clear(dict(enumerate(scales)))
+        self.scales = [(nums[i], den * d) for i, d in enumerate(dens)]
         self.index = {}
         for i, row in enumerate(rows):
             for key, w in row.items():
                 self.index.setdefault(key, []).append((i, w))
 
-    def expand(self, vec, den=None):
+    def expand(self, field, vec, den=None):
         """{label: coefficient} of the nonzero coefficients of vec, in
-        label order.  With den, vec holds integer numerators over den (at
-        a specialized point)."""
+        label order.  With den, vec holds the numerators of a cleared row
+        over den."""
+        if den is None:
+            vec, den = field.clear(vec)
         index, labels, scales = self.index, self.labels, self.scales
-        if self.integral:
-            if den is None:
-                vec, den = v_clear(vec)
-            acc = [0] * len(labels)
-            for key, a in vec.items():
-                for i, w in index[key]:
-                    acc[i] += a * w
-            return {labels[i]: Fraction(a * scales[i][0], den * scales[i][1])
-                    for i, a in enumerate(acc) if a}
-        acc = [None] * len(labels)
-        for key, c in vec.items():
+        acc = [0] * len(labels)
+        for key, a in vec.items():
             for i, w in index[key]:
-                a = acc[i]
-                acc[i] = c * w if a is None else a + c * w
-        return {labels[i]: a * scales[i] for i, a in enumerate(acc) if a}
+                acc[i] += a * w
+        return {labels[i]: field.quotient(a * scales[i][0], den * scales[i][1])
+                for i, a in enumerate(acc) if a}
 
 
 def _is_cache_temp(name):

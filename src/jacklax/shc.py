@@ -10,11 +10,9 @@ partial-fraction maps {key: state} with keys
     ("p", box)  1/(z - [box]).
 """
 
-from fractions import Fraction
-
 from .errors import JackLaxError
-from .fock import (annihilate, bump, deriv_V, fock_adjoint_apply, fock_mul, fock_to_ext,
-                   inner_hbar, v_accum, v_clear, v_combine, v_scale, v_uncleared)
+from .fock import (bump, deriv_V, fock_adjoint_apply, fock_mul, fock_to_ext, inner_hbar,
+                   v_accum, v_scale)
 from .lax import lax_apply, op_A, op_B
 from .partitions import (add_box, add_set, boxes, partitions_of, rem_set,
                          remove_box, size)
@@ -149,29 +147,21 @@ def apply_V1(ws, state, sign):
 def jhat_dagger(ws, lam, vec, memo):
     """jhat_lam^dagger applied to the FockVec vec, in Jack coordinates.
 
-    memo maps mu to V_mu^dagger vec, is filled on first use and must belong
-    to vec alone; its vectors are shared and never mutated.  At a
-    specialized point memo[mu] is instead hbar^{-l(mu)} V_mu^dagger vec as
-    integer numerators over the denominator of memo[()], the cleared row
-    of vec, and the sum runs on integers."""
+    memo is filled on first use and must belong to vec alone; its rows are
+    shared and never mutated.  memo[()] is the cleared row of vec, and
+    memo[mu] is hbar^{-l(mu)} V_mu^dagger vec as numerators over its
+    denominator, so hbar^l(mu) enters each term's coefficient and the sum
+    runs on numerators."""
     field = ws.field
-    if field.symbolic:
-        out = {}
-        for mu, c in ws.jack(lam).items():
-            img = memo.get(mu)
-            if img is None:
-                img = memo[mu] = annihilate(vec, mu, field)
-            v_accum(out, img, c / ws.varpi(lam))
-        return fock_to_jack(ws, out)
     if not memo:
-        memo[()] = v_clear(vec)
+        memo[()] = field.clear(vec)
     # jhat_lam = J / (D varpi_lam) for the cleared row (J, D) of j_lam
     nums, d = ws.jack_row(lam)
-    vp = ws.varpi(lam)
-    hn, hd = field.hbar.numerator, field.hbar.denominator
-    terms = [(Fraction(c * hn ** len(mu) * vp.denominator, hd ** len(mu) * d * vp.numerator),
-              _dagger_row(memo, mu)) for mu, c in nums.items()]
-    return ws.expand_in_jacks(*v_combine(terms))
+    scales = [field.one / (ws.varpi(lam) * d)]  # scales[l] = hbar^l / (D varpi_lam)
+    for _ in range(max(map(len, nums))):
+        scales.append(scales[-1] * field.hbar)
+    terms = [(scales[len(mu)] * c, _dagger_row(memo, mu)) for mu, c in nums.items()]
+    return ws.expand_in_jacks(*field.combine(terms))
 
 
 def _dagger_row(memo, mu):
@@ -185,12 +175,8 @@ def _dagger_row(memo, mu):
 
 
 def jack_to_fock(ws, state):
-    if not ws.field.symbolic:
-        return v_uncleared(v_combine([(c, ws.jack_row(lam)) for lam, c in state.items()]))
-    out = {}
-    for lam, c in state.items():
-        v_accum(out, ws.jack(lam), c)
-    return out
+    field = ws.field
+    return field.uncleared(field.combine([(c, ws.jack_row(lam)) for lam, c in state.items()]))
 
 
 def fock_to_jack(ws, vec):

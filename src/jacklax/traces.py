@@ -14,7 +14,7 @@ from itertools import combinations
 
 from .errors import JackLaxError, NotGood, NotInNullSpace
 from .fock import (Pi, bump, degree_of, deriv_V, ext_mul, hn_basis, pi_plus,
-                   v_accum, v_clear, v_scale, w_mul)
+                   v_accum, v_scale, w_mul)
 from .lax import lax_apply, q_poly_hat
 from .linalg import rank
 from .partitions import (SeriesZ, add_box, add_set, boxes, count_lattice_q,
@@ -49,7 +49,7 @@ class TraceVector:
 
 def full_trace(ws, zeta, den=None):
     """Tr(zeta) computed from the hatted eigenbasis expansion.  With den,
-    zeta holds integer numerators over den (at a specialized point)."""
+    zeta holds the numerators of a cleared row over den."""
     n = degree_of(zeta) if zeta else 0
     exp = ws.expand_psi_hat(zeta, den)
     x, y, z = {}, {}, {}
@@ -290,16 +290,15 @@ def kernel_dim_series(order):
 def beta(ws, z1, z2, prod=None, cleared=False):
     """The derivator of L: L(ab) - (La)b - a(Lb).
 
-    prod is ab when the caller has it.  With cleared=True (at a specialized
-    point) z1 and z2 hold integer numerators over D1 and D2, and so does
-    the result, over D1 D2 L (L as in lax_apply)."""
+    prod is ab when the caller has it.  With cleared=True z1 and z2 hold
+    the numerators of cleared rows over D1 and D2, and so does the result,
+    over D1 D2 L (L as in lax_apply)."""
     field = ws.field
     if prod is None:
         prod = ext_mul(z1, z2)
-    neg = -1 if cleared else -field.one
     out = lax_apply(field, prod, cleared)
-    v_accum(out, ext_mul(lax_apply(field, z1, cleared), z2), neg)
-    return v_accum(out, ext_mul(z1, lax_apply(field, z2, cleared)), neg)
+    v_accum(out, ext_mul(lax_apply(field, z1, cleared), z2), -1)
+    return v_accum(out, ext_mul(z1, lax_apply(field, z2, cleared)), -1)
 
 
 def beta_basic(ws, n, m):
@@ -314,25 +313,22 @@ def theta(ws, z1, z2, b12=None, cleared=False):
         b12 = beta(ws, z1, z2, cleared=cleared)
     out = beta(ws, Pi(z1), z2, cleared=cleared)
     v_accum(out, beta(ws, z1, Pi(z2), cleared=cleared))
-    return v_accum(out, Pi(b12), -1 if cleared else -ws.field.one)
+    return v_accum(out, Pi(b12), -1)
 
 
 def pair_traces(ws, z1, z2):
     """The traces of z1 z2, beta(z1, z2) and theta(z1, z2), computing the
-    product and beta(z1, z2) once.  At a specialized point the chain runs
-    on integer numerators: the product over D1 D2, beta and theta over
-    D1 D2 L."""
+    product and beta(z1, z2) once.  The chain runs on the numerators of
+    the cleared rows of z1 and z2: the product over D1 D2, beta and theta
+    over D1 D2 L."""
     field = ws.field
-    cleared = not field.symbolic
-    den = lden = None
-    if cleared:
-        (z1, d1), (z2, d2) = v_clear(z1), v_clear(z2)
-        den = d1 * d2
-        lden = den * field.lax_ints[2]
+    (z1, d1), (z2, d2) = field.clear(z1), field.clear(z2)
+    den = d1 * d2
+    lden = den * field.lax_ints[2]
     prod = ext_mul(z1, z2)
-    b12 = beta(ws, z1, z2, prod, cleared)
+    b12 = beta(ws, z1, z2, prod, cleared=True)
     return (full_trace(ws, prod, den), full_trace(ws, b12, lden),
-            full_trace(ws, theta(ws, z1, z2, b12, cleared), lden))
+            full_trace(ws, theta(ws, z1, z2, b12, cleared=True), lden))
 
 
 def theta_basic(ws, n, m):

@@ -236,9 +236,14 @@ def test_size_zero_is_not_the_default(capsys):
     (["verify", "all", "--max-size", "-1"], "bad size max_size=-1"),
     (["counts", "--kernel", "--to", "-2"], "bad size to=-2"),
     (["cache", "warm", "--degree", "-1", "--cache-dir", "never-made"], "bad size degree=-1"),
+    (["psi", "show", "2,1", "(5,5)"], "box (5,5) not addable to 1,2"),
+    (["verify", "counts", "--jobs", "0"], "bad jobs=0"),
+    (["verify", "tau", "--jobs", "-2"], "bad jobs=-2"),
+    (["cache", "stat"], "no cache directory configured"),
 ])
 def test_bad_input_exits_2_with_one_error_line(argv, needle):
-    r = run_cli(argv)
+    env = {k: v for k, v in os.environ.items() if k != "JACKLAX_CACHE_DIR"}
+    r = run_cli(argv, env=env)
     assert r.returncode == 2
     assert r.stderr.splitlines() == [r.stderr.strip()]
     assert r.stderr.startswith("error: ") and needle in r.stderr

@@ -1,10 +1,15 @@
-"""Every module-level function and class of src/jacklax is used somewhere.
+"""Every module-level function and class of src/jacklax is used somewhere,
+and no module but arith.py forks on field.symbolic.
 
 A name counts as used when some code in src/, tests/ or bench/*.py refers
 to it: as a name, an attribute, an imported name, or a word inside a string
 literal (bench/tracer.py wraps functions by their names as strings).  Its own
 definition, comments and docstrings do not count.  Only `main`, the console
 entry point, is exempt.
+
+The fields own the row format (clear, uncleared, combine, quotient and
+lax_ints), so the recursions and expansions run one code path for both;
+only arith.py, which defines the fields, may read the `symbolic` flag.
 """
 
 import ast
@@ -52,3 +57,14 @@ def test_every_module_level_name_is_used():
                     and node.name not in used and node.name not in ALLOWED):
                 dead.append("%s.%s" % (path.stem, node.name))
     assert dead == []
+
+
+def test_only_arith_reads_the_symbolic_flag():
+    readers = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "arith.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr == "symbolic":
+                readers.append("%s:%d" % (path.name, node.lineno))
+    assert readers == []

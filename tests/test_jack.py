@@ -35,7 +35,11 @@ def test_jack_dual_matches_inner_hbar(point, max_total, sym, spec_all):
     # the replaced expansion, one inner_hbar per partition, stays as the
     # oracle: same dict, key order included
     ws = sym if point is None else spec_all[point]
-    assert ws.jack_dual(max_total).integral == (point is not None)
+    # at a point the dual index holds int weights and int scale pairs
+    runtime = ws.jack_dual(max_total)
+    ints = [w for pairs in runtime.index.values() for _, w in pairs]
+    ints += [x for pair in runtime.scales for x in pair]
+    assert all(type(x) is int for x in ints) == (point is not None)
     vecs = [ws.jack(lam) for n in range(max_total + 1) for lam in partitions_of(n)]
     mixed = {}
     for mu, nu in partition_pairs(max_total):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from jacklax.arith import DEFAULT_SPEC_POINTS, SpecializedField, SpecPoint
+from jacklax.arith import DEFAULT_SPEC_POINTS, SpecializedField, SpecPoint, SymbolicField
 from jacklax.errors import NotAnAddableBox, NotARemovableCorner, EmptyPartition
 from jacklax.fock import (fock_to_ext, pi0, pi_star, v_accum, v_clear, v_scale,
                           vector_to_coords, w_mul)
@@ -189,7 +189,11 @@ def test_dual_expansion_matches_dense_inverse(point, maxn, sym, spec_all):
                          field_psi_hat_dual)
     ws = sym if point is None else spec_all[point]
     field = ws.field
-    assert ws.psi_hat_solver(maxn).integral == (point is not None)
+    # at a point the dual index holds int weights and int scale pairs
+    runtime = ws.psi_hat_solver(maxn)
+    ints = [w for pairs in runtime.index.values() for _, w in pairs]
+    ints += [x for pair in runtime.scales for x in pair]
+    assert all(type(x) is int for x in ints) == (point is not None)
     rng = random.Random(20261018)
     for n in range(maxn + 1):
         solver = dense_psi_hat_solver(ws, n)
@@ -367,23 +371,29 @@ def test_accumulators_leave_caches_unchanged():
         assert {k: cache[k] for k in snapshot} == snapshot
 
 
-@pytest.mark.parametrize("point", DEFAULT_SPEC_POINTS + (SpecPoint(Fraction(-2, 5), Fraction(9, 8)),),
-                         ids=str)
+@pytest.mark.parametrize("point",
+                         DEFAULT_SPEC_POINTS + (SpecPoint(Fraction(-2, 5), Fraction(9, 8)), None),
+                         ids=lambda p: "symbolic" if p is None else str(p))
 def test_integer_rows_match_field_recursion(point):
     # psi and the Jacks built on cleared rows are the vectors of the
     # field-scalar recursions, key order included, and their rows are
-    # v_clear of those vectors
-    ws = Workspace(SpecializedField(point))
+    # field.clear of those vectors: v_clear at a point, the vector itself
+    # over 1 over Q(e1,e2) (to degree 5 there)
+    if point is None:
+        ws, top = Workspace(SymbolicField()), 6
+    else:
+        ws, top = Workspace(SpecializedField(point)), 8
     ref = oracles.FieldRecursion(ws.field)
-    for n in range(8):
+    clear = ws.field.clear if point is None else v_clear
+    for n in range(top):
         for lam in partitions_of(n):
             want = ref.jack(lam)
             assert list(ws.jack(lam).items()) == list(want.items())
-            assert _row_items(ws.jack_row(lam)) == _row_items(v_clear(want))
+            assert _row_items(ws.jack_row(lam)) == _row_items(clear(want))
         for lam, s in eigen_pairs(n):
             want = ref.psi(lam, s)
             assert list(ws.psi(lam, s).items()) == list(want.items())
-            assert _row_items(ws.psi_row(lam, s)) == _row_items(v_clear(want))
+            assert _row_items(ws.psi_row(lam, s)) == _row_items(clear(want))
 
 
 def _row_items(row):
@@ -394,7 +404,7 @@ def test_suites_match_with_scalars_and_recursions_on_oracles(monkeypatch):
     # the spectral, tau and main-theorem reports are byte-identical when
     # each product of linear forms takes one field operation per form and
     # psi and the Jacks come from the field-scalar recursions
-    from jacklax import arith, jack, lax, session
+    from jacklax import arith, lax, session
     from jacklax.report import RunConfig
     from jacklax.verify import suite_main_theorem, suite_spectral, suite_tau
 
@@ -421,6 +431,5 @@ def test_suites_match_with_scalars_and_recursions_on_oracles(monkeypatch):
     monkeypatch.setattr(arith.SpecializedField, "ratio", oracles.lf_ratio)
     monkeypatch.setattr(lax, "compute_psi", field_psi_row)
     monkeypatch.setattr(session, "compute_homogeneous_jacks", field_jack_rows)
-    for mod in (jack, lax):
-        monkeypatch.setattr(mod, "v_combine", unpatched)
+    monkeypatch.setattr(arith.SpecializedField, "combine", unpatched)
     assert reports() == shipped

@@ -202,18 +202,23 @@ def test_ratio_matches_one_operation_per_form(field, pre, num, den, with_pre):
 @given(st.data())
 def test_combined_rows_match_v_accum(data):
     # v_combine is v_clear of the v_accum sum, key order included, also
-    # when some sums cancel
-    terms, want = [], {}
+    # when some sums cancel; so is SymbolicField.combine, whose rows are
+    # Coeff vectors over 1 (here with the coefficients times e1)
+    sym = SymbolicField()
+    terms, sym_terms, want = [], [], {}
     for _ in range(data.draw(st.integers(1, 4))):
         vec = _sparse_ext(data)
         c = data.draw(st.fractions(max_denominator=10**6).filter(bool))
-        terms.append((c, v_clear(vec)))
-        v_accum(want, vec, c)
-        if data.draw(st.booleans()):
-            terms.append((-c, v_clear(vec)))
-            v_accum(want, vec, -c)
+        for sign in (1, -1) if data.draw(st.booleans()) else (1,):
+            terms.append((sign * c, v_clear(vec)))
+            sym_terms.append((sym.from_fraction(sign * c) * sym.e1,
+                              sym.clear({k: sym.from_fraction(v) for k, v in vec.items()})))
+            v_accum(want, vec, sign * c)
     nums, den = v_combine(terms)
     assert list(nums.items()) == list(v_clear(want)[0].items()) and den == v_clear(want)[1]
+    row = sym.combine(sym_terms)
+    assert row[1] == 1 and sym.uncleared(row) is row[0]
+    assert list(row[0].items()) == [(k, sym.from_fraction(v) * sym.e1) for k, v in want.items()]
 
 
 # e1/e2 = +-p/q with p, q small enough to collide half of the time
