@@ -525,6 +525,12 @@ class Coeff:
     def __rtruediv__(self, other):
         return _coerce(other) / self
 
+    # Q(e1,e2) is a field, so exact division is division: a // b is the
+    # quotient that integer numerators at a point give, and
+    # linalg.rank's fraction-free elimination runs on both.
+    __floordiv__ = __truediv__
+    __rfloordiv__ = __rtruediv__
+
     def __pow__(self, k):
         if k < 0:
             return Coeff.from_int(1) / self ** (-k)
@@ -712,11 +718,13 @@ DEFAULT_SPEC_POINTS = (
 # Each field has one row format, the cleared row (numerators, D) of a
 # vector: clear(vec) makes it, uncleared(row) reads it back, combine(terms)
 # is the row of sum c * nums / D over terms [(c, (nums, D))], and
-# quotient(num, den) is the scalar num / den for num a numerator and den a
-# product of row denominators.  lax_ints is (L ebar, L hbar, L), the
+# quotient(num, den) is the scalar num / den for num and den numerators or
+# products of row denominators.  lax_ints is (L ebar, L hbar, L), the
 # constants lax.lax_apply runs its loop on.  At a point the numerators are
 # integers over their least D; over Q(e1,e2) a row is the Coeff vector
-# itself, and D and L are always 1.
+# itself, and D and L are always 1.  A row need not be in lowest terms, but
+# clear and combine return the canonical one (least D), so two canonical
+# rows are equal exactly when their vectors are.
 
 
 class SymbolicField:

@@ -207,17 +207,27 @@ def monomial_norm_sq(mu, field):
     return field.ratio(((1, 0), (0, 1)) * n, (), field.num((-1) ** n * zmu(mu)))
 
 
-def inner_hbar(f, g, field):
-    """Inner product of two vectors (ExtVec or FockVec dicts)."""
+def inner_hbar(f, g, field, den=None):
+    """Inner product of two vectors (ExtVec or FockVec dicts).
+
+    The products of numerators on the common keys are summed against the
+    cleared row of the Gram weights <key, key> there, with one
+    field.quotient.  With den, f and g hold the numerators of cleared rows
+    whose denominators multiply to den; else the two vectors are cleared
+    on their common keys."""
     f = _as_ext(f)
     g = _as_ext(g)
-    total = field.zero
     small, big = (f, g) if len(f) <= len(g) else (g, f)
-    for key, a in small.items():
-        b = big.get(key)
-        if b:
-            total = total + a * b * monomial_norm_sq(key[1], field)
-    return total
+    common = [key for key in small if key in big]
+    if not common:
+        return field.zero
+    if den is None:
+        (small, d1), (big, d2) = (field.clear({key: v[key] for key in common})
+                                  for v in (small, big))
+        den = d1 * d2
+    gram, gden = field.clear({key: monomial_norm_sq(key[1], field) for key in common})
+    return field.quotient(sum(small[key] * big[key] * gram[key] for key in common),
+                          den * gden)
 
 
 def _as_ext(f):

@@ -138,19 +138,33 @@ def compute_psi(ws, lam, s):
 
 def psi_tilde(ws, gamma, t_plus):
     """Eigenfunction of L^+ at an outer corner: w * psi_{gamma-t}^t."""
+    return ws.field.uncleared(psi_tilde_row(ws, gamma, t_plus))
+
+
+def psi_tilde_row(ws, gamma, t_plus):
+    """The cleared row of psi~ at the outer corner t_plus of gamma."""
     if not gamma:
         raise EmptyPartition("psi~ needs a nonempty partition")
     if t_plus not in rem_set_plus(gamma):
         raise NotARemovableCorner("box (%d,%d) not an outer corner" % t_plus)
     t = (t_plus[0] - 1, t_plus[1] - 1)
-    return w_mul(ws.psi(remove_box(gamma, t), t))
+    nums, d = ws.psi_row(remove_box(gamma, t), t)
+    return w_mul(nums), d
 
 
 def q_poly(ws, gamma):
     """q_gamma = w^{-1} L j_gamma (lives in H_{|gamma|-1})."""
+    return ws.field.uncleared(q_poly_row(ws, gamma))
+
+
+def q_poly_row(ws, gamma):
+    """The cleared row of q_gamma, L run on the numerators of j_gamma."""
     if not gamma:
         raise EmptyPartition("q is defined for nonempty partitions")
-    return Pi(lax_apply(ws.field, fock_to_ext(ws.jack(gamma))))
+    field = ws.field
+    nums, d = ws.jack_row(gamma)
+    return field.combine([(1, (Pi(lax_apply(field, fock_to_ext(nums), cleared=True)),
+                               d * field.lax_ints[2]))])
 
 
 def q_poly_hat(ws, gamma):
@@ -226,18 +240,21 @@ def decompose(ws, zeta, scheme):
     return out
 
 
-def pi_diamond(ws, zeta):
+def pi_diamond(ws, zeta, den=None):
     """The rank-p(n+1) projection (1/((n+1) hbar)) B A on H_n.
 
     (The normalizer (n+1) hbar, with gamma |- n+1, is what makes this
-    idempotent: A q_gamma = |gamma| hbar j_gamma.)"""
-    if not zeta:
-        return {}
-    n = degree_of(zeta)
+    idempotent: A q_gamma = |gamma| hbar j_gamma.)  A and B run on the
+    numerators of the cleared row of zeta.  With den, zeta holds those
+    numerators over den and the cleared row of the image is returned."""
     field = ws.field
-    f = op_A(field, zeta)
-    back = op_B(field, f)
-    return v_scale(back, field.one / (field.num(n + 1) * field.hbar))
+    if den is None:
+        return field.uncleared(pi_diamond(ws, *field.clear(zeta)))
+    n = degree_of(zeta) if zeta else 0
+    L = field.lax_ints[2]
+    a = pi0(lax_apply(field, w_mul(zeta), cleared=True))
+    ba = Pi(lax_apply(field, fock_to_ext(a), cleared=True))
+    return field.combine([(field.one / (field.num(n + 1) * field.hbar), (ba, den * L * L))])
 
 
 def phi_column_coeff(ws, r, k, s):

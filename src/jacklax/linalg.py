@@ -1,5 +1,8 @@
-"""Exact dense linear algebra over any field whose elements support
-+, -, *, / and truthiness (Fraction or Coeff)."""
+"""Exact dense linear algebra.
+
+solve, invert and matvec run over any field whose elements support +, -,
+*, / and truthiness (Fraction or Coeff); rank runs fraction-free on
+integer numerators (or Coeff values)."""
 
 from .errors import JackLaxError
 
@@ -78,27 +81,31 @@ def matvec(A, x, field):
 
 
 def rank(A):
-    """Rank by fraction-free-style elimination (rows of field elements)."""
+    """Rank of a matrix of integers, or of Coeff values (whose // is exact
+    division), by Bareiss' fraction-free elimination.
+
+    Each pivot step replaces the rows below by
+    (pivot * row - lead * pivot_row) // previous pivot; by Sylvester's
+    identity every entry stays a minor of A, so the division is exact and
+    no fraction is made.  Pass the numerators of cleared rows: scaling a
+    row does not change the rank."""
     M = [list(row) for row in A]
     n = len(M)
-    if not n:
-        return 0
-    m = len(M[0])
+    m = len(M[0]) if n else 0
     r = 0
+    prev = 1
     for c in range(m):
-        pr = None
-        for i in range(r, n):
-            if M[i][c]:
-                pr = i
-                break
+        pr = next((i for i in range(r, n) if M[i][c]), None)
         if pr is None:
             continue
         M[r], M[pr] = M[pr], M[r]
-        pv = M[r][c]
+        top = M[r]
+        p = top[c]
         for i in range(r + 1, n):
-            if M[i][c]:
-                f = M[i][c] / pv
-                M[i] = [M[i][j] - f * M[r][j] for j in range(m)]
+            row, a = M[i], M[i][c]
+            M[i][c + 1:] = [(p * x - a * y) // prev
+                            for x, y in zip(row[c + 1:], top[c + 1:])]
+        prev = p
         r += 1
         if r == n:
             break

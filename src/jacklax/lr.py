@@ -20,9 +20,10 @@ from .spectral import star_residues
 # ---------------------------------------------------------------------------
 
 def jack_lr(ws, mu, nu, hatted=False):
-    """{gamma: c_{mu nu}^gamma} (or hatted) from the exact product expansion."""
-    prod = fock_mul(ws.jack(mu), ws.jack(nu))
-    table = ws.expand_in_jacks(prod)
+    """{gamma: c_{mu nu}^gamma} (or hatted) from the exact product
+    expansion, run on the numerators of the two Jack rows."""
+    (a, da), (b, db) = ws.jack_row(mu), ws.jack_row(nu)
+    table = ws.expand_in_jacks(fock_mul(a, b), da * db)
     if hatted:
         vm = ws.varpi(mu) * ws.varpi(nu)
         table = {g: c * ws.varpi(g) / vm for g, c in table.items()}
@@ -30,12 +31,13 @@ def jack_lr(ws, mu, nu, hatted=False):
 
 
 def jacklax_lr(ws, lam, s, nu, t, hatted=False):
-    """{(gamma, u): coefficient} of psi_lam^s psi_nu^t in the psi basis."""
-    if hatted:
-        prod = ext_mul(ws.psi_hat(lam, s), ws.psi_hat(nu, t))
-        return ws.expand_psi_hat(prod)
-    prod = ext_mul(ws.psi(lam, s), ws.psi(nu, t))
-    return ws.expand_psi(prod)
+    """{(gamma, u): coefficient} of psi_lam^s psi_nu^t in the psi basis
+    (psi-hat_lam^s psi-hat_nu^t in the psi-hat basis if hatted), run on the
+    numerators of the two rows."""
+    row = ws.psi_hat_row if hatted else ws.psi_row
+    (a, da), (b, db) = row(lam, s), row(nu, t)
+    expand = ws.expand_psi_hat if hatted else ws.expand_psi
+    return expand(ext_mul(a, b), da * db)
 
 
 def marginalize(table):
@@ -92,17 +94,17 @@ def determination_check(ws, n):
                         if bx not in union_boxes})
         pos = {p: i for i, p in enumerate(poles)}
         rhs_map = star_residues(field, mu, nu)
-        # equations indexed by poles; unknowns by gamma
-        A = [[field.zero] * len(gammas) for _ in poles]
+        # equations indexed by poles; unknowns by gamma: a 0/1 matrix
+        A = [[0] * len(gammas) for _ in poles]
         for j, g in enumerate(gammas):
             for bx in boxes(g):
                 if bx not in union_boxes:
-                    A[pos[bx]][j] = field.one
+                    A[pos[bx]][j] = 1
         bvec = [rhs_map.get(p, field.zero) for p in poles]
-        if rank([list(r) for r in A]) < len(gammas):
+        if rank(A) < len(gammas):
             ok = False
             continue
-        sol = solve(A, bvec, field)
+        sol = solve([[field.num(v) for v in row] for row in A], bvec, field)
         truth = jack_lr(ws, mu, nu, hatted=True)
         for j, g in enumerate(gammas):
             if sol[j] != truth.get(g, field.zero):
@@ -170,14 +172,13 @@ def delta_kernel_check(ws, lams):
 
 def delta_kernel_rank(n):
     """dim ker Delta_n from the box-incidence matrix over Q (integer data)."""
-    from fractions import Fraction
     plist = partitions_of(n)
     cols = sorted({b for lam in plist for b in boxes(lam)})
     pos = {b: i for i, b in enumerate(cols)}
     rows = []
     for lam in plist:
-        row = [Fraction(0)] * len(cols)
+        row = [0] * len(cols)
         for b in boxes(lam):
-            row[pos[b]] = Fraction(1)
+            row[pos[b]] = 1
         rows.append(row)
     return len(plist) - rank(rows)

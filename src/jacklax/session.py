@@ -13,7 +13,8 @@ import tempfile
 import threading
 
 from .arith import SymbolicField, parse_scalar, render_scalar
-from .fock import degree_of, hn_basis, monomial_norm_sq, v_scale
+from .errors import JackLaxError
+from .fock import degree_of, hn_basis, monomial_norm_sq
 from .fock import inner_hbar  # noqa: F401  (kept as session.inner_hbar)
 from .jack import compute_homogeneous_jacks, jack_norm_sq, varpi
 from .partitions import (eigen_pairs, format_partition, parse_partition,
@@ -34,16 +35,18 @@ class Workspace:
         self.field = field if field is not None else SymbolicField()
         self.cache_dir = cache_dir if cache_dir is not None else _cache_env_dir()
         self._lock = threading.RLock()
-        self._jack = {}     # degree -> {lam: FockVec}
-        self._norm = {}     # degree -> {lam: scalar}
-        self._varpi = {}    # degree -> {lam: scalar}
-        self._psi = {}      # (lam, s) -> ExtVec
-        # the cleared rows (field.clear) the recursions run on
+        # the cleared rows (field.clear) everything runs on
         self._jack_rows = {}    # degree -> {lam: (numerators, D)}
         self._psi_rows = {}     # (lam, s) -> (numerators, D)
-        self._psi_hat = {}  # (lam, s) -> ExtVec
+        self._psi_hat_rows = {}  # (lam, s) -> (numerators, D)
+        self._norm = {}     # degree -> {lam: scalar}
+        self._varpi = {}    # degree -> {lam: scalar}
+        self._gram = {}     # degree -> cleared row of <key, key> over H_n
         self._jack_dual = {}    # degree -> DualIndex of the Jacks
         self._psi_dual = {}     # degree -> DualIndex of the psi-hats
+        # vectors, each made from its row when a caller first asks for it
+        self._jack = {}     # lam -> FockVec
+        self._psi = {}      # (lam, s) -> ExtVec
 
     def key(self):
         """Cache key of the coefficient field ("symbolic" or the point)."""
@@ -59,22 +62,28 @@ class Workspace:
         return os.path.join(self.cache_dir, "jack_%02d_%s.json" % (n, _slug(self.key())))
 
     def jack_degree(self, n):
+        """{lam: cleared row of j_lam} over the partitions of n, built (or
+        loaded from the disk cache) on first use with the norms and
+        varpi."""
         with self._lock:
-            if n in self._jack:
-                return self._jack[n]
+            if n in self._jack_rows:
+                return self._jack_rows[n]
             data = self._load_degree(n)
             if data is None:
-                self._jack_rows[n] = rows = compute_homogeneous_jacks(self, n)
-                jacks = {lam: self.field.uncleared(row) for lam, row in rows.items()}
-                norms = {lam: jack_norm_sq(self.field, lam) for lam in jacks}
-                vps = {lam: varpi(self.field, lam) for lam in jacks}
-                self._store_degree(n, jacks, norms, vps)
+                rows = compute_homogeneous_jacks(self, n)
+                norms = {lam: jack_norm_sq(self.field, lam) for lam in rows}
+                vps = {lam: varpi(self.field, lam) for lam in rows}
+                if self._cache_path(n):
+                    self._store_degree(n, {lam: self.field.uncleared(row)
+                                           for lam, row in rows.items()}, norms, vps)
             else:
                 jacks, norms, vps = data
-            self._jack[n] = jacks
+                rows = {lam: self.field.clear(vec) for lam, vec in jacks.items()}
+                self._jack.update(jacks)
+            self._jack_rows[n] = rows
             self._norm[n] = norms
             self._varpi[n] = vps
-            return jacks
+            return rows
 
     def _load_degree(self, n):
         path = self._cache_path(n)
@@ -141,19 +150,15 @@ class Workspace:
     # ------------------------------------------------------------------
 
     def jack(self, lam):
-        return self.jack_degree(sum(lam))[lam]
+        with self._lock:
+            got = self._jack.get(lam)
+            if got is None:
+                got = self._jack[lam] = self.field.uncleared(self.jack_row(lam))
+            return got
 
     def jack_row(self, lam):
-        """The cleared row of j_lam; a Jack loaded from the disk cache is
-        cleared on first use."""
-        n = sum(lam)
-        with self._lock:
-            jacks = self.jack_degree(n)
-            rows = self._jack_rows.setdefault(n, {})
-            got = rows.get(lam)
-            if got is None:
-                got = rows[lam] = self.field.clear(jacks[lam])
-            return got
+        """The cleared row of j_lam."""
+        return self.jack_degree(sum(lam))[lam]
 
     def jack_hat(self, lam):
         vp = self.varpi(lam)
@@ -171,6 +176,17 @@ class Workspace:
         self.jack_degree(sum(lam))
         return self._varpi[sum(lam)][lam]
 
+    def gram_row(self, n):
+        """The cleared row of the Gram weights <key, key> over the basis
+        of H_n."""
+        with self._lock:
+            got = self._gram.get(n)
+            if got is None:
+                f = self.field
+                got = self._gram[n] = f.clear({key: monomial_norm_sq(key[1], f)
+                                              for key in hn_basis(n)})
+            return got
+
     def jack_dual(self, n):
         """DualIndex of the Jacks of degree n: they are pairwise orthogonal
         under inner_hbar, so the j_lam coefficient of f is
@@ -180,11 +196,10 @@ class Workspace:
             if got is None:
                 f = self.field
                 labels = partitions_of(n)
-                gram = {mu: monomial_norm_sq(mu, f) for mu in labels}
-                rows = [{mu: c * gram[mu] for mu, c in self.jack(lam).items()}
-                        for lam in labels]
-                got = DualIndex(labels, rows, [f.one / self.norm_sq(lam) for lam in labels],
-                                f)
+                nums, den = self.gram_row(n)
+                gram = {mu: nums[(0, mu)] for mu in labels}, den
+                got = DualIndex(f, labels, [self.jack_row(lam) for lam in labels], gram,
+                                [f.one / self.norm_sq(lam) for lam in labels])
                 self._jack_dual[n] = got
             return got
 
@@ -221,12 +236,17 @@ class Workspace:
             return got
 
     def psi_hat(self, lam, s):
+        """psi-hat_lam^s, made afresh from its row."""
+        return self.field.uncleared(self.psi_hat_row(lam, s))
+
+    def psi_hat_row(self, lam, s):
+        """The cleared row of psi-hat_lam^s = psi_lam^s / pi_* psi_lam^s."""
         key = (lam, s)
         with self._lock:
-            got = self._psi_hat.get(key)
+            got = self._psi_hat_rows.get(key)
             if got is None:
-                got = v_scale(self.psi(lam, s), self.field.one / self.pi_star_psi(lam, s))
-                self._psi_hat[key] = got
+                got = self._psi_hat_rows[key] = self.field.combine(
+                    [(self.field.one / self.pi_star_psi(lam, s), self.psi_row(lam, s))])
             return got
 
     def pi_star_psi(self, lam, s):
@@ -246,26 +266,43 @@ class Workspace:
             if got is None:
                 f = self.field
                 labels = eigen_pairs(n)
-                gram = {key: monomial_norm_sq(key[1], f) for key in hn_basis(n)}
-                rows = [{key: c * gram[key] for key, c in self.psi(lam, s).items()}
-                        for lam, s in labels]
                 scales = [tau(f, lam, s) * self.pi_star_psi(lam, s) / self.norm_sq(lam)
                           for lam, s in labels]
-                got = DualIndex(labels, rows, scales, f)
+                got = DualIndex(f, labels, [self.psi_row(lam, s) for lam, s in labels],
+                                self.gram_row(n), scales)
                 self._psi_dual[n] = got
             return got
 
-    def expand_psi_hat(self, zeta, den=None):
-        """Expand a homogeneous ExtVec in the psi-hat basis.  With den,
+    def expand_psi_hat_row(self, zeta, den=None):
+        """The psi-hat coefficients of a homogeneous ExtVec as a cleared
+        row ({(lam, s): numerator}, D), not in lowest terms.  With den,
         zeta holds the numerators of a cleared row over den."""
+        if den is None:
+            zeta, den = self.field.clear(zeta)
         if not zeta:
-            return {}
-        return self.psi_hat_solver(degree_of(zeta)).expand(self.field, zeta, den)
+            return {}, den
+        return self.psi_hat_solver(degree_of(zeta)).row(zeta, den)
 
-    def expand_psi(self, zeta):
-        """Expansion in the unhatted psi basis."""
+    def expand_psi_hat(self, zeta, den=None):
+        """Expand a homogeneous ExtVec in the psi-hat basis: the vector of
+        expand_psi_hat_row."""
+        return self.field.uncleared(self.expand_psi_hat_row(zeta, den))
+
+    def psi_hat_combine(self, coeffs, den=1):
+        """The cleared row of sum_label c psi-hat_label / den over coeffs
+        {(lam, s): c}, with c a numerator (or any rational) and den a
+        product of row denominators."""
+        terms = []
+        for (lam, s), c in coeffs.items():
+            nums, d = self.psi_hat_row(lam, s)
+            terms.append((c, (nums, d * den)))
+        return self.field.combine(terms)
+
+    def expand_psi(self, zeta, den=None):
+        """Expansion in the unhatted psi basis; den is as for
+        expand_psi_hat."""
         out = {}
-        for (lam, s), c in self.expand_psi_hat(zeta).items():
+        for (lam, s), c in self.expand_psi_hat(zeta, den).items():
             out[(lam, s)] = c / self.pi_star_psi(lam, s)
         return out
 
@@ -274,16 +311,15 @@ class Workspace:
         for n in range(degree + 1):
             self.jack_degree(n)
             for lam, s in eigen_pairs(n):
-                self.psi(lam, s)
+                self.psi_row(lam, s)
 
     def cache_stat(self):
         """{file name: "<k> entries", "corrupt", "stale (format N)" or
         "temp"}; the loader would rebuild the corrupt and stale files, and a
-        temp file is one a writer killed before its os.replace left."""
+        temp file is one a writer killed before its os.replace left.
+        Raises JackLaxError if the cache directory does not exist."""
         out = {}
-        if not self.cache_dir or not os.path.isdir(self.cache_dir):
-            return out
-        for name in sorted(os.listdir(self.cache_dir)):
+        for name in sorted(os.listdir(self._existing_cache_dir())):
             if _is_cache_temp(name):
                 out[name] = "temp"
             elif name.startswith("jack_") and name.endswith(".json"):
@@ -300,42 +336,62 @@ class Workspace:
 
     def cache_clear(self):
         """Remove the cache files and the temp files of _store_degree;
-        returns how many were removed."""
+        returns how many were removed.  Raises JackLaxError if the cache
+        directory does not exist."""
         n = 0
-        if self.cache_dir and os.path.isdir(self.cache_dir):
-            for name in list(os.listdir(self.cache_dir)):
-                if (name.startswith("jack_") and name.endswith(".json")) or _is_cache_temp(name):
-                    try:
-                        os.remove(os.path.join(self.cache_dir, name))
-                    except FileNotFoundError:
-                        # taken by a writer's os.replace or by another clear
-                        continue
-                    n += 1
+        for name in list(os.listdir(self._existing_cache_dir())):
+            if (name.startswith("jack_") and name.endswith(".json")) or _is_cache_temp(name):
+                try:
+                    os.remove(os.path.join(self.cache_dir, name))
+                except FileNotFoundError:
+                    # taken by a writer's os.replace or by another clear
+                    continue
+                n += 1
         return n
+
+    def _existing_cache_dir(self):
+        """The cache directory; a missing one is an error, not an empty
+        cache, so a mistyped path does not pass for one."""
+        if not self.cache_dir or not os.path.isdir(self.cache_dir):
+            raise JackLaxError("cache directory %s does not exist" % (self.cache_dir,))
+        return self.cache_dir
 
 
 class DualIndex:
     """The orthogonal dual of one basis b_i of a graded piece.
 
-    Built from rows[i][key] = b_i[key] <key, key>; the b_i coefficient of
-    v is scales[i] * sum_key v[key] rows[i][key].  Each row is stored as
-    the numerators of its cleared row (field.clear), by key as
-    [(i, weight)], and its denominator is folded into its scale, kept as a
-    (numerator, denominator) pair.  So an expansion clears v to one
-    denominator D, multiply-adds numerators and makes one field.quotient
-    per nonzero coefficient: exact, with every denominator carried.  (At a
-    point the numerators are ints.)  The state is plain data: the field is
-    passed to expand."""
+    The b_i coefficient of v is scales[i] <v, b_i>, with
+    <v, b_i> = sum_key v[key] b_i[key] <key, key>.  It is built from the
+    cleared rows (B_i, D_i) of the b_i and the cleared row (g, G) of the
+    Gram weights <key, key>: the index maps each key to
+    [(i, B_i[key] g[key])], and the scales[i] / (D_i G) are one cleared row
+    (S_i) over a common denominator S.  So a cleared row (a, D) of v
+    expands by multiply-adding numerators into the row
+    ({label_i: S_i sum_key a[key] B_i[key] g[key]}, D S): exact, with
+    every denominator carried, and not in lowest terms.  (At a point the
+    numerators are ints.)  The state is plain data: the field is passed
+    to the constructor and to expand."""
 
-    def __init__(self, labels, rows, scales, field):
+    def __init__(self, field, labels, rows, gram, scales):
+        gnums, gden = gram
         self.labels = labels
-        rows, dens = zip(*map(field.clear, rows))
-        nums, den = field.clear(dict(enumerate(scales)))
-        self.scales = [(nums[i], den * d) for i, d in enumerate(dens)]
         self.index = {}
-        for i, row in enumerate(rows):
-            for key, w in row.items():
-                self.index.setdefault(key, []).append((i, w))
+        for i, (nums, _) in enumerate(rows):
+            for key, c in nums.items():
+                self.index.setdefault(key, []).append((i, c * gnums[key]))
+        nums, self.den = field.clear({i: field.quotient(c, d * gden)
+                                      for i, (c, (_, d)) in enumerate(zip(scales, rows))})
+        self.scales = list(nums.values())
+
+    def row(self, vec, den):
+        """The cleared row of the nonzero coefficients of the cleared row
+        (vec, den), in label order."""
+        index, scales, labels = self.index, self.scales, self.labels
+        acc = [0] * len(labels)
+        for key, a in vec.items():
+            for i, w in index[key]:
+                acc[i] += a * w
+        return {labels[i]: a * scales[i] for i, a in enumerate(acc) if a}, den * self.den
 
     def expand(self, field, vec, den=None):
         """{label: coefficient} of the nonzero coefficients of vec, in
@@ -343,13 +399,7 @@ class DualIndex:
         over den."""
         if den is None:
             vec, den = field.clear(vec)
-        index, labels, scales = self.index, self.labels, self.scales
-        acc = [0] * len(labels)
-        for key, a in vec.items():
-            for i, w in index[key]:
-                acc[i] += a * w
-        return {labels[i]: field.quotient(a * scales[i][0], den * scales[i][1])
-                for i, a in enumerate(acc) if a}
+        return field.uncleared(self.row(vec, den))
 
 
 def _is_cache_temp(name):

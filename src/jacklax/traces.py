@@ -6,16 +6,22 @@ In the hatted eigenbasis the three traces are coordinate sums:
     z_lam  = sum of psi-hat_lam^s coefficients          (lam |- n)
     x_gam  = sum of psi-hat_{gam-t}^t coefficients      (gam |- n+1)
     y^s    = sum of coefficients with eigen-box s
-and y_u(zeta) = sum_s y-coeff(s) / (u - [s]).
+and y_u(zeta) = sum_s y-coeff(s) / (u - [s]).  The sums run on the
+numerators of the cleared expansion row, over its one denominator.
+
+The derivators, the pair chain, the hexagon values and the rho operators
+work on cleared rows (field.clear) as well: each sum of psi-hat vectors is
+one field.combine, and vectors are compared as canonical rows.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 from .errors import JackLaxError, NotGood, NotInNullSpace
 from .fock import (Pi, bump, degree_of, deriv_V, ext_mul, hn_basis, pi_plus,
-                   v_accum, v_scale, w_mul)
-from .lax import lax_apply, q_poly_hat
+                   v_accum, w_mul)
+from .lax import lax_apply, q_poly_row
 from .linalg import rank
 from .partitions import (SeriesZ, add_box, add_set, boxes, count_lattice_q,
                          eigen_pairs, pair_quads, partition, partitions_of,
@@ -49,15 +55,24 @@ class TraceVector:
 
 def full_trace(ws, zeta, den=None):
     """Tr(zeta) computed from the hatted eigenbasis expansion.  With den,
-    zeta holds the numerators of a cleared row over den."""
+    zeta holds the numerators of a cleared row over den.
+
+    The x, y and z coordinates are summed on the numerators of the
+    expansion row, with one field.quotient per nonzero coordinate."""
     n = degree_of(zeta) if zeta else 0
-    exp = ws.expand_psi_hat(zeta, den)
+    nums, d = ws.expand_psi_hat_row(zeta, den)
     x, y, z = {}, {}, {}
-    for (lam, s), c in exp.items():
-        bump(x, add_box(lam, s), c)
-        bump(y, s, c)
-        bump(z, lam, c)
-    return TraceVector(n, x, y, z)
+    for (lam, s), c in nums.items():
+        gam = _added(lam, s)
+        x[gam] = x.get(gam, 0) + c
+        y[s] = y.get(s, 0) + c
+        z[lam] = z.get(lam, 0) + c
+    q = ws.field.quotient
+    return TraceVector(n, *({k: q(c, d) for k, c in part.items() if c} for part in (x, y, z)))
+
+
+# add_box, memoised: the full trace and rho_general call it per psi-hat label
+_added = lru_cache(maxsize=None)(add_box)
 
 
 def trace_y_u(ws, zeta):
@@ -98,10 +113,6 @@ def trace_incidence_matrix(n):
             M[row_pos[key]][j] = 1
         M[row_pos[("z", lam)]][j] = 1
     return rows, pairs, M
-
-
-def _q_rank(M):
-    return rank([[Fraction(v) for v in row] for row in M])
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +165,7 @@ def verify_cokernel(n):
                     acc += c * M[i][j]
             if acc != 0:
                 ok_annihilate = False
-    r = _q_rank(M)
+    r = rank(M)
     coker_dim = len(rows) - r
     q = count_lattice_q(n)
     # the q(n) relations are linearly independent functionals
@@ -165,7 +176,7 @@ def verify_cokernel(n):
             if coord in row_pos:
                 row[row_pos[coord]] = c
         rel_rows.append(row)
-    rel_rank = _q_rank(rel_rows) if rel_rows else 0
+    rel_rank = rank(rel_rows) if rel_rows else 0
     return {
         "n": n,
         "relations": len(rels),
@@ -181,26 +192,25 @@ def resolvent_w_identity(ws, n):
     """The key identity behind the cokernel relations:
     (u-L)^{-1} w^n = sum_g (sum_{t in g} 1/(u-[t])) qhat_g/|jhat_g|^2
                    - sum_l (sum_{s in l} 1/(u-[s])) w qhat_l/|jhat_l|^2,
-    verified as maps pole -> ExtVec."""
+    verified as maps pole -> ExtVec: at each pole the rows of the two
+    sides, with qhat_g/|jhat_g|^2 = varpi_g q_g/|j_g|^2, combine to zero."""
     field = ws.field
-    wn = {(n, ()): field.one}
-    lhs = {}
-    for (lam, s), c in ws.expand_psi_hat(wn).items():
-        v_accum(lhs.setdefault(s, {}), ws.psi_hat(lam, s), c)
-    rhs = {}
+    terms = {}
+    nums, den = ws.expand_psi_hat_row(*field.clear({(n, ()): field.one}))
+    for (lam, s), c in nums.items():
+        pn, pd = ws.psi_hat_row(lam, s)
+        terms.setdefault(s, []).append((c, (pn, pd * den)))
     for gam in partitions_of(n + 1):
-        vec = v_scale(q_poly_hat(ws, gam), field.one / ws.norm_sq_hat(gam))
+        row = field.combine([(-ws.varpi(gam) / ws.norm_sq(gam), q_poly_row(ws, gam))])
         for t in boxes(gam):
-            v_accum(rhs.setdefault(t, {}), vec)
+            terms.setdefault(t, []).append((1, row))
     for lam in partitions_of(n):
         if not lam:
             continue
-        vec = v_scale(w_mul(q_poly_hat(ws, lam)), -field.one / ws.norm_sq_hat(lam))
+        q, d = field.combine([(ws.varpi(lam) / ws.norm_sq(lam), q_poly_row(ws, lam))])
         for s in boxes(lam):
-            v_accum(rhs.setdefault(s, {}), vec)
-    lhs = {k: v for k, v in lhs.items() if v}
-    rhs = {k: v for k, v in rhs.items() if v}
-    return lhs == rhs
+            terms.setdefault(s, []).append((1, (w_mul(q), d)))
+    return not any(field.combine(ts)[0] for ts in terms.values())
 
 
 # ---------------------------------------------------------------------------
@@ -225,10 +235,8 @@ class HexagonElement:
         }
 
     def value(self, ws):
-        out = {}
-        for (lam, s), sign in self.coords.items():
-            v_accum(out, ws.psi_hat(lam, s), ws.field.num(sign))
-        return out
+        """The cleared row of the element."""
+        return ws.psi_hat_combine(self.coords)
 
     def __repr__(self):
         return "Gamma_%s^%s" % (self.eta, (self.corners,))
@@ -249,7 +257,7 @@ def kernel_basis(n):
 def kernel_dimension(n):
     """Exact dim ker Tr_n from the integer incidence matrix."""
     rows, pairs, M = trace_incidence_matrix(n)
-    return len(pairs) - _q_rank(M)
+    return len(pairs) - rank(M)
 
 
 def hexagon_span_dimension(n):
@@ -263,7 +271,7 @@ def hexagon_span_dimension(n):
         for key, sign in h.coords.items():
             row[pos[key]] = sign
         rows.append(row)
-    return _q_rank(rows)
+    return rank(rows)
 
 
 def kernel_dim_series(order):
@@ -316,15 +324,14 @@ def theta(ws, z1, z2, b12=None, cleared=False):
     return v_accum(out, Pi(b12), -1)
 
 
-def pair_traces(ws, z1, z2):
-    """The traces of z1 z2, beta(z1, z2) and theta(z1, z2), computing the
-    product and beta(z1, z2) once.  The chain runs on the numerators of
-    the cleared rows of z1 and z2: the product over D1 D2, beta and theta
-    over D1 D2 L."""
-    field = ws.field
-    (z1, d1), (z2, d2) = field.clear(z1), field.clear(z2)
+def pair_traces(ws, row1, row2):
+    """The traces of z1 z2, beta(z1, z2) and theta(z1, z2) for the cleared
+    rows (z1, D1) and (z2, D2), computing the product and beta(z1, z2)
+    once.  The chain runs on the numerators: the product over D1 D2, beta
+    and theta over D1 D2 L."""
+    (z1, d1), (z2, d2) = row1, row2
     den = d1 * d2
-    lden = den * field.lax_ints[2]
+    lden = den * ws.field.lax_ints[2]
     prod = ext_mul(z1, z2)
     b12 = beta(ws, z1, z2, prod, cleared=True)
     return (full_trace(ws, prod, den), full_trace(ws, b12, lden),
@@ -411,12 +418,9 @@ def null_module_span(ws, n, which):
 
 
 def null_module_rank(ws, n, which):
-    from .fock import vector_to_coords
-    vecs = null_module_span(ws, n, which)
-    if not vecs:
-        return 0
-    rows = [vector_to_coords(v, n, ws.field) for v in vecs]
-    return rank(rows)
+    basis = hn_basis(n)
+    rows = map(ws.field.clear, null_module_span(ws, n, which))
+    return rank([[nums.get(k, 0) for k in basis] for nums, _ in rows])
 
 
 def null_module_expected_dim(n, which):
@@ -453,56 +457,60 @@ def rho_apply(ws, lam, s, zeta):
     return out
 
 
-def rho_general(ws, xi, zeta):
-    """rho(xi) zeta = sum_{lam,s} xi_lam^s rho_lam^s P_{Z_lam} zeta."""
-    field = ws.field
-    xi_exp = ws.expand_psi_hat(xi)
-    zeta_exp = ws.expand_psi_hat(zeta)
-    by_lam = {}
-    for (lam, t), c in zeta_exp.items():
-        by_lam.setdefault(lam, {})[t] = c
-    for lam, comp in by_lam.items():
-        tot = field.zero
-        for c in comp.values():
-            tot = tot + c
-        if tot:
-            raise NotInNullSpace("zeta has a nonzero z-trace on Z_%s" % (lam,))
+def _by_lam(coeffs):
+    """{lam: {s: c}} from psi-hat coefficients {(lam, s): c}."""
     out = {}
-    for (lam, s), xc in xi_exp.items():
-        comp = by_lam.get(lam)
-        if not comp:
-            continue
-        for t, c in comp.items():
-            if t == s or not c:
-                continue
-            v_accum(out, ws.psi_hat(add_box(lam, s), t), xc * c)
-            v_accum(out, ws.psi_hat(add_box(lam, t), s), -(xc * c))
+    for (lam, s), c in coeffs.items():
+        out.setdefault(lam, {})[s] = c
     return out
+
+
+def rho_general(ws, xi, zeta):
+    """rho(xi) zeta = sum_{lam,s} xi_lam^s rho_lam^s P_{Z_lam} zeta.
+
+    xi and zeta are cleared rows, and so is the result: the products of
+    expansion numerators are summed per psi-hat label over the product of
+    the two expansion denominators, then combined once."""
+    xi_nums, xi_den = ws.expand_psi_hat_row(*xi)
+    zeta_nums, zeta_den = ws.expand_psi_hat_row(*zeta)
+    by_lam = _by_lam(zeta_nums)
+    for lam, comp in by_lam.items():
+        if sum(comp.values()):
+            raise NotInNullSpace("zeta has a nonzero z-trace on Z_%s" % (lam,))
+    coeffs = {}
+    for (lam, s), xc in xi_nums.items():
+        for t, c in by_lam.get(lam, {}).items():
+            if t == s:
+                continue
+            a, b = (_added(lam, s), t), (_added(lam, t), s)
+            coeffs[a] = coeffs.get(a, 0) + xc * c
+            coeffs[b] = coeffs.get(b, 0) - xc * c
+    return ws.psi_hat_combine(coeffs, xi_den * zeta_den)
 
 
 def good_normalizer_F(ws, xi):
-    """F(xi) = sum_lam xi_lam / z_lam(xi_lam); raises NotGood."""
-    field = ws.field
-    exp = ws.expand_psi_hat(xi)
-    by_lam = {}
-    for (lam, s), c in exp.items():
-        by_lam.setdefault(lam, {})[s] = c
-    out = {}
-    for lam, comp in by_lam.items():
-        tot = field.zero
-        for c in comp.values():
-            tot = tot + c
+    """F(xi) = sum_lam xi_lam / z_lam(xi_lam) for the cleared row xi, as a
+    cleared row; raises NotGood.  The coefficient of psi-hat_lam^s is the
+    ratio of two expansion numerators."""
+    nums, _ = ws.expand_psi_hat_row(*xi)
+    coeffs = {}
+    for lam, comp in _by_lam(nums).items():
+        tot = sum(comp.values())
         if not tot:
             raise NotGood("Z_%s component has vanishing z-trace" % (lam,))
         for s, c in comp.items():
-            v_accum(out, ws.psi_hat(lam, s), c / tot)
-    return out
+            coeffs[(lam, s)] = ws.field.quotient(c, tot)
+    return ws.psi_hat_combine(coeffs)
 
 
 def rho_tilde(ws, n, zeta):
-    """rho(F(w^n)) zeta."""
-    wn = {(n, ()): ws.field.one}
-    return rho_general(ws, good_normalizer_F(ws, wn), zeta)
+    """rho(F(w^n)) zeta, on cleared rows as rho_general."""
+    return rho_general(ws, good_normalizer_F(ws, _basic_row(ws, (n, ()))), zeta)
+
+
+def _basic_row(ws, key):
+    """The cleared row of the basis vector of key."""
+    return ws.field.clear({key: ws.field.one})
 
 
 # ---------------------------------------------------------------------------
@@ -521,12 +529,17 @@ def conjecture_sweeps(max_degree):
     yield _rho_conjectures, (max_degree,)
 
 
+def _psi_hat_product(ws, lam, s, nu, t):
+    """The cleared row of psi-hat_lam^s psi-hat_nu^t."""
+    (a, da), (b, db) = ws.psi_hat_row(lam, s), ws.psi_hat_row(nu, t)
+    return ext_mul(a, b), da * db
+
+
 def _selection_rule(ws, mu, s, nu, t):
     """The support of psi-hat products lies over mu union nu."""
     union = _parts.diagram_union(mu, nu)
-    prod = ext_mul(ws.psi_hat(mu, s), ws.psi_hat(nu, t))
-    bad = [g for (g, u) in ws.expand_psi_hat(prod)
-           if not _parts.contains(g, union)]
+    nums, _ = ws.expand_psi_hat_row(*_psi_hat_product(ws, mu, s, nu, t))
+    bad = [g for (g, u) in nums if not _parts.contains(g, union)]
     return [{
         "id": "selection-rule %s:%s * %s:%s" % (mu, s, nu, t),
         "status": "PASS" if not bad else "FAIL",
@@ -535,7 +548,10 @@ def _selection_rule(ws, mu, s, nu, t):
 
 
 def _rho_conjectures(ws, max_degree):
+    """The rho conjectures; every vector is a cleared row, and two vectors
+    are compared as canonical rows (field.combine)."""
     field = ws.field
+    L = field.lax_ints[2]
     out = []
 
     # beta^{n,m} = rho~_{n+m-1} theta^{n,m} for n+m <= min(5, max_degree)
@@ -543,8 +559,8 @@ def _rho_conjectures(ws, max_degree):
         for b in range(a, 6):
             if a + b > min(5, max_degree):
                 continue
-            lhs = beta_basic(ws, a, b)
-            rhs = rho_tilde(ws, a + b - 1, theta_basic(ws, a, b))
+            lhs = field.clear(beta_basic(ws, a, b))
+            rhs = rho_tilde(ws, a + b - 1, field.clear(theta_basic(ws, a, b)))
             out.append({
                 "id": "beta=rho~theta (%d,%d)" % (a, b),
                 "status": "PASS" if lhs == rhs else "FAIL",
@@ -554,21 +570,26 @@ def _rho_conjectures(ws, max_degree):
     # rho~ as a differential operator.  On F this is a proven lemma; the
     # conjectured extension to all of Z0 fails already on theta^{2,2}
     # (w-dependent elements), which is reported as such.
+    w1 = _basic_row(ws, (1, ()))[0]
     for n in range(2, min(5, max_degree) + 1):
         lemma_ok, ext_ok = True, True
         witness = ""
+        fn = good_normalizer_F(ws, _basic_row(ws, (n, ())))
+        # beta(w, w^k) over L, with the factor hbar k / (n hbar)
+        bws = [(k, beta(ws, w1, _basic_row(ws, (k, ()))[0], cleared=True),
+                field.hbar * field.num(k) / (field.num(n) * field.hbar))
+               for k in range(1, n + 1)]
         for zeta in null_module_span(ws, n, "Z0"):
-            lhs = rho_tilde(ws, n, zeta)
-            rhs = {}
-            for k in range(1, n + 1):
-                bwk = beta(ws, {(1, ()): field.one}, {(k, ()): field.one})
+            znums, zden = zrow = field.clear(zeta)
+            lhs = rho_general(ws, fn, zrow)
+            terms = []
+            for k, bwk, c in bws:
                 dz = {}
-                for (mm, mu), c in zeta.items():
-                    for nu, c2 in deriv_V({mu: c}, k).items():
-                        bump(dz, (mm, nu), c2)
-                v_accum(rhs, ext_mul(bwk, dz), field.hbar * field.num(k))
-            rhs = v_scale(rhs, field.one / (field.num(n) * field.hbar))
-            if lhs != rhs:
+                for (mm, mu), a in znums.items():
+                    for nu, a2 in deriv_V({mu: a}, k).items():
+                        bump(dz, (mm, nu), a2)
+                terms.append((c, (ext_mul(bwk, dz), L * zden)))
+            if lhs != field.combine(terms):
                 if all(m == 0 for (m, mu) in zeta):
                     lemma_ok = False
                 else:
@@ -579,29 +600,30 @@ def _rho_conjectures(ws, max_degree):
         out.append({"id": "rho~ differential form on all of Z0 (conjectured) n=%d" % n,
                     "status": "PASS" if ext_ok else "FAIL", "witness": witness})
 
-    # beta(z,x) = rho(F(dPi(z,x))) theta(z,x) for good basic pairs
+    # beta(z,x) = rho(F(dPi(z,x))) theta(z,x) for good basic pairs; the
+    # basic vectors are rows over 1, so beta and theta are numerators over L
     for d1 in range(1, max_degree):
         for d2 in range(d1, max_degree - d1 + 1):
             for k1 in hn_basis(d1):
                 for k2 in hn_basis(d2):
-                    z1 = {k1: field.one}
-                    z2 = {k2: field.one}
-                    dp = d_Pi(ws, z1, z2)
+                    z1 = _basic_row(ws, k1)[0]
+                    z2 = _basic_row(ws, k2)[0]
                     ident = "beta=rho(F(dPi))theta %s,%s" % (k1, k2)
                     try:
-                        f = good_normalizer_F(ws, dp)
+                        f = good_normalizer_F(ws, (d_Pi(ws, z1, z2), 1))
                     except NotGood:
                         out.append({"id": ident, "status": "SKIP",
                                     "witness": "dPi not good"})
                         continue
-                    th = theta(ws, z1, z2)
+                    b12 = beta(ws, z1, z2, cleared=True)
+                    th = theta(ws, z1, z2, b12, cleared=True)
                     try:
-                        rhs = rho_general(ws, f, th)
+                        rhs = rho_general(ws, f, (th, L))
                     except NotInNullSpace:
                         out.append({"id": ident, "status": "SKIP",
                                     "witness": "theta not in Z0"})
                         continue
-                    lhs = beta(ws, z1, z2)
+                    lhs = field.combine([(1, (b12, L))])
                     out.append({"id": ident,
                                 "status": "PASS" if lhs == rhs else "FAIL",
                                 "witness": ""})
@@ -634,8 +656,7 @@ def _product_evidence(ws, r, m):
     out = []
 
     # case 1: psi^{(r,0)}_{1^r} psi^{(0,m)}_m (explicit two-term form)
-    prod = ext_mul(ws.psi_hat(col, (r, 0)), ws.psi_hat(row, (0, m)))
-    exp = ws.expand_psi_hat(prod)
+    exp = ws.expand_psi_hat(*_psi_hat_product(ws, col, (r, 0), row, (0, m)))
     lam1 = partition((m,) + (1,) * r)
     lam2 = partition((m + 1,) + (1,) * (r - 1))
     c1 = field.lf((0, -m)) / field.lf((r, -m))
@@ -648,16 +669,14 @@ def _product_evidence(ws, r, m):
 
     # case 2: psi^{(r,0)}_{1^r} psi^{(1,0)}_m (support check)
     if (1, 0) in add_set(row):
-        prod = ext_mul(ws.psi_hat(col, (r, 0)), ws.psi_hat(row, (1, 0)))
-        exp = {k for k, v in ws.expand_psi_hat(prod).items() if v}
+        exp = set(ws.expand_psi_hat_row(*_psi_hat_product(ws, col, (r, 0), row, (1, 0)))[0])
         allowed = {(lam1, (0, m)), (lam1, (r + 1, 0)), (lam2, (r, 0))}
         out.append({"id": "evidence-2 r=%d m=%d" % (r, m),
                     "status": "PASS" if exp <= allowed else "FAIL",
                     "witness": "" if exp <= allowed else repr(exp)})
 
     # case 3: psi^{(0,1)}_{1^r} psi^{(1,0)}_m (support check)
-    prod = ext_mul(ws.psi_hat(col, (0, 1)), ws.psi_hat(row, (1, 0)))
-    exp = {k for k, v in ws.expand_psi_hat(prod).items() if v}
+    exp = set(ws.expand_psi_hat_row(*_psi_hat_product(ws, col, (0, 1), row, (1, 0)))[0])
     allowed = {(lam1, (0, m)), (lam1, (1, 1)), (lam2, (1, 1)), (lam2, (r, 0))}
     out.append({"id": "evidence-3 r=%d m=%d" % (r, m),
                 "status": "PASS" if exp <= allowed else "FAIL",

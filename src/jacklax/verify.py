@@ -12,11 +12,10 @@ from . import shc as shc_mod
 from . import traces as tr_mod
 from .errors import BadSize, JackLaxError
 from .fock import (Pi, bump, dim_hn, ext_mul, fock_mul, fock_to_ext, hn_basis,
-                   inner_hbar, monomial_norm_sq, pi0, pi_plus, pi_star,
-                   v_accum, v_scale, vector_to_coords, w_mul)
+                   inner_hbar, pi0, pi_plus, pi_star, w_mul)
 from .jack import jack_norm_sq, pieri_stanley
-from .lax import (lax_apply, lax_matrix, lax_plus_shift_check,
-                  phi_column_coeff, pi_diamond, psi_tilde)
+from .lax import (lax_apply, lax_plus_shift_check, phi_column_coeff, pi_diamond,
+                  psi_tilde_row)
 from .linalg import rank
 from .partitions import (SeriesZ, add_box, add_set, boxes, count_by_corners,
                          count_lattice_q, count_partitions, eigen_pairs,
@@ -196,20 +195,44 @@ def suite_spectral(cfg, max_degree=None):
     return rep.done()
 
 
+def _vanishes(field, terms):
+    """sum c * nums / D over terms [(c, (nums, D))] is the zero vector."""
+    return not field.combine(terms)[0]
+
+
+def _lax_row(field, row):
+    """The cleared row of L applied to the cleared row (nums, D), not in
+    lowest terms."""
+    nums, d = row
+    return lax_apply(field, nums, cleared=True), d * field.lax_ints[2]
+
+
+def _ext_row(row):
+    """A FockVec row as an ExtVec row."""
+    return fock_to_ext(row[0]), row[1]
+
+
+def _coords(row, basis):
+    """The numerators of a cleared row as a list over basis."""
+    return [row[0].get(k, 0) for k in basis]
+
+
 def _eigen(ws, lam, s):
-    psi = ws.psi(lam, s)
-    if lax_apply(ws.field, psi) != v_scale(psi, ws.field.lf(s)):
+    f = ws.field
+    row = ws.psi_row(lam, s)
+    if not _vanishes(f, [(1, _lax_row(f, row)), (-f.lf(s), row)]):
         return False
-    if pi0(psi) != ws.jack(lam):
+    nums, d = row
+    if not _vanishes(f, [(1, (pi0(nums), d)), (-1, ws.jack_row(lam))]):
         return False
-    return pi_star(psi, ws.field) == ws.pi_star_psi(lam, s)
+    return f.quotient(nums.get((sum(lam), ()), 0), d) == ws.pi_star_psi(lam, s)
 
 
 def _psi_norms(ws, lam):
     f = ws.field
     for s in add_set(lam):
-        psi = ws.psi(lam, s)
-        n2 = inner_hbar(psi, psi, f)
+        nums, d = ws.psi_row(lam, s)
+        n2 = inner_hbar(nums, nums, f, d * d)
         if n2 != jack_norm_sq(f, lam) / tau(f, lam, s):
             return False
         if n2 != _psi_norm_hooks(ws, lam, s):
@@ -218,14 +241,14 @@ def _psi_norms(ws, lam):
 
 
 def _phi_expansion(ws, r):
+    f = ws.field
     col = (1,) * r
     for s in add_set(col):
-        psi = ws.psi(col, s)
+        nums, d = ws.psi_row(col, s)
         for k in range(r):
-            expect = v_scale(fock_to_ext(ws.jack((1,) * k)),
-                             phi_column_coeff(ws, r, k, s))
-            got = {(0, mu): c for (m, mu), c in psi.items() if m == r - k}
-            if got != expect:
+            got = {(0, mu): c for (m, mu), c in nums.items() if m == r - k}
+            if not _vanishes(f, [(1, (got, d)), (-phi_column_coeff(ws, r, k, s),
+                                                 _ext_row(ws.jack_row((1,) * k)))]):
                 return False
     return True
 
@@ -238,75 +261,79 @@ def _complete(ws, n):
     pairs = eigen_pairs(n)
     if len(pairs) != dim_hn(n):
         return False
-    one = ws.field.one
-    return all(ws.expand_psi_hat(ws.psi_hat(lam, s)) == {(lam, s): one}
-               for lam, s in pairs)
+    f = ws.field
+    for lam, s in pairs:
+        nums, d = ws.expand_psi_hat_row(*ws.psi_hat_row(lam, s))
+        if list(nums) != [(lam, s)] or f.quotient(nums[(lam, s)], d) != f.one:
+            return False
+    return True
 
 
 def _self_adjoint(ws, n):
+    """<L a, b> = <a, L b> on the basis of H_n, as M[i][j] g[i] ==
+    M[j][i] g[j] for the matrix M of L and the Gram weights g.  The images
+    of the basis vectors are numerators over one common denominator, and
+    so are the Gram weights, so the two sides compare on numerators."""
     basis = hn_basis(n)
     f = ws.field
-    M = lax_matrix(ws, n)
-    g = [monomial_norm_sq(mu, f) for (m, mu) in basis]
-    N = len(basis)
-    for i in range(N):
-        for j in range(i, N):
-            if M[i][j] * g[i] != M[j][i] * g[j]:
+    g, _ = ws.gram_row(n)
+    imgs = [lax_apply(f, f.clear({key: f.one})[0], cleared=True) for key in basis]
+    for i, ki in enumerate(basis):
+        for j in range(i, len(basis)):
+            kj = basis[j]
+            if imgs[j].get(ki, 0) * g[ki] != imgs[i].get(kj, 0) * g[kj]:
                 return False
     return True
 
 
 def _pi_diamond_ok(ws, n):
+    basis = hn_basis(n)
     mats = []
-    for lam in partitions_of(n):
-        for s in add_set(lam):
-            img = pi_diamond(ws, ws.psi(lam, s))
-            if pi_diamond(ws, img) != img:
-                return False
-            mats.append(vector_to_coords(img, n, ws.field))
+    for lam, s in eigen_pairs(n):
+        img = pi_diamond(ws, *ws.psi_row(lam, s))
+        if pi_diamond(ws, *img) != img:
+            return False
+        mats.append(_coords(img, basis))
     return rank(mats) == count_partitions(n + 1)
 
 
 def _jacksums(ws, lam):
     f = ws.field
-    acc = {}
-    for s in add_set(lam):
-        v_accum(acc, ws.psi(lam, s), tau(f, lam, s))
-    if acc != fock_to_ext(ws.jack(lam)):
+    jack = _ext_row(ws.jack_row(lam))
+    terms = [(tau(f, lam, s), ws.psi_row(lam, s)) for s in add_set(lam)]
+    if not _vanishes(f, terms + [(-1, jack)]):
         return False
-    acc2 = {}
-    for tp in rem_set_plus(lam):
-        v_accum(acc2, psi_tilde(ws, lam, tp), tau_tilde(f, lam, tp))
-    return acc2 == lax_apply(f, fock_to_ext(ws.jack(lam)))
+    terms = [(tau_tilde(f, lam, tp), psi_tilde_row(ws, lam, tp)) for tp in rem_set_plus(lam)]
+    return _vanishes(f, terms + [(-1, _lax_row(f, jack))])
 
 
 def _shift_thm(ws, lam):
     """w psi_{lam-t}^t is the L+ eigenfunction (L-[t'])^{-1}-normalized."""
     f = ws.field
+    jack = _ext_row(ws.jack_row(lam))
     for tp in rem_set_plus(lam):
-        pt = psi_tilde(ws, lam, tp)
+        pt = psi_tilde_row(ws, lam, tp)
+        img, d = _lax_row(f, pt)
         # L+ eigen equation on the positive block
-        img = pi_plus(lax_apply(f, pt))
-        if img != v_scale(pt, f.lf(tp)):
+        if not _vanishes(f, [(1, (pi_plus(img), d)), (-f.lf(tp), pt)]):
             return False
         # resolvent normalization: ([t'] - L) psi~ = -j_lam
-        lhs = v_accum(v_scale(pt, f.lf(tp)), lax_apply(f, pt), -f.one)
-        if lhs != v_scale(fock_to_ext(ws.jack(lam)), -f.one):
+        if not _vanishes(f, [(f.lf(tp), pt), (-1, (img, d)), (1, jack)]):
             return False
     return True
 
 
 def _structural(ws, lam):
     n = size(lam)
-    vecs = [fock_to_ext(ws.jack(lam))]
+    rows = [_ext_row(ws.jack_row(lam))]
     for t in rem_set(lam):
-        vecs.append(w_mul(ws.psi(remove_box(lam, t), t)))
-    for v in vecs:
-        for (mu, s), c in ws.expand_psi_hat(v).items():
-            if c and mu != lam:
-                return False
-    rows = [vector_to_coords(v, n, ws.field) for v in vecs]
-    return rank(rows) == len(add_set(lam))
+        nums, d = ws.psi_row(remove_box(lam, t), t)
+        rows.append((w_mul(nums), d))
+    for row in rows:
+        if any(mu != lam for mu, s in ws.expand_psi_hat_row(*row)[0]):
+            return False
+    basis = hn_basis(n)
+    return rank([_coords(row, basis) for row in rows]) == len(add_set(lam))
 
 
 def _psi_norm_hooks(ws, lam, s):
@@ -394,7 +421,7 @@ def suite_kernel(cfg, to=None):
 
 def _hexagons_in_kernel(ws, n):
     for hx in tr_mod.kernel_basis(n):
-        tv = tr_mod.full_trace(ws, hx.value(ws))
+        tv = tr_mod.full_trace(ws, *hx.value(ws))
         if tv.x or tv.y or tv.z:
             return False
     return True
@@ -431,7 +458,7 @@ def suite_traces(cfg, max_degree=None):
 def _theta_beta_traces(ws, lam, s, nu, t):
     from .spectral import star_residues
     f = ws.field
-    t_prod, t_beta, tv = tr_mod.pair_traces(ws, ws.psi_hat(lam, s), ws.psi_hat(nu, t))
+    t_prod, t_beta, tv = tr_mod.pair_traces(ws, ws.psi_hat_row(lam, s), ws.psi_hat_row(nu, t))
     bad = []
     if not tr_mod.pf_eq(tv.x, lr_mod.jack_lr(ws, lam, nu, hatted=True)):
         bad.append("x != chat")
@@ -455,21 +482,22 @@ def _trace_chain(ws, n, picks, coeffs):
         zeta = {}
         for idx, c in zip(p, cs):
             bump(zeta, basis[idx], f.num(c))
-        tv = tr_mod.full_trace(ws, zeta)
-        tvd = tr_mod.full_trace(ws, pi_diamond(ws, zeta))
+        nums, d = row = f.clear(zeta)
+        tv = tr_mod.full_trace(ws, nums, d)
+        tvd = tr_mod.full_trace(ws, *pi_diamond(ws, nums, d))
         if not tr_mod.pf_eq(tv.x, tvd.x):
             return False
-        tvp = tr_mod.full_trace(ws, pi_plus(zeta))
+        tvp = tr_mod.full_trace(ws, pi_plus(nums), d)
         if not tr_mod.pf_eq(tv.z, tvp.z):
             return False
-        tw = tr_mod.full_trace(ws, w_mul(zeta))
+        tw = tr_mod.full_trace(ws, w_mul(nums), d)
         if not tr_mod.pf_eq(tw.z, tv.x):
             return False
-        tpi = tr_mod.full_trace(ws, Pi(zeta))
+        tpi = tr_mod.full_trace(ws, Pi(nums), d)
         if not tr_mod.pf_eq(tpi.x, tv.z):
             return False
         # y_u(L zeta) = u y_u(zeta) - pi_* zeta
-        tl = tr_mod.full_trace(ws, lax_apply(f, zeta))
+        tl = tr_mod.full_trace(ws, *_lax_row(f, row))
         tot = f.zero
         for s0, c in tv.y.items():
             tot = tot + c
@@ -489,19 +517,20 @@ def _refined_pieri(ws, lam):
     f = ws.field
     for s in add_set(lam):
         gamma = add_box(lam, s)
+        a, da = ws.psi_row(lam, s)
         for v in add_set((1,)):
-            lhs = ext_mul(ws.psi((1,), v), ws.psi(lam, s))
-            acc = {}
+            b, db = ws.psi_row((1,), v)
+            terms = [(-1, (ext_mul(b, a), db * da))]
             for u in add_set(gamma):
                 num = f.lf((-v[0], -v[1])) * f.lf((s[0] - u[0] - v[0] + 1,
                                                    s[1] - u[1] - v[1] + 1))
                 den = f.lf((s[0] - u[0], s[1] - u[1])) * f.lf((s[0] - u[0] + 1,
                                                                s[1] - u[1] + 1))
-                v_accum(acc, ws.psi(gamma, u), num / den * tau(f, gamma, u))
+                terms.append((num / den * tau(f, gamma, u), ws.psi_row(gamma, u)))
             for t in add_set(lam):
                 if t != s:
-                    v_accum(acc, ws.psi(add_box(lam, t), s), tau(f, lam, t))
-            if lhs != acc:
+                    terms.append((tau(f, lam, t), ws.psi_row(add_box(lam, t), s)))
+            if not _vanishes(f, terms):
                 return False
     return True
 

@@ -28,23 +28,33 @@ psi, the Jacks and jhat_lam^dagger are built on cleared rows.  Here the
 products take one field operation per form, the point check scans every
 difference vector, and the recursions and jhat_lam^dagger run on field
 scalars.
+
+The psi-hat layer runs on cleared rows: the full trace is summed on the
+numerators of the expansion row, sums of psi-hat vectors (the rho
+operators, the good normalizer, the hexagon values) are one
+field.combine, inner_hbar pairs numerators, and ranks come from Bareiss'
+fraction-free elimination.  Here the trace, the rho operators and the
+normalizer sum field scalars, a row combination is a sum of vectors
+cleared afterwards, inner_hbar multiply-adds field scalars, and the rank
+comes from Gaussian elimination with field division.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from jacklax.errors import JackLaxError
-from jacklax.fock import (Pi, bump, degree_of, ext_mul, fock_adjoint_apply, fock_to_ext,
-                          hall_inner_alpha, hn_basis, inner_hbar, monomial_norm_sq, pi0,
-                          v_accum, v_scale, vector_to_coords, w_mul)
+from jacklax.errors import JackLaxError, NotGood, NotInNullSpace
+from jacklax.fock import (Pi, _as_ext, bump, degree_of, ext_mul, fock_adjoint_apply,
+                          fock_to_ext, hall_inner_alpha, hn_basis, inner_hbar,
+                          monomial_norm_sq, pi0, v_accum, v_clear, v_scale, v_uncleared,
+                          vector_to_coords, w_mul)
 from jacklax.linalg import invert, matvec
-from jacklax.partitions import (eigen_pairs, partition, partitions_of, rem_set, remove_box,
-                                 size)
+from jacklax.partitions import (add_box, eigen_pairs, partition, partitions_of, rem_set,
+                                 remove_box, size)
 from jacklax.shc import (apply_dPhi, fock_to_jack, h_state, jack_to_fock, pf_add,
                          pf_clean, pf_scale, pf_truncate)
 from jacklax.spectral import tau, tau_tilde
-from jacklax.traces import full_trace
+from jacklax.traces import TraceVector
 
 
 # ---------------------------------------------------------------------------
@@ -312,11 +322,113 @@ def field_theta(ws, z1, z2):
     return v_accum(out, Pi(field_beta(ws, z1, z2)), -ws.field.one)
 
 
-def field_pair_traces(ws, z1, z2):
-    """The traces of z1 z2, beta(z1, z2) and theta(z1, z2), each vector
-    computed on field scalars."""
-    return (full_trace(ws, ext_mul(z1, z2)), full_trace(ws, field_beta(ws, z1, z2)),
-            full_trace(ws, field_theta(ws, z1, z2)))
+def field_pair_traces(ws, row1, row2):
+    """The traces of z1 z2, beta(z1, z2) and theta(z1, z2) for the cleared
+    rows of z1 and z2, each vector and trace computed on field scalars."""
+    z1, z2 = ws.field.uncleared(row1), ws.field.uncleared(row2)
+    return (field_full_trace(ws, ext_mul(z1, z2)), field_full_trace(ws, field_beta(ws, z1, z2)),
+            field_full_trace(ws, field_theta(ws, z1, z2)))
+
+
+# ---------------------------------------------------------------------------
+# the psi-hat layer on field scalars
+# ---------------------------------------------------------------------------
+
+def field_full_trace(ws, zeta):
+    """Tr(zeta): the psi-hat coefficients of zeta summed as field scalars."""
+    x, y, z = {}, {}, {}
+    for (lam, s), c in ws.expand_psi_hat(zeta).items():
+        bump(x, add_box(lam, s), c)
+        bump(y, s, c)
+        bump(z, lam, c)
+    return TraceVector(degree_of(zeta) if zeta else 0, x, y, z)
+
+
+def field_combine(terms):
+    """The cleared row of sum c * nums / D over terms [(c, (nums, D))] at a
+    point, summed as Fraction vectors and cleared afterwards."""
+    out = {}
+    for c, row in terms:
+        v_accum(out, v_uncleared(row), Fraction(c))
+    return v_clear(out)
+
+
+def field_inner_hbar(f, g, field):
+    """<f, g> multiply-added on field scalars, key by key."""
+    f, g = _as_ext(f), _as_ext(g)
+    total = field.zero
+    for key, a in f.items():
+        b = g.get(key)
+        if b:
+            total = total + a * b * monomial_norm_sq(key[1], field)
+    return total
+
+
+def fraction_rank(A):
+    """Rank by Gaussian elimination with field division (rows of Fraction
+    or Coeff values)."""
+    M = [list(row) for row in A]
+    n = len(M)
+    if not n:
+        return 0
+    m = len(M[0])
+    r = 0
+    for c in range(m):
+        pr = next((i for i in range(r, n) if M[i][c]), None)
+        if pr is None:
+            continue
+        M[r], M[pr] = M[pr], M[r]
+        pv = M[r][c]
+        for i in range(r + 1, n):
+            if M[i][c]:
+                f = M[i][c] / pv
+                M[i] = [M[i][j] - f * M[r][j] for j in range(m)]
+        r += 1
+        if r == n:
+            break
+    return r
+
+
+def field_rho_general(ws, xi, zeta):
+    """rho(xi) zeta on vectors, each psi-hat vector added with a field
+    coefficient."""
+    field = ws.field
+    xi_exp = ws.expand_psi_hat(xi)
+    by_lam = {}
+    for (lam, t), c in ws.expand_psi_hat(zeta).items():
+        by_lam.setdefault(lam, {})[t] = c
+    for lam, comp in by_lam.items():
+        tot = field.zero
+        for c in comp.values():
+            tot = tot + c
+        if tot:
+            raise NotInNullSpace("zeta has a nonzero z-trace on Z_%s" % (lam,))
+    out = {}
+    for (lam, s), xc in xi_exp.items():
+        for t, c in by_lam.get(lam, {}).items():
+            if t != s:
+                v_accum(out, ws.psi_hat(add_box(lam, s), t), xc * c)
+                v_accum(out, ws.psi_hat(add_box(lam, t), s), -(xc * c))
+    return out
+
+
+def field_good_normalizer_F(ws, xi):
+    """F(xi) on vectors, each psi-hat vector added with a field
+    coefficient."""
+    field = ws.field
+    by_lam = {}
+    for (lam, s), c in ws.expand_psi_hat(xi).items():
+        by_lam.setdefault(lam, {})[s] = c
+    out = {}
+    for lam, comp in by_lam.items():
+        tot = field.zero
+        for c in comp.values():
+            tot = tot + c
+        if not tot:
+            raise NotGood("Z_%s component has vanishing z-trace" % (lam,))
+        for s, c in comp.items():
+            v_accum(out, ws.psi_hat(lam, s), c / tot)
+    return out
 
 
 # ---------------------------------------------------------------------------

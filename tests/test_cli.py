@@ -240,6 +240,9 @@ def test_size_zero_is_not_the_default(capsys):
     (["verify", "counts", "--jobs", "0"], "bad jobs=0"),
     (["verify", "tau", "--jobs", "-2"], "bad jobs=-2"),
     (["cache", "stat"], "no cache directory configured"),
+    (["cache", "stat", "--cache-dir", "never-made"], "cache directory never-made does not exist"),
+    (["cache", "clear", "--cache-dir", "never-made"],
+     "cache directory never-made does not exist"),
 ])
 def test_bad_input_exits_2_with_one_error_line(argv, needle):
     env = {k: v for k, v in os.environ.items() if k != "JACKLAX_CACHE_DIR"}

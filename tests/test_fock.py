@@ -42,6 +42,26 @@ def test_inner_hbar_examples():
     assert not inner_hbar({(1, (1,)): one}, {(0, (2,)): one}, F)
 
 
+@pytest.mark.parametrize("point, maxn", [(0, 5), (1, 5), (2, 5), (None, 3)])
+def test_inner_hbar_matches_field_oracle(point, maxn, sym, spec_all):
+    # inner_hbar pairs numerators against the cleared Gram weights; the
+    # key-by-key sum of field scalars it replaced gives the same scalar,
+    # for vectors and for cleared rows with den
+    from jacklax.partitions import eigen_pairs
+    from oracles import field_inner_hbar
+    ws = sym if point is None else spec_all[point]
+    field = ws.field
+    rng = random.Random(7)
+    vecs = [ws.jack(lam) for n in range(maxn + 1) for lam in partitions_of(n)]
+    vecs += [ws.psi(lam, s) for n in range(maxn + 1) for lam, s in eigen_pairs(n)]
+    pairs = [(a, b) for a in vecs for b in vecs if len(a) > 1 or a is b]
+    for f, g in rng.sample(pairs, min(200, len(pairs))) + [({}, vecs[0])]:
+        want = field_inner_hbar(f, g, field)
+        assert inner_hbar(f, g, field) == want
+        (a, da), (b, db) = field.clear(f), field.clear(g)
+        assert inner_hbar(a, b, field, da * db) == want
+
+
 def test_monomial_norm():
     h = F.hbar
     assert monomial_norm_sq((1,), F) == h

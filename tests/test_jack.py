@@ -24,10 +24,13 @@ def test_integral_jacks_n3():
 
 
 def test_lax_recursion_matches_gram_schmidt(sym, spec_all):
-    # the runtime basis (Lax recursion) against the Gram-Schmidt oracle
+    # the runtime basis (Lax recursion) against the Gram-Schmidt oracle;
+    # jack_degree holds the cleared rows, jack the vectors made from them
     for ws, maxn in [(sym, 6)] + [(point_ws, 9) for point_ws in spec_all]:
         for n in range(maxn + 1):
-            assert ws.jack_degree(n) == homogeneous_jacks(ws.field, n), (ws.key(), n)
+            want = homogeneous_jacks(ws.field, n)
+            assert {lam: ws.jack(lam) for lam in ws.jack_degree(n)} == want, (ws.key(), n)
+            assert ws.jack_degree(n) == {lam: ws.field.clear(v) for lam, v in want.items()}
 
 
 @pytest.mark.parametrize("point, max_total", [(0, 7), (1, 7), (2, 7), (None, 5)])
@@ -35,10 +38,11 @@ def test_jack_dual_matches_inner_hbar(point, max_total, sym, spec_all):
     # the replaced expansion, one inner_hbar per partition, stays as the
     # oracle: same dict, key order included
     ws = sym if point is None else spec_all[point]
-    # at a point the dual index holds int weights and int scale pairs
+    # at a point the dual index holds int weights, int scale numerators
+    # and an int common denominator
     runtime = ws.jack_dual(max_total)
     ints = [w for pairs in runtime.index.values() for _, w in pairs]
-    ints += [x for pair in runtime.scales for x in pair]
+    ints += runtime.scales + [runtime.den]
     assert all(type(x) is int for x in ints) == (point is not None)
     vecs = [ws.jack(lam) for n in range(max_total + 1) for lam in partitions_of(n)]
     mixed = {}

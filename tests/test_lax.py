@@ -189,10 +189,11 @@ def test_dual_expansion_matches_dense_inverse(point, maxn, sym, spec_all):
                          field_psi_hat_dual)
     ws = sym if point is None else spec_all[point]
     field = ws.field
-    # at a point the dual index holds int weights and int scale pairs
+    # at a point the dual index holds int weights, int scale numerators
+    # and an int common denominator
     runtime = ws.psi_hat_solver(maxn)
     ints = [w for pairs in runtime.index.values() for _, w in pairs]
-    ints += [x for pair in runtime.scales for x in pair]
+    ints += runtime.scales + [runtime.den]
     assert all(type(x) is int for x in ints) == (point is not None)
     rng = random.Random(20261018)
     for n in range(maxn + 1):
@@ -332,6 +333,7 @@ def test_accumulators_leave_caches_unchanged():
     from jacklax.lax import decompose
     from jacklax.lr import jacklax_lr
     from jacklax.shc import whittaker_checks
+    from jacklax import traces, verify
     from jacklax.traces import resolvent_w_identity, rho_general
     from jacklax.verify import _delta_via_states, _refined_pieri
     ws = Workspace(SpecializedField(DEFAULT_SPEC_POINTS[0]))
@@ -339,12 +341,16 @@ def test_accumulators_leave_caches_unchanged():
     for n in range(6):
         ws.jack_dual(n)
         ws.psi_hat_solver(n)
+        for lam in partitions_of(n):
+            ws.jack(lam)
         for lam, s in eigen_pairs(n):
-            ws.psi_hat(lam, s)
+            ws.psi(lam, s)
+            ws.psi_hat_row(lam, s)
 
     def caches():
         duals = [{n: vars(d) for n, d in c.items()} for c in (ws._jack_dual, ws._psi_dual)]
-        return [ws._jack, ws._psi, ws._norm, ws._psi_hat, ws._jack_rows, ws._psi_rows] + duals
+        return [ws._jack, ws._psi, ws._norm, ws._jack_rows, ws._psi_rows, ws._psi_hat_rows,
+                ws._gram] + duals
 
     before = copy.deepcopy(caches())
     one = ws.field.one
@@ -356,8 +362,24 @@ def test_accumulators_leave_caches_unchanged():
             decompose(ws, fock_to_ext(ws.jack(lam)), scheme)
     lam = (2, 1)
     A = add_set(lam)
-    null = v_accum(dict(ws.psi_hat(lam, A[0])), ws.psi_hat(lam, A[1]), -one)
-    rho_general(ws, fock_to_ext(ws.jack_hat(lam)), null)
+    null = ws.psi_hat_combine({(lam, A[0]): 1, (lam, A[1]): -1})
+    rho_general(ws, ws.field.clear(fock_to_ext(ws.jack_hat(lam))), null)
+    traces.rho_tilde(ws, 3, null)
+    traces.good_normalizer_F(ws, traces._basic_row(ws, (3, ())))
+    for hx in traces.kernel_basis(4):
+        traces.full_trace(ws, *hx.value(ws))
+    traces.pair_traces(ws, ws.psi_hat_row((1,), (0, 1)), ws.psi_hat_row((2,), (1, 0)))
+    # the eigen checks on rows
+    for n in range(4):
+        assert verify._complete(ws, n) and verify._self_adjoint(ws, n)
+        if n:
+            assert verify._pi_diamond_ok(ws, n)
+            assert verify._trace_chain(ws, n, [[0]], [[2]])
+        for lam in partitions_of(n):
+            assert all(verify._eigen(ws, lam, s) for s in add_set(lam))
+            if n:
+                assert verify._jacksums(ws, lam) and verify._shift_thm(ws, lam)
+                assert verify._structural(ws, lam) and verify._psi_norms(ws, lam)
     for lam, s, nu, t in [((1,), (0, 1), (2,), (1, 0)), ((1,), (1, 0), (1, 1), (0, 1))]:
         jacklax_lr(ws, lam, s, nu, t)
         jacklax_lr(ws, lam, s, nu, t, hatted=True)
@@ -424,12 +446,10 @@ def test_suites_match_with_scalars_and_recursions_on_oracles(monkeypatch):
             return {(): ({(): 1}, 1)}
         return {lam: v_clear(v) for lam, v in oracles.field_jacks(ws.field, ws.psi, n).items()}
 
-    def unpatched(*args):
-        raise AssertionError("an integer path ran")
-
     shipped = reports()
     monkeypatch.setattr(arith.SpecializedField, "ratio", oracles.lf_ratio)
     monkeypatch.setattr(lax, "compute_psi", field_psi_row)
     monkeypatch.setattr(session, "compute_homogeneous_jacks", field_jack_rows)
-    monkeypatch.setattr(arith.SpecializedField, "combine", unpatched)
+    # every row sum (the psi-hat rows and the spectral checks) on vectors
+    monkeypatch.setattr(arith.SpecializedField, "combine", staticmethod(oracles.field_combine))
     assert reports() == shipped

@@ -4,8 +4,9 @@ agrees with sympy's, partial fractions reconstruct a SpectralFun, a
 combination of basis vectors expands back to its coefficients, the Lax
 operator and beta on integer numerators agree with their field-scalar
 oracles, field.ratio agrees with one field operation per form, cleared
-rows sum as v_accum does, and the closed-form point check agrees with the
-scan over difference vectors."""
+rows sum as v_accum does, the closed-form point check agrees with the
+scan over difference vectors, and the fraction-free rank agrees with
+Gaussian elimination with field division."""
 
 from fractions import Fraction
 
@@ -24,7 +25,9 @@ from jacklax.partitions import (add_box, add_set, eigen_pairs,  # noqa: E402
                                 format_partition, parse_partition, partitions_of,
                                 remove_box)
 from jacklax.traces import beta  # noqa: E402
-from oracles import field_beta, field_lax_apply, lf_ratio, scan_collision  # noqa: E402
+from jacklax.linalg import rank  # noqa: E402
+from oracles import (field_beta, field_lax_apply, fraction_rank, lf_ratio,  # noqa: E402
+                     scan_collision)
 
 try:
     import sympy
@@ -248,3 +251,58 @@ def test_spec_point_check_matches_scan(pair):
     except BadSpecPoint as exc:
         got = str(exc)
     assert got == scan_collision(e1, e2)
+
+
+# small rationals, zero half the time, so that rows and columns vanish
+SMALL_Q = st.one_of(st.just(Fraction(0)),
+                    st.fractions(min_value=-6, max_value=6, max_denominator=7))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_bareiss_rank_matches_fraction_rank(data):
+    # wide, tall and empty shapes; zero, repeated and combined rows make
+    # the matrix rank-deficient on purpose.  rank runs on the integer
+    # numerators of each cleared row, the oracle on the Fractions.
+    n, m = data.draw(st.integers(0, 6)), data.draw(st.integers(0, 6))
+    rows = data.draw(st.lists(st.lists(SMALL_Q, min_size=m, max_size=m),
+                              min_size=n, max_size=n))
+    for kind in data.draw(st.lists(st.sampled_from(["zero", "copy", "combine"]), max_size=3)):
+        if kind == "zero" or not rows:
+            rows.append([Fraction(0)] * m)
+        elif kind == "copy":
+            rows.insert(data.draw(st.integers(0, len(rows))),
+                        list(data.draw(st.sampled_from(rows))))
+        else:
+            a, b = data.draw(st.sampled_from(rows)), data.draw(st.sampled_from(rows))
+            x, y = data.draw(SMALL_Q), data.draw(SMALL_Q)
+            rows.append([x * u + y * v for u, v in zip(a, b)])
+    cleared = [[nums[j] for j in range(m)] for nums, _ in
+               (v_clear(dict(enumerate(row))) for row in rows)]
+    assert rank(cleared) == fraction_rank(rows)
+
+
+SMALL_COEFFS = st.sampled_from([Coeff.from_int(0), Coeff.from_int(1), Coeff.from_int(-2),
+                                Coeff.lf(1, 0), Coeff.lf(0, 1), Coeff.lf(1, -1)])
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_bareiss_rank_over_q_e1_e2(data):
+    # Coeff's // is exact division, so the same elimination runs on
+    # rational functions; products of linear forms make rank drops
+    n, m = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    rows = data.draw(st.lists(st.lists(SMALL_COEFFS, min_size=m, max_size=m),
+                              min_size=n, max_size=n))
+    c = data.draw(SMALL_COEFFS)
+    rows.append([c * v for v in rows[0]])
+    assert rank(rows) == fraction_rank(rows)
+
+
+def test_bareiss_rank_examples():
+    e1, e2 = Coeff.lf(1, 0), Coeff.lf(0, 1)
+    assert rank([[e1, e2], [e1 * e1, e1 * e2]]) == 1
+    assert rank([[e1, e2], [e2, e1]]) == 2
+    assert rank([[0, 0, 1], [0, 0, 2], [1, 1, 0]]) == 2
+    assert rank([[2, 4], [3, 6], [0, 0]]) == 1
+    assert rank([]) == 0 and rank([[], []]) == 0

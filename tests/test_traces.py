@@ -106,7 +106,7 @@ def test_kernel_generators():
 def test_hexagons_in_kernel(spec):
     for n in (4, 5):
         for hx in kernel_basis(n):
-            tv = full_trace(spec, hx.value(spec))
+            tv = full_trace(spec, *hx.value(spec))
             assert not tv.x and not tv.y and not tv.z
 
 
@@ -206,7 +206,8 @@ def test_pair_traces_match_field_oracle(point, maxn, sym, spec_all):
         p1, p2 = ws.psi_hat(lam, s), ws.psi_hat(nu, t)
         assert list(beta(ws, p1, p2).items()) == list(field_beta(ws, p1, p2).items())
         assert list(theta(ws, p1, p2).items()) == list(field_theta(ws, p1, p2).items())
-        for got, want in zip(pair_traces(ws, p1, p2), field_pair_traces(ws, p1, p2)):
+        rows = ws.psi_hat_row(lam, s), ws.psi_hat_row(nu, t)
+        for got, want in zip(pair_traces(ws, *rows), field_pair_traces(ws, *rows)):
             assert got.n == want.n
             for part in ("x", "y", "z"):
                 assert list(getattr(got, part).items()) == list(getattr(want, part).items())
@@ -296,25 +297,28 @@ def test_rho_beta_relation(spec):
     lam = (2, 1)
     A = add_set(lam)
     zeta = v_accum(dict(spec.psi_hat(lam, A[0])), spec.psi_hat(lam, A[1]), -one)
-    assert rho_general(spec, zeta, zeta) == {}
-    assert rho_general(spec, zeta, fock_to_ext(spec.jack_hat(lam))) == \
-        beta(spec, {(1, ()): one}, zeta)
+    # rho_general takes and returns cleared rows
+    clear = F.clear
+    assert rho_general(spec, clear(zeta), clear(zeta)) == clear({})
+    assert rho_general(spec, clear(zeta), clear(fock_to_ext(spec.jack_hat(lam)))) == \
+        clear(beta(spec, {(1, ()): one}, zeta))
 
 
 def test_good_normalizer(spec):
     F = spec.field
     one = F.one
+    # good_normalizer_F takes and returns cleared rows
     for n in (1, 2, 3):
-        f = good_normalizer_F(spec, {(n, ()): one})
+        f = good_normalizer_F(spec, F.clear({(n, ()): one}))
         acc = {}
         for lam in partitions_of(n):
             v_accum(acc, w_mul(q_poly_hat(spec, lam)), one / (F.num(n) * F.hbar))
-        assert f == acc
+        assert f == F.clear(acc)
     lam = (2, 1)
     A = add_set(lam)
     bad = v_accum(dict(spec.psi_hat(lam, A[0])), spec.psi_hat(lam, A[1]), -one)
     with pytest.raises(NotGood):
-        good_normalizer_F(spec, bad)
+        good_normalizer_F(spec, F.clear(bad))
 
 
 def test_koszul():
@@ -341,3 +345,69 @@ def test_conjecture_checks_structure(spec):
     # the closed-form product-evidence coefficients pass
     assert all(r["status"] == "PASS" for r in insts
                if r["id"].startswith("evidence-1"))
+
+
+@pytest.mark.parametrize("point, maxn", [(0, 5), (1, 5), (2, 5), (None, 3)])
+def test_row_path_matches_field_oracles(point, maxn, sym, spec_all):
+    # on every psi-hat product of degree <= maxn the expansion row, the
+    # full trace summed on numerators, the good normalizer and rho_general
+    # on rows equal their Fraction-sum oracles
+    from jacklax.partitions import pair_quads
+    from oracles import (field_expand_psi_hat, field_full_trace, field_good_normalizer_F,
+                         field_psi_hat_dual, field_rho_general)
+    ws = sym if point is None else spec_all[point]
+    F = ws.field
+    duals = {}
+    for lam, s, nu, t in pair_quads(maxn):
+        (a, da), (b, db) = ws.psi_hat_row(lam, s), ws.psi_hat_row(nu, t)
+        row = ext_mul(a, b), da * db
+        prod = F.uncleared(row)
+        n = sum(lam) + sum(nu)
+        dual = duals.setdefault(n, field_psi_hat_dual(ws, n))
+        want = field_expand_psi_hat(prod, dual)
+        assert list(ws.expand_psi_hat(*row).items()) == list(want.items())
+        got, want = full_trace(ws, *row), field_full_trace(ws, prod)
+        assert (got.n, got.x, got.y, got.z) == (want.n, want.x, want.y, want.z)
+        assert _outcome(good_normalizer_F, ws, row) == \
+            _outcome(field_good_normalizer_F, ws, prod, F.clear)
+        p1, p2 = F.uncleared((a, da)), F.uncleared((b, db))
+        xi, zeta = d_Pi(ws, p1, p2), theta(ws, p1, p2)
+        assert _outcome(rho_general, ws, F.clear(xi), F.clear(zeta)) == \
+            _outcome(field_rho_general, ws, xi, zeta, F.clear)
+        good = _outcome(field_good_normalizer_F, ws, xi)
+        if not isinstance(good, str):
+            assert _outcome(rho_general, ws, good_normalizer_F(ws, F.clear(xi)),
+                            F.clear(zeta)) == _outcome(field_rho_general, ws, good, zeta, F.clear)
+
+
+def _outcome(fn, ws, *args):
+    """fn(ws, *args), or the name of the exception it raises; a trailing
+    callable in args is applied to the result."""
+    post = args[-1] if callable(args[-1]) else None
+    if post is not None:
+        args = args[:-1]
+    try:
+        got = fn(ws, *args)
+    except (NotGood, NotInNullSpace) as e:
+        return type(e).__name__
+    return got if post is None else post(got)
+
+
+def test_dual_indexes_build_without_vectors(monkeypatch):
+    # the Jack and psi-hat dual indexes come from the cleared rows alone:
+    # no vector is read back from a row while they are built
+    from jacklax.arith import DEFAULT_SPEC_POINTS, SpecializedField
+    from jacklax.session import Workspace
+    calls = []
+
+    def counting(row):
+        calls.append(row)
+        return {}
+
+    monkeypatch.delenv("JACKLAX_CACHE_DIR", raising=False)
+    monkeypatch.setattr(SpecializedField, "uncleared", staticmethod(counting))
+    ws = Workspace(SpecializedField(DEFAULT_SPEC_POINTS[2]))
+    for n in range(6):
+        ws.jack_dual(n)
+        ws.psi_hat_solver(n)
+    assert calls == []
