@@ -5,129 +5,25 @@ two deformation parameters, or (after specialization at a rational point)
 in plain Q.  Rational functions of the auxiliary variable u whose zeros and
 poles are integer linear forms a*e1 + b*e2 are kept factored (SpectralFun).
 
+Every denominator the library makes splits into such forms (box contents,
+hook norms, hbar = -e1*e2), so a Coeff keeps its denominator factored: a
+positive integer times a multiset of prime forms, reduced by trial
+division of the numerator, with no polynomial gcd.  Dividing by a Coeff
+factors its numerator into forms and raises NotSplit if it is not an
+integer times forms.
+
 Conventions used everywhere:
   hbar = -e1*e2, ebar = e1 + e2, and a "linear form" is an integer pair
   (a, b) standing for a*e1 + b*e2.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd as _igcd, lcm
 
-from .errors import ZeroDenominator, PoleAtSpecPoint, NotAPole, NotASimplePole, BadSpecPoint
+from .errors import (BadSpecPoint, NotAPole, NotASimplePole, NotSplit, PoleAtSpecPoint,
+                     ZeroDenominator)
 from .fock import v_accum, v_clear, v_combine, v_uncleared
-
-
-# ---------------------------------------------------------------------------
-# univariate integer polynomials (little-endian coefficient lists), used as
-# the coefficient ring for the bivariate gcd
-# ---------------------------------------------------------------------------
-
-def _u_trim(p):
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _u_add(a, b):
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] += c
-    return _u_trim(out)
-
-
-def _u_neg(a):
-    return [-c for c in a]
-
-
-def _u_mul(a, b):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                if cb:
-                    out[i + j] += ca * cb
-    return _u_trim(out)
-
-
-def _u_scale(a, k):
-    if k == 0:
-        return []
-    return [c * k for c in a]
-
-
-def _u_content(a):
-    g = 0
-    for c in a:
-        g = _igcd(g, abs(c))
-        if g == 1:
-            return 1
-    return g
-
-
-def _u_divexact(a, b):
-    """Exact division of integer polynomials (b must divide a)."""
-    if not a:
-        return []
-    a = list(a)
-    db, lb = len(b) - 1, b[-1]
-    q = [0] * (len(a) - db)
-    for i in range(len(a) - 1, db - 1, -1):
-        c = a[i]
-        if c == 0:
-            continue
-        if c % lb:
-            raise ArithmeticError("inexact polynomial division")
-        k = c // lb
-        q[i - db] = k
-        for j in range(db + 1):
-            a[i - db + j] -= k * b[j]
-    if any(a):
-        raise ArithmeticError("inexact polynomial division")
-    return q
-
-
-def _u_gcd(a, b):
-    """Primitive-PRS gcd of integer polynomials, positive leading coeff."""
-    a, b = list(a), list(b)
-    if not a:
-        b = list(b)
-        return b if not b or b[-1] > 0 else _u_neg(b)
-    if not b:
-        return a if a[-1] > 0 else _u_neg(a)
-    ca, cb = _u_content(a), _u_content(b)
-    cg = _igcd(ca, cb)
-    a = [c // ca for c in a]
-    b = [c // cb for c in b]
-    while True:
-        if len(a) < len(b):
-            a, b = b, a
-        # pseudo-remainder of a by b
-        r = list(a)
-        lb = b[-1]
-        db = len(b) - 1
-        while len(r) - 1 >= db and r:
-            lr = r[-1]
-            dr = len(r) - 1
-            r = _u_add(_u_scale(r, lb), _u_scale([0] * (dr - db) + b, -lr))
-            if len(r) - 1 == dr:  # leading term must drop
-                r = _u_trim(r[:dr])
-        if not r:
-            g = b
-            break
-        cr = _u_content(r)
-        a, b = b, [c // cr for c in r]
-        if len(b) == 1:
-            g = [1]
-            break
-    g = list(g)
-    if g[-1] < 0:
-        g = _u_neg(g)
-    return _u_scale(g, cg) if cg != 1 else g
 
 
 # ---------------------------------------------------------------------------
@@ -168,78 +64,25 @@ class BiPoly:
         return BiPoly({k: -v for k, v in self.t.items()})
 
     def __add__(self, other):
-        out = dict(self.t)
-        for k, v in other.t.items():
-            w = out.get(k, 0) + v
-            if w:
-                out[k] = w
-            elif k in out:
-                del out[k]
-        return BiPoly(out)
+        return _bp(_t_add(self.t, other.t))
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
-        if not self.t or not other.t:
-            return BiPoly()
-        out = {}
-        for (i, j), a in self.t.items():
-            for (k, l), b in other.t.items():
-                key = (i + k, j + l)
-                w = out.get(key, 0) + a * b
-                if w:
-                    out[key] = w
-                elif key in out:
-                    del out[key]
-        return BiPoly(out)
-
-    def scale(self, n):
-        if n == 0:
-            return BiPoly()
-        return BiPoly({k: v * n for k, v in self.t.items()})
+        return _bp(_t_mul(self.t, other.t))
 
     def is_const(self):
         return not self.t or self.t.keys() == {(0, 0)}
 
-    def is_monomial(self):
-        return len(self.t) <= 1
-
-    def const_value(self):
-        return self.t.get((0, 0), 0)
-
-    def lead_key(self):
-        # canonical term order: total degree, then e1-degree
-        return max(self.t, key=lambda k: (k[0] + k[1], k[0]))
-
     def lead_coeff(self):
-        return self.t[self.lead_key()]
+        return self.t[max(self.t, key=_lead_order)]
 
     def evaluate(self, e1, e2):
         tot = Fraction(0)
         for (i, j), c in self.t.items():
             tot += c * e1 ** i * e2 ** j
         return tot
-
-    def _rows(self):
-        """As a list indexed by e1-degree of little-endian e2-polys."""
-        d1 = max(k[0] for k in self.t)
-        rows = [[] for _ in range(d1 + 1)]
-        for (i, j), c in self.t.items():
-            row = rows[i]
-            if len(row) <= j:
-                row.extend([0] * (j + 1 - len(row)))
-            row[j] = c
-        return [_u_trim(r) for r in rows]
-
-    @staticmethod
-    def _from_rows(rows):
-        t = {}
-        for i, row in enumerate(rows):
-            for j, c in enumerate(row):
-                if c:
-                    t[(i, j)] = c
-        return BiPoly(t)
 
     def __str__(self):
         return render_poly(self)
@@ -251,194 +94,347 @@ _BP_ZERO = BiPoly()
 _BP_ONE = BiPoly.const(1)
 
 
-def _bp_gcd(A, B):
-    if not A.t:
-        return _bp_pos(B)
-    if not B.t:
-        return _bp_pos(A)
-    if A.is_monomial() or B.is_monomial():
-        # monomial gcd: min exponents over the other's support
-        i1 = min(k[0] for k in A.t)
-        j1 = min(k[1] for k in A.t)
-        i2 = min(k[0] for k in B.t)
-        j2 = min(k[1] for k in B.t)
-        c = _igcd(_int_content(A), _int_content(B))
-        key = (min(i1, i2), min(j1, j2))
-        if A.is_monomial() and B.is_monomial():
-            return BiPoly({key: c})
-        # gcd(monomial, poly) = common monomial factor
-        return BiPoly({key: c})
-    ra, rb = A._rows(), B._rows()
-    if len(ra) < len(rb):
-        ra, rb = rb, ra
-    conta = []
-    for r in ra:
-        conta = _u_gcd(conta, r)
-        if conta == [1]:
-            break
-    contb = []
-    for r in rb:
-        contb = _u_gcd(contb, r)
-        if contb == [1]:
-            break
-    ppa = [(_u_divexact(r, conta) if r else []) for r in ra]
-    ppb = [(_u_divexact(r, contb) if r else []) for r in rb]
-    cg = _u_gcd(conta, contb)
-    if len(ppb) == 1:
-        g = [cg]
-    else:
-        gg = _uu_gcd(ppa, ppb)
-        g = [_u_mul(cg, c) for c in gg]
-    return _bp_pos(BiPoly._from_rows(g))
-
-
-def _uu_trim(p):
-    while p and not p[-1]:
-        p.pop()
+def _bp(t):
+    """A BiPoly on the term dict t, which has no zero coefficients."""
+    p = BiPoly.__new__(BiPoly)
+    p.t = t
     return p
 
 
-def _uu_content(p):
-    c = []
-    for coef in p:
-        c = _u_gcd(c, coef)
-        if c == [1]:
-            break
-    return c
+# ---------------------------------------------------------------------------
+# linear forms acting on term dicts
+# ---------------------------------------------------------------------------
+
+# Every denominator is an integer times primitive linear forms f = (a, b),
+# each with its canonical leading coefficient positive: a > 0, or f = (0, 1)
+# = e2.  Those forms are primes of Z[e1, e2], so a multiset of them is a
+# factorisation, and their product has a positive leading coefficient.
+
+@lru_cache(maxsize=None)
+def _prime_form(a, b):
+    """(k, f) with a*e1 + b*e2 = k * [f] and f primitive; (a, b) != (0, 0)."""
+    g = _igcd(a, b)
+    if a < 0 or (not a and b < 0):
+        g = -g
+    return g, (a // g, b // g)
 
 
-def _uu_primitive(p):
-    c = _uu_content(p)
-    if c == [1]:
-        return p, c
-    return [(_u_divexact(q, c) if q else []) for q in p], c
+def _form_product(forms):
+    """(k, {prime form: multiplicity}) with the product of the forms k
+    times the product of the prime forms; k = 0 if a form is (0, 0)."""
+    k, out = 1, {}
+    for a, b in forms:
+        if not (a or b):
+            return 0, {}
+        g, f = _prime_form(a, b)
+        k *= g
+        out[f] = out.get(f, 0) + 1
+    return k, out
 
 
-def _uu_gcd(a, b):
-    """gcd of polynomials in e1 whose coefficients are int polys in e2.
-
-    Primitive PRS; returns a primitive gcd (content of the inputs is handled
-    by the caller).  Result is a coefficient list (e1-ascending) of e2-polys.
-    """
-    a, b = _uu_trim(list(a)), _uu_trim(list(b))
-    a, _ = _uu_primitive(a)
-    b, _ = _uu_primitive(b)
-    while True:
-        if len(a) < len(b):
-            a, b = b, a
-        if len(b) == 1:
-            return [[1]]
-        # pseudo remainder of a by b
-        r = [list(c) for c in a]
-        db, lb = len(b) - 1, b[-1]
-        while _uu_trim(r) and len(r) - 1 >= db:
-            dr, lr = len(r) - 1, r[-1]
-            new = [_u_mul(c, lb) for c in r]
-            shift = dr - db
-            for i, c in enumerate(b):
-                new[shift + i] = _u_add(new[shift + i], _u_mul(c, _u_neg(lr)))
-            r = _uu_trim(new[:dr + 1])
-            if len(r) - 1 == dr:
-                raise ArithmeticError("pseudo-remainder failed to reduce")
-        r = _uu_trim(r)
-        if not r:
-            g, _ = _uu_primitive(b)
-            return g
-        r, _ = _uu_primitive(r)
-        a, b = b, r
+def _times_form(t, f):
+    """The terms of t * [f]."""
+    a, b = f
+    out = {(i + 1, j): a * c for (i, j), c in t.items()} if a else {}
+    if b:
+        for (i, j), c in t.items():
+            k = (i, j + 1)
+            w = out.get(k, 0) + b * c
+            if w:
+                out[k] = w
+            else:
+                del out[k]
+    return out
 
 
-def _int_content(A):
+def _times_forms(t, forms):
+    for f, m in forms.items():
+        for _ in range(m):
+            t = _times_form(t, f)
+    return t
+
+
+def _over_form(t, f):
+    """The terms of t / [f] if the prime form f divides t, else None.
+
+    [f] divides t exactly when it divides each homogeneous part, i.e. when
+    each part vanishes at (e1, e2) = (-b, a).  With x = e1/e2 a part of
+    degree d is e2^d p(x), and p(x) / (a x + b) is one synthetic division
+    from the top, exact over Z (Gauss) or not at all."""
+    a, b = f
+    if not b:                   # e1
+        if any(not i for i, _ in t):
+            return None
+        return {(i - 1, j): c for (i, j), c in t.items()}
+    if not a:                   # e2
+        if any(not j for _, j in t):
+            return None
+        return {(i, j - 1): c for (i, j), c in t.items()}
+    parts = {}
+    for (i, j), c in t.items():
+        parts.setdefault(i + j, {})[i] = c
+    out = {}
+    for d, part in parts.items():
+        q = _root_quotient([part.get(i, 0) for i in range(max(part) + 1)], a, b)
+        if q is None:
+            return None
+        out.update(((i, d - 1 - i), c) for i, c in enumerate(q) if c)
+    return out
+
+
+def _strip(t, forms, cands=None):
+    """Divide t by each form of the multiset forms (those in cands, if
+    given) as often as it divides, up to the form's multiplicity: the
+    quotient and the forms left over."""
+    left = forms
+    for f in forms if cands is None else cands:
+        m = forms[f]
+        k = 0
+        while k < m:
+            q = _over_form(t, f)
+            if q is None:
+                break
+            t = q
+            k += 1
+        if k:
+            if left is forms:
+                left = dict(forms)
+            if k == m:
+                del left[f]
+            else:
+                left[f] = m - k
+    return t, left
+
+
+def _content(t):
     g = 0
-    for v in A.t.values():
-        g = _igcd(g, abs(v))
+    for v in t.values():
+        g = _igcd(g, v)
         if g == 1:
             break
-    return g or 1
+    return g
 
 
-def _bp_pos(A):
-    """Flip sign so the canonical leading coefficient is positive."""
-    if A.t and A.lead_coeff() < 0:
-        return -A
-    return A
+def _scaled(t, k):
+    return t if k == 1 else {key: v * k for key, v in t.items()}
 
 
-def _bp_divexact(A, G):
-    """Exact division A / G of bivariate integer polynomials."""
-    if not A.t:
-        return _BP_ZERO
-    if G == _BP_ONE:
-        return A
-    if G.is_monomial():
-        (gi, gj), gc = next(iter(G.t.items()))
-        out = {}
-        for (i, j), c in A.t.items():
-            if i < gi or j < gj or c % gc:
-                raise ArithmeticError("inexact division")
-            out[(i - gi, j - gj)] = c // gc
-        return BiPoly(out)
-    rows_a = A._rows()
-    rows_g = G._rows()
-    dg = len(rows_g) - 1
-    lg = rows_g[-1]
-    q = [[] for _ in range(len(rows_a) - dg)]
-    r = [list(c) for c in rows_a]
-    r = _uu_trim(r)
-    while r and len(r) - 1 >= dg:
-        dr = len(r) - 1
-        qc = _u_divexact(r[-1], lg)
-        q[dr - dg] = qc
-        for i, c in enumerate(rows_g):
-            r[dr - dg + i] = _u_add(r[dr - dg + i], _u_mul(c, _u_neg(qc)))
-        r = _uu_trim(r)
-    if r:
-        raise ArithmeticError("inexact division")
-    return BiPoly._from_rows(q)
+def _divided(t, k):
+    return t if k == 1 else {key: v // k for key, v in t.items()}
+
+
+def _t_add(a, b):
+    out = dict(a)
+    for k, v in b.items():
+        w = out.get(k, 0) + v
+        if w:
+            out[k] = w
+        else:
+            del out[k]
+    return out
+
+
+def _t_mul(a, b):
+    if len(b) > len(a):
+        a, b = b, a
+    if len(b) == 1:
+        ((p, q), v), = b.items()
+        if not p and not q:
+            return _scaled(a, v)
+        return {(i + p, j + q): c * v for (i, j), c in a.items()}
+    out = {}
+    for (i, j), x in a.items():
+        for (k, l), y in b.items():
+            key = (i + k, j + l)
+            w = out.get(key, 0) + x * y
+            if w:
+                out[key] = w
+            else:
+                del out[key]
+    return out
+
+
+def _merged(f1, f2):
+    """The sum of two form multisets."""
+    if not f1:
+        return f2
+    if not f2:
+        return f1
+    out = dict(f1)
+    for f, m in f2.items():
+        out[f] = out.get(f, 0) + m
+    return out
+
+
+def _divisors(n):
+    n = abs(n)
+    return [x for x in range(1, min(n, _SAFE_SPAN) + 1) if not n % x]
+
+
+_ONE_T = {(0, 0): 1}
+
+
+def _factor(t):
+    """(k, forms, rest) with t = k * [forms] * rest for a nonzero term dict
+    t: k its content with the sign of its leading coefficient, forms {prime
+    form: multiplicity} and rest a primitive term dict that no linear form
+    divides, _ONE_T when t splits.
+
+    A form divides t only if it divides the top-degree part T of t.  After
+    T's powers of e1 and e2 come out, T is e2^n p(e1/e2) with p(0) and its
+    leading coefficient nonzero, and each form (a, b) dividing it is a
+    rational root -b/a of p: a divides the leading and b the trailing
+    coefficient.  Candidates are drawn up to _SAFE_SPAN, past any form a
+    partition of size <= 64 makes; a last linear factor needs no search."""
+    k = _content(t)
+    if t[max(t, key=_lead_order)] < 0:
+        k = -k
+    i0, j0 = min(i for i, _ in t), min(j for _, j in t)
+    forms = {f: m for f, m in (((1, 0), i0), ((0, 1), j0)) if m}
+    t = {(i - i0, j - j0): c // k for (i, j), c in t.items()}
+    d = max(i + j for i, j in t)
+    top = {i: c for (i, j), c in t.items() if i + j == d}
+    p = [top.get(i, 0) for i in range(min(top), max(top) + 1)]
+    for a in _divisors(p[-1]):
+        for b0 in _divisors(p[0]):
+            for b in (b0, -b0):
+                while (len(p) > 1 and _igcd(a, b0) == 1 and not p[-1] % a
+                       and not p[0] % b):
+                    q = _root_quotient(p, a, b)
+                    if q is None:
+                        break
+                    p = q
+                    q = _over_form(t, (a, b))
+                    if q is not None:
+                        t = q
+                        forms[(a, b)] = forms.get((a, b), 0) + 1
+    if len(p) == 2:
+        # a last linear factor of T is read off, whatever its size
+        f = _prime_form(p[1], p[0])[1]
+        q = _over_form(t, f)
+        if q is not None:
+            t = q
+            forms[f] = forms.get(f, 0) + 1
+    return k, forms, t
+
+
+def _lead_order(key):
+    # canonical term order: total degree, then e1-degree
+    return (key[0] + key[1], key[0])
+
+
+def _exact_quotient(a, r):
+    """a / r for term dicts if r divides a, else None: division by leading
+    terms, exact over Z when it is exact at all."""
+    lr = max(r, key=_lead_order)
+    q = {}
+    while a:
+        la = max(a, key=_lead_order)
+        m, c = (la[0] - lr[0], la[1] - lr[1]), a[la]
+        if min(m) < 0 or c % r[lr]:
+            return None
+        q[m] = c // r[lr]
+        a = _t_add(a, _t_mul(r, {m: -q[m]}))
+    return q
+
+
+def _root_quotient(p, a, b):
+    """p(x) / (a x + b) (little-endian integer lists) if exact, else None."""
+    q = [0] * (len(p) - 1)
+    r = 0
+    for i in range(len(p) - 1, 0, -1):
+        r = p[i] - b * r
+        if r % a:
+            return None
+        r = q[i - 1] = r // a
+    return q if p[0] == b * r else None
 
 
 # ---------------------------------------------------------------------------
-# Coeff: reduced fractions of BiPoly
+# Coeff: elements of Q(e1, e2) whose denominators split into linear forms
 # ---------------------------------------------------------------------------
+
+_NO_FORMS = {}
+
+
+def _make(t, c, forms):
+    x = Coeff.__new__(Coeff)
+    x.num, x.c, x.forms, x._den = _bp(t), c, forms, None
+    return x
+
+
+def _assemble(a, ca, fa, cb, fb, k, g):
+    """The Coeff a * cb * [fb] / (ca * [fa] * k * [g]), [.] the product of
+    a form multiset, for a / (ca [fa]) in lowest terms, fb and g disjoint
+    and cb prime to k != 0."""
+    up, fa = _cancel(fb, fa) if fb and fa else (fb, fa)
+    if g:
+        a, g = _strip(a, g)
+    h = _igcd(ca, cb)
+    ca, cb = ca // h, cb // h
+    if k < 0:
+        k, cb = -k, -cb
+    h = _igcd(_content(a), k)
+    a, k = _divided(a, h), k // h
+    return _make(_times_forms(_scaled(a, cb), up), ca * k, _merged(fa, g))
+
+
+def _quotient(x, y, exact=False):
+    """The Coeff x / y.  Raises NotSplit unless y's numerator is an integer
+    times linear forms, or, with exact, unless the rest of it divides x's
+    numerator."""
+    b = y.num.t
+    if not b:
+        raise ZeroDenominator("division by zero")
+    a = x.num.t
+    if not a:
+        return _C_ZERO
+    k, g, rest = _factor(b)
+    if rest != _ONE_T:
+        a = _exact_quotient(a, rest) if exact else None
+        if a is None:
+            raise NotSplit("cannot divide by %s: it is not an integer times linear "
+                           "forms a*e1 + b*e2" % render_poly(y.num))
+    return _assemble(a, x.c, x.forms, y.c, y.forms, k, g)
+
 
 class Coeff:
-    """Element of Q(e1,e2), kept as a reduced fraction num/den with the
-    denominator's canonical leading coefficient positive."""
+    """Element of Q(e1, e2) in lowest terms: num / (c * prod [f]^m over
+    forms {f: m}), c a positive integer and each f a prime linear form.
 
-    __slots__ = ("num", "den")
+    No form divides num and c is prime to num's content, so the expanded
+    denominator den (leading coefficient positive) is the one of the
+    reduced fraction.  Coeff(num, den) takes any den that is an integer
+    times linear forms; dividing by a Coeff whose numerator is not such a
+    product raises NotSplit."""
 
-    def __init__(self, num, den=None, _normalized=False):
-        if den is None:
-            den = _BP_ONE
-        if _normalized:
-            self.num, self.den = num, den
-            return
-        if not den.t:
-            raise ZeroDenominator("zero denominator")
-        if not num.t:
-            self.num, self.den = _BP_ZERO, _BP_ONE
-            return
-        g = _bp_gcd(num, den)
-        if g != _BP_ONE:
-            num = _bp_divexact(num, g)
-            den = _bp_divexact(den, g)
-        if den.lead_coeff() < 0:
-            num, den = -num, -den
-        self.num, self.den = num, den
+    __slots__ = ("num", "c", "forms", "_den")
+
+    def __init__(self, num, den=_BP_ONE):
+        q = _quotient(_make(num.t, 1, _NO_FORMS), _make(den.t, 1, _NO_FORMS))
+        self.num, self.c, self.forms, self._den = q.num, q.c, q.forms, None
 
     # -- constructors
     @staticmethod
     def from_int(n):
-        return Coeff(BiPoly.const(n), _BP_ONE, _normalized=True)
+        return _make({(0, 0): n} if n else {}, 1, _NO_FORMS)
 
     @staticmethod
     def from_fraction(q):
         q = Fraction(q)
-        return Coeff(BiPoly.const(q.numerator), BiPoly.const(q.denominator))
+        return _make({(0, 0): q.numerator} if q else {}, q.denominator, _NO_FORMS)
 
     @staticmethod
     def lf(a, b):
-        return Coeff(BiPoly.lin(a, b), _BP_ONE, _normalized=True)
+        return _make(BiPoly.lin(a, b).t, 1, _NO_FORMS)
+
+    @property
+    def den(self):
+        """The expanded denominator, a BiPoly."""
+        d = self._den
+        if d is None:
+            d = self._den = _bp(_times_forms({(0, 0): self.c}, self.forms))
+        return d
 
     # -- predicates
     def __bool__(self):
@@ -448,30 +444,45 @@ class Coeff:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self.num == other.num and self.den == other.den
+        return (self.num.t == other.num.t and self.c == other.c
+                and self.forms == other.forms)
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        return hash((self.num, self.c, frozenset(self.forms.items())))
 
     def is_int(self):
-        return self.den == _BP_ONE and self.num.is_const()
+        return self.c == 1 and not self.forms and self.num.is_const()
 
     # -- arithmetic
     def __neg__(self):
-        return Coeff(-self.num, self.den, _normalized=True)
+        return _make({k: -v for k, v in self.num.t.items()}, self.c, self.forms)
 
     def __add__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if not other.num.t:
+        a, b = self.num.t, other.num.t
+        if not b:
             return self
-        if not self.num.t:
+        if not a:
             return other
-        if self.den == other.den:
-            return Coeff(self.num + other.num, self.den)
-        return Coeff(self.num * other.den + other.num * self.den,
-                     self.den * other.den)
+        c1, f1, c2, f2 = self.c, self.forms, other.c, other.forms
+        # only a form of equal multiplicity in both denominators, and only
+        # a prime of equal valuation in both integers, can cancel
+        if f1 == f2:
+            forms, cands = f1, None
+        else:
+            forms = {f: max(f1.get(f, 0), f2.get(f, 0)) for f in f1.keys() | f2.keys()}
+            cands = [f for f, m in f1.items() if f2.get(f) == m]
+            a = _times_forms(a, {f: m - f1.get(f, 0) for f, m in forms.items()})
+            b = _times_forms(b, {f: m - f2.get(f, 0) for f, m in forms.items()})
+        g = _igcd(c1, c2)
+        t = _t_add(_scaled(a, c2 // g), _scaled(b, c1 // g))
+        if not t:
+            return _C_ZERO
+        t, forms = _strip(t, forms, cands)
+        h = _igcd(_content(t), g) if g != 1 else 1
+        return _make(_divided(t, h), c1 // g * c2 // h, forms)
 
     __radd__ = __add__
 
@@ -488,24 +499,22 @@ class Coeff:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if not self.num.t or not other.num.t:
+        a, b = self.num.t, other.num.t
+        if not a or not b:
             return _C_ZERO
-        # cross-cancel keeps gcd inputs small
-        n1, d1, n2, d2 = self.num, self.den, other.num, other.den
-        if d2 != _BP_ONE:
-            g = _bp_gcd(n1, d2)
-            if g != _BP_ONE:
-                n1, d2 = _bp_divexact(n1, g), _bp_divexact(d2, g)
-        if d1 != _BP_ONE:
-            g = _bp_gcd(n2, d1)
-            if g != _BP_ONE:
-                n2, d1 = _bp_divexact(n2, g), _bp_divexact(d1, g)
-        num, den = n1 * n2, d1 * d2
-        if den.lead_coeff() < 0:
-            num, den = -num, -den
-        c = Coeff.__new__(Coeff)
-        c.num, c.den = num, den
-        return c
+        c1, f1, c2, f2 = self.c, self.forms, other.c, other.forms
+        # cross-cancel: forms first, then the integers
+        if f2:
+            a, f2 = _strip(a, f2)
+        if f1:
+            b, f1 = _strip(b, f1)
+        if c2 != 1:
+            h = _igcd(_content(a), c2)
+            a, c2 = _divided(a, h), c2 // h
+        if c1 != 1:
+            h = _igcd(_content(b), c1)
+            b, c1 = _divided(b, h), c1 // h
+        return _make(_t_mul(a, b), c1 * c2, _merged(f1, f2))
 
     __rmul__ = __mul__
 
@@ -513,23 +522,24 @@ class Coeff:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if not other.num.t:
-            raise ZeroDenominator("division by zero")
-        inv = Coeff.__new__(Coeff)
-        if other.num.lead_coeff() < 0:
-            inv.num, inv.den = -other.den, -other.num
-        else:
-            inv.num, inv.den = other.den, other.num
-        return self * inv
+        return _quotient(self, other)
 
     def __rtruediv__(self, other):
         return _coerce(other) / self
 
-    # Q(e1,e2) is a field, so exact division is division: a // b is the
-    # quotient that integer numerators at a point give, and
-    # linalg.rank's fraction-free elimination runs on both.
-    __floordiv__ = __truediv__
-    __rfloordiv__ = __rtruediv__
+    def __floordiv__(self, other):
+        """Exact division, the quotient that integer numerators at a point
+        give, so linalg.rank's fraction-free elimination runs on both.  It
+        is a / b, and the divisor's numerator need not split when the part
+        that does not divides a's numerator, as in every quotient of that
+        elimination (a minor by a minor)."""
+        other = _coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return _quotient(self, other, exact=True)
+
+    def __rfloordiv__(self, other):
+        return _coerce(other) // self
 
     def __pow__(self, k):
         if k < 0:
@@ -544,7 +554,9 @@ class Coeff:
         return out
 
     def evaluate(self, e1, e2):
-        dv = self.den.evaluate(e1, e2)
+        dv = Fraction(self.c)
+        for (a, b), m in self.forms.items():
+            dv *= (a * e1 + b * e2) ** m
         if dv == 0:
             raise PoleAtSpecPoint("denominator vanishes at specialization point")
         return self.num.evaluate(e1, e2) / dv
@@ -567,7 +579,6 @@ def _coerce(x):
 
 _C_ZERO = Coeff.from_int(0)
 _C_ONE = Coeff.from_int(1)
-
 
 # ---------------------------------------------------------------------------
 # canonical text form and parsing
@@ -644,7 +655,7 @@ def parse_coeff(s):
     if " / " in s:
         num, den = s.split(" / ")
         return Coeff(_parse_poly(num), _parse_poly(den))
-    return Coeff(_parse_poly(s), _BP_ONE)
+    return Coeff(_parse_poly(s))
 
 
 def parse_scalar(s, field):
@@ -768,13 +779,17 @@ class SymbolicField:
 
     def ratio(self, num_forms, den_forms, pre=None):
         """pre (default 1) times the product of the linear forms num_forms
-        over the product of den_forms (forms may repeat)."""
-        val = self.one if pre is None else pre
-        for form in num_forms:
-            val = val * self.lf(form)
-        for form in den_forms:
-            val = val / self.lf(form)
-        return val
+        over the product of den_forms (forms may repeat), assembled from
+        the prime forms of the two lists: no division per form."""
+        (kn, up), (kd, down) = _form_product(num_forms), _form_product(den_forms)
+        if not kd:
+            raise ZeroDenominator("division by zero")
+        pre = self.one if pre is None else pre
+        if not kn or not pre:
+            return self.zero
+        up, down = _cancel(up, down)
+        h = _igcd(kn, kd)
+        return _assemble(pre.num.t, pre.c, pre.forms, kn // h, up, kd // h, down)
 
     def num(self, n):
         return Coeff.from_int(n)

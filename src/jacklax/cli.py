@@ -20,7 +20,7 @@ from .errors import BadBox, BadSize, JackLaxError
 from .partitions import (count_by_corners, count_lattice_q, count_partitions,
                          format_partition, parse_partition, series_P)
 from .report import RunConfig
-from .verify import SUITES, suite_sizes
+from .verify import DEFAULT_SIZES, SUITES, suite_sizes
 
 
 def _parse_box(text):
@@ -192,13 +192,34 @@ def cmd_cache(args):
     return 0
 
 
+# each size option (by its argparse dest) and the DEFAULT_SIZES keywords it sets
+_SIZE_OPTIONS = {"max_size": ("max_size", "max_total"), "max_degree": ("max_degree",),
+                 "to": ("to",)}
+
+
+def _check_size_options(args):
+    """A named suite rejects a size option it does not take (verify all
+    applies each option to the suites that take it)."""
+    kws = DEFAULT_SIZES.get(args.suite, {})
+    takes = [dest for dest, keys in _SIZE_OPTIONS.items() if any(k in kws for k in keys)]
+    for dest in _SIZE_OPTIONS:
+        if getattr(args, dest) is not None and dest not in takes:
+            raise BadSize("verify %s takes %s, not %s" % (
+                args.suite, " or ".join(map(_option, takes)) or "no size option", _option(dest)))
+
+
+def _option(dest):
+    return "--" + dest.replace("_", "-")
+
+
 def cmd_verify(args):
     cfg = _config(args)
+    if args.suite != "all":
+        _check_size_options(args)
     suites = list(SUITES) if args.suite == "all" else [args.suite]
     if "conjectures" in suites and args.suite == "all" and not cfg.include_conjectures:
         suites.remove("conjectures")
-    given = {"max_size": args.max_size, "max_total": args.max_size,
-             "max_degree": args.max_degree, "to": args.to}
+    given = {kw: getattr(args, dest) for dest, kws in _SIZE_OPTIONS.items() for kw in kws}
     # every size is checked before any suite runs
     sizes = {name: suite_sizes(name, cfg.mode, **given) for name in suites}
     reports = []

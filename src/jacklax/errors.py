@@ -71,3 +71,7 @@ class BadBox(JackLaxError):
 
 class BadSize(JackLaxError):
     pass
+
+
+class NotSplit(JackLaxError):
+    pass

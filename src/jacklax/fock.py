@@ -319,13 +319,3 @@ def hn_basis(n):
 
 def dim_hn(n):
     return len(hn_basis(n))
-
-
-def vector_to_coords(zeta, n, field):
-    basis = hn_basis(n)
-    index = {k: i for i, k in enumerate(basis)}
-    coords = [field.zero] * len(basis)
-    for k, c in zeta.items():
-        coords[index[k]] = c
-    return coords
-

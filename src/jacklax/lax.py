@@ -12,7 +12,7 @@ from functools import lru_cache
 
 from .errors import EmptyPartition, NotARemovableCorner, NotAnAddableBox
 from .fock import (Pi, bump, degree_of, fock_to_ext, hn_basis, pi0, pi_plus,
-                   v_accum, v_scale, w_mul)
+                   v_accum, w_mul)
 from .partitions import (add_set, add_box, format_partition, rem_set, rem_set_plus,
                          remove_box)
 from .spectral import tau, tau_hat, tau_tilde
@@ -79,20 +79,6 @@ def op_B(field, f):
     return Pi(lax_apply(field, fock_to_ext(f)))
 
 
-def lax_matrix(ws, n):
-    """Matrix of L_n in the canonical (w-power, partition) basis."""
-    basis = hn_basis(n)
-    index = {k: i for i, k in enumerate(basis)}
-    cols = []
-    for key in basis:
-        img = lax_apply(ws.field, {key: ws.field.one})
-        col = [ws.field.zero] * len(basis)
-        for k, c in img.items():
-            col[index[k]] = c
-        cols.append(col)
-    return [[cols[j][i] for j in range(len(basis))] for i in range(len(basis))]
-
-
 def lax_plus_shift_check(ws, n):
     """w^{-1} L+_{n+1} w = L_n + ebar, as matrices on H_n."""
     field = ws.field
@@ -136,11 +122,6 @@ def compute_psi(ws, lam, s):
     return field.combine(terms)
 
 
-def psi_tilde(ws, gamma, t_plus):
-    """Eigenfunction of L^+ at an outer corner: w * psi_{gamma-t}^t."""
-    return ws.field.uncleared(psi_tilde_row(ws, gamma, t_plus))
-
-
 def psi_tilde_row(ws, gamma, t_plus):
     """The cleared row of psi~ at the outer corner t_plus of gamma."""
     if not gamma:
@@ -152,11 +133,6 @@ def psi_tilde_row(ws, gamma, t_plus):
     return w_mul(nums), d
 
 
-def q_poly(ws, gamma):
-    """q_gamma = w^{-1} L j_gamma (lives in H_{|gamma|-1})."""
-    return ws.field.uncleared(q_poly_row(ws, gamma))
-
-
 def q_poly_row(ws, gamma):
     """The cleared row of q_gamma, L run on the numerators of j_gamma."""
     if not gamma:
@@ -165,10 +141,6 @@ def q_poly_row(ws, gamma):
     nums, d = ws.jack_row(gamma)
     return field.combine([(1, (Pi(lax_apply(field, fock_to_ext(nums), cleared=True)),
                                d * field.lax_ints[2]))])
-
-
-def q_poly_hat(ws, gamma):
-    return v_scale(q_poly(ws, gamma), ws.field.one / ws.varpi(gamma))
 
 
 def resolvent_at_form(ws, form, zeta, shift=(0, 0)):

@@ -82,7 +82,9 @@ def matvec(A, x, field):
 
 def rank(A):
     """Rank of a matrix of integers, or of Coeff values (whose // is exact
-    division), by Bareiss' fraction-free elimination.
+    division: denominators stay integers times linear forms, and a pivot
+    whose numerator does not split must divide the minor it divides, else
+    NotSplit), by Bareiss' fraction-free elimination.
 
     Each pivot step replaces the rows below by
     (pivot * row - lead * pivot_row) // previous pivot; by Sylvester's

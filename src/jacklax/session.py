@@ -13,7 +13,7 @@ import tempfile
 import threading
 
 from .arith import SymbolicField, parse_scalar, render_scalar
-from .errors import JackLaxError
+from .errors import JackLaxError, NotSplit
 from .fock import degree_of, hn_basis, monomial_norm_sq
 from .fock import inner_hbar  # noqa: F401  (kept as session.inner_hbar)
 from .jack import compute_homogeneous_jacks, jack_norm_sq, varpi
@@ -106,6 +106,9 @@ class Workspace:
                 norms[lam] = parse_scalar(blob["norms"][lam_s], self.field)
                 vps[lam] = parse_scalar(blob["varpi"][lam_s], self.field)
             return jacks, norms, vps
+        except NotSplit as e:
+            raise NotSplit("cache file %s: %s (`jacklax cache clear` removes it)"
+                           % (path, e)) from None
         except Exception:
             print("warning: corrupt cache file %s; rebuilding" % path, file=sys.stderr)
             try:

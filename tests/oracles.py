@@ -37,17 +37,25 @@ fraction-free elimination.  Here the trace, the rho operators and the
 normalizer sum field scalars, a row combination is a sum of vectors
 cleared afterwards, inner_hbar multiply-adds field scalars, and the rank
 comes from Gaussian elimination with field division.
+
+Over Q(e1,e2) a Coeff keeps its denominator as an integer times prime
+linear forms and reduces by trial division.  Here Coeff is the reduced
+fraction of two integer polynomials, whatever its denominator, reduced by
+a bivariate gcd (a primitive PRS over Z[e2][e1]).
 """
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, gcd as _igcd
 
-from jacklax.errors import JackLaxError, NotGood, NotInNullSpace
+from jacklax.arith import _BP_ONE, _BP_ZERO, BiPoly, _parse_poly, render_coeff
+from jacklax.errors import (JackLaxError, NotGood, NotInNullSpace, PoleAtSpecPoint,
+                            ZeroDenominator)
 from jacklax.fock import (Pi, _as_ext, bump, degree_of, ext_mul, fock_adjoint_apply,
                           fock_to_ext, hall_inner_alpha, hn_basis, inner_hbar,
                           monomial_norm_sq, pi0, v_accum, v_clear, v_scale, v_uncleared,
-                          vector_to_coords, w_mul)
+                          w_mul)
+from jacklax.lax import lax_apply, psi_tilde_row, q_poly_row
 from jacklax.linalg import invert, matvec
 from jacklax.partitions import (add_box, eigen_pairs, partition, partitions_of, rem_set,
                                  remove_box, size)
@@ -538,3 +546,502 @@ class FieldRecursion:
         if (lam, s) not in self.psis:
             self.psis[lam, s] = field_psi(self.field, self.jack, self.psi, lam, s)
         return self.psis[lam, s]
+
+
+# ---------------------------------------------------------------------------
+# vector forms of the row path, for the tests
+# ---------------------------------------------------------------------------
+
+def vector_to_coords(zeta, n, field):
+    """The coordinates of zeta in hn_basis(n), zeros included."""
+    basis = hn_basis(n)
+    index = {k: i for i, k in enumerate(basis)}
+    coords = [field.zero] * len(basis)
+    for k, c in zeta.items():
+        coords[index[k]] = c
+    return coords
+
+
+def lax_matrix(ws, n):
+    """Matrix of L_n in the canonical (w-power, partition) basis."""
+    basis = hn_basis(n)
+    index = {k: i for i, k in enumerate(basis)}
+    cols = []
+    for key in basis:
+        img = lax_apply(ws.field, {key: ws.field.one})
+        col = [ws.field.zero] * len(basis)
+        for k, c in img.items():
+            col[index[k]] = c
+        cols.append(col)
+    return [[cols[j][i] for j in range(len(basis))] for i in range(len(basis))]
+
+
+def psi_tilde(ws, gamma, t_plus):
+    """Eigenfunction of L^+ at an outer corner: w * psi_{gamma-t}^t."""
+    return ws.field.uncleared(psi_tilde_row(ws, gamma, t_plus))
+
+
+def q_poly(ws, gamma):
+    """q_gamma = w^{-1} L j_gamma (lives in H_{|gamma|-1})."""
+    return ws.field.uncleared(q_poly_row(ws, gamma))
+
+
+def q_poly_hat(ws, gamma):
+    return v_scale(q_poly(ws, gamma), ws.field.one / ws.varpi(gamma))
+
+
+# ---------------------------------------------------------------------------
+# Q(e1,e2) reduced by a general bivariate gcd
+# ---------------------------------------------------------------------------
+
+def _u_trim(p):
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def _u_add(a, b):
+    n = max(len(a), len(b))
+    out = [0] * n
+    for i, c in enumerate(a):
+        out[i] += c
+    for i, c in enumerate(b):
+        out[i] += c
+    return _u_trim(out)
+
+
+def _u_neg(a):
+    return [-c for c in a]
+
+
+def _u_mul(a, b):
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca:
+            for j, cb in enumerate(b):
+                if cb:
+                    out[i + j] += ca * cb
+    return _u_trim(out)
+
+
+def _u_scale(a, k):
+    if k == 0:
+        return []
+    return [c * k for c in a]
+
+
+def _u_content(a):
+    g = 0
+    for c in a:
+        g = _igcd(g, abs(c))
+        if g == 1:
+            return 1
+    return g
+
+
+def _u_divexact(a, b):
+    """Exact division of integer polynomials (b must divide a)."""
+    if not a:
+        return []
+    a = list(a)
+    db, lb = len(b) - 1, b[-1]
+    q = [0] * (len(a) - db)
+    for i in range(len(a) - 1, db - 1, -1):
+        c = a[i]
+        if c == 0:
+            continue
+        if c % lb:
+            raise ArithmeticError("inexact polynomial division")
+        k = c // lb
+        q[i - db] = k
+        for j in range(db + 1):
+            a[i - db + j] -= k * b[j]
+    if any(a):
+        raise ArithmeticError("inexact polynomial division")
+    return q
+
+
+def _u_gcd(a, b):
+    """Primitive-PRS gcd of integer polynomials, positive leading coeff."""
+    a, b = list(a), list(b)
+    if not a:
+        b = list(b)
+        return b if not b or b[-1] > 0 else _u_neg(b)
+    if not b:
+        return a if a[-1] > 0 else _u_neg(a)
+    ca, cb = _u_content(a), _u_content(b)
+    cg = _igcd(ca, cb)
+    a = [c // ca for c in a]
+    b = [c // cb for c in b]
+    while True:
+        if len(a) < len(b):
+            a, b = b, a
+        # pseudo-remainder of a by b
+        r = list(a)
+        lb = b[-1]
+        db = len(b) - 1
+        while len(r) - 1 >= db and r:
+            lr = r[-1]
+            dr = len(r) - 1
+            r = _u_add(_u_scale(r, lb), _u_scale([0] * (dr - db) + b, -lr))
+            if len(r) - 1 == dr:  # leading term must drop
+                r = _u_trim(r[:dr])
+        if not r:
+            g = b
+            break
+        cr = _u_content(r)
+        a, b = b, [c // cr for c in r]
+        if len(b) == 1:
+            g = [1]
+            break
+    g = list(g)
+    if g[-1] < 0:
+        g = _u_neg(g)
+    return _u_scale(g, cg) if cg != 1 else g
+
+
+def _rows(A):
+    """As a list indexed by e1-degree of little-endian e2-polys."""
+    d1 = max(k[0] for k in A.t)
+    rows = [[] for _ in range(d1 + 1)]
+    for (i, j), c in A.t.items():
+        row = rows[i]
+        if len(row) <= j:
+            row.extend([0] * (j + 1 - len(row)))
+        row[j] = c
+    return [_u_trim(r) for r in rows]
+
+def _from_rows(rows):
+    t = {}
+    for i, row in enumerate(rows):
+        for j, c in enumerate(row):
+            if c:
+                t[(i, j)] = c
+    return BiPoly(t)
+
+
+def _bp_gcd(A, B):
+    if not A.t:
+        return _bp_pos(B)
+    if not B.t:
+        return _bp_pos(A)
+    if len(A.t) <= 1 or len(B.t) <= 1:
+        # monomial gcd: min exponents over the other's support
+        i1 = min(k[0] for k in A.t)
+        j1 = min(k[1] for k in A.t)
+        i2 = min(k[0] for k in B.t)
+        j2 = min(k[1] for k in B.t)
+        c = _igcd(_int_content(A), _int_content(B))
+        key = (min(i1, i2), min(j1, j2))
+        if len(A.t) <= 1 and len(B.t) <= 1:
+            return BiPoly({key: c})
+        # gcd(monomial, poly) = common monomial factor
+        return BiPoly({key: c})
+    ra, rb = _rows(A), _rows(B)
+    if len(ra) < len(rb):
+        ra, rb = rb, ra
+    conta = []
+    for r in ra:
+        conta = _u_gcd(conta, r)
+        if conta == [1]:
+            break
+    contb = []
+    for r in rb:
+        contb = _u_gcd(contb, r)
+        if contb == [1]:
+            break
+    ppa = [(_u_divexact(r, conta) if r else []) for r in ra]
+    ppb = [(_u_divexact(r, contb) if r else []) for r in rb]
+    cg = _u_gcd(conta, contb)
+    if len(ppb) == 1:
+        g = [cg]
+    else:
+        gg = _uu_gcd(ppa, ppb)
+        g = [_u_mul(cg, c) for c in gg]
+    return _bp_pos(_from_rows(g))
+
+
+def _uu_trim(p):
+    while p and not p[-1]:
+        p.pop()
+    return p
+
+
+def _uu_content(p):
+    c = []
+    for coef in p:
+        c = _u_gcd(c, coef)
+        if c == [1]:
+            break
+    return c
+
+
+def _uu_primitive(p):
+    c = _uu_content(p)
+    if c == [1]:
+        return p, c
+    return [(_u_divexact(q, c) if q else []) for q in p], c
+
+
+def _uu_gcd(a, b):
+    """gcd of polynomials in e1 whose coefficients are int polys in e2.
+
+    Primitive PRS; returns a primitive gcd (content of the inputs is handled
+    by the caller).  Result is a coefficient list (e1-ascending) of e2-polys.
+    """
+    a, b = _uu_trim(list(a)), _uu_trim(list(b))
+    a, _ = _uu_primitive(a)
+    b, _ = _uu_primitive(b)
+    while True:
+        if len(a) < len(b):
+            a, b = b, a
+        if len(b) == 1:
+            return [[1]]
+        # pseudo remainder of a by b
+        r = [list(c) for c in a]
+        db, lb = len(b) - 1, b[-1]
+        while _uu_trim(r) and len(r) - 1 >= db:
+            dr, lr = len(r) - 1, r[-1]
+            new = [_u_mul(c, lb) for c in r]
+            shift = dr - db
+            for i, c in enumerate(b):
+                new[shift + i] = _u_add(new[shift + i], _u_mul(c, _u_neg(lr)))
+            r = _uu_trim(new[:dr + 1])
+            if len(r) - 1 == dr:
+                raise ArithmeticError("pseudo-remainder failed to reduce")
+        r = _uu_trim(r)
+        if not r:
+            g, _ = _uu_primitive(b)
+            return g
+        r, _ = _uu_primitive(r)
+        a, b = b, r
+
+
+def _int_content(A):
+    g = 0
+    for v in A.t.values():
+        g = _igcd(g, abs(v))
+        if g == 1:
+            break
+    return g or 1
+
+
+def _bp_pos(A):
+    """Flip sign so the canonical leading coefficient is positive."""
+    if A.t and A.lead_coeff() < 0:
+        return -A
+    return A
+
+
+def _bp_divexact(A, G):
+    """Exact division A / G of bivariate integer polynomials."""
+    if not A.t:
+        return _BP_ZERO
+    if G == _BP_ONE:
+        return A
+    if len(G.t) <= 1:
+        (gi, gj), gc = next(iter(G.t.items()))
+        out = {}
+        for (i, j), c in A.t.items():
+            if i < gi or j < gj or c % gc:
+                raise ArithmeticError("inexact division")
+            out[(i - gi, j - gj)] = c // gc
+        return BiPoly(out)
+    rows_a = _rows(A)
+    rows_g = _rows(G)
+    dg = len(rows_g) - 1
+    lg = rows_g[-1]
+    q = [[] for _ in range(len(rows_a) - dg)]
+    r = [list(c) for c in rows_a]
+    r = _uu_trim(r)
+    while r and len(r) - 1 >= dg:
+        dr = len(r) - 1
+        qc = _u_divexact(r[-1], lg)
+        q[dr - dg] = qc
+        for i, c in enumerate(rows_g):
+            r[dr - dg + i] = _u_add(r[dr - dg + i], _u_mul(c, _u_neg(qc)))
+        r = _uu_trim(r)
+    if r:
+        raise ArithmeticError("inexact division")
+    return _from_rows(q)
+
+
+class Coeff:
+    """Element of Q(e1,e2), kept as a reduced fraction num/den with the
+    denominator's canonical leading coefficient positive: any denominator,
+    reduced by the bivariate gcd."""
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num, den=None, _normalized=False):
+        if den is None:
+            den = _BP_ONE
+        if _normalized:
+            self.num, self.den = num, den
+            return
+        if not den.t:
+            raise ZeroDenominator("zero denominator")
+        if not num.t:
+            self.num, self.den = _BP_ZERO, _BP_ONE
+            return
+        g = _bp_gcd(num, den)
+        if g != _BP_ONE:
+            num = _bp_divexact(num, g)
+            den = _bp_divexact(den, g)
+        if den.lead_coeff() < 0:
+            num, den = -num, -den
+        self.num, self.den = num, den
+
+    # -- constructors
+    @staticmethod
+    def from_int(n):
+        return Coeff(BiPoly.const(n), _BP_ONE, _normalized=True)
+
+    @staticmethod
+    def from_fraction(q):
+        q = Fraction(q)
+        return Coeff(BiPoly.const(q.numerator), BiPoly.const(q.denominator))
+
+    @staticmethod
+    def lf(a, b):
+        return Coeff(BiPoly.lin(a, b), _BP_ONE, _normalized=True)
+
+    # -- predicates
+    def __bool__(self):
+        return bool(self.num.t)
+
+    def __eq__(self, other):
+        other = _coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self.num == other.num and self.den == other.den
+
+    def __hash__(self):
+        return hash((self.num, self.den))
+
+    def is_int(self):
+        return self.den == _BP_ONE and self.num.is_const()
+
+    # -- arithmetic
+    def __neg__(self):
+        return Coeff(-self.num, self.den, _normalized=True)
+
+    def __add__(self, other):
+        other = _coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        if not other.num.t:
+            return self
+        if not self.num.t:
+            return other
+        if self.den == other.den:
+            return Coeff(self.num + other.num, self.den)
+        return Coeff(self.num * other.den + other.num * self.den,
+                     self.den * other.den)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        other = _coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return _coerce(other) + (-self)
+
+    def __mul__(self, other):
+        other = _coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        if not self.num.t or not other.num.t:
+            return _C_ZERO
+        # cross-cancel keeps gcd inputs small
+        n1, d1, n2, d2 = self.num, self.den, other.num, other.den
+        if d2 != _BP_ONE:
+            g = _bp_gcd(n1, d2)
+            if g != _BP_ONE:
+                n1, d2 = _bp_divexact(n1, g), _bp_divexact(d2, g)
+        if d1 != _BP_ONE:
+            g = _bp_gcd(n2, d1)
+            if g != _BP_ONE:
+                n2, d1 = _bp_divexact(n2, g), _bp_divexact(d1, g)
+        num, den = n1 * n2, d1 * d2
+        if den.lead_coeff() < 0:
+            num, den = -num, -den
+        c = Coeff.__new__(Coeff)
+        c.num, c.den = num, den
+        return c
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        other = _coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        if not other.num.t:
+            raise ZeroDenominator("division by zero")
+        inv = Coeff.__new__(Coeff)
+        if other.num.lead_coeff() < 0:
+            inv.num, inv.den = -other.den, -other.num
+        else:
+            inv.num, inv.den = other.den, other.num
+        return self * inv
+
+    def __rtruediv__(self, other):
+        return _coerce(other) / self
+
+    # Q(e1,e2) is a field, so exact division is division: a // b is the
+    # quotient that integer numerators at a point give, and
+    # linalg.rank's fraction-free elimination runs on both.
+    __floordiv__ = __truediv__
+    __rfloordiv__ = __rtruediv__
+
+    def __pow__(self, k):
+        if k < 0:
+            return Coeff.from_int(1) / self ** (-k)
+        out = _C_ONE
+        base = self
+        while k:
+            if k & 1:
+                out = out * base
+            base = base * base if k > 1 else base
+            k >>= 1
+        return out
+
+    def evaluate(self, e1, e2):
+        dv = self.den.evaluate(e1, e2)
+        if dv == 0:
+            raise PoleAtSpecPoint("denominator vanishes at specialization point")
+        return self.num.evaluate(e1, e2) / dv
+
+    def __str__(self):
+        return render_coeff(self)
+
+    __repr__ = __str__
+
+
+def _coerce(x):
+    if isinstance(x, Coeff):
+        return x
+    if isinstance(x, int):
+        return Coeff.from_int(x)
+    if isinstance(x, Fraction):
+        return Coeff.from_fraction(x)
+    return NotImplemented
+
+
+_C_ZERO = Coeff.from_int(0)
+_C_ONE = Coeff.from_int(1)
+
+
+
+
+def parse_coeff(s):
+    """The text form of render_coeff read back into an oracle Coeff."""
+    if " / " in s:
+        num, den = s.split(" / ")
+        return Coeff(_parse_poly(num), _parse_poly(den))
+    return Coeff(_parse_poly(s), _BP_ONE)

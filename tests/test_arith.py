@@ -2,10 +2,11 @@ import random
 
 import pytest
 
+import oracles
 from jacklax.arith import (BiPoly, Coeff, DEFAULT_SPEC_POINTS, SpecPoint,
-                           SpectralFun, SymbolicField, parse_coeff,
+                           SpectralFun, SymbolicField, parse_coeff, parse_scalar,
                            render_coeff)
-from jacklax.errors import (BadSpecPoint, NotAPole, NotASimplePole,
+from jacklax.errors import (BadSpecPoint, JackLaxError, NotAPole, NotASimplePole,
                             PoleAtSpecPoint, ZeroDenominator)
 
 F = SymbolicField()
@@ -32,8 +33,12 @@ def test_normalize_difference_of_squares():
 
 def test_normalize_common_factor_cancels():
     p = (e1 + e2) ** 2
-    q = e1 * e2 - F.num(3)
+    q = (e1 + F.num(2) * e2) ** 2 * e2
     r = e1 - e2
+    assert (p * q) / (q * r) == p / r
+    # a common factor that does not split cancels in the gcd oracle
+    E1, E2 = oracles.Coeff.lf(1, 0), oracles.Coeff.lf(0, 1)
+    p, q, r = (E1 + E2) ** 2, E1 * E2 - 3, E1 - E2
     assert (p * q) / (q * r) == p / r
 
 
@@ -42,6 +47,33 @@ def test_zero_denominator():
         Coeff(BiPoly.const(1), BiPoly())
     with pytest.raises(ZeroDenominator):
         F.one / F.zero
+
+
+def test_division_by_a_non_split_numerator_raises():
+    # denominators are an integer times linear forms; e1^2 + e2^2 is not
+    q = e1 * e1 + e2 * e2
+    for divide in (lambda: F.one / q, lambda: e1 // q, lambda: q ** -1,
+                   lambda: Coeff(BiPoly.const(1), q.num),
+                   lambda: parse_scalar("e1 / e1^2 + e2^2", F)):
+        with pytest.raises(JackLaxError, match=r"e1\^2 \+ e2\^2"):
+            divide()
+    # as do forms with a constant term and products of them
+    for p in ("e1 + 1", "e1*e2 - 3", "2*e1^2 + 2"):
+        with pytest.raises(JackLaxError):
+            parse_coeff("1 / " + p)
+    # a split numerator is factored, whatever its order and content
+    d = (F.num(6) * e1 - F.num(4) * e2) * (F.num(3) * e1 + F.num(7) * e2) ** 2 * e2
+    assert (F.one / d) * d == F.one
+    # past the candidate bound, a last linear factor is still found
+    big = F.lf((140, -2)) * F.lf((1, 1))
+    assert (e1 / big) * big == e1
+    assert render_coeff(e1 / big) == "e1 / 140*e1^2 + 138*e1*e2 - 2*e2^2"
+    assert parse_coeff(render_coeff(F.one / d)) == F.one / d
+    assert F.zero / q == F.zero
+    # exact division (//) also takes a divisor whose non-split part
+    # divides the dividend, as the minors of fraction-free elimination do
+    assert (q * e1 * e1) // (q * e1 / F.num(3)) == F.num(3) * e1
+    assert ((q + e1) * (e1 - e2)) // (q + e1) == e1 - e2
 
 
 def test_field_axioms_randomized():
@@ -57,15 +89,25 @@ def test_field_axioms_randomized():
             num = BiPoly.const(1)
         return Coeff(num, den)
 
+    def rnd_split():
+        # a nonzero integer times up to three linear forms
+        d = F.num(rng.choice([1, 2, 3, -1]))
+        for _ in range(rng.randint(0, 3)):
+            d = d * F.lf((rng.randint(-3, 3), rng.randint(1, 3)))
+        return d
+
     for _ in range(1000):
-        a, b, c = rnd(), rnd(), rnd()
+        a, b, c, d = rnd(), rnd(), rnd(), rnd_split()
         assert (a + b) + c == a + (b + c)
         assert a + b == b + a
         assert a * b == b * a
         assert (a * b) * c == a * (b * c)
         assert a * (b + c) == a * b + a * c
+        assert (a / d) * d == a
         if c:
-            assert (a / c) * c == a
+            # c need not split: divide in the gcd oracle
+            oa, oc = oracles.Coeff(a.num, a.den), oracles.Coeff(c.num, c.den)
+            assert (oa / oc) * oc == oa
         assert a + F.zero == a and a * F.one == a
 
 
@@ -150,8 +192,9 @@ def test_sfun_partial_fraction_reconstruction():
     n = N(F)
     poly, res = n.partial_fractions(F)
     assert poly == [F.one]
-    # N(u) - 1 - sum res/(u-pole) vanishes: check by evaluation at points
-    for uval in (F.num(5), F.num(7), F.num(11)):
+    # N(u) - 1 - sum res/(u-pole) vanishes: check by evaluation at forms
+    # off the poles (u - [pole] must be a linear form to divide by)
+    for uval in (F.lf((5, 2)), F.lf((7, -3)), F.lf((11, 4))):
         acc = F.one
         for pole, r in res.items():
             acc = acc + r / (uval - F.lf(pole))

@@ -243,6 +243,14 @@ def test_size_zero_is_not_the_default(capsys):
     (["cache", "stat", "--cache-dir", "never-made"], "cache directory never-made does not exist"),
     (["cache", "clear", "--cache-dir", "never-made"],
      "cache directory never-made does not exist"),
+    # a named suite rejects a size option it does not take
+    (["verify", "tau", "--max-degree", "2"], "verify tau takes --max-size, not --max-degree"),
+    (["verify", "main-theorem", "--max-degree", "6"],
+     "verify main-theorem takes --max-size, not --max-degree"),
+    (["shc", "--max-size", "3"], "verify shc takes --max-degree, not --max-size"),
+    (["verify", "pieri", "--to", "3"], "verify pieri takes --max-size, not --to"),
+    (["verify", "delta", "--max-degree", "3"],
+     "verify delta takes no size option, not --max-degree"),
 ])
 def test_bad_input_exits_2_with_one_error_line(argv, needle):
     env = {k: v for k, v in os.environ.items() if k != "JACKLAX_CACHE_DIR"}
@@ -302,6 +310,33 @@ def test_corrupt_cache_rebuilt(tmp_path, capsys):
     files[0].write_text("{ not json")
     ws2 = Workspace(SymbolicField(), str(cache))
     assert ws2.jack((2,)) == ws.jack((2,))  # rebuilt transparently
+
+
+def test_verify_all_applies_each_size_option_where_taken(capsys):
+    # --to sizes kernel and cokernel only; the other suites keep their defaults
+    assert main(["verify", "all", "--to", "1", "--max-degree", "1", "--max-size", "1",
+                 "--format", "json"]) == 0
+    blob = json.loads(capsys.readouterr().out)
+    kernel = next(r for r in blob if r["suite"] == "kernel")
+    assert [i["id"] for i in kernel["instances"] if i["id"].startswith("dim ker")] == \
+        ["dim ker Tr_0 = 0", "dim ker Tr_1 = 0"]
+
+
+def test_non_split_cache_scalar_exits_2(tmp_path):
+    # a cache scalar whose denominator is not a product of linear forms
+    # is not rebuilt as corrupt: the run stops with one error line
+    cache = tmp_path / "cache"
+    assert main(["cache", "warm", "--degree", "2", "--mode", "symbolic",
+                 "--cache-dir", str(cache)]) == 0
+    path = next(p for p in cache.iterdir() if p.name.startswith("jack_02"))
+    blob = json.loads(path.read_text())
+    blob["norms"]["2"] = "e1 / e1^2 + e2^2"
+    path.write_text(json.dumps(blob))
+    r = run_cli(["jack", "norm", "2", "--cache-dir", str(cache)])
+    assert r.returncode == 2
+    assert r.stderr.splitlines() == [r.stderr.strip()]
+    assert r.stderr.startswith("error: cache file ") and "e1^2 + e2^2" in r.stderr
+    assert "Traceback" not in r.stderr and path.exists()
 
 
 def test_stale_cache_format_rebuilt(tmp_path, capsys):

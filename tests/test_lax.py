@@ -6,17 +6,17 @@ import pytest
 import oracles
 from jacklax.arith import DEFAULT_SPEC_POINTS, SpecializedField, SpecPoint, SymbolicField
 from jacklax.errors import NotAnAddableBox, NotARemovableCorner, EmptyPartition
-from jacklax.fock import (fock_to_ext, pi0, pi_star, v_accum, v_clear, v_scale,
-                          vector_to_coords, w_mul)
+from jacklax.fock import fock_to_ext, pi0, pi_star, v_accum, v_clear, v_scale, w_mul
 from jacklax.lax import (Pi_action_coeffs, lax_apply, lax_plus_shift_check,
-                         op_A, op_B, phi_column_coeff, pi_diamond, psi_tilde,
-                         q_poly, resolvent_at_form, w_action_coeffs)
+                         op_A, op_B, phi_column_coeff, pi_diamond,
+                         resolvent_at_form, w_action_coeffs)
 from jacklax.linalg import rank
 from jacklax.partitions import (add_box, add_set, eigen_pairs, partitions_of,
                                 rem_set, rem_set_plus, remove_box)
 from jacklax.session import Workspace
 from jacklax.spectral import tau, tau_tilde
 from jacklax import traces as tr
+from oracles import lax_matrix, psi_tilde, q_poly, q_poly_hat, vector_to_coords
 
 
 def test_lax_on_generators(sym):
@@ -91,7 +91,6 @@ def test_psi_tilde_resolvent_oracle(sym):
 def test_psi_tilde_dense_solve_oracle(spec):
     # independent oracle: solve ([t] - L) x = -j exactly as a dense system
     from jacklax.fock import hn_basis
-    from jacklax.lax import lax_matrix
     from jacklax.linalg import solve
     F = spec.field
     gamma = (2, 1)
@@ -258,7 +257,6 @@ def test_decompose(spec):
     comp = decompose(spec, fock_to_ext(spec.jack(lam)), "Z")
     assert list(comp) == [lam]
     # w^n = sum_lam w qhat_lam / |jhat_lam|^2, each summand in Z_lam
-    from jacklax.lax import q_poly_hat
     n = 3
     comp = decompose(spec, {(n, ()): F.one}, "Z")
     for lam, vec in comp.items():
@@ -304,7 +302,6 @@ def test_pi_diamond(spec):
 
 def test_self_adjointness(spec):
     from jacklax.fock import hn_basis, monomial_norm_sq
-    from jacklax.lax import lax_matrix
     F = spec.field
     for n in range(7):
         basis = hn_basis(n)

@@ -1,6 +1,7 @@
 """Property tests: the partition box moves and the two text formats
-round-trip, Coeff is a field with one canonical form, its bivariate gcd
-agrees with sympy's, partial fractions reconstruct a SpectralFun, a
+round-trip, Coeff is a field with one canonical form, expressions in it
+reduce as they do in the gcd oracle (and in sympy), the oracle's
+bivariate gcd agrees with sympy's, partial fractions reconstruct a SpectralFun, a
 combination of basis vectors expands back to its coefficients, the Lax
 operator and beta on integer numerators agree with their field-scalar
 oracles, field.ratio agrees with one field operation per form, cleared
@@ -15,8 +16,9 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
+import oracles  # noqa: E402
 from jacklax.arith import (BiPoly, Coeff, SpecializedField, SpecPoint,  # noqa: E402
-                           SpectralFun, SymbolicField, DEFAULT_SPEC_POINTS, _bp_gcd,
+                           SpectralFun, SymbolicField, DEFAULT_SPEC_POINTS,
                            parse_coeff, render_coeff)
 from jacklax.errors import BadSpecPoint, ZeroDenominator  # noqa: E402
 from jacklax.fock import bump, hn_basis, v_accum, v_clear, v_combine  # noqa: E402
@@ -37,7 +39,23 @@ except ImportError:
 PARTITIONS = st.integers(0, 12).flatmap(lambda n: st.sampled_from(partitions_of(n)))
 BIPOLYS = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)),
                           st.integers(-6, 6), max_size=4).map(BiPoly)
-COEFFS = st.builds(Coeff, BIPOLYS, BIPOLYS.filter(bool))
+FORMS = st.tuples(st.integers(-4, 4), st.integers(-4, 4)).filter(any)
+
+
+def _split_poly(k, forms):
+    """k times the product of the linear forms, as a BiPoly."""
+    p = BiPoly.const(k)
+    for a, b in forms:
+        p = p * BiPoly.lin(a, b)
+    return p
+
+
+# a nonzero integer times up to four linear forms (repeats and multiples
+# of one another included): the denominators a Coeff takes
+SPLIT = st.builds(_split_poly, st.integers(-12, 12).filter(bool), st.lists(FORMS, max_size=4))
+COEFFS = st.builds(Coeff, BIPOLYS, SPLIT)
+# any nonzero denominator: the gcd oracle's
+ORACLE_COEFFS = st.builds(oracles.Coeff, BIPOLYS, BIPOLYS.filter(bool))
 ROOTS = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
 # distinct primes, so the denominators of distinct terms are pairwise coprime
 BIG_PRIMES = (2**31 - 1, 2**61 - 1, 2**89 - 1, 2**107 - 1, 10**9 + 7, 10**9 + 9,
@@ -63,14 +81,38 @@ def test_partition_text_roundtrip(lam):
 @settings(max_examples=60, deadline=None)
 @given(BIPOLYS, BIPOLYS.filter(bool))
 def test_coeff_text_roundtrip(num, den):
+    # any denominator, in the gcd oracle
+    c = oracles.Coeff(num, den)
+    assert oracles.parse_coeff(render_coeff(c)) == c
+
+
+@settings(max_examples=60, deadline=None)
+@given(BIPOLYS, SPLIT)
+def test_split_coeff_text_roundtrip(num, den):
+    # the text of a Coeff is the oracle's, and it reads back
     c = Coeff(num, den)
+    assert render_coeff(c) == render_coeff(oracles.Coeff(num, den))
     assert parse_coeff(render_coeff(c)) == c
 
 
 @settings(max_examples=30, deadline=None)
-@given(COEFFS, COEFFS, COEFFS)
-def test_coeff_field_axioms(a, b, c):
+@given(COEFFS, COEFFS, COEFFS, st.builds(Coeff, SPLIT, SPLIT))
+def test_coeff_field_axioms(a, b, c, d):
+    # d (numerator and denominator split) is one a Coeff can divide by
     zero, one = Coeff.from_int(0), Coeff.from_int(1)
+    assert a + b == b + a and a * b == b * a
+    assert (a + b) + c == a + (b + c)
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert a + zero == a and a * one == a and a - a == zero
+    assert d / d == one and (b / d) * d == b and (b * d) / d == b
+    assert one / (one / d) == d and (a - b) / d == a / d - b / d
+
+
+@settings(max_examples=30, deadline=None)
+@given(ORACLE_COEFFS, ORACLE_COEFFS, ORACLE_COEFFS)
+def test_oracle_coeff_field_axioms(a, b, c):
+    zero, one = oracles.Coeff.from_int(0), oracles.Coeff.from_int(1)
     assert a + b == b + a and a * b == b * a
     assert (a + b) + c == a + (b + c)
     assert (a * b) * c == a * (b * c)
@@ -81,13 +123,74 @@ def test_coeff_field_axioms(a, b, c):
 
 
 @settings(max_examples=30, deadline=None)
-@given(BIPOLYS, BIPOLYS.filter(bool), BIPOLYS.filter(bool))
+@given(BIPOLYS, SPLIT, SPLIT)
 def test_coeff_canonical_form_is_unique(num, den, g):
-    # num/den and (g num)/(g den), of either sign, are stored alike
+    # num/den and (g num)/(g den), of either sign, are stored alike, with
+    # the oracle's numerator and denominator
     c = Coeff(num, den)
     for d in (Coeff(num * g, den * g), Coeff(-num * g, -den * g)):
         assert (d.num, d.den) == (c.num, c.den) and hash(d) == hash(c)
     assert c.den.lead_coeff() > 0
+    o = oracles.Coeff(num, den)
+    assert (c.num, c.den) == (o.num, o.den)
+
+
+@settings(max_examples=60, deadline=None)
+@given(BIPOLYS.filter(bool), BIPOLYS, st.lists(FORMS, min_size=1, max_size=4),
+       st.integers(1, 4), st.integers(-12, 12).filter(bool), st.integers(1, 12))
+def test_sums_cancel_like_the_oracle(x, y, forms, cut, k, m):
+    # (m x [g] + y) / d - y / d = m x [g] / d, [g] a product of forms of
+    # d = k [forms]: the sum must cancel [g] and the content it shares
+    # with k, whether or not the two terms reduced alike
+    d, g = _split_poly(k, forms), _split_poly(m, forms[:cut])
+    got = Coeff(x * g + y, d) - Coeff(y, d)
+    assert got == Coeff(x * g, d)
+    assert render_coeff(got) == render_coeff(oracles.Coeff(x * g, d))
+
+
+# expression trees: leaves are linear forms, nonzero integers and small
+# BiPolys; a quotient's divisor is a product or quotient of forms and
+# integers, which never vanishes and always splits
+SPLIT_TREES = st.recursive(
+    st.one_of(st.tuples(st.just("form"), FORMS),
+              st.tuples(st.just("int"), st.integers(-6, 6).filter(bool))),
+    lambda sub: st.tuples(st.sampled_from(["*", "/"]), sub, sub), max_leaves=5)
+TREES = st.recursive(
+    st.one_of(SPLIT_TREES, st.tuples(st.just("poly"), BIPOLYS)),
+    lambda sub: st.one_of(st.tuples(st.sampled_from(["+", "-", "*"]), sub, sub),
+                          st.tuples(st.just("/"), sub, SPLIT_TREES)),
+    max_leaves=10)
+
+
+def _evaluate(tree, form, integer, poly):
+    op, a = tree[0], tree[1]
+    if op == "form":
+        return form(*a)
+    if op == "int":
+        return integer(a)
+    if op == "poly":
+        return poly(a)
+    x, y = (_evaluate(t, form, integer, poly) for t in tree[1:])
+    return x + y if op == "+" else x - y if op == "-" else x * y if op == "*" else x / y
+
+
+@settings(max_examples=150, deadline=None)
+@given(TREES)
+def test_coeff_expression_trees_match_oracle(tree):
+    got = _evaluate(tree, Coeff.lf, Coeff.from_int, Coeff)
+    want = _evaluate(tree, oracles.Coeff.lf, oracles.Coeff.from_int, oracles.Coeff)
+    assert render_coeff(got) == render_coeff(want)
+    if sympy is not None:
+        e1, e2 = sympy.symbols("e1 e2")
+        expr = _evaluate(tree, lambda a, b: a * e1 + b * e2, sympy.Integer,
+                         lambda p: _sympy_poly(p, e1, e2).as_expr())
+        num, den = sympy.fraction(sympy.cancel(expr))
+        got_num = _sympy_poly(got.num, e1, e2).as_expr()
+        got_den = _sympy_poly(got.den, e1, e2).as_expr()
+        # the same function, and in lowest terms: the denominators differ
+        # by a constant factor only
+        assert sympy.expand(got_num * den - got_den * num) == 0
+        assert sympy.cancel(got_den / den).is_number
 
 
 def _sympy_poly(p, e1, e2):
@@ -103,7 +206,7 @@ def test_bp_gcd_matches_sympy(a, b, g):
     A, B = a * g, b * g
     want = sympy.Poly(sympy.gcd(_sympy_poly(A, e1, e2).as_expr(),
                                 _sympy_poly(B, e1, e2).as_expr()), e1, e2)
-    got = _sympy_poly(_bp_gcd(A, B), e1, e2)
+    got = _sympy_poly(oracles._bp_gcd(A, B), e1, e2)
     assert got == want or got == -want
 
 
@@ -114,11 +217,13 @@ def test_bp_gcd_matches_sympy(a, b, g):
        den=st.lists(ROOTS, max_size=4, unique=True))
 def test_partial_fractions_reconstruct(field, pre, num, den):
     # the polynomial part plus the sum of residue/(u - [pole]) is the
-    # function again, checked at half-integers u (never an integer pole)
+    # function again, checked at u = [2k+1, 7], never a pole (whose e2
+    # coefficient is at most 3); u - [pole] is then a linear form, which
+    # a Coeff can divide by
     f = SpectralFun.from_factors(field, num, den) * field.num(pre)
     poly, res = f.partial_fractions(field)
     for k in range(-2, 3):
-        u = field.from_fraction(Fraction(2 * k + 1, 2))
+        u = field.lf((2 * k + 1, 7))
         total = field.zero
         for i, c in enumerate(poly):
             total = total + c * u ** i
@@ -290,19 +395,28 @@ SMALL_COEFFS = st.sampled_from([Coeff.from_int(0), Coeff.from_int(1), Coeff.from
 @given(st.data())
 def test_bareiss_rank_over_q_e1_e2(data):
     # Coeff's // is exact division, so the same elimination runs on
-    # rational functions; products of linear forms make rank drops
+    # rational functions; products of linear forms make rank drops.  Its
+    # pivots (minors such as e1 - 1) need not split, so the oracle runs
+    # field division on the gcd oracle's Coeff.
     n, m = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
     rows = data.draw(st.lists(st.lists(SMALL_COEFFS, min_size=m, max_size=m),
                               min_size=n, max_size=n))
     c = data.draw(SMALL_COEFFS)
     rows.append([c * v for v in rows[0]])
-    assert rank(rows) == fraction_rank(rows)
+    assert rank(rows) == fraction_rank([[oracles.Coeff(v.num, v.den) for v in row]
+                                        for row in rows])
 
 
 def test_bareiss_rank_examples():
     e1, e2 = Coeff.lf(1, 0), Coeff.lf(0, 1)
     assert rank([[e1, e2], [e1 * e1, e1 * e2]]) == 1
     assert rank([[e1, e2], [e2, e1]]) == 2
+    # the second pivot 1 - e1^2 does not split
+    one = Coeff.from_int(1)
+    rows = [[one, e1, e2], [e1, one, e1], [e2, e1, one]]
+    assert rank(rows) == 3
+    assert rank(rows + [[x + y for x, y in zip(rows[0], rows[1])]]) == 3
+    assert rank(rows[:2] + [[x - e2 * y for x, y in zip(rows[0], rows[1])]]) == 2
     assert rank([[0, 0, 1], [0, 0, 2], [1, 1, 0]]) == 2
     assert rank([[2, 4], [3, 6], [0, 0]]) == 1
     assert rank([]) == 0 and rank([[], []]) == 0
