@@ -736,6 +736,16 @@ DEFAULT_SPEC_POINTS = (
 # itself, and D and L are always 1.  A row need not be in lowest terms, but
 # clear and combine return the canonical one (least D), so two canonical
 # rows are equal exactly when their vectors are.
+#
+# Each field also owns the disk cache's scalar codec: dump(x) is x in the
+# field's own form as plain JSON numbers, and load(v) reads it back, raising
+# ValueError unless v is exactly what dump writes: ints of type int (no
+# bools or floats) in canonical form, so a loaded scalar is trusted without
+# being reduced again.
+
+
+def _bad_scalar(v):
+    return ValueError("not a canonical cache scalar: %r" % (v,))
 
 
 class SymbolicField:
@@ -799,6 +809,41 @@ class SymbolicField:
 
     def key(self):
         return "symbolic"
+
+    def dump(self, x):
+        """[[[i, j, coeff], ...], c, [[a, b, m], ...]]: the terms of x's
+        numerator, the integer and the prime forms of its denominator."""
+        return [[[i, j, v] for (i, j), v in sorted(x.num.t.items())], x.c,
+                [[a, b, m] for (a, b), m in sorted(x.forms.items())]]
+
+    def load(self, v):
+        """The Coeff of dump's form v; raises ValueError unless v is in
+        lowest terms: distinct nonzero terms, c > 0 prime to the content,
+        distinct prime forms (leading coefficient positive), none dividing
+        the numerator, and zero only as [[], 1, []]."""
+        terms, c, forms = v
+        t = {}
+        for i, j, a in terms:
+            if (not (type(i) is int and type(j) is int and type(a) is int
+                     and i >= 0 and j >= 0 and a) or (i, j) in t):
+                raise _bad_scalar(v)
+            t[(i, j)] = a
+        fs = {}
+        for a, b, m in forms:
+            if (not (type(a) is int and type(b) is int and type(m) is int
+                     and m >= 1 and (a or b)) or (a, b) in fs
+                    or _prime_form(a, b) != (1, (a, b))):
+                raise _bad_scalar(v)
+            fs[(a, b)] = m
+        if not (type(c) is int and c >= 1):
+            raise _bad_scalar(v)
+        if not t:
+            if c != 1 or fs:
+                raise _bad_scalar(v)
+            return _C_ZERO
+        if _igcd(_content(t), c) != 1 or any(_over_form(t, f) is not None for f in fs):
+            raise _bad_scalar(v)
+        return _make(t, c, fs)
 
 
 class SpecializedField:
@@ -867,6 +912,21 @@ class SpecializedField:
 
     def key(self):
         return self.point.key()
+
+    def dump(self, q):
+        """[numerator, denominator]."""
+        return [q.numerator, q.denominator]
+
+    def load(self, v):
+        """The Fraction of dump's form v; raises ValueError unless v is in
+        lowest terms with a positive denominator."""
+        num, den = v
+        if not (type(num) is int and type(den) is int and den >= 1):
+            raise _bad_scalar(v)
+        q = Fraction(num, den)
+        if q.denominator != den:
+            raise _bad_scalar(v)
+        return q
 
 
 # ---------------------------------------------------------------------------

@@ -216,6 +216,9 @@ def cmd_verify(args):
     cfg = _config(args)
     if args.suite != "all":
         _check_size_options(args)
+        if cfg.include_conjectures:
+            raise JackLaxError("verify %s does not take --include-conjectures (only verify "
+                               "all does)" % args.suite)
     suites = list(SUITES) if args.suite == "all" else [args.suite]
     if "conjectures" in suites and args.suite == "all" and not cfg.include_conjectures:
         suites.remove("conjectures")

@@ -4,6 +4,14 @@ Everything downstream (Lax eigenfunctions, traces, LR tables) is computed
 through a Workspace so that symbolic and specialized runs share one code
 path.  Caches are append-only behind a re-entrant lock; cached values are
 immutable.
+
+With a cache directory, each Jack degree is also kept on disk, one JSON file
+per (degree, mode).  In format 3 the dicts "jacks", "norms" and "varpi" are
+keyed by format_partition(lam); a Jack is a list of [index into
+partitions_of(n), scalar] terms, and every scalar is in the field's own
+form as JSON numbers (field.dump / field.load).  A file is trusted only if
+it holds exactly the partitions of its degree and every scalar is canonical;
+otherwise it is rebuilt, and `cache stat` applies the same check.
 """
 
 import json
@@ -12,18 +20,17 @@ import sys
 import tempfile
 import threading
 
-from .arith import SymbolicField, parse_scalar, render_scalar
-from .errors import JackLaxError, NotSplit
+from .arith import SpecializedField, SpecPoint, SymbolicField
+from .errors import JackLaxError
 from .fock import degree_of, hn_basis, monomial_norm_sq
 from .fock import inner_hbar  # noqa: F401  (kept as session.inner_hbar)
 from .jack import compute_homogeneous_jacks, jack_norm_sq, varpi
-from .partitions import (eigen_pairs, format_partition, parse_partition,
-                         partitions_of)
+from .partitions import eigen_pairs, format_partition, partitions_of
 from .spectral import tau
 
 
 # Version of the disk cache blob; a file in any other format is rebuilt.
-CACHE_FORMAT = 2
+CACHE_FORMAT = 3
 
 
 def _cache_env_dir():
@@ -59,7 +66,7 @@ class Workspace:
     def _cache_path(self, n):
         if not self.cache_dir:
             return None
-        return os.path.join(self.cache_dir, "jack_%02d_%s.json" % (n, _slug(self.key())))
+        return os.path.join(self.cache_dir, _cache_name(n, self.key()))
 
     def jack_degree(self, n):
         """{lam: cleared row of j_lam} over the partitions of n, built (or
@@ -79,7 +86,6 @@ class Workspace:
             else:
                 jacks, norms, vps = data
                 rows = {lam: self.field.clear(vec) for lam, vec in jacks.items()}
-                self._jack.update(jacks)
             self._jack_rows[n] = rows
             self._norm[n] = norms
             self._varpi[n] = vps
@@ -90,25 +96,12 @@ class Workspace:
         if not path or not os.path.exists(path):
             return None
         try:
-            with open(path) as fh:
-                blob = json.load(fh)
+            blob = _read_blob(path)
             if blob.get("format") != CACHE_FORMAT:
                 print("warning: stale cache file %s (format %s, want %d); rebuilding"
                       % (path, blob.get("format"), CACHE_FORMAT), file=sys.stderr)
                 return None
-            if blob.get("degree") != n or blob.get("mode") != self.key():
-                raise ValueError("cache key mismatch")
-            jacks, norms, vps = {}, {}, {}
-            for lam_s, entry in blob["jacks"].items():
-                lam = parse_partition(lam_s)
-                jacks[lam] = {parse_partition(t["partition"]): parse_scalar(t["coeff"], self.field)
-                              for t in entry}
-                norms[lam] = parse_scalar(blob["norms"][lam_s], self.field)
-                vps[lam] = parse_scalar(blob["varpi"][lam_s], self.field)
-            return jacks, norms, vps
-        except NotSplit as e:
-            raise NotSplit("cache file %s: %s (`jacklax cache clear` removes it)"
-                           % (path, e)) from None
+            return _decode(blob, n, self.key(), self.field)
         except Exception:
             print("warning: corrupt cache file %s; rebuilding" % path, file=sys.stderr)
             try:
@@ -124,21 +117,21 @@ class Workspace:
         if not path:
             return
         os.makedirs(self.cache_dir, exist_ok=True)
+        dump = self.field.dump
+        index = {mu: i for i, mu in enumerate(partitions_of(n))}
         blob = {"format": CACHE_FORMAT, "degree": n, "mode": self.key(),
                 "jacks": {}, "norms": {}, "varpi": {}}
         for lam in sorted(jacks):
             key = format_partition(lam)
-            blob["jacks"][key] = [
-                {"w": 0, "partition": format_partition(mu), "coeff": render_scalar(c)}
-                for mu, c in sorted(jacks[lam].items())
-            ]
-            blob["norms"][key] = render_scalar(norms[lam])
-            blob["varpi"][key] = render_scalar(vps[lam])
+            blob["jacks"][key] = [[index[mu], dump(c)] for mu, c in sorted(jacks[lam].items())]
+            blob["norms"][key] = dump(norms[lam])
+            blob["varpi"][key] = dump(vps[lam])
         fd, tmp = tempfile.mkstemp(dir=self.cache_dir,
                                    prefix=os.path.basename(path) + ".", suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as fh:
-                json.dump(blob, fh, sort_keys=True)
+                # one string: json.dump to a file takes the slower pure-Python encoder
+                fh.write(json.dumps(blob, sort_keys=True))
             os.replace(tmp, path)
         except FileNotFoundError:
             # a `cache clear` removed the temp file under this writer: the
@@ -318,8 +311,10 @@ class Workspace:
 
     def cache_stat(self):
         """{file name: "<k> entries", "corrupt", "stale (format N)" or
-        "temp"}; the loader would rebuild the corrupt and stale files, and a
-        temp file is one a writer killed before its os.replace left.
+        "temp"}; a file is checked as the loader checks it (in the field of
+        its own mode), so the loader would rebuild the corrupt and stale
+        files, and a temp file is one a writer killed before its os.replace
+        left.
         Raises JackLaxError if the cache directory does not exist."""
         out = {}
         for name in sorted(os.listdir(self._existing_cache_dir())):
@@ -327,13 +322,15 @@ class Workspace:
                 out[name] = "temp"
             elif name.startswith("jack_") and name.endswith(".json"):
                 try:
-                    with open(os.path.join(self.cache_dir, name)) as fh:
-                        blob = json.load(fh)
+                    blob = _read_blob(os.path.join(self.cache_dir, name))
                     if blob.get("format") != CACHE_FORMAT:
                         out[name] = "stale (format %s)" % blob.get("format")
-                    else:
-                        out[name] = "%d entries" % len(blob["jacks"])
-                except (OSError, ValueError, AttributeError, KeyError, TypeError):
+                        continue
+                    n, mode = blob["degree"], blob["mode"]
+                    if name != _cache_name(n, mode):
+                        raise ValueError("cache key mismatch")
+                    out[name] = "%d entries" % len(_decode(blob, n, mode, _field_of(mode))[0])
+                except Exception:
                     out[name] = "corrupt"
         return out
 
@@ -403,6 +400,55 @@ class DualIndex:
         if den is None:
             vec, den = field.clear(vec)
         return field.uncleared(self.row(vec, den))
+
+
+def _read_blob(path):
+    with open(path) as fh:
+        return json.load(fh)
+
+
+def _decode(blob, n, mode, field):
+    """({lam: Jack vector}, {lam: norm}, {lam: varpi}) of a current-format
+    blob of degree n in the given mode; raises unless it holds exactly the
+    partitions of n, each Jack term an index into partitions_of(n) with a
+    nonzero scalar, every scalar in the field's canonical form."""
+    if blob["degree"] != n or blob["mode"] != mode:
+        raise ValueError("cache key mismatch")
+    labels = partitions_of(n)
+    keys = {format_partition(lam): lam for lam in labels}
+    jacks_in, norms_in, vps_in = blob["jacks"], blob["norms"], blob["varpi"]
+    if not jacks_in.keys() == norms_in.keys() == vps_in.keys() == keys.keys():
+        raise ValueError("cache keys are not the partitions of %d" % n)
+    load = field.load
+    jacks, norms, vps = {}, {}, {}
+    for key, entry in jacks_in.items():
+        lam = keys[key]
+        vec = {}
+        for i, c in entry:
+            if type(i) is not int or not 0 <= i < len(labels) or labels[i] in vec:
+                raise ValueError("bad Jack term index %r" % (i,))
+            x = vec[labels[i]] = load(c)
+            if not x:
+                raise ValueError("zero Jack term")
+        jacks[lam] = vec
+        norms[lam] = load(norms_in[key])
+        vps[lam] = load(vps_in[key])
+    return jacks, norms, vps
+
+
+def _cache_name(n, mode):
+    return "jack_%02d_%s.json" % (n, _slug(mode))
+
+
+def _field_of(mode):
+    """The field whose key() is mode."""
+    if mode == "symbolic":
+        return SymbolicField()
+    e1, e2 = mode.split(",")
+    field = SpecializedField(SpecPoint(e1[3:], e2[3:]))
+    if field.key() != mode:
+        raise ValueError("bad cache mode %r" % (mode,))
+    return field
 
 
 def _is_cache_temp(name):

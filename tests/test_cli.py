@@ -251,6 +251,11 @@ def test_size_zero_is_not_the_default(capsys):
     (["verify", "pieri", "--to", "3"], "verify pieri takes --max-size, not --to"),
     (["verify", "delta", "--max-degree", "3"],
      "verify delta takes no size option, not --max-degree"),
+    # --include-conjectures acts on verify all only
+    (["verify", "tau", "--include-conjectures", "--max-size", "1"],
+     "verify tau does not take --include-conjectures"),
+    (["shc", "--include-conjectures", "--max-degree", "1"],
+     "verify shc does not take --include-conjectures"),
 ])
 def test_bad_input_exits_2_with_one_error_line(argv, needle):
     env = {k: v for k, v in os.environ.items() if k != "JACKLAX_CACHE_DIR"}
@@ -276,26 +281,136 @@ def test_conjectures_never_gate(tmp_path):
     assert "FAIL" in r.stdout
 
 
-def test_cache_roundtrip(tmp_path):
+# jack_02_symbolic.json as the format-2 writer stored it: every scalar as text
+FORMAT_2_BLOB = (
+    '{"degree": 2, "format": 2, "jacks": {"1^2": [{"coeff": "1", "partition": "1^2", "w": 0}, '
+    '{"coeff": "e1", "partition": "2", "w": 0}], "2": [{"coeff": "1", "partition": "1^2", '
+    '"w": 0}, {"coeff": "e2", "partition": "2", "w": 0}]}, "mode": "symbolic", "norms": '
+    '{"1^2": "-2*e1^3*e2 + 2*e1^2*e2^2", "2": "2*e1^2*e2^2 - 2*e1*e2^3"}, "varpi": '
+    '{"1^2": "e1", "2": "e2"}}')
+
+
+def _fields():
+    from jacklax.arith import DEFAULT_SPEC_POINTS, SpecializedField, SymbolicField
+    return [SymbolicField()] + [SpecializedField(p) for p in DEFAULT_SPEC_POINTS]
+
+
+def _same_degree(cold, warm, n):
+    assert warm.jack_degree(n) == cold.jack_degree(n)
+    for lam in cold.jack_degree(n):
+        assert warm.jack(lam) == cold.jack(lam)
+        assert warm.norm_sq(lam) == cold.norm_sq(lam)
+        assert warm.varpi(lam) == cold.varpi(lam)
+
+
+def test_cache_roundtrip(tmp_path, capsys):
+    from jacklax.session import Workspace
     cache = str(tmp_path / "cache")
     env = dict(os.environ, JACKLAX_CACHE_DIR=cache)
-    r = run_cli(["cache", "warm", "--degree", "3", "--mode", "symbolic"], env=env)
-    assert r.returncode == 0
+    for mode in ("symbolic", "specialized"):
+        r = run_cli(["cache", "warm", "--degree", "6", "--mode", mode], env=env)
+        assert r.returncode == 0
     r = run_cli(["cache", "stat", "--mode", "symbolic"], env=env)
-    assert "entries" in r.stdout
-    # warm cache gives bit-identical jack data
-    from jacklax.arith import SymbolicField
-    from jacklax.session import Workspace
-    cold = Workspace(SymbolicField())
-    warm = Workspace(SymbolicField(), cache)
-    for lam in [(3,), (2, 1), (1, 1, 1)]:
-        assert cold.jack(lam) == warm.jack(lam)
-        assert cold.norm_sq(lam) == warm.norm_sq(lam)
-        assert cold.varpi(lam) == warm.varpi(lam)
-        assert cold.psi(lam, (0, 3) if lam == (3,) else (1, 1) if lam == (2, 1) else (3, 0)) \
-            == warm.psi(lam, (0, 3) if lam == (3,) else (1, 1) if lam == (2, 1) else (3, 0))
+    assert len(r.stdout.splitlines()) == 4 * 7 and "corrupt" not in r.stdout
+    # a warm cache gives the rows, norms and varpi of a cold build, in both modes
+    for field in _fields():
+        cold, warm = Workspace(field), Workspace(field, cache)
+        for n in range(7):
+            _same_degree(cold, warm, n)
+        assert warm.psi((2, 1), (1, 1)) == cold.psi((2, 1), (1, 1))
+    assert capsys.readouterr().err == ""
+    # a file of the format-2 writer is stale, and it is rebuilt
+    path = tmp_path / "cache" / "jack_02_symbolic.json"
+    path.write_text(FORMAT_2_BLOB)
+    r = run_cli(["cache", "stat", "--mode", "symbolic"], env=env)
+    assert "jack_02_symbolic.json: stale (format 2)" in r.stdout.splitlines()
+    sym = _fields()[0]
+    _same_degree(Workspace(sym), Workspace(sym, cache), 2)
+    assert "stale cache file" in capsys.readouterr().err
+    assert json.loads(path.read_text())["format"] == CACHE_FORMAT
     r = run_cli(["cache", "clear", "--mode", "symbolic"], env=env)
-    assert r.returncode == 0 and "removed" in r.stdout
+    assert r.returncode == 0 and r.stdout == "removed %d cache file(s)\n" % (4 * 7)
+
+
+def _set(table, key, value):
+    def edit(blob):
+        blob[table][key] = value
+    return edit
+
+
+def _set_jack(terms):
+    return _set("jacks", "1,2", terms)
+
+
+# each breaks one rule of the canonical form; in degree 3 the partitions
+# are 1^3, 1,2 and 3 (indexes 0, 1, 2)
+NON_CANONICAL = [
+    pytest.param("symbolic", _set("norms", "3", [[[0, 0, True]], 1, []]), id="bool"),
+    pytest.param("symbolic", _set("norms", "3", [[[0, 0, 1.0]], 1, []]), id="float"),
+    pytest.param("symbolic", _set("norms", "3", [[[1, 0, 1], [1, 0, 2]], 1, []]),
+                 id="repeated term"),
+    pytest.param("symbolic", _set("norms", "3", [[[1, 0, 0], [0, 1, 1]], 1, []]),
+                 id="zero term"),
+    pytest.param("symbolic", _set("norms", "3", [[[-1, 2, 1]], 1, []]),
+                 id="negative e1 exponent"),
+    pytest.param("symbolic", _set("norms", "3", [[[2, -1, 1]], 1, []]),
+                 id="negative e2 exponent"),
+    pytest.param("symbolic", _set("norms", "3", [[[1, 0, 1]], 0, []]), id="c = 0"),
+    pytest.param("symbolic", _set("norms", "3", [[[1, 0, 1]], -1, []]), id="c < 0"),
+    pytest.param("symbolic", _set("varpi", "3", [[], 2, []]), id="zero over 2"),
+    pytest.param("symbolic", _set("varpi", "3", [[], 1, [[1, 0, 1]]]), id="zero over a form"),
+    pytest.param("symbolic", _set("norms", "3", [[[1, 0, 2], [0, 1, 4]], 6, []]),
+                 id="content not prime to c"),
+    pytest.param("symbolic", _set("norms", "3", [[[0, 0, 1]], 1, [[2, 4, 1]]]),
+                 id="non-primitive form"),
+    pytest.param("symbolic", _set("norms", "3", [[[0, 0, 1]], 1, [[-1, 1, 1]]]),
+                 id="form of negative sign"),
+    pytest.param("symbolic", _set("norms", "3", [[[0, 0, 1]], 1, [[0, 0, 1]]]), id="zero form"),
+    pytest.param("symbolic", _set("norms", "3", [[[0, 0, 1]], 1, [[1, 1, 1], [1, 1, 1]]]),
+                 id="repeated form"),
+    pytest.param("symbolic", _set("norms", "3", [[[0, 0, 1]], 1, [[1, 1, 0]]]),
+                 id="multiplicity 0"),
+    pytest.param("symbolic", _set("norms", "3", [[[1, 0, 1], [0, 1, 1]], 1, [[1, 1, 1]]]),
+                 id="form divides the numerator"),
+    pytest.param("symbolic", _set_jack([[0, [[[0, 0, 1]], 1, []]], [3, [[[0, 0, 1]], 1, []]]]),
+                 id="index past the end"),
+    pytest.param("symbolic", _set_jack([[-1, [[[0, 0, 1]], 1, []]]]), id="negative index"),
+    pytest.param("symbolic", _set_jack([[0, [[[0, 0, 1]], 1, []]], [0, [[[0, 0, 2]], 1, []]]]),
+                 id="repeated index"),
+    pytest.param("symbolic", _set_jack([[0, [[[0, 0, 1]], 1, []]], [1, [[], 1, []]]]),
+                 id="zero Jack term"),
+    pytest.param("symbolic", lambda blob: blob["norms"].pop("3"), id="missing key"),
+    pytest.param("symbolic", lambda blob: [blob[t].update({"4": blob[t]["3"]})
+                                           for t in ("jacks", "norms", "varpi")],
+                 id="extra key"),
+    pytest.param("symbolic", _set("norms", "4", [[[0, 0, 1]], 1, []]), id="extra norm"),
+    pytest.param("specialized", _set("norms", "3", [3, 0]), id="den = 0"),
+    pytest.param("specialized", _set("norms", "3", [-3, -2]), id="den < 0"),
+    pytest.param("specialized", _set("norms", "3", [6, 4]), id="not in lowest terms"),
+    pytest.param("specialized", _set("norms", "3", [0, 2]), id="zero over 2 at a point"),
+    pytest.param("specialized", _set("varpi", "3", [1.5, 1]), id="float at a point"),
+]
+
+
+@pytest.mark.parametrize("mode, edit", NON_CANONICAL)
+def test_non_canonical_cache_entry_is_rebuilt(tmp_path, capsys, mode, edit):
+    # a stored value is trusted only in the field's canonical form: a file
+    # that breaks it reads `corrupt` in `cache stat`, and the loader warns,
+    # rebuilds it and gives what a cold build gives
+    from jacklax.session import Workspace
+    field = _fields()[0 if mode == "symbolic" else 3]
+    cache = tmp_path / "cache"
+    Workspace(field, str(cache)).jack_degree(3)
+    path = next(cache.glob("jack_03_*.json"))
+    good = json.loads(path.read_text())
+    blob = json.loads(path.read_text())
+    edit(blob)
+    path.write_text(json.dumps(blob))
+    assert Workspace(field, str(cache)).cache_stat()[path.name] == "corrupt"
+    capsys.readouterr()
+    _same_degree(Workspace(field), Workspace(field, str(cache)), 3)
+    assert capsys.readouterr().err == "warning: corrupt cache file %s; rebuilding\n" % path
+    assert json.loads(path.read_text()) == good
 
 
 def test_corrupt_cache_rebuilt(tmp_path, capsys):
@@ -322,21 +437,22 @@ def test_verify_all_applies_each_size_option_where_taken(capsys):
         ["dim ker Tr_0 = 0", "dim ker Tr_1 = 0"]
 
 
-def test_non_split_cache_scalar_exits_2(tmp_path):
-    # a cache scalar whose denominator is not a product of linear forms
-    # is not rebuilt as corrupt: the run stops with one error line
+def test_cache_scalar_with_a_dividing_form_is_rebuilt(tmp_path):
+    # a stored denominator form that divides its numerator is not lowest
+    # terms: the file is not trusted, and the query prints what a cold run does
     cache = tmp_path / "cache"
     assert main(["cache", "warm", "--degree", "2", "--mode", "symbolic",
                  "--cache-dir", str(cache)]) == 0
     path = next(p for p in cache.iterdir() if p.name.startswith("jack_02"))
     blob = json.loads(path.read_text())
-    blob["norms"]["2"] = "e1 / e1^2 + e2^2"
+    blob["norms"]["2"] = [[[2, 0, 1], [1, 1, 1]], 1, [[1, 1, 1]]]     # e1 (e1 + e2) / (e1 + e2)
     path.write_text(json.dumps(blob))
     r = run_cli(["jack", "norm", "2", "--cache-dir", str(cache)])
-    assert r.returncode == 2
-    assert r.stderr.splitlines() == [r.stderr.strip()]
-    assert r.stderr.startswith("error: cache file ") and "e1^2 + e2^2" in r.stderr
-    assert "Traceback" not in r.stderr and path.exists()
+    assert r.returncode == 0
+    assert r.stderr == "warning: corrupt cache file %s; rebuilding\n" % path
+    cold = run_cli(["jack", "norm", "2"], env={k: v for k, v in os.environ.items()
+                                               if k != "JACKLAX_CACHE_DIR"})
+    assert r.stdout == cold.stdout and cold.stdout.startswith("|j_{2}|^2 = ")
 
 
 def test_stale_cache_format_rebuilt(tmp_path, capsys):
@@ -368,10 +484,18 @@ def test_stale_cache_format_rebuilt(tmp_path, capsys):
     (json.dumps({"format": CACHE_FORMAT}), "corrupt"),
     (json.dumps({"degree": 3, "jacks": {"3": []}}), "stale (format None)"),
     (json.dumps({"format": 1, "degree": 3, "jacks": {"3": []}}), "stale (format 1)"),
+    # a current-format file whose norm has the non-primitive form 2*e1 + 4*e2
+    (_set("norms", "3", [[[0, 0, 1]], 1, [[2, 4, 1]]]), "corrupt"),
 ])
 def test_cache_stat_names_bad_files(tmp_path, capsys, text, status):
     # a file the loader would rebuild is reported as such, beside the good ones
     cache = tmp_path / "cache"
+    if callable(text):
+        other = str(tmp_path / "other")
+        assert main(["cache", "warm", "--degree", "3", "--cache-dir", other]) == 0
+        blob = json.loads((tmp_path / "other" / "jack_03_symbolic.json").read_text())
+        text(blob)
+        text = json.dumps(blob)
     assert main(["cache", "warm", "--degree", "1", "--mode", "symbolic",
                  "--cache-dir", str(cache)]) == 0
     (cache / "jack_03_symbolic.json").write_text(text)

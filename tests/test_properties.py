@@ -1,5 +1,5 @@
-"""Property tests: the partition box moves and the two text formats
-round-trip, Coeff is a field with one canonical form, expressions in it
+"""Property tests: the partition box moves, the two text formats and the
+two cache codecs round-trip, Coeff is a field with one canonical form, expressions in it
 reduce as they do in the gcd oracle (and in sympy), the oracle's
 bivariate gcd agrees with sympy's, partial fractions reconstruct a SpectralFun, a
 combination of basis vectors expands back to its coefficients, the Lax
@@ -9,6 +9,7 @@ rows sum as v_accum does, the closed-form point check agrees with the
 scan over difference vectors, and the fraction-free rank agrees with
 Gaussian elimination with field division."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -93,6 +94,29 @@ def test_split_coeff_text_roundtrip(num, den):
     c = Coeff(num, den)
     assert render_coeff(c) == render_coeff(oracles.Coeff(num, den))
     assert parse_coeff(render_coeff(c)) == c
+
+
+@settings(max_examples=60, deadline=None)
+@given(COEFFS, st.integers(2, 6))
+def test_coeff_cache_codec_roundtrip(x, k):
+    # the cache form reads back through JSON; scaled by k it is no longer
+    # in lowest terms and is refused
+    F = SymbolicField()
+    v = json.loads(json.dumps(F.dump(x)))
+    assert F.load(v) == x and F.dump(F.load(v)) == v
+    terms, c, forms = v
+    with pytest.raises(ValueError):
+        F.load([[[i, j, a * k] for i, j, a in terms], c * k, forms])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.fractions(), st.integers(2, 6))
+def test_fraction_cache_codec_roundtrip(q, k):
+    F = SpecializedField(DEFAULT_SPEC_POINTS[0])
+    v = json.loads(json.dumps(F.dump(q)))
+    assert F.load(v) == q and F.dump(F.load(v)) == v
+    with pytest.raises(ValueError):
+        F.load([v[0] * k, v[1] * k])
 
 
 @settings(max_examples=30, deadline=None)
