@@ -974,7 +974,7 @@ class SpectralFun:
 
     __slots__ = ("pre", "num", "den")
 
-    def __init__(self, pre, num=None, den=None):
+    def __init__(self, pre, num=(), den=()):
         num, den = _cancel(num or {}, den or {})
         if not pre:
             num, den = {}, {}

@@ -82,7 +82,10 @@ def cmd_jack(args):
     ws = _workspace(args)
     lam = parse_partition(args.partition)
     if args.what == "show":
-        vec = ws.jack_hat(lam) if args.hatted else ws.jack(lam)
+        vec = ws.field.uncleared(ws.jack_row(lam))
+        if args.hatted:
+            vp = ws.varpi(lam)
+            vec = {mu: c / vp for mu, c in vec.items()}
         name = "jhat" if args.hatted else "j"
         print("%s_{%s} = %s" % (name, format_partition(lam), format_fock(vec)))
     elif args.what == "norm":
@@ -98,7 +101,7 @@ def cmd_psi(args):
     ws = _workspace(args)
     lam = parse_partition(args.partition)
     s = _parse_box(args.box)
-    psi = ws.psi_hat(lam, s) if args.hatted else ws.psi(lam, s)
+    psi = ws.field.uncleared((ws.psi_hat_row if args.hatted else ws.psi_row)(lam, s))
     name = "psihat" if args.hatted else "psi"
     print("%s_{%s}^{(%d,%d)}:" % (name, format_partition(lam), s[0], s[1]))
     byw = {}

@@ -4,7 +4,11 @@ Vectors are sparse dicts:
     FockVec:  {partition mu: scalar}   for the monomial V_mu = prod V_{mu_k}
     ExtVec:   {(m, mu): scalar}        for w^m * V_mu
 
-Scalars are field elements (Coeff or Fraction); zero coefficients are never
+The operators of the library take and return cleared rows (nums, D): the
+vector sum nums[key] / D key by key, with nums in the field's numerator
+ring (Python ints at a specialized point, Coeff values over Q(e1,e2) with
+D = 1); field.clear, field.combine and field.uncleared make and read them.
+The helpers below act on dicts of either kind; zero coefficients are never
 stored.  The V-monomial inner product is diagonal:
     <V_mu, V_mu> = prod_k (hbar*k)^{d_k} d_k!   (d_k = multiplicity of k).
 """
@@ -13,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial, gcd, lcm
 
-from .errors import DegreeMismatch, InhomogeneousForPiStar, JackLaxError
+from .errors import DegreeMismatch, InhomogeneousForPiStar
 from .partitions import partitions_of
 
 
@@ -171,29 +175,16 @@ def w_mul(zeta, k=1):
     return {(m + k, mu): c for (m, mu), c in zeta.items()}
 
 
-def pi_star(zeta, field):
-    """Top w-coefficient [w^n] of a homogeneous degree-n vector."""
-    if zeta:
-        n = degree_of(zeta)
-    else:
+def pi_star(row, field):
+    """Top w-coefficient [w^n] of the cleared row of a homogeneous degree-n
+    vector."""
+    nums, den = row
+    degs = {ext_degree(k) for k in nums}
+    if len(degs) > 1:
+        raise InhomogeneousForPiStar("pi* needs a homogeneous vector")
+    if not nums:
         return field.zero
-    return zeta.get((n, ()), field.zero)
-
-
-def project(zeta, which, field=None):
-    if which == "pi0":
-        return pi0(zeta)
-    if which == "pi+":
-        return pi_plus(zeta)
-    if which == "Pi":
-        return Pi(zeta)
-    if which == "pi*":
-        if field is None:
-            raise JackLaxError("pi* needs the field")
-        if zeta and len({ext_degree(k) for k in zeta}) > 1:
-            raise InhomogeneousForPiStar("pi* needs a homogeneous vector")
-        return pi_star(zeta, field)
-    raise JackLaxError("unknown projection %r" % which)
+    return field.quotient(nums.get((degs.pop(), ()), 0), den)
 
 
 # ---------------------------------------------------------------------------
@@ -207,27 +198,22 @@ def monomial_norm_sq(mu, field):
     return field.ratio(((1, 0), (0, 1)) * n, (), field.num((-1) ** n * zmu(mu)))
 
 
-def inner_hbar(f, g, field, den=None):
-    """Inner product of two vectors (ExtVec or FockVec dicts).
+def inner_hbar(f, g, field):
+    """Inner product of the cleared rows f and g (of ExtVecs or FockVecs).
 
     The products of numerators on the common keys are summed against the
     cleared row of the Gram weights <key, key> there, with one
-    field.quotient.  With den, f and g hold the numerators of cleared rows
-    whose denominators multiply to den; else the two vectors are cleared
-    on their common keys."""
+    field.quotient."""
+    (f, d1), (g, d2) = f, g
     f = _as_ext(f)
     g = _as_ext(g)
     small, big = (f, g) if len(f) <= len(g) else (g, f)
     common = [key for key in small if key in big]
     if not common:
         return field.zero
-    if den is None:
-        (small, d1), (big, d2) = (field.clear({key: v[key] for key in common})
-                                  for v in (small, big))
-        den = d1 * d2
     gram, gden = field.clear({key: monomial_norm_sq(key[1], field) for key in common})
     return field.quotient(sum(small[key] * big[key] * gram[key] for key in common),
-                          den * gden)
+                          d1 * d2 * gden)
 
 
 def _as_ext(f):
@@ -286,20 +272,20 @@ def deriv_V(f, k):
     return out
 
 
-def annihilate(f, mu, field):
-    """Apply V_mu^dagger = prod_k (hbar k d/dV_k) to a FockVec."""
-    out = f
+def annihilate(nums, mu):
+    """prod_k (k d/dV_k) over the parts k of mu, on the numerators of a
+    FockVec row; V_mu^dagger is hbar^l(mu) times this."""
     for k in mu:
-        out = v_scale(deriv_V(out, k), field.hbar * field.num(k))
-    return out
+        nums = {key: c * k for key, c in deriv_V(nums, k).items()}
+    return nums
 
 
 def fock_adjoint_apply(g, f, field):
-    """Apply (multiplication by g)^dagger to f; both FockVecs."""
-    out = {}
-    for mu, c in g.items():
-        v_accum(out, annihilate(f, mu, field), c)
-    return out
+    """(Multiplication by g)^dagger applied to f, for cleared FockVec rows
+    g and f; returns a cleared row."""
+    (gn, gd), (fn, fd) = g, f
+    return field.combine([(c * field.hbar ** len(mu), (annihilate(fn, mu), gd * fd))
+                          for mu, c in gn.items()])
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,8 @@ with A = pi0 L w.  No pairing, basis change or matrix inverse is needed.
 """
 
 from .errors import JackLaxError
-from .fock import bump, pi0, w_mul
-from .lax import lax_apply
+from .fock import bump
+from .lax import op_A
 from .partitions import (arm, boxes, boxes_x, contains, hooks_lower,
                          hooks_upper, leg, partitions_of, rem_set, remove_box)
 from .spectral import tau_tilde
@@ -21,7 +21,7 @@ def compute_homogeneous_jacks(ws, n):
 
     Reads the degree-(n-1) eigenfunctions through ws.psi_row, which in
     turn reads the lower-degree Jacks through ws.jack_row: both run on
-    cleared rows (field.combine), and A runs on their numerators."""
+    cleared rows (field.combine), and so does A."""
     field = ws.field
     if n == 0:
         return {(): field.clear({(): field.one})}
@@ -30,8 +30,7 @@ def compute_homogeneous_jacks(ws, n):
     for lam in partitions_of(n):
         q, d = field.combine([(tau_tilde(field, lam, (t[0] + 1, t[1] + 1)),
                                ws.psi_row(remove_box(lam, t), t)) for t in rem_set(lam)])
-        Aq = pi0(lax_apply(field, w_mul(q), cleared=True))
-        out[lam] = field.combine([(scale, (Aq, d * field.lax_ints[2]))])
+        out[lam] = field.combine([(scale, op_A(field, (q, d)))])
     return out
 
 
@@ -45,12 +44,14 @@ def jack_norm_sq(field, lam):
     return field.ratio(hooks_upper(lam) + hooks_lower(lam), ())
 
 
-def principal_specialization(f, field):
-    """Substitute V_k -> z for all k: {z-degree: scalar} from a FockVec."""
+def principal_specialization(row, field):
+    """Substitute V_k -> z for all k: {z-degree: scalar} from the cleared
+    row of a FockVec."""
+    nums, den = row
     out = {}
-    for mu, c in f.items():
+    for mu, c in nums.items():
         bump(out, len(mu), c)
-    return out
+    return {k: field.quotient(c, den) for k, c in out.items()}
 
 
 def content_product_poly(field, lam):

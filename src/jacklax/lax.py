@@ -11,8 +11,7 @@ and satisfy L psi = [s] psi with pi0 psi = j_lam.
 from functools import lru_cache
 
 from .errors import EmptyPartition, NotARemovableCorner, NotAnAddableBox
-from .fock import (Pi, bump, degree_of, fock_to_ext, hn_basis, pi0, pi_plus,
-                   v_accum, w_mul)
+from .fock import Pi, bump, degree_of, fock_to_ext, hn_basis, pi0, pi_plus, w_mul
 from .partitions import (add_set, add_box, format_partition, rem_set, rem_set_plus,
                          remove_box)
 from .spectral import tau, tau_hat, tau_tilde
@@ -54,39 +53,40 @@ def _lax_loop(zeta, ebar, hbar, one):
     return out
 
 
-def lax_apply(field, zeta, cleared=False):
-    """Apply L to an ExtVec.
+def lax_apply(field, row):
+    """Apply L to the cleared row (nums, D) of an ExtVec.
 
-    The loop runs on the cleared row (nums, D) of zeta, with ebar and hbar
-    entering as the numerators L ebar and L hbar of field.lax_ints, and the
-    image is read back over D L.  With cleared=True zeta already holds the
-    numerators, and L times its image is returned as numerators.  (At a
-    point these are integers; over Q(e1,e2), D = L = 1.)"""
+    The loop runs on the numerators, with ebar and hbar entering as the
+    numerators L ebar and L hbar of field.lax_ints, so the image is the
+    row of those numerators over D L, not in lowest terms.  (At a point
+    these are integers; over Q(e1,e2), D = L = 1.)"""
     ebar, hbar, den = field.lax_ints
-    if cleared:
-        return _lax_loop(zeta, ebar, hbar, den)
-    nums, d = field.clear(zeta)
-    return field.uncleared((_lax_loop(nums, ebar, hbar, den), d * den))
+    nums, d = row
+    return _lax_loop(nums, ebar, hbar, den), d * den
 
 
-def op_A(field, zeta):
-    """A = pi0 L w : H_n -> F_{n+1} (returns a FockVec)."""
-    return pi0(lax_apply(field, w_mul(zeta)))
+def op_A(field, row):
+    """A = pi0 L w : H_n -> F_{n+1} on a cleared row (returns a FockVec
+    row)."""
+    nums, d = lax_apply(field, (w_mul(row[0]), row[1]))
+    return pi0(nums), d
 
 
-def op_B(field, f):
-    """B = w^{-1} L restricted to F (returns an ExtVec)."""
-    return Pi(lax_apply(field, fock_to_ext(f)))
+def op_B(field, row):
+    """B = w^{-1} L restricted to F on a cleared FockVec row (returns an
+    ExtVec row)."""
+    nums, d = lax_apply(field, (fock_to_ext(row[0]), row[1]))
+    return Pi(nums), d
 
 
 def lax_plus_shift_check(ws, n):
     """w^{-1} L+_{n+1} w = L_n + ebar, as matrices on H_n."""
     field = ws.field
     for key in hn_basis(n):
-        one = {key: field.one}
-        lhs = Pi(pi_plus(lax_apply(field, w_mul(one))))
-        rhs = v_accum(lax_apply(field, one), one, field.ebar)
-        if lhs != rhs:
+        one = field.clear({key: field.one})
+        nums, d = lax_apply(field, (w_mul(one[0]), one[1]))
+        terms = [(1, (Pi(pi_plus(nums)), d)), (-1, lax_apply(field, one)), (-field.ebar, one)]
+        if field.combine(terms)[0]:
             return False
     return True
 
@@ -134,23 +134,10 @@ def psi_tilde_row(ws, gamma, t_plus):
 
 
 def q_poly_row(ws, gamma):
-    """The cleared row of q_gamma, L run on the numerators of j_gamma."""
+    """The cleared row of q_gamma = B j_gamma."""
     if not gamma:
         raise EmptyPartition("q is defined for nonempty partitions")
-    field = ws.field
-    nums, d = ws.jack_row(gamma)
-    return field.combine([(1, (Pi(lax_apply(field, fock_to_ext(nums), cleared=True)),
-                               d * field.lax_ints[2]))])
-
-
-def resolvent_at_form(ws, form, zeta, shift=(0, 0)):
-    """(([form]+[shift]) - L)^{-1} zeta via the eigenbasis."""
-    field = ws.field
-    out = {}
-    for (lam, s), c in ws.expand_psi(zeta).items():
-        den = field.lf((form[0] + shift[0] - s[0], form[1] + shift[1] - s[1]))
-        v_accum(out, ws.psi(lam, s), c / den)
-    return out
+    return ws.field.combine([(1, op_B(ws.field, ws.jack_row(gamma)))])
 
 
 # ---------------------------------------------------------------------------
@@ -191,42 +178,19 @@ def Pi_action_coeffs(ws, lam, s, hatted=False):
 
 
 # ---------------------------------------------------------------------------
-# decompositions and the diamond projection
+# the diamond projection
 # ---------------------------------------------------------------------------
 
-def decompose(ws, zeta, scheme):
-    """Split a homogeneous vector along Z (by lam), X (by lam+s), or
-    Y (by eigen-box); components sum back to zeta."""
-    exp = ws.expand_psi(zeta)
-    out = {}
-    for (lam, s), c in exp.items():
-        if scheme == "Z":
-            key = lam
-        elif scheme == "X":
-            key = add_box(lam, s)
-        elif scheme == "Y":
-            key = s
-        else:
-            raise ValueError("scheme must be Z, X or Y")
-        v_accum(out.setdefault(key, {}), ws.psi(lam, s), c)
-    return out
-
-
-def pi_diamond(ws, zeta, den=None):
-    """The rank-p(n+1) projection (1/((n+1) hbar)) B A on H_n.
+def pi_diamond(ws, row):
+    """The rank-p(n+1) projection (1/((n+1) hbar)) B A on H_n, on a
+    cleared row; returns the canonical row of the image.
 
     (The normalizer (n+1) hbar, with gamma |- n+1, is what makes this
-    idempotent: A q_gamma = |gamma| hbar j_gamma.)  A and B run on the
-    numerators of the cleared row of zeta.  With den, zeta holds those
-    numerators over den and the cleared row of the image is returned."""
+    idempotent: A q_gamma = |gamma| hbar j_gamma.)"""
     field = ws.field
-    if den is None:
-        return field.uncleared(pi_diamond(ws, *field.clear(zeta)))
-    n = degree_of(zeta) if zeta else 0
-    L = field.lax_ints[2]
-    a = pi0(lax_apply(field, w_mul(zeta), cleared=True))
-    ba = Pi(lax_apply(field, fock_to_ext(a), cleared=True))
-    return field.combine([(field.one / (field.num(n + 1) * field.hbar), (ba, den * L * L))])
+    n = degree_of(row[0]) if row[0] else 0
+    return field.combine([(field.one / (field.num(n + 1) * field.hbar),
+                           op_B(field, op_A(field, row)))])
 
 
 def phi_column_coeff(ws, r, k, s):

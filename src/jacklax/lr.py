@@ -8,7 +8,7 @@ with chat = c * varpi_gamma / (varpi_mu varpi_nu).
 """
 
 from .errors import JackLaxError, NotACycle
-from .fock import bump, ext_mul, fock_mul, v_accum
+from .fock import bump, ext_mul, fock_mul
 from .linalg import rank, solve
 from .partitions import (boxes, contains, diagram_union, partition_pairs,
                          partitions_of, size)
@@ -19,11 +19,16 @@ from .spectral import star_residues
 # LR tables
 # ---------------------------------------------------------------------------
 
-def jack_lr(ws, mu, nu, hatted=False):
-    """{gamma: c_{mu nu}^gamma} (or hatted) from the exact product
-    expansion, run on the numerators of the two Jack rows."""
+def jack_product(ws, mu, nu):
+    """The cleared row of j_mu j_nu."""
     (a, da), (b, db) = ws.jack_row(mu), ws.jack_row(nu)
-    table = ws.expand_in_jacks(fock_mul(a, b), da * db)
+    return fock_mul(a, b), da * db
+
+
+def jack_lr(ws, mu, nu, hatted=False):
+    """{gamma: c_{mu nu}^gamma} (or hatted) from the exact expansion of
+    the row of j_mu j_nu."""
+    table = ws.field.uncleared(ws.expand_in_jacks(jack_product(ws, mu, nu)))
     if hatted:
         vm = ws.varpi(mu) * ws.varpi(nu)
         table = {g: c * ws.varpi(g) / vm for g, c in table.items()}
@@ -32,12 +37,15 @@ def jack_lr(ws, mu, nu, hatted=False):
 
 def jacklax_lr(ws, lam, s, nu, t, hatted=False):
     """{(gamma, u): coefficient} of psi_lam^s psi_nu^t in the psi basis
-    (psi-hat_lam^s psi-hat_nu^t in the psi-hat basis if hatted), run on the
-    numerators of the two rows."""
+    (psi-hat_lam^s psi-hat_nu^t in the psi-hat basis if hatted), expanded
+    from the row of the product; psi_gamma^u = pi_* psi_gamma^u
+    psi-hat_gamma^u."""
     row = ws.psi_hat_row if hatted else ws.psi_row
     (a, da), (b, db) = row(lam, s), row(nu, t)
-    expand = ws.expand_psi_hat if hatted else ws.expand_psi
-    return expand(ext_mul(a, b), da * db)
+    table = ws.field.uncleared(ws.expand_psi_hat((ext_mul(a, b), da * db)))
+    if hatted:
+        return table
+    return {(g, u): c / ws.pi_star_psi(g, u) for (g, u), c in table.items()}
 
 
 def marginalize(table):
@@ -73,10 +81,6 @@ def main_theorem_residual(ws, mu, nu):
     for pole, r in star_residues(field, mu, nu).items():
         bump(lhs, pole, -r)
     return lhs
-
-
-def main_theorem_check(ws, mu, nu):
-    return not main_theorem_residual(ws, mu, nu)
 
 
 def determination_check(ws, n):
@@ -116,12 +120,13 @@ def determination_check(ws, n):
 # the basic evaluation map Delta
 # ---------------------------------------------------------------------------
 
-def delta_map(ws, f):
-    """Delta(f) as a partial-fraction map {pole-box: scalar}.
+def delta_map(ws, row):
+    """Delta(f) of the cleared row of f as a partial-fraction map
+    {pole-box: scalar}.
 
     On the Jack basis: Delta(j_lam) = varpi_lam sum_{b in lam} 1/(u-[b])."""
     out = {}
-    for lam, c in ws.expand_in_jacks(f).items():
+    for lam, c in ws.field.uncleared(ws.expand_in_jacks(row)).items():
         w = c * ws.varpi(lam)
         for b in boxes(lam):
             bump(out, b, w)
@@ -163,11 +168,8 @@ def delta_kernel_check(ws, lams):
     if not is_cycle(lams):
         raise NotACycle("input is not an N-cycle")
     field = ws.field
-    acc = {}
-    for i, lam in enumerate(lams):
-        sign = field.one if i % 2 == 0 else -field.one
-        v_accum(acc, ws.jack_hat(lam), sign)
-    return not delta_map(ws, acc)
+    return not delta_map(ws, field.combine([((-1) ** i / ws.varpi(lam), ws.jack_row(lam))
+                                           for i, lam in enumerate(lams)]))
 
 
 def delta_kernel_rank(n):

@@ -285,14 +285,6 @@ def _as_box_multiset(x):
     return {b: 1 for b in boxes(x)}
 
 
-def box_multiset(lam):
-    return {b: 1 for b in boxes(lam)}
-
-
-def multiset_total(bm):
-    return sum(bm.values())
-
-
 # ---------------------------------------------------------------------------
 # truncated power series over Q (SeriesZ)
 # ---------------------------------------------------------------------------

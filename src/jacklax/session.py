@@ -2,8 +2,10 @@
 
 Everything downstream (Lax eigenfunctions, traces, LR tables) is computed
 through a Workspace so that symbolic and specialized runs share one code
-path.  Caches are append-only behind a re-entrant lock; cached values are
-immutable.
+path.  The Workspace keeps cleared rows (field.clear), the one vector
+format of the library, and expands rows into rows; a field-scalar vector
+is made only where a value leaves the library (field.uncleared).  Caches
+are append-only behind a re-entrant lock; cached values are immutable.
 
 With a cache directory, each Jack degree is also kept on disk, one JSON file
 per (degree, mode).  In format 3 the dicts "jacks", "norms" and "varpi" are
@@ -42,18 +44,17 @@ class Workspace:
         self.field = field if field is not None else SymbolicField()
         self.cache_dir = cache_dir if cache_dir is not None else _cache_env_dir()
         self._lock = threading.RLock()
-        # the cleared rows (field.clear) everything runs on
-        self._jack_rows = {}    # degree -> {lam: (numerators, D)}
-        self._psi_rows = {}     # (lam, s) -> (numerators, D)
-        self._psi_hat_rows = {}  # (lam, s) -> (numerators, D)
-        self._norm = {}     # degree -> {lam: scalar}
-        self._varpi = {}    # degree -> {lam: scalar}
-        self._gram = {}     # degree -> cleared row of <key, key> over H_n
+        # cleared rows (numerators, D), the one vector format
+        self._jack_rows = {}    # degree -> {lam: row of j_lam}
+        self._psi_rows = {}     # (lam, s) -> row of psi_lam^s
+        self._psi_hat_rows = {}  # (lam, s) -> row of psi-hat_lam^s
+        self._gram = {}     # degree -> row of <key, key> over H_n
+        # field scalars
+        self._norm = {}     # degree -> {lam: |j_lam|^2}
+        self._varpi = {}    # degree -> {lam: varpi_lam}
+        # expansion indexes, built from the rows
         self._jack_dual = {}    # degree -> DualIndex of the Jacks
         self._psi_dual = {}     # degree -> DualIndex of the psi-hats
-        # vectors, each made from its row when a caller first asks for it
-        self._jack = {}     # lam -> FockVec
-        self._psi = {}      # (lam, s) -> ExtVec
 
     def key(self):
         """Cache key of the coefficient field ("symbolic" or the point)."""
@@ -81,8 +82,7 @@ class Workspace:
                 norms = {lam: jack_norm_sq(self.field, lam) for lam in rows}
                 vps = {lam: varpi(self.field, lam) for lam in rows}
                 if self._cache_path(n):
-                    self._store_degree(n, {lam: self.field.uncleared(row)
-                                           for lam, row in rows.items()}, norms, vps)
+                    self._store_degree(n, rows, norms, vps)
             else:
                 jacks, norms, vps = data
                 rows = {lam: self.field.clear(vec) for lam, vec in jacks.items()}
@@ -110,9 +110,10 @@ class Workspace:
                 pass
             return None
 
-    def _store_degree(self, n, jacks, norms, vps):
-        """Write one degree atomically: a private temp file, then os.replace,
-        so concurrent writers never see or leave a partial file."""
+    def _store_degree(self, n, rows, norms, vps):
+        """Write one degree, the Jacks given as rows, atomically: a private
+        temp file, then os.replace, so concurrent writers never see or
+        leave a partial file."""
         path = self._cache_path(n)
         if not path:
             return
@@ -121,9 +122,10 @@ class Workspace:
         index = {mu: i for i, mu in enumerate(partitions_of(n))}
         blob = {"format": CACHE_FORMAT, "degree": n, "mode": self.key(),
                 "jacks": {}, "norms": {}, "varpi": {}}
-        for lam in sorted(jacks):
+        for lam in sorted(rows):
             key = format_partition(lam)
-            blob["jacks"][key] = [[index[mu], dump(c)] for mu, c in sorted(jacks[lam].items())]
+            vec = self.field.uncleared(rows[lam])
+            blob["jacks"][key] = [[index[mu], dump(c)] for mu, c in sorted(vec.items())]
             blob["norms"][key] = dump(norms[lam])
             blob["varpi"][key] = dump(vps[lam])
         fd, tmp = tempfile.mkstemp(dir=self.cache_dir,
@@ -145,28 +147,13 @@ class Workspace:
     # accessors
     # ------------------------------------------------------------------
 
-    def jack(self, lam):
-        with self._lock:
-            got = self._jack.get(lam)
-            if got is None:
-                got = self._jack[lam] = self.field.uncleared(self.jack_row(lam))
-            return got
-
     def jack_row(self, lam):
         """The cleared row of j_lam."""
         return self.jack_degree(sum(lam))[lam]
 
-    def jack_hat(self, lam):
-        vp = self.varpi(lam)
-        return {mu: c / vp for mu, c in self.jack(lam).items()}
-
     def norm_sq(self, lam):
         self.jack_degree(sum(lam))
         return self._norm[sum(lam)][lam]
-
-    def norm_sq_hat(self, lam):
-        vp = self.varpi(lam)
-        return self.norm_sq(lam) / (vp * vp)
 
     def varpi(self, lam):
         self.jack_degree(sum(lam))
@@ -199,27 +186,20 @@ class Workspace:
                 self._jack_dual[n] = got
             return got
 
-    def expand_in_jacks(self, f, den=None):
-        """FockVec -> {lam: coeff}, each homogeneous part by its Jack dual.
-        With den, f holds the numerators of a cleared row over den."""
-        degs = {sum(mu) for mu in f}
-        out = {}
-        for n in degs:
-            part = f if len(degs) == 1 else {mu: c for mu, c in f.items() if sum(mu) == n}
-            out.update(self.jack_dual(n).expand(self.field, part, den))
-        return out
+    def expand_in_jacks(self, row):
+        """The Jack coefficients of the cleared row of a FockVec, as a
+        cleared row {lam: numerator} (not necessarily in lowest terms), each
+        homogeneous part by its Jack dual."""
+        nums, den = row
+        degs = {sum(mu) for mu in nums}
+        if len(degs) > 1:
+            return self.field.combine([(1, self.jack_dual(n).row(
+                {mu: c for mu, c in nums.items() if sum(mu) == n}, den)) for n in degs])
+        return self.jack_dual(degs.pop()).row(nums, den) if nums else ({}, den)
 
     # ------------------------------------------------------------------
     # Lax eigenfunctions (filled in by jacklax.lax to avoid an import cycle)
     # ------------------------------------------------------------------
-
-    def psi(self, lam, s):
-        key = (lam, s)
-        with self._lock:
-            got = self._psi.get(key)
-            if got is None:
-                got = self._psi[key] = self.field.uncleared(self.psi_row(lam, s))
-            return got
 
     def psi_row(self, lam, s):
         """The cleared row of psi_lam^s."""
@@ -230,10 +210,6 @@ class Workspace:
             if got is None:
                 got = self._psi_rows[key] = lax.compute_psi(self, lam, s)
             return got
-
-    def psi_hat(self, lam, s):
-        """psi-hat_lam^s, made afresh from its row."""
-        return self.field.uncleared(self.psi_hat_row(lam, s))
 
     def psi_hat_row(self, lam, s):
         """The cleared row of psi-hat_lam^s = psi_lam^s / pi_* psi_lam^s."""
@@ -269,20 +245,14 @@ class Workspace:
                 self._psi_dual[n] = got
             return got
 
-    def expand_psi_hat_row(self, zeta, den=None):
-        """The psi-hat coefficients of a homogeneous ExtVec as a cleared
-        row ({(lam, s): numerator}, D), not in lowest terms.  With den,
-        zeta holds the numerators of a cleared row over den."""
-        if den is None:
-            zeta, den = self.field.clear(zeta)
-        if not zeta:
+    def expand_psi_hat(self, row):
+        """The psi-hat coefficients of the cleared row of a homogeneous
+        ExtVec, as a cleared row {(lam, s): numerator} (not in lowest
+        terms)."""
+        nums, den = row
+        if not nums:
             return {}, den
-        return self.psi_hat_solver(degree_of(zeta)).row(zeta, den)
-
-    def expand_psi_hat(self, zeta, den=None):
-        """Expand a homogeneous ExtVec in the psi-hat basis: the vector of
-        expand_psi_hat_row."""
-        return self.field.uncleared(self.expand_psi_hat_row(zeta, den))
+        return self.psi_hat_solver(degree_of(nums)).row(nums, den)
 
     def psi_hat_combine(self, coeffs, den=1):
         """The cleared row of sum_label c psi-hat_label / den over coeffs
@@ -293,14 +263,6 @@ class Workspace:
             nums, d = self.psi_hat_row(lam, s)
             terms.append((c, (nums, d * den)))
         return self.field.combine(terms)
-
-    def expand_psi(self, zeta, den=None):
-        """Expansion in the unhatted psi basis; den is as for
-        expand_psi_hat."""
-        out = {}
-        for (lam, s), c in self.expand_psi_hat(zeta, den).items():
-            out[(lam, s)] = c / self.pi_star_psi(lam, s)
-        return out
 
     def warm(self, degree):
         """Precompute Jack and psi data up to the given degree."""
@@ -370,7 +332,7 @@ class DualIndex:
     ({label_i: S_i sum_key a[key] B_i[key] g[key]}, D S): exact, with
     every denominator carried, and not in lowest terms.  (At a point the
     numerators are ints.)  The state is plain data: the field is passed
-    to the constructor and to expand."""
+    to the constructor only."""
 
     def __init__(self, field, labels, rows, gram, scales):
         gnums, gden = gram
@@ -383,23 +345,15 @@ class DualIndex:
                                       for i, (c, (_, d)) in enumerate(zip(scales, rows))})
         self.scales = list(nums.values())
 
-    def row(self, vec, den):
+    def row(self, nums, den):
         """The cleared row of the nonzero coefficients of the cleared row
-        (vec, den), in label order."""
+        (nums, den), in label order."""
         index, scales, labels = self.index, self.scales, self.labels
         acc = [0] * len(labels)
-        for key, a in vec.items():
+        for key, a in nums.items():
             for i, w in index[key]:
                 acc[i] += a * w
         return {labels[i]: a * scales[i] for i, a in enumerate(acc) if a}, den * self.den
-
-    def expand(self, field, vec, den=None):
-        """{label: coefficient} of the nonzero coefficients of vec, in
-        label order.  With den, vec holds the numerators of a cleared row
-        over den."""
-        if den is None:
-            vec, den = field.clear(vec)
-        return field.uncleared(self.row(vec, den))
 
 
 def _read_blob(path):

@@ -3,6 +3,8 @@ diagonal operators Y, Psi, dPhi, U, the box creation/annihilation currents
 X+/X-, the Gaiotto-type states, and the Whittaker-style identities.
 
 States are kept in Jack coordinates: {lam: scalar} meaning sum c_lam j_lam.
+Their Fock images are cleared rows (jack_to_fock), and a row comes back to
+Jack coordinates through the Jack dual (fock_to_jack).
 Operator values that are rational in the formal variable z are stored as
 partial-fraction maps {key: state} with keys
     None        constant part,
@@ -11,8 +13,8 @@ partial-fraction maps {key: state} with keys
 """
 
 from .errors import JackLaxError
-from .fock import (bump, deriv_V, fock_adjoint_apply, fock_mul, fock_to_ext, inner_hbar,
-                   v_accum, v_scale)
+from .fock import (Pi, bump, deriv_V, ext_degree, fock_adjoint_apply, fock_mul,
+                   fock_to_ext, inner_hbar, pi0, v_accum, v_scale)
 from .lax import lax_apply, op_A, op_B
 from .partitions import (add_box, add_set, boxes, partitions_of, rem_set,
                          remove_box, size)
@@ -136,32 +138,34 @@ def apply_X_minus(ws, state):
 
 def apply_V1(ws, state, sign):
     """V_1^+ = multiplication by V_1, V_1^- its adjoint, in Jack coords."""
-    vec = jack_to_fock(ws, state)
+    nums, d = row = jack_to_fock(ws, state)
+    v1 = ws.field.clear({(1,): ws.field.one})
     if sign > 0:
-        vec = fock_mul({(1,): ws.field.one}, vec)
+        row = fock_mul(v1[0], nums), d
     else:
-        vec = fock_adjoint_apply({(1,): ws.field.one}, vec, ws.field)
-    return fock_to_jack(ws, vec)
+        row = fock_adjoint_apply(v1, row, ws.field)
+    return fock_to_jack(ws, row)
 
 
-def jhat_dagger(ws, lam, vec, memo):
-    """jhat_lam^dagger applied to the FockVec vec, in Jack coordinates.
+def jhat_dagger(ws, lam, row, memo):
+    """jhat_lam^dagger applied to the cleared FockVec row, in Jack
+    coordinates.
 
-    memo is filled on first use and must belong to vec alone; its rows are
-    shared and never mutated.  memo[()] is the cleared row of vec, and
+    memo is filled on first use and must belong to row alone; its rows are
+    shared and never mutated.  memo[()] is the row itself, and
     memo[mu] is hbar^{-l(mu)} V_mu^dagger vec as numerators over its
     denominator, so hbar^l(mu) enters each term's coefficient and the sum
     runs on numerators."""
     field = ws.field
     if not memo:
-        memo[()] = field.clear(vec)
+        memo[()] = row
     # jhat_lam = J / (D varpi_lam) for the cleared row (J, D) of j_lam
     nums, d = ws.jack_row(lam)
     scales = [field.one / (ws.varpi(lam) * d)]  # scales[l] = hbar^l / (D varpi_lam)
     for _ in range(max(map(len, nums))):
         scales.append(scales[-1] * field.hbar)
     terms = [(scales[len(mu)] * c, _dagger_row(memo, mu)) for mu, c in nums.items()]
-    return ws.expand_in_jacks(*field.combine(terms))
+    return fock_to_jack(ws, field.combine(terms))
 
 
 def _dagger_row(memo, mu):
@@ -175,12 +179,13 @@ def _dagger_row(memo, mu):
 
 
 def jack_to_fock(ws, state):
-    field = ws.field
-    return field.uncleared(field.combine([(c, ws.jack_row(lam)) for lam, c in state.items()]))
+    """The cleared row of the FockVec of a state."""
+    return ws.field.combine([(c, ws.jack_row(lam)) for lam, c in state.items()])
 
 
-def fock_to_jack(ws, vec):
-    return ws.expand_in_jacks(vec)
+def fock_to_jack(ws, row):
+    """The state of a cleared FockVec row."""
+    return ws.field.uncleared(ws.expand_in_jacks(row))
 
 
 # ---------------------------------------------------------------------------
@@ -202,9 +207,10 @@ def h_state(ws, N):
 
 
 def h_context(ws, N):
-    """(H, H as a FockVec, [(key, part as a FockVec)] for the parts of
+    """(H, the row of H, [(key, row of the part)] for the parts of
     dPhi(H)), H truncated at N: the lam-independent states that the
-    Whittaker and Delta checks of degree N share."""
+    Whittaker and Delta checks of degree N share, with their cleared
+    FockVec rows."""
     H = h_state(ws, N)
     return (H, jack_to_fock(ws, H),
             [(key, jack_to_fock(ws, st)) for key, st in apply_dPhi(ws, H).items()])
@@ -226,47 +232,38 @@ def construction_from_lax_check(ws, n):
     """Compare the Lax-resolvent constructions of X+, X-, Y^{-1}, Y with the
     Jack-basis definitions on all degrees <= n.  Returns a report dict; the
     sign/projection relations between the two conventions are recorded
-    explicitly."""
+    explicitly.
+
+    Each resolvent runs in the psi-hat eigenbasis (ws.expand_psi_hat of a
+    row), and the A and pi0 images of each psi-hat vector are read in Jack
+    coordinates once per call (memo)."""
     field = ws.field
     ok_xplus = ok_xminus = ok_yinv = ok_y = True
     alt_xminus_sign = set()
+    memo = {}
     for k in range(n + 1):
         for lam in partitions_of(k):
-            j_ext = fock_to_ext(ws.jack(lam))
-            # resolvent of j in the eigenbasis, honestly via the solver
-            exp = ws.expand_psi(j_ext)
+            nums, d = ws.jack_row(lam)
+            # resolvent of j in the eigenbasis, honestly via the expansion
+            exp = field.uncleared(ws.expand_psi_hat((fock_to_ext(nums), d)))
             # --- X+ = A (z-L)^{-1} pi0
-            lax_pf = {}
-            for (mu, s), c in exp.items():
-                img = fock_to_jack(ws, op_A(field, ws.psi(mu, s)))
-                for g, c2 in img.items():
-                    pf_accum(lax_pf, ("p", s), g, c * c2)
-            if not pf_equal(lax_pf, apply_X_plus(ws, {lam: field.one})):
+            if not pf_equal(_resolvent_pf(ws, exp, op_A, memo),
+                            apply_X_plus(ws, {lam: field.one})):
                 ok_xplus = False
             # --- Y^{-1} = pi0 (z-L)^{-1}
-            lax_pf = {}
-            for (mu, s), c in exp.items():
-                img = fock_to_jack(ws, _pi0_fock(ws, mu, s))
-                for g, c2 in img.items():
-                    pf_accum(lax_pf, ("p", s), g, c * c2)
-            if not pf_equal(lax_pf, apply_diagonal(ws, {lam: field.one}, Yinv_eig)):
+            if not pf_equal(_resolvent_pf(ws, exp, _pi0_row, memo),
+                            apply_diagonal(ws, {lam: field.one}, Yinv_eig)):
                 ok_yinv = False
             if not lam:
                 continue
             # --- X- = pi0 (z-L)^{-1} A^dag
-            q = op_B(field, ws.jack(lam))
-            lax_pf = {}
-            for (mu, s), c in ws.expand_psi(q).items():
-                img = fock_to_jack(ws, _pi0_fock(ws, mu, s))
-                for g, c2 in img.items():
-                    pf_accum(lax_pf, ("p", s), g, c * c2)
+            exp = field.uncleared(ws.expand_psi_hat(op_B(field, ws.jack_row(lam))))
             direct = apply_X_minus(ws, {lam: field.one})
-            if not pf_equal(lax_pf, direct):
+            if not pf_equal(_resolvent_pf(ws, exp, _pi0_row, memo), direct):
                 ok_xminus = False
             # the residue-convention variant differs by a global sign
             literal = {}
             for x in rem_set(lam):
-                tp = (x[0] + 1, x[1] + 1)
                 res = Y_eig(field, lam).shift((-1, -1)).residue(x, field)
                 pf_accum(literal, ("p", x), remove_box(lam, x), res)
             if pf_equal(literal, direct):
@@ -278,18 +275,13 @@ def construction_from_lax_check(ws, n):
             # --- Y: (hbar N)^{-1} A (z - ebar - L)^{-1} A^dag equals the
             # negated pole part -P_z^-(Y(z)) (the unprojected Y(z) itself
             # is ruled out by asymptotics: LHS ~ 1/z while Y ~ z)
-            lax_pf = {}
-            for (mu, s), c in ws.expand_psi(q).items():
-                img = fock_to_jack(ws, op_A(field, ws.psi(mu, s)))
-                for g, c2 in img.items():
-                    pf_accum(lax_pf, ("p", (s[0] + 1, s[1] + 1)), g,
-                             c * c2 / (field.hbar * field.num(k)))
+            scale = field.hbar * field.num(k)
             ypf = sfun_to_pf_keys(field, Y_eig(field, lam))
             expect = {}
             for key, val in ypf.items():
                 if isinstance(key, tuple) and key[0] == "p":
-                    pf_accum(expect, key, lam, -val / (field.hbar * field.num(k)))
-            if not pf_equal(lax_pf, expect):
+                    pf_accum(expect, key, lam, -val / scale)
+            if not pf_equal(_resolvent_pf(ws, exp, op_A, memo, (1, 1), scale), expect):
                 ok_y = False
     return {
         "xplus": ok_xplus,
@@ -300,9 +292,27 @@ def construction_from_lax_check(ws, n):
     }
 
 
-def _pi0_fock(ws, mu, s):
-    from .fock import pi0
-    return pi0(ws.psi(mu, s))
+def _resolvent_pf(ws, exp, image, memo, shift=(0, 0), scale=None):
+    """sum c/(z - [s + shift]) image(psi-hat_mu^s) over the psi-hat
+    coefficients {(mu, s): c} of exp, each c divided by scale if given, as
+    a PF value.  image maps a cleared row to one (op_A or _pi0_row); the
+    Jack coordinates of each image are memoised in memo."""
+    field = ws.field
+    pf = {}
+    for (mu, s), c in exp.items():
+        key = (image, mu, s)
+        img = memo.get(key)
+        if img is None:
+            img = memo[key] = fock_to_jack(ws, image(field, ws.psi_hat_row(mu, s)))
+        if scale is not None:
+            c = c / scale
+        for g, c2 in img.items():
+            pf_accum(pf, ("p", (s[0] + shift[0], s[1] + shift[1])), g, c * c2)
+    return pf
+
+
+def _pi0_row(field, row):
+    return pi0(row[0]), row[1]
 
 
 def whittaker_checks(ws, N):
@@ -312,7 +322,7 @@ def whittaker_checks(ws, N):
 
     # G = exp(V1/hbar) componentwise
     G = gaiotto_state(ws, N + 1)
-    vec = jack_to_fock(ws, G)
+    vec = field.uncleared(jack_to_fock(ws, G))
     ok = True
     fact = field.one
     for n in range(N + 1):
@@ -327,7 +337,7 @@ def whittaker_checks(ws, N):
 
     # H = U G = sum V_n / |V_n|^2
     H = h_state(ws, N + 1)
-    vecH = jack_to_fock(ws, H)
+    vecH = field.uncleared(jack_to_fock(ws, H))
     ok = True
     for n in range(1, N + 1):
         for mu in partitions_of(n):
@@ -461,29 +471,26 @@ def _lifted_identity(ws, N, ctx):
     The w^{-1} part of the left side lowers degree, so with H truncated at N
     only components of degree <= N-1 are exact; both sides are compared
     there."""
-    from .fock import Pi, ext_degree
     field = ws.field
     H, _, parts = ctx
 
-    def cut(vec):
-        return {k: v for k, v in vec.items() if ext_degree(k) <= N - 1}
+    def cut(nums):
+        return {k: v for k, v in nums.items() if ext_degree(k) <= N - 1}
 
     lhs = {}
-    for key, part in parts:
-        vec = lax_apply(field, fock_to_ext(part))
-        val = cut(v_accum(Pi(vec), vec, -field.one))
-        if val:
+    for key, (nums, d) in parts:
+        img, den = lax_apply(field, (fock_to_ext(nums), d))
+        val = field.combine([(1, (cut(Pi(img)), den)), (-1, (cut(img), den))])
+        if val[0]:
             lhs[key] = val
-    rhs = {}
+    rhs = {("p", (0, 0)): [(1, field.clear({(0, ()): field.one}))]}
     for mu, c in H.items():
         for s in add_set(mu):
             coeff = c * tau(field, mu, s) * field.lf(s)
-            if not coeff:
-                continue
-            v_accum(rhs.setdefault(("p", s), {}), cut(ws.psi(mu, s)), coeff)
-    bump(rhs.setdefault(("p", (0, 0)), {}), (0, ()), field.one)
-    lhs = pf_clean(lhs)
-    rhs = pf_clean(rhs)
+            if coeff:
+                nums, d = ws.psi_row(mu, s)
+                rhs.setdefault(("p", s), []).append((coeff, (cut(nums), d)))
+    rhs = {key: row for key, row in ((k, field.combine(ts)) for k, ts in rhs.items()) if row[0]}
     return lhs == rhs
 
 
@@ -518,12 +525,13 @@ def _commutator_check(ws, lam):
     return lhs == pf_clean(rhs)
 
 
-def delta_via_states(ws, zeta, ctx):
-    """Delta(zeta) = <zeta| dPhi(u) U |G>: pole map {box: scalar}, with ctx =
-    h_context(ws, N) for N at least the degree of zeta."""
+def delta_via_states(ws, row, ctx):
+    """Delta(zeta) = <zeta| dPhi(u) U |G> of the cleared row of zeta: pole
+    map {box: scalar}, with ctx = h_context(ws, N) for N at least the
+    degree of zeta."""
     out = {}
     for key, part in ctx[2]:
-        val = inner_hbar(zeta, part, ws.field)
+        val = inner_hbar(row, part, ws.field)
         if val:
             if not (isinstance(key, tuple) and key[0] == "p"):
                 raise JackLaxError("unexpected polynomial part in Delta")

@@ -86,11 +86,6 @@ def tau_tilde(field, lam, t_plus):
                        -field.one)
 
 
-def tau_boxes(field, gamma, s):
-    """Generalized hatted measure: Res_{u=[s]} T_Gamma(u)."""
-    return T_of_boxes(field, gamma).residue(s, field)
-
-
 def star_residues(field, mu, nu):
     """{pole: Res T_{mu*nu}} over all poles (must be simple)."""
     T = T_star(field, mu, nu)

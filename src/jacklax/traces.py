@@ -6,12 +6,11 @@ In the hatted eigenbasis the three traces are coordinate sums:
     z_lam  = sum of psi-hat_lam^s coefficients          (lam |- n)
     x_gam  = sum of psi-hat_{gam-t}^t coefficients      (gam |- n+1)
     y^s    = sum of coefficients with eigen-box s
-and y_u(zeta) = sum_s y-coeff(s) / (u - [s]).  The sums run on the
-numerators of the cleared expansion row, over its one denominator.
-
-The derivators, the pair chain, the hexagon values and the rho operators
-work on cleared rows (field.clear) as well: each sum of psi-hat vectors is
-one field.combine, and vectors are compared as canonical rows.
+and y_u(zeta) = sum_s y-coeff(s) / (u - [s]).  Every vector here is a
+cleared row (field.clear) and every operator takes and returns rows: the
+trace sums run on the numerators of the expansion row, over its one
+denominator, each sum of psi-hat vectors is one field.combine, and vectors
+are compared as canonical rows.
 """
 
 from fractions import Fraction
@@ -26,7 +25,7 @@ from .linalg import rank
 from .partitions import (SeriesZ, add_box, add_set, boxes, count_lattice_q,
                          eigen_pairs, pair_quads, partition, partitions_of,
                          series_P)
-from .spectral import T_star, star_residues, tau, with_pole
+from .spectral import T_star, tau, with_pole
 from jacklax import partitions as _parts
 
 
@@ -53,14 +52,14 @@ class TraceVector:
         return "TraceVector(n=%d, x=%r, y=%r, z=%r)" % (self.n, self.x, self.y, self.z)
 
 
-def full_trace(ws, zeta, den=None):
-    """Tr(zeta) computed from the hatted eigenbasis expansion.  With den,
-    zeta holds the numerators of a cleared row over den.
+def full_trace(ws, row):
+    """Tr(zeta) of the cleared row of zeta, computed from the hatted
+    eigenbasis expansion.
 
     The x, y and z coordinates are summed on the numerators of the
     expansion row, with one field.quotient per nonzero coordinate."""
-    n = degree_of(zeta) if zeta else 0
-    nums, d = ws.expand_psi_hat_row(zeta, den)
+    n = degree_of(row[0]) if row[0] else 0
+    nums, d = ws.expand_psi_hat(row)
     x, y, z = {}, {}, {}
     for (lam, s), c in nums.items():
         gam = _added(lam, s)
@@ -73,11 +72,6 @@ def full_trace(ws, zeta, den=None):
 
 # add_box, memoised: the full trace and rho_general call it per psi-hat label
 _added = lru_cache(maxsize=None)(add_box)
-
-
-def trace_y_u(ws, zeta):
-    """y_u(zeta) as a partial-fraction map {pole-box: residue}."""
-    return dict(full_trace(ws, zeta).y)
 
 
 def pf_eq(a, b):
@@ -196,7 +190,7 @@ def resolvent_w_identity(ws, n):
     sides, with qhat_g/|jhat_g|^2 = varpi_g q_g/|j_g|^2, combine to zero."""
     field = ws.field
     terms = {}
-    nums, den = ws.expand_psi_hat_row(*field.clear({(n, ()): field.one}))
+    nums, den = ws.expand_psi_hat(_basic_row(ws, (n, ())))
     for (lam, s), c in nums.items():
         pn, pd = ws.psi_hat_row(lam, s)
         terms.setdefault(s, []).append((c, (pn, pd * den)))
@@ -295,51 +289,49 @@ def kernel_dim_series(order):
 # beta and theta derivators
 # ---------------------------------------------------------------------------
 
-def beta(ws, z1, z2, prod=None, cleared=False):
-    """The derivator of L: L(ab) - (La)b - a(Lb).
+def beta(ws, z1, z2, prod=None):
+    """The derivator of L: L(ab) - (La)b - a(Lb), for the cleared rows
+    (a, D1) and (b, D2); returns a row over D1 D2 L (L as in lax_apply).
 
-    prod is ab when the caller has it.  With cleared=True z1 and z2 hold
-    the numerators of cleared rows over D1 and D2, and so does the result,
-    over D1 D2 L (L as in lax_apply)."""
+    prod is the numerators of ab when the caller has them."""
     field = ws.field
+    (a, d1), (b, d2) = z1, z2
     if prod is None:
-        prod = ext_mul(z1, z2)
-    out = lax_apply(field, prod, cleared)
-    v_accum(out, ext_mul(lax_apply(field, z1, cleared), z2), -1)
-    return v_accum(out, ext_mul(z1, lax_apply(field, z2, cleared)), -1)
+        prod = ext_mul(a, b)
+    out, den = lax_apply(field, (prod, d1 * d2))
+    v_accum(out, ext_mul(lax_apply(field, z1)[0], b), -1)
+    return v_accum(out, ext_mul(a, lax_apply(field, z2)[0]), -1), den
 
 
 def beta_basic(ws, n, m):
-    return beta(ws, {(n, ()): ws.field.one}, {(m, ()): ws.field.one})
+    return beta(ws, _basic_row(ws, (n, ())), _basic_row(ws, (m, ())))
 
 
-def theta(ws, z1, z2, b12=None, cleared=False):
-    """theta = {beta, Pi}: beta(Pi a, b) + beta(a, Pi b) - Pi beta(a, b).
+def theta(ws, z1, z2, b12=None):
+    """theta = {beta, Pi}: beta(Pi a, b) + beta(a, Pi b) - Pi beta(a, b),
+    on cleared rows as beta.
 
-    b12 is beta(a, b) when the caller has it; cleared is as for beta."""
+    b12 is the row beta(a, b) when the caller has it."""
+    (a, d1), (b, d2) = z1, z2
     if b12 is None:
-        b12 = beta(ws, z1, z2, cleared=cleared)
-    out = beta(ws, Pi(z1), z2, cleared=cleared)
-    v_accum(out, beta(ws, z1, Pi(z2), cleared=cleared))
-    return v_accum(out, Pi(b12), -1)
+        b12 = beta(ws, z1, z2)
+    out, den = beta(ws, (Pi(a), d1), z2)
+    v_accum(out, beta(ws, z1, (Pi(b), d2))[0])
+    return v_accum(out, Pi(b12[0]), -1), den
 
 
 def pair_traces(ws, row1, row2):
     """The traces of z1 z2, beta(z1, z2) and theta(z1, z2) for the cleared
     rows (z1, D1) and (z2, D2), computing the product and beta(z1, z2)
-    once.  The chain runs on the numerators: the product over D1 D2, beta
-    and theta over D1 D2 L."""
-    (z1, d1), (z2, d2) = row1, row2
-    den = d1 * d2
-    lden = den * ws.field.lax_ints[2]
-    prod = ext_mul(z1, z2)
-    b12 = beta(ws, z1, z2, prod, cleared=True)
-    return (full_trace(ws, prod, den), full_trace(ws, b12, lden),
-            full_trace(ws, theta(ws, z1, z2, b12, cleared=True), lden))
+    once: the product over D1 D2, beta and theta over D1 D2 L."""
+    prod = ext_mul(row1[0], row2[0]), row1[1] * row2[1]
+    b12 = beta(ws, row1, row2, prod[0])
+    return (full_trace(ws, prod), full_trace(ws, b12),
+            full_trace(ws, theta(ws, row1, row2, b12)))
 
 
 def theta_basic(ws, n, m):
-    return theta(ws, {(n, ()): ws.field.one}, {(m, ()): ws.field.one})
+    return theta(ws, _basic_row(ws, (n, ())), _basic_row(ws, (m, ())))
 
 
 def d_Pi(ws, z1, z2):
@@ -359,7 +351,8 @@ def twisted_trace_checks(tb, tt):
 
 
 def verify_twisted_traces(ws, z1, z2):
-    """twisted_trace_checks on the traces of beta(z1, z2) and theta(z1, z2)."""
+    """twisted_trace_checks on the traces of beta and theta of the cleared
+    rows z1 and z2."""
     return twisted_trace_checks(full_trace(ws, beta(ws, z1, z2)),
                                 full_trace(ws, theta(ws, z1, z2)))
 
@@ -379,23 +372,14 @@ def y_trace_product_check(ws, lam, s, nu, t, t_prod, t_beta, star):
     return pf_eq(t_beta.y, star)
 
 
-def verify_y_trace_product(ws, lam, s, nu, t):
-    """y_trace_product_check on freshly computed traces."""
-    p1 = ws.psi_hat(lam, s)
-    p2 = ws.psi_hat(nu, t)
-    return y_trace_product_check(ws, lam, s, nu, t,
-                                 full_trace(ws, ext_mul(p1, p2)),
-                                 full_trace(ws, beta(ws, p1, p2)),
-                                 star_residues(ws.field, lam, nu))
-
-
 # ---------------------------------------------------------------------------
 # null submodules
 # ---------------------------------------------------------------------------
 
 def null_module_span(ws, n, which):
-    """Spanning vectors of Z0_n (theta elements) or X0_n (beta elements)."""
-    vecs = []
+    """Cleared rows spanning Z0_n (theta elements) or X0_n (beta
+    elements)."""
+    rows = []
     if which == "Z0":
         gen, deg = theta_basic, lambda a, b: a + b - 1
     elif which == "X0":
@@ -413,14 +397,13 @@ def null_module_span(ws, n, which):
                 g = gen(ws, a, b)
                 cache[(a, b)] = g
             for mu in partitions_of(n - d):
-                vecs.append(ext_mul({(0, mu): ws.field.one}, g))
-    return vecs
+                rows.append((ext_mul(_basic_row(ws, (0, mu))[0], g[0]), g[1]))
+    return rows
 
 
 def null_module_rank(ws, n, which):
     basis = hn_basis(n)
-    rows = map(ws.field.clear, null_module_span(ws, n, which))
-    return rank([[nums.get(k, 0) for k in basis] for nums, _ in rows])
+    return rank([[nums.get(k, 0) for k in basis] for nums, _ in null_module_span(ws, n, which)])
 
 
 def null_module_expected_dim(n, which):
@@ -433,29 +416,6 @@ def null_module_expected_dim(n, which):
 # ---------------------------------------------------------------------------
 # rho operators
 # ---------------------------------------------------------------------------
-
-def rho_apply(ws, lam, s, zeta):
-    """rho_lam^s on Z0_lam: psi-hat^t - psi-hat^s -> psi-hat_{lam+s}^t - psi-hat_{lam+t}^s."""
-    field = ws.field
-    exp = ws.expand_psi_hat(zeta)
-    coeffs = {}
-    for (mu, t), c in exp.items():
-        if mu != lam:
-            raise NotInNullSpace("vector not supported on Z_lam")
-        coeffs[t] = c
-    total = field.zero
-    for c in coeffs.values():
-        total = total + c
-    if total:
-        raise NotInNullSpace("z-trace must vanish")
-    out = {}
-    for t, c in coeffs.items():
-        if t == s or not c:
-            continue
-        v_accum(out, ws.psi_hat(add_box(lam, s), t), c)
-        v_accum(out, ws.psi_hat(add_box(lam, t), s), -c)
-    return out
-
 
 def _by_lam(coeffs):
     """{lam: {s: c}} from psi-hat coefficients {(lam, s): c}."""
@@ -471,8 +431,8 @@ def rho_general(ws, xi, zeta):
     xi and zeta are cleared rows, and so is the result: the products of
     expansion numerators are summed per psi-hat label over the product of
     the two expansion denominators, then combined once."""
-    xi_nums, xi_den = ws.expand_psi_hat_row(*xi)
-    zeta_nums, zeta_den = ws.expand_psi_hat_row(*zeta)
+    xi_nums, xi_den = ws.expand_psi_hat(xi)
+    zeta_nums, zeta_den = ws.expand_psi_hat(zeta)
     by_lam = _by_lam(zeta_nums)
     for lam, comp in by_lam.items():
         if sum(comp.values()):
@@ -492,7 +452,7 @@ def good_normalizer_F(ws, xi):
     """F(xi) = sum_lam xi_lam / z_lam(xi_lam) for the cleared row xi, as a
     cleared row; raises NotGood.  The coefficient of psi-hat_lam^s is the
     ratio of two expansion numerators."""
-    nums, _ = ws.expand_psi_hat_row(*xi)
+    nums, _ = ws.expand_psi_hat(xi)
     coeffs = {}
     for lam, comp in _by_lam(nums).items():
         tot = sum(comp.values())
@@ -538,7 +498,7 @@ def _psi_hat_product(ws, lam, s, nu, t):
 def _selection_rule(ws, mu, s, nu, t):
     """The support of psi-hat products lies over mu union nu."""
     union = _parts.diagram_union(mu, nu)
-    nums, _ = ws.expand_psi_hat_row(*_psi_hat_product(ws, mu, s, nu, t))
+    nums, _ = ws.expand_psi_hat(_psi_hat_product(ws, mu, s, nu, t))
     bad = [g for (g, u) in nums if not _parts.contains(g, union)]
     return [{
         "id": "selection-rule %s:%s * %s:%s" % (mu, s, nu, t),
@@ -551,7 +511,6 @@ def _rho_conjectures(ws, max_degree):
     """The rho conjectures; every vector is a cleared row, and two vectors
     are compared as canonical rows (field.combine)."""
     field = ws.field
-    L = field.lax_ints[2]
     out = []
 
     # beta^{n,m} = rho~_{n+m-1} theta^{n,m} for n+m <= min(5, max_degree)
@@ -559,8 +518,8 @@ def _rho_conjectures(ws, max_degree):
         for b in range(a, 6):
             if a + b > min(5, max_degree):
                 continue
-            lhs = field.clear(beta_basic(ws, a, b))
-            rhs = rho_tilde(ws, a + b - 1, field.clear(theta_basic(ws, a, b)))
+            lhs = field.combine([(1, beta_basic(ws, a, b))])
+            rhs = rho_tilde(ws, a + b - 1, theta_basic(ws, a, b))
             out.append({
                 "id": "beta=rho~theta (%d,%d)" % (a, b),
                 "status": "PASS" if lhs == rhs else "FAIL",
@@ -570,27 +529,25 @@ def _rho_conjectures(ws, max_degree):
     # rho~ as a differential operator.  On F this is a proven lemma; the
     # conjectured extension to all of Z0 fails already on theta^{2,2}
     # (w-dependent elements), which is reported as such.
-    w1 = _basic_row(ws, (1, ()))[0]
     for n in range(2, min(5, max_degree) + 1):
         lemma_ok, ext_ok = True, True
         witness = ""
         fn = good_normalizer_F(ws, _basic_row(ws, (n, ())))
-        # beta(w, w^k) over L, with the factor hbar k / (n hbar)
-        bws = [(k, beta(ws, w1, _basic_row(ws, (k, ()))[0], cleared=True),
-                field.hbar * field.num(k) / (field.num(n) * field.hbar))
+        # beta(w, w^k), with the factor hbar k / (n hbar)
+        bws = [(k, beta_basic(ws, 1, k), field.hbar * field.num(k) / (field.num(n) * field.hbar))
                for k in range(1, n + 1)]
-        for zeta in null_module_span(ws, n, "Z0"):
-            znums, zden = zrow = field.clear(zeta)
+        for zrow in null_module_span(ws, n, "Z0"):
+            znums, zden = zrow
             lhs = rho_general(ws, fn, zrow)
             terms = []
-            for k, bwk, c in bws:
+            for k, (bn, bd), c in bws:
                 dz = {}
                 for (mm, mu), a in znums.items():
                     for nu, a2 in deriv_V({mu: a}, k).items():
                         bump(dz, (mm, nu), a2)
-                terms.append((c, (ext_mul(bwk, dz), L * zden)))
+                terms.append((c, (ext_mul(bn, dz), bd * zden)))
             if lhs != field.combine(terms):
-                if all(m == 0 for (m, mu) in zeta):
+                if all(m == 0 for (m, mu) in znums):
                     lemma_ok = False
                 else:
                     ext_ok = False
@@ -601,29 +558,27 @@ def _rho_conjectures(ws, max_degree):
                     "status": "PASS" if ext_ok else "FAIL", "witness": witness})
 
     # beta(z,x) = rho(F(dPi(z,x))) theta(z,x) for good basic pairs; the
-    # basic vectors are rows over 1, so beta and theta are numerators over L
+    # basic vectors are rows over 1, and so is dPi of two of them
     for d1 in range(1, max_degree):
         for d2 in range(d1, max_degree - d1 + 1):
             for k1 in hn_basis(d1):
                 for k2 in hn_basis(d2):
-                    z1 = _basic_row(ws, k1)[0]
-                    z2 = _basic_row(ws, k2)[0]
+                    z1, z2 = _basic_row(ws, k1), _basic_row(ws, k2)
                     ident = "beta=rho(F(dPi))theta %s,%s" % (k1, k2)
                     try:
-                        f = good_normalizer_F(ws, (d_Pi(ws, z1, z2), 1))
+                        f = good_normalizer_F(ws, (d_Pi(ws, z1[0], z2[0]), 1))
                     except NotGood:
                         out.append({"id": ident, "status": "SKIP",
                                     "witness": "dPi not good"})
                         continue
-                    b12 = beta(ws, z1, z2, cleared=True)
-                    th = theta(ws, z1, z2, b12, cleared=True)
+                    b12 = beta(ws, z1, z2)
                     try:
-                        rhs = rho_general(ws, f, (th, L))
+                        rhs = rho_general(ws, f, theta(ws, z1, z2, b12))
                     except NotInNullSpace:
                         out.append({"id": ident, "status": "SKIP",
                                     "witness": "theta not in Z0"})
                         continue
-                    lhs = field.combine([(1, (b12, L))])
+                    lhs = field.combine([(1, b12)])
                     out.append({"id": ident,
                                 "status": "PASS" if lhs == rhs else "FAIL",
                                 "witness": ""})
@@ -656,7 +611,7 @@ def _product_evidence(ws, r, m):
     out = []
 
     # case 1: psi^{(r,0)}_{1^r} psi^{(0,m)}_m (explicit two-term form)
-    exp = ws.expand_psi_hat(*_psi_hat_product(ws, col, (r, 0), row, (0, m)))
+    exp = field.uncleared(ws.expand_psi_hat(_psi_hat_product(ws, col, (r, 0), row, (0, m))))
     lam1 = partition((m,) + (1,) * r)
     lam2 = partition((m + 1,) + (1,) * (r - 1))
     c1 = field.lf((0, -m)) / field.lf((r, -m))
@@ -669,14 +624,14 @@ def _product_evidence(ws, r, m):
 
     # case 2: psi^{(r,0)}_{1^r} psi^{(1,0)}_m (support check)
     if (1, 0) in add_set(row):
-        exp = set(ws.expand_psi_hat_row(*_psi_hat_product(ws, col, (r, 0), row, (1, 0)))[0])
+        exp = set(ws.expand_psi_hat(_psi_hat_product(ws, col, (r, 0), row, (1, 0)))[0])
         allowed = {(lam1, (0, m)), (lam1, (r + 1, 0)), (lam2, (r, 0))}
         out.append({"id": "evidence-2 r=%d m=%d" % (r, m),
                     "status": "PASS" if exp <= allowed else "FAIL",
                     "witness": "" if exp <= allowed else repr(exp)})
 
     # case 3: psi^{(0,1)}_{1^r} psi^{(1,0)}_m (support check)
-    exp = set(ws.expand_psi_hat_row(*_psi_hat_product(ws, col, (0, 1), row, (1, 0)))[0])
+    exp = set(ws.expand_psi_hat(_psi_hat_product(ws, col, (0, 1), row, (1, 0)))[0])
     allowed = {(lam1, (0, m)), (lam1, (1, 1)), (lam2, (1, 1)), (lam2, (r, 0))}
     out.append({"id": "evidence-3 r=%d m=%d" % (r, m),
                 "status": "PASS" if exp <= allowed else "FAIL",

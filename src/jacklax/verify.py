@@ -11,8 +11,8 @@ from . import lr as lr_mod
 from . import shc as shc_mod
 from . import traces as tr_mod
 from .errors import BadSize, JackLaxError
-from .fock import (Pi, bump, dim_hn, ext_mul, fock_mul, fock_to_ext, hn_basis,
-                   inner_hbar, pi0, pi_plus, pi_star, w_mul)
+from .fock import (Pi, bump, dim_hn, ext_mul, fock_to_ext, hn_basis, inner_hbar, pi0,
+                   pi_plus, pi_star, w_mul)
 from .jack import jack_norm_sq, pieri_stanley
 from .lax import (lax_apply, lax_plus_shift_check, phi_column_coeff, pi_diamond,
                   psi_tilde_row)
@@ -200,13 +200,6 @@ def _vanishes(field, terms):
     return not field.combine(terms)[0]
 
 
-def _lax_row(field, row):
-    """The cleared row of L applied to the cleared row (nums, D), not in
-    lowest terms."""
-    nums, d = row
-    return lax_apply(field, nums, cleared=True), d * field.lax_ints[2]
-
-
 def _ext_row(row):
     """A FockVec row as an ExtVec row."""
     return fock_to_ext(row[0]), row[1]
@@ -220,19 +213,19 @@ def _coords(row, basis):
 def _eigen(ws, lam, s):
     f = ws.field
     row = ws.psi_row(lam, s)
-    if not _vanishes(f, [(1, _lax_row(f, row)), (-f.lf(s), row)]):
+    if not _vanishes(f, [(1, lax_apply(f, row)), (-f.lf(s), row)]):
         return False
     nums, d = row
     if not _vanishes(f, [(1, (pi0(nums), d)), (-1, ws.jack_row(lam))]):
         return False
-    return f.quotient(nums.get((sum(lam), ()), 0), d) == ws.pi_star_psi(lam, s)
+    return pi_star(row, f) == ws.pi_star_psi(lam, s)
 
 
 def _psi_norms(ws, lam):
     f = ws.field
     for s in add_set(lam):
-        nums, d = ws.psi_row(lam, s)
-        n2 = inner_hbar(nums, nums, f, d * d)
+        row = ws.psi_row(lam, s)
+        n2 = inner_hbar(row, row, f)
         if n2 != jack_norm_sq(f, lam) / tau(f, lam, s):
             return False
         if n2 != _psi_norm_hooks(ws, lam, s):
@@ -263,7 +256,7 @@ def _complete(ws, n):
         return False
     f = ws.field
     for lam, s in pairs:
-        nums, d = ws.expand_psi_hat_row(*ws.psi_hat_row(lam, s))
+        nums, d = ws.expand_psi_hat(ws.psi_hat_row(lam, s))
         if list(nums) != [(lam, s)] or f.quotient(nums[(lam, s)], d) != f.one:
             return False
     return True
@@ -277,7 +270,7 @@ def _self_adjoint(ws, n):
     basis = hn_basis(n)
     f = ws.field
     g, _ = ws.gram_row(n)
-    imgs = [lax_apply(f, f.clear({key: f.one})[0], cleared=True) for key in basis]
+    imgs = [lax_apply(f, f.clear({key: f.one}))[0] for key in basis]
     for i, ki in enumerate(basis):
         for j in range(i, len(basis)):
             kj = basis[j]
@@ -290,8 +283,8 @@ def _pi_diamond_ok(ws, n):
     basis = hn_basis(n)
     mats = []
     for lam, s in eigen_pairs(n):
-        img = pi_diamond(ws, *ws.psi_row(lam, s))
-        if pi_diamond(ws, *img) != img:
+        img = pi_diamond(ws, ws.psi_row(lam, s))
+        if pi_diamond(ws, img) != img:
             return False
         mats.append(_coords(img, basis))
     return rank(mats) == count_partitions(n + 1)
@@ -304,7 +297,7 @@ def _jacksums(ws, lam):
     if not _vanishes(f, terms + [(-1, jack)]):
         return False
     terms = [(tau_tilde(f, lam, tp), psi_tilde_row(ws, lam, tp)) for tp in rem_set_plus(lam)]
-    return _vanishes(f, terms + [(-1, _lax_row(f, jack))])
+    return _vanishes(f, terms + [(-1, lax_apply(f, jack))])
 
 
 def _shift_thm(ws, lam):
@@ -313,7 +306,7 @@ def _shift_thm(ws, lam):
     jack = _ext_row(ws.jack_row(lam))
     for tp in rem_set_plus(lam):
         pt = psi_tilde_row(ws, lam, tp)
-        img, d = _lax_row(f, pt)
+        img, d = lax_apply(f, pt)
         # L+ eigen equation on the positive block
         if not _vanishes(f, [(1, (pi_plus(img), d)), (-f.lf(tp), pt)]):
             return False
@@ -330,7 +323,7 @@ def _structural(ws, lam):
         nums, d = ws.psi_row(remove_box(lam, t), t)
         rows.append((w_mul(nums), d))
     for row in rows:
-        if any(mu != lam for mu, s in ws.expand_psi_hat_row(*row)[0]):
+        if any(mu != lam for mu, s in ws.expand_psi_hat(row)[0]):
             return False
     basis = hn_basis(n)
     return rank([_coords(row, basis) for row in rows]) == len(add_set(lam))
@@ -421,7 +414,7 @@ def suite_kernel(cfg, to=None):
 
 def _hexagons_in_kernel(ws, n):
     for hx in tr_mod.kernel_basis(n):
-        tv = tr_mod.full_trace(ws, *hx.value(ws))
+        tv = tr_mod.full_trace(ws, hx.value(ws))
         if tv.x or tv.y or tv.z:
             return False
     return True
@@ -483,27 +476,27 @@ def _trace_chain(ws, n, picks, coeffs):
         for idx, c in zip(p, cs):
             bump(zeta, basis[idx], f.num(c))
         nums, d = row = f.clear(zeta)
-        tv = tr_mod.full_trace(ws, nums, d)
-        tvd = tr_mod.full_trace(ws, *pi_diamond(ws, nums, d))
+        tv = tr_mod.full_trace(ws, row)
+        tvd = tr_mod.full_trace(ws, pi_diamond(ws, row))
         if not tr_mod.pf_eq(tv.x, tvd.x):
             return False
-        tvp = tr_mod.full_trace(ws, pi_plus(nums), d)
+        tvp = tr_mod.full_trace(ws, (pi_plus(nums), d))
         if not tr_mod.pf_eq(tv.z, tvp.z):
             return False
-        tw = tr_mod.full_trace(ws, w_mul(nums), d)
+        tw = tr_mod.full_trace(ws, (w_mul(nums), d))
         if not tr_mod.pf_eq(tw.z, tv.x):
             return False
-        tpi = tr_mod.full_trace(ws, Pi(nums), d)
+        tpi = tr_mod.full_trace(ws, (Pi(nums), d))
         if not tr_mod.pf_eq(tpi.x, tv.z):
             return False
         # y_u(L zeta) = u y_u(zeta) - pi_* zeta
-        tl = tr_mod.full_trace(ws, *_lax_row(f, row))
+        tl = tr_mod.full_trace(ws, lax_apply(f, row))
         tot = f.zero
         for s0, c in tv.y.items():
             tot = tot + c
             if tl.y.get(s0, f.zero) != c * f.lf(s0):
                 return False
-        if tot - pi_star(zeta, f) != f.zero:
+        if tot - pi_star(row, f) != f.zero:
             return False
     return True
 
@@ -588,13 +581,13 @@ def suite_delta(cfg):
 
 
 def _delta_worked_example(ws):
-    prod = fock_mul(ws.jack((1, 1)), ws.jack((2,)))
+    prod = lr_mod.jack_product(ws, (1, 1), (2,))
     return lr_mod.delta_map(ws, prod) == lr_mod.delta_of_jack_product(ws, (1, 1), (2,))
 
 
 def _delta_not_hom(ws):
-    d1 = lr_mod.delta_map(ws, ws.jack((1,)))
-    dd = lr_mod.delta_map(ws, fock_mul(ws.jack((1,)), ws.jack((1,))))
+    d1 = lr_mod.delta_map(ws, ws.jack_row((1,)))
+    dd = lr_mod.delta_map(ws, lr_mod.jack_product(ws, (1,), (1,)))
     return d1 == {(0, 0): ws.field.one} and dd != d1
 
 
@@ -644,8 +637,8 @@ def _delta_via_states(ws, max_degree):
     for n in range(1, max_degree + 1):
         ctx = shc_mod.h_context(ws, n)
         for lam in partitions_of(n):
-            a = shc_mod.delta_via_states(ws, ws.jack(lam), ctx)
-            if a != lr_mod.delta_map(ws, ws.jack(lam)):
+            row = ws.jack_row(lam)
+            if shc_mod.delta_via_states(ws, row, ctx) != lr_mod.delta_map(ws, row):
                 return False
     return True
 

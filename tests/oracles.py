@@ -17,10 +17,18 @@ At a specialized point the Lax operator and the beta/theta derivators run
 on integer numerators over one denominator.  Here they run on field
 scalars, each derivator composed afresh from its three operator images.
 
+The library's operators take and return cleared rows.  The oracles here
+work on field-scalar vectors; those that stand in for a library function
+read its rows with field.uncleared, and hand rows back with field.clear,
+only at their call boundary.
+
 The Whittaker and Delta checks of the shc suite share one H context per
 workspace and degree (shc.h_context) and memoise each V_mu^dagger image.
 Here H, its Fock image and each jhat_lam^dagger image are rebuilt for
-every partition.
+every partition, and Delta pairs field-scalar vectors.  The shc
+construction check expands its resolvents on rows in the psi-hat basis;
+here it runs on vectors in the psi basis, with A, B and the Jack
+coordinates on field scalars.
 
 At a specialized point each product of linear forms (field.ratio) is one
 integer ratio, SpecPoint.validate decides from e1/e2 in lowest terms, and
@@ -51,16 +59,16 @@ from math import factorial, gcd as _igcd
 from jacklax.arith import _BP_ONE, _BP_ZERO, BiPoly, _parse_poly, render_coeff
 from jacklax.errors import (JackLaxError, NotGood, NotInNullSpace, PoleAtSpecPoint,
                             ZeroDenominator)
-from jacklax.fock import (Pi, _as_ext, bump, degree_of, ext_mul, fock_adjoint_apply,
-                          fock_to_ext, hall_inner_alpha, hn_basis, inner_hbar,
-                          monomial_norm_sq, pi0, v_accum, v_clear, v_scale, v_uncleared,
-                          w_mul)
-from jacklax.lax import lax_apply, psi_tilde_row, q_poly_row
+from jacklax.fock import (Pi, _as_ext, annihilate, bump, degree_of, ext_mul, fock_to_ext,
+                          hall_inner_alpha, hn_basis, monomial_norm_sq, pi0, v_accum,
+                          v_clear, v_scale, v_uncleared, w_mul)
+from jacklax.lax import psi_tilde_row, q_poly_row
 from jacklax.linalg import invert, matvec
 from jacklax.partitions import (add_box, eigen_pairs, partition, partitions_of, rem_set,
                                  remove_box, size)
-from jacklax.shc import (apply_dPhi, fock_to_jack, h_state, jack_to_fock, pf_add,
-                         pf_clean, pf_scale, pf_truncate)
+from jacklax.shc import (Y_eig, Yinv_eig, apply_dPhi, apply_diagonal, apply_X_minus,
+                         apply_X_plus, fock_to_jack, h_state, jack_to_fock, pf_accum, pf_add,
+                         pf_clean, pf_equal, pf_scale, pf_truncate, sfun_to_pf_keys)
 from jacklax.spectral import tau, tau_tilde
 from jacklax.traces import TraceVector
 
@@ -227,7 +235,8 @@ def homogeneous_jacks(field, n):
 def dense_psi_hat_solver(ws, n):
     """(pairs, M^-1) with the columns of M the psi-hat coordinates in H_n."""
     pairs = eigen_pairs(n)
-    cols = [vector_to_coords(ws.psi_hat(lam, s), n, ws.field) for lam, s in pairs]
+    cols = [vector_to_coords(ws.field.uncleared(ws.psi_hat_row(lam, s)), n, ws.field)
+            for lam, s in pairs]
     return pairs, invert([list(row) for row in zip(*cols)], ws.field)
 
 
@@ -253,7 +262,7 @@ def field_psi_hat_dual(ws, n):
     index = {key: [] for key in gram}
     scales = []
     for i, (lam, s) in enumerate(pairs):
-        for key, c in ws.psi(lam, s).items():
+        for key, c in f.uncleared(ws.psi_row(lam, s)).items():
             index[key].append((i, c * gram[key]))
         scales.append(tau(f, lam, s) * ws.pi_star_psi(lam, s) / ws.norm_sq(lam))
     return pairs, index, scales
@@ -280,7 +289,7 @@ def inner_hbar_expand_in_jacks(ws, f):
     for n in degs:
         part = {mu: c for mu, c in f.items() if sum(mu) == n}
         for lam in partitions_of(n):
-            c = inner_hbar(part, ws.jack(lam), ws.field)
+            c = field_inner_hbar(part, ws.field.uncleared(ws.jack_row(lam)), ws.field)
             if c:
                 out[lam] = c / ws.norm_sq(lam)
     return out
@@ -290,14 +299,8 @@ def inner_hbar_expand_in_jacks(ws, f):
 # the Lax operator and the derivators on field scalars
 # ---------------------------------------------------------------------------
 
-def field_lax_apply(field, zeta, cleared=False):
-    """L zeta, every coefficient a field scalar.  With cleared=True zeta
-    holds integer numerators and, as from lax.lax_apply, the integers
-    L * (L zeta) come back, L = field.lax_ints[2]."""
-    if cleared:
-        den = field.lax_ints[2]
-        img = field_lax_apply(field, {k: field.num(v) for k, v in zeta.items()})
-        return {k: int(c * den) for k, c in img.items()}
+def field_lax_apply(field, zeta):
+    """L zeta, every coefficient a field scalar."""
     out = {}
     ebar, hbar = field.ebar, field.hbar
     for (m, mu), c in zeta.items():
@@ -315,27 +318,52 @@ def field_lax_apply(field, zeta, cleared=False):
     return out
 
 
-def field_beta(ws, z1, z2):
-    """L(ab) - (La)b - a(Lb) by field_lax_apply."""
-    field = ws.field
+def field_lax_row(field, row):
+    """lax.lax_apply by field_lax_apply: the image of the cleared row (nums,
+    D) comes back as numerators over D L (L = field.lax_ints[2]), as from
+    lax_apply."""
+    den = row[1] * field.lax_ints[2]
+    img = field_lax_apply(field, field.uncleared(row))
+    return {k: int(c * den) if isinstance(c, Fraction) else c * den
+            for k, c in img.items()}, den
+
+
+def _field_beta(field, z1, z2):
+    """L(ab) - (La)b - a(Lb) of two vectors by field_lax_apply."""
     out = field_lax_apply(field, ext_mul(z1, z2))
     v_accum(out, ext_mul(field_lax_apply(field, z1), z2), -field.one)
     return v_accum(out, ext_mul(z1, field_lax_apply(field, z2)), -field.one)
 
 
-def field_theta(ws, z1, z2):
-    """beta(Pi a, b) + beta(a, Pi b) - Pi beta(a, b) by field_beta."""
-    out = field_beta(ws, Pi(z1), z2)
-    v_accum(out, field_beta(ws, z1, Pi(z2)))
-    return v_accum(out, Pi(field_beta(ws, z1, z2)), -ws.field.one)
+def _field_theta(field, z1, z2):
+    """beta(Pi a, b) + beta(a, Pi b) - Pi beta(a, b) of two vectors by
+    _field_beta."""
+    out = _field_beta(field, Pi(z1), z2)
+    v_accum(out, _field_beta(field, z1, Pi(z2)))
+    return v_accum(out, Pi(_field_beta(field, z1, z2)), -field.one)
+
+
+def field_beta(ws, z1, z2, prod=None):
+    """traces.beta of two cleared rows, composed on their vectors; returns
+    the canonical row."""
+    f = ws.field
+    return f.clear(_field_beta(f, f.uncleared(z1), f.uncleared(z2)))
+
+
+def field_theta(ws, z1, z2, b12=None):
+    """traces.theta of two cleared rows, composed on their vectors; returns
+    the canonical row."""
+    f = ws.field
+    return f.clear(_field_theta(f, f.uncleared(z1), f.uncleared(z2)))
 
 
 def field_pair_traces(ws, row1, row2):
     """The traces of z1 z2, beta(z1, z2) and theta(z1, z2) for the cleared
     rows of z1 and z2, each vector and trace computed on field scalars."""
-    z1, z2 = ws.field.uncleared(row1), ws.field.uncleared(row2)
-    return (field_full_trace(ws, ext_mul(z1, z2)), field_full_trace(ws, field_beta(ws, z1, z2)),
-            field_full_trace(ws, field_theta(ws, z1, z2)))
+    f = ws.field
+    z1, z2 = f.uncleared(row1), f.uncleared(row2)
+    return (field_full_trace(ws, ext_mul(z1, z2)), field_full_trace(ws, _field_beta(f, z1, z2)),
+            field_full_trace(ws, _field_theta(f, z1, z2)))
 
 
 # ---------------------------------------------------------------------------
@@ -345,11 +373,21 @@ def field_pair_traces(ws, row1, row2):
 def field_full_trace(ws, zeta):
     """Tr(zeta): the psi-hat coefficients of zeta summed as field scalars."""
     x, y, z = {}, {}, {}
-    for (lam, s), c in ws.expand_psi_hat(zeta).items():
+    for (lam, s), c in _expand_psi_hat(ws, zeta).items():
         bump(x, add_box(lam, s), c)
         bump(y, s, c)
         bump(z, lam, c)
     return TraceVector(degree_of(zeta) if zeta else 0, x, y, z)
+
+
+def _expand_psi_hat(ws, zeta):
+    """The psi-hat coefficients of a vector, by the runtime expansion of
+    its row."""
+    return ws.field.uncleared(ws.expand_psi_hat(ws.field.clear(zeta)))
+
+
+def _psi_hat(ws, lam, s):
+    return ws.field.uncleared(ws.psi_hat_row(lam, s))
 
 
 def field_combine(terms):
@@ -401,9 +439,9 @@ def field_rho_general(ws, xi, zeta):
     """rho(xi) zeta on vectors, each psi-hat vector added with a field
     coefficient."""
     field = ws.field
-    xi_exp = ws.expand_psi_hat(xi)
+    xi_exp = _expand_psi_hat(ws, xi)
     by_lam = {}
-    for (lam, t), c in ws.expand_psi_hat(zeta).items():
+    for (lam, t), c in _expand_psi_hat(ws, zeta).items():
         by_lam.setdefault(lam, {})[t] = c
     for lam, comp in by_lam.items():
         tot = field.zero
@@ -415,8 +453,8 @@ def field_rho_general(ws, xi, zeta):
     for (lam, s), xc in xi_exp.items():
         for t, c in by_lam.get(lam, {}).items():
             if t != s:
-                v_accum(out, ws.psi_hat(add_box(lam, s), t), xc * c)
-                v_accum(out, ws.psi_hat(add_box(lam, t), s), -(xc * c))
+                v_accum(out, _psi_hat(ws, add_box(lam, s), t), xc * c)
+                v_accum(out, _psi_hat(ws, add_box(lam, t), s), -(xc * c))
     return out
 
 
@@ -425,7 +463,7 @@ def field_good_normalizer_F(ws, xi):
     coefficient."""
     field = ws.field
     by_lam = {}
-    for (lam, s), c in ws.expand_psi_hat(xi).items():
+    for (lam, s), c in _expand_psi_hat(ws, xi).items():
         by_lam.setdefault(lam, {})[s] = c
     out = {}
     for lam, comp in by_lam.items():
@@ -435,7 +473,7 @@ def field_good_normalizer_F(ws, xi):
         if not tot:
             raise NotGood("Z_%s component has vanishing z-trace" % (lam,))
         for s, c in comp.items():
-            v_accum(out, ws.psi_hat(lam, s), c / tot)
+            v_accum(out, _psi_hat(ws, lam, s), c / tot)
     return out
 
 
@@ -443,11 +481,15 @@ def field_good_normalizer_F(ws, xi):
 # the shc states rebuilt per partition
 # ---------------------------------------------------------------------------
 
-def field_jhat_dagger(ws, lam, vec):
-    """jhat_lam^dagger applied to the FockVec vec on field scalars, in Jack
-    coordinates."""
-    jhat = {k: c / ws.varpi(lam) for k, c in ws.jack(lam).items()}
-    return fock_to_jack(ws, fock_adjoint_apply(jhat, vec, ws.field))
+def field_jhat_dagger(ws, lam, row):
+    """jhat_lam^dagger applied to the cleared FockVec row on field scalars,
+    V_mu^dagger = hbar^l(mu) prod_k (k d/dV_k), in Jack coordinates."""
+    f = ws.field
+    vec = f.uncleared(row)
+    out = {}
+    for mu, c in f.uncleared(ws.jack_row(lam)).items():
+        v_accum(out, annihilate(vec, mu), c * f.hbar ** len(mu) / ws.varpi(lam))
+    return fock_to_jack(ws, f.clear(out))
 
 
 def apply_jhat_dagger(ws, mu, state):
@@ -464,13 +506,88 @@ def generalized_whittaker_lhs(ws, lam, N):
 
 
 def delta_via_states(ws, zeta, N):
-    """Delta(zeta) = <zeta| dPhi(u) U |G> as {box: scalar}, H truncated at N."""
+    """Delta(zeta) = <zeta| dPhi(u) U |G> as {box: scalar} for a vector zeta,
+    H truncated at N, each part of dPhi(H) paired with zeta on field
+    scalars."""
     out = {}
     for key, st in apply_dPhi(ws, h_state(ws, N)).items():
-        val = inner_hbar(zeta, jack_to_fock(ws, st), ws.field)
+        val = field_inner_hbar(zeta, ws.field.uncleared(jack_to_fock(ws, st)), ws.field)
         if val:
             out[key[1]] = val
     return out
+
+
+def field_construction_from_lax_check(ws, n):
+    """shc.construction_from_lax_check on field-scalar vectors: each
+    resolvent expands in the psi basis by the field-weight dual (the psi-hat
+    coefficient over pi_* psi), A = pi0 L w and B = w^{-1} L run by
+    field_lax_apply, and Jack coordinates are read by one inner_hbar per
+    partition."""
+    field = ws.field
+    duals = {}
+
+    def expand_psi(zeta):
+        m = degree_of(zeta)
+        if m not in duals:
+            duals[m] = field_psi_hat_dual(ws, m)
+        return {(lam, s): c / ws.pi_star_psi(lam, s)
+                for (lam, s), c in field_expand_psi_hat(zeta, duals[m]).items()}
+
+    def psi(mu, s):
+        return field.uncleared(ws.psi_row(mu, s))
+
+    def op_A(zeta):
+        return pi0(field_lax_apply(field, w_mul(zeta)))
+
+    def resolvent(exp, image, shift=(0, 0), scale=None):
+        pf = {}
+        for (mu, s), c in exp.items():
+            for g, c2 in inner_hbar_expand_in_jacks(ws, image(psi(mu, s))).items():
+                pf_accum(pf, ("p", (s[0] + shift[0], s[1] + shift[1])), g,
+                         c * c2 if scale is None else c * c2 / scale)
+        return pf
+
+    ok_xplus = ok_xminus = ok_yinv = ok_y = True
+    alt_xminus_sign = set()
+    for k in range(n + 1):
+        for lam in partitions_of(k):
+            jack = field.uncleared(ws.jack_row(lam))
+            exp = expand_psi(fock_to_ext(jack))
+            if not pf_equal(resolvent(exp, op_A), apply_X_plus(ws, {lam: field.one})):
+                ok_xplus = False
+            if not pf_equal(resolvent(exp, pi0),
+                            apply_diagonal(ws, {lam: field.one}, Yinv_eig)):
+                ok_yinv = False
+            if not lam:
+                continue
+            exp = expand_psi(Pi(field_lax_apply(field, fock_to_ext(jack))))
+            direct = apply_X_minus(ws, {lam: field.one})
+            if not pf_equal(resolvent(exp, pi0), direct):
+                ok_xminus = False
+            literal = {}
+            for x in rem_set(lam):
+                res = Y_eig(field, lam).shift((-1, -1)).residue(x, field)
+                pf_accum(literal, ("p", x), remove_box(lam, x), res)
+            if pf_equal(literal, direct):
+                alt_xminus_sign.add(+1)
+            elif pf_equal(pf_scale(literal, -field.one), direct):
+                alt_xminus_sign.add(-1)
+            else:
+                alt_xminus_sign.add(0)
+            scale = field.hbar * field.num(k)
+            expect = {}
+            for key, val in sfun_to_pf_keys(field, Y_eig(field, lam)).items():
+                if isinstance(key, tuple) and key[0] == "p":
+                    pf_accum(expect, key, lam, -val / scale)
+            if not pf_equal(resolvent(exp, op_A, (1, 1), scale), expect):
+                ok_y = False
+    return {
+        "xplus": ok_xplus,
+        "yinv": ok_yinv,
+        "xminus_lax": ok_xminus,
+        "xminus_literal_sign": sorted(alt_xminus_sign),
+        "y_equals_minus_Pminus": ok_y,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -568,7 +685,7 @@ def lax_matrix(ws, n):
     index = {k: i for i, k in enumerate(basis)}
     cols = []
     for key in basis:
-        img = lax_apply(ws.field, {key: ws.field.one})
+        img = field_lax_apply(ws.field, {key: ws.field.one})
         col = [ws.field.zero] * len(basis)
         for k, c in img.items():
             col[index[k]] = c

@@ -1,15 +1,21 @@
-"""Every module-level function and class of src/jacklax is used somewhere,
-and no module but arith.py forks on field.symbolic.
+"""Every module-level function and class of src/jacklax is used by the
+library or the benchmark, no module but arith.py forks on field.symbolic,
+and no operator keeps a second, field-scalar vector mode.
 
-A name counts as used when some code in src/, tests/ or bench/*.py refers
-to it: as a name, an attribute, an imported name, or a word inside a string
+A name counts as used when some code in src/ or bench/*.py refers to it:
+as a name, an attribute, an imported name, or a word inside a string
 literal (bench/tracer.py wraps functions by their names as strings).  Its own
-definition, comments and docstrings do not count.  Only `main`, the console
-entry point, is exempt.
+definition, comments and docstrings do not count, and neither do tests/: a
+name only the tests reach is a test convenience and belongs in
+tests/oracles.py or inlined in its test.  `main`, the console entry point,
+is exempt, and so are the paper-identity helpers in TEST_ONLY until a suite
+checks them.
 
 The fields own the row format (clear, uncleared, combine, quotient and
 lax_ints), so the recursions and expansions run one code path for both;
 only arith.py, which defines the fields, may read the `symbolic` flag.
+Operators take and return cleared rows, so no function takes a `cleared`
+switch or a `den=None` default that selects a vector mode.
 """
 
 import ast
@@ -19,6 +25,15 @@ import re
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "jacklax"
 ALLOWED = {"main"}
+# Paper identities that only tests check so far; each is to gain a suite
+# check or leave src/ (ROADMAP item 6).
+TEST_ONLY = {
+    "jack.principal_specialization",   # V_k -> z gives prod (z + [b])
+    "jack.content_product_poly",       # the content product it is checked against
+    "lax.w_action_coeffs",             # w psi in the psi basis
+    "lax.Pi_action_coeffs",            # Pi psi in the psi basis
+    "spectral.N_fun",                  # N(u), the one-box T function
+}
 _WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
@@ -44,19 +59,42 @@ def _references(tree):
     return out
 
 
+def _src_functions():
+    """(path, node) of every function definition in src/, methods included."""
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield path, node
+
+
 def test_every_module_level_name_is_used():
-    files = (sorted(SRC.glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
-             + sorted((ROOT / "bench").glob("*.py")))
+    files = sorted(SRC.glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
     used = set()
     for path in files:
         used.update(_references(ast.parse(path.read_text(), str(path))))
     dead = []
     for path in sorted(SRC.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
+            name = "%s.%s" % (path.stem, node.name) if hasattr(node, "name") else None
             if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    and node.name not in used and node.name not in ALLOWED):
-                dead.append("%s.%s" % (path.stem, node.name))
+                    and node.name not in used and node.name not in ALLOWED
+                    and name not in TEST_ONLY):
+                dead.append(name)
     assert dead == []
+
+
+def test_test_only_allowlist_is_current():
+    # each allowlisted name exists and is still reached only from tests/
+    files = sorted(SRC.glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
+    used = set()
+    for path in files:
+        used.update(_references(ast.parse(path.read_text(), str(path))))
+    defined = {"%s.%s" % (path.stem, node.name)
+               for path in sorted(SRC.glob("*.py"))
+               for node in ast.parse(path.read_text()).body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert TEST_ONLY <= defined
+    assert [name for name in sorted(TEST_ONLY) if name.split(".")[1] in used] == []
 
 
 def test_only_arith_reads_the_symbolic_flag():
@@ -68,3 +106,20 @@ def test_only_arith_reads_the_symbolic_flag():
             if isinstance(node, ast.Attribute) and node.attr == "symbolic":
                 readers.append("%s:%d" % (path.name, node.lineno))
     assert readers == []
+
+
+def test_no_vector_mode_switch():
+    # no `cleared` parameter and no parameter that defaults to den=None
+    found = []
+    for path, node in _src_functions():
+        args = node.args
+        params = args.posonlyargs + args.args + args.kwonlyargs
+        defaults = dict(zip([a.arg for a in args.posonlyargs + args.args][::-1],
+                            args.defaults[::-1]))
+        defaults.update((a.arg, d) for a, d in zip(args.kwonlyargs, args.kw_defaults))
+        for a in params:
+            d = defaults.get(a.arg)
+            if a.arg == "cleared" or (a.arg == "den" and isinstance(d, ast.Constant)
+                                      and d.value is None):
+                found.append("%s:%d %s(%s)" % (path.name, node.lineno, node.name, a.arg))
+    assert found == []

@@ -5,9 +5,9 @@ from fractions import Fraction
 
 from jacklax.arith import SymbolicField
 from jacklax.errors import DegreeMismatch, InhomogeneousForPiStar
-from jacklax.fock import (Pi, annihilate, deriv_V, dim_hn, ext_mul,
+from jacklax.fock import (Pi, annihilate, deriv_V, dim_hn, ext_mul, fock_adjoint_apply,
                           fock_to_ext, hall_inner_alpha, hn_basis, inner_hbar,
-                          monomial_norm_sq, pi0, pi_plus, project, v_accum,
+                          monomial_norm_sq, pi0, pi_plus, pi_star, v_accum,
                           v_scale, w_mul, zmu)
 from jacklax.partitions import partitions_of, series_P, SeriesZ
 from oracles import m_to_p, monomial_powersum_transition, p_to_m
@@ -35,31 +35,32 @@ def test_zmu():
 def test_inner_hbar_examples():
     h = F.hbar
     one = F.one
-    assert inner_hbar({(1, 1): one}, {(1, 1): one}, F) == 2 * h ** 2
-    assert inner_hbar({(2,): one}, {(2,): one}, F) == 2 * h
-    assert not inner_hbar({(1, 0 + 1): one}, {(2,): one}, F)
+    R = F.clear
+    assert inner_hbar(R({(1, 1): one}), R({(1, 1): one}), F) == 2 * h ** 2
+    assert inner_hbar(R({(2,): one}), R({(2,): one}), F) == 2 * h
+    assert not inner_hbar(R({(1, 0 + 1): one}), R({(2,): one}), F)
     # different w grades are orthogonal
-    assert not inner_hbar({(1, (1,)): one}, {(0, (2,)): one}, F)
+    assert not inner_hbar(R({(1, (1,)): one}), R({(0, (2,)): one}), F)
 
 
 @pytest.mark.parametrize("point, maxn", [(0, 5), (1, 5), (2, 5), (None, 3)])
 def test_inner_hbar_matches_field_oracle(point, maxn, sym, spec_all):
     # inner_hbar pairs numerators against the cleared Gram weights; the
     # key-by-key sum of field scalars it replaced gives the same scalar,
-    # for vectors and for cleared rows with den
+    # for canonical rows and for rows not in lowest terms
     from jacklax.partitions import eigen_pairs
     from oracles import field_inner_hbar
     ws = sym if point is None else spec_all[point]
     field = ws.field
     rng = random.Random(7)
-    vecs = [ws.jack(lam) for n in range(maxn + 1) for lam in partitions_of(n)]
-    vecs += [ws.psi(lam, s) for n in range(maxn + 1) for lam, s in eigen_pairs(n)]
-    pairs = [(a, b) for a in vecs for b in vecs if len(a) > 1 or a is b]
-    for f, g in rng.sample(pairs, min(200, len(pairs))) + [({}, vecs[0])]:
-        want = field_inner_hbar(f, g, field)
+    rows = [ws.jack_row(lam) for n in range(maxn + 1) for lam in partitions_of(n)]
+    rows += [ws.psi_row(lam, s) for n in range(maxn + 1) for lam, s in eigen_pairs(n)]
+    pairs = [(a, b) for a in rows for b in rows if len(a[0]) > 1 or a is b]
+    for f, g in rng.sample(pairs, min(200, len(pairs))) + [(field.clear({}), rows[0])]:
+        want = field_inner_hbar(field.uncleared(f), field.uncleared(g), field)
         assert inner_hbar(f, g, field) == want
-        (a, da), (b, db) = field.clear(f), field.clear(g)
-        assert inner_hbar(a, b, field, da * db) == want
+        (a, da) = f
+        assert inner_hbar(({k: 3 * c for k, c in a.items()}, 3 * da), g, field) == want
 
 
 def test_monomial_norm():
@@ -72,17 +73,18 @@ def test_monomial_norm():
 def test_projections():
     one = F.one
     zeta = {(0, (1,)): one, (1, (2,)): one}
-    assert project(zeta, "pi0") == {(1,): one}
-    assert project(zeta, "pi+") == {(1, (2,)): one}
+    assert pi0(zeta) == {(1,): one}
+    assert pi_plus(zeta) == {(1, (2,)): one}
     assert Pi({(2, (1,)): one}) == {(1, (1,)): one}
     # pi0 + pi+ = id
     assert v_accum(fock_to_ext(pi0(zeta)), pi_plus(zeta)) == zeta
     # Pi(w .) = id ; w Pi = pi+
     assert Pi(w_mul(zeta)) == zeta
     assert w_mul(Pi(zeta)) == pi_plus(zeta)
-    assert project({(3, ()): F.num(5)}, "pi*", F) == F.num(5)
+    assert pi_star(F.clear({(3, ()): F.num(5)}), F) == F.num(5)
+    assert pi_star(F.clear({}), F) == F.zero
     with pytest.raises(InhomogeneousForPiStar):
-        project({(0, (1,)): one, (0, (1, 1)): one}, "pi*", F)
+        pi_star(F.clear({(0, (1,)): one, (0, (1, 1)): one}), F)
 
 
 def test_adjointness():
@@ -94,16 +96,18 @@ def test_adjointness():
         gvecs = list(partitions_of(n))
         f = {rng.choice(fvecs): F.num(rng.randint(1, 4))}
         g = {rng.choice(gvecs): F.num(rng.randint(1, 4))}
-        lhs = inner_hbar({tuple(sorted(mu + (k,), reverse=True)): c
-                          for mu, c in f.items()}, g, F)
-        rhs = inner_hbar(f, v_scale(deriv_V(g, k), F.hbar * F.num(k)), F)
+        lhs = inner_hbar(F.clear({tuple(sorted(mu + (k,), reverse=True)): c
+                                  for mu, c in f.items()}), F.clear(g), F)
+        rhs = inner_hbar(F.clear(f), F.clear(v_scale(deriv_V(g, k), F.hbar * F.num(k))), F)
         assert lhs == rhs
 
 
 def test_annihilate():
     one = F.one
-    got = annihilate({(2, 1): one}, (1,), F)
-    assert got == {(2,): F.hbar}
+    assert annihilate({(2, 1): one}, (1,)) == {(2,): one}
+    assert annihilate({(2, 2, 1): one}, (2, 2)) == {(1,): 8 * one}
+    got = fock_adjoint_apply(F.clear({(1,): one}), F.clear({(2, 1): one}), F)
+    assert got == F.clear({(2,): F.hbar})
 
 
 def test_transitions():

@@ -256,9 +256,10 @@ def test_partial_fractions_reconstruct(field, pre, num, den):
         assert total == f.value_at(u, field)
 
 
-def _expands_back(data, labels, basis, expand):
+def _expands_back(data, field, labels, basis, expand):
     """Sum random terms q * basis(label), q with pairwise coprime large
-    denominators, plus q' and -q' on one label, and expand the sum."""
+    denominators, plus q' and -q' on one label, as one row, and expand the
+    row; basis gives cleared rows and expand returns one."""
     chosen = data.draw(st.lists(st.sampled_from(labels), min_size=1,
                                 max_size=min(5, len(labels)), unique=True))
     dens = data.draw(st.permutations(BIG_PRIMES))
@@ -266,11 +267,11 @@ def _expands_back(data, labels, basis, expand):
     q = Fraction(data.draw(NUMERATORS), dens[-1])
     lab = data.draw(st.sampled_from(labels))
     terms += [(lab, q), (lab, -q)]
-    vec, want = {}, {}
+    want = {}
     for lab, q in terms:
-        v_accum(vec, basis(lab), q)
         bump(want, lab, q)
-    assert list(expand(vec).items()) == [(lab, want[lab]) for lab in labels if lab in want]
+    got = field.uncleared(expand(field.combine([(q, basis(lab)) for lab, q in terms])))
+    assert list(got.items()) == [(lab, want[lab]) for lab in labels if lab in want]
 
 
 # the last default point has fractional e1, e2, so the dual rows carry
@@ -280,7 +281,7 @@ def _expands_back(data, labels, basis, expand):
 def test_jack_combination_expands_back(spec_all, data):
     ws = spec_all[-1]
     labels = partitions_of(data.draw(st.integers(1, 6)))
-    _expands_back(data, labels, ws.jack, ws.expand_in_jacks)
+    _expands_back(data, ws.field, labels, ws.jack_row, ws.expand_in_jacks)
 
 
 @settings(max_examples=30, deadline=None)
@@ -288,7 +289,7 @@ def test_jack_combination_expands_back(spec_all, data):
 def test_psi_hat_combination_expands_back(spec_all, data):
     ws = spec_all[-1]
     labels = eigen_pairs(data.draw(st.integers(1, 5)))
-    _expands_back(data, labels, lambda p: ws.psi_hat(*p), ws.expand_psi_hat)
+    _expands_back(data, ws.field, labels, lambda p: ws.psi_hat_row(*p), ws.expand_psi_hat)
 
 
 def _sparse_ext(data):
@@ -306,12 +307,13 @@ def test_lax_apply_and_beta_match_field_oracle(spec_all, data):
     ws = spec_all[-1]
     f = ws.field
     a, b = _sparse_ext(data), _sparse_ext(data)
-    assert list(lax_apply(f, a).items()) == list(field_lax_apply(f, a).items())
-    want = list(field_beta(ws, a, b).items())
-    assert list(beta(ws, a, b).items()) == want
-    (na, da), (nb, db) = v_clear(a), v_clear(b)
-    den = da * db * f.lax_ints[2]
-    assert [(k, Fraction(v, den)) for k, v in beta(ws, na, nb, cleared=True).items()] == want
+    ra, rb = v_clear(a), v_clear(b)
+    img = lax_apply(f, ra)
+    assert img[1] == ra[1] * f.lax_ints[2]
+    assert list(f.uncleared(img).items()) == list(field_lax_apply(f, a).items())
+    got = beta(ws, ra, rb)
+    assert got[1] == ra[1] * rb[1] * f.lax_ints[2]
+    assert list(f.uncleared(got).items()) == list(f.uncleared(field_beta(ws, ra, rb)).items())
 
 
 # C = lcm(den e1, den e2) is 1, 1, 14 and 40 at these points

@@ -50,6 +50,25 @@ def test_construction_from_lax(spec):
     assert rep["xminus_literal_sign"] == [-1]
 
 
+def test_row_paths_match_the_vector_oracles(spec_all, sym):
+    # the construction check on psi-hat rows and Delta on cleared rows give
+    # what their field-scalar vector paths give, degree <= 4, symbolically
+    # and at each default point; Delta also on products of two Jacks
+    for ws in spec_all + [sym]:
+        rep = construction_from_lax_check(ws, 4)
+        assert rep == oracles.field_construction_from_lax_check(ws, 4), ws.field.name
+        assert rep == {"xplus": True, "yinv": True, "xminus_lax": True,
+                       "xminus_literal_sign": [-1], "y_equals_minus_Pminus": True}
+        ctx = h_context(ws, 4)
+        rows = [ws.jack_row(lam) for n in range(5) for lam in partitions_of(n)]
+        rows += [lr.jack_product(ws, mu, nu) for mu, nu in [((1,), (1,)), ((2,), (1, 1)),
+                                                          ((2, 1), (1,)), ((1, 1), (1, 1))]]
+        for row in rows:
+            got = delta_via_states(ws, row, ctx)
+            assert got == oracles.delta_via_states(ws, ws.field.uncleared(row), 4)
+            assert got == lr.delta_map(ws, row)
+
+
 def test_whittaker(spec):
     rep = whittaker_checks(spec, 4)
     for key in ("gaiotto_is_exponential", "H_is_sum_Vn", "whittaker_minus",
@@ -86,8 +105,8 @@ def test_delta_agreement(spec):
     for n in range(1, 5):
         ctx = h_context(spec, n)
         for lam in partitions_of(n):
-            a = delta_via_states(spec, spec.jack(lam), ctx)
-            b = lr.delta_map(spec, spec.jack(lam))
+            a = delta_via_states(spec, spec.jack_row(lam), ctx)
+            b = lr.delta_map(spec, spec.jack_row(lam))
             assert a == b
 
 
@@ -106,21 +125,24 @@ def test_shared_h_context_matches_the_per_lam_oracle(spec_all, sym):
         for n in range(1, 6):
             ctx = h_context(ws, n)
             for lam in partitions_of(n):
-                got = delta_via_states(ws, ws.jack(lam), ctx)
-                assert got == oracles.delta_via_states(ws, ws.jack(lam), n), (ws.field.name, lam)
+                row = ws.jack_row(lam)
+                got = delta_via_states(ws, row, ctx)
+                assert got == oracles.delta_via_states(ws, ws.field.uncleared(row), n), \
+                    (ws.field.name, lam)
 
 
 def test_integer_jhat_dagger_matches_field_path(spec_all):
     # on cleared rows, jhat_lam^dagger of each H context vector is the
     # field-scalar image, coefficient order included, for |lam| <= 5; and
-    # H's Fock image is the v_accum sum of its Jacks
+    # H's Fock image is the row of the v_accum sum of its Jacks
     for ws in spec_all:
-        H, vec, parts = h_context(ws, 6)
+        H, row, parts = h_context(ws, 6)
         want = {}
         for lam, c in H.items():
-            v_accum(want, ws.jack(lam), c)
-        assert list(vec.items()) == list(want.items())
-        for v in [vec] + [p for _, p in parts]:
+            v_accum(want, ws.field.uncleared(ws.jack_row(lam)), c)
+        assert list(ws.field.uncleared(row).items()) == list(want.items())
+        assert row == ws.field.clear(want)
+        for v in [row] + [p for _, p in parts]:
             memo = {}
             for n in range(1, 6):
                 for lam in partitions_of(n):

@@ -4,8 +4,8 @@ import pytest
 
 from jacklax.errors import NotGood, NotInNullSpace
 from jacklax.fock import (Pi, ext_mul, fock_to_ext, hn_basis, pi0, pi_plus,
-                          v_accum, v_scale, w_mul)
-from jacklax.lax import lax_apply
+                          v_accum, w_mul)
+from jacklax.lax import lax_apply, op_A
 from jacklax.partitions import (add_box, add_set, parse_partition,
                                 partitions_of)
 from jacklax.spectral import T_partition, star_residues
@@ -14,18 +14,24 @@ from jacklax.traces import (beta, beta_basic, cokernel_relations,
                             good_normalizer_F, hexagon_span_dimension,
                             kernel_basis, kernel_dim_series, kernel_dimension,
                             koszul_A_series, koszul_hilbert_check,
-                            null_module_expected_dim, null_module_rank, pf_eq,
-                            resolvent_w_identity, rho_apply, rho_general,
-                            theta, theta_basic, trace_y_u, verify_cokernel,
-                            verify_twisted_traces, verify_y_trace_product)
+                            null_module_expected_dim, null_module_rank, pair_traces,
+                            pf_eq, resolvent_w_identity, rho_general,
+                            theta, theta_basic, verify_cokernel,
+                            verify_twisted_traces, y_trace_product_check)
 from oracles import q_poly_hat
+
+
+def _jack_hat_row(ws, lam):
+    """The cleared row of jhat_lam = j_lam / varpi_lam as an ExtVec."""
+    nums, d = ws.jack_row(lam)
+    return ws.field.combine([(1 / ws.varpi(lam), (fock_to_ext(nums), d))])
 
 
 def test_y_u_of_jack_hat(spec):
     F = spec.field
     for n in range(1, 6):
         for lam in partitions_of(n):
-            got = trace_y_u(spec, fock_to_ext(spec.jack_hat(lam)))
+            got = full_trace(spec, _jack_hat_row(spec, lam)).y
             T = T_partition(F, lam)
             exp = {s: T.residue(s, F) for s in T.den}
             assert pf_eq(got, exp)
@@ -35,9 +41,10 @@ def test_trace_of_psi_hat(spec):
     F = spec.field
     for n in range(1, 5):
         for lam in partitions_of(n):
-            assert not full_trace(spec, fock_to_ext(spec.jack(lam))).z
+            nums, d = spec.jack_row(lam)
+            assert not full_trace(spec, (fock_to_ext(nums), d)).z
             for s in add_set(lam):
-                tv = full_trace(spec, spec.psi_hat(lam, s))
+                tv = full_trace(spec, spec.psi_hat_row(lam, s))
                 assert tv.x == {add_box(lam, s): F.one}
                 assert tv.y == {s: F.one}
                 assert tv.z == {lam: F.one}
@@ -107,17 +114,18 @@ def test_kernel_generators():
 def test_hexagons_in_kernel(spec):
     for n in (4, 5):
         for hx in kernel_basis(n):
-            tv = full_trace(spec, *hx.value(spec))
+            tv = full_trace(spec, hx.value(spec))
             assert not tv.x and not tv.y and not tv.z
 
 
 def test_beta_basics(spec):
     F = spec.field
+    R, V = F.clear, F.uncleared
     one = F.one
     for m in (1, 2, 3):
-        assert beta_basic(spec, 1, m) == {(0, (m + 1,)): one, (m, (1,)): -one}
+        assert V(beta_basic(spec, 1, m)) == {(0, (m + 1,)): one, (m, (1,)): -one}
     # beta(1, zeta) = 0
-    assert beta(spec, {(0, ()): one}, {(2, (1,)): one}) == {}
+    assert V(beta(spec, R({(0, ()): one}), R({(2, (1,)): one}))) == {}
     # beta(w, zeta) = pi0 L w zeta - V1 zeta
     rng = random.Random(3)
     for _ in range(5):
@@ -125,8 +133,8 @@ def test_beta_basics(spec):
         keys = list(hn_basis(n))
         zeta = {k: F.num(rng.randint(-3, 3) or 1)
                 for k in rng.sample(keys, min(2, len(keys)))}
-        lhs = beta(spec, {(1, ()): one}, zeta)
-        rhs = v_accum(fock_to_ext(pi0(lax_apply(F, w_mul(zeta)))),
+        lhs = V(beta(spec, R({(1, ()): one}), R(zeta)))
+        rhs = v_accum(fock_to_ext(V(op_A(F, R(zeta)))),
                       ext_mul({(0, (1,)): one}, zeta), -one)
         assert lhs == rhs
 
@@ -134,7 +142,7 @@ def test_beta_basics(spec):
 def test_beta_principal_specialization_vanishes(spec):
     F = spec.field
     for (a, b) in [(1, 1), (2, 1), (2, 2), (3, 1)]:
-        bb = beta_basic(spec, a, b)
+        bb = F.uncleared(beta_basic(spec, a, b))
         tot = {}
         for (m, mu), c in bb.items():
             d = len(mu)
@@ -144,54 +152,59 @@ def test_beta_principal_specialization_vanishes(spec):
 
 def test_beta_F_bilinear(spec):
     F = spec.field
+    R, V = F.clear, F.uncleared
     one = F.one
     zeta = {(2, ()): one}
     xi = {(1, (1,)): one}
     eta = {(0, (2, 1)): one}
-    assert beta(spec, zeta, ext_mul(eta, xi)) == ext_mul(eta, beta(spec, zeta, xi))
-    assert beta(spec, zeta, xi) == beta(spec, zeta, pi_plus(xi))
+    assert V(beta(spec, R(zeta), R(ext_mul(eta, xi)))) == ext_mul(eta, V(beta(spec, R(zeta), R(xi))))
+    assert V(beta(spec, R(zeta), R(xi))) == V(beta(spec, R(zeta), R(pi_plus(xi))))
 
 
 def test_theta_basics(spec):
     F = spec.field
+    R, V = F.clear, F.uncleared
     one = F.one
     for m in (1, 2, 5):
-        assert theta_basic(spec, 1, m) == {(0, (m,)): one}
-    t22 = theta_basic(spec, 2, 2)
+        assert V(theta_basic(spec, 1, m)) == {(0, (m,)): one}
+    t22 = V(theta_basic(spec, 2, 2))
     assert pi0(t22) == {(3,): one}
-    assert pi_plus(t22) == w_mul(beta_basic(spec, 1, 1))
+    assert pi_plus(t22) == w_mul(V(beta_basic(spec, 1, 1)))
     # theta(psi-hat_1^v, psi-hat_lam^s) = jhat_lam
     for lam in [(1,), (2,), (2, 1)]:
         for s in add_set(lam):
             for v in add_set((1,)):
-                th = theta(spec, spec.psi_hat((1,), v), spec.psi_hat(lam, s))
-                assert th == fock_to_ext(spec.jack_hat(lam))
+                th = theta(spec, spec.psi_hat_row((1,), v), spec.psi_hat_row(lam, s))
+                assert V(th) == V(_jack_hat_row(spec, lam))
     # pi0 theta = pi0 L dPi ; pi+ theta = w beta(Pi, Pi)
     z1 = {(2, (1,)): one}
     z2 = {(1, (2,)): one}
-    th = theta(spec, z1, z2)
-    assert pi0(th) == pi0(lax_apply(F, d_Pi(spec, z1, z2)))
-    assert pi_plus(th) == w_mul(beta(spec, Pi(z1), Pi(z2)))
+    th = V(theta(spec, R(z1), R(z2)))
+    assert pi0(th) == pi0(V(lax_apply(F, R(d_Pi(spec, z1, z2)))))
+    assert pi_plus(th) == w_mul(V(beta(spec, R(Pi(z1)), R(Pi(z2)))))
 
 
 def test_twisted_traces(spec):
+    R = spec.field.clear
     one = spec.field.one
     cases = [((1,), (1, 0), (2, 1), (1, 1)),
              ((2,), (0, 2), (1, 1), (0, 1)),
              ((1,), (0, 1), (1,), (1, 0))]
     for lam, s, nu, t in cases:
-        rep = verify_twisted_traces(spec, spec.psi_hat(lam, s), spec.psi_hat(nu, t))
+        rep = verify_twisted_traces(spec, spec.psi_hat_row(lam, s), spec.psi_hat_row(nu, t))
         assert all(rep.values()), rep
-    rep = verify_twisted_traces(spec, {(2, ()): one}, {(3, ()): one})
+    rep = verify_twisted_traces(spec, R({(2, ()): one}), R({(3, ()): one}))
     assert all(rep.values()), rep
-    rep = verify_twisted_traces(spec, {(0, ()): one}, {(2, (1,)): one})
+    rep = verify_twisted_traces(spec, R({(0, ()): one}), R({(2, (1,)): one}))
     assert all(rep.values()), rep
 
 
 def test_y_trace_product(spec):
-    assert verify_y_trace_product(spec, (2, 1), (1, 1), (2, 1), (2, 0))
-    assert verify_y_trace_product(spec, (1,), (1, 0), (1,), (0, 1))
-    assert verify_y_trace_product(spec, (), (0, 0), (2,), (1, 0))
+    for lam, s, nu, t in [((2, 1), (1, 1), (2, 1), (2, 0)), ((1,), (1, 0), (1,), (0, 1)),
+                          ((), (0, 0), (2,), (1, 0))]:
+        t_prod, t_beta, _ = pair_traces(spec, spec.psi_hat_row(lam, s), spec.psi_hat_row(nu, t))
+        assert y_trace_product_check(spec, lam, s, nu, t, t_prod, t_beta,
+                                     star_residues(spec.field, lam, nu))
 
 
 @pytest.mark.parametrize("point, maxn", [(0, 4), (1, 4), (2, 4), (None, 3)])
@@ -204,10 +217,10 @@ def test_pair_traces_match_field_oracle(point, maxn, sym, spec_all):
     from oracles import field_beta, field_pair_traces, field_theta
     ws = sym if point is None else spec_all[point]
     for lam, s, nu, t in pair_quads(maxn):
-        p1, p2 = ws.psi_hat(lam, s), ws.psi_hat(nu, t)
-        assert list(beta(ws, p1, p2).items()) == list(field_beta(ws, p1, p2).items())
-        assert list(theta(ws, p1, p2).items()) == list(field_theta(ws, p1, p2).items())
         rows = ws.psi_hat_row(lam, s), ws.psi_hat_row(nu, t)
+        for op, oracle in ((beta, field_beta), (theta, field_theta)):
+            got, want = ws.field.uncleared(op(ws, *rows)), ws.field.uncleared(oracle(ws, *rows))
+            assert list(got.items()) == list(want.items())
         for got, want in zip(pair_traces(ws, *rows), field_pair_traces(ws, *rows)):
             assert got.n == want.n
             for part in ("x", "y", "z"):
@@ -229,7 +242,7 @@ def test_suites_match_with_operator_layer_on_oracles(monkeypatch):
                 for suite in (suite_traces, suite_spectral)]
 
     shipped = reports()
-    swaps = {id(lax.lax_apply): oracles.field_lax_apply, id(traces.beta): oracles.field_beta,
+    swaps = {id(lax.lax_apply): oracles.field_lax_row, id(traces.beta): oracles.field_beta,
              id(traces.theta): oracles.field_theta,
              id(traces.pair_traces): oracles.field_pair_traces}
     for name, mod in list(sys.modules.items()):
@@ -251,8 +264,7 @@ def test_trace_formula(spec):
     for lam, s, nu, t in [((1,), (1, 0), (2,), (0, 2)),
                           ((2, 1), (2, 0), (1, 1), (2, 0)),
                           ((1, 1), (0, 1), (1, 1), (2, 0))]:
-        th = theta(spec, spec.psi_hat(lam, s), spec.psi_hat(nu, t))
-        tv = full_trace(spec, th)
+        tv = full_trace(spec, theta(spec, spec.psi_hat_row(lam, s), spec.psi_hat_row(nu, t)))
         assert pf_eq(tv.x, lr.jack_lr(spec, lam, nu, hatted=True))
         assert pf_eq(tv.y, star_residues(F, lam, nu))
         assert not tv.z
@@ -266,24 +278,24 @@ def test_null_module_ranks(spec):
 
 
 def test_rho(spec):
+    # rho_lam^s = rho(psi-hat_lam^s) on Z0_lam: psi-hat^t - psi-hat^s ->
+    # psi-hat_{lam+s}^t - psi-hat_{lam+t}^s
     F = spec.field
-    one = F.one
     lam = (2, 1)
     A = add_set(lam)
     s = A[0]
+    xi = spec.psi_hat_row(lam, s)
     for t in A[1:]:
-        zeta = v_accum(dict(spec.psi_hat(lam, t)), spec.psi_hat(lam, s), -one)
-        img = rho_apply(spec, lam, s, zeta)
-        exp = v_accum(dict(spec.psi_hat(add_box(lam, s), t)),
-                      spec.psi_hat(add_box(lam, t), s), -one)
-        assert img == exp
+        zeta = spec.psi_hat_combine({(lam, t): 1, (lam, s): -1})
+        img = rho_general(spec, xi, zeta)
+        assert img == spec.psi_hat_combine({(add_box(lam, s), t): 1, (add_box(lam, t), s): -1})
         tv_in = full_trace(spec, zeta)
         tv_out = full_trace(spec, img)
         assert not tv_out.x
         assert pf_eq(tv_out.y, tv_in.y)
         assert pf_eq(tv_out.z, {k: -v for k, v in tv_in.x.items()})
     with pytest.raises(NotInNullSpace):
-        rho_apply(spec, lam, s, spec.psi_hat(lam, s))
+        rho_general(spec, xi, xi)
 
 
 def test_rho_beta_relation(spec):
@@ -292,17 +304,16 @@ def test_rho_beta_relation(spec):
     for lam in [(2, 1), (2,)]:
         for s in add_set(lam):
             v = add_set((1,))[0]
-            lhs = beta(spec, spec.psi_hat((1,), v), spec.psi_hat(lam, s))
-            rhs = rho_apply(spec, lam, s, fock_to_ext(spec.jack_hat(lam)))
-            assert lhs == rhs
+            lhs = beta(spec, spec.psi_hat_row((1,), v), spec.psi_hat_row(lam, s))
+            rhs = rho_general(spec, spec.psi_hat_row(lam, s), _jack_hat_row(spec, lam))
+            assert F.combine([(1, lhs)]) == rhs
     lam = (2, 1)
     A = add_set(lam)
-    zeta = v_accum(dict(spec.psi_hat(lam, A[0])), spec.psi_hat(lam, A[1]), -one)
+    zeta = spec.psi_hat_combine({(lam, A[0]): 1, (lam, A[1]): -1})
     # rho_general takes and returns cleared rows
-    clear = F.clear
-    assert rho_general(spec, clear(zeta), clear(zeta)) == clear({})
-    assert rho_general(spec, clear(zeta), clear(fock_to_ext(spec.jack_hat(lam)))) == \
-        clear(beta(spec, {(1, ()): one}, zeta))
+    assert rho_general(spec, zeta, zeta) == F.clear({})
+    assert rho_general(spec, zeta, _jack_hat_row(spec, lam)) == \
+        F.combine([(1, beta(spec, F.clear({(1, ()): one}), zeta))])
 
 
 def test_good_normalizer(spec):
@@ -317,9 +328,9 @@ def test_good_normalizer(spec):
         assert f == F.clear(acc)
     lam = (2, 1)
     A = add_set(lam)
-    bad = v_accum(dict(spec.psi_hat(lam, A[0])), spec.psi_hat(lam, A[1]), -one)
+    bad = spec.psi_hat_combine({(lam, A[0]): 1, (lam, A[1]): -1})
     with pytest.raises(NotGood):
-        good_normalizer_F(spec, F.clear(bad))
+        good_normalizer_F(spec, bad)
 
 
 def test_koszul():
@@ -366,13 +377,13 @@ def test_row_path_matches_field_oracles(point, maxn, sym, spec_all):
         n = sum(lam) + sum(nu)
         dual = duals.setdefault(n, field_psi_hat_dual(ws, n))
         want = field_expand_psi_hat(prod, dual)
-        assert list(ws.expand_psi_hat(*row).items()) == list(want.items())
-        got, want = full_trace(ws, *row), field_full_trace(ws, prod)
+        assert list(F.uncleared(ws.expand_psi_hat(row)).items()) == list(want.items())
+        got, want = full_trace(ws, row), field_full_trace(ws, prod)
         assert (got.n, got.x, got.y, got.z) == (want.n, want.x, want.y, want.z)
         assert _outcome(good_normalizer_F, ws, row) == \
             _outcome(field_good_normalizer_F, ws, prod, F.clear)
         p1, p2 = F.uncleared((a, da)), F.uncleared((b, db))
-        xi, zeta = d_Pi(ws, p1, p2), theta(ws, p1, p2)
+        xi, zeta = d_Pi(ws, p1, p2), F.uncleared(theta(ws, (a, da), (b, db)))
         assert _outcome(rho_general, ws, F.clear(xi), F.clear(zeta)) == \
             _outcome(field_rho_general, ws, xi, zeta, F.clear)
         good = _outcome(field_good_normalizer_F, ws, xi)
