@@ -11,6 +11,7 @@ Exit code 0 iff every requested check passes (conjecture suites never gate).
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -66,7 +67,7 @@ def _workspace(args):
 
 def _config(args):
     points = None
-    if getattr(args, "spec_points", None):
+    if getattr(args, "spec_points", None) is not None:
         points = RunConfig.parse_points(args.spec_points)
     return RunConfig(
         mode=getattr(args, "mode", "symbolic") or "symbolic",
@@ -345,9 +346,15 @@ def _join_spec_points(argv):
     return out
 
 
+@functools.cache
+def _parser():
+    """The parser main uses, built on first use: parse_args leaves a parser
+    as it found it, so one serves every call in a process."""
+    return build_parser()
+
+
 def main(argv=None):
-    ap = build_parser()
-    args = ap.parse_args(_join_spec_points(sys.argv[1:] if argv is None else argv))
+    args = _parser().parse_args(_join_spec_points(sys.argv[1:] if argv is None else argv))
     try:
         return args.fn(args)
     except JackLaxError as e:

@@ -8,7 +8,6 @@ with A = pi0 L w.  No pairing, basis change or matrix inverse is needed.
 """
 
 from .errors import JackLaxError
-from .fock import bump
 from .lax import op_A
 from .partitions import (arm, boxes, boxes_x, contains, hooks_lower,
                          hooks_upper, leg, partitions_of, rem_set, remove_box)
@@ -42,30 +41,6 @@ def varpi(field, lam):
 def jack_norm_sq(field, lam):
     """Stanley's hook-product norm |j_lam|^2."""
     return field.ratio(hooks_upper(lam) + hooks_lower(lam), ())
-
-
-def principal_specialization(row, field):
-    """Substitute V_k -> z for all k: {z-degree: scalar} from the cleared
-    row of a FockVec."""
-    nums, den = row
-    out = {}
-    for mu, c in nums.items():
-        bump(out, len(mu), c)
-    return {k: field.quotient(c, den) for k, c in out.items()}
-
-
-def content_product_poly(field, lam):
-    """Coefficients {degree: scalar} of prod_{b in lam} (z + [b])."""
-    coeffs = {0: field.one}
-    for b in boxes(lam):
-        v = field.lf(b)
-        new = {}
-        for d, c in coeffs.items():
-            new[d + 1] = new.get(d + 1, field.zero) + c
-            if v:
-                new[d] = new.get(d, field.zero) + c * v
-        coeffs = {d: c for d, c in new.items() if c}
-    return coeffs
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,8 @@ from functools import lru_cache
 
 from .errors import EmptyPartition, NotARemovableCorner, NotAnAddableBox
 from .fock import Pi, bump, degree_of, fock_to_ext, hn_basis, pi0, pi_plus, w_mul
-from .partitions import (add_set, add_box, format_partition, rem_set, rem_set_plus,
-                         remove_box)
-from .spectral import tau, tau_hat, tau_tilde
+from .partitions import add_set, format_partition, rem_set, rem_set_plus, remove_box
+from .spectral import tau_tilde
 
 
 # ---------------------------------------------------------------------------
@@ -138,43 +137,6 @@ def q_poly_row(ws, gamma):
     if not gamma:
         raise EmptyPartition("q is defined for nonempty partitions")
     return ws.field.combine([(1, op_B(ws.field, ws.jack_row(gamma)))])
-
-
-# ---------------------------------------------------------------------------
-# action coefficients in the psi basis
-# ---------------------------------------------------------------------------
-
-def w_action_coeffs(ws, lam, t, hatted=False):
-    """w psi_lam^t = sum_s c_s psi_{lam+t}^s; returns {s: c_s}."""
-    field = ws.field
-    if t not in add_set(lam):
-        raise NotAnAddableBox("box (%d,%d) not addable" % t)
-    gamma = add_box(lam, t)
-    out = {}
-    for s in add_set(gamma):
-        den = field.lf((s[0] - t[0] - 1, s[1] - t[1] - 1))
-        tv = tau_hat(field, gamma, s) if hatted else tau(field, gamma, s)
-        out[s] = tv / den
-    return out
-
-
-def Pi_action_coeffs(ws, lam, s, hatted=False):
-    """Pi psi_lam^s = sum_t c_t psi_{lam-t}^t; returns {t: c_t}.
-
-    With the fixed tau~ sign the denominator is [s-t-(1,1)]; the opposite
-    sign convention flips both tau~ and the denominator."""
-    field = ws.field
-    if s not in add_set(lam):
-        raise NotAnAddableBox("box (%d,%d) not addable" % s)
-    out = {}
-    for t in rem_set(lam):
-        tp = (t[0] + 1, t[1] + 1)
-        c = tau_tilde(field, lam, tp) / field.lf((s[0] - tp[0], s[1] - tp[1]))
-        if hatted:
-            below = remove_box(lam, t)
-            c = c * ws.pi_star_psi(below, t) / ws.pi_star_psi(lam, s)
-        out[t] = c
-    return out
 
 
 # ---------------------------------------------------------------------------

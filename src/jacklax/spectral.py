@@ -14,12 +14,6 @@ from .partitions import (add_box, add_set, rem_set, rem_set_plus,
                          remove_box, star_product)
 
 
-def N_fun(field):
-    """N(u) = u(u-[1,1]) / ((u-[1,0])(u-[0,1]))."""
-    return SpectralFun.from_factors(field, num=[(0, 0), (1, 1)],
-                                    den=[(1, 0), (0, 1)])
-
-
 def T_of_boxes(field, gamma):
     """T_Gamma(u) = prod over the box multiset of N(u - [b])."""
     num, den = {}, {}

@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
-from .errors import JackLaxError, NotGood, NotInNullSpace
+from .errors import JackLaxError, NotGood, NotInNullSpace, NotSplit
 from .fock import (Pi, bump, degree_of, deriv_V, ext_mul, hn_basis, pi_plus,
                    v_accum, w_mul)
 from .lax import lax_apply, q_poly_row
@@ -570,6 +570,11 @@ def _rho_conjectures(ws, max_degree):
                     except NotGood:
                         out.append({"id": ident, "status": "SKIP",
                                     "witness": "dPi not good"})
+                        continue
+                    except NotSplit as e:
+                        # over Q(e1,e2) a z-trace need not split into forms
+                        out.append({"id": ident, "status": "SKIP",
+                                    "witness": "F(dPi): %s" % e})
                         continue
                     b12 = beta(ws, z1, z2)
                     try:

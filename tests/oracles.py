@@ -50,26 +50,31 @@ Over Q(e1,e2) a Coeff keeps its denominator as an integer times prime
 linear forms and reduces by trial division.  Here Coeff is the reduced
 fraction of two integer polynomials, whatever its denominator, reduced by
 a bivariate gcd (a primitive PRS over Z[e2][e1]).
+
+Some closed forms of the paper are checked by the tests only: the
+principal specialization of a Jack and the content product it equals,
+the coefficients of w and Pi acting on the psi basis, and the one-box
+function N(u).  They live here too.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, gcd as _igcd
 
-from jacklax.arith import _BP_ONE, _BP_ZERO, BiPoly, _parse_poly, render_coeff
-from jacklax.errors import (JackLaxError, NotGood, NotInNullSpace, PoleAtSpecPoint,
-                            ZeroDenominator)
+from jacklax.arith import _BP_ONE, _BP_ZERO, BiPoly, SpectralFun, _parse_poly, render_coeff
+from jacklax.errors import (JackLaxError, NotAnAddableBox, NotGood, NotInNullSpace,
+                            PoleAtSpecPoint, ZeroDenominator)
 from jacklax.fock import (Pi, _as_ext, annihilate, bump, degree_of, ext_mul, fock_to_ext,
                           hall_inner_alpha, hn_basis, monomial_norm_sq, pi0, v_accum,
                           v_clear, v_scale, v_uncleared, w_mul)
 from jacklax.lax import psi_tilde_row, q_poly_row
 from jacklax.linalg import invert, matvec
-from jacklax.partitions import (add_box, eigen_pairs, partition, partitions_of, rem_set,
-                                 remove_box, size)
+from jacklax.partitions import (add_box, add_set, boxes, eigen_pairs, partition,
+                                 partitions_of, rem_set, remove_box, size)
 from jacklax.shc import (Y_eig, Yinv_eig, apply_dPhi, apply_diagonal, apply_X_minus,
                          apply_X_plus, fock_to_jack, h_state, jack_to_fock, pf_accum, pf_add,
                          pf_clean, pf_equal, pf_scale, pf_truncate, sfun_to_pf_keys)
-from jacklax.spectral import tau, tau_tilde
+from jacklax.spectral import tau, tau_hat, tau_tilde
 from jacklax.traces import TraceVector
 
 
@@ -705,6 +710,73 @@ def q_poly(ws, gamma):
 
 def q_poly_hat(ws, gamma):
     return v_scale(q_poly(ws, gamma), ws.field.one / ws.varpi(gamma))
+
+
+# ---------------------------------------------------------------------------
+# closed forms of paper identities the tests check
+# ---------------------------------------------------------------------------
+
+def principal_specialization(row, field):
+    """Substitute V_k -> z for all k: {z-degree: scalar} from the cleared
+    row of a FockVec."""
+    nums, den = row
+    out = {}
+    for mu, c in nums.items():
+        bump(out, len(mu), c)
+    return {k: field.quotient(c, den) for k, c in out.items()}
+
+
+def content_product_poly(field, lam):
+    """Coefficients {degree: scalar} of prod_{b in lam} (z + [b])."""
+    coeffs = {0: field.one}
+    for b in boxes(lam):
+        v = field.lf(b)
+        new = {}
+        for d, c in coeffs.items():
+            new[d + 1] = new.get(d + 1, field.zero) + c
+            if v:
+                new[d] = new.get(d, field.zero) + c * v
+        coeffs = {d: c for d, c in new.items() if c}
+    return coeffs
+
+
+def w_action_coeffs(ws, lam, t, hatted=False):
+    """w psi_lam^t = sum_s c_s psi_{lam+t}^s; returns {s: c_s}."""
+    field = ws.field
+    if t not in add_set(lam):
+        raise NotAnAddableBox("box (%d,%d) not addable" % t)
+    gamma = add_box(lam, t)
+    out = {}
+    for s in add_set(gamma):
+        den = field.lf((s[0] - t[0] - 1, s[1] - t[1] - 1))
+        tv = tau_hat(field, gamma, s) if hatted else tau(field, gamma, s)
+        out[s] = tv / den
+    return out
+
+
+def Pi_action_coeffs(ws, lam, s, hatted=False):
+    """Pi psi_lam^s = sum_t c_t psi_{lam-t}^t; returns {t: c_t}.
+
+    With the fixed tau~ sign the denominator is [s-t-(1,1)]; the opposite
+    sign convention flips both tau~ and the denominator."""
+    field = ws.field
+    if s not in add_set(lam):
+        raise NotAnAddableBox("box (%d,%d) not addable" % s)
+    out = {}
+    for t in rem_set(lam):
+        tp = (t[0] + 1, t[1] + 1)
+        c = tau_tilde(field, lam, tp) / field.lf((s[0] - tp[0], s[1] - tp[1]))
+        if hatted:
+            below = remove_box(lam, t)
+            c = c * ws.pi_star_psi(below, t) / ws.pi_star_psi(lam, s)
+        out[t] = c
+    return out
+
+
+def N_fun(field):
+    """N(u) = u(u-[1,1]) / ((u-[1,0])(u-[0,1])), the one-box T function."""
+    return SpectralFun.from_factors(field, num=[(0, 0), (1, 1)],
+                                    den=[(1, 0), (0, 1)])
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,17 @@
+import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 
 import pytest
 
+from jacklax import cli
 from jacklax.cli import main
 from jacklax.report import RunConfig
 from jacklax.session import CACHE_FORMAT
-from jacklax.verify import suite_counts, suite_delta
+from jacklax.verify import suite_conjectures, suite_counts, suite_delta
 
 
 def run_cli(args, **kw):
@@ -256,6 +259,8 @@ def test_size_zero_is_not_the_default(capsys):
      "verify tau does not take --include-conjectures"),
     (["shc", "--include-conjectures", "--max-degree", "1"],
      "verify shc does not take --include-conjectures"),
+    # an empty value is a bad point, not the default points
+    (["verify", "counts", "--spec-points="], "bad spec point ''"),
 ])
 def test_bad_input_exits_2_with_one_error_line(argv, needle):
     env = {k: v for k, v in os.environ.items() if k != "JACKLAX_CACHE_DIR"}
@@ -279,6 +284,68 @@ def test_conjectures_never_gate(tmp_path):
     r = run_cli(["verify", "conjectures", "--max-degree", "3"])
     assert r.returncode == 0
     assert "FAIL" in r.stdout
+
+
+def test_symbolic_conjectures_skip_a_non_split_normalizer(capsys):
+    # over Q(e1,e2) the z-trace of F(dPi(w, w^2 V_2)) is 2*e1^4*e2 + 2*e1*e2^4,
+    # which is not a product of linear forms: that instance is a SKIP naming
+    # it, and the rest of the report still prints
+    assert main(["verify", "conjectures", "--mode", "symbolic", "--max-degree", "5",
+                 "--format", "json"]) == 0
+    insts = json.loads(capsys.readouterr().out)["instances"]
+    skips = {i["id"]: i["witness"] for i in insts if i["status"] == "SKIP"}
+    assert sorted(skips) == ["beta=rho(F(dPi))theta (1, ()),(2, (2,))",
+                             "beta=rho(F(dPi))theta (2, ()),(1, (2,))"]
+    assert all(w.startswith("F(dPi): cannot divide by 2*e1^4*e2 + 2*e1*e2^4")
+               for w in skips.values())
+    assert len(insts) == 235
+
+
+def test_specialized_conjectures_report_unchanged():
+    # the canonical report at the default points, as it was before the
+    # symbolic SKIP above existed
+    rep = suite_conjectures(RunConfig(mode="specialized"), max_degree=5)
+    assert hashlib.sha256(rep.canonical_json().encode()).hexdigest() == \
+        "41848688844e079055febf2fbfd8ab2e6ff358c1758e036301562ab7edbd544b"
+
+
+def _in_process(argv, capsys):
+    """(exit code, stdout, stderr) of one main call in this process, with
+    the elapsed time of a text report masked."""
+    try:
+        rc = main(argv)
+    except SystemExit as e:
+        rc = e.code
+    out, err = capsys.readouterr()
+    return rc, re.sub(r"\(\d+ ms\)$", "(ms)", out, flags=re.M), err
+
+
+def test_repeated_calls_share_one_parser_and_stay_independent(capsys, monkeypatch):
+    # main parses with one parser per process; each call still prints and
+    # returns what it does on a fresh parser, whatever ran before it
+    sequence = [
+        ["lr", "compute", "--mu", "1", "--nu", "2", "--hatted"],
+        ["lr", "compute", "--mu", "1", "--nu", "2"],
+        ["verify", "tau", "--max-size", "1"],
+        ["verify", "delta"],
+        ["verify", "tau", "--max-size", "x"],          # argparse error
+        ["jack", "show", "1,2"],
+        ["jack", "show", "abc"],                       # library error
+        ["jack", "show", "1,2"],
+        ["--help"],
+        ["counts", "--partitions", "4"],
+        ["verify", "--help"],
+        ["verify", "tau", "--max-size", "1"],
+    ]
+    parser = cli._parser()
+    shared = [_in_process(argv, capsys) for argv in sequence]
+    assert cli._parser() is parser
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    fresh = [_in_process(argv, capsys) for argv in sequence]
+    assert shared == fresh
+    assert [rc for rc, _, _ in shared] == [0, 0, 0, 0, 2, 0, 2, 0, 0, 0, 0, 0]
+    assert "chat_" in shared[0][1] and "chat_" not in shared[1][1]
+    assert cli.build_parser() is not cli.build_parser()
 
 
 # jack_02_symbolic.json as the format-2 writer stored it: every scalar as text

@@ -8,8 +8,7 @@ literal (bench/tracer.py wraps functions by their names as strings).  Its own
 definition, comments and docstrings do not count, and neither do tests/: a
 name only the tests reach is a test convenience and belongs in
 tests/oracles.py or inlined in its test.  `main`, the console entry point,
-is exempt, and so are the paper-identity helpers in TEST_ONLY until a suite
-checks them.
+is exempt; names in TEST_ONLY would be too, and it is empty.
 
 The fields own the row format (clear, uncleared, combine, quotient and
 lax_ints), so the recursions and expansions run one code path for both;
@@ -25,15 +24,9 @@ import re
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "jacklax"
 ALLOWED = {"main"}
-# Paper identities that only tests check so far; each is to gain a suite
-# check or leave src/ (ROADMAP item 6).
-TEST_ONLY = {
-    "jack.principal_specialization",   # V_k -> z gives prod (z + [b])
-    "jack.content_product_poly",       # the content product it is checked against
-    "lax.w_action_coeffs",             # w psi in the psi basis
-    "lax.Pi_action_coeffs",            # Pi psi in the psi basis
-    "spectral.N_fun",                  # N(u), the one-box T function
-}
+# Names of src/ that only tests may reach, as "module.name"; empty, since
+# the closed forms only tests check live in tests/oracles.py.
+TEST_ONLY = set()
 _WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 

@@ -2,13 +2,13 @@ import pytest
 
 from jacklax.arith import SymbolicField
 from jacklax.fock import fock_mul, inner_hbar, v_accum
-from jacklax.jack import (content_product_poly, jack_norm_sq, pieri_stanley,
-                          principal_specialization, varpi)
+from jacklax.jack import jack_norm_sq, pieri_stanley, varpi
 from jacklax.partitions import (add_box, add_set, parse_partition, partition_pairs,
                                 partitions_of, transpose)
 from jacklax.spectral import tau
 from jacklax import lr
-from oracles import compute_integral_jacks, homogeneous_jacks, inner_hbar_expand_in_jacks
+from oracles import (compute_integral_jacks, content_product_poly, homogeneous_jacks,
+                     inner_hbar_expand_in_jacks, principal_specialization)
 
 F = SymbolicField()
 e1, e2 = F.e1, F.e2

@@ -7,15 +7,15 @@ import oracles
 from jacklax.arith import DEFAULT_SPEC_POINTS, SpecializedField, SpecPoint, SymbolicField
 from jacklax.errors import NotAnAddableBox, NotARemovableCorner, EmptyPartition
 from jacklax.fock import fock_to_ext, pi0, pi_star, v_accum, v_clear, v_scale, w_mul
-from jacklax.lax import (Pi_action_coeffs, lax_apply, lax_plus_shift_check,
-                         op_A, op_B, phi_column_coeff, pi_diamond, q_poly_row,
-                         w_action_coeffs)
+from jacklax.lax import (lax_apply, lax_plus_shift_check, op_A, op_B, phi_column_coeff,
+                         pi_diamond, q_poly_row)
 from jacklax.linalg import rank
 from jacklax.partitions import (add_box, add_set, eigen_pairs, partitions_of,
                                 rem_set, rem_set_plus, remove_box)
 from jacklax.session import Workspace
 from jacklax.spectral import tau, tau_tilde
-from oracles import lax_matrix, psi_tilde, q_poly, q_poly_hat, vector_to_coords
+from oracles import (Pi_action_coeffs, lax_matrix, psi_tilde, q_poly, q_poly_hat,
+                     vector_to_coords, w_action_coeffs)
 
 
 def test_lax_on_generators(sym):

@@ -7,7 +7,8 @@ from jacklax.lr import (delta_kernel_check, delta_kernel_rank, delta_map,
                         marginalize)
 from jacklax.partitions import (add_box, add_set, parse_partition,
                                 partitions_of, transpose)
-from jacklax.spectral import N_fun, T_star, tau, with_pole
+from jacklax.spectral import T_star, tau, with_pole
+from oracles import N_fun
 
 
 def test_worked_example(sym):

@@ -5,9 +5,10 @@ from jacklax.errors import JackLaxError
 from jacklax.jack import jack_norm_sq
 from jacklax.partitions import (add_box, add_set, partitions_of,
                                 rem_set_plus, star_product)
-from jacklax.spectral import (N_fun, T1_scalar, T_of_boxes, T_partition,
-                              T_star, star_residues, tau, tau_hat,
-                              tau_tilde, verify_tau_identities)
+from jacklax.spectral import (T1_scalar, T_of_boxes, T_partition, T_star,
+                              star_residues, tau, tau_hat, tau_tilde,
+                              verify_tau_identities)
+from oracles import N_fun
 
 F = SymbolicField()
 e1, e2 = F.e1, F.e2
