@@ -72,12 +72,6 @@ class BiPoly:
     def __mul__(self, other):
         return _bp(_t_mul(self.t, other.t))
 
-    def is_const(self):
-        return not self.t or self.t.keys() == {(0, 0)}
-
-    def lead_coeff(self):
-        return self.t[max(self.t, key=_lead_order)]
-
     def evaluate(self, e1, e2):
         tot = Fraction(0)
         for (i, j), c in self.t.items():
@@ -450,9 +444,6 @@ class Coeff:
     def __hash__(self):
         return hash((self.num, self.c, frozenset(self.forms.items())))
 
-    def is_int(self):
-        return self.c == 1 and not self.forms and self.num.is_const()
-
     # -- arithmetic
     def __neg__(self):
         return _make({k: -v for k, v in self.num.t.items()}, self.c, self.forms)
@@ -730,12 +721,22 @@ DEFAULT_SPEC_POINTS = (
 # vector: clear(vec) makes it, uncleared(row) reads it back, combine(terms)
 # is the row of sum c * nums / D over terms [(c, (nums, D))], and
 # quotient(num, den) is the scalar num / den for num and den numerators or
-# products of row denominators.  lax_ints is (L ebar, L hbar, L), the
-# constants lax.lax_apply runs its loop on.  At a point the numerators are
-# integers over their least D; over Q(e1,e2) a row is the Coeff vector
-# itself, and D and L are always 1.  A row need not be in lowest terms, but
-# clear and combine return the canonical one (least D), so two canonical
-# rows are equal exactly when their vectors are.
+# products of row denominators.  lax_ints is (L ebar, L hbar, L), ring
+# elements with ebar = L ebar / L and hbar = L hbar / L: lax.lax_apply runs
+# its loop on them, and shc.jhat_dagger builds its hbar powers from them.
+# At a point the numerators are integers over their least D; over Q(e1,e2)
+# a row is the Coeff vector itself, and D and L are always 1.  A row need
+# not be in lowest terms, but clear and combine return the canonical one
+# (least D), so two canonical rows are equal exactly when their vectors
+# are.
+#
+# Each field also keeps the memos of scalars it computes over and over: lf's
+# forms (_lf_cache) and the transition measures tau and tau~ (tau_memo and
+# tau_tilde_memo, {(lam, box): scalar}, filled by spectral.tau and
+# spectral.tau_tilde).  A value depends on the field's point, so the memos
+# live and die with the field and two fields never share an entry; no
+# module keeps a cache keyed by a field.  An entry is only ever written
+# with the one value it has, so concurrent callers need no lock.
 #
 # Each field also owns the disk cache's scalar codec: dump(x) is x in the
 # field's own form as plain JSON numbers, and load(v) reads it back, raising
@@ -758,6 +759,7 @@ class SymbolicField:
         self.zero = _C_ZERO
         self.one = _C_ONE
         self._lf_cache = {}
+        self.tau_memo, self.tau_tilde_memo = {}, {}
         self.e1 = Coeff.lf(1, 0)
         self.e2 = Coeff.lf(0, 1)
         self.hbar = -self.e1 * self.e2
@@ -861,6 +863,7 @@ class SpecializedField:
         self.zero = Fraction(0)
         self.one = Fraction(1)
         self._lf_cache = {}
+        self.tau_memo, self.tau_tilde_memo = {}, {}
         self.e1 = point.e1
         self.e2 = point.e2
         self.hbar = -self.e1 * self.e2
@@ -986,15 +989,6 @@ class SpectralFun:
     def one(field):
         return SpectralFun(field.one)
 
-    @staticmethod
-    def from_factors(field, num=(), den=()):
-        cn, cd = {}, {}
-        for r in num:
-            cn[r] = cn.get(r, 0) + 1
-        for r in den:
-            cd[r] = cd.get(r, 0) + 1
-        return SpectralFun(field.one, cn, cd)
-
     def degree(self):
         return sum(self.num.values()) - sum(self.den.values())
 
@@ -1032,26 +1026,6 @@ class SpectralFun:
             raise NotASimplePole("pole of order %d at [%d,%d]" % (m, *pole))
         return field.ratio(_forms_at(self.num, pole), _forms_at(self.den, pole, pole),
                            self.pre)
-
-    def value_at_form(self, form, field):
-        """Evaluate at u = [form]."""
-        try:
-            return field.ratio(_forms_at(self.num, form), _forms_at(self.den, form),
-                               self.pre)
-        except (ZeroDivisionError, ZeroDenominator):
-            raise PoleAtSpecPoint("evaluation at a pole") from None
-
-    def value_at(self, u, field):
-        """Evaluate at a scalar value of u."""
-        val = self.pre
-        for r, k in self.num.items():
-            val = val * (u - field.lf(r)) ** k
-        for r, k in self.den.items():
-            v = u - field.lf(r)
-            if not v:
-                raise PoleAtSpecPoint("evaluation at a pole")
-            val = val / v ** k
-        return val
 
     def expand_num(self, field):
         return poly_from_roots(self.num, field, self.pre)
@@ -1100,16 +1074,6 @@ class SpectralFun:
         if pre != "1":
             s = "(%s) * " % pre + s
         return s
-
-    def pf_str(self, field):
-        poly, res = self.partial_fractions(field)
-        parts = []
-        for i, c in enumerate(poly):
-            if c:
-                parts.append("(%s)%s" % (render_coeff(c), "" if i == 0 else "*u^%d" % i))
-        for pole in sorted(res):
-            parts.append("(%s)/(u - [%d,%d])" % (render_coeff(res[pole]), *pole))
-        return " + ".join(parts) if parts else "0"
 
     def __repr__(self):
         return self.factored_str()

@@ -202,8 +202,9 @@ def inner_hbar(f, g, field):
     """Inner product of the cleared rows f and g (of ExtVecs or FockVecs).
 
     The products of numerators on the common keys are summed against the
-    cleared row of the Gram weights <key, key> there, with one
-    field.quotient."""
+    Gram weights <key, key> = z_mu hbar^l(mu) as ring elements, with one
+    field.quotient: for hbar = h / L, (h, L) = field.lax_ints[1:], and m
+    the longest l(mu), the weight of mu is z_mu h^l L^(m-l) over L^m."""
     (f, d1), (g, d2) = f, g
     f = _as_ext(f)
     g = _as_ext(g)
@@ -211,9 +212,11 @@ def inner_hbar(f, g, field):
     common = [key for key in small if key in big]
     if not common:
         return field.zero
-    gram, gden = field.clear({key: monomial_norm_sq(key[1], field) for key in common})
-    return field.quotient(sum(small[key] * big[key] * gram[key] for key in common),
-                          d1 * d2 * gden)
+    _, h, L = field.lax_ints
+    m = max(len(key[1]) for key in common)
+    powers = [h ** l * L ** (m - l) for l in range(m + 1)]
+    return field.quotient(sum(small[key] * big[key] * (zmu(key[1]) * powers[len(key[1])])
+                              for key in common), d1 * d2 * L ** m)
 
 
 def _as_ext(f):

@@ -7,6 +7,8 @@ and Euler's relation (the w^0 part of L w V_mu w^m is V_{m+1} V_mu) give
 with A = pi0 L w.  No pairing, basis change or matrix inverse is needed.
 """
 
+from functools import lru_cache
+
 from .errors import JackLaxError
 from .lax import op_A
 from .partitions import (arm, boxes, boxes_x, contains, hooks_lower,
@@ -38,9 +40,21 @@ def varpi(field, lam):
     return field.ratio(boxes_x(lam), ())
 
 
+@lru_cache(maxsize=None)
+def _hook_forms(lam):
+    """The upper and lower hooks of lam, whose product is |j_lam|^2."""
+    return tuple(hooks_upper(lam) + hooks_lower(lam))
+
+
 def jack_norm_sq(field, lam):
     """Stanley's hook-product norm |j_lam|^2."""
-    return field.ratio(hooks_upper(lam) + hooks_lower(lam), ())
+    return field.ratio(_hook_forms(lam), ())
+
+
+def jack_inv_norm_sq(field, lam, pre=None):
+    """pre (default 1) over |j_lam|^2, one field.ratio of the hook forms:
+    no division by the expanded norm."""
+    return field.ratio((), _hook_forms(lam), pre)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ with chat = c * varpi_gamma / (varpi_mu varpi_nu).
 from .errors import JackLaxError, NotACycle
 from .fock import bump, ext_mul, fock_mul
 from .linalg import rank, solve
-from .partitions import (boxes, contains, diagram_union, partition_pairs,
+from .partitions import (boxes, boxes_x, contains, diagram_union, partition_pairs,
                          partitions_of, size)
 from .spectral import star_residues
 
@@ -27,12 +27,16 @@ def jack_product(ws, mu, nu):
 
 def jack_lr(ws, mu, nu, hatted=False):
     """{gamma: c_{mu nu}^gamma} (or hatted) from the exact expansion of
-    the row of j_mu j_nu."""
-    table = ws.field.uncleared(ws.expand_in_jacks(jack_product(ws, mu, nu)))
-    if hatted:
-        vm = ws.varpi(mu) * ws.varpi(nu)
-        table = {g: c * ws.varpi(g) / vm for g, c in table.items()}
-    return table
+    the row of j_mu j_nu.  The hatted chat = c varpi_gamma / (varpi_mu
+    varpi_nu) is one field.ratio of the contents of gamma per entry, over
+    one scale per (mu, nu)."""
+    field = ws.field
+    row = ws.expand_in_jacks(jack_product(ws, mu, nu))
+    if not hatted:
+        return field.uncleared(row)
+    nums, den = row
+    scale = field.ratio((), boxes_x(mu) + boxes_x(nu), field.quotient(field.one, den))
+    return {g: field.ratio(boxes_x(g), (), c * scale) for g, c in nums.items()}
 
 
 def jacklax_lr(ws, lam, s, nu, t, hatted=False):

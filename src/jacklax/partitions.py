@@ -77,12 +77,18 @@ def contains_box(lam, b):
     return 0 <= i < len(lam) and 0 <= j < lam[i]
 
 
+# The single-box helpers below are memoised (the spectral factors and the
+# eigenbasis labels call them over and over on a few hundred partitions)
+# and return tuples, so no caller can change a cached value.
+
+@lru_cache(maxsize=None)
 def transpose(lam):
     if not lam:
         return ()
     return tuple(sum(1 for row in lam if row > j) for j in range(lam[0]))
 
 
+@lru_cache(maxsize=None)
 def add_set(lam):
     """Boxes that can be added (profile minima), sorted by row."""
     out = []
@@ -91,9 +97,10 @@ def add_set(lam):
         prev = lam[i - 1] if i > 0 else None
         if prev is None or prev > cur:
             out.append((i, cur))
-    return out
+    return tuple(out)
 
 
+@lru_cache(maxsize=None)
 def rem_set(lam):
     """Boxes that can be removed, sorted by row."""
     out = []
@@ -101,14 +108,16 @@ def rem_set(lam):
         nxt = lam[i + 1] if i + 1 < len(lam) else 0
         if row > nxt:
             out.append((i, row - 1))
-    return out
+    return tuple(out)
 
 
+@lru_cache(maxsize=None)
 def rem_set_plus(lam):
     """Outer corners: removable boxes shifted by (1,1)."""
-    return [(i + 1, j + 1) for (i, j) in rem_set(lam)]
+    return tuple((i + 1, j + 1) for (i, j) in rem_set(lam))
 
 
+@lru_cache(maxsize=None)
 def add_box(lam, b):
     i, j = b
     if b not in add_set(lam):
@@ -118,6 +127,7 @@ def add_box(lam, b):
     return partition(rows)
 
 
+@lru_cache(maxsize=None)
 def remove_box(lam, b):
     i, j = b
     if b not in rem_set(lam):
@@ -306,13 +316,6 @@ class SeriesZ:
     def one(order):
         s = SeriesZ(order)
         s.c[0] = Fraction(1)
-        return s
-
-    @staticmethod
-    def x_power(order, k):
-        s = SeriesZ(order)
-        if k <= order:
-            s.c[k] = Fraction(1)
         return s
 
     def __add__(self, other):

@@ -26,7 +26,7 @@ from .arith import SpecializedField, SpecPoint, SymbolicField
 from .errors import JackLaxError
 from .fock import degree_of, hn_basis, monomial_norm_sq
 from .fock import inner_hbar  # noqa: F401  (kept as session.inner_hbar)
-from .jack import compute_homogeneous_jacks, jack_norm_sq, varpi
+from .jack import compute_homogeneous_jacks, jack_inv_norm_sq, jack_norm_sq, varpi
 from .partitions import eigen_pairs, format_partition, partitions_of
 from .spectral import tau
 
@@ -182,7 +182,7 @@ class Workspace:
                 nums, den = self.gram_row(n)
                 gram = {mu: nums[(0, mu)] for mu in labels}, den
                 got = DualIndex(f, labels, [self.jack_row(lam) for lam in labels], gram,
-                                [f.one / self.norm_sq(lam) for lam in labels])
+                                [jack_inv_norm_sq(f, lam) for lam in labels])
                 self._jack_dual[n] = got
             return got
 
@@ -238,7 +238,7 @@ class Workspace:
             if got is None:
                 f = self.field
                 labels = eigen_pairs(n)
-                scales = [tau(f, lam, s) * self.pi_star_psi(lam, s) / self.norm_sq(lam)
+                scales = [jack_inv_norm_sq(f, lam, tau(f, lam, s) * self.pi_star_psi(lam, s))
                           for lam, s in labels]
                 got = DualIndex(f, labels, [self.psi_row(lam, s) for lam, s in labels],
                                 self.gram_row(n), scales)

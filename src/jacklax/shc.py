@@ -15,6 +15,7 @@ partial-fraction maps {key: state} with keys
 from .errors import JackLaxError
 from .fock import (Pi, bump, deriv_V, ext_degree, fock_adjoint_apply, fock_mul,
                    fock_to_ext, inner_hbar, pi0, v_accum, v_scale)
+from .jack import jack_inv_norm_sq
 from .lax import lax_apply, op_A, op_B
 from .partitions import (add_box, add_set, boxes, partitions_of, rem_set,
                          remove_box, size)
@@ -155,17 +156,21 @@ def jhat_dagger(ws, lam, row, memo):
     shared and never mutated.  memo[()] is the row itself, and
     memo[mu] is hbar^{-l(mu)} V_mu^dagger vec as numerators over its
     denominator, so hbar^l(mu) enters each term's coefficient and the sum
-    runs on numerators."""
+    runs on numerators: with hbar = h / L for (h, L) = field.lax_ints[1:]
+    and m the longest l(mu), the coefficient of term mu is the ring element
+    J[mu] h^l L^(m-l), and one field scalar 1 / (L^m D varpi_lam) scales
+    the sum."""
     field = ws.field
     if not memo:
         memo[()] = row
     # jhat_lam = J / (D varpi_lam) for the cleared row (J, D) of j_lam
     nums, d = ws.jack_row(lam)
-    scales = [field.one / (ws.varpi(lam) * d)]  # scales[l] = hbar^l / (D varpi_lam)
-    for _ in range(max(map(len, nums))):
-        scales.append(scales[-1] * field.hbar)
-    terms = [(scales[len(mu)] * c, _dagger_row(memo, mu)) for mu, c in nums.items()]
-    return fock_to_jack(ws, field.combine(terms))
+    _, h, L = field.lax_ints
+    m = max(map(len, nums))
+    powers = [h ** l * L ** (m - l) for l in range(m + 1)]
+    terms = [(c * powers[len(mu)], _dagger_row(memo, mu)) for mu, c in nums.items()]
+    scale = field.one / (ws.varpi(lam) * (d * L ** m))
+    return fock_to_jack(ws, field.combine([(scale, field.combine(terms))]))
 
 
 def _dagger_row(memo, mu):
@@ -197,7 +202,7 @@ def gaiotto_state(ws, N):
     out = {}
     for n in range(N + 1):
         for lam in partitions_of(n):
-            out[lam] = ws.field.one / ws.norm_sq(lam)
+            out[lam] = jack_inv_norm_sq(ws.field, lam)
     return out
 
 

@@ -14,7 +14,6 @@ are compared as canonical rows.
 """
 
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations
 
 from .errors import JackLaxError, NotGood, NotInNullSpace, NotSplit
@@ -62,16 +61,12 @@ def full_trace(ws, row):
     nums, d = ws.expand_psi_hat(row)
     x, y, z = {}, {}, {}
     for (lam, s), c in nums.items():
-        gam = _added(lam, s)
+        gam = add_box(lam, s)
         x[gam] = x.get(gam, 0) + c
         y[s] = y.get(s, 0) + c
         z[lam] = z.get(lam, 0) + c
     q = ws.field.quotient
     return TraceVector(n, *({k: q(c, d) for k, c in part.items() if c} for part in (x, y, z)))
-
-
-# add_box, memoised: the full trace and rho_general call it per psi-hat label
-_added = lru_cache(maxsize=None)(add_box)
 
 
 def pf_eq(a, b):
@@ -442,7 +437,7 @@ def rho_general(ws, xi, zeta):
         for t, c in by_lam.get(lam, {}).items():
             if t == s:
                 continue
-            a, b = (_added(lam, s), t), (_added(lam, t), s)
+            a, b = (add_box(lam, s), t), (add_box(lam, t), s)
             coeffs[a] = coeffs.get(a, 0) + xc * c
             coeffs[b] = coeffs.get(b, 0) - xc * c
     return ws.psi_hat_combine(coeffs, xi_den * zeta_den)

@@ -51,17 +51,28 @@ linear forms and reduces by trial division.  Here Coeff is the reduced
 fraction of two integer polynomials, whatever its denominator, reduced by
 a bivariate gcd (a primitive PRS over Z[e2][e1]).
 
+The single-box partition helpers (add_set, rem_set, rem_set_plus,
+transpose, add_box, remove_box) are memoised and return tuples, tau and
+tau~ are memoised per field, and the tau identities, jhat_lam^dagger and
+the hatted Jack LR table build their products as one field.ratio or on
+ring elements over one field scalar.  Here the helpers return lists and
+are recomputed on every call, tau and tau~ are computed afresh, and those
+three multiply and divide field scalars factor by factor.
+
 Some closed forms of the paper are checked by the tests only: the
 principal specialization of a Jack and the content product it equals,
-the coefficients of w and Pi acting on the psi basis, and the one-box
-function N(u).  They live here too.
+the coefficients of w and Pi acting on the psi basis, the one-box
+function N(u) and T_1 at a form.  They live here too, with the few
+helpers only the tests call (a SpectralFun from a root list, its value
+and its partial fractions as text, a BiPoly's leading coefficient).
 """
 
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, gcd as _igcd
 
-from jacklax.arith import _BP_ONE, _BP_ZERO, BiPoly, SpectralFun, _parse_poly, render_coeff
+from jacklax.arith import (_BP_ONE, _BP_ZERO, BiPoly, SpectralFun, _forms_at, _lead_order,
+                           _parse_poly, render_coeff)
 from jacklax.errors import (JackLaxError, NotAnAddableBox, NotGood, NotInNullSpace,
                             PoleAtSpecPoint, ZeroDenominator)
 from jacklax.fock import (Pi, _as_ext, annihilate, bump, degree_of, ext_mul, fock_to_ext,
@@ -71,9 +82,11 @@ from jacklax.lax import psi_tilde_row, q_poly_row
 from jacklax.linalg import invert, matvec
 from jacklax.partitions import (add_box, add_set, boxes, eigen_pairs, partition,
                                  partitions_of, rem_set, remove_box, size)
-from jacklax.shc import (Y_eig, Yinv_eig, apply_dPhi, apply_diagonal, apply_X_minus,
-                         apply_X_plus, fock_to_jack, h_state, jack_to_fock, pf_accum, pf_add,
-                         pf_clean, pf_equal, pf_scale, pf_truncate, sfun_to_pf_keys)
+from jacklax.lr import jack_product
+from jacklax.shc import (Y_eig, Yinv_eig, _dagger_row, apply_dPhi, apply_diagonal,
+                         apply_X_minus, apply_X_plus, fock_to_jack, h_state, jack_to_fock,
+                         pf_accum, pf_add, pf_clean, pf_equal, pf_scale, pf_truncate,
+                         sfun_to_pf_keys)
 from jacklax.spectral import tau, tau_hat, tau_tilde
 from jacklax.traces import TraceVector
 
@@ -775,8 +788,212 @@ def Pi_action_coeffs(ws, lam, s, hatted=False):
 
 def N_fun(field):
     """N(u) = u(u-[1,1]) / ((u-[1,0])(u-[0,1])), the one-box T function."""
-    return SpectralFun.from_factors(field, num=[(0, 0), (1, 1)],
-                                    den=[(1, 0), (0, 1)])
+    return sfun_from_factors(field, num=[(0, 0), (1, 1)], den=[(1, 0), (0, 1)])
+
+
+def sfun_from_factors(field, num=(), den=()):
+    """The SpectralFun prod(u - [r], r in num) / prod(u - [r], r in den),
+    each root listed as often as its multiplicity."""
+    cn, cd = {}, {}
+    for r in num:
+        cn[r] = cn.get(r, 0) + 1
+    for r in den:
+        cd[r] = cd.get(r, 0) + 1
+    return SpectralFun(field.one, cn, cd)
+
+
+def sfun_value_at_form(fun, form, field):
+    """The SpectralFun fun at u = [form]."""
+    try:
+        return field.ratio(_forms_at(fun.num, form), _forms_at(fun.den, form), fun.pre)
+    except (ZeroDivisionError, ZeroDenominator):
+        raise PoleAtSpecPoint("evaluation at a pole") from None
+
+
+def sfun_value_at(fun, u, field):
+    """The SpectralFun fun at a scalar value of u."""
+    val = fun.pre
+    for r, k in fun.num.items():
+        val = val * (u - field.lf(r)) ** k
+    for r, k in fun.den.items():
+        v = u - field.lf(r)
+        if not v:
+            raise PoleAtSpecPoint("evaluation at a pole")
+        val = val / v ** k
+    return val
+
+
+def sfun_pf_str(fun, field):
+    """The partial fractions of fun as text."""
+    poly, res = fun.partial_fractions(field)
+    parts = []
+    for i, c in enumerate(poly):
+        if c:
+            parts.append("(%s)%s" % (render_coeff(c), "" if i == 0 else "*u^%d" % i))
+    for pole in sorted(res):
+        parts.append("(%s)/(u - [%d,%d])" % (render_coeff(res[pole]), *pole))
+    return " + ".join(parts) if parts else "0"
+
+
+def lead_coeff(p):
+    """The coefficient of the leading term of the BiPoly p (in the term
+    order of arith)."""
+    return p.t[max(p.t, key=_lead_order)]
+
+
+# ---------------------------------------------------------------------------
+# the scalar layer without memos, and its sums on field scalars
+# ---------------------------------------------------------------------------
+
+def plain_transpose(lam):
+    if not lam:
+        return ()
+    return tuple(sum(1 for row in lam if row > j) for j in range(lam[0]))
+
+
+def plain_add_set(lam):
+    """Boxes that can be added (profile minima), sorted by row, as a list."""
+    out = []
+    for i in range(len(lam) + 1):
+        cur = lam[i] if i < len(lam) else 0
+        prev = lam[i - 1] if i > 0 else None
+        if prev is None or prev > cur:
+            out.append((i, cur))
+    return out
+
+
+def plain_rem_set(lam):
+    """Boxes that can be removed, sorted by row, as a list."""
+    out = []
+    for i, row in enumerate(lam):
+        nxt = lam[i + 1] if i + 1 < len(lam) else 0
+        if row > nxt:
+            out.append((i, row - 1))
+    return out
+
+
+def plain_rem_set_plus(lam):
+    return [(i + 1, j + 1) for (i, j) in plain_rem_set(lam)]
+
+
+def plain_add_box(lam, b):
+    if b not in plain_add_set(lam):
+        raise JackLaxError("box (%d,%d) not addable" % b)
+    rows = list(lam) + [0]
+    rows[b[0]] += 1
+    return partition(rows)
+
+
+def plain_remove_box(lam, b):
+    if b not in plain_rem_set(lam):
+        raise JackLaxError("box (%d,%d) not removable" % b)
+    rows = list(lam)
+    rows[b[0]] -= 1
+    return partition(rows)
+
+
+def _diffs(x, boxes, skip=None):
+    return [(x[0] - b[0], x[1] - b[1]) for b in boxes if b != skip]
+
+
+def plain_tau(field, lam, s):
+    """tau_lam^s computed afresh, with no memo."""
+    add = plain_add_set(lam)
+    if s not in add:
+        raise JackLaxError("box (%d,%d) not addable" % s)
+    return field.ratio(_diffs(s, plain_rem_set_plus(lam)), _diffs(s, add, s))
+
+
+def plain_tau_tilde(field, lam, t_plus):
+    """tau~_lam^t computed afresh, with no memo."""
+    outer = plain_rem_set_plus(lam)
+    if t_plus not in outer:
+        raise JackLaxError("box (%d,%d) not an outer corner" % t_plus)
+    return field.ratio(_diffs(t_plus, plain_add_set(lam)), _diffs(t_plus, outer, t_plus),
+                       -field.one)
+
+
+def T1_scalar(field, form):
+    """T_1 at the linear form x, [x][x+(1,1)] / ([x+(1,0)][x+(0,1)]);
+    JackLaxError where a factor of the denominator vanishes."""
+    a, b = form
+    try:
+        return field.ratio((form, (a + 1, b + 1)), ((a + 1, b), (a, b + 1)))
+    except (ZeroDivisionError, ZeroDenominator):
+        raise JackLaxError("T1 undefined at [%d,%d]" % form) from None
+
+
+def scalar_verify_tau_identities(field, lam, s):
+    """spectral.verify_tau_identities with one field operation per factor:
+    hbar, T_1 and the linear forms are multiplied and divided in, and tau,
+    tau~ come from plain_tau and plain_tau_tilde."""
+    def verdict(status):
+        return "SKIP" if not status else "PASS" if all(status) else "FAIL"
+
+    report = {}
+    A = plain_add_set(lam)
+    lam_s = plain_add_box(lam, s)
+    status = []
+    for b in A:
+        if b != s:
+            rhs = T1_scalar(field, (s[0] - b[0], s[1] - b[1])) * plain_tau(field, lam, b)
+            status.append(plain_tau(field, lam_s, b) == rhs)
+    report["tau_add_shift"] = verdict(status)
+    status = []
+    for t in plain_rem_set_plus(lam):
+        if t in plain_rem_set_plus(lam_s):
+            rhs = plain_tau_tilde(field, lam, t) / T1_scalar(field, (s[0] - t[0], s[1] - t[1]))
+            status.append(plain_tau_tilde(field, lam_s, t) == rhs)
+    report["tau_tilde_add_shift"] = verdict(status)
+    if field.lf(s) and field.lf((s[0] + 1, s[1] + 1)):
+        lhs = field.hbar / (field.lf(s) * field.lf((s[0] + 1, s[1] + 1)))
+        rhs = field.one - field.one / T1_scalar(field, s)
+        report["hbar_T1"] = "PASS" if lhs == rhs else "FAIL"
+    else:
+        report["hbar_T1"] = "SKIP"
+    R = plain_rem_set(lam)
+    status = []
+    for sp in ([s] if s in R else R):
+        acc = field.zero
+        for q in A:
+            d1 = (sp[0] - q[0], sp[1] - q[1])
+            d2 = (d1[0] + 1, d1[1] + 1)
+            acc = acc + field.hbar * plain_tau(field, lam, q) / (field.lf(d1) * field.lf(d2))
+        status.append(acc == plain_tau(field, plain_remove_box(lam, sp), sp))
+    report["tau_sum"] = verdict(status)
+    acc = field.zero
+    for t in plain_rem_set_plus(lam):
+        d1 = (s[0] - t[0], s[1] - t[1])
+        d2 = (d1[0] + 1, d1[1] + 1)
+        acc = acc + field.hbar * plain_tau_tilde(field, lam, t) / (field.lf(d1) * field.lf(d2))
+    rhs = -field.hbar + plain_tau_tilde(field, lam_s, (s[0] + 1, s[1] + 1))
+    report["tau_tilde_sum"] = "PASS" if acc == rhs else "FAIL"
+    return report
+
+
+def scalar_jhat_dagger(ws, lam, row, memo):
+    """shc.jhat_dagger with a field scalar per term: the coefficient of
+    term mu is J[mu] hbar^l(mu) / (D varpi_lam), hbar^l from a list of
+    field scalars."""
+    field = ws.field
+    if not memo:
+        memo[()] = row
+    nums, d = ws.jack_row(lam)
+    scales = [field.one / (ws.varpi(lam) * d)]
+    for _ in range(max(map(len, nums))):
+        scales.append(scales[-1] * field.hbar)
+    terms = [(scales[len(mu)] * c, _dagger_row(memo, mu)) for mu, c in nums.items()]
+    return fock_to_jack(ws, field.combine(terms))
+
+
+def scalar_jack_lr(ws, mu, nu, hatted=False):
+    """lr.jack_lr with the hatted entries c varpi_gamma / (varpi_mu varpi_nu)
+    multiplied and divided on field scalars."""
+    table = ws.field.uncleared(ws.expand_in_jacks(jack_product(ws, mu, nu)))
+    if hatted:
+        vm = ws.varpi(mu) * ws.varpi(nu)
+        table = {g: c * ws.varpi(g) / vm for g, c in table.items()}
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -1019,7 +1236,7 @@ def _int_content(A):
 
 def _bp_pos(A):
     """Flip sign so the canonical leading coefficient is positive."""
-    if A.t and A.lead_coeff() < 0:
+    if A.t and lead_coeff(A) < 0:
         return -A
     return A
 
@@ -1079,7 +1296,7 @@ class Coeff:
         if g != _BP_ONE:
             num = _bp_divexact(num, g)
             den = _bp_divexact(den, g)
-        if den.lead_coeff() < 0:
+        if lead_coeff(den) < 0:
             num, den = -num, -den
         self.num, self.den = num, den
 
@@ -1111,7 +1328,7 @@ class Coeff:
         return hash((self.num, self.den))
 
     def is_int(self):
-        return self.den == _BP_ONE and self.num.is_const()
+        return self.den == _BP_ONE and self.num.t.keys() <= {(0, 0)}
 
     # -- arithmetic
     def __neg__(self):
@@ -1158,7 +1375,7 @@ class Coeff:
             if g != _BP_ONE:
                 n2, d1 = _bp_divexact(n2, g), _bp_divexact(d1, g)
         num, den = n1 * n2, d1 * d2
-        if den.lead_coeff() < 0:
+        if lead_coeff(den) < 0:
             num, den = -num, -den
         c = Coeff.__new__(Coeff)
         c.num, c.den = num, den
@@ -1173,7 +1390,7 @@ class Coeff:
         if not other.num.t:
             raise ZeroDenominator("division by zero")
         inv = Coeff.__new__(Coeff)
-        if other.num.lead_coeff() < 0:
+        if lead_coeff(other.num) < 0:
             inv.num, inv.den = -other.den, -other.num
         else:
             inv.num, inv.den = other.den, other.num

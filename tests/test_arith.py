@@ -170,8 +170,7 @@ def test_bad_points_rejected():
 
 
 def N(field):
-    return SpectralFun.from_factors(field, num=[(0, 0), (1, 1)],
-                                    den=[(1, 0), (0, 1)])
+    return oracles.sfun_from_factors(field, num=[(0, 0), (1, 1)], den=[(1, 0), (0, 1)])
 
 
 def test_sfun_residues():
@@ -179,11 +178,11 @@ def test_sfun_residues():
     assert n.residue((1, 0), F) == e1 * (-e2) / (e1 - e2)
     assert n.residue((0, 1), F) == e2 * (-e1) / (e2 - e1)
     # 1/u = u^{-1} T_empty has residue 1 at the origin
-    inv_u = SpectralFun.from_factors(F, num=[], den=[(0, 0)])
+    inv_u = oracles.sfun_from_factors(F, num=[], den=[(0, 0)])
     assert inv_u.residue((0, 0), F) == F.one
     with pytest.raises(NotAPole):
         n.residue((5, 5), F)
-    dbl = SpectralFun.from_factors(F, num=[], den=[(1, 0), (1, 0)])
+    dbl = oracles.sfun_from_factors(F, num=[], den=[(1, 0), (1, 0)])
     with pytest.raises(NotASimplePole):
         dbl.residue((1, 0), F)
 
@@ -198,7 +197,7 @@ def test_sfun_partial_fraction_reconstruction():
         acc = F.one
         for pole, r in res.items():
             acc = acc + r / (uval - F.lf(pole))
-        assert acc == n.value_at(uval, F)
+        assert acc == oracles.sfun_value_at(n, uval, F)
 
 
 def test_sfun_equality():
@@ -207,8 +206,8 @@ def test_sfun_equality():
     assert not n.equal(SpectralFun.one(F), F)
     # product of three N factors equals the corner form of {1,2}
     t12 = n * n.shift((1, 0)) * n.shift((0, 1))
-    corner = SpectralFun.from_factors(
-        F, num=[(0, 0), (2, 1), (1, 2)], den=[(2, 0), (1, 1), (0, 2)])
+    corner = oracles.sfun_from_factors(F, num=[(0, 0), (2, 1), (1, 2)],
+                                       den=[(2, 0), (1, 1), (0, 2)])
     assert t12.equal(corner, F)
     assert t12.num == corner.num and t12.den == corner.den
     # differing prefactors compare via cross multiplication
@@ -222,5 +221,5 @@ def test_sfun_printing():
     n = N(F)
     s = n.factored_str()
     assert "u" in s and "(u - [1,1])" in s and "/" in s
-    pf = n.pf_str(F)
+    pf = oracles.sfun_pf_str(n, F)
     assert "(u - [1,0])" in pf and "(u - [0,1])" in pf and pf.startswith("(1)")

@@ -1,14 +1,16 @@
-"""Every module-level function and class of src/jacklax is used by the
-library or the benchmark, no module but arith.py forks on field.symbolic,
-and no operator keeps a second, field-scalar vector mode.
+"""Every module-level function and class of src/jacklax, and every method
+but the dunders, is used by the library or the benchmark, no module but
+arith.py forks on field.symbolic, and no operator keeps a second,
+field-scalar vector mode.
 
 A name counts as used when some code in src/ or bench/*.py refers to it:
 as a name, an attribute, an imported name, or a word inside a string
 literal (bench/tracer.py wraps functions by their names as strings).  Its own
 definition, comments and docstrings do not count, and neither do tests/: a
 name only the tests reach is a test convenience and belongs in
-tests/oracles.py or inlined in its test.  `main`, the console entry point,
-is exempt; names in TEST_ONLY would be too, and it is empty.
+tests/oracles.py or inlined in its test.  A method counts as used when
+its name is, on whatever object.  `main`, the console entry point, is
+exempt, and so are the names in TEST_ONLY, each with its reason.
 
 The fields own the row format (clear, uncleared, combine, quotient and
 lax_ints), so the recursions and expansions run one code path for both;
@@ -24,9 +26,13 @@ import re
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "jacklax"
 ALLOWED = {"main"}
-# Names of src/ that only tests may reach, as "module.name"; empty, since
-# the closed forms only tests check live in tests/oracles.py.
-TEST_ONLY = set()
+# Names of src/ that only tests may reach, as "module.name" or
+# "module.Class.method", each with the reason it stays in src/.
+TEST_ONLY = {
+    # defines the canonical report (the part that stays byte-identical
+    # across refactors and --jobs values) beside Report.as_dict
+    "report.Report.canonical_json",
+}
 _WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
@@ -60,34 +66,55 @@ def _src_functions():
                 yield path, node
 
 
-def test_every_module_level_name_is_used():
+def _used():
+    """Every identifier the code of src/ and bench/*.py refers to."""
     files = sorted(SRC.glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
     used = set()
     for path in files:
         used.update(_references(ast.parse(path.read_text(), str(path))))
-    dead = []
+    return used
+
+
+def _is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
+def _definitions():
+    """(qualified name, name) of every module-level function and class of
+    src/ ("module.name") and of every method but the dunders
+    ("module.Class.name")."""
     for path in sorted(SRC.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
-            name = "%s.%s" % (path.stem, node.name) if hasattr(node, "name") else None
-            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    and node.name not in used and node.name not in ALLOWED
-                    and name not in TEST_ONLY):
-                dead.append(name)
-    assert dead == []
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            yield "%s.%s" % (path.stem, node.name), node.name
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and not _is_dunder(item.name):
+                        yield "%s.%s.%s" % (path.stem, node.name, item.name), item.name
+
+
+def _dead(methods):
+    used = _used()
+    return [qual for qual, name in _definitions()
+            if (qual.count(".") == 2) == methods
+            and name not in used and name not in ALLOWED and qual not in TEST_ONLY]
+
+
+def test_every_module_level_name_is_used():
+    assert _dead(methods=False) == []
+
+
+def test_every_method_is_used():
+    assert _dead(methods=True) == []
 
 
 def test_test_only_allowlist_is_current():
     # each allowlisted name exists and is still reached only from tests/
-    files = sorted(SRC.glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
-    used = set()
-    for path in files:
-        used.update(_references(ast.parse(path.read_text(), str(path))))
-    defined = {"%s.%s" % (path.stem, node.name)
-               for path in sorted(SRC.glob("*.py"))
-               for node in ast.parse(path.read_text()).body
-               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    used = _used()
+    defined = {qual for qual, _ in _definitions()}
     assert TEST_ONLY <= defined
-    assert [name for name in sorted(TEST_ONLY) if name.split(".")[1] in used] == []
+    assert [name for name in sorted(TEST_ONLY) if name.split(".")[-1] in used] == []
 
 
 def test_only_arith_reads_the_symbolic_flag():

@@ -36,15 +36,15 @@ def test_parse_and_format():
 
 
 def test_add_set_examples():
-    assert add_set(()) == [(0, 0)]
-    assert sorted(add_set((1,))) == [(0, 1), (1, 0)]
-    assert sorted(add_set((2, 1))) == [(0, 2), (1, 1), (2, 0)]
+    assert add_set(()) == ((0, 0),)
+    assert add_set((1,)) == ((0, 1), (1, 0))
+    assert add_set((2, 1)) == ((0, 2), (1, 1), (2, 0))
 
 
 def test_rem_set_plus_examples():
-    assert rem_set_plus((1,)) == [(1, 1)]
-    assert sorted(rem_set_plus((2, 1))) == [(1, 2), (2, 1)]
-    assert rem_set_plus(()) == []
+    assert rem_set_plus((1,)) == ((1, 1),)
+    assert rem_set_plus((2, 1)) == ((1, 2), (2, 1))
+    assert rem_set_plus(()) == ()
 
 
 def test_add_rem_brute_force():

@@ -19,8 +19,7 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 import oracles  # noqa: E402
 from jacklax.arith import (BiPoly, Coeff, SpecializedField, SpecPoint,  # noqa: E402
-                           SpectralFun, SymbolicField, DEFAULT_SPEC_POINTS,
-                           parse_coeff, render_coeff)
+                           SymbolicField, DEFAULT_SPEC_POINTS, parse_coeff, render_coeff)
 from jacklax.errors import BadSpecPoint, ZeroDenominator  # noqa: E402
 from jacklax.fock import bump, hn_basis, v_accum, v_clear, v_combine  # noqa: E402
 from jacklax.lax import lax_apply  # noqa: E402
@@ -154,7 +153,7 @@ def test_coeff_canonical_form_is_unique(num, den, g):
     c = Coeff(num, den)
     for d in (Coeff(num * g, den * g), Coeff(-num * g, -den * g)):
         assert (d.num, d.den) == (c.num, c.den) and hash(d) == hash(c)
-    assert c.den.lead_coeff() > 0
+    assert oracles.lead_coeff(c.den) > 0
     o = oracles.Coeff(num, den)
     assert (c.num, c.den) == (o.num, o.den)
 
@@ -244,7 +243,7 @@ def test_partial_fractions_reconstruct(field, pre, num, den):
     # function again, checked at u = [2k+1, 7], never a pole (whose e2
     # coefficient is at most 3); u - [pole] is then a linear form, which
     # a Coeff can divide by
-    f = SpectralFun.from_factors(field, num, den) * field.num(pre)
+    f = oracles.sfun_from_factors(field, num, den) * field.num(pre)
     poly, res = f.partial_fractions(field)
     for k in range(-2, 3):
         u = field.lf((2 * k + 1, 7))
@@ -253,7 +252,7 @@ def test_partial_fractions_reconstruct(field, pre, num, den):
             total = total + c * u ** i
         for pole, r in res.items():
             total = total + r / (u - field.lf(pole))
-        assert total == f.value_at(u, field)
+        assert total == oracles.sfun_value_at(f, u, field)
 
 
 def _expands_back(data, field, labels, basis, expand):
