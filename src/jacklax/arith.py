@@ -1027,29 +1027,40 @@ class SpectralFun:
         return field.ratio(_forms_at(self.num, pole), _forms_at(self.den, pole, pole),
                            self.pre)
 
-    def expand_num(self, field):
-        return poly_from_roots(self.num, field, self.pre)
-
-    def expand_den(self, field):
-        return poly_from_roots(self.den, field, field.one)
-
     def partial_fractions(self, field):
         """(polynomial part as little-endian list, {pole: residue}).
 
-        Requires all poles simple.
-        """
+        Requires all poles simple.  The polynomial part of degree
+        k = deg num - deg den >= 0 is read off the expansion at u = oo,
+        pre u^k prod(1 - [r]/u) / prod(1 - [p]/u): [pre] at k = 0, and at
+        k = 1 pre (u + [sum of poles - sum of roots]), one field.ratio of
+        the summed form."""
         res = {}
         for pole, m in self.den.items():
             if m != 1:
                 raise NotASimplePole("pole of order %d" % m)
             res[pole] = self.residue(pole, field)
-        deg = self.degree()
-        if deg < 0:
+        k = self.degree()
+        if k < 0 or not self.pre:
             return [], res
-        numc = self.expand_num(field)
-        denc = self.expand_den(field)
-        q, r = _poly_divmod(numc, denc, field)
-        return q, res
+        if k == 0:
+            return [self.pre], res
+        if k == 1:
+            a = sum(p[0] for p in self.den) - sum(r[0] * m for r, m in self.num.items())
+            b = sum(p[1] for p in self.den) - sum(r[1] * m for r, m in self.num.items())
+            return [field.ratio(((a, b),), (), self.pre), self.pre], res
+        # g(x) = prod(1 - [r] x) / prod(1 - [p] x) to x^k; the part is pre g_{k-i} u^i
+        g = [field.one] + [field.zero] * k
+        for r, m in self.num.items():
+            v = field.lf(r)
+            for _ in range(m):
+                for i in range(k, 0, -1):
+                    g[i] = g[i] - v * g[i - 1]
+        for p in self.den:
+            v = field.lf(p)
+            for i in range(1, k + 1):
+                g[i] = g[i] + v * g[i - 1]
+        return [self.pre * c for c in reversed(g)], res
 
     def equal(self, other, field):
         if self.num == other.num and self.den == other.den and self.pre == other.pre:
@@ -1096,18 +1107,3 @@ def _trim_poly(p):
     while p and not p[-1]:
         p.pop()
     return p
-
-
-def _poly_divmod(a, b, field):
-    a = list(a)
-    q = [field.zero] * max(0, len(a) - len(b) + 1)
-    while len(a) >= len(b) and _trim_poly(a):
-        if len(a) < len(b):
-            break
-        k = a[-1] / b[-1]
-        q[len(a) - len(b)] = k
-        for i in range(len(b)):
-            a[len(a) - len(b) + i] = a[len(a) - len(b) + i] - k * b[i]
-        a.pop()
-        _trim_poly(a)
-    return _trim_poly(q), _trim_poly(a)

@@ -1,6 +1,9 @@
 """The quantum Lax operator on H = F[w] and its polynomial eigenfunctions.
 
 L = pi_w sum_k (w^{-k} V_k + w^k V_{-k}) + ebar * w d/dw, acting on ExtVecs.
+Split as L = pi_w M + D: M = sum_k w^{-k} V_k multiplies, and
+D = sum_k hbar k w^k d/dV_k + ebar w d/dw is a derivation (lax_mult is
+pi_w M).
 Its eigenfunctions psi_lam^s (s addable to lam) are built by the corner
 recursion
     psi_lam^s = j_lam + w * sum_{t in R_lam}
@@ -62,6 +65,27 @@ def lax_apply(field, row):
     ebar, hbar, den = field.lax_ints
     nums, d = row
     return _lax_loop(nums, ebar, hbar, den), d * den
+
+
+def lax_mult(row):
+    """pi_w M on the cleared row of an ExtVec: the w^{-k} V_k moves of L
+    (k <= m), each with weight 1, so the image is a row over the same D.
+    It commutes with Pi, as M commutes with w^{-1} and the w^0 part of a
+    vector has no moves."""
+    nums, d = row
+    out = {}
+    for key, c in nums.items():
+        for k in _lax_moves(key)[1]:
+            w = out.get(k)
+            if w is None:
+                out[k] = c
+            else:
+                w += c
+                if w:
+                    out[k] = w
+                else:
+                    del out[k]
+    return out, d
 
 
 def op_A(field, row):

@@ -7,6 +7,12 @@ format of the library, and expands rows into rows; a field-scalar vector
 is made only where a value leaves the library (field.uncleared).  Caches
 are append-only behind a re-entrant lock; cached values are immutable.
 
+Two orthogonal duals expand rows: a DualIndex per degree for the Jacks,
+and for the psi-hats a PsiHatDual built from one CornerLevel per degree
+(the corner recursion of psi, read through the adjoint Pi of w), each
+level shared by the duals of every higher degree.  Workspace.memo keeps
+any other value derived once per workspace.
+
 With a cache directory, each Jack degree is also kept on disk, one JSON file
 per (degree, mode).  In format 3 the dicts "jacks", "norms" and "varpi" are
 keyed by format_partition(lam); a Jack is a list of [index into
@@ -21,14 +27,15 @@ import os
 import sys
 import tempfile
 import threading
+from typing import NamedTuple
 
 from .arith import SpecializedField, SpecPoint, SymbolicField
 from .errors import JackLaxError
 from .fock import degree_of, hn_basis, monomial_norm_sq
 from .fock import inner_hbar  # noqa: F401  (kept as session.inner_hbar)
 from .jack import compute_homogeneous_jacks, jack_inv_norm_sq, jack_norm_sq, varpi
-from .partitions import eigen_pairs, format_partition, partitions_of
-from .spectral import tau
+from .partitions import eigen_pairs, format_partition, partitions_of, rem_set, remove_box
+from .spectral import tau, tau_tilde
 
 
 # Version of the disk cache blob; a file in any other format is rebuilt.
@@ -54,11 +61,23 @@ class Workspace:
         self._varpi = {}    # degree -> {lam: varpi_lam}
         # expansion indexes, built from the rows
         self._jack_dual = {}    # degree -> DualIndex of the Jacks
-        self._psi_dual = {}     # degree -> DualIndex of the psi-hats
+        self._psi_levels = {}   # degree -> CornerLevel of the psi pairings
+        self._psi_dual = {}     # degree -> PsiHatDual of the psi-hats
+        self._memo = {}     # key -> a value derived once per workspace (memo)
 
     def key(self):
         """Cache key of the coefficient field ("symbolic" or the point)."""
         return self.field.key()
+
+    def memo(self, key, build, *args):
+        """build(self, *args), computed once per key for this workspace.
+        The memo lives and dies with the workspace, as its values depend
+        on the field; an entry is only ever written with the one value it
+        has, so concurrent callers need no lock."""
+        got = self._memo.get(key)
+        if got is None:
+            got = self._memo[key] = build(self, *args)
+        return got
 
     # ------------------------------------------------------------------
     # Jack basis with optional disk cache
@@ -227,22 +246,36 @@ class Workspace:
             return self.field.one
         return self.field.lf(s) * self.varpi(lam)
 
+    def psi_level(self, k):
+        """The degree-k CornerLevel of the psi-hat dual, shared by the
+        psi_hat_solver of every degree n >= k."""
+        with self._lock:
+            got = self._psi_levels.get(k)
+            if got is None:
+                prev = self.psi_level(k - 1) if k else None
+                got = self._psi_levels[k] = CornerLevel.build(
+                    self.field, k, self.jack_dual(k), self.gram_row(k)[1],
+                    [self.jack_row(lam)[1] for lam in partitions_of(k)], prev)
+            return got
+
     def psi_hat_solver(self, n):
-        """DualIndex of the psi-hat basis of H_n.
+        """PsiHatDual of the psi-hat basis of H_n.
 
         The psi_lam^s are pairwise orthogonal under inner_hbar with
         |psi_lam^s|^2 = |j_lam|^2 / tau_lam^s, so the psi-hat coefficient
-        of zeta is <zeta, psi_lam^s> * tau_lam^s pi_* psi_lam^s / |j_lam|^2."""
+        of zeta is <zeta, psi_lam^s> * tau_lam^s pi_* psi_lam^s / |j_lam|^2.
+        The pairings come from the corner levels of degrees 0..n; this
+        adds only the degree-n scales."""
         with self._lock:
             got = self._psi_dual.get(n)
             if got is None:
                 f = self.field
-                labels = eigen_pairs(n)
-                scales = [jack_inv_norm_sq(f, lam, tau(f, lam, s) * self.pi_star_psi(lam, s))
-                          for lam, s in labels]
-                got = DualIndex(f, labels, [self.psi_row(lam, s) for lam, s in labels],
-                                self.gram_row(n), scales)
-                self._psi_dual[n] = got
+                levels = [self.psi_level(k) for k in range(n + 1)]
+                top = levels[-1]
+                nums, den = f.clear({i: f.quotient(jack_inv_norm_sq(
+                    f, lam, tau(f, lam, s) * self.pi_star_psi(lam, s)), top.dens[i])
+                    for i, (lam, s) in enumerate(top.labels)})
+                got = self._psi_dual[n] = PsiHatDual(levels, list(nums.values()), den)
             return got
 
     def expand_psi_hat(self, row):
@@ -354,6 +387,110 @@ class DualIndex:
             for i, w in index[key]:
                 acc[i] += a * w
         return {labels[i]: a * scales[i] for i, a in enumerate(acc) if a}, den * self.den
+
+
+class CornerLevel(NamedTuple):
+    """The degree-k step of the psi-hat dual: the pairings of a vector with
+    the psi_lam^s of degree k, from its w^0 layer and from its Pi image's
+    pairings one degree down.
+
+    The Gram weight of w^m V_mu does not depend on m, so w is an isometry
+    and Pi its adjoint, and the corner recursion of psi gives
+        <zeta, psi_lam^s> = <pi0 zeta, j_lam>
+            + sum_{t in R_lam} tau~_lam^{t+(1,1)} / [s-t-(1,1)]
+                               <Pi zeta, psi_{lam-t}^t>.
+    The Jack pairings <f, j_lam> are the multiply-adds J_lam of the Jack
+    DualIndex's index (its weights over D_lam G, G the Gram row's
+    denominator).  Each label i = (lam, s) has its own denominator
+    dens[i] = E_i: its pairing is P_i / (D E_i) for an input row over D,
+    with the integer (at a point)
+        P_i = jw_i J_lam + sum_t w_t P'_t
+    over the numerators P'_t of the level below, jw_i and the w_t making
+    the cleared row of 1/(D_lam G) and the tau~ / ([s-t-(1,1)] E'_t).
+    terms[i] is (the position of lam among the partitions, jw_i,
+    ((position of (lam-t, t) below, w_t), ...)).  A level is plain data."""
+
+    labels: list
+    jack_index: dict
+    jack_count: int
+    terms: list
+    dens: list
+
+    @classmethod
+    def build(cls, field, k, jack_dual, gram_den, jack_dens, prev):
+        """The level of degree k over the Jack DualIndex of degree k, its
+        Gram denominator G, the row denominators D_lam of the Jacks and
+        the level below (None at k = 0)."""
+        labels = eigen_pairs(k)
+        lam_pos = {lam: i for i, lam in enumerate(jack_dual.labels)}
+        prev_pos = {label: i for i, label in enumerate(prev.labels)} if prev else {}
+        terms, dens = [], []
+        for lam, s in labels:
+            p = lam_pos[lam]
+            scalars = {-1: field.quotient(field.one, jack_dens[p] * gram_den)}
+            for t in rem_set(lam):
+                tp = (t[0] + 1, t[1] + 1)
+                j = prev_pos[(remove_box(lam, t), t)]
+                scalars[j] = field.ratio((), ((s[0] - tp[0], s[1] - tp[1]),),
+                                         field.quotient(tau_tilde(field, lam, tp), prev.dens[j]))
+            nums, den = field.clear(scalars)
+            jw = nums.pop(-1)
+            terms.append((p, jw, tuple(nums.items())))
+            dens.append(den)
+        return cls(labels, jack_dual.index, len(jack_dual.labels), terms, dens)
+
+    def pairings(self, jacks, below):
+        """The numerators P_i, in label order, from the Jack multiply-adds
+        J_lam (a list over the partitions of k, or None if the w^0 layer is
+        zero) and the numerators of the level below (None if all zero)."""
+        if below is None:
+            return [jw * jacks[p] for p, jw, _ in self.terms]
+        out = []
+        for p, jw, corners in self.terms:
+            v = jw * jacks[p] if jacks is not None else 0
+            for j, w in corners:
+                c = below[j]
+                if c:
+                    v += w * c
+            out.append(v)
+        return out
+
+
+class PsiHatDual:
+    """The psi-hat dual of H_n, by the corner levels of degrees 0..n.
+
+    A cleared row (a, D) of zeta splits into its w-layers; the level of
+    degree k pairs the layer of w^(n-k) with the Jacks and adds the corner
+    terms of the level below, so Pi^(n-k) zeta is paired with the psi of
+    degree k.  The degree-n pairings P_i / (D E_i) times the scales
+    tau_lam^s pi_* psi_lam^s / |j_lam|^2, over the one cleared row (S_i)
+    over S of the scales / E_i, give the row
+    ({label_i: P_i S_i}, D S), in label order and not in lowest terms."""
+
+    def __init__(self, levels, scales, den):
+        self.levels = levels
+        self.scales = scales
+        self.den = den
+
+    def row(self, nums, den):
+        """The cleared row of the nonzero psi-hat coefficients of the
+        nonzero cleared row (nums, den) of a vector of H_n."""
+        levels = self.levels
+        n = len(levels) - 1
+        jacks = [None] * (n + 1)
+        for (m, mu), a in nums.items():
+            acc = jacks[n - m]
+            if acc is None:
+                acc = jacks[n - m] = [0] * levels[n - m].jack_count
+            for i, w in levels[n - m].jack_index[mu]:
+                acc[i] += a * w
+        acc = None
+        for level, j in zip(levels, jacks):
+            if j is not None or acc is not None:
+                acc = level.pairings(j, acc)
+        labels = levels[n].labels
+        return ({labels[i]: a * s for i, (a, s) in enumerate(zip(acc, self.scales)) if a},
+                den * self.den)
 
 
 def _read_blob(path):

@@ -11,6 +11,11 @@ cleared row (field.clear) and every operator takes and returns rows: the
 trace sums run on the numerators of the expansion row, over its one
 denominator, each sum of psi-hat vectors is one field.combine, and vectors
 are compared as canonical rows.
+
+The derivators beta and theta use only the multiplication part pi_w M of
+L = pi_w M + D (lax.lax_mult): the derivation D cancels in them, so L is
+never applied to a product, and pair_traces computes the pi_w M images of
+its two factors once for both.
 """
 
 from fractions import Fraction
@@ -19,7 +24,7 @@ from itertools import combinations
 from .errors import JackLaxError, NotGood, NotInNullSpace, NotSplit
 from .fock import (Pi, bump, degree_of, deriv_V, ext_mul, hn_basis, pi_plus,
                    v_accum, w_mul)
-from .lax import lax_apply, q_poly_row
+from .lax import lax_mult, q_poly_row
 from .linalg import rank
 from .partitions import (SeriesZ, add_box, add_set, boxes, count_lattice_q,
                          eigen_pairs, pair_quads, partition, partitions_of,
@@ -284,45 +289,65 @@ def kernel_dim_series(order):
 # beta and theta derivators
 # ---------------------------------------------------------------------------
 
-def beta(ws, z1, z2, prod=None):
+def beta(ws, z1, z2, prod=None, images=None):
     """The derivator of L: L(ab) - (La)b - a(Lb), for the cleared rows
     (a, D1) and (b, D2); returns a row over D1 D2 L (L as in lax_apply).
 
-    prod is the numerators of ab when the caller has them."""
-    field = ws.field
+    With L = pi_w M + D (lax_mult is pi_w M) the derivation D cancels, so
+    beta(a, b) = pi_w M(ab) - (pi_w M a) b - a (pi_w M b), whose
+    numerators over D1 D2 are integers (at a point) times L.  prod is the
+    numerators of ab and images the pair of numerators of pi_w M a and
+    pi_w M b, when the caller has them."""
     (a, d1), (b, d2) = z1, z2
     if prod is None:
         prod = ext_mul(a, b)
-    out, den = lax_apply(field, (prod, d1 * d2))
-    v_accum(out, ext_mul(lax_apply(field, z1)[0], b), -1)
-    return v_accum(out, ext_mul(a, lax_apply(field, z2)[0]), -1), den
+    ma, mb = images or (lax_mult(z1)[0], lax_mult(z2)[0])
+    out = lax_mult((prod, 1))[0]
+    v_accum(out, ext_mul(ma, b), -1)
+    v_accum(out, ext_mul(a, mb), -1)
+    return _over_lax_den(ws.field, out, d1 * d2)
 
 
 def beta_basic(ws, n, m):
     return beta(ws, _basic_row(ws, (n, ())), _basic_row(ws, (m, ())))
 
 
-def theta(ws, z1, z2, b12=None):
+def theta(ws, z1, z2, images=None):
     """theta = {beta, Pi}: beta(Pi a, b) + beta(a, Pi b) - Pi beta(a, b),
     on cleared rows as beta.
 
-    b12 is the row beta(a, b) when the caller has it."""
+    By bilinearity, with pi_w M commuting with Pi and
+    (Pi a) b + a (Pi b) - Pi(ab) = w (Pi a)(Pi b), the two beta terms and
+    Pi beta(a, b) merge into
+        theta = pi_w M(w Pi a Pi b) - w ((Pi pi_w M a)(Pi b) + (Pi a)(Pi pi_w M b)),
+    one pass of pi_w M over a product-sized vector.  images is as in
+    beta."""
     (a, d1), (b, d2) = z1, z2
-    if b12 is None:
-        b12 = beta(ws, z1, z2)
-    out, den = beta(ws, (Pi(a), d1), z2)
-    v_accum(out, beta(ws, z1, (Pi(b), d2))[0])
-    return v_accum(out, Pi(b12[0]), -1), den
+    ma, mb = images or (lax_mult(z1)[0], lax_mult(z2)[0])
+    pa, pb = Pi(a), Pi(b)
+    out = lax_mult((w_mul(ext_mul(pa, pb)), 1))[0]
+    rest = v_accum(ext_mul(Pi(ma), pb), ext_mul(pa, Pi(mb)))
+    v_accum(out, w_mul(rest), -1)
+    return _over_lax_den(ws.field, out, d1 * d2)
+
+
+def _over_lax_den(field, nums, den):
+    """The row of the vector nums / den over den L."""
+    lax_den = field.lax_ints[2]
+    if lax_den != 1:
+        nums = {k: v * lax_den for k, v in nums.items()}
+    return nums, den * lax_den
 
 
 def pair_traces(ws, row1, row2):
     """The traces of z1 z2, beta(z1, z2) and theta(z1, z2) for the cleared
-    rows (z1, D1) and (z2, D2), computing the product and beta(z1, z2)
-    once: the product over D1 D2, beta and theta over D1 D2 L."""
+    rows (z1, D1) and (z2, D2), computing the product and the pi_w M
+    images of the factors once: the product over D1 D2, beta and theta
+    over D1 D2 L."""
     prod = ext_mul(row1[0], row2[0]), row1[1] * row2[1]
-    b12 = beta(ws, row1, row2, prod[0])
-    return (full_trace(ws, prod), full_trace(ws, b12),
-            full_trace(ws, theta(ws, row1, row2, b12)))
+    images = lax_mult(row1)[0], lax_mult(row2)[0]
+    return (full_trace(ws, prod), full_trace(ws, beta(ws, row1, row2, prod[0], images)),
+            full_trace(ws, theta(ws, row1, row2, images)))
 
 
 def theta_basic(ws, n, m):
@@ -352,13 +377,15 @@ def verify_twisted_traces(ws, z1, z2):
                                 full_trace(ws, theta(ws, z1, z2)))
 
 
-def y_trace_product_check(ws, lam, s, nu, t, t_prod, t_beta, star):
+def y_trace_product_check(ws, lam, s, nu, t, t_prod, t_beta, star, T=None):
     """y_u(psi-hat psi-hat) = T_{lam*nu}/(u-[s+t]) and
     y_u(beta(psi-hat,psi-hat)) = T_{lam*nu} - 1, by residue comparison, on
     the traces t_prod and t_beta of the product and of beta of the pair
-    psi-hat_lam^s, psi-hat_nu^t; star is star_residues(field, lam, nu)."""
+    psi-hat_lam^s, psi-hat_nu^t; star is star_residues(field, lam, nu),
+    and T is T_{lam*nu} when the caller has it."""
     field = ws.field
-    T = T_star(field, lam, nu)
+    if T is None:
+        T = T_star(field, lam, nu)
     poly, res = with_pole(T, (s[0] + t[0], s[1] + t[1])).partial_fractions(field)
     if poly:
         return False
@@ -571,14 +598,13 @@ def _rho_conjectures(ws, max_degree):
                         out.append({"id": ident, "status": "SKIP",
                                     "witness": "F(dPi): %s" % e})
                         continue
-                    b12 = beta(ws, z1, z2)
                     try:
-                        rhs = rho_general(ws, f, theta(ws, z1, z2, b12))
+                        rhs = rho_general(ws, f, theta(ws, z1, z2))
                     except NotInNullSpace:
                         out.append({"id": ident, "status": "SKIP",
                                     "witness": "theta not in Z0"})
                         continue
-                    lhs = field.combine([(1, b12)])
+                    lhs = field.combine([(1, beta(ws, z1, z2))])
                     out.append({"id": ident,
                                 "status": "PASS" if lhs == rhs else "FAIL",
                                 "witness": ""})

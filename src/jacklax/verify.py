@@ -24,7 +24,7 @@ from .partitions import (SeriesZ, add_box, add_set, boxes, count_by_corners,
                          remove_box, series_P, series_P_xt, series_Q, size,
                          star_product)
 from .report import Report, instance
-from .spectral import (T_of_boxes, T_partition, tau, tau_hat, tau_tilde,
+from .spectral import (T_of_boxes, T_partition, T_star, tau, tau_hat, tau_tilde,
                        verify_tau_identities, with_pole)
 
 
@@ -449,13 +449,11 @@ def suite_traces(cfg, max_degree=None):
 
 
 def _theta_beta_traces(ws, lam, s, nu, t):
-    from .spectral import star_residues
-    f = ws.field
     t_prod, t_beta, tv = tr_mod.pair_traces(ws, ws.psi_hat_row(lam, s), ws.psi_hat_row(nu, t))
+    chat, star, T = ws.memo(("theta/beta", lam, nu), _pair_data, lam, nu)
     bad = []
-    if not tr_mod.pf_eq(tv.x, lr_mod.jack_lr(ws, lam, nu, hatted=True)):
+    if not tr_mod.pf_eq(tv.x, chat):
         bad.append("x != chat")
-    star = star_residues(f, lam, nu)
     if not tr_mod.pf_eq(tv.y, star):
         bad.append("y != tau-hat(star)")
     if tv.z:
@@ -463,9 +461,17 @@ def _theta_beta_traces(ws, lam, s, nu, t):
     twisted = tr_mod.twisted_trace_checks(t_beta, tv)
     if not all(twisted.values()):
         bad.append("twisted: %r" % twisted)
-    if not tr_mod.y_trace_product_check(ws, lam, s, nu, t, t_prod, t_beta, star):
+    if not tr_mod.y_trace_product_check(ws, lam, s, nu, t, t_prod, t_beta, star, T):
         bad.append("y-product")
     return "; ".join(bad) or True
+
+
+def _pair_data(ws, lam, nu):
+    """The hatted Jack LR table, the residues of T_{lam*nu} and T_{lam*nu}
+    itself: what the theta/beta checks of every (s, t) share."""
+    from .spectral import star_residues
+    return (lr_mod.jack_lr(ws, lam, nu, hatted=True), star_residues(ws.field, lam, nu),
+            T_star(ws.field, lam, nu))
 
 
 def _trace_chain(ws, n, picks, coeffs):

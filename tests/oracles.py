@@ -6,16 +6,22 @@ alpha-deformed Hall product over the monomial basis, taken in the fixed
 dominance-compatible order, then rescaled to [m_{1^n}] J = n!.  The
 monomial <-> power-sum transition matrices it needs live here too.
 
-The psi-hat and Jack expansions are computed at runtime from one integer
-dual index per degree (session.DualIndex).  Here they are computed three
-other ways: the psi-hat expansion as the solution of the dense coordinate
-system (the inverse of the matrix whose columns are the psi-hat vectors)
-and by the same orthogonal dual with field weights, and the Jack expansion
-by one inner_hbar per partition.
+The Jack expansion is computed at runtime from one integer dual index per
+degree (session.DualIndex), and the psi-hat expansion from the corner
+levels of the psi recursion (session.PsiHatDual): a vector's w-layers pair
+with the Jacks of their own degree only.  Here the psi-hat expansion is
+computed three other ways: by one DualIndex over the psi rows of the
+degree (every key paired with every psi), as the solution of the dense
+coordinate system (the inverse of the matrix whose columns are the psi-hat
+vectors) and by that dual with field weights; and the Jack expansion by
+one inner_hbar per partition.
 
 At a specialized point the Lax operator and the beta/theta derivators run
-on integer numerators over one denominator.  Here they run on field
-scalars, each derivator composed afresh from its three operator images.
+on integer numerators over one denominator, and the derivators use only
+the multiplication part pi_w M of L = pi_w M + D (D, a derivation,
+cancels).  Here they run on field scalars, each derivator composed afresh
+from its three images under the whole of L; the derivation part D is
+here too.
 
 The library's operators take and return cleared rows.  The oracles here
 work on field-scalar vectors; those that stand in for a library function
@@ -65,6 +71,10 @@ the coefficients of w and Pi acting on the psi basis, the one-box
 function N(u) and T_1 at a form.  They live here too, with the few
 helpers only the tests call (a SpectralFun from a root list, its value
 and its partial fractions as text, a BiPoly's leading coefficient).
+
+SpectralFun.partial_fractions reads its polynomial part off the expansion
+at u = oo (directly at degrees 0 and 1).  Here it is the quotient of the
+long division of the expanded numerator by the expanded denominator.
 """
 
 from fractions import Fraction
@@ -72,9 +82,9 @@ from functools import lru_cache
 from math import factorial, gcd as _igcd
 
 from jacklax.arith import (_BP_ONE, _BP_ZERO, BiPoly, SpectralFun, _forms_at, _lead_order,
-                           _parse_poly, render_coeff)
-from jacklax.errors import (JackLaxError, NotAnAddableBox, NotGood, NotInNullSpace,
-                            PoleAtSpecPoint, ZeroDenominator)
+                           _parse_poly, _trim_poly, poly_from_roots, render_coeff)
+from jacklax.errors import (JackLaxError, NotAnAddableBox, NotASimplePole, NotGood,
+                            NotInNullSpace, PoleAtSpecPoint, ZeroDenominator)
 from jacklax.fock import (Pi, _as_ext, annihilate, bump, degree_of, ext_mul, fock_to_ext,
                           hall_inner_alpha, hn_basis, monomial_norm_sq, pi0, v_accum,
                           v_clear, v_scale, v_uncleared, w_mul)
@@ -87,6 +97,8 @@ from jacklax.shc import (Y_eig, Yinv_eig, _dagger_row, apply_dPhi, apply_diagona
                          apply_X_minus, apply_X_plus, fock_to_jack, h_state, jack_to_fock,
                          pf_accum, pf_add, pf_clean, pf_equal, pf_scale, pf_truncate,
                          sfun_to_pf_keys)
+from jacklax.jack import jack_inv_norm_sq
+from jacklax.session import DualIndex
 from jacklax.spectral import tau, tau_hat, tau_tilde
 from jacklax.traces import TraceVector
 
@@ -267,6 +279,28 @@ def dense_expand_psi_hat(ws, zeta, solver):
 
 
 # ---------------------------------------------------------------------------
+# psi-hat expansion by the orthogonal dual over the psi rows
+# ---------------------------------------------------------------------------
+
+def psi_row_dual(ws, n):
+    """The psi-hat dual of H_n as one DualIndex over the psi rows of degree
+    n: each key of H_n pairs with every psi, and the scales are
+    tau_lam^s pi_* psi_lam^s / |j_lam|^2."""
+    f = ws.field
+    labels = eigen_pairs(n)
+    scales = [jack_inv_norm_sq(f, lam, tau(f, lam, s) * ws.pi_star_psi(lam, s))
+              for lam, s in labels]
+    return DualIndex(f, labels, [ws.psi_row(lam, s) for lam, s in labels], ws.gram_row(n),
+                     scales)
+
+
+def psi_row_solver(ws, n):
+    """Workspace.psi_hat_solver by psi_row_dual, built once per workspace
+    and degree."""
+    return ws.memo(("psi-row dual", n), psi_row_dual, n)
+
+
+# ---------------------------------------------------------------------------
 # orthogonal-dual expansions with field weights
 # ---------------------------------------------------------------------------
 
@@ -336,6 +370,20 @@ def field_lax_apply(field, zeta):
     return out
 
 
+def field_lax_derivation(field, zeta):
+    """D zeta for the derivation part D = sum_k hbar k w^k d/dV_k +
+    ebar w d/dw of L, every coefficient a field scalar."""
+    out = {}
+    for (m, mu), c in zeta.items():
+        if m:
+            bump(out, (m, mu), c * field.ebar * field.num(m))
+        for k in set(mu):
+            lst = list(mu)
+            lst.remove(k)
+            bump(out, (m + k, tuple(lst)), c * field.hbar * field.num(k * mu.count(k)))
+    return out
+
+
 def field_lax_row(field, row):
     """lax.lax_apply by field_lax_apply: the image of the cleared row (nums,
     D) comes back as numerators over D L (L = field.lax_ints[2]), as from
@@ -361,14 +409,14 @@ def _field_theta(field, z1, z2):
     return v_accum(out, Pi(_field_beta(field, z1, z2)), -field.one)
 
 
-def field_beta(ws, z1, z2, prod=None):
+def field_beta(ws, z1, z2, prod=None, images=None):
     """traces.beta of two cleared rows, composed on their vectors; returns
     the canonical row."""
     f = ws.field
     return f.clear(_field_beta(f, f.uncleared(z1), f.uncleared(z2)))
 
 
-def field_theta(ws, z1, z2, b12=None):
+def field_theta(ws, z1, z2, images=None):
     """traces.theta of two cleared rows, composed on their vectors; returns
     the canonical row."""
     f = ws.field
@@ -833,6 +881,31 @@ def sfun_pf_str(fun, field):
     for pole in sorted(res):
         parts.append("(%s)/(u - [%d,%d])" % (render_coeff(res[pole]), *pole))
     return " + ".join(parts) if parts else "0"
+
+
+def expanded_partial_fractions(fun, field):
+    """SpectralFun.partial_fractions with the polynomial part by long
+    division of the expanded numerator by the expanded denominator."""
+    res = {}
+    for pole, m in fun.den.items():
+        if m != 1:
+            raise NotASimplePole("pole of order %d" % m)
+        res[pole] = fun.residue(pole, field)
+    if fun.degree() < 0:
+        return [], res
+    a = poly_from_roots(fun.num, field, fun.pre)
+    b = poly_from_roots(fun.den, field, field.one)
+    q = [field.zero] * max(0, len(a) - len(b) + 1)
+    while len(a) >= len(b) and _trim_poly(a):
+        if len(a) < len(b):
+            break
+        k = a[-1] / b[-1]
+        q[len(a) - len(b)] = k
+        for i in range(len(b)):
+            a[len(a) - len(b) + i] = a[len(a) - len(b) + i] - k * b[i]
+        a.pop()
+        _trim_poly(a)
+    return _trim_poly(q), res
 
 
 def lead_coeff(p):

@@ -17,9 +17,14 @@ lax_ints), so the recursions and expansions run one code path for both;
 only arith.py, which defines the fields, may read the `symbolic` flag.
 Operators take and return cleared rows, so no function takes a `cleared`
 switch or a `den=None` default that selects a vector mode.
+
+Every target of the benchmark's tracer (bench/tracer.py TARGETS) resolves
+to a live name.
 """
 
 import ast
+import importlib
+import importlib.util
 import pathlib
 import re
 
@@ -143,3 +148,17 @@ def test_no_vector_mode_switch():
                                       and d.value is None):
                 found.append("%s:%d %s(%s)" % (path.name, node.lineno, node.name, a.arg))
     assert found == []
+
+
+def test_tracer_targets_resolve():
+    # every function the benchmark's tracer wraps by name still exists
+    spec = importlib.util.spec_from_file_location("bench_tracer", ROOT / "bench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = []
+    for metric, (modname, clsname, attrs) in tracer.TARGETS.items():
+        owner = importlib.import_module(modname)
+        if clsname is not None:
+            owner = getattr(owner, clsname, None)
+        missing += [(metric, attr) for attr in attrs if getattr(owner, attr, None) is None]
+    assert missing == []

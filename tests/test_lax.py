@@ -198,10 +198,14 @@ def test_dual_expansion_matches_dense_inverse(point, maxn, sym, spec_all):
                          field_psi_hat_dual)
     ws = sym if point is None else spec_all[point]
     field = ws.field
-    # at a point the dual index holds int weights, int scale numerators
-    # and an int common denominator
+    # at a point the dual's levels hold int Jack and corner weights and
+    # int label denominators, and its scales are int numerators over an
+    # int common denominator
     runtime = ws.psi_hat_solver(maxn)
-    ints = [w for pairs in runtime.index.values() for _, w in pairs]
+    ints = [w for level in runtime.levels for pairs in level.jack_index.values() for _, w in pairs]
+    ints += [w for level in runtime.levels for _, jw, corners in level.terms
+             for w in (jw,) + tuple(w for _, w in corners)]
+    ints += [d for level in runtime.levels for d in level.dens]
     ints += runtime.scales + [runtime.den]
     assert all(type(x) is int for x in ints) == (point is not None)
     rng = random.Random(20261018)
@@ -245,6 +249,60 @@ def test_lax_apply_matches_field_oracle(point, maxn, sym, spec_all):
             list(field_lax_apply(field, field.uncleared(row)).items())
         assert got[1] == field_lax_row(field, row)[1]
         assert list(got[0].items()) == list(field_lax_row(field, row)[0].items())
+
+
+@pytest.mark.parametrize("point, maxn", [(0, 6), (1, 6), (2, 6), (None, 4)])
+def test_lax_is_multiplication_part_plus_derivation(point, maxn, sym, spec_all):
+    # L = pi_w M + D on every basis key of H_n: lax_mult is pi_w M, and the
+    # rest is the derivation part of the field-scalar oracle; pi_w M
+    # commutes with Pi
+    from jacklax.fock import Pi, hn_basis
+    from jacklax.lax import lax_mult
+    ws = sym if point is None else spec_all[point]
+    F = ws.field
+    for n in range(maxn + 1):
+        for key in hn_basis(n):
+            row = F.clear({key: F.one})
+            split = [(1, lax_mult(row)), (1, F.clear(oracles.field_lax_derivation(F, {key: F.one})))]
+            assert F.combine([(1, lax_apply(F, row))]) == F.combine(split)
+            assert Pi(lax_mult(row)[0]) == lax_mult((Pi(row[0]), row[1]))[0]
+
+
+@pytest.mark.parametrize("point, maxn", [(0, 6), (2, 6), (None, 4)])
+def test_lax_derivation_part_obeys_leibniz(point, maxn, sym, spec_all):
+    # D(ab) = D(a) b + a D(b) on products of basis vectors, so D cancels in
+    # the derivator beta(a, b) = L(ab) - (La)b - a(Lb)
+    from jacklax.fock import ext_mul, hn_basis
+    ws = sym if point is None else spec_all[point]
+    F = ws.field
+    D = oracles.field_lax_derivation
+    for i in range(maxn + 1):
+        for j in range(i, maxn + 1 - i):
+            for ka in hn_basis(i):
+                for kb in hn_basis(j):
+                    a, b = {ka: F.one}, {kb: F.one}
+                    rhs = v_accum(ext_mul(D(F, a), b), ext_mul(a, D(F, b)))
+                    assert D(F, ext_mul(a, b)) == rhs
+
+
+@pytest.mark.parametrize("field, n", [(SpecializedField(DEFAULT_SPEC_POINTS[2]), 6),
+                                      (SymbolicField(), 4)], ids=["specialized", "symbolic"])
+def test_psi_hat_solver_reads_no_psi_of_its_degree(field, n, monkeypatch):
+    # the psi-hat dual of H_n comes from the corner levels: the Jacks and
+    # tau~ of each degree k <= n, and psi only through the Jacks (of degree
+    # k - 1)
+    monkeypatch.delenv("JACKLAX_CACHE_DIR", raising=False)
+    degrees = []
+    read = Workspace.psi_row
+
+    def psi_row(ws, lam, s):
+        degrees.append(sum(lam))
+        return read(ws, lam, s)
+
+    monkeypatch.setattr(Workspace, "psi_row", psi_row)
+    ws = Workspace(field)
+    ws.psi_hat_solver(n)
+    assert degrees and max(degrees) == n - 1
 
 
 def test_structural_theorem(spec):

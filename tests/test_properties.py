@@ -1,7 +1,8 @@
 """Property tests: the partition box moves, the two text formats and the
 two cache codecs round-trip, Coeff is a field with one canonical form, expressions in it
 reduce as they do in the gcd oracle (and in sympy), the oracle's
-bivariate gcd agrees with sympy's, partial fractions reconstruct a SpectralFun, a
+bivariate gcd agrees with sympy's, partial fractions reconstruct a SpectralFun
+and their polynomial part is the long-division quotient, a
 combination of basis vectors expands back to its coefficients, the Lax
 operator and beta on integer numerators agree with their field-scalar
 oracles, field.ratio agrees with one field operation per form, cleared
@@ -255,6 +256,27 @@ def test_partial_fractions_reconstruct(field, pre, num, den):
         assert total == oracles.sfun_value_at(f, u, field)
 
 
+@pytest.mark.parametrize("field", [SpecializedField(DEFAULT_SPEC_POINTS[0]),
+                                   SpecializedField(DEFAULT_SPEC_POINTS[2]), SymbolicField()],
+                         ids=["specialized", "fractional", "symbolic"])
+@settings(max_examples=40, deadline=None)
+@given(pre=st.fractions(max_denominator=20), den=st.lists(ROOTS, max_size=4, unique=True),
+       extra=st.lists(ROOTS, max_size=3), drop=st.integers(0, 5))
+@example(pre=Fraction(3), den=[(1, 0), (0, 1)], extra=[(0, 0)], drop=0)
+@example(pre=Fraction(-2, 3), den=[(1, 0)], extra=[(1, 0), (0, 1)], drop=0)
+@example(pre=Fraction(1), den=[(2, 1), (0, 1)], extra=[(1, 1)], drop=2)
+@example(pre=Fraction(0), den=[(1, 0)], extra=[(1, 1)], drop=0)
+def test_partial_fractions_match_long_division(field, pre, den, extra, drop):
+    # the polynomial part read off at u = oo (directly at degrees 0 and 1)
+    # is the quotient of the expanded numerator by the expanded
+    # denominator; the numerator has len(den) - drop + len(extra) roots,
+    # so every degree from below -1 to 3 is drawn, repeated roots and
+    # roots cancelling poles included
+    num = (den[drop:] + extra) if drop < len(den) else extra
+    f = oracles.sfun_from_factors(field, num, den) * field.from_fraction(pre)
+    assert f.partial_fractions(field) == oracles.expanded_partial_fractions(f, field)
+
+
 def _expands_back(data, field, labels, basis, expand):
     """Sum random terms q * basis(label), q with pairwise coprime large
     denominators, plus q' and -q' on one label, as one row, and expand the
@@ -312,7 +334,7 @@ def test_lax_apply_and_beta_match_field_oracle(spec_all, data):
     assert list(f.uncleared(img).items()) == list(field_lax_apply(f, a).items())
     got = beta(ws, ra, rb)
     assert got[1] == ra[1] * rb[1] * f.lax_ints[2]
-    assert list(f.uncleared(got).items()) == list(f.uncleared(field_beta(ws, ra, rb)).items())
+    assert f.uncleared(got) == f.uncleared(field_beta(ws, ra, rb))
 
 
 # C = lcm(den e1, den e2) is 1, 1, 14 and 40 at these points

@@ -211,7 +211,8 @@ def test_y_trace_product(spec):
 def test_pair_traces_match_field_oracle(point, maxn, sym, spec_all):
     # the product/beta/theta chain runs once per pair on integer numerators
     # at a specialized point; composed afresh on field scalars it gives the
-    # same vectors and traces, key order included
+    # same vectors over D1 D2 L, and the same traces, key order included
+    # (no report, rank or expansion reads the key order of beta or theta)
     from jacklax.partitions import pair_quads
     from jacklax.traces import pair_traces
     from oracles import field_beta, field_pair_traces, field_theta
@@ -219,8 +220,9 @@ def test_pair_traces_match_field_oracle(point, maxn, sym, spec_all):
     for lam, s, nu, t in pair_quads(maxn):
         rows = ws.psi_hat_row(lam, s), ws.psi_hat_row(nu, t)
         for op, oracle in ((beta, field_beta), (theta, field_theta)):
-            got, want = ws.field.uncleared(op(ws, *rows)), ws.field.uncleared(oracle(ws, *rows))
-            assert list(got.items()) == list(want.items())
+            got, want = op(ws, *rows), oracle(ws, *rows)
+            assert ws.field.uncleared(got) == ws.field.uncleared(want)
+            assert got[1] == rows[0][1] * rows[1][1] * ws.field.lax_ints[2]
         for got, want in zip(pair_traces(ws, *rows), field_pair_traces(ws, *rows)):
             assert got.n == want.n
             for part in ("x", "y", "z"):
@@ -255,6 +257,31 @@ def test_suites_match_with_operator_layer_on_oracles(monkeypatch):
         raise AssertionError("the integer Lax loop ran")
 
     monkeypatch.setattr(lax, "_lax_loop", unpatched)
+    assert reports() == shipped
+
+
+def test_suites_match_with_psi_row_dual(monkeypatch):
+    # the traces, spectral and kernel reports are byte-identical when the
+    # psi-hat expansion pairs every key with every psi row of its degree
+    # (one DualIndex) instead of running the corner levels
+    import oracles
+    from jacklax.report import RunConfig
+    from jacklax.session import Workspace
+    from jacklax.verify import suite_kernel, suite_spectral, suite_traces
+
+    def reports():
+        cfg = RunConfig(mode="specialized", jobs=1)
+        return [suite_traces(cfg, max_degree=5).canonical_json(),
+                suite_spectral(cfg, max_degree=5).canonical_json(),
+                suite_kernel(cfg, to=5).canonical_json()]
+
+    shipped = reports()
+
+    def unpatched(*args):
+        raise AssertionError("a corner level was built")
+
+    monkeypatch.setattr(Workspace, "psi_hat_solver", oracles.psi_row_solver)
+    monkeypatch.setattr(Workspace, "psi_level", unpatched)
     assert reports() == shipped
 
 
