@@ -1062,14 +1062,6 @@ class SpectralFun:
                 g[i] = g[i] + v * g[i - 1]
         return [self.pre * c for c in reversed(g)], res
 
-    def equal(self, other, field):
-        if self.num == other.num and self.den == other.den and self.pre == other.pre:
-            return True
-        # cross-multiplied polynomial comparison
-        a = poly_from_roots(_merge_roots(self.num, other.den), field, self.pre)
-        b = poly_from_roots(_merge_roots(other.num, self.den), field, other.pre)
-        return a == b
-
     def factored_str(self):
         def prod(roots):
             out = []
@@ -1088,22 +1080,3 @@ class SpectralFun:
 
     def __repr__(self):
         return self.factored_str()
-
-
-def poly_from_roots(roots, field, pre):
-    """Little-endian coefficients of pre * prod((u - [r])^m)."""
-    coeffs = [pre]
-    for r, m in roots.items():
-        v = field.lf(r)
-        for _ in range(m):
-            coeffs = [field.zero] + coeffs
-            for i in range(len(coeffs) - 1):
-                coeffs[i] = coeffs[i] - v * coeffs[i + 1]
-    # note: built by repeated (u - v) multiplication
-    return _trim_poly(coeffs)
-
-
-def _trim_poly(p):
-    while p and not p[-1]:
-        p.pop()
-    return p

@@ -67,16 +67,30 @@ def _workspace(args):
 
 def _config(args):
     points = None
-    if getattr(args, "spec_points", None) is not None:
+    if args.spec_points is not None:
         points = RunConfig.parse_points(args.spec_points)
-    return RunConfig(
-        mode=getattr(args, "mode", "symbolic") or "symbolic",
-        points=points,
-        cache_dir=getattr(args, "cache_dir", None) or os.environ.get("JACKLAX_CACHE_DIR"),
-        jobs=getattr(args, "jobs", 1),
-        fmt=getattr(args, "format", "text") or "text",
-        include_conjectures=getattr(args, "include_conjectures", False),
-    )
+    cache_dir = args.cache_dir or os.environ.get("JACKLAX_CACHE_DIR")
+    if cache_dir and not _can_be_dir(cache_dir):
+        raise JackLaxError("cache directory %s is not a directory and cannot be made one"
+                           % cache_dir)
+    return RunConfig(mode=args.mode, points=points, cache_dir=cache_dir, jobs=args.jobs)
+
+
+def _can_be_dir(path):
+    """Whether path is a directory or can be made one: its nearest
+    existing ancestor is a directory."""
+    while path and not os.path.exists(path):
+        path = os.path.dirname(path.rstrip(os.sep))
+    return os.path.isdir(path or os.curdir)
+
+
+def _check_out(path):
+    """An --out path must name a file in an existing directory."""
+    if os.path.isdir(path):
+        raise JackLaxError("--out %s is a directory" % path)
+    parent = os.path.dirname(path) or os.curdir
+    if not os.path.isdir(parent):
+        raise JackLaxError("--out %s: directory %s does not exist" % (path, parent))
 
 
 def cmd_jack(args):
@@ -185,8 +199,10 @@ def cmd_cache(args):
         raise BadSize("bad size degree=%d for cache warm: sizes are >= 0" % args.degree)
     wss = cfg.workspaces()
     if args.action == "warm":
+        # the Jack degrees are what the disk cache stores
         for ws in wss:
-            ws.warm(args.degree)
+            for n in range(args.degree + 1):
+                ws.jack_degree(n)
         print("warmed to degree %d (%d workspace(s))" % (args.degree, len(wss)))
     elif args.action == "stat":
         for name, status in wss[0].cache_stat().items():
@@ -217,14 +233,16 @@ def _option(dest):
 
 
 def cmd_verify(args):
+    if args.out:
+        _check_out(args.out)
     cfg = _config(args)
     if args.suite != "all":
         _check_size_options(args)
-        if cfg.include_conjectures:
+        if args.include_conjectures:
             raise JackLaxError("verify %s does not take --include-conjectures (only verify "
                                "all does)" % args.suite)
     suites = list(SUITES) if args.suite == "all" else [args.suite]
-    if "conjectures" in suites and args.suite == "all" and not cfg.include_conjectures:
+    if "conjectures" in suites and args.suite == "all" and not args.include_conjectures:
         suites.remove("conjectures")
     given = {kw: getattr(args, dest) for dest, kws in _SIZE_OPTIONS.items() for kw in kws}
     # every size is checked before any suite runs
@@ -237,7 +255,7 @@ def cmd_verify(args):
         if name != "conjectures" and not rep.all_pass():
             gate = False
     payload = [r.as_dict() for r in reports]
-    if cfg.fmt == "json":
+    if args.format == "json":
         text = json.dumps(payload if len(payload) > 1 else payload[0],
                           sort_keys=True, indent=1)
         print(text)
@@ -249,11 +267,6 @@ def cmd_verify(args):
             json.dump(payload if len(payload) > 1 else payload[0], fh,
                       sort_keys=True, indent=1)
     return 0 if gate else 1
-
-
-def cmd_shc(args):
-    args.suite = "shc"
-    return cmd_verify(args)
 
 
 def build_parser():
@@ -295,7 +308,8 @@ def build_parser():
     add_mode(p, "symbolic")
     p.set_defaults(fn=cmd_lr)
 
-    p = sub.add_parser("verify", parents=[common], help="run a verification suite")
+    p = sub.add_parser("verify", parents=[common],
+                       help="run a verification suite (shc ... is verify shc ...)")
     p.add_argument("suite", choices=sorted(SUITES) + ["all"])
     p.add_argument("--max-size", type=int)
     p.add_argument("--max-degree", type=int)
@@ -305,16 +319,6 @@ def build_parser():
     p.add_argument("--out", help="also write the JSON report to this file")
     add_mode(p, "specialized")
     p.set_defaults(fn=cmd_verify)
-
-    p = sub.add_parser("shc", parents=[common], help="shortcut for verify shc")
-    p.add_argument("--max-degree", type=int)
-    p.add_argument("--format", choices=["text", "json"], default="text")
-    p.add_argument("--out")
-    p.add_argument("--max-size", type=int)
-    p.add_argument("--to", type=int)
-    p.add_argument("--include-conjectures", action="store_true")
-    add_mode(p, "specialized")
-    p.set_defaults(fn=cmd_shc)
 
     p = sub.add_parser("counts", parents=[common], help="counting functions")
     p.add_argument("--kernel", action="store_true")
@@ -334,9 +338,12 @@ def build_parser():
     return ap
 
 
-def _join_spec_points(argv):
-    """Glue "--spec-points VALUE" into "--spec-points=VALUE": argparse takes a
-    value such as "-10007,9973;..." that starts with "-" for an option."""
+def _normalise_argv(argv):
+    """Route "shc ..." to "verify shc ...", and glue "--spec-points VALUE"
+    into "--spec-points=VALUE": argparse takes a value such as
+    "-10007,9973;..." that starts with "-" for an option."""
+    if argv and argv[0] == "shc":
+        argv = ["verify", *argv]
     out = []
     for a in argv:
         if out and out[-1] == "--spec-points":
@@ -354,7 +361,7 @@ def _parser():
 
 
 def main(argv=None):
-    args = _parser().parse_args(_join_spec_points(sys.argv[1:] if argv is None else argv))
+    args = _parser().parse_args(_normalise_argv(sys.argv[1:] if argv is None else argv))
     try:
         return args.fn(args)
     except JackLaxError as e:

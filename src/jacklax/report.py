@@ -9,8 +9,7 @@ from .errors import BadSpecPoint, JackLaxError
 
 
 class RunConfig:
-    def __init__(self, mode="specialized", points=None, cache_dir=None,
-                 jobs=1, fmt="text", include_conjectures=False):
+    def __init__(self, mode="specialized", points=None, cache_dir=None, jobs=1):
         if mode not in ("symbolic", "specialized"):
             raise JackLaxError("mode must be symbolic or specialized")
         self.mode = mode
@@ -21,8 +20,6 @@ class RunConfig:
         if jobs < 1:
             raise JackLaxError("bad jobs=%d: jobs are >= 1" % jobs)
         self.jobs = jobs
-        self.fmt = fmt
-        self.include_conjectures = include_conjectures
 
     def workspaces(self):
         from .session import Workspace

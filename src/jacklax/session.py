@@ -1,17 +1,23 @@
-"""Workspace: a coefficient field plus all per-degree caches.
+"""Workspace: a coefficient field plus every value derived from it.
 
 Everything downstream (Lax eigenfunctions, traces, LR tables) is computed
 through a Workspace so that symbolic and specialized runs share one code
 path.  The Workspace keeps cleared rows (field.clear), the one vector
 format of the library, and expands rows into rows; a field-scalar vector
-is made only where a value leaves the library (field.uncleared).  Caches
-are append-only behind a re-entrant lock; cached values are immutable.
+is made only where a value leaves the library (field.uncleared).
+
+Every derived layer (the Jacks of a degree with their norms and varpi, the
+psi and psi-hat rows, the Gram rows, the duals and the corner levels) is
+one entry of Workspace.memo, under a key tagged by its layer, and each
+accessor is one memo call to a builder function below.  The memo is
+append-only and its values are immutable; it is read without a lock, and
+a miss builds under one re-entrant lock, so each key is built once even
+when the Jack and psi builders recurse into each other.
 
 Two orthogonal duals expand rows: a DualIndex per degree for the Jacks,
 and for the psi-hats a PsiHatDual built from one CornerLevel per degree
 (the corner recursion of psi, read through the adjoint Pi of w), each
-level shared by the duals of every higher degree.  Workspace.memo keeps
-any other value derived once per workspace.
+level shared by the duals of every higher degree.
 
 With a cache directory, each Jack degree is also kept on disk, one JSON file
 per (degree, mode).  In format 3 the dicts "jacks", "norms" and "varpi" are
@@ -29,6 +35,7 @@ import tempfile
 import threading
 from typing import NamedTuple
 
+from . import lax
 from .arith import SpecializedField, SpecPoint, SymbolicField
 from .errors import JackLaxError
 from .fock import degree_of, hn_basis, monomial_norm_sq
@@ -51,19 +58,7 @@ class Workspace:
         self.field = field if field is not None else SymbolicField()
         self.cache_dir = cache_dir if cache_dir is not None else _cache_env_dir()
         self._lock = threading.RLock()
-        # cleared rows (numerators, D), the one vector format
-        self._jack_rows = {}    # degree -> {lam: row of j_lam}
-        self._psi_rows = {}     # (lam, s) -> row of psi_lam^s
-        self._psi_hat_rows = {}  # (lam, s) -> row of psi-hat_lam^s
-        self._gram = {}     # degree -> row of <key, key> over H_n
-        # field scalars
-        self._norm = {}     # degree -> {lam: |j_lam|^2}
-        self._varpi = {}    # degree -> {lam: varpi_lam}
-        # expansion indexes, built from the rows
-        self._jack_dual = {}    # degree -> DualIndex of the Jacks
-        self._psi_levels = {}   # degree -> CornerLevel of the psi pairings
-        self._psi_dual = {}     # degree -> PsiHatDual of the psi-hats
-        self._memo = {}     # key -> a value derived once per workspace (memo)
+        self._memo = {}     # (layer tag, *args) -> a value derived once (memo)
 
     def key(self):
         """Cache key of the coefficient field ("symbolic" or the point)."""
@@ -72,11 +67,15 @@ class Workspace:
     def memo(self, key, build, *args):
         """build(self, *args), computed once per key for this workspace.
         The memo lives and dies with the workspace, as its values depend
-        on the field; an entry is only ever written with the one value it
-        has, so concurrent callers need no lock."""
+        on the field.  A hit reads without the lock; a miss takes the
+        re-entrant lock, looks again and builds, so each key is built once
+        even when a build asks for other keys."""
         got = self._memo.get(key)
         if got is None:
-            got = self._memo[key] = build(self, *args)
+            with self._lock:
+                got = self._memo.get(key)
+                if got is None:
+                    got = self._memo[key] = build(self, *args)
         return got
 
     # ------------------------------------------------------------------
@@ -92,23 +91,7 @@ class Workspace:
         """{lam: cleared row of j_lam} over the partitions of n, built (or
         loaded from the disk cache) on first use with the norms and
         varpi."""
-        with self._lock:
-            if n in self._jack_rows:
-                return self._jack_rows[n]
-            data = self._load_degree(n)
-            if data is None:
-                rows = compute_homogeneous_jacks(self, n)
-                norms = {lam: jack_norm_sq(self.field, lam) for lam in rows}
-                vps = {lam: varpi(self.field, lam) for lam in rows}
-                if self._cache_path(n):
-                    self._store_degree(n, rows, norms, vps)
-            else:
-                jacks, norms, vps = data
-                rows = {lam: self.field.clear(vec) for lam, vec in jacks.items()}
-            self._jack_rows[n] = rows
-            self._norm[n] = norms
-            self._varpi[n] = vps
-            return rows
+        return self.memo(("jack", n), _jack_layer, n)[0]
 
     def _load_degree(self, n):
         path = self._cache_path(n)
@@ -171,39 +154,21 @@ class Workspace:
         return self.jack_degree(sum(lam))[lam]
 
     def norm_sq(self, lam):
-        self.jack_degree(sum(lam))
-        return self._norm[sum(lam)][lam]
+        return self.memo(("jack", sum(lam)), _jack_layer, sum(lam))[1][lam]
 
     def varpi(self, lam):
-        self.jack_degree(sum(lam))
-        return self._varpi[sum(lam)][lam]
+        return self.memo(("jack", sum(lam)), _jack_layer, sum(lam))[2][lam]
 
     def gram_row(self, n):
         """The cleared row of the Gram weights <key, key> over the basis
         of H_n."""
-        with self._lock:
-            got = self._gram.get(n)
-            if got is None:
-                f = self.field
-                got = self._gram[n] = f.clear({key: monomial_norm_sq(key[1], f)
-                                              for key in hn_basis(n)})
-            return got
+        return self.memo(("gram", n), _gram_row, n)
 
     def jack_dual(self, n):
         """DualIndex of the Jacks of degree n: they are pairwise orthogonal
         under inner_hbar, so the j_lam coefficient of f is
         <f, j_lam> / |j_lam|^2."""
-        with self._lock:
-            got = self._jack_dual.get(n)
-            if got is None:
-                f = self.field
-                labels = partitions_of(n)
-                nums, den = self.gram_row(n)
-                gram = {mu: nums[(0, mu)] for mu in labels}, den
-                got = DualIndex(f, labels, [self.jack_row(lam) for lam in labels], gram,
-                                [jack_inv_norm_sq(f, lam) for lam in labels])
-                self._jack_dual[n] = got
-            return got
+        return self.memo(("jack dual", n), _jack_dual, n)
 
     def expand_in_jacks(self, row):
         """The Jack coefficients of the cleared row of a FockVec, as a
@@ -217,28 +182,16 @@ class Workspace:
         return self.jack_dual(degs.pop()).row(nums, den) if nums else ({}, den)
 
     # ------------------------------------------------------------------
-    # Lax eigenfunctions (filled in by jacklax.lax to avoid an import cycle)
+    # Lax eigenfunctions
     # ------------------------------------------------------------------
 
     def psi_row(self, lam, s):
         """The cleared row of psi_lam^s."""
-        from . import lax
-        key = (lam, s)
-        with self._lock:
-            got = self._psi_rows.get(key)
-            if got is None:
-                got = self._psi_rows[key] = lax.compute_psi(self, lam, s)
-            return got
+        return self.memo(("psi", lam, s), lax.compute_psi, lam, s)
 
     def psi_hat_row(self, lam, s):
         """The cleared row of psi-hat_lam^s = psi_lam^s / pi_* psi_lam^s."""
-        key = (lam, s)
-        with self._lock:
-            got = self._psi_hat_rows.get(key)
-            if got is None:
-                got = self._psi_hat_rows[key] = self.field.combine(
-                    [(self.field.one / self.pi_star_psi(lam, s), self.psi_row(lam, s))])
-            return got
+        return self.memo(("psi-hat", lam, s), _psi_hat_row, lam, s)
 
     def pi_star_psi(self, lam, s):
         """[w^n] psi_lam^s = [s] varpi_lam (is 1 for the vacuum)."""
@@ -249,14 +202,7 @@ class Workspace:
     def psi_level(self, k):
         """The degree-k CornerLevel of the psi-hat dual, shared by the
         psi_hat_solver of every degree n >= k."""
-        with self._lock:
-            got = self._psi_levels.get(k)
-            if got is None:
-                prev = self.psi_level(k - 1) if k else None
-                got = self._psi_levels[k] = CornerLevel.build(
-                    self.field, k, self.jack_dual(k), self.gram_row(k)[1],
-                    [self.jack_row(lam)[1] for lam in partitions_of(k)], prev)
-            return got
+        return self.memo(("level", k), _psi_level, k)
 
     def psi_hat_solver(self, n):
         """PsiHatDual of the psi-hat basis of H_n.
@@ -266,17 +212,7 @@ class Workspace:
         of zeta is <zeta, psi_lam^s> * tau_lam^s pi_* psi_lam^s / |j_lam|^2.
         The pairings come from the corner levels of degrees 0..n; this
         adds only the degree-n scales."""
-        with self._lock:
-            got = self._psi_dual.get(n)
-            if got is None:
-                f = self.field
-                levels = [self.psi_level(k) for k in range(n + 1)]
-                top = levels[-1]
-                nums, den = f.clear({i: f.quotient(jack_inv_norm_sq(
-                    f, lam, tau(f, lam, s) * self.pi_star_psi(lam, s)), top.dens[i])
-                    for i, (lam, s) in enumerate(top.labels)})
-                got = self._psi_dual[n] = PsiHatDual(levels, list(nums.values()), den)
-            return got
+        return self.memo(("psi-hat dual", n), _psi_hat_dual, n)
 
     def expand_psi_hat(self, row):
         """The psi-hat coefficients of the cleared row of a homogeneous
@@ -350,6 +286,60 @@ class Workspace:
         if not self.cache_dir or not os.path.isdir(self.cache_dir):
             raise JackLaxError("cache directory %s does not exist" % (self.cache_dir,))
         return self.cache_dir
+
+
+# ----------------------------------------------------------------------
+# builders of the Workspace layers, each run once per key by Workspace.memo
+# ----------------------------------------------------------------------
+
+def _jack_layer(ws, n):
+    """(rows, norms, varpi) of the Jacks of degree n, each a dict over
+    the partitions of n: loaded from the disk cache, or built (and
+    stored there if the workspace has a cache directory)."""
+    data = ws._load_degree(n)
+    if data is not None:
+        jacks, norms, vps = data
+        return {lam: ws.field.clear(vec) for lam, vec in jacks.items()}, norms, vps
+    rows = compute_homogeneous_jacks(ws, n)
+    norms = {lam: jack_norm_sq(ws.field, lam) for lam in rows}
+    vps = {lam: varpi(ws.field, lam) for lam in rows}
+    if ws._cache_path(n):
+        ws._store_degree(n, rows, norms, vps)
+    return rows, norms, vps
+
+
+def _gram_row(ws, n):
+    f = ws.field
+    return f.clear({key: monomial_norm_sq(key[1], f) for key in hn_basis(n)})
+
+
+def _jack_dual(ws, n):
+    f = ws.field
+    labels = partitions_of(n)
+    nums, den = ws.gram_row(n)
+    gram = {mu: nums[(0, mu)] for mu in labels}, den
+    return DualIndex(f, labels, [ws.jack_row(lam) for lam in labels], gram,
+                     [jack_inv_norm_sq(f, lam) for lam in labels])
+
+
+def _psi_hat_row(ws, lam, s):
+    return ws.field.combine([(ws.field.one / ws.pi_star_psi(lam, s), ws.psi_row(lam, s))])
+
+
+def _psi_level(ws, k):
+    prev = ws.psi_level(k - 1) if k else None
+    return CornerLevel.build(ws.field, k, ws.jack_dual(k), ws.gram_row(k)[1],
+                             [ws.jack_row(lam)[1] for lam in partitions_of(k)], prev)
+
+
+def _psi_hat_dual(ws, n):
+    f = ws.field
+    levels = [ws.psi_level(k) for k in range(n + 1)]
+    top = levels[-1]
+    nums, den = f.clear({i: f.quotient(jack_inv_norm_sq(
+        f, lam, tau(f, lam, s) * ws.pi_star_psi(lam, s)), top.dens[i])
+        for i, (lam, s) in enumerate(top.labels)})
+    return PsiHatDual(levels, list(nums.values()), den)
 
 
 class DualIndex:

@@ -69,8 +69,9 @@ Some closed forms of the paper are checked by the tests only: the
 principal specialization of a Jack and the content product it equals,
 the coefficients of w and Pi acting on the psi basis, the one-box
 function N(u) and T_1 at a form.  They live here too, with the few
-helpers only the tests call (a SpectralFun from a root list, its value
-and its partial fractions as text, a BiPoly's leading coefficient).
+helpers only the tests call (a SpectralFun from a root list, its value,
+its partial fractions as text and equality of two SpectralFuns by their
+expanded polynomials, a BiPoly's leading coefficient).
 
 SpectralFun.partial_fractions reads its polynomial part off the expansion
 at u = oo (directly at degrees 0 and 1).  Here it is the quotient of the
@@ -82,7 +83,7 @@ from functools import lru_cache
 from math import factorial, gcd as _igcd
 
 from jacklax.arith import (_BP_ONE, _BP_ZERO, BiPoly, SpectralFun, _forms_at, _lead_order,
-                           _parse_poly, _trim_poly, poly_from_roots, render_coeff)
+                           _merge_roots, _parse_poly, render_coeff)
 from jacklax.errors import (JackLaxError, NotAnAddableBox, NotASimplePole, NotGood,
                             NotInNullSpace, PoleAtSpecPoint, ZeroDenominator)
 from jacklax.fock import (Pi, _as_ext, annihilate, bump, degree_of, ext_mul, fock_to_ext,
@@ -881,6 +882,34 @@ def sfun_pf_str(fun, field):
     for pole in sorted(res):
         parts.append("(%s)/(u - [%d,%d])" % (render_coeff(res[pole]), *pole))
     return " + ".join(parts) if parts else "0"
+
+
+def sfun_equal(a, b, field):
+    """Whether the SpectralFuns a and b are one function: the same factored
+    form, or equal cross-multiplied polynomials."""
+    if a.num == b.num and a.den == b.den and a.pre == b.pre:
+        return True
+    return (poly_from_roots(_merge_roots(a.num, b.den), field, a.pre)
+            == poly_from_roots(_merge_roots(b.num, a.den), field, b.pre))
+
+
+def poly_from_roots(roots, field, pre):
+    """Little-endian coefficients of pre * prod((u - [r])^m), built by
+    repeated (u - v) multiplication."""
+    coeffs = [pre]
+    for r, m in roots.items():
+        v = field.lf(r)
+        for _ in range(m):
+            coeffs = [field.zero] + coeffs
+            for i in range(len(coeffs) - 1):
+                coeffs[i] = coeffs[i] - v * coeffs[i + 1]
+    return _trim_poly(coeffs)
+
+
+def _trim_poly(p):
+    while p and not p[-1]:
+        p.pop()
+    return p
 
 
 def expanded_partial_fractions(fun, field):

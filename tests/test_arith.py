@@ -202,19 +202,19 @@ def test_sfun_partial_fraction_reconstruction():
 
 def test_sfun_equality():
     n = N(F)
-    assert n.equal(n, F)
-    assert not n.equal(SpectralFun.one(F), F)
+    assert oracles.sfun_equal(n, n, F)
+    assert not oracles.sfun_equal(n, SpectralFun.one(F), F)
     # product of three N factors equals the corner form of {1,2}
     t12 = n * n.shift((1, 0)) * n.shift((0, 1))
     corner = oracles.sfun_from_factors(F, num=[(0, 0), (2, 1), (1, 2)],
                                        den=[(2, 0), (1, 1), (0, 2)])
-    assert t12.equal(corner, F)
+    assert oracles.sfun_equal(t12, corner, F)
     assert t12.num == corner.num and t12.den == corner.den
     # differing prefactors compare via cross multiplication
     a = SpectralFun(e1 + e2, {(1, 1): 1}, {(2, 0): 1})
     b = SpectralFun(e1 + e2, {(1, 1): 1}, {(2, 0): 1})
-    assert a.equal(b, F)
-    assert not a.equal(SpectralFun(e1, {(1, 1): 1}, {(2, 0): 1}), F)
+    assert oracles.sfun_equal(a, b, F)
+    assert not oracles.sfun_equal(a, SpectralFun(e1, {(1, 1): 1}, {(2, 0): 1}), F)
 
 
 def test_sfun_printing():

@@ -14,6 +14,9 @@ from jacklax.session import CACHE_FORMAT
 from jacklax.verify import suite_conjectures, suite_counts, suite_delta
 
 
+HERE = os.path.dirname(os.path.abspath(__file__))
+
+
 def run_cli(args, **kw):
     return subprocess.run([sys.executable, "-m", "jacklax.cli"] + args,
                           capture_output=True, text=True, **kw)
@@ -261,6 +264,14 @@ def test_size_zero_is_not_the_default(capsys):
      "verify shc does not take --include-conjectures"),
     # an empty value is a bad point, not the default points
     (["verify", "counts", "--spec-points="], "bad spec point ''"),
+    # a --cache-dir or --out path that cannot be used fails before any work
+    (["jack", "norm", "2,1", "--cache-dir", __file__],
+     "cache directory %s is not a directory" % __file__),
+    (["cache", "stat", "--cache-dir", __file__],
+     "cache directory %s is not a directory" % __file__),
+    (["verify", "counts", "--out", os.path.join(HERE, "never-made", "o.json")],
+     "directory %s does not exist" % os.path.join(HERE, "never-made")),
+    (["verify", "counts", "--out", HERE], "--out %s is a directory" % HERE),
 ])
 def test_bad_input_exits_2_with_one_error_line(argv, needle):
     env = {k: v for k, v in os.environ.items() if k != "JACKLAX_CACHE_DIR"}
@@ -602,6 +613,25 @@ def test_store_skipped_when_clear_takes_its_temp_file(tmp_path, monkeypatch):
     monkeypatch.setattr(os, "replace", clear_then_replace)
     assert ws.jack_degree(2) == Workspace(SymbolicField()).jack_degree(2)
     assert list(cache.iterdir()) == []
+
+
+def test_cache_warm_builds_only_the_jack_degrees(tmp_path, capsys, monkeypatch):
+    # the disk cache holds the Jacks: warming it to degree 3 reads the psi
+    # of degree 2 (for the Jacks of degree 3) and no psi of degree 3
+    from jacklax import lax
+    degrees = []
+    build = lax.compute_psi
+
+    def compute_psi(ws, lam, s):
+        degrees.append(sum(lam))
+        return build(ws, lam, s)
+
+    monkeypatch.setattr(lax, "compute_psi", compute_psi)
+    assert main(["cache", "warm", "--degree", "3", "--mode", "symbolic",
+                 "--cache-dir", str(tmp_path)]) == 0
+    assert capsys.readouterr().out == "warmed to degree 3 (1 workspace(s))\n"
+    assert degrees and max(degrees) == 2
+    assert sorted(os.listdir(tmp_path)) == ["jack_%02d_symbolic.json" % n for n in range(4)]
 
 
 def test_concurrent_cache_warm(tmp_path):

@@ -3,12 +3,12 @@ but the dunders, is used by the library or the benchmark, no module but
 arith.py forks on field.symbolic, and no operator keeps a second,
 field-scalar vector mode.
 
-A name counts as used when some code in src/ or bench/*.py refers to it:
-as a name, an attribute, an imported name, or a word inside a string
-literal (bench/tracer.py wraps functions by their names as strings).  Its own
-definition, comments and docstrings do not count, and neither do tests/: a
-name only the tests reach is a test convenience and belongs in
-tests/oracles.py or inlined in its test.  A method counts as used when
+A name counts as used when some code in src/ or bench/*.py refers to it
+as a name, an attribute or an imported name, or when bench/tracer.py wraps
+it: the class and attribute names in its TARGETS dict, read by ast.  Its
+own definition, comments, docstrings and other string literals do not
+count, and neither do tests/: a name only the tests reach is a test
+convenience and belongs in tests/oracles.py or inlined in its test.  A method counts as used when
 its name is, on whatever object.  `main`, the console entry point, is
 exempt, and so are the names in TEST_ONLY, each with its reason.
 
@@ -26,7 +26,6 @@ import ast
 import importlib
 import importlib.util
 import pathlib
-import re
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "jacklax"
@@ -38,17 +37,11 @@ TEST_ONLY = {
     # across refactors and --jobs values) beside Report.as_dict
     "report.Report.canonical_json",
 }
-_WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-
-
-def _is_docstring(node):
-    return (isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)
-            and isinstance(node.value.value, str))
 
 
 def _references(tree):
-    """Every identifier the code of a module refers to, with multiplicity."""
-    docstrings = {id(n.value) for n in ast.walk(tree) if _is_docstring(n)}
+    """Every identifier the code of a module refers to, with multiplicity:
+    names, attributes and imported names, not words in strings."""
     out = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
@@ -57,10 +50,18 @@ def _references(tree):
             out.append(node.attr)
         elif isinstance(node, ast.alias):
             out.extend(node.name.split("."))
-        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
-              and id(node) not in docstrings):
-            out.extend(_WORD.findall(node.value))
     return out
+
+
+def _tracer_names():
+    """The class and attribute names in bench/tracer.py's TARGETS dict
+    ({metric: (module, class or None, attribute names)}), which the tracer
+    wraps by name."""
+    tree = ast.parse((ROOT / "bench" / "tracer.py").read_text())
+    targets = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                   and any(getattr(t, "id", None) == "TARGETS" for t in node.targets))
+    return {c.value for entry in targets.values for part in entry.elts[1:]
+            for c in ast.walk(part) if isinstance(c, ast.Constant) and isinstance(c.value, str)}
 
 
 def _src_functions():
@@ -72,9 +73,10 @@ def _src_functions():
 
 
 def _used():
-    """Every identifier the code of src/ and bench/*.py refers to."""
+    """Every identifier the code of src/ and bench/*.py refers to, and every
+    name the tracer wraps."""
     files = sorted(SRC.glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
-    used = set()
+    used = _tracer_names()
     for path in files:
         used.update(_references(ast.parse(path.read_text(), str(path))))
     return used
@@ -112,6 +114,13 @@ def test_every_module_level_name_is_used():
 
 def test_every_method_is_used():
     assert _dead(methods=True) == []
+
+
+def test_uses_are_code_tokens():
+    # a word in a string literal is no use; a name the tracer wraps is one
+    tree = ast.parse('def f(x):\n    """equal"""\n    return x.attr + g("equal")\n')
+    assert sorted(_references(tree)) == ["attr", "g", "x"]
+    assert {"jack_degree", "psi_hat_solver", "compute_psi"} <= _tracer_names()
 
 
 def test_test_only_allowlist_is_current():

@@ -12,7 +12,7 @@ from jacklax.lax import (lax_apply, lax_plus_shift_check, op_A, op_B, phi_column
 from jacklax.linalg import rank
 from jacklax.partitions import (add_box, add_set, eigen_pairs, partitions_of,
                                 rem_set, rem_set_plus, remove_box)
-from jacklax.session import Workspace
+from jacklax.session import DualIndex, PsiHatDual, Workspace
 from jacklax.spectral import tau, tau_tilde
 from oracles import (Pi_action_coeffs, lax_matrix, psi_tilde, q_poly, q_poly_hat,
                      vector_to_coords, w_action_coeffs)
@@ -431,9 +431,8 @@ def test_accumulators_leave_caches_unchanged():
             ws.psi_hat_row(lam, s)
 
     def caches():
-        duals = [{n: vars(d) for n, d in c.items()} for c in (ws._jack_dual, ws._psi_dual)]
-        return [ws._norm, ws._varpi, ws._jack_rows, ws._psi_rows, ws._psi_hat_rows,
-                ws._gram] + duals
+        return {key: vars(v) if isinstance(v, (DualIndex, PsiHatDual)) else v
+                for key, v in ws._memo.items()}
 
     before = copy.deepcopy(caches())
     for n in range(4):
@@ -470,8 +469,92 @@ def test_accumulators_leave_caches_unchanged():
     assert _delta_via_states(ws, 4)
     assert all(construction_from_lax_check(ws, 4).values())
     assert delta_kernel_check(ws, [(4, 3, 1), (4, 2, 2), (3, 2, 2, 1), (3, 3, 1, 1)])
-    for cache, snapshot in zip(caches(), before):
-        assert {k: cache[k] for k in snapshot} == snapshot
+    after = caches()
+    assert {key: after[key] for key in before} == before
+
+
+def test_second_round_of_accessors_builds_nothing(monkeypatch):
+    # every layer is one memo entry: the first round builds each Jack
+    # degree, psi and corner level once, and a second round builds nothing
+    # and hands back the same objects
+    from collections import Counter
+    from jacklax import lax, session
+    from jacklax.session import CornerLevel
+    monkeypatch.delenv("JACKLAX_CACHE_DIR", raising=False)
+    builds = Counter()
+
+    def spy(name, build):
+        def counted(*args):
+            builds[name] += 1
+            return build(*args)
+        return counted
+
+    monkeypatch.setattr(lax, "compute_psi", spy("psi", lax.compute_psi))
+    monkeypatch.setattr(session, "compute_homogeneous_jacks",
+                        spy("jack", session.compute_homogeneous_jacks))
+    monkeypatch.setattr(CornerLevel, "build", spy("level", CornerLevel.build))
+    ws = Workspace(SpecializedField(DEFAULT_SPEC_POINTS[0]))
+
+    def every_layer():
+        ws.warm(5)
+        out = []
+        for n in range(6):
+            out += [ws.jack_degree(n), ws.gram_row(n), ws.jack_dual(n), ws.psi_level(n),
+                    ws.psi_hat_solver(n)]
+            for lam in partitions_of(n):
+                out += [ws.jack_row(lam), ws.norm_sq(lam), ws.varpi(lam)]
+            for lam, s in eigen_pairs(n):
+                out += [ws.psi_row(lam, s), ws.psi_hat_row(lam, s)]
+        return out
+
+    first = every_layer()
+    assert builds == {"jack": 6, "level": 6,
+                      "psi": sum(len(eigen_pairs(n)) for n in range(6))}
+    built = dict(builds)
+    second = every_layer()
+    assert builds == built
+    assert all(a is b for a, b in zip(first, second, strict=True))
+
+
+def test_concurrent_solver_builds_each_jack_degree_once(monkeypatch):
+    # threads (more than cores) ask a fresh workspace for the same psi-hat
+    # dual at once: a miss builds under the lock, so each Jack degree is
+    # built once and every thread gets the one dual
+    import sys
+    import threading
+    import time
+    from jacklax import session
+    monkeypatch.delenv("JACKLAX_CACHE_DIR", raising=False)
+    degrees = []
+    build = session.compute_homogeneous_jacks
+
+    def slow_build(ws, n):
+        degrees.append(n)
+        time.sleep(0.01)    # let the other thread run meanwhile
+        return build(ws, n)
+
+    monkeypatch.setattr(session, "compute_homogeneous_jacks", slow_build)
+    ws = Workspace(SpecializedField(DEFAULT_SPEC_POINTS[0]))
+    start = threading.Barrier(4)
+    got = []
+
+    def ask():
+        start.wait()
+        got.append(ws.psi_hat_solver(5))
+
+    threads = [threading.Thread(target=ask) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert sorted(degrees) == list(range(6))
+    assert len(got) == 4 and all(d is got[0] for d in got)
 
 
 @pytest.mark.parametrize("point",
