@@ -2,8 +2,8 @@
 
 Scalars live in the fraction field Q(e1, e2) of integer polynomials in the
 two deformation parameters, or (after specialization at a rational point)
-in plain Q.  Rational functions of the auxiliary variable u whose zeros and
-poles are integer linear forms a*e1 + b*e2 are kept factored (SpectralFun).
+in plain Q.  (Rational functions of the auxiliary variable u, kept factored
+by their linear-form roots, are spectral.SpectralFun.)
 
 Every denominator the library makes splits into such forms (box contents,
 hook norms, hbar = -e1*e2), so a Coeff keeps its denominator factored: a
@@ -21,9 +21,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd as _igcd, lcm
 
-from .errors import (BadSpecPoint, NotAPole, NotASimplePole, NotSplit, PoleAtSpecPoint,
-                     ZeroDenominator)
-from .fock import v_accum, v_clear, v_combine, v_uncleared
+from .errors import BadSpecPoint, NotSplit, PoleAtSpecPoint, ZeroDenominator
+from .fock import v_clear, v_combine, v_uncleared
 
 
 # ---------------------------------------------------------------------------
@@ -31,7 +30,12 @@ from .fock import v_accum, v_clear, v_combine, v_uncleared
 # ---------------------------------------------------------------------------
 
 class BiPoly:
-    """Integer polynomial in e1, e2; terms is {(deg1, deg2): coeff != 0}."""
+    """Integer polynomial in e1, e2; terms is {(deg1, deg2): coeff != 0}.
+
+    It is also the numerator ring of a cleared row over Q(e1,e2): +, -, *
+    and ** mix it with ints, and // is exact division (linalg.rank's
+    fraction-free elimination), raising ArithmeticError if it is not
+    exact.  A BiPoly is never changed once made."""
 
     __slots__ = ("t",)
 
@@ -55,22 +59,79 @@ class BiPoly:
         return bool(self.t)
 
     def __eq__(self, other):
+        if type(other) is int:
+            return self.t == ({(0, 0): other} if other else {})
+        if type(other) is not BiPoly:
+            return NotImplemented
         return self.t == other.t
 
     def __hash__(self):
-        return hash(frozenset(self.t.items()))
+        t = self.t
+        if t.keys() <= {(0, 0)}:
+            return hash(t.get((0, 0), 0))
+        return hash(frozenset(t.items()))
 
     def __neg__(self):
-        return BiPoly({k: -v for k, v in self.t.items()})
+        return _bp({k: -v for k, v in self.t.items()})
 
     def __add__(self, other):
-        return _bp(_t_add(self.t, other.t))
+        if type(other) is BiPoly:
+            return _bp(_t_add(self.t, other.t))
+        if type(other) is not int:
+            return NotImplemented
+        return _bp(_t_add(self.t, {(0, 0): other})) if other else self
+
+    __radd__ = __add__
 
     def __sub__(self, other):
+        if type(other) is not BiPoly and type(other) is not int:
+            return NotImplemented
         return self + (-other)
 
+    def __rsub__(self, other):
+        return -self + other
+
     def __mul__(self, other):
-        return _bp(_t_mul(self.t, other.t))
+        if type(other) is BiPoly:
+            t = other.t
+            return _bp(_t_mul(self.t, t)) if t and self.t else _BP_ZERO
+        if type(other) is int:
+            return _bp(_scaled(self.t, other)) if other else _BP_ZERO
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+    def __pow__(self, k):
+        out = _ONE_T
+        for _ in range(k):
+            out = _t_mul(out, self.t)
+        return _bp(out)
+
+    def __floordiv__(self, other):
+        if type(other) is int:
+            other = BiPoly.const(other)
+        elif type(other) is not BiPoly:
+            return NotImplemented
+        if not other.t:
+            raise ZeroDivisionError("division by zero")
+        if not self.t:
+            return self
+        a, r = _graded(self.t), _graded(other.t)
+        if len(a) == 1 and len(r) == 1:
+            (da, a), = a.items()
+            (dr, r), = r.items()
+            q = _hom_quotient(a, r)
+            q = None if q is None else _ungraded({da - dr: q})
+        else:
+            q = _exact_quotient(self.t, other.t)
+        if q is None:
+            raise ArithmeticError("%s does not divide %s" % (other, self))
+        return _bp(q)
+
+    def __rfloordiv__(self, other):
+        if type(other) is not int:
+            return NotImplemented
+        return BiPoly.const(other) // self
 
     def evaluate(self, e1, e2):
         tot = Fraction(0)
@@ -126,69 +187,47 @@ def _form_product(forms):
     return k, out
 
 
-def _times_form(t, f):
-    """The terms of t * [f]."""
-    a, b = f
-    out = {(i + 1, j): a * c for (i, j), c in t.items()} if a else {}
-    if b:
-        for (i, j), c in t.items():
-            k = (i, j + 1)
-            w = out.get(k, 0) + b * c
-            if w:
-                out[k] = w
-            else:
-                del out[k]
-    return out
-
-
 def _times_forms(t, forms):
-    for f, m in forms.items():
-        for _ in range(m):
-            t = _times_form(t, f)
-    return t
+    """The terms of t * [forms]: the powers of e1 and e2 shift the
+    exponents, and each other form is one pass over each graded part (see
+    _graded), a part p times a e1 + b e2 having the coefficients
+    b p_i + a p_(i-1)."""
+    m1, m2 = forms.get((1, 0), 0), forms.get((0, 1), 0)
+    if m1 or m2:
+        t = {(i + m1, j + m2): c for (i, j), c in t.items()}
+    rest = [(f, m) for f, m in forms.items() if f[0] and f[1] and m]
+    if not rest:
+        return t
+    out = {}
+    for p in _graded(t).values():
+        for (a, b), m in rest:
+            for _ in range(m):
+                p = [b * x + a * y for x, y in zip(p + [0], [0] + p)]
+        out[len(p) - 1] = p
+    return _ungraded(out)
 
 
 def _over_form(t, f):
-    """The terms of t / [f] if the prime form f divides t, else None.
-
-    [f] divides t exactly when it divides each homogeneous part, i.e. when
-    each part vanishes at (e1, e2) = (-b, a).  With x = e1/e2 a part of
-    degree d is e2^d p(x), and p(x) / (a x + b) is one synthetic division
-    from the top, exact over Z (Gauss) or not at all."""
-    a, b = f
-    if not b:                   # e1
-        if any(not i for i, _ in t):
-            return None
-        return {(i - 1, j): c for (i, j), c in t.items()}
-    if not a:                   # e2
-        if any(not j for _, j in t):
-            return None
-        return {(i, j - 1): c for (i, j), c in t.items()}
-    parts = {}
-    for (i, j), c in t.items():
-        parts.setdefault(i + j, {})[i] = c
-    out = {}
-    for d, part in parts.items():
-        q = _root_quotient([part.get(i, 0) for i in range(max(part) + 1)], a, b)
-        if q is None:
-            return None
-        out.update(((i, d - 1 - i), c) for i, c in enumerate(q) if c)
-    return out
+    """The terms of t / [f] if the prime form f divides t, else None."""
+    q = _graded_over_form(_graded(t), f)
+    return None if q is None else _ungraded(q)
 
 
 def _strip(t, forms, cands=None):
     """Divide t by each form of the multiset forms (those in cands, if
     given) as often as it divides, up to the form's multiplicity: the
     quotient and the forms left over."""
-    left = forms
+    ps, left = None, forms
     for f in forms if cands is None else cands:
+        if ps is None:
+            ps = _graded(t)
         m = forms[f]
         k = 0
         while k < m:
-            q = _over_form(t, f)
+            q = _graded_over_form(ps, f)
             if q is None:
                 break
-            t = q
+            ps = q
             k += 1
         if k:
             if left is forms:
@@ -197,7 +236,54 @@ def _strip(t, forms, cands=None):
                 del left[f]
             else:
                 left[f] = m - k
-    return t, left
+    return (t if left is forms else _ungraded(ps)), left
+
+
+# For trial division a term dict is read as its graded parts {d: [c_0, ...,
+# c_d]}, the part of degree d being sum c_i e1^i e2^(d-i): division by a
+# form is then one synthetic division on each list.
+
+def _graded(t):
+    """The graded parts of the term dict t."""
+    parts = {}
+    for (i, j), c in t.items():
+        p = parts.get(i + j)
+        if p is None:
+            p = parts[i + j] = [0] * (i + j + 1)
+        p[i] = c
+    return parts
+
+
+def _ungraded(ps):
+    """The term dict of graded parts."""
+    t = {}
+    for d, p in ps.items():
+        t.update(((i, d - i), c) for i, c in enumerate(p) if c)
+    return t
+
+
+def _graded_over_form(ps, f):
+    """The graded parts of ps / [f] if the prime form f divides ps, else
+    None.
+
+    [f] divides a polynomial exactly when it divides each homogeneous
+    part, i.e. when each part vanishes at (e1, e2) = (-b, a).  With x =
+    e1/e2 a part of degree d is e2^d p(x): e1 divides it when c_0 = 0, e2
+    when c_d = 0, and any other form when p(x) / (a x + b), one synthetic
+    division from the top, is exact over Z (Gauss)."""
+    a, b = f
+    out = {}
+    for d, p in ps.items():
+        if not b:
+            q = None if p[0] else p[1:]
+        elif not a:
+            q = None if p[-1] else p[:-1]
+        else:
+            q = _root_quotient(p, a, b)
+        if q is None:
+            return None
+        out[d - 1] = q
+    return out
 
 
 def _content(t):
@@ -218,6 +304,8 @@ def _divided(t, k):
 
 
 def _t_add(a, b):
+    if len(b) > len(a):
+        a, b = b, a
     out = dict(a)
     for k, v in b.items():
         w = out.get(k, 0) + v
@@ -330,6 +418,32 @@ def _exact_quotient(a, r):
         q[m] = c // r[lr]
         a = _t_add(a, _t_mul(r, {m: -q[m]}))
     return q
+
+
+def _hom_quotient(a, r):
+    """The graded part of A / R for homogeneous A and R of graded parts a
+    and r if R divides A, else None: long division of a(x) by r(x), x =
+    e1/e2, whose quotient must have degree at most deg A - deg R."""
+    dq = len(a) - len(r)
+    if dq < 0:
+        return None
+    er = len(r) - 1
+    while not r[er]:
+        er -= 1
+    lc = r[er]
+    a = list(a)
+    q = [0] * (len(a) - er)
+    for i in range(len(a) - 1, er - 1, -1):
+        c = a[i]
+        if c:
+            if c % lc:
+                return None
+            c = q[i - er] = c // lc
+            for j in range(er + 1):
+                a[i - er + j] -= c * r[j]
+    if any(a[:er]) or any(q[dq + 1:]):
+        return None
+    return q[:dq + 1]
 
 
 def _root_quotient(p, a, b):
@@ -561,6 +675,8 @@ class Coeff:
 def _coerce(x):
     if isinstance(x, Coeff):
         return x
+    if type(x) is BiPoly:
+        return _make(x.t, 1, _NO_FORMS)
     if isinstance(x, int):
         return Coeff.from_int(x)
     if isinstance(x, Fraction):
@@ -720,15 +836,19 @@ DEFAULT_SPEC_POINTS = (
 # Each field has one row format, the cleared row (numerators, D) of a
 # vector: clear(vec) makes it, uncleared(row) reads it back, combine(terms)
 # is the row of sum c * nums / D over terms [(c, (nums, D))], and
-# quotient(num, den) is the scalar num / den for num and den numerators or
-# products of row denominators.  lax_ints is (L ebar, L hbar, L), ring
-# elements with ebar = L ebar / L and hbar = L hbar / L: lax.lax_apply runs
-# its loop on them, and shc.jhat_dagger builds its hbar powers from them.
-# At a point the numerators are integers over their least D; over Q(e1,e2)
-# a row is the Coeff vector itself, and D and L are always 1.  A row need
-# not be in lowest terms, but clear and combine return the canonical one
-# (least D), so two canonical rows are equal exactly when their vectors
-# are.
+# quotient(num, den) is the scalar num / den for num a numerator or a
+# scalar and den a product of row denominators (or a numerator).  lax_ints
+# is (L ebar, L hbar, L), ring elements with ebar = L ebar / L and hbar =
+# L hbar / L: lax.lax_apply runs its loop on them, and shc.jhat_dagger
+# builds its hbar powers from them.  At a point the numerators are
+# integers over a positive integer D; over Q(e1,e2) they are integer
+# polynomials (BiPoly) over a Den, a positive integer times prime linear
+# forms, and L = 1.  So the operators multiply-add numerators in the ring
+# and multiply denominators, and a value is reduced only where it leaves
+# the library: uncleared and quotient reduce once per coordinate.  A row
+# need not be in lowest terms, but clear and combine return the canonical
+# one (least D, reduced once per row), so two canonical rows are equal
+# exactly when their vectors are.
 #
 # Each field also keeps the memos of scalars it computes over and over: lf's
 # forms (_lf_cache) and the transition measures tau and tau~ (tau_memo and
@@ -749,8 +869,118 @@ def _bad_scalar(v):
     return ValueError("not a canonical cache scalar: %r" % (v,))
 
 
+class Den:
+    """The denominator of a cleared row over Q(e1,e2): a positive integer
+    c times the product of the prime forms {f: multiplicity} of forms,
+    never empty (a denominator without forms is the int c itself).  Rows
+    only multiply their denominators, so that is all a Den does."""
+
+    __slots__ = ("c", "forms")
+
+    def __mul__(self, other):
+        if type(other) is int:
+            return self if other == 1 else _den(self.c * other, self.forms)
+        if type(other) is not Den:
+            return NotImplemented
+        return _den(self.c * other.c, _merged(self.forms, other.forms))
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other):
+        if type(other) is not Den:
+            return NotImplemented
+        return self.c == other.c and self.forms == other.forms
+
+    def __hash__(self):
+        return hash((self.c, frozenset(self.forms.items())))
+
+    def __repr__(self):
+        return render_poly(_bp(_times_forms({(0, 0): self.c}, self.forms)))
+
+
+def _den(c, forms):
+    """The row denominator c * [forms]: c itself if there are no forms."""
+    if not forms:
+        return c
+    d = Den.__new__(Den)
+    d.c, d.forms = c, forms
+    return d
+
+
+def _den_parts(d):
+    """(c, forms) of a row denominator (a Den or a positive int)."""
+    return (d, _NO_FORMS) if type(d) is int else (d.c, d.forms)
+
+
+def _parts(x):
+    """(numerator terms, c, forms) with x = num / (c [forms]) for a scalar
+    x (Coeff, int or Fraction) or a row numerator (BiPoly)."""
+    tp = type(x)
+    if tp is BiPoly:
+        return x.t, 1, _NO_FORMS
+    if tp is Coeff:
+        return x.num.t, x.c, x.forms
+    if tp is int:
+        return ({(0, 0): x} if x else {}), 1, _NO_FORMS
+    if tp is Fraction:
+        return ({(0, 0): x.numerator} if x else {}), x.denominator, _NO_FORMS
+    raise TypeError("not a scalar of Q(e1,e2): %r" % (x,))
+
+
+def _lift(t, k, forms, have):
+    """The terms of t * k * [forms - have], for have a sub-multiset of
+    forms: with k = K / c, the numerator over K [forms] of t / (c [have])."""
+    t = _scaled(t, k)
+    if have == forms:
+        return t
+    return _times_forms(t, {f: m - have.get(f, 0) for f, m in forms.items()})
+
+
+def _least_row(nums, k, forms):
+    """The canonical row of the vector nums / (k [forms]), nums a dict of
+    nonzero BiPoly: the integer and the forms that divide every numerator
+    come out, once per row."""
+    if not nums:
+        return {}, 1
+    if k != 1:
+        g = k
+        for v in nums.values():
+            g = _igcd(g, _content(v.t))
+            if g == 1:
+                break
+        if g != 1:
+            nums = {key: _bp(_divided(v.t, g)) for key, v in nums.items()}
+            k //= g
+    if not forms:
+        return nums, k
+    graded = {key: _graded(v.t) for key, v in nums.items()}
+    left = forms
+    for f, m in forms.items():
+        for _ in range(m):
+            qs = {}
+            for key, ps in graded.items():
+                q = _graded_over_form(ps, f)
+                if q is None:
+                    break
+                qs[key] = q
+            else:
+                graded = qs
+                if left is forms:
+                    left = dict(forms)
+                if left[f] == 1:
+                    del left[f]
+                else:
+                    left[f] -= 1
+                continue
+            break
+    if left is not forms:
+        nums = {key: _bp(_ungraded(ps)) for key, ps in graded.items()}
+    return nums, _den(k, left)
+
+
 class SymbolicField:
-    """Scalars are Coeff values; identities hold as rational functions."""
+    """Scalars are Coeff values; identities hold as rational functions.
+    Row numerators are BiPoly values over a Den (or a positive int)."""
 
     symbolic = True
     name = "symbolic"
@@ -765,22 +995,89 @@ class SymbolicField:
         self.hbar = -self.e1 * self.e2
         self.ebar = self.e1 + self.e2
         self.alpha = -self.e2 / self.e1
-        self.lax_ints = (self.ebar, self.hbar, 1)
+        self.lax_ints = (self.ebar.num, self.hbar.num, 1)
 
     def clear(self, vec):
-        return vec, 1
+        """The row of vec over the lcm of its entries' denominators, which
+        is the least D since each entry is in lowest terms (a polynomial
+        vector, as a Jack, keeps its numerators over 1)."""
+        nums = {}
+        for key, x in vec.items():
+            if type(x) is not Coeff or x.c != 1 or x.forms:
+                break
+            nums[key] = x.num
+        else:
+            return nums, 1
+        parts = [(key,) + _parts(x) for key, x in vec.items()]
+        k, forms = 1, {}
+        for _, _, c, fs in parts:
+            if c != 1:
+                k = lcm(k, c)
+            for f, m in fs.items():
+                if forms.get(f, 0) < m:
+                    forms[f] = m
+        return ({key: _bp(_lift(t, k // c, forms, fs)) for key, t, c, fs in parts},
+                _den(k, forms))
 
     def uncleared(self, row):
-        return row[0]
+        nums, d = row
+        return {key: self.quotient(v, d) for key, v in nums.items()}
 
     def combine(self, terms):
+        """The canonical row of sum c * nums / D: each term lifted to the
+        lcm of the c-denominators times D by one ring multiplier, the
+        numerators summed key by key (in v_accum's key order), then reduced
+        once."""
+        parts, k, forms = [], 1, {}
+        for c, (nums, d) in terms:
+            t, cc, cf = _parts(c)
+            if not t or not nums:
+                continue
+            dk, df = _den_parts(d)
+            cc *= dk
+            cf = _merged(cf, df)
+            if cc != 1:
+                k = lcm(k, cc)
+            for f, m in cf.items():
+                if forms.get(f, 0) < m:
+                    forms[f] = m
+            parts.append((t, cc, cf, nums))
         out = {}
-        for c, (vec, _) in terms:
-            v_accum(out, vec, None if c == 1 else c)
-        return out, 1
+        for t, cc, cf, nums in parts:
+            mult = _lift(t, k // cc, forms, cf)
+            mult = None if mult == _ONE_T else _bp(mult)
+            for key, v in nums.items():
+                if mult is not None:
+                    v = v * mult
+                w = out.get(key)
+                if w is None:
+                    out[key] = v
+                else:
+                    w = w + v
+                    if w:
+                        out[key] = w
+                    else:
+                        del out[key]
+        return _least_row(out, k, forms)
 
     def quotient(self, num, den):
-        return num if den == 1 else num / den
+        """num / den in lowest terms, for num a row numerator or a scalar
+        and den a row denominator (reduced by trial division by den's
+        forms and one integer gcd), or a numerator or a scalar (as Coeff
+        division: NotSplit unless it is an integer times forms)."""
+        t, c, f = _parts(num)
+        if not t:
+            return _C_ZERO
+        tp = type(den)
+        if tp is int:
+            if den == 1:
+                return _make(t, c, f)
+            k, g = den, _NO_FORMS
+        elif tp is Den:
+            k, g = den.c, den.forms
+        else:
+            return _quotient(_make(t, c, f), _coerce(den))
+        return _assemble(t, c, f, 1, _NO_FORMS, k, g)
 
     def lf(self, form):
         c = self._lf_cache.get(form)
@@ -932,28 +1229,6 @@ class SpecializedField:
         return q
 
 
-# ---------------------------------------------------------------------------
-# SpectralFun: factored rational functions of u with linear-form roots
-# ---------------------------------------------------------------------------
-
-def _merge_roots(a, b, sign=1):
-    out = dict(a)
-    for k, v in b.items():
-        w = out.get(k, 0) + sign * v
-        if w:
-            out[k] = w
-        elif k in out:
-            del out[k]
-    return out
-
-
-def _forms_at(roots, form, skip=None):
-    """The forms form - r over the roots r but skip, each repeated by its
-    multiplicity."""
-    return [(form[0] - r[0], form[1] - r[1])
-            for r, m in roots.items() if r != skip for _ in range(m)]
-
-
 def _cancel(num, den):
     num, den = dict(num), dict(den)
     for k in list(num):
@@ -966,117 +1241,3 @@ def _cancel(num, den):
             if not den[k]:
                 del den[k]
     return num, den
-
-
-class SpectralFun:
-    """prefactor * prod(u - [r], r in num) / prod(u - [r], r in den).
-
-    Roots are integer linear forms (pairs); common roots cancel on
-    construction.  The prefactor is a field scalar.
-    """
-
-    __slots__ = ("pre", "num", "den")
-
-    def __init__(self, pre, num=(), den=()):
-        num, den = _cancel(num or {}, den or {})
-        if not pre:
-            num, den = {}, {}
-        self.pre = pre
-        self.num = num
-        self.den = den
-
-    @staticmethod
-    def one(field):
-        return SpectralFun(field.one)
-
-    def degree(self):
-        return sum(self.num.values()) - sum(self.den.values())
-
-    def __mul__(self, other):
-        if isinstance(other, SpectralFun):
-            return SpectralFun(self.pre * other.pre,
-                               _merge_roots(self.num, other.num),
-                               _merge_roots(self.den, other.den))
-        return SpectralFun(self.pre * other, self.num, self.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, SpectralFun):
-            return SpectralFun(self.pre / other.pre,
-                               _merge_roots(self.num, other.den),
-                               _merge_roots(self.den, other.num))
-        return SpectralFun(self.pre / other, self.num, self.den)
-
-    def inverse(self):
-        return SpectralFun(1 / self.pre, dict(self.den), dict(self.num))
-
-    def shift(self, form):
-        """Substitute u -> u - [form] (all roots shift by the form)."""
-        a, b = form
-        return SpectralFun(self.pre,
-                           {(r[0] + a, r[1] + b): m for r, m in self.num.items()},
-                           {(r[0] + a, r[1] + b): m for r, m in self.den.items()})
-
-    def residue(self, pole, field):
-        m = self.den.get(pole)
-        if m is None:
-            raise NotAPole("u = [%d,%d] is not a pole" % pole)
-        if m != 1:
-            raise NotASimplePole("pole of order %d at [%d,%d]" % (m, *pole))
-        return field.ratio(_forms_at(self.num, pole), _forms_at(self.den, pole, pole),
-                           self.pre)
-
-    def partial_fractions(self, field):
-        """(polynomial part as little-endian list, {pole: residue}).
-
-        Requires all poles simple.  The polynomial part of degree
-        k = deg num - deg den >= 0 is read off the expansion at u = oo,
-        pre u^k prod(1 - [r]/u) / prod(1 - [p]/u): [pre] at k = 0, and at
-        k = 1 pre (u + [sum of poles - sum of roots]), one field.ratio of
-        the summed form."""
-        res = {}
-        for pole, m in self.den.items():
-            if m != 1:
-                raise NotASimplePole("pole of order %d" % m)
-            res[pole] = self.residue(pole, field)
-        k = self.degree()
-        if k < 0 or not self.pre:
-            return [], res
-        if k == 0:
-            return [self.pre], res
-        if k == 1:
-            a = sum(p[0] for p in self.den) - sum(r[0] * m for r, m in self.num.items())
-            b = sum(p[1] for p in self.den) - sum(r[1] * m for r, m in self.num.items())
-            return [field.ratio(((a, b),), (), self.pre), self.pre], res
-        # g(x) = prod(1 - [r] x) / prod(1 - [p] x) to x^k; the part is pre g_{k-i} u^i
-        g = [field.one] + [field.zero] * k
-        for r, m in self.num.items():
-            v = field.lf(r)
-            for _ in range(m):
-                for i in range(k, 0, -1):
-                    g[i] = g[i] - v * g[i - 1]
-        for p in self.den:
-            v = field.lf(p)
-            for i in range(1, k + 1):
-                g[i] = g[i] + v * g[i - 1]
-        return [self.pre * c for c in reversed(g)], res
-
-    def factored_str(self):
-        def prod(roots):
-            out = []
-            for r in sorted(roots):
-                f = "(u - [%d,%d])" % r if r != (0, 0) else "u"
-                m = roots[r]
-                out.append(f + ("^%d" % m if m > 1 else ""))
-            return "*".join(out) if out else "1"
-        pre = render_coeff(self.pre)
-        s = prod(self.num)
-        if self.den:
-            s += " / " + prod(self.den)
-        if pre != "1":
-            s = "(%s) * " % pre + s
-        return s
-
-    def __repr__(self):
-        return self.factored_str()

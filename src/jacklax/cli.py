@@ -15,8 +15,9 @@ import functools
 import json
 import os
 import sys
+from fractions import Fraction
 
-from .arith import render_scalar
+from .arith import Coeff, render_scalar
 from .errors import BadBox, BadSize, JackLaxError
 from .partitions import (count_by_corners, count_lattice_q, count_partitions,
                          format_partition, parse_partition, series_P)
@@ -46,6 +47,37 @@ def _coeff_wrap(c):
     if " " in s or "/" in s:
         return "(%s)" % s
     return s
+
+
+def render_latex(c):
+    """A scalar as LaTeX math: e_1, e_2 with braced exponents, and a
+    quotient as \\frac{numerator}{denominator}."""
+    if isinstance(c, Coeff):
+        num, den = _latex_poly(c.num), _latex_poly(c.den)
+    else:
+        q = Fraction(c)
+        num, den = str(q.numerator), str(q.denominator)
+    if den == "1":
+        return num
+    if num.startswith("-") and not isinstance(c, Coeff):
+        return r"-\frac{%s}{%s}" % (num[1:], den)
+    return r"\frac{%s}{%s}" % (num, den)
+
+
+def _latex_poly(p):
+    if not p.t:
+        return "0"
+    parts = []
+    for (i, j) in sorted(p.t, key=lambda k: (-(k[0] + k[1]), -k[0])):
+        c = p.t[(i, j)]
+        monos = [v if k == 1 else "%s^{%d}" % (v, k)
+                 for v, k in (("e_1", i), ("e_2", j)) if k]
+        body = " ".join(([str(abs(c))] if abs(c) != 1 or not monos else []) + monos)
+        if not parts:
+            parts.append(("-" if c < 0 else "") + body)
+        else:
+            parts.append(("- " if c < 0 else "+ ") + body)
+    return " ".join(parts)
 
 
 def format_fock(vec):
@@ -148,7 +180,7 @@ def cmd_lr(args):
             print(r"%s_{%s,%s}^{%s} &= %s \\" % (cname, format_partition(mu),
                                                  format_partition(nu),
                                                  format_partition(g),
-                                                 render_scalar(c)))
+                                                 render_latex(c)))
     else:
         for g, c in items:
             print("%s_{%s,%s}^{%s} = %s" % (cname, format_partition(mu),
@@ -159,8 +191,12 @@ def cmd_lr(args):
 
 
 def cmd_counts(args):
-    if args.to < 0:
-        raise BadSize("bad size to=%d for counts: sizes are >= 0" % args.to)
+    corners = args.corners or (None, None)
+    for name, v in (("to", args.to), ("partitions", args.partitions),
+                    ("corners n", corners[0]), ("corners r", corners[1]),
+                    ("lattice", args.lattice), ("dim-h", args.dim_h)):
+        if v is not None and v < 0:
+            raise BadSize("bad size %s=%d for counts: sizes are >= 0" % (name, v))
     if args.kernel:
         from .traces import kernel_dim_series
         ser = kernel_dim_series(args.to)
@@ -269,10 +305,18 @@ def cmd_verify(args):
     return 0 if gate else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose usage errors end, like every other bad
+    input, in one line "error: ..." on stderr and exit code 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(2, "error: %s\n" % message)
+
+
 def build_parser():
-    ap = argparse.ArgumentParser(prog="jacklax",
-                                 description="Exact Jack/Lax computations and verification")
-    common = argparse.ArgumentParser(add_help=False)
+    ap = _Parser(prog="jacklax", description="Exact Jack/Lax computations and verification")
+    common = _Parser(add_help=False)
     common.add_argument("--spec-points",
                         help="semicolon-separated e1,e2 rational pairs")
     common.add_argument("--cache-dir")

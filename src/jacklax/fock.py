@@ -6,10 +6,11 @@ Vectors are sparse dicts:
 
 The operators of the library take and return cleared rows (nums, D): the
 vector sum nums[key] / D key by key, with nums in the field's numerator
-ring (Python ints at a specialized point, Coeff values over Q(e1,e2) with
-D = 1); field.clear, field.combine and field.uncleared make and read them.
-The helpers below act on dicts of either kind; zero coefficients are never
-stored.  The V-monomial inner product is diagonal:
+ring (Python ints over a positive integer D at a specialized point,
+integer polynomials over a factored D over Q(e1,e2)), so an operator runs
+ring operations only; field.clear, field.combine and field.uncleared make
+and read them.  The helpers below act on dicts of numerators or of field
+scalars; zero coefficients are never stored.  The V-monomial inner product is diagonal:
     <V_mu, V_mu> = prod_k (hbar*k)^{d_k} d_k!   (d_k = multiplicity of k).
 """
 

@@ -4,7 +4,9 @@ The Jacks of degree n come from the degree-(n-1) Lax eigenfunctions.  The
 shift identity L j_lam = sum_{t in R_lam} tau~_lam^{t+(1,1)} w psi_{lam-t}^t
 and Euler's relation (the w^0 part of L w V_mu w^m is V_{m+1} V_mu) give
     j_lam = (n hbar)^{-1} A sum_{t in R_lam} tau~_lam^{t+(1,1)} psi_{lam-t}^t
-with A = pi0 L w.  No pairing, basis change or matrix inverse is needed.
+with A = pi0 L w.  By Euler's relation again A is a re-keying,
+w^m V_mu -> V_{m+1} V_mu (lax.op_A), so no Lax operator runs here, and no
+pairing, basis change or matrix inverse is needed.
 """
 
 from functools import lru_cache
@@ -21,17 +23,18 @@ def compute_homogeneous_jacks(ws, n):
     row}.
 
     Reads the degree-(n-1) eigenfunctions through ws.psi_row, which in
-    turn reads the lower-degree Jacks through ws.jack_row: both run on
-    cleared rows (field.combine), and so does A."""
+    turn reads the lower-degree Jacks through ws.jack_row.  A is linear,
+    so each psi row is re-keyed by A on its own and the scaled sum is one
+    field.combine per Jack."""
     field = ws.field
     if n == 0:
         return {(): field.clear({(): field.one})}
     scale = field.one / (field.num(n) * field.hbar)
     out = {}
     for lam in partitions_of(n):
-        q, d = field.combine([(tau_tilde(field, lam, (t[0] + 1, t[1] + 1)),
-                               ws.psi_row(remove_box(lam, t), t)) for t in rem_set(lam)])
-        out[lam] = field.combine([(scale, op_A(field, (q, d)))])
+        out[lam] = field.combine([(scale * tau_tilde(field, lam, (t[0] + 1, t[1] + 1)),
+                                   op_A(field, ws.psi_row(remove_box(lam, t), t)))
+                                  for t in rem_set(lam)])
     return out
 
 

@@ -14,7 +14,7 @@ and satisfy L psi = [s] psi with pi0 psi = j_lam.
 from functools import lru_cache
 
 from .errors import EmptyPartition, NotARemovableCorner, NotAnAddableBox
-from .fock import Pi, bump, degree_of, fock_to_ext, hn_basis, pi0, pi_plus, w_mul
+from .fock import Pi, bump, degree_of, fock_to_ext, hn_basis, pi_plus, w_mul
 from .partitions import add_set, format_partition, rem_set, rem_set_plus, remove_box
 from .spectral import tau_tilde
 
@@ -61,7 +61,7 @@ def lax_apply(field, row):
     The loop runs on the numerators, with ebar and hbar entering as the
     numerators L ebar and L hbar of field.lax_ints, so the image is the
     row of those numerators over D L, not in lowest terms.  (At a point
-    these are integers; over Q(e1,e2), D = L = 1.)"""
+    these are integers; over Q(e1,e2) they are polynomials, and L = 1.)"""
     ebar, hbar, den = field.lax_ints
     nums, d = row
     return _lax_loop(nums, ebar, hbar, den), d * den
@@ -90,9 +90,16 @@ def lax_mult(row):
 
 def op_A(field, row):
     """A = pi0 L w : H_n -> F_{n+1} on a cleared row (returns a FockVec
-    row)."""
-    nums, d = lax_apply(field, (w_mul(row[0]), row[1]))
-    return pi0(nums), d
+    row over the same D).
+
+    By Euler's relation the w^0 part of L w^(m+1) V_mu is V_{m+1} V_mu:
+    the other moves of L keep a positive power of w.  So A sends the key
+    (m, mu) to mu with a part m+1 added, with weight 1; keys that meet
+    are summed."""
+    out = {}
+    for (m, mu), c in row[0].items():
+        bump(out, tuple(sorted(mu + (m + 1,), reverse=True)), c)
+    return out, row[1]
 
 
 def op_B(field, row):
@@ -137,11 +144,11 @@ def compute_psi(ws, lam, s):
     terms = [(1, (fock_to_ext(nums), d))]
     for t in rem_set(lam):
         tp = (t[0] + 1, t[1] + 1)
-        den = field.lf((s[0] - tp[0], s[1] - tp[1]))
-        if not den:
+        form = (s[0] - tp[0], s[1] - tp[1])
+        if not field.lf(form):
             raise ZeroDivisionError("degenerate denominator in psi recursion")
         nums, d = ws.psi_row(remove_box(lam, t), t)
-        terms.append((tau_tilde(field, lam, tp) / den, (w_mul(nums), d)))
+        terms.append((field.ratio((), (form,), tau_tilde(field, lam, tp)), (w_mul(nums), d)))
     return field.combine(terms)
 
 

@@ -1,8 +1,8 @@
 """Exact dense linear algebra.
 
 solve, invert and matvec run over any field whose elements support +, -,
-*, / and truthiness (Fraction or Coeff); rank runs fraction-free on
-integer numerators (or Coeff values)."""
+*, / and truthiness (Fraction or Coeff); rank runs fraction-free on the
+numerators of cleared rows: integers, or integer polynomials (BiPoly)."""
 
 from .errors import JackLaxError
 
@@ -81,10 +81,8 @@ def matvec(A, x, field):
 
 
 def rank(A):
-    """Rank of a matrix of integers, or of Coeff values (whose // is exact
-    division: denominators stay integers times linear forms, and a pivot
-    whose numerator does not split must divide the minor it divides, else
-    NotSplit), by Bareiss' fraction-free elimination.
+    """Rank of a matrix of integers or of integer polynomials (BiPoly,
+    whose // is exact division), by Bareiss' fraction-free elimination.
 
     Each pivot step replaces the rows below by
     (pivot * row - lead * pivot_row) // previous pivot; by Sylvester's

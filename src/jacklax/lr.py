@@ -66,25 +66,28 @@ def marginalize(table):
 
 def main_theorem_residual(ws, mu, nu):
     """LHS minus RHS as a {pole: scalar} map (all zero iff the identity
-    holds)."""
+    holds).
+
+    Both sides are one field.combine of rows keyed by pole: each chat
+    enters as its numerator in the Jack expansion row of j_mu j_nu, scaled
+    by varpi_gamma / (varpi_mu varpi_nu), and the star residues as one row,
+    so no chat is reduced on its own."""
     if not mu or not nu:
         raise JackLaxError("mu, nu must be nonempty")
     field = ws.field
     union = diagram_union(mu, nu)
     union_boxes = set(boxes(union))
-    lhs = {}
-    for gamma, chat in jack_lr(ws, mu, nu, hatted=True).items():
+    nums, den = ws.expand_in_jacks(jack_product(ws, mu, nu))
+    forms_mn = boxes_x(mu) + boxes_x(nu)
+    terms = []
+    for gamma, c in nums.items():
         if not contains(gamma, union):
             # selection rule violation would surface here
-            if chat:
-                raise JackLaxError("selection rule violated at %s" % (gamma,))
-            continue
-        for b in boxes(gamma):
-            if b not in union_boxes:
-                bump(lhs, b, chat)
-    for pole, r in star_residues(field, mu, nu).items():
-        bump(lhs, pole, -r)
-    return lhs
+            raise JackLaxError("selection rule violated at %s" % (gamma,))
+        terms.append((field.ratio(boxes_x(gamma), forms_mn),
+                      ({b: c for b in boxes(gamma) if b not in union_boxes}, den)))
+    terms.append((-1, field.clear(star_residues(field, mu, nu))))
+    return field.uncleared(field.combine(terms))
 
 
 def determination_check(ws, n):

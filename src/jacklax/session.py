@@ -354,8 +354,9 @@ class DualIndex:
     expands by multiply-adding numerators into the row
     ({label_i: S_i sum_key a[key] B_i[key] g[key]}, D S): exact, with
     every denominator carried, and not in lowest terms.  (At a point the
-    numerators are ints.)  The state is plain data: the field is passed
-    to the constructor only."""
+    numerators are ints, over Q(e1,e2) polynomials: ring operations
+    only.)  The state is plain data: the field is passed to the
+    constructor only."""
 
     def __init__(self, field, labels, rows, gram, scales):
         gnums, gden = gram

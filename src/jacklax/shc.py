@@ -73,7 +73,7 @@ def Y_eig(field, lam):
 
 
 def _z_factor(field):
-    from .arith import SpectralFun
+    from .spectral import SpectralFun
     return SpectralFun(field.one, {(0, 0): 1}, {})
 
 
@@ -169,7 +169,7 @@ def jhat_dagger(ws, lam, row, memo):
     m = max(map(len, nums))
     powers = [h ** l * L ** (m - l) for l in range(m + 1)]
     terms = [(c * powers[len(mu)], _dagger_row(memo, mu)) for mu, c in nums.items()]
-    scale = field.one / (ws.varpi(lam) * (d * L ** m))
+    scale = field.quotient(field.one / ws.varpi(lam), d * L ** m)
     return fock_to_jack(ws, field.combine([(scale, field.combine(terms))]))
 
 

@@ -1,5 +1,9 @@
 """Spectral factors T(u), generalized box versions, transition measures.
 
+They are SpectralFun values: rational functions of the auxiliary variable
+u whose zeros and poles are integer linear forms a*e1 + b*e2, kept
+factored.
+
 Sign convention (two appear in the literature): we fix
     tau(lam, s)        =  Res_{u=[s]} u^{-1} T_lam(u),      s in add set,
     tau_tilde(lam, t)  = -Res_{u=[t]} u T_lam(u)^{-1},      t in outer corners.
@@ -8,10 +12,146 @@ shift theorem, the q expansion and the appendix sum identities; the other
 choice breaks all of them (see tests).
 """
 
-from .arith import SpectralFun
-from .errors import JackLaxError, NotASimplePole
+from .arith import _cancel, render_coeff
+from .errors import JackLaxError, NotAPole, NotASimplePole
 from .partitions import (add_box, add_set, rem_set, rem_set_plus,
                          remove_box, star_product)
+
+
+# ---------------------------------------------------------------------------
+# SpectralFun: factored rational functions of u with linear-form roots
+# ---------------------------------------------------------------------------
+
+def _merge_roots(a, b, sign=1):
+    out = dict(a)
+    for k, v in b.items():
+        w = out.get(k, 0) + sign * v
+        if w:
+            out[k] = w
+        elif k in out:
+            del out[k]
+    return out
+
+
+def _forms_at(roots, form, skip=None):
+    """The forms form - r over the roots r but skip, each repeated by its
+    multiplicity."""
+    return [(form[0] - r[0], form[1] - r[1])
+            for r, m in roots.items() if r != skip for _ in range(m)]
+
+
+class SpectralFun:
+    """prefactor * prod(u - [r], r in num) / prod(u - [r], r in den).
+
+    Roots are integer linear forms (pairs); common roots cancel on
+    construction.  The prefactor is a field scalar.
+    """
+
+    __slots__ = ("pre", "num", "den")
+
+    def __init__(self, pre, num=(), den=()):
+        num, den = _cancel(num or {}, den or {})
+        if not pre:
+            num, den = {}, {}
+        self.pre = pre
+        self.num = num
+        self.den = den
+
+    @staticmethod
+    def one(field):
+        return SpectralFun(field.one)
+
+    def degree(self):
+        return sum(self.num.values()) - sum(self.den.values())
+
+    def __mul__(self, other):
+        if isinstance(other, SpectralFun):
+            return SpectralFun(self.pre * other.pre,
+                               _merge_roots(self.num, other.num),
+                               _merge_roots(self.den, other.den))
+        return SpectralFun(self.pre * other, self.num, self.den)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        if isinstance(other, SpectralFun):
+            return SpectralFun(self.pre / other.pre,
+                               _merge_roots(self.num, other.den),
+                               _merge_roots(self.den, other.num))
+        return SpectralFun(self.pre / other, self.num, self.den)
+
+    def inverse(self):
+        return SpectralFun(1 / self.pre, dict(self.den), dict(self.num))
+
+    def shift(self, form):
+        """Substitute u -> u - [form] (all roots shift by the form)."""
+        a, b = form
+        return SpectralFun(self.pre,
+                           {(r[0] + a, r[1] + b): m for r, m in self.num.items()},
+                           {(r[0] + a, r[1] + b): m for r, m in self.den.items()})
+
+    def residue(self, pole, field):
+        m = self.den.get(pole)
+        if m is None:
+            raise NotAPole("u = [%d,%d] is not a pole" % pole)
+        if m != 1:
+            raise NotASimplePole("pole of order %d at [%d,%d]" % (m, *pole))
+        return field.ratio(_forms_at(self.num, pole), _forms_at(self.den, pole, pole),
+                           self.pre)
+
+    def partial_fractions(self, field):
+        """(polynomial part as little-endian list, {pole: residue}).
+
+        Requires all poles simple.  The polynomial part of degree
+        k = deg num - deg den >= 0 is read off the expansion at u = oo,
+        pre u^k prod(1 - [r]/u) / prod(1 - [p]/u): [pre] at k = 0, and at
+        k = 1 pre (u + [sum of poles - sum of roots]), one field.ratio of
+        the summed form."""
+        res = {}
+        for pole, m in self.den.items():
+            if m != 1:
+                raise NotASimplePole("pole of order %d" % m)
+            res[pole] = self.residue(pole, field)
+        k = self.degree()
+        if k < 0 or not self.pre:
+            return [], res
+        if k == 0:
+            return [self.pre], res
+        if k == 1:
+            a = sum(p[0] for p in self.den) - sum(r[0] * m for r, m in self.num.items())
+            b = sum(p[1] for p in self.den) - sum(r[1] * m for r, m in self.num.items())
+            return [field.ratio(((a, b),), (), self.pre), self.pre], res
+        # g(x) = prod(1 - [r] x) / prod(1 - [p] x) to x^k; the part is pre g_{k-i} u^i
+        g = [field.one] + [field.zero] * k
+        for r, m in self.num.items():
+            v = field.lf(r)
+            for _ in range(m):
+                for i in range(k, 0, -1):
+                    g[i] = g[i] - v * g[i - 1]
+        for p in self.den:
+            v = field.lf(p)
+            for i in range(1, k + 1):
+                g[i] = g[i] + v * g[i - 1]
+        return [self.pre * c for c in reversed(g)], res
+
+    def factored_str(self):
+        def prod(roots):
+            out = []
+            for r in sorted(roots):
+                f = "(u - [%d,%d])" % r if r != (0, 0) else "u"
+                m = roots[r]
+                out.append(f + ("^%d" % m if m > 1 else ""))
+            return "*".join(out) if out else "1"
+        pre = render_coeff(self.pre)
+        s = prod(self.num)
+        if self.den:
+            s += " / " + prod(self.den)
+        if pre != "1":
+            s = "(%s) * " % pre + s
+        return s
+
+    def __repr__(self):
+        return self.factored_str()
 
 
 def T_of_boxes(field, gamma):

@@ -473,15 +473,19 @@ def rho_general(ws, xi, zeta):
 def good_normalizer_F(ws, xi):
     """F(xi) = sum_lam xi_lam / z_lam(xi_lam) for the cleared row xi, as a
     cleared row; raises NotGood.  The coefficient of psi-hat_lam^s is the
-    ratio of two expansion numerators."""
-    nums, _ = ws.expand_psi_hat(xi)
+    ratio of two expansion coefficients, each reduced first, so that the
+    divisor is the z-trace itself (over Q(e1,e2) it must split into
+    linear forms, else NotSplit)."""
+    nums, d = ws.expand_psi_hat(xi)
+    q = ws.field.quotient
     coeffs = {}
     for lam, comp in _by_lam(nums).items():
         tot = sum(comp.values())
         if not tot:
             raise NotGood("Z_%s component has vanishing z-trace" % (lam,))
+        tot = q(tot, d)
         for s, c in comp.items():
-            coeffs[(lam, s)] = ws.field.quotient(c, tot)
+            coeffs[(lam, s)] = q(c, d) / tot
     return ws.psi_hat_combine(coeffs)
 
 

@@ -52,6 +52,16 @@ normalizer sum field scalars, a row combination is a sum of vectors
 cleared afterwards, inner_hbar multiply-adds field scalars, and the rank
 comes from Gaussian elimination with field division.
 
+A = pi0 L w runs in closed form: by Euler's relation it re-keys w^m V_mu
+to V_{m+1} V_mu (lax.op_A).  Here it is the w^0 part of L applied to w
+times the row (pi0_lax_w).
+
+Over Q(e1,e2) a row's numerators are integer polynomials over one
+factored denominator, so the operators run ring operations only and a
+value is reduced once, when it leaves the library.  Here
+CoeffVectorField keeps the earlier row format: the Coeff vector itself
+over 1, every multiply-add of the operators reduced to lowest terms.
+
 Over Q(e1,e2) a Coeff keeps its denominator as an integer times prime
 linear forms and reduces by trial division.  Here Coeff is the reduced
 fraction of two integer polynomials, whatever its denominator, reduced by
@@ -82,14 +92,15 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial, gcd as _igcd
 
-from jacklax.arith import (_BP_ONE, _BP_ZERO, BiPoly, SpectralFun, _forms_at, _lead_order,
-                           _merge_roots, _parse_poly, render_coeff)
+from jacklax.arith import (_BP_ONE, _BP_ZERO, BiPoly, Den, SymbolicField, _lead_order,
+                           _parse_poly, _times_forms, render_coeff)
+from jacklax.arith import Coeff as ArithCoeff
 from jacklax.errors import (JackLaxError, NotAnAddableBox, NotASimplePole, NotGood,
                             NotInNullSpace, PoleAtSpecPoint, ZeroDenominator)
 from jacklax.fock import (Pi, _as_ext, annihilate, bump, degree_of, ext_mul, fock_to_ext,
                           hall_inner_alpha, hn_basis, monomial_norm_sq, pi0, v_accum,
                           v_clear, v_scale, v_uncleared, w_mul)
-from jacklax.lax import psi_tilde_row, q_poly_row
+from jacklax.lax import lax_apply, psi_tilde_row, q_poly_row
 from jacklax.linalg import invert, matvec
 from jacklax.partitions import (add_box, add_set, boxes, eigen_pairs, partition,
                                  partitions_of, rem_set, remove_box, size)
@@ -100,7 +111,8 @@ from jacklax.shc import (Y_eig, Yinv_eig, _dagger_row, apply_dPhi, apply_diagona
                          sfun_to_pf_keys)
 from jacklax.jack import jack_inv_norm_sq
 from jacklax.session import DualIndex
-from jacklax.spectral import tau, tau_hat, tau_tilde
+from jacklax.spectral import (SpectralFun, _forms_at, _merge_roots, tau, tau_hat,
+                              tau_tilde)
 from jacklax.traces import TraceVector
 
 
@@ -391,8 +403,63 @@ def field_lax_row(field, row):
     lax_apply."""
     den = row[1] * field.lax_ints[2]
     img = field_lax_apply(field, field.uncleared(row))
-    return {k: int(c * den) if isinstance(c, Fraction) else c * den
-            for k, c in img.items()}, den
+    return {k: row_numerator(c, den) for k, c in img.items()}, den
+
+
+def row_numerator(c, den):
+    """The numerator of the scalar c over the row denominator den: the
+    integer c den at a point, the polynomial c den (a BiPoly) over
+    Q(e1,e2)."""
+    if isinstance(c, Fraction):
+        q = c * den
+        assert q.denominator == 1
+        return q.numerator
+    if isinstance(den, Den):
+        den = den_scalar(den)
+    q = c * den
+    assert q.den == _BP_ONE
+    return q.num
+
+
+def den_scalar(den):
+    """The row denominator den (a Den) as the scalar it stands for."""
+    return ArithCoeff(BiPoly(_times_forms({(0, 0): den.c}, den.forms)))
+
+
+def pi0_lax_w(field, row):
+    """A = pi0 L w on a cleared row, through the Lax operator itself: L
+    applied to w times the row, and its w^0 layer kept; the row is over
+    D L (as lax_apply's image), not in lowest terms."""
+    nums, d = lax_apply(field, (w_mul(row[0]), row[1]))
+    return pi0(nums), d
+
+
+class CoeffVectorField(SymbolicField):
+    """Q(e1,e2) with the earlier row format: a row is the Coeff vector
+    itself over 1, combine is the v_accum sum, quotient is Coeff division
+    and lax_ints = (ebar, hbar, 1) are field scalars.  Every multiply-add
+    of the operators then reduces to lowest terms; the library's rows
+    (polynomial numerators over one factored denominator) give the same
+    vectors."""
+
+    def __init__(self):
+        super().__init__()
+        self.lax_ints = (self.ebar, self.hbar, 1)
+
+    def clear(self, vec):
+        return dict(vec), 1
+
+    def uncleared(self, row):
+        return row[0]
+
+    def combine(self, terms):
+        out = {}
+        for c, (vec, _) in terms:
+            v_accum(out, vec, None if c == 1 else c)
+        return out, 1
+
+    def quotient(self, num, den):
+        return num if den == 1 else num / den
 
 
 def _field_beta(field, z1, z2):

@@ -4,10 +4,10 @@ import pytest
 
 import oracles
 from jacklax.arith import (BiPoly, Coeff, DEFAULT_SPEC_POINTS, SpecPoint,
-                           SpectralFun, SymbolicField, parse_coeff, parse_scalar,
-                           render_coeff)
+                           SymbolicField, parse_coeff, parse_scalar, render_coeff)
 from jacklax.errors import (BadSpecPoint, JackLaxError, NotAPole, NotASimplePole,
                             PoleAtSpecPoint, ZeroDenominator)
+from jacklax.spectral import SpectralFun
 
 F = SymbolicField()
 e1, e2 = F.e1, F.e2

@@ -55,9 +55,18 @@ def test_lr_compute_json(capsys):
 
 
 def test_lr_compute_latex(capsys):
+    # each scalar is LaTeX math: a quotient is a \frac, not "e1 / e1 - e2"
     main(["lr", "compute", "--mu", "1", "--nu", "1", "--format", "latex"])
-    out = capsys.readouterr().out
-    assert r"\\" in out and "c_{1,1}^" in out
+    out = capsys.readouterr().out.splitlines()
+    assert r"c_{1,1}^{2} &= \frac{e_1}{e_1 - e_2} \\" in out
+    assert r"c_{1,1}^{1^2} &= \frac{-e_2}{e_1 - e_2} \\" in out
+    main(["lr", "compute", "--mu", "2,1", "--nu", "1", "--format", "latex"])
+    assert (r"c_{1,2,1}^{1^2,2} &= \frac{-e_1 e_2 + 2 e_2^{2}}{2 e_1^{2} - 4 e_1 e_2 + "
+            r"2 e_2^{2}} \\") in capsys.readouterr().out.splitlines()
+    main(["lr", "compute", "--mu", "1", "--nu", "1", "--format", "latex",
+          "--mode", "specialized", "--spec-points=-3/2,22/7"])
+    assert capsys.readouterr().out.splitlines() == [r"c_{1,1}^{1^2} &= \frac{44}{65} \\",
+                                                    r"c_{1,1}^{2} &= \frac{21}{65} \\"]
 
 
 def test_counts_kernel(capsys):
@@ -272,6 +281,12 @@ def test_size_zero_is_not_the_default(capsys):
     (["verify", "counts", "--out", os.path.join(HERE, "never-made", "o.json")],
      "directory %s does not exist" % os.path.join(HERE, "never-made")),
     (["verify", "counts", "--out", HERE], "--out %s is a directory" % HERE),
+    # every counts size is checked, not only --to
+    (["counts", "--partitions", "-3"], "bad size partitions=-3"),
+    (["counts", "--corners", "-2", "1"], "bad size corners n=-2"),
+    (["counts", "--corners", "3", "-1"], "bad size corners r=-1"),
+    (["counts", "--lattice", "-4"], "bad size lattice=-4"),
+    (["counts", "--dim-h", "-2"], "bad size dim-h=-2"),
 ])
 def test_bad_input_exits_2_with_one_error_line(argv, needle):
     env = {k: v for k, v in os.environ.items() if k != "JACKLAX_CACHE_DIR"}

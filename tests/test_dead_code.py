@@ -10,7 +10,9 @@ own definition, comments, docstrings and other string literals do not
 count, and neither do tests/: a name only the tests reach is a test
 convenience and belongs in tests/oracles.py or inlined in its test.  A method counts as used when
 its name is, on whatever object.  `main`, the console entry point, is
-exempt, and so are the names in TEST_ONLY, each with its reason.
+exempt, and so are the names in TEST_ONLY, each with its reason, and the
+OVERRIDES of a standard-library method, which the standard library calls
+by name.
 
 The fields own the row format (clear, uncleared, combine, quotient and
 lax_ints), so the recursions and expansions run one code path for both;
@@ -36,6 +38,12 @@ TEST_ONLY = {
     # defines the canonical report (the part that stays byte-identical
     # across refactors and --jobs values) beside Report.as_dict
     "report.Report.canonical_json",
+}
+# Methods that override a method of a standard-library base class, which
+# calls them by name ("module.Class.method").
+OVERRIDES = {
+    # argparse calls ArgumentParser.error on every usage error
+    "cli._Parser.error",
 }
 
 
@@ -105,7 +113,8 @@ def _dead(methods):
     used = _used()
     return [qual for qual, name in _definitions()
             if (qual.count(".") == 2) == methods
-            and name not in used and name not in ALLOWED and qual not in TEST_ONLY]
+            and name not in used and name not in ALLOWED and qual not in TEST_ONLY
+            and qual not in OVERRIDES]
 
 
 def test_every_module_level_name_is_used():
@@ -129,6 +138,13 @@ def test_test_only_allowlist_is_current():
     defined = {qual for qual, _ in _definitions()}
     assert TEST_ONLY <= defined
     assert [name for name in sorted(TEST_ONLY) if name.split(".")[-1] in used] == []
+
+
+def test_overrides_override_a_base_class_method():
+    for qual in OVERRIDES:
+        modname, clsname, name = qual.split(".")
+        cls = getattr(importlib.import_module("jacklax." + modname), clsname)
+        assert name in vars(cls) and any(hasattr(base, name) for base in cls.__mro__[1:])
 
 
 def test_only_arith_reads_the_symbolic_flag():

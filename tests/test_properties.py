@@ -353,27 +353,37 @@ def test_ratio_matches_one_operation_per_form(field, pre, num, den, with_pre):
         field.ratio(num, den + [(0, 0)], pre)
 
 
+# scalars whose denominators have no form, one form, or a form that
+# another factor has in its numerator
+SYM_FACTORS = [lambda f: f.e1, lambda f: f.one / (f.e1 - f.e2),
+               lambda f: f.e2 / (2 * f.e1 + f.e2), lambda f: (f.e1 - f.e2) / f.e2]
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.data())
 def test_combined_rows_match_v_accum(data):
     # v_combine is v_clear of the v_accum sum, key order included, also
     # when some sums cancel; so is SymbolicField.combine, whose rows are
-    # Coeff vectors over 1 (here with the coefficients times e1)
+    # polynomial numerators over a factored denominator (here with the
+    # coefficients times a scalar with linear forms above or below): the
+    # canonical row, with the least D, is the clear of the summed vector
     sym = SymbolicField()
-    terms, sym_terms, want = [], [], {}
+    terms, sym_terms, want, sym_want = [], [], {}, {}
     for _ in range(data.draw(st.integers(1, 4))):
         vec = _sparse_ext(data)
         c = data.draw(st.fractions(max_denominator=10**6).filter(bool))
+        x = data.draw(st.sampled_from(SYM_FACTORS))(sym)
         for sign in (1, -1) if data.draw(st.booleans()) else (1,):
             terms.append((sign * c, v_clear(vec)))
-            sym_terms.append((sym.from_fraction(sign * c) * sym.e1,
-                              sym.clear({k: sym.from_fraction(v) for k, v in vec.items()})))
+            sym_vec = {k: sym.from_fraction(v) for k, v in vec.items()}
+            sym_terms.append((sym.from_fraction(sign * c) * x, sym.clear(sym_vec)))
             v_accum(want, vec, sign * c)
+            v_accum(sym_want, sym_vec, sym.from_fraction(sign * c) * x)
     nums, den = v_combine(terms)
     assert list(nums.items()) == list(v_clear(want)[0].items()) and den == v_clear(want)[1]
     row = sym.combine(sym_terms)
-    assert row[1] == 1 and sym.uncleared(row) is row[0]
-    assert list(row[0].items()) == [(k, sym.from_fraction(v) * sym.e1) for k, v in want.items()]
+    assert list(sym.uncleared(row).items()) == list(sym_want.items())
+    assert row == sym.clear(sym_want)
 
 
 # e1/e2 = +-p/q with p, q small enough to collide half of the time

@@ -1,12 +1,12 @@
 import pytest
 
-from jacklax.arith import SpectralFun, SymbolicField
+from jacklax.arith import SymbolicField
 from jacklax.errors import JackLaxError
 from jacklax.jack import jack_norm_sq
 from jacklax.partitions import (add_box, add_set, partitions_of,
                                 rem_set_plus, star_product)
-from jacklax.spectral import (T_of_boxes, T_partition, T_star, star_residues, tau,
-                              tau_hat, tau_tilde, verify_tau_identities)
+from jacklax.spectral import (SpectralFun, T_of_boxes, T_partition, T_star, star_residues,
+                              tau, tau_hat, tau_tilde, verify_tau_identities)
 from oracles import N_fun, T1_scalar, sfun_value_at_form
 
 F = SymbolicField()
