@@ -116,14 +116,7 @@ class BiPoly:
             raise ZeroDivisionError("division by zero")
         if not self.t:
             return self
-        a, r = _graded(self.t), _graded(other.t)
-        if len(a) == 1 and len(r) == 1:
-            (da, a), = a.items()
-            (dr, r), = r.items()
-            q = _hom_quotient(a, r)
-            q = None if q is None else _ungraded({da - dr: q})
-        else:
-            q = _exact_quotient(self.t, other.t)
+        q = _exact_quotient(self.t, other.t)
         if q is None:
             raise ArithmeticError("%s does not divide %s" % (other, self))
         return _bp(q)
@@ -406,44 +399,49 @@ def _lead_order(key):
 
 
 def _exact_quotient(a, r):
-    """a / r for term dicts if r divides a, else None: division by leading
-    terms, exact over Z when it is exact at all."""
-    lr = max(r, key=_lead_order)
-    q = {}
-    while a:
-        la = max(a, key=_lead_order)
-        m, c = (la[0] - lr[0], la[1] - lr[1]), a[la]
-        if min(m) < 0 or c % r[lr]:
-            return None
-        q[m] = c // r[lr]
-        a = _t_add(a, _t_mul(r, {m: -q[m]}))
-    return q
-
-
-def _hom_quotient(a, r):
-    """The graded part of A / R for homogeneous A and R of graded parts a
-    and r if R divides A, else None: long division of a(x) by r(x), x =
-    e1/e2, whose quotient must have degree at most deg A - deg R."""
-    dq = len(a) - len(r)
-    if dq < 0:
-        return None
-    er = len(r) - 1
-    while not r[er]:
+    """a / r for nonzero term dicts if r divides a, else None, by graded
+    long division (see _graded).  The top part of a quotient is the top
+    part of a over the top part of r: with x = e1/e2 that is a long
+    division of integer lists, exact over Z when it is exact at all
+    (Gauss).  That part times the lower parts of r comes off the lower
+    parts of a, which are then divided the same way."""
+    ps, rs = _graded(a), _graded(r)
+    dr = max(rs)
+    top = rs.pop(dr)
+    er = dr
+    while not top[er]:
         er -= 1
-    lc = r[er]
-    a = list(a)
-    q = [0] * (len(a) - er)
-    for i in range(len(a) - 1, er - 1, -1):
-        c = a[i]
-        if c:
-            if c % lc:
-                return None
-            c = q[i - er] = c // lc
-            for j in range(er + 1):
-                a[i - er + j] -= c * r[j]
-    if any(a[:er]) or any(q[dq + 1:]):
-        return None
-    return q[:dq + 1]
+    lc = top[er]
+    q = {}
+    while ps:
+        da = max(ps)
+        p = ps.pop(da)
+        if not any(p):
+            continue
+        dq = da - dr
+        if dq < 0:
+            return None
+        qd = [0] * (dq + 1)
+        for i in range(da, er - 1, -1):
+            c = p[i]
+            if c:
+                if c % lc or i - er > dq:
+                    return None
+                c = qd[i - er] = c // lc
+                for j in range(er + 1):
+                    p[i - er + j] -= c * top[j]
+        if any(p[:er]):
+            return None
+        q[dq] = qd
+        for d, v in rs.items():
+            w = ps.get(dq + d)
+            if w is None:
+                w = ps[dq + d] = [0] * (dq + d + 1)
+            for i, x in enumerate(qd):
+                if x:
+                    for j, y in enumerate(v):
+                        w[i + j] -= x * y
+    return _ungraded(q)
 
 
 def _root_quotient(p, a, b):
@@ -487,10 +485,9 @@ def _assemble(a, ca, fa, cb, fb, k, g):
     return _make(_times_forms(_scaled(a, cb), up), ca * k, _merged(fa, g))
 
 
-def _quotient(x, y, exact=False):
+def _quotient(x, y):
     """The Coeff x / y.  Raises NotSplit unless y's numerator is an integer
-    times linear forms, or, with exact, unless the rest of it divides x's
-    numerator."""
+    times linear forms."""
     b = y.num.t
     if not b:
         raise ZeroDenominator("division by zero")
@@ -499,10 +496,8 @@ def _quotient(x, y, exact=False):
         return _C_ZERO
     k, g, rest = _factor(b)
     if rest != _ONE_T:
-        a = _exact_quotient(a, rest) if exact else None
-        if a is None:
-            raise NotSplit("cannot divide by %s: it is not an integer times linear "
-                           "forms a*e1 + b*e2" % render_poly(y.num))
+        raise NotSplit("cannot divide by %s: it is not an integer times linear "
+                       "forms a*e1 + b*e2" % render_poly(y.num))
     return _assemble(a, x.c, x.forms, y.c, y.forms, k, g)
 
 
@@ -632,20 +627,6 @@ class Coeff:
     def __rtruediv__(self, other):
         return _coerce(other) / self
 
-    def __floordiv__(self, other):
-        """Exact division, the quotient that integer numerators at a point
-        give, so linalg.rank's fraction-free elimination runs on both.  It
-        is a / b, and the divisor's numerator need not split when the part
-        that does not divides a's numerator, as in every quotient of that
-        elimination (a minor by a minor)."""
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return _quotient(self, other, exact=True)
-
-    def __rfloordiv__(self, other):
-        return _coerce(other) // self
-
     def __pow__(self, k):
         if k < 0:
             return Coeff.from_int(1) / self ** (-k)
@@ -696,28 +677,34 @@ def _term_sort_key(k):
     return (-(k[0] + k[1]), -k[0])
 
 
-def render_poly(p):
+# spellings of a polynomial: the variables, a power and the product
+_TEXT = (("e1", "e2"), "%s^%d", "*")
+_LATEX = (("e_1", "e_2"), "%s^{%d}", " ")
+
+
+def _render_poly(p, spelling):
     if not p.t:
         return "0"
+    names, power, times = spelling
     parts = []
     for (i, j) in sorted(p.t, key=_term_sort_key):
         c = p.t[(i, j)]
-        monos = []
-        if i:
-            monos.append("e1" if i == 1 else "e1^%d" % i)
-        if j:
-            monos.append("e2" if j == 1 else "e2^%d" % j)
+        monos = [v if k == 1 else power % (v, k) for v, k in zip(names, (i, j)) if k]
         if not monos:
             body = str(abs(c))
         elif abs(c) == 1:
-            body = "*".join(monos)
+            body = times.join(monos)
         else:
-            body = str(abs(c)) + "*" + "*".join(monos)
+            body = times.join([str(abs(c))] + monos)
         if not parts:
             parts.append(("-" if c < 0 else "") + body)
         else:
             parts.append(("- " if c < 0 else "+ ") + body)
     return " ".join(parts)
+
+
+def render_poly(p):
+    return _render_poly(p, _TEXT)
 
 
 def render_coeff(c):
@@ -773,6 +760,21 @@ def parse_scalar(s, field):
 
 def render_scalar(c):
     return render_coeff(c)
+
+
+def render_latex(c):
+    """A scalar as LaTeX math: e_1, e_2 with braced exponents, and a
+    quotient as \\frac{numerator}{denominator}."""
+    if isinstance(c, Coeff):
+        num, den = _render_poly(c.num, _LATEX), _render_poly(c.den, _LATEX)
+    else:
+        q = Fraction(c)
+        num, den = str(q.numerator), str(q.denominator)
+    if den == "1":
+        return num
+    if num.startswith("-") and not isinstance(c, Coeff):
+        return r"-\frac{%s}{%s}" % (num[1:], den)
+    return r"\frac{%s}{%s}" % (num, den)
 
 
 # ---------------------------------------------------------------------------
@@ -837,7 +839,7 @@ DEFAULT_SPEC_POINTS = (
 # vector: clear(vec) makes it, uncleared(row) reads it back, combine(terms)
 # is the row of sum c * nums / D over terms [(c, (nums, D))], and
 # quotient(num, den) is the scalar num / den for num a numerator or a
-# scalar and den a product of row denominators (or a numerator).  lax_ints
+# scalar and den a product of row denominators.  lax_ints
 # is (L ebar, L hbar, L), ring elements with ebar = L ebar / L and hbar =
 # L hbar / L: lax.lax_apply runs its loop on them, and shc.jhat_dagger
 # builds its hbar powers from them.  At a point the numerators are
@@ -1062,21 +1064,17 @@ class SymbolicField:
 
     def quotient(self, num, den):
         """num / den in lowest terms, for num a row numerator or a scalar
-        and den a row denominator (reduced by trial division by den's
-        forms and one integer gcd), or a numerator or a scalar (as Coeff
-        division: NotSplit unless it is an integer times forms)."""
+        and den a row denominator: reduced by trial division by den's forms
+        and one integer gcd."""
         t, c, f = _parts(num)
         if not t:
             return _C_ZERO
-        tp = type(den)
-        if tp is int:
+        if type(den) is int:
             if den == 1:
                 return _make(t, c, f)
             k, g = den, _NO_FORMS
-        elif tp is Den:
-            k, g = den.c, den.forms
         else:
-            return _quotient(_make(t, c, f), _coerce(den))
+            k, g = den.c, den.forms
         return _assemble(t, c, f, 1, _NO_FORMS, k, g)
 
     def lf(self, form):

@@ -15,9 +15,8 @@ import functools
 import json
 import os
 import sys
-from fractions import Fraction
 
-from .arith import Coeff, render_scalar
+from .arith import render_latex, render_scalar
 from .errors import BadBox, BadSize, JackLaxError
 from .partitions import (count_by_corners, count_lattice_q, count_partitions,
                          format_partition, parse_partition, series_P)
@@ -47,37 +46,6 @@ def _coeff_wrap(c):
     if " " in s or "/" in s:
         return "(%s)" % s
     return s
-
-
-def render_latex(c):
-    """A scalar as LaTeX math: e_1, e_2 with braced exponents, and a
-    quotient as \\frac{numerator}{denominator}."""
-    if isinstance(c, Coeff):
-        num, den = _latex_poly(c.num), _latex_poly(c.den)
-    else:
-        q = Fraction(c)
-        num, den = str(q.numerator), str(q.denominator)
-    if den == "1":
-        return num
-    if num.startswith("-") and not isinstance(c, Coeff):
-        return r"-\frac{%s}{%s}" % (num[1:], den)
-    return r"\frac{%s}{%s}" % (num, den)
-
-
-def _latex_poly(p):
-    if not p.t:
-        return "0"
-    parts = []
-    for (i, j) in sorted(p.t, key=lambda k: (-(k[0] + k[1]), -k[0])):
-        c = p.t[(i, j)]
-        monos = [v if k == 1 else "%s^{%d}" % (v, k)
-                 for v, k in (("e_1", i), ("e_2", j)) if k]
-        body = " ".join(([str(abs(c))] if abs(c) != 1 or not monos else []) + monos)
-        if not parts:
-            parts.append(("-" if c < 0 else "") + body)
-        else:
-            parts.append(("- " if c < 0 else "+ ") + body)
-    return " ".join(parts)
 
 
 def format_fock(vec):

@@ -52,7 +52,7 @@ def test_zero_denominator():
 def test_division_by_a_non_split_numerator_raises():
     # denominators are an integer times linear forms; e1^2 + e2^2 is not
     q = e1 * e1 + e2 * e2
-    for divide in (lambda: F.one / q, lambda: e1 // q, lambda: q ** -1,
+    for divide in (lambda: F.one / q, lambda: e1 / q, lambda: q ** -1,
                    lambda: Coeff(BiPoly.const(1), q.num),
                    lambda: parse_scalar("e1 / e1^2 + e2^2", F)):
         with pytest.raises(JackLaxError, match=r"e1\^2 \+ e2\^2"):
@@ -70,10 +70,6 @@ def test_division_by_a_non_split_numerator_raises():
     assert render_coeff(e1 / big) == "e1 / 140*e1^2 + 138*e1*e2 - 2*e2^2"
     assert parse_coeff(render_coeff(F.one / d)) == F.one / d
     assert F.zero / q == F.zero
-    # exact division (//) also takes a divisor whose non-split part
-    # divides the dividend, as the minors of fraction-free elimination do
-    assert (q * e1 * e1) // (q * e1 / F.num(3)) == F.num(3) * e1
-    assert ((q + e1) * (e1 - e2)) // (q + e1) == e1 - e2
 
 
 def test_field_axioms_randomized():

@@ -444,36 +444,47 @@ def test_bareiss_rank_matches_fraction_rank(data):
     assert rank(cleared) == fraction_rank(rows)
 
 
-SMALL_COEFFS = st.sampled_from([Coeff.from_int(0), Coeff.from_int(1), Coeff.from_int(-2),
-                                Coeff.lf(1, 0), Coeff.lf(0, 1), Coeff.lf(1, -1)])
+SYM = SymbolicField()
+SMALL_COEFFS = st.sampled_from([SYM.zero, SYM.one, SYM.num(-2), SYM.e1, SYM.e2,
+                                SYM.lf((1, -1)), SYM.one / SYM.e1, SYM.e2 / SYM.lf((1, 1)),
+                                SYM.e1 * SYM.e2 / SYM.lf((1, -1)) ** 2])
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_bareiss_rank_over_q_e1_e2(data):
-    # Coeff's // is exact division, so the same elimination runs on
-    # rational functions; products of linear forms make rank drops.  Its
-    # pivots (minors such as e1 - 1) need not split, so the oracle runs
+    # rank runs on the BiPoly numerators of cleared rows, so its // is
+    # exact polynomial division: a row times a product of forms, and a
+    # row plus a polynomial multiple of another, make rank drops.  Its
+    # pivots (minors such as 1 - e1^2) need not split, so the oracle runs
     # field division on the gcd oracle's Coeff.
     n, m = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
     rows = data.draw(st.lists(st.lists(SMALL_COEFFS, min_size=m, max_size=m),
                               min_size=n, max_size=n))
     c = data.draw(SMALL_COEFFS)
     rows.append([c * v for v in rows[0]])
-    assert rank(rows) == fraction_rank([[oracles.Coeff(v.num, v.den) for v in row]
-                                        for row in rows])
+    if n > 1:
+        c = data.draw(st.sampled_from([SYM.one, SYM.e1, SYM.lf((2, -3)) * SYM.e2]))
+        rows.append([x + c * y for x, y in zip(rows[0], rows[1])])
+    cleared = [[nums.get(j, 0) for j in range(m)] for nums, _ in
+               (SYM.clear({j: v for j, v in enumerate(row) if v}) for row in rows)]
+    assert all(type(v) in (BiPoly, int) for row in cleared for v in row)
+    assert rank(cleared) == fraction_rank([[oracles.Coeff(v.num, v.den) for v in row]
+                                           for row in rows])
 
 
 def test_bareiss_rank_examples():
-    e1, e2 = Coeff.lf(1, 0), Coeff.lf(0, 1)
+    e1, e2 = BiPoly.lin(1, 0), BiPoly.lin(0, 1)
     assert rank([[e1, e2], [e1 * e1, e1 * e2]]) == 1
     assert rank([[e1, e2], [e2, e1]]) == 2
-    # the second pivot 1 - e1^2 does not split
-    one = Coeff.from_int(1)
-    rows = [[one, e1, e2], [e1, one, e1], [e2, e1, one]]
+    # the second pivot 1 - e1^2 does not split into forms
+    rows = [[1, e1, e2], [e1, 1, e1], [e2, e1, 1]]
     assert rank(rows) == 3
     assert rank(rows + [[x + y for x, y in zip(rows[0], rows[1])]]) == 3
     assert rank(rows[:2] + [[x - e2 * y for x, y in zip(rows[0], rows[1])]]) == 2
+    # a rank drop through a product of forms, pivots of higher degree
+    f = (e1 - e2) * (2 * e1 + e2)
+    assert rank([[e1, e2 * e2, f], [f * e1, f * e2 * e2, f * f], [e2, e1, 0]]) == 2
     assert rank([[0, 0, 1], [0, 0, 2], [1, 1, 0]]) == 2
     assert rank([[2, 4], [3, 6], [0, 0]]) == 1
     assert rank([]) == 0 and rank([[], []]) == 0

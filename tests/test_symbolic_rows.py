@@ -138,8 +138,7 @@ def test_numerators_are_a_ring_with_exact_division():
     assert p // (e1 - e2) == 2 * e1 + 3 * e2 and 0 // p == 0 and (3 * p) // 3 == p
     with pytest.raises(ArithmeticError):
         p // (e1 + e2)
-    # homogeneous operands divide as polynomials in e1/e2 (e2 powers too),
-    # inhomogeneous ones by leading terms
+    # division by leading terms, homogeneous or not
     assert (e1 * e2 * e2) // e2 == e1 * e2 and (e1 ** 3 - e2 ** 3) // (e1 - e2) == \
         e1 * e1 + e1 * e2 + e2 * e2
     for q in (e1 * e1, e2 * e2, e1 ** 2 + e2):
@@ -152,14 +151,23 @@ def test_numerators_are_a_ring_with_exact_division():
                 for d in (rng.randint(0, 4), rng.randint(0, 4)))
         if a and b:
             assert (a * b) // b == a and (a * b) // a == b
+    # inhomogeneous operands, and a remainder in a lower graded part
+    for _ in range(50):
+        a, b = (BiPoly({(rng.randint(0, 3), rng.randint(0, 3)): rng.randint(-5, 5)
+                        for _ in range(rng.randint(1, 4))}) for _ in range(2))
+        if a and b:
+            assert (a * b) // b == a and (a * b) // a == b
+            if any(i + j for i, j in b.t):
+                with pytest.raises(ArithmeticError):
+                    (a * b + 1) // b
     with pytest.raises(ZeroDivisionError):
         p // 0
     # a numerator times a field scalar is a field scalar in lowest terms
     assert p * (f.one / (f.e1 - f.e2)) == f.lf((2, 3))
-    # quotient: by a row denominator, by a numerator, and NotSplit for a
-    # numerator that is not an integer times forms
+    # quotient by a row denominator; dividing by a numerator is Coeff
+    # division, NotSplit unless it is an integer times forms
     d = f.clear({(): f.one / (f.e1 - f.e2)})[1]
     assert f.quotient(p, d * 2) == f.lf((2, 3)) / 2
-    assert f.quotient(p, 2 * e1 + 3 * e2) == f.lf((1, -1))
+    assert p * f.one / (2 * e1 + 3 * e2) == f.lf((1, -1))
     with pytest.raises(NotSplit):
-        f.quotient(p, e1 * e1 + e2 * e2)
+        p * f.one / (e1 * e1 + e2 * e2)
