@@ -22,7 +22,7 @@ from functools import lru_cache
 from math import gcd as _igcd, lcm
 
 from .errors import BadSpecPoint, NotSplit, PoleAtSpecPoint, ZeroDenominator
-from .fock import v_clear, v_combine, v_uncleared
+from .fock import v_accum, v_clear, v_combine, v_uncleared
 
 
 # ---------------------------------------------------------------------------
@@ -758,10 +758,6 @@ def parse_scalar(s, field):
     return Fraction(s)
 
 
-def render_scalar(c):
-    return render_coeff(c)
-
-
 def render_latex(c):
     """A scalar as LaTeX math: e_1, e_2 with braced exponents, and a
     quotient as \\frac{numerator}{denominator}."""
@@ -985,7 +981,6 @@ class SymbolicField:
     Row numerators are BiPoly values over a Den (or a positive int)."""
 
     symbolic = True
-    name = "symbolic"
 
     def __init__(self):
         self.zero = _C_ZERO
@@ -1028,8 +1023,7 @@ class SymbolicField:
     def combine(self, terms):
         """The canonical row of sum c * nums / D: each term lifted to the
         lcm of the c-denominators times D by one ring multiplier, the
-        numerators summed key by key (in v_accum's key order), then reduced
-        once."""
+        numerators summed by v_accum, then reduced once."""
         parts, k, forms = [], 1, {}
         for c, (nums, d) in terms:
             t, cc, cf = _parts(c)
@@ -1047,19 +1041,7 @@ class SymbolicField:
         out = {}
         for t, cc, cf, nums in parts:
             mult = _lift(t, k // cc, forms, cf)
-            mult = None if mult == _ONE_T else _bp(mult)
-            for key, v in nums.items():
-                if mult is not None:
-                    v = v * mult
-                w = out.get(key)
-                if w is None:
-                    out[key] = v
-                else:
-                    w = w + v
-                    if w:
-                        out[key] = w
-                    else:
-                        del out[key]
+            v_accum(out, nums, None if mult == _ONE_T else _bp(mult))
         return _least_row(out, k, forms)
 
     def quotient(self, num, den):
@@ -1154,7 +1136,6 @@ class SpecializedField:
 
     def __init__(self, point):
         self.point = point
-        self.name = point.key()
         self.zero = Fraction(0)
         self.one = Fraction(1)
         self._lf_cache = {}

@@ -16,7 +16,7 @@ import json
 import os
 import sys
 
-from .arith import render_latex, render_scalar
+from .arith import render_coeff, render_latex
 from .errors import BadBox, BadSize, JackLaxError
 from .partitions import (count_by_corners, count_lattice_q, count_partitions,
                          format_partition, parse_partition, series_P)
@@ -42,7 +42,7 @@ def _mono_str(mu, var="V"):
 
 
 def _coeff_wrap(c):
-    s = render_scalar(c)
+    s = render_coeff(c)
     if " " in s or "/" in s:
         return "(%s)" % s
     return s
@@ -61,7 +61,12 @@ def format_fock(vec):
 
 
 def _workspace(args):
+    """The one workspace of a query: symbolic, or at one spec point, the
+    first default point unless --spec-points names another."""
     cfg = _config(args)
+    if cfg.mode == "specialized" and len(cfg.points) > 1 and args.spec_points is not None:
+        raise JackLaxError("%s %s evaluates at one spec point, but --spec-points gives %d"
+                           % (args.command, args.what, len(cfg.points)))
     return cfg.workspaces()[0]
 
 
@@ -105,10 +110,10 @@ def cmd_jack(args):
         print("%s_{%s} = %s" % (name, format_partition(lam), format_fock(vec)))
     elif args.what == "norm":
         print("|j_{%s}|^2 = %s" % (format_partition(lam),
-                                   render_scalar(ws.norm_sq(lam))))
+                                   render_coeff(ws.norm_sq(lam))))
     elif args.what == "varpi":
         print("varpi_{%s} = %s" % (format_partition(lam),
-                                   render_scalar(ws.varpi(lam))))
+                                   render_coeff(ws.varpi(lam))))
     return 0
 
 
@@ -140,7 +145,7 @@ def cmd_lr(args):
             "mu": format_partition(mu),
             "nu": format_partition(nu),
             "hatted": bool(args.hatted),
-            "entries": {format_partition(g): render_scalar(c) for g, c in items},
+            "entries": {format_partition(g): render_coeff(c) for g, c in items},
         }
         print(json.dumps(blob, sort_keys=True, indent=1))
     elif args.format == "latex":
@@ -154,7 +159,7 @@ def cmd_lr(args):
             print("%s_{%s,%s}^{%s} = %s" % (cname, format_partition(mu),
                                             format_partition(nu),
                                             format_partition(g),
-                                            render_scalar(c)))
+                                            render_coeff(c)))
     return 0
 
 
@@ -259,17 +264,18 @@ def cmd_verify(args):
         if name != "conjectures" and not rep.all_pass():
             gate = False
     payload = [r.as_dict() for r in reports]
-    if args.format == "json":
+    if args.format == "json" or args.out:
+        # one serialization serves stdout and the --out file
         text = json.dumps(payload if len(payload) > 1 else payload[0],
                           sort_keys=True, indent=1)
+    if args.format == "json":
         print(text)
     else:
         for r in reports:
             print(r.text())
     if args.out:
         with open(args.out, "w") as fh:
-            json.dump(payload if len(payload) > 1 else payload[0], fh,
-                      sort_keys=True, indent=1)
+            fh.write(text)
     return 0 if gate else 1
 
 

@@ -76,27 +76,14 @@ def v_combine(terms):
     """The cleared row of sum c * nums / D over terms [(c, (nums, D))],
     each c rational (an int or a Fraction).
 
-    The numerators are summed over the lcm of the c.denominator * D in
-    place, as v_accum sums (so the keys come in the same order), then
-    divided by their gcd with that lcm: the row is v_clear of the sum."""
+    The numerators are lifted to the lcm of the c.denominator * D and
+    summed by v_accum, then divided by their gcd with that lcm: the row is
+    v_clear of the sum."""
     dens = [c.denominator * row[1] for c, row in terms]
     den = lcm(*dens)
     out = {}
     for (c, (nums, _)), d in zip(terms, dens):
-        m = c.numerator * (den // d)
-        if not m:
-            continue
-        for k, v in nums.items():
-            v *= m
-            w = out.get(k)
-            if w is None:
-                out[k] = v
-            else:
-                w += v
-                if w:
-                    out[k] = w
-                else:
-                    del out[k]
+        v_accum(out, nums, c.numerator * (den // d))
     g = gcd(den, *out.values())
     if g != 1:
         den //= g
@@ -260,7 +247,7 @@ def hall_inner_alpha(f, g, field, alpha=None):
 
 
 # ---------------------------------------------------------------------------
-# annihilation (adjoints of multiplication operators)
+# derivatives
 # ---------------------------------------------------------------------------
 
 def deriv_V(f, k):
@@ -274,22 +261,6 @@ def deriv_V(f, k):
             # mu -> mu - k is injective: no two terms share a key
             out[tuple(lst)] = c * d
     return out
-
-
-def annihilate(nums, mu):
-    """prod_k (k d/dV_k) over the parts k of mu, on the numerators of a
-    FockVec row; V_mu^dagger is hbar^l(mu) times this."""
-    for k in mu:
-        nums = {key: c * k for key, c in deriv_V(nums, k).items()}
-    return nums
-
-
-def fock_adjoint_apply(g, f, field):
-    """(Multiplication by g)^dagger applied to f, for cleared FockVec rows
-    g and f; returns a cleared row."""
-    (gn, gd), (fn, fd) = g, f
-    return field.combine([(c * field.hbar ** len(mu), (annihilate(fn, mu), gd * fd))
-                          for mu, c in gn.items()])
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,8 @@ from functools import lru_cache
 
 from .errors import JackLaxError
 from .lax import op_A
-from .partitions import (arm, boxes, boxes_x, contains, hooks_lower,
-                         hooks_upper, leg, partitions_of, rem_set, remove_box)
+from .partitions import (boxes, boxes_x, contains, hook, hooks_lower, hooks_upper,
+                         partitions_of, rem_set, remove_box)
 from .spectral import tau_tilde
 
 
@@ -97,12 +97,7 @@ def pieri_stanley(field, r, mu):
 
 def _strip_hooks(lam, rows):
     """The lower hooks of lam in the given rows, the upper ones elsewhere."""
-    return [_hook_form(lam, b, "lower" if b[0] in rows else "upper") for b in boxes(lam)]
-
-
-def _hook_form(lam, b, kind):
-    a, l = arm(lam, b), leg(lam, b)
-    return (l, -(a + 1)) if kind == "upper" else (l + 1, -a)
+    return [hook(lam, b, "lower" if b[0] in rows else "upper") for b in boxes(lam)]
 
 
 def _strips_above(mu, r):

@@ -1,46 +1,10 @@
 """Exact dense linear algebra.
 
-solve, invert and matvec run over any field whose elements support +, -,
-*, / and truthiness (Fraction or Coeff); rank runs fraction-free on the
-numerators of cleared rows: integers, or integer polynomials (BiPoly)."""
+rank runs fraction-free on the numerators of cleared rows: integers, or
+integer polynomials (BiPoly).  invert and matvec run over any field whose
+elements support +, -, *, / and truthiness (Fraction or Coeff)."""
 
 from .errors import JackLaxError
-
-
-def solve(A, b, field):
-    """Solve A x = b by Gaussian elimination; A is a list of rows."""
-    n = len(A)
-    m = len(A[0]) if n else 0
-    M = [list(row) + [b[i]] for i, row in enumerate(A)]
-    piv_cols = []
-    r = 0
-    for c in range(m):
-        pr = None
-        for i in range(r, n):
-            if M[i][c]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        M[r], M[pr] = M[pr], M[r]
-        pv = M[r][c]
-        M[r] = [v / pv for v in M[r]]
-        for i in range(n):
-            if i != r and M[i][c]:
-                f = M[i][c]
-                M[i] = [M[i][j] - f * M[r][j] for j in range(m + 1)]
-        piv_cols.append(c)
-        r += 1
-        if r == n:
-            break
-    # consistency
-    for i in range(r, n):
-        if M[i][m]:
-            raise JackLaxError("inconsistent linear system")
-    x = [field.zero] * m
-    for i, c in enumerate(piv_cols):
-        x[c] = M[i][m]
-    return x
 
 
 def invert(A, field):

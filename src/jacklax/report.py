@@ -88,7 +88,7 @@ def _run_check(i):
 
 def _at(ws, witness):
     """A FAIL witness prefixed with the workspace's spec point."""
-    return "%s: %s" % (ws.field.name, witness) if witness else ws.field.name
+    return "%s: %s" % (ws.key(), witness) if witness else ws.key()
 
 
 class Report:

@@ -13,13 +13,14 @@ partial-fraction maps {key: state} with keys
 """
 
 from .errors import JackLaxError
-from .fock import (Pi, bump, deriv_V, ext_degree, fock_adjoint_apply, fock_mul,
-                   fock_to_ext, inner_hbar, pi0, v_accum, v_scale)
+from .fock import (Pi, bump, deriv_V, ext_degree, fock_mul, fock_to_ext, inner_hbar, pi0,
+                   v_accum, v_scale)
 from .jack import jack_inv_norm_sq
 from .lax import lax_apply, op_A, op_B
 from .partitions import (add_box, add_set, boxes, partitions_of, rem_set,
                          remove_box, size)
 from .spectral import T_partition, T_star, tau, tau_tilde, with_pole
+from .traces import pf_eq
 
 
 # ---------------------------------------------------------------------------
@@ -33,10 +34,6 @@ def pf_accum(pf, key, lam, c):
 
 def pf_clean(pf):
     return {k: v for k, v in pf.items() if v}
-
-
-def pf_equal(a, b):
-    return pf_clean(a) == pf_clean(b)
 
 
 def pf_scale(pf, c):
@@ -138,13 +135,13 @@ def apply_X_minus(ws, state):
 
 
 def apply_V1(ws, state, sign):
-    """V_1^+ = multiplication by V_1, V_1^- its adjoint, in Jack coords."""
-    nums, d = row = jack_to_fock(ws, state)
-    v1 = ws.field.clear({(1,): ws.field.one})
+    """V_1^+ = multiplication by V_1 and V_1^- = hbar d/dV_1, its adjoint
+    under the monomial pairing, in Jack coords."""
+    nums, d = jack_to_fock(ws, state)
     if sign > 0:
-        row = fock_mul(v1[0], nums), d
+        row = fock_mul({(1,): 1}, nums), d
     else:
-        row = fock_adjoint_apply(v1, row, ws.field)
+        row = ws.field.combine([(ws.field.hbar, (deriv_V(nums, 1), d))])
     return fock_to_jack(ws, row)
 
 
@@ -252,28 +249,28 @@ def construction_from_lax_check(ws, n):
             # resolvent of j in the eigenbasis, honestly via the expansion
             exp = field.uncleared(ws.expand_psi_hat((fock_to_ext(nums), d)))
             # --- X+ = A (z-L)^{-1} pi0
-            if not pf_equal(_resolvent_pf(ws, exp, op_A, memo),
-                            apply_X_plus(ws, {lam: field.one})):
+            if not pf_eq(_resolvent_pf(ws, exp, op_A, memo),
+                         apply_X_plus(ws, {lam: field.one})):
                 ok_xplus = False
             # --- Y^{-1} = pi0 (z-L)^{-1}
-            if not pf_equal(_resolvent_pf(ws, exp, _pi0_row, memo),
-                            apply_diagonal(ws, {lam: field.one}, Yinv_eig)):
+            if not pf_eq(_resolvent_pf(ws, exp, _pi0_row, memo),
+                         apply_diagonal(ws, {lam: field.one}, Yinv_eig)):
                 ok_yinv = False
             if not lam:
                 continue
             # --- X- = pi0 (z-L)^{-1} A^dag
             exp = field.uncleared(ws.expand_psi_hat(op_B(field, ws.jack_row(lam))))
             direct = apply_X_minus(ws, {lam: field.one})
-            if not pf_equal(_resolvent_pf(ws, exp, _pi0_row, memo), direct):
+            if not pf_eq(_resolvent_pf(ws, exp, _pi0_row, memo), direct):
                 ok_xminus = False
             # the residue-convention variant differs by a global sign
             literal = {}
             for x in rem_set(lam):
                 res = Y_eig(field, lam).shift((-1, -1)).residue(x, field)
                 pf_accum(literal, ("p", x), remove_box(lam, x), res)
-            if pf_equal(literal, direct):
+            if pf_eq(literal, direct):
                 alt_xminus_sign.add(+1)
-            elif pf_equal(pf_scale(literal, -field.one), direct):
+            elif pf_eq(pf_scale(literal, -field.one), direct):
                 alt_xminus_sign.add(-1)
             else:
                 alt_xminus_sign.add(0)
@@ -286,7 +283,7 @@ def construction_from_lax_check(ws, n):
             for key, val in ypf.items():
                 if isinstance(key, tuple) and key[0] == "p":
                     pf_accum(expect, key, lam, -val / scale)
-            if not pf_equal(_resolvent_pf(ws, exp, op_A, memo, (1, 1), scale), expect):
+            if not pf_eq(_resolvent_pf(ws, exp, op_A, memo, (1, 1), scale), expect):
                 ok_y = False
     return {
         "xplus": ok_xplus,
@@ -354,7 +351,7 @@ def whittaker_checks(ws, N):
     # first Whittaker: X^-(u) G = Y(u)^{-1} G, components of degree <= N
     lhs = pf_truncate(apply_X_minus(ws, G), N)
     rhs = pf_truncate(apply_diagonal(ws, state_truncate(G, N), Yinv_eig), N)
-    report["whittaker_minus"] = pf_equal(lhs, rhs)
+    report["whittaker_minus"] = pf_eq(lhs, rhs)
 
     # second Whittaker: X^+(u) G vs P_u^-( Y(u+ebar) ) G: holds with a
     # global minus sign under our tau~ convention
@@ -365,10 +362,10 @@ def whittaker_checks(ws, N):
             if isinstance(key, tuple) and key[0] == "p":
                 pf_accum(rhs, key, lam, c * val)
     rhs = pf_truncate(rhs, N)
-    if pf_equal(lhs, pf_scale(rhs, -field.one)):
+    if pf_eq(lhs, pf_scale(rhs, -field.one)):
         report["whittaker_plus"] = True
         report["whittaker_plus_sign"] = -1
-    elif pf_equal(lhs, rhs):
+    elif pf_eq(lhs, rhs):
         report["whittaker_plus"] = True
         report["whittaker_plus_sign"] = +1
     else:
@@ -402,11 +399,11 @@ def whittaker_checks(ws, N):
             st = {lam: field.one}
             lhs = pf_add(apply_dPhi(ws, apply_V1(ws, st, +1)),
                          pf_scale(_compose_V1(ws, apply_dPhi(ws, st), +1), -field.one))
-            if not pf_equal(lhs, apply_X_plus(ws, st)):
+            if not pf_eq(lhs, apply_X_plus(ws, st)):
                 ok = False
             lhs = pf_add(apply_dPhi(ws, apply_V1(ws, st, -1)),
                          pf_scale(_compose_V1(ws, apply_dPhi(ws, st), -1), -field.one))
-            if not pf_equal(lhs, pf_scale(apply_X_minus(ws, st), -field.one)):
+            if not pf_eq(lhs, pf_scale(apply_X_minus(ws, st), -field.one)):
                 ok = False
     report["dPhi_V1_commutator"] = ok
 
@@ -466,7 +463,7 @@ def _generalized_whittaker(ws, lam, N, ctx, memos):
             pf_accum(rhs, ("p", pole), mu, c * T.residue(pole, field))
     for bx in boxes(lam):
         pf_accum(rhs, ("p", bx), (), field.one)
-    return pf_equal(lhs, pf_clean(rhs))
+    return pf_eq(lhs, pf_clean(rhs))
 
 
 def _lifted_identity(ws, N, ctx):

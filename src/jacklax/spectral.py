@@ -14,6 +14,7 @@ choice breaks all of them (see tests).
 
 from .arith import _cancel, render_coeff
 from .errors import JackLaxError, NotAPole, NotASimplePole
+from .fock import v_accum
 from .partitions import (add_box, add_set, rem_set, rem_set_plus,
                          remove_box, star_product)
 
@@ -21,17 +22,6 @@ from .partitions import (add_box, add_set, rem_set, rem_set_plus,
 # ---------------------------------------------------------------------------
 # SpectralFun: factored rational functions of u with linear-form roots
 # ---------------------------------------------------------------------------
-
-def _merge_roots(a, b, sign=1):
-    out = dict(a)
-    for k, v in b.items():
-        w = out.get(k, 0) + sign * v
-        if w:
-            out[k] = w
-        elif k in out:
-            del out[k]
-    return out
-
 
 def _forms_at(roots, form, skip=None):
     """The forms form - r over the roots r but skip, each repeated by its
@@ -65,19 +55,22 @@ class SpectralFun:
         return sum(self.num.values()) - sum(self.den.values())
 
     def __mul__(self, other):
+        """The prefactors multiply and the root multiplicities add (by
+        v_accum, on copies); the constructor cancels shared roots."""
         if isinstance(other, SpectralFun):
             return SpectralFun(self.pre * other.pre,
-                               _merge_roots(self.num, other.num),
-                               _merge_roots(self.den, other.den))
+                               v_accum(dict(self.num), other.num),
+                               v_accum(dict(self.den), other.den))
         return SpectralFun(self.pre * other, self.num, self.den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
+        """As __mul__, with the roots and poles of other swapped."""
         if isinstance(other, SpectralFun):
             return SpectralFun(self.pre / other.pre,
-                               _merge_roots(self.num, other.den),
-                               _merge_roots(self.den, other.num))
+                               v_accum(dict(self.num), other.den),
+                               v_accum(dict(self.den), other.num))
         return SpectralFun(self.pre / other, self.num, self.den)
 
     def inverse(self):

@@ -83,6 +83,13 @@ helpers only the tests call (a SpectralFun from a root list, its value,
 its partial fractions as text and equality of two SpectralFuns by their
 expanded polynomials, a BiPoly's leading coefficient).
 
+lr.determination_check solves no system: its 0/1 pole matrix at full
+column rank admits at most one solution, so it checks that the true hatted
+LR table satisfies every pole equation.  Here the system is solved by
+Gaussian elimination over the field (solve).  shc.apply_V1 takes V_1^- as
+hbar d/dV_1; here fock_adjoint_apply is the adjoint of multiplication by
+any FockVec g, with V_mu^dagger = hbar^l(mu) prod_k (k d/dV_k).
+
 SpectralFun.partial_fractions reads its polynomial part off the expansion
 at u = oo (directly at degrees 0 and 1).  Here it is the quotient of the
 long division of the expanded numerator by the expanded denominator.
@@ -97,23 +104,23 @@ from jacklax.arith import (_BP_ONE, _BP_ZERO, BiPoly, Den, SymbolicField, _lead_
 from jacklax.arith import Coeff as ArithCoeff
 from jacklax.errors import (JackLaxError, NotAnAddableBox, NotASimplePole, NotGood,
                             NotInNullSpace, PoleAtSpecPoint, ZeroDenominator)
-from jacklax.fock import (Pi, _as_ext, annihilate, bump, degree_of, ext_mul, fock_to_ext,
+from jacklax.fock import (Pi, _as_ext, bump, degree_of, deriv_V, ext_mul, fock_to_ext,
                           hall_inner_alpha, hn_basis, monomial_norm_sq, pi0, v_accum,
                           v_clear, v_scale, v_uncleared, w_mul)
 from jacklax.lax import lax_apply, psi_tilde_row, q_poly_row
 from jacklax.linalg import invert, matvec
-from jacklax.partitions import (add_box, add_set, boxes, eigen_pairs, partition,
-                                 partitions_of, rem_set, remove_box, size)
+from jacklax.partitions import (add_box, add_set, boxes, contains, diagram_union,
+                                 eigen_pairs, partition, partitions_of, rem_set,
+                                 remove_box, size)
 from jacklax.lr import jack_product
 from jacklax.shc import (Y_eig, Yinv_eig, _dagger_row, apply_dPhi, apply_diagonal,
                          apply_X_minus, apply_X_plus, fock_to_jack, h_state, jack_to_fock,
-                         pf_accum, pf_add, pf_clean, pf_equal, pf_scale, pf_truncate,
+                         pf_accum, pf_add, pf_clean, pf_scale, pf_truncate,
                          sfun_to_pf_keys)
 from jacklax.jack import jack_inv_norm_sq
 from jacklax.session import DualIndex
-from jacklax.spectral import (SpectralFun, _forms_at, _merge_roots, tau, tau_hat,
-                              tau_tilde)
-from jacklax.traces import TraceVector
+from jacklax.spectral import SpectralFun, _forms_at, star_residues, tau, tau_hat, tau_tilde
+from jacklax.traces import TraceVector, pf_eq
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +181,57 @@ def monomial_powersum_transition(n):
 
     M2P = invert([list(map(Fraction, col)) for col in zip(*P2M)], _Q)
     return plist, P2M, M2P
+
+
+def solve(A, b, field):
+    """Solve A x = b by Gaussian elimination; A is a list of rows."""
+    n = len(A)
+    m = len(A[0]) if n else 0
+    M = [list(row) + [b[i]] for i, row in enumerate(A)]
+    piv_cols = []
+    r = 0
+    for c in range(m):
+        pr = None
+        for i in range(r, n):
+            if M[i][c]:
+                pr = i
+                break
+        if pr is None:
+            continue
+        M[r], M[pr] = M[pr], M[r]
+        pv = M[r][c]
+        M[r] = [v / pv for v in M[r]]
+        for i in range(n):
+            if i != r and M[i][c]:
+                f = M[i][c]
+                M[i] = [M[i][j] - f * M[r][j] for j in range(m + 1)]
+        piv_cols.append(c)
+        r += 1
+        if r == n:
+            break
+    # consistency
+    for i in range(r, n):
+        if M[i][m]:
+            raise JackLaxError("inconsistent linear system")
+    x = [field.zero] * m
+    for i, c in enumerate(piv_cols):
+        x[c] = M[i][m]
+    return x
+
+
+def solved_hatted_lr(ws, mu, nu):
+    """The hatted LR table of (mu, nu) solved from its pole equations
+    (the star residues of T_{mu*nu}) by Gaussian elimination, as
+    {gamma: chat} over every gamma >= mu u nu of size |mu|+|nu|, zeros
+    included."""
+    field = ws.field
+    union = diagram_union(mu, nu)
+    gammas = [g for g in partitions_of(size(mu) + size(nu)) if contains(g, union)]
+    union_boxes = set(boxes(union))
+    poles = sorted({bx for g in gammas for bx in boxes(g) if bx not in union_boxes})
+    A = [[field.one if p in boxes(g) else field.zero for g in gammas] for p in poles]
+    rhs = star_residues(field, mu, nu)
+    return dict(zip(gammas, solve(A, [rhs.get(p, field.zero) for p in poles], field)))
 
 
 def p_to_m(pvec, n):
@@ -615,6 +673,22 @@ def field_good_normalizer_F(ws, xi):
 # the shc states rebuilt per partition
 # ---------------------------------------------------------------------------
 
+def annihilate(nums, mu):
+    """prod_k (k d/dV_k) over the parts k of mu, on the numerators of a
+    FockVec row (or a FockVec); V_mu^dagger is hbar^l(mu) times this."""
+    for k in mu:
+        nums = {key: c * k for key, c in deriv_V(nums, k).items()}
+    return nums
+
+
+def fock_adjoint_apply(g, f, field):
+    """(Multiplication by g)^dagger applied to f, for cleared FockVec rows
+    g and f; returns a cleared row."""
+    (gn, gd), (fn, fd) = g, f
+    return field.combine([(c * field.hbar ** len(mu), (annihilate(fn, mu), gd * fd))
+                          for mu, c in gn.items()])
+
+
 def field_jhat_dagger(ws, lam, row):
     """jhat_lam^dagger applied to the cleared FockVec row on field scalars,
     V_mu^dagger = hbar^l(mu) prod_k (k d/dV_k), in Jack coordinates."""
@@ -687,24 +761,24 @@ def field_construction_from_lax_check(ws, n):
         for lam in partitions_of(k):
             jack = field.uncleared(ws.jack_row(lam))
             exp = expand_psi(fock_to_ext(jack))
-            if not pf_equal(resolvent(exp, op_A), apply_X_plus(ws, {lam: field.one})):
+            if not pf_eq(resolvent(exp, op_A), apply_X_plus(ws, {lam: field.one})):
                 ok_xplus = False
-            if not pf_equal(resolvent(exp, pi0),
-                            apply_diagonal(ws, {lam: field.one}, Yinv_eig)):
+            if not pf_eq(resolvent(exp, pi0),
+                         apply_diagonal(ws, {lam: field.one}, Yinv_eig)):
                 ok_yinv = False
             if not lam:
                 continue
             exp = expand_psi(Pi(field_lax_apply(field, fock_to_ext(jack))))
             direct = apply_X_minus(ws, {lam: field.one})
-            if not pf_equal(resolvent(exp, pi0), direct):
+            if not pf_eq(resolvent(exp, pi0), direct):
                 ok_xminus = False
             literal = {}
             for x in rem_set(lam):
                 res = Y_eig(field, lam).shift((-1, -1)).residue(x, field)
                 pf_accum(literal, ("p", x), remove_box(lam, x), res)
-            if pf_equal(literal, direct):
+            if pf_eq(literal, direct):
                 alt_xminus_sign.add(+1)
-            elif pf_equal(pf_scale(literal, -field.one), direct):
+            elif pf_eq(pf_scale(literal, -field.one), direct):
                 alt_xminus_sign.add(-1)
             else:
                 alt_xminus_sign.add(0)
@@ -713,7 +787,7 @@ def field_construction_from_lax_check(ws, n):
             for key, val in sfun_to_pf_keys(field, Y_eig(field, lam)).items():
                 if isinstance(key, tuple) and key[0] == "p":
                     pf_accum(expect, key, lam, -val / scale)
-            if not pf_equal(resolvent(exp, op_A, (1, 1), scale), expect):
+            if not pf_eq(resolvent(exp, op_A, (1, 1), scale), expect):
                 ok_y = False
     return {
         "xplus": ok_xplus,
@@ -956,8 +1030,8 @@ def sfun_equal(a, b, field):
     form, or equal cross-multiplied polynomials."""
     if a.num == b.num and a.den == b.den and a.pre == b.pre:
         return True
-    return (poly_from_roots(_merge_roots(a.num, b.den), field, a.pre)
-            == poly_from_roots(_merge_roots(b.num, a.den), field, b.pre))
+    return (poly_from_roots(v_accum(dict(a.num), b.den), field, a.pre)
+            == poly_from_roots(v_accum(dict(b.num), a.den), field, b.pre))
 
 
 def poly_from_roots(roots, field, pre):

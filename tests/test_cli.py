@@ -200,7 +200,7 @@ def test_check_witness_names_the_failing_spec_point(monkeypatch):
     bad = DEFAULT_SPEC_POINTS[1].key()
     real = verify._jacksums
     monkeypatch.setattr(verify, "_jacksums",
-                        lambda ws, lam: ws.field.name != bad and real(ws, lam))
+                        lambda ws, lam: ws.key() != bad and real(ws, lam))
     rep = verify.suite_spectral(RunConfig(mode="specialized"), max_degree=2)
     failed = [i for i in rep.instances if i["status"] == "FAIL"]
     assert [i["id"] for i in failed] == ["jacksum {1^2}", "jacksum {1}", "jacksum {2}"]
@@ -217,7 +217,7 @@ def test_sweep_witness_names_the_failing_spec_point(monkeypatch):
 
     def fails_at_bad(ws, n):
         c = real(ws, n)
-        if ws.field.name == bad:
+        if ws.key() == bad:
             c["xplus"] = c["xminus_lax"] = False
         return c
 
@@ -287,6 +287,15 @@ def test_size_zero_is_not_the_default(capsys):
     (["counts", "--corners", "3", "-1"], "bad size corners r=-1"),
     (["counts", "--lattice", "-4"], "bad size lattice=-4"),
     (["counts", "--dim-h", "-2"], "bad size dim-h=-2"),
+    # a specialized query evaluates at one point, so a second one is an error
+    (["jack", "show", "2", "--mode", "specialized", "--spec-points=-3/2,22/7;-10007,9973"],
+     "jack show evaluates at one spec point, but --spec-points gives 2"),
+    (["psi", "show", "2", "(1,0)", "--mode", "specialized",
+      "--spec-points=-3/2,22/7;-10007,9973"],
+     "psi show evaluates at one spec point, but --spec-points gives 2"),
+    (["lr", "compute", "--mu", "1", "--nu", "1", "--mode", "specialized",
+      "--spec-points=-3/2,22/7;-10007,9973;-7919,104729"],
+     "lr compute evaluates at one spec point, but --spec-points gives 3"),
 ])
 def test_bad_input_exits_2_with_one_error_line(argv, needle):
     env = {k: v for k, v in os.environ.items() if k != "JACKLAX_CACHE_DIR"}
@@ -303,6 +312,12 @@ def test_spec_points_space_separated(capsys):
                  "--spec-points", "-10007,9973;-3/2,22/7"]) == 0
     blob = json.loads(capsys.readouterr().out)
     assert blob["config"]["spec_points"] == ["e1=-10007,e2=9973", "e1=-3/2,e2=22/7"]
+
+
+def test_specialized_query_without_points_uses_the_first_default(capsys):
+    # the first default point is e1=-10007, e2=9973
+    assert main(["jack", "show", "2", "--mode", "specialized"]) == 0
+    assert capsys.readouterr().out == "j_{2} = 9973*V2 + V1^2\n"
 
 
 def test_conjectures_never_gate(tmp_path):

@@ -38,6 +38,11 @@ TEST_ONLY = {
     # defines the canonical report (the part that stays byte-identical
     # across refactors and --jobs values) beside Report.as_dict
     "report.Report.canonical_json",
+    # the value of a symbolic scalar and of a row numerator at a spec
+    # point: the tests compare the two modes through them, while the
+    # library computes at a point through SpecializedField directly
+    "arith.Coeff.evaluate",
+    "arith.BiPoly.evaluate",
 }
 # Methods that override a method of a standard-library base class, which
 # calls them by name ("module.Class.method").
@@ -49,15 +54,28 @@ OVERRIDES = {
 
 def _references(tree):
     """Every identifier the code of a module refers to, with multiplicity:
-    names, attributes and imported names, not words in strings."""
+    names, attributes and imported names, not words in strings.  A name
+    used inside a function of that name does not count: a recursion, or a
+    method that calls the method of the same name on another object, is
+    no use from outside."""
     out = []
-    for node in ast.walk(tree):
+
+    def visit(node, inside):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            inside = inside | {node.name}
         if isinstance(node, ast.Name):
-            out.append(node.id)
+            names = [node.id]
         elif isinstance(node, ast.Attribute):
-            out.append(node.attr)
+            names = [node.attr]
         elif isinstance(node, ast.alias):
-            out.extend(node.name.split("."))
+            names = node.name.split(".")
+        else:
+            names = []
+        out.extend(name for name in names if name not in inside)
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    visit(tree, frozenset())
     return out
 
 
@@ -130,6 +148,15 @@ def test_uses_are_code_tokens():
     tree = ast.parse('def f(x):\n    """equal"""\n    return x.attr + g("equal")\n')
     assert sorted(_references(tree)) == ["attr", "g", "x"]
     assert {"jack_degree", "psi_hat_solver", "compute_psi"} <= _tracer_names()
+
+
+def test_a_use_inside_a_function_of_that_name_is_no_use():
+    tree = ast.parse("class C:\n    def evaluate(self, x):\n        return self.num.evaluate(x)\n"
+                     "def f(n):\n    return f(n - 1) + g(n)\n"
+                     "def h(c):\n    return c.evaluate(f)\n")
+    refs = _references(tree)
+    assert refs.count("evaluate") == refs.count("f") == 1
+    assert {"num", "g", "c"} <= set(refs)
 
 
 def test_test_only_allowlist_is_current():

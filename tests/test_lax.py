@@ -97,7 +97,7 @@ def test_psi_tilde_resolvent_oracle(sym):
 def test_psi_tilde_dense_solve_oracle(spec):
     # independent oracle: solve ([t] - L) x = -j exactly as a dense system
     from jacklax.fock import hn_basis
-    from jacklax.linalg import solve
+    from oracles import solve
     F = spec.field
     gamma = (2, 1)
     n = 3

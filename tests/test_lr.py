@@ -1,14 +1,15 @@
 import pytest
 
+from jacklax import lr
 from jacklax.errors import NotACycle
 from jacklax.lr import (delta_kernel_check, delta_kernel_rank, delta_map,
                         delta_of_jack_product, determination_check, is_cycle,
                         jack_lr, jack_product, jacklax_lr, main_theorem_residual,
                         marginalize)
-from jacklax.partitions import (add_box, add_set, parse_partition,
-                                partitions_of, transpose)
+from jacklax.partitions import (add_box, add_set, parse_partition, partition_pairs,
+                                partitions_of, size, transpose)
 from jacklax.spectral import T_star, tau, with_pole
-from oracles import N_fun
+from oracles import N_fun, solved_hatted_lr
 
 
 def test_worked_example(sym):
@@ -152,3 +153,32 @@ def test_delta_kernel_ranks():
 def test_determination(spec):
     for n in range(2, 7):
         assert determination_check(spec, n)
+
+
+def test_determined_tables_are_the_solved_ones(spec_all, sym):
+    # below n = 7 the pole equations have full rank, and the true hatted
+    # table is their solution by Gaussian elimination, in both modes
+    for ws in spec_all + [sym]:
+        for n in range(2, 7):
+            assert determination_check(ws, n), (ws.key(), n)
+            for mu, nu in partition_pairs(n):
+                if size(mu) + size(nu) != n:
+                    continue
+                solved = solved_hatted_lr(ws, mu, nu)
+                assert {g: c for g, c in solved.items() if c} == jack_lr(ws, mu, nu, hatted=True)
+
+
+@pytest.mark.parametrize("wrong", ["jack_lr", "star_residues"])
+def test_determination_fails_on_a_wrong_table_or_residue(spec, monkeypatch, wrong):
+    # one hatted LR entry, or one residue, off by one: some pole equation
+    # fails, and the check returns False instead of raising
+    real = getattr(lr, wrong)
+
+    def perturbed(*args, **kw):
+        out = dict(real(*args, **kw))
+        first = next(iter(out))
+        out[first] = out[first] + 1
+        return out
+
+    monkeypatch.setattr(lr, wrong, perturbed)
+    assert determination_check(spec, 4) is False

@@ -50,13 +50,27 @@ def test_construction_from_lax(spec):
     assert rep["xminus_literal_sign"] == [-1]
 
 
+def test_V1_minus_is_the_adjoint_of_multiplication_by_V1(spec_all, sym):
+    # apply_V1 takes V_1^- as hbar d/dV_1; the general adjoint of
+    # multiplication by a FockVec gives the same on every Jack of degree
+    # <= 5, symbolically and at each default point
+    for ws in spec_all + [sym]:
+        F = ws.field
+        v1 = F.clear({(1,): F.one})
+        for n in range(6):
+            for lam in partitions_of(n):
+                st = {lam: F.one}
+                row = oracles.fock_adjoint_apply(v1, shc.jack_to_fock(ws, st), F)
+                assert shc.apply_V1(ws, st, -1) == shc.fock_to_jack(ws, row), (ws.key(), lam)
+
+
 def test_row_paths_match_the_vector_oracles(spec_all, sym):
     # the construction check on psi-hat rows and Delta on cleared rows give
     # what their field-scalar vector paths give, degree <= 4, symbolically
     # and at each default point; Delta also on products of two Jacks
     for ws in spec_all + [sym]:
         rep = construction_from_lax_check(ws, 4)
-        assert rep == oracles.field_construction_from_lax_check(ws, 4), ws.field.name
+        assert rep == oracles.field_construction_from_lax_check(ws, 4), ws.key()
         assert rep == {"xplus": True, "yinv": True, "xminus_lax": True,
                        "xminus_literal_sign": [-1], "y_equals_minus_Pminus": True}
         ctx = h_context(ws, 4)
@@ -120,7 +134,7 @@ def test_shared_h_context_matches_the_per_lam_oracle(spec_all, sym):
         for n in range(1, N + 1):
             for lam in partitions_of(n):
                 got = generalized_whittaker_lhs(ws, lam, N, ctx, memos)
-                assert got == oracles.generalized_whittaker_lhs(ws, lam, N), (ws.field.name, lam)
+                assert got == oracles.generalized_whittaker_lhs(ws, lam, N), (ws.key(), lam)
     for ws in spec_all:
         for n in range(1, 6):
             ctx = h_context(ws, n)
@@ -128,7 +142,7 @@ def test_shared_h_context_matches_the_per_lam_oracle(spec_all, sym):
                 row = ws.jack_row(lam)
                 got = delta_via_states(ws, row, ctx)
                 assert got == oracles.delta_via_states(ws, ws.field.uncleared(row), n), \
-                    (ws.field.name, lam)
+                    (ws.key(), lam)
 
 
 def test_integer_jhat_dagger_matches_field_path(spec_all):
