@@ -7,17 +7,18 @@ format of the library, and expands rows into rows; a field-scalar vector
 is made only where a value leaves the library (field.uncleared).
 
 Every derived layer (the Jacks of a degree with their norms and varpi, the
-psi and psi-hat rows, the Gram rows, the duals and the corner levels) is
-one entry of Workspace.memo, under a key tagged by its layer, and each
-accessor is one memo call to a builder function below.  The memo is
-append-only and its values are immutable; it is read without a lock, and
-a miss builds under one re-entrant lock, so each key is built once even
-when the Jack and psi builders recurse into each other.
+psi and psi-hat rows, the Gram rows and the duals) is one entry of
+Workspace.memo, under a key tagged by its layer, and each accessor is one
+memo call to a builder.  The memo is append-only and its values are
+immutable; it is read without a lock, and a miss builds under one
+re-entrant lock, so each key is built once even when the Jack, psi and
+dual builders recurse into each other.
 
 Two orthogonal duals expand rows: a DualIndex per degree for the Jacks,
-and for the psi-hats a PsiHatDual built from one CornerLevel per degree
-(the corner recursion of psi, read through the adjoint Pi of w), each
-level shared by the duals of every higher degree.
+and a PsiHatDual per degree for the psi-hats.  The psi-hat dual of degree
+n follows the corner recursion of psi, read through the adjoint Pi of w:
+it holds the Jack dual of degree n and the psi-hat dual of degree n - 1,
+which the duals of every higher degree share.
 
 With a cache directory, each Jack degree is also kept on disk, one JSON file
 per (degree, mode).  In format 3 the dicts "jacks", "norms" and "varpi" are
@@ -33,7 +34,6 @@ import os
 import sys
 import tempfile
 import threading
-from typing import NamedTuple
 
 from . import lax
 from .arith import SpecializedField, SpecPoint, SymbolicField
@@ -199,20 +199,15 @@ class Workspace:
             return self.field.one
         return self.field.lf(s) * self.varpi(lam)
 
-    def psi_level(self, k):
-        """The degree-k CornerLevel of the psi-hat dual, shared by the
-        psi_hat_solver of every degree n >= k."""
-        return self.memo(("level", k), _psi_level, k)
-
     def psi_hat_solver(self, n):
         """PsiHatDual of the psi-hat basis of H_n.
 
         The psi_lam^s are pairwise orthogonal under inner_hbar with
         |psi_lam^s|^2 = |j_lam|^2 / tau_lam^s, so the psi-hat coefficient
         of zeta is <zeta, psi_lam^s> * tau_lam^s pi_* psi_lam^s / |j_lam|^2.
-        The pairings come from the corner levels of degrees 0..n; this
-        adds only the degree-n scales."""
-        return self.memo(("psi-hat dual", n), _psi_hat_dual, n)
+        The pairings come from the corner recursion over the duals of
+        degrees 0..n; the dual of degree n - 1 is this memo's own."""
+        return self.memo(("psi-hat dual", n), PsiHatDual, n)
 
     def expand_psi_hat(self, row):
         """The psi-hat coefficients of the cleared row of a homogeneous
@@ -326,22 +321,6 @@ def _psi_hat_row(ws, lam, s):
     return ws.field.combine([(ws.field.one / ws.pi_star_psi(lam, s), ws.psi_row(lam, s))])
 
 
-def _psi_level(ws, k):
-    prev = ws.psi_level(k - 1) if k else None
-    return CornerLevel.build(ws.field, k, ws.jack_dual(k), ws.gram_row(k)[1],
-                             [ws.jack_row(lam)[1] for lam in partitions_of(k)], prev)
-
-
-def _psi_hat_dual(ws, n):
-    f = ws.field
-    levels = [ws.psi_level(k) for k in range(n + 1)]
-    top = levels[-1]
-    nums, den = f.clear({i: f.quotient(jack_inv_norm_sq(
-        f, lam, tau(f, lam, s) * ws.pi_star_psi(lam, s)), top.dens[i])
-        for i, (lam, s) in enumerate(top.labels)})
-    return PsiHatDual(levels, list(nums.values()), den)
-
-
 class DualIndex:
     """The orthogonal dual of one basis b_i of a graded piece.
 
@@ -369,21 +348,26 @@ class DualIndex:
                                       for i, (c, (_, d)) in enumerate(zip(scales, rows))})
         self.scales = list(nums.values())
 
+    def pairings(self, items):
+        """The multiply-adds sum_key a[key] B_i[key] g[key] of the
+        numerators items = [(key, a[key]), ...], in label order."""
+        index = self.index
+        acc = [0] * len(self.labels)
+        for key, a in items:
+            for i, w in index[key]:
+                acc[i] += a * w
+        return acc
+
     def row(self, nums, den):
         """The cleared row of the nonzero coefficients of the cleared row
         (nums, den), in label order."""
-        index, scales, labels = self.index, self.scales, self.labels
-        acc = [0] * len(labels)
-        for key, a in nums.items():
-            for i, w in index[key]:
-                acc[i] += a * w
+        scales, labels = self.scales, self.labels
+        acc = self.pairings(nums.items())
         return {labels[i]: a * scales[i] for i, a in enumerate(acc) if a}, den * self.den
 
 
-class CornerLevel(NamedTuple):
-    """The degree-k step of the psi-hat dual: the pairings of a vector with
-    the psi_lam^s of degree k, from its w^0 layer and from its Pi image's
-    pairings one degree down.
+class PsiHatDual:
+    """The psi-hat dual of H_n, by the corner recursion of psi.
 
     The Gram weight of w^m V_mu does not depend on m, so w is an isometry
     and Pi its adjoint, and the corner recursion of psi gives
@@ -391,49 +375,58 @@ class CornerLevel(NamedTuple):
             + sum_{t in R_lam} tau~_lam^{t+(1,1)} / [s-t-(1,1)]
                                <Pi zeta, psi_{lam-t}^t>.
     The Jack pairings <f, j_lam> are the multiply-adds J_lam of the Jack
-    DualIndex's index (its weights over D_lam G, G the Gram row's
+    DualIndex of degree n (its weights over D_lam G, G the Gram row's
     denominator).  Each label i = (lam, s) has its own denominator
     dens[i] = E_i: its pairing is P_i / (D E_i) for an input row over D,
     with the integer (at a point)
         P_i = jw_i J_lam + sum_t w_t P'_t
-    over the numerators P'_t of the level below, jw_i and the w_t making
-    the cleared row of 1/(D_lam G) and the tau~ / ([s-t-(1,1)] E'_t).
-    terms[i] is (the position of lam among the partitions, jw_i,
-    ((position of (lam-t, t) below, w_t), ...)).  A level is plain data."""
+    over the numerators P'_t of the dual below (degree n - 1), jw_i and
+    the w_t making the cleared row of 1/(D_lam G) and the
+    tau~ / ([s-t-(1,1)] E'_t).  terms[i] is (the position of lam among the
+    partitions, jw_i, ((position of (lam-t, t) below, w_t), ...)).
 
-    labels: list
-    jack_index: dict
-    jack_count: int
-    terms: list
-    dens: list
+    A cleared row (a, D) of zeta splits into its w-layers; the dual of
+    degree k pairs the layer of w^(n-k) with its Jacks and adds its corner
+    terms over the pairings of the dual below, so Pi^(n-k) zeta is paired
+    with the psi of degree k.  The degree-n pairings P_i / (D E_i) times
+    the scales tau_lam^s pi_* psi_lam^s / |j_lam|^2, over the one cleared
+    row (S_i) over S of the scales / E_i, give the row
+    ({label_i: P_i S_i}, D S), in label order and not in lowest terms.
+    chain holds the duals of degrees 0..n-1, so row runs one flat loop.
+    The state is plain data: the workspace is passed to the constructor
+    only."""
 
-    @classmethod
-    def build(cls, field, k, jack_dual, gram_den, jack_dens, prev):
-        """The level of degree k over the Jack DualIndex of degree k, its
-        Gram denominator G, the row denominators D_lam of the Jacks and
-        the level below (None at k = 0)."""
-        labels = eigen_pairs(k)
-        lam_pos = {lam: i for i, lam in enumerate(jack_dual.labels)}
-        prev_pos = {label: i for i, label in enumerate(prev.labels)} if prev else {}
-        terms, dens = [], []
+    def __init__(self, ws, n):
+        f = ws.field
+        self.labels = labels = eigen_pairs(n)
+        self.jack = jack = ws.jack_dual(n)
+        self.below = below = ws.psi_hat_solver(n - 1) if n else None
+        self.chain = below.chain + (below,) if below else ()
+        lam_pos = {lam: i for i, lam in enumerate(jack.labels)}
+        prev_pos = {label: i for i, label in enumerate(below.labels)} if below else {}
+        gram_den = ws.gram_row(n)[1]
+        self.terms, self.dens = [], []
         for lam, s in labels:
-            p = lam_pos[lam]
-            scalars = {-1: field.quotient(field.one, jack_dens[p] * gram_den)}
+            scalars = {-1: f.quotient(f.one, ws.jack_row(lam)[1] * gram_den)}
             for t in rem_set(lam):
                 tp = (t[0] + 1, t[1] + 1)
                 j = prev_pos[(remove_box(lam, t), t)]
-                scalars[j] = field.ratio((), ((s[0] - tp[0], s[1] - tp[1]),),
-                                         field.quotient(tau_tilde(field, lam, tp), prev.dens[j]))
-            nums, den = field.clear(scalars)
+                scalars[j] = f.ratio((), ((s[0] - tp[0], s[1] - tp[1]),),
+                                     f.quotient(tau_tilde(f, lam, tp), below.dens[j]))
+            nums, den = f.clear(scalars)
             jw = nums.pop(-1)
-            terms.append((p, jw, tuple(nums.items())))
-            dens.append(den)
-        return cls(labels, jack_dual.index, len(jack_dual.labels), terms, dens)
+            self.terms.append((lam_pos[lam], jw, tuple(nums.items())))
+            self.dens.append(den)
+        nums, self.den = f.clear({i: f.quotient(jack_inv_norm_sq(
+            f, lam, tau(f, lam, s) * ws.pi_star_psi(lam, s)), self.dens[i])
+            for i, (lam, s) in enumerate(labels)})
+        self.scales = list(nums.values())
 
-    def pairings(self, jacks, below):
-        """The numerators P_i, in label order, from the Jack multiply-adds
-        J_lam (a list over the partitions of k, or None if the w^0 layer is
-        zero) and the numerators of the level below (None if all zero)."""
+    def pairings(self, layer, below):
+        """The numerators P_i, in label order, from the numerators
+        layer = [(mu, a), ...] of the w^0 layer (empty if zero) and the
+        numerators P'_t of the dual below (None if all zero)."""
+        jacks = self.jack.pairings(layer) if layer else None
         if below is None:
             return [jw * jacks[p] for p, jw, _ in self.terms]
         out = []
@@ -446,40 +439,18 @@ class CornerLevel(NamedTuple):
             out.append(v)
         return out
 
-
-class PsiHatDual:
-    """The psi-hat dual of H_n, by the corner levels of degrees 0..n.
-
-    A cleared row (a, D) of zeta splits into its w-layers; the level of
-    degree k pairs the layer of w^(n-k) with the Jacks and adds the corner
-    terms of the level below, so Pi^(n-k) zeta is paired with the psi of
-    degree k.  The degree-n pairings P_i / (D E_i) times the scales
-    tau_lam^s pi_* psi_lam^s / |j_lam|^2, over the one cleared row (S_i)
-    over S of the scales / E_i, give the row
-    ({label_i: P_i S_i}, D S), in label order and not in lowest terms."""
-
-    def __init__(self, levels, scales, den):
-        self.levels = levels
-        self.scales = scales
-        self.den = den
-
     def row(self, nums, den):
         """The cleared row of the nonzero psi-hat coefficients of the
         nonzero cleared row (nums, den) of a vector of H_n."""
-        levels = self.levels
-        n = len(levels) - 1
-        jacks = [None] * (n + 1)
+        layers = [[] for _ in range(len(self.chain) + 1)]
         for (m, mu), a in nums.items():
-            acc = jacks[n - m]
-            if acc is None:
-                acc = jacks[n - m] = [0] * levels[n - m].jack_count
-            for i, w in levels[n - m].jack_index[mu]:
-                acc[i] += a * w
+            layers[m].append((mu, a))
         acc = None
-        for level, j in zip(levels, jacks):
-            if j is not None or acc is not None:
-                acc = level.pairings(j, acc)
-        labels = levels[n].labels
+        for dual, layer in zip(self.chain, reversed(layers)):
+            if layer or acc is not None:
+                acc = dual.pairings(layer, acc)
+        acc = self.pairings(layers[0], acc)
+        labels = self.labels
         return ({labels[i]: a * s for i, (a, s) in enumerate(zip(acc, self.scales)) if a},
                 den * self.den)
 

@@ -63,7 +63,7 @@ def full_trace(ws, row):
     The x, y and z coordinates are summed on the numerators of the
     expansion row, with one field.quotient per nonzero coordinate."""
     n = degree_of(row[0]) if row[0] else 0
-    nums, d = ws.expand_psi_hat(row)
+    nums, d = ws.psi_hat_solver(n).row(*row) if row[0] else row
     x, y, z = {}, {}, {}
     for (lam, s), c in nums.items():
         gam = add_box(lam, s)
@@ -146,31 +146,23 @@ def cokernel_relations(n):
 def verify_cokernel(n):
     """Check the relations annihilate every basis trace and exhaust the
     cokernel; returns a report dict."""
-    rows, pairs, M = trace_incidence_matrix(n)
+    rows, _, M = trace_incidence_matrix(n)
     row_pos = {r: i for i, r in enumerate(rows)}
     rels = cokernel_relations(n)
-    ok_annihilate = True
-    for s, rel in rels.items():
-        for j in range(len(pairs)):
-            acc = 0
-            for coord, c in rel.items():
-                i = row_pos.get(coord)
-                if i is not None:
-                    acc += c * M[i][j]
-            if acc != 0:
-                ok_annihilate = False
-    r = rank(M)
-    coker_dim = len(rows) - r
-    q = count_lattice_q(n)
-    # the q(n) relations are linearly independent functionals
     rel_rows = []
-    for s, rel in rels.items():
+    for rel in rels.values():
         row = [0] * len(rows)
         for coord, c in rel.items():
             if coord in row_pos:
                 row[row_pos[coord]] = c
         rel_rows.append(row)
-    rel_rank = rank(rel_rows) if rel_rows else 0
+    ok_annihilate = all(not sum(c * m for c, m in zip(row, col))
+                        for row in rel_rows for col in zip(*M))
+    r = rank(M)
+    coker_dim = len(rows) - r
+    q = count_lattice_q(n)
+    # the q(n) relations are linearly independent functionals
+    rel_rank = rank(rel_rows)
     return {
         "n": n,
         "relations": len(rels),
@@ -408,16 +400,12 @@ def null_module_span(ws, n, which):
         gen, deg = beta_basic, lambda a, b: a + b
     else:
         raise JackLaxError("which must be Z0 or X0")
-    cache = {}
     for a in range(1, n + 2):
         for b in range(a, n + 2):
             d = deg(a, b)
             if d > n:
                 continue
-            g = cache.get((a, b))
-            if g is None:
-                g = gen(ws, a, b)
-                cache[(a, b)] = g
+            g = gen(ws, a, b)
             for mu in partitions_of(n - d):
                 rows.append((ext_mul(_basic_row(ws, (0, mu))[0], g[0]), g[1]))
     return rows

@@ -7,9 +7,10 @@ dominance-compatible order, then rescaled to [m_{1^n}] J = n!.  The
 monomial <-> power-sum transition matrices it needs live here too.
 
 The Jack expansion is computed at runtime from one integer dual index per
-degree (session.DualIndex), and the psi-hat expansion from the corner
-levels of the psi recursion (session.PsiHatDual): a vector's w-layers pair
-with the Jacks of their own degree only.  Here the psi-hat expansion is
+degree (session.DualIndex), and the psi-hat expansion from one dual per
+degree that follows the corner recursion of psi over the dual one degree
+down (session.PsiHatDual): a vector's w-layers pair with the Jacks of
+their own degree only.  Here the psi-hat expansion is
 computed three other ways: by one DualIndex over the psi rows of the
 degree (every key paired with every psi), as the solution of the dense
 coordinate system (the inverse of the matrix whose columns are the psi-hat

@@ -21,7 +21,8 @@ Operators take and return cleared rows, so no function takes a `cleared`
 switch or a `den=None` default that selects a vector mode.
 
 Every target of the benchmark's tracer (bench/tracer.py TARGETS) resolves
-to a live name.
+to a live name, and the README names exactly the Workspace.memo tags that
+src/ uses.
 """
 
 import ast
@@ -214,3 +215,17 @@ def test_tracer_targets_resolve():
             owner = getattr(owner, clsname, None)
         missing += [(metric, attr) for attr in attrs if getattr(owner, attr, None) is None]
     assert missing == []
+
+
+def test_readme_names_every_memo_tag():
+    # the README's list of Workspace.memo keys names exactly the layer tags
+    # that src/ passes to memo(("<tag>", ...), ...)
+    import re
+    tags = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "memo"
+                    and node.args and isinstance(node.args[0], ast.Tuple)):
+                tags.add(ast.literal_eval(node.args[0].elts[0]))
+    assert "psi-hat dual" in tags
+    assert set(re.findall(r'`\("([^"]+)",', (ROOT / "README.md").read_text())) == tags

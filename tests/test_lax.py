@@ -198,15 +198,15 @@ def test_dual_expansion_matches_dense_inverse(point, maxn, sym, spec_all):
                          field_psi_hat_dual)
     ws = sym if point is None else spec_all[point]
     field = ws.field
-    # at a point the dual's levels hold int Jack and corner weights and
-    # int label denominators, and its scales are int numerators over an
-    # int common denominator
+    # at a point the duals of degrees 0..maxn hold int Jack and corner
+    # weights and int label denominators, and their scales are int
+    # numerators over an int common denominator
     runtime = ws.psi_hat_solver(maxn)
-    ints = [w for level in runtime.levels for pairs in level.jack_index.values() for _, w in pairs]
-    ints += [w for level in runtime.levels for _, jw, corners in level.terms
+    duals = runtime.chain + (runtime,)
+    ints = [w for dual in duals for pairs in dual.jack.index.values() for _, w in pairs]
+    ints += [w for dual in duals for _, jw, corners in dual.terms
              for w in (jw,) + tuple(w for _, w in corners)]
-    ints += [d for level in runtime.levels for d in level.dens]
-    ints += runtime.scales + [runtime.den]
+    ints += [x for dual in duals for x in dual.dens + dual.scales + [dual.den]]
     assert all(type(x) is int for x in ints) == (point is not None)
     rng = random.Random(20261018)
     for n in range(maxn + 1):
@@ -288,7 +288,7 @@ def test_lax_derivation_part_obeys_leibniz(point, maxn, sym, spec_all):
 @pytest.mark.parametrize("field, n", [(SpecializedField(DEFAULT_SPEC_POINTS[2]), 6),
                                       (SymbolicField(), 4)], ids=["specialized", "symbolic"])
 def test_psi_hat_solver_reads_no_psi_of_its_degree(field, n, monkeypatch):
-    # the psi-hat dual of H_n comes from the corner levels: the Jacks and
+    # the psi-hat dual of H_n comes from the corner recursion: the Jacks and
     # tau~ of each degree k <= n, and psi only through the Jacks (of degree
     # k - 1)
     monkeypatch.delenv("JACKLAX_CACHE_DIR", raising=False)
@@ -430,9 +430,16 @@ def test_accumulators_leave_caches_unchanged():
         for lam, s in eigen_pairs(n):
             ws.psi_hat_row(lam, s)
 
+    def plain(v):
+        # a dual as its data, the duals it holds included
+        if isinstance(v, (DualIndex, PsiHatDual)):
+            return {k: plain(x) for k, x in vars(v).items()}
+        if isinstance(v, tuple):
+            return tuple(plain(x) for x in v)
+        return v
+
     def caches():
-        return {key: vars(v) if isinstance(v, (DualIndex, PsiHatDual)) else v
-                for key, v in ws._memo.items()}
+        return {key: plain(v) for key, v in ws._memo.items()}
 
     before = copy.deepcopy(caches())
     for n in range(4):
@@ -475,11 +482,11 @@ def test_accumulators_leave_caches_unchanged():
 
 def test_second_round_of_accessors_builds_nothing(monkeypatch):
     # every layer is one memo entry: the first round builds each Jack
-    # degree, psi and corner level once, and a second round builds nothing
-    # and hands back the same objects
+    # degree, psi and psi-hat dual once, each dual holds the memo's dual
+    # one degree down, and a second round builds nothing and hands back
+    # the same objects
     from collections import Counter
     from jacklax import lax, session
-    from jacklax.session import CornerLevel
     monkeypatch.delenv("JACKLAX_CACHE_DIR", raising=False)
     builds = Counter()
 
@@ -492,15 +499,14 @@ def test_second_round_of_accessors_builds_nothing(monkeypatch):
     monkeypatch.setattr(lax, "compute_psi", spy("psi", lax.compute_psi))
     monkeypatch.setattr(session, "compute_homogeneous_jacks",
                         spy("jack", session.compute_homogeneous_jacks))
-    monkeypatch.setattr(CornerLevel, "build", spy("level", CornerLevel.build))
+    monkeypatch.setattr(PsiHatDual, "__init__", spy("dual", PsiHatDual.__init__))
     ws = Workspace(SpecializedField(DEFAULT_SPEC_POINTS[0]))
 
     def every_layer():
         ws.warm(5)
         out = []
         for n in range(6):
-            out += [ws.jack_degree(n), ws.gram_row(n), ws.jack_dual(n), ws.psi_level(n),
-                    ws.psi_hat_solver(n)]
+            out += [ws.jack_degree(n), ws.gram_row(n), ws.jack_dual(n), ws.psi_hat_solver(n)]
             for lam in partitions_of(n):
                 out += [ws.jack_row(lam), ws.norm_sq(lam), ws.varpi(lam)]
             for lam, s in eigen_pairs(n):
@@ -508,8 +514,10 @@ def test_second_round_of_accessors_builds_nothing(monkeypatch):
         return out
 
     first = every_layer()
-    assert builds == {"jack": 6, "level": 6,
+    assert builds == {"jack": 6, "dual": 6,
                       "psi": sum(len(eigen_pairs(n)) for n in range(6))}
+    assert ws.psi_hat_solver(0).below is None
+    assert all(ws.psi_hat_solver(n).below is ws.psi_hat_solver(n - 1) for n in range(1, 6))
     built = dict(builds)
     second = every_layer()
     assert builds == built

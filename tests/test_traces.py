@@ -263,10 +263,10 @@ def test_suites_match_with_operator_layer_on_oracles(monkeypatch):
 def test_suites_match_with_psi_row_dual(monkeypatch):
     # the traces, spectral and kernel reports are byte-identical when the
     # psi-hat expansion pairs every key with every psi row of its degree
-    # (one DualIndex) instead of running the corner levels
+    # (one DualIndex) instead of running the corner recursion
     import oracles
     from jacklax.report import RunConfig
-    from jacklax.session import Workspace
+    from jacklax.session import PsiHatDual, Workspace
     from jacklax.verify import suite_kernel, suite_spectral, suite_traces
 
     def reports():
@@ -278,10 +278,10 @@ def test_suites_match_with_psi_row_dual(monkeypatch):
     shipped = reports()
 
     def unpatched(*args):
-        raise AssertionError("a corner level was built")
+        raise AssertionError("a psi-hat dual was built")
 
     monkeypatch.setattr(Workspace, "psi_hat_solver", oracles.psi_row_solver)
-    monkeypatch.setattr(Workspace, "psi_level", unpatched)
+    monkeypatch.setattr(PsiHatDual, "__init__", unpatched)
     assert reports() == shipped
 
 
