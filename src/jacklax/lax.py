@@ -16,6 +16,7 @@ from functools import lru_cache
 from .errors import EmptyPartition, NotARemovableCorner, NotAnAddableBox
 from .fock import Pi, bump, degree_of, fock_to_ext, hn_basis, pi_plus, w_mul
 from .partitions import add_set, format_partition, rem_set, rem_set_plus, remove_box
+from .report import row_residual
 from .spectral import tau_tilde
 
 
@@ -110,15 +111,16 @@ def op_B(field, row):
 
 
 def lax_plus_shift_check(ws, n):
-    """w^{-1} L+_{n+1} w = L_n + ebar, as matrices on H_n."""
+    """w^{-1} L+_{n+1} w = L_n + ebar, as matrices on H_n: the residual
+    keyed by (basis vector, coordinate)."""
     field = ws.field
+    out = {}
     for key in hn_basis(n):
         one = field.clear({key: field.one})
         nums, d = lax_apply(field, (w_mul(one[0]), one[1]))
         terms = [(1, (Pi(pi_plus(nums)), d)), (-1, lax_apply(field, one)), (-field.ebar, one)]
-        if field.combine(terms)[0]:
-            return False
-    return True
+        out.update(row_residual(field, terms, key))
+    return out
 
 
 # ---------------------------------------------------------------------------

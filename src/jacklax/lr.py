@@ -12,6 +12,7 @@ from .fock import bump, ext_mul, fock_mul
 from .linalg import rank
 from .partitions import (boxes, boxes_x, contains, diagram_union, partition_pairs,
                          partitions_of, size)
+from .report import map_residual, residual, row_residual
 from .spectral import star_residues
 
 
@@ -52,21 +53,14 @@ def jacklax_lr(ws, lam, s, nu, t, hatted=False):
     return {(g, u): c / ws.pi_star_psi(g, u) for (g, u), c in table.items()}
 
 
-def marginalize(table):
-    """Sum a Jack-Lax table over the eigen-box: {gamma: sum_u c}."""
-    out = {}
-    for (gamma, u), c in table.items():
-        bump(out, gamma, c)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # the main sum-product identity
 # ---------------------------------------------------------------------------
 
 def main_theorem_residual(ws, mu, nu):
-    """LHS minus RHS as a {pole: scalar} map (all zero iff the identity
-    holds).
+    """LHS minus RHS as a residual {pole: (value, 0)}, empty iff the
+    identity holds; a coefficient of a gamma that does not contain
+    mu u nu (the selection rule) is a residual entry too.
 
     Both sides are one field.combine of rows keyed by pole: each chat
     enters as its numerator in the Jack expansion row of j_mu j_nu, scaled
@@ -79,26 +73,28 @@ def main_theorem_residual(ws, mu, nu):
     union_boxes = set(boxes(union))
     nums, den = ws.expand_in_jacks(jack_product(ws, mu, nu))
     forms_mn = boxes_x(mu) + boxes_x(nu)
-    terms = []
+    terms, outside = [], {}
     for gamma, c in nums.items():
         if not contains(gamma, union):
-            # selection rule violation would surface here
-            raise JackLaxError("selection rule violated at %s" % (gamma,))
+            outside[("selection rule", gamma)] = (field.quotient(c, den), 0)
+            continue
         terms.append((field.ratio(boxes_x(gamma), forms_mn),
                       ({b: c for b in boxes(gamma) if b not in union_boxes}, den)))
     terms.append((-1, field.clear(star_residues(field, mu, nu))))
-    return field.uncleared(field.combine(terms))
+    outside.update(row_residual(field, terms))
+    return outside
 
 
 def determination_check(ws, n):
     """Whether the pole equations determine the hatted LR coefficients of
-    every pair with |mu|+|nu| = n (claimed for n < 7).  The equations form
-    a 0/1 incidence matrix (poles by gamma), and at full column rank a
-    system has at most one solution: the coefficients are determined iff
-    the rank is full and the true table (jack_lr, hatted) satisfies every
-    equation, so no system is solved.  An inconsistent one fails its pair."""
+    every pair with |mu|+|nu| = n (claimed for n < 7), as a residual.  The
+    equations form a 0/1 incidence matrix (poles by gamma), and at full
+    column rank a system has at most one solution: the coefficients are
+    determined iff the rank is full and the true table (jack_lr, hatted)
+    satisfies every equation, so no system is solved.  An inconsistent one
+    fails its pair."""
     field = ws.field
-    ok = True
+    out = []
     for mu, nu in partition_pairs(n):
         if size(mu) + size(nu) != n:
             continue
@@ -114,15 +110,16 @@ def determination_check(ws, n):
             for bx in boxes(g):
                 if bx not in union_boxes:
                     A[pos[bx]][j] = 1
-        if rank(A) < len(gammas):
-            ok = False
+        r = rank(A)
+        if r < len(gammas):
+            out.append((("rank", (mu, nu)), r, len(gammas)))
             continue
         truth = jack_lr(ws, mu, nu, hatted=True)
         x = [truth.get(g, field.zero) for g in gammas]
         for row, p in zip(A, poles):
-            if sum((c for a, c in zip(row, x) if a), field.zero) != rhs_map.get(p, field.zero):
-                ok = False
-    return ok
+            out.append((("pole", (mu, nu, p)), sum((c for a, c in zip(row, x) if a), field.zero),
+                        rhs_map.get(p, field.zero)))
+    return residual(out)
 
 
 # ---------------------------------------------------------------------------
@@ -173,12 +170,13 @@ def is_cycle(lams):
 
 
 def delta_kernel_check(ws, lams):
-    """Delta(sum (-1)^i jhat_{lam_i}) = 0 for an N-cycle."""
+    """Delta(sum (-1)^i jhat_{lam_i}) = 0 for an N-cycle, as a residual
+    keyed by pole."""
     if not is_cycle(lams):
         raise NotACycle("input is not an N-cycle")
     field = ws.field
-    return not delta_map(ws, field.combine([((-1) ** i / ws.varpi(lam), ws.jack_row(lam))
-                                           for i, lam in enumerate(lams)]))
+    return map_residual(delta_map(ws, field.combine([((-1) ** i / ws.varpi(lam), ws.jack_row(lam))
+                                                     for i, lam in enumerate(lams)])), {})
 
 
 def delta_kernel_rank(n):

@@ -1,10 +1,15 @@
-"""Run configuration and verification reports."""
+"""Run configuration and verification reports.
+
+A check returns its residual: {object: (lhs, rhs)} over the coordinates
+where the two sides of its identity differ, in a fixed order, empty iff
+the identity holds.  This module alone turns a residual into a status and
+a witness."""
 
 import json
 import time
 from fractions import Fraction
 
-from .arith import DEFAULT_SPEC_POINTS, SpecPoint
+from .arith import DEFAULT_SPEC_POINTS, Coeff, SpecPoint, render_coeff
 from .errors import BadSpecPoint, JackLaxError
 
 
@@ -54,41 +59,105 @@ class RunConfig:
 # inherit them, so only check indices and resulting instances are pickled.
 _RUN = None
 
+# The residual of a check that does not apply (a SKIP).
+SKIP = "SKIP"
+# A witness shows at most this many characters of its object and of each side.
+WITNESS_CUT = 80
+# Merging the instances of one id over the workspaces keeps the gravest.
+_GRAVITY = {"PASS": 0, "SKIP": 1, "FAIL": 2}
+
 
 def _fork_pool(processes):
     import multiprocessing
     return multiprocessing.get_context("fork").Pool(processes)
 
 
-def instance(instance_id, ok, witness=""):
-    """An instance dict: PASS if ok, else FAIL."""
-    return {"id": instance_id, "status": "PASS" if ok else "FAIL", "witness": witness}
+def residual(triples):
+    """The residual of the comparisons (object, lhs, rhs): {object: (lhs,
+    rhs)} where the sides differ, in the given order."""
+    return {obj: (lhs, rhs) for obj, lhs, rhs in triples if lhs != rhs}
+
+
+def map_residual(lhs, rhs, label=None):
+    """The residual of two maps {object: value}, a missing value counting
+    as 0: lhs's objects first, then the others of rhs.  With a label each
+    object is (label, object)."""
+    keys = list(lhs) + [k for k in rhs if k not in lhs]
+    return residual((k if label is None else (label, k), lhs.get(k, 0), rhs.get(k, 0))
+                    for k in keys)
+
+
+def row_residual(field, terms, label=None):
+    """The residual of the row identity sum c * nums / D = 0 over terms
+    [(c, (nums, D))]: the nonzero coordinates of one field.combine, each
+    against 0, labelled as in map_residual."""
+    nums, d = field.combine(terms)
+    return {k if label is None else (label, k): (field.quotient(c, d), 0)
+            for k, c in nums.items()}
+
+
+def rows_residual(field, lhs, rhs, label=None):
+    """The residual of two canonical rows: empty if they are equal, else
+    row_residual of their difference."""
+    return {} if lhs == rhs else row_residual(field, [(1, lhs), (-1, rhs)], label)
+
+
+def _cut(text):
+    return text if len(text) <= WITNESS_CUT else text[:WITNESS_CUT - 3] + "..."
+
+
+def _object(obj):
+    """An object as text: a (label, object) pair as "label object"."""
+    if type(obj) is tuple and len(obj) == 2 and type(obj[0]) is str:
+        return "%s %s" % (obj[0], _object(obj[1]))
+    return str(obj)
+
+
+def witness(res):
+    """The first mismatch of a nonempty residual, "<object>: <lhs> != <rhs>",
+    each part cut to WITNESS_CUT characters."""
+    obj, (lhs, rhs) = next(iter(res.items()))
+    return "%s: %s != %s" % (_cut(_object(obj)), _cut(_side(lhs)), _cut(_side(rhs)))
+
+
+def _side(value):
+    """A side of a comparison as text: a scalar by render_coeff, anything
+    else (a row numerator, a map, a set) by str."""
+    return render_coeff(value) if isinstance(value, (int, Fraction, Coeff)) else str(value)
+
+
+def instance(instance_id, res, note="", known=""):
+    """The instance dict of the residual res: PASS if it is empty, with the
+    note as witness; SKIP if it is SKIP, with the note (the reason); else
+    FAIL, with the first mismatch as witness, or the known cause of a claim
+    known to be false.  Raises TypeError on anything but a dict or SKIP, so
+    a check that returns a bool can never PASS."""
+    if res is SKIP:
+        return {"id": instance_id, "status": "SKIP", "witness": note}
+    if type(res) is not dict:
+        raise TypeError("check %r returned %r, not a residual dict" % (instance_id, res))
+    if not res:
+        return {"id": instance_id, "status": "PASS", "witness": note}
+    return {"id": instance_id, "status": "FAIL", "witness": known or witness(res)}
 
 
 def _run_check(i):
-    """The instances of the i-th recorded check of _RUN."""
+    """The instances of the i-th recorded check of _RUN: of each id, the
+    gravest over the workspaces (FAIL over SKIP over PASS), the first among
+    equals, a FAIL's witness prefixed with its workspace's spec point (or
+    "symbolic")."""
     wss, checks = _RUN
     kind, instance_id, fn, args = checks[i]
-    if kind == "sweep":
-        merged = {}
-        for ws in wss:
-            for inst in fn(ws, *args):
-                cur = merged.get(inst["id"])
-                if cur is None or (cur["status"] == "PASS" and inst["status"] != "PASS"):
-                    if inst["status"] == "FAIL":
-                        inst = dict(inst, witness=_at(ws, inst["witness"]))
-                    merged[inst["id"]] = inst
-        return list(merged.values())
+    merged = {}
     for ws in wss:
-        res = fn(ws, *args)
-        if isinstance(res, str) or not res:
-            return [instance(instance_id, False, _at(ws, res or ""))]
-    return [instance(instance_id, True)]
-
-
-def _at(ws, witness):
-    """A FAIL witness prefixed with the workspace's spec point."""
-    return "%s: %s" % (ws.key(), witness) if witness else ws.key()
+        insts = fn(ws, *args) if kind == "sweep" else [instance(instance_id, fn(ws, *args))]
+        for inst in insts:
+            cur = merged.get(inst["id"])
+            if cur is None or _GRAVITY[inst["status"]] > _GRAVITY[cur["status"]]:
+                if inst["status"] == "FAIL":
+                    inst = dict(inst, witness="%s: %s" % (ws.key(), inst["witness"]))
+                merged[inst["id"]] = inst
+    return list(merged.values())
 
 
 class Report:
@@ -96,8 +165,8 @@ class Report:
 
     The per-workspace checks of a suite are recorded with check() or sweep()
     and run by done(), in recording order: in this process when the run has
-    one job, else in one fork pool.  A check returns a bool, or a non-empty
-    string that names what failed."""
+    one job, else in one fork pool.  A check returns its residual (see
+    instance)."""
 
     def __init__(self, suite, config):
         self.suite = suite
@@ -109,20 +178,19 @@ class Report:
         self._t0 = time.monotonic()
         self.elapsed_ms = 0
 
-    def add(self, instance_id, ok, witness=""):
-        self.instances.append(instance(instance_id, ok, witness))
+    def add(self, instance_id, res):
+        """Add the instance of the residual res of a workspace-free check."""
+        self.instances.append(instance(instance_id, res))
 
     def check(self, instance_id, fn, *args):
-        """Record the check fn(ws, *args): PASS iff it holds in every workspace.
-        A FAIL names the first workspace where it fails (its spec point, or
-        "symbolic"), followed by ": " and the failure string if fn gave one."""
+        """Record the check fn(ws, *args), a residual: PASS iff it is empty
+        in every workspace, else FAIL at the first workspace where it is
+        not."""
         self._checks.append(("each", instance_id, fn, args))
 
     def sweep(self, fn, *args):
-        """Record fn(ws, *args), a list of instance dicts per workspace.  Each
-        instance is taken from the first workspace where it does not PASS, or
-        else from the first workspace; a FAIL's witness is prefixed with that
-        workspace's spec point as check() does."""
+        """Record fn(ws, *args), a list of instance dicts per workspace,
+        merged over the workspaces as _run_check does."""
         self._checks.append(("sweep", None, fn, args))
 
     def done(self):

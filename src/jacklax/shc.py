@@ -20,7 +20,7 @@ from .lax import lax_apply, op_A, op_B
 from .partitions import (add_box, add_set, boxes, partitions_of, rem_set,
                          remove_box, size)
 from .spectral import T_partition, T_star, tau, tau_tilde, with_pole
-from .traces import pf_eq
+from .report import map_residual, residual, rows_residual
 
 
 # ---------------------------------------------------------------------------
@@ -45,6 +45,13 @@ def pf_add(a, b):
     for k, v in b.items():
         v_accum(out.setdefault(k, {}), v)
     return pf_clean(out)
+
+
+def pf_residual(a, b, label=None):
+    """The residual of two PF values, keyed by (PF key, partition) as in
+    report.map_residual."""
+    return map_residual({(k, lam): c for k, st in a.items() for lam, c in st.items()},
+                        {(k, lam): c for k, st in b.items() for lam, c in st.items()}, label)
 
 
 def sfun_to_pf_keys(field, fun):
@@ -232,16 +239,15 @@ def pf_truncate(pf, N):
 
 def construction_from_lax_check(ws, n):
     """Compare the Lax-resolvent constructions of X+, X-, Y^{-1}, Y with the
-    Jack-basis definitions on all degrees <= n.  Returns a report dict; the
-    sign/projection relations between the two conventions are recorded
-    explicitly.
+    Jack-basis definitions on all degrees <= n: {identity: residual}, each
+    residual keyed by (lam, (PF key, partition)).  The residue-convention
+    variant of X- is checked to differ from it by the global sign -1.
 
     Each resolvent runs in the psi-hat eigenbasis (ws.expand_psi_hat of a
     row), and the A and pi0 images of each psi-hat vector are read in Jack
     coordinates once per call (memo)."""
     field = ws.field
-    ok_xplus = ok_xminus = ok_yinv = ok_y = True
-    alt_xminus_sign = set()
+    out = {"xplus": {}, "yinv": {}, "xminus_lax": {}, "y_equals_minus_Pminus": {}}
     memo = {}
     for k in range(n + 1):
         for lam in partitions_of(k):
@@ -249,31 +255,24 @@ def construction_from_lax_check(ws, n):
             # resolvent of j in the eigenbasis, honestly via the expansion
             exp = field.uncleared(ws.expand_psi_hat((fock_to_ext(nums), d)))
             # --- X+ = A (z-L)^{-1} pi0
-            if not pf_eq(_resolvent_pf(ws, exp, op_A, memo),
-                         apply_X_plus(ws, {lam: field.one})):
-                ok_xplus = False
+            out["xplus"].update(pf_residual(_resolvent_pf(ws, exp, op_A, memo),
+                                            apply_X_plus(ws, {lam: field.one}), lam))
             # --- Y^{-1} = pi0 (z-L)^{-1}
-            if not pf_eq(_resolvent_pf(ws, exp, _pi0_row, memo),
-                         apply_diagonal(ws, {lam: field.one}, Yinv_eig)):
-                ok_yinv = False
+            out["yinv"].update(pf_residual(_resolvent_pf(ws, exp, _pi0_row, memo),
+                                           apply_diagonal(ws, {lam: field.one}, Yinv_eig), lam))
             if not lam:
                 continue
             # --- X- = pi0 (z-L)^{-1} A^dag
             exp = field.uncleared(ws.expand_psi_hat(op_B(field, ws.jack_row(lam))))
             direct = apply_X_minus(ws, {lam: field.one})
-            if not pf_eq(_resolvent_pf(ws, exp, _pi0_row, memo), direct):
-                ok_xminus = False
+            out["xminus_lax"].update(pf_residual(_resolvent_pf(ws, exp, _pi0_row, memo),
+                                                 direct, lam))
             # the residue-convention variant differs by a global sign
             literal = {}
             for x in rem_set(lam):
                 res = Y_eig(field, lam).shift((-1, -1)).residue(x, field)
-                pf_accum(literal, ("p", x), remove_box(lam, x), res)
-            if pf_eq(literal, direct):
-                alt_xminus_sign.add(+1)
-            elif pf_eq(pf_scale(literal, -field.one), direct):
-                alt_xminus_sign.add(-1)
-            else:
-                alt_xminus_sign.add(0)
+                pf_accum(literal, ("p", x), remove_box(lam, x), -res)
+            out["xminus_lax"].update(pf_residual(literal, direct, ("residue variant", lam)))
             # --- Y: (hbar N)^{-1} A (z - ebar - L)^{-1} A^dag equals the
             # negated pole part -P_z^-(Y(z)) (the unprojected Y(z) itself
             # is ruled out by asymptotics: LHS ~ 1/z while Y ~ z)
@@ -283,15 +282,9 @@ def construction_from_lax_check(ws, n):
             for key, val in ypf.items():
                 if isinstance(key, tuple) and key[0] == "p":
                     pf_accum(expect, key, lam, -val / scale)
-            if not pf_eq(_resolvent_pf(ws, exp, op_A, memo, (1, 1), scale), expect):
-                ok_y = False
-    return {
-        "xplus": ok_xplus,
-        "yinv": ok_yinv,
-        "xminus_lax": ok_xminus,
-        "xminus_literal_sign": sorted(alt_xminus_sign),
-        "y_equals_minus_Pminus": ok_y,
-    }
+            out["y_equals_minus_Pminus"].update(pf_residual(
+                _resolvent_pf(ws, exp, op_A, memo, (1, 1), scale), expect, lam))
+    return out
 
 
 def _resolvent_pf(ws, exp, image, memo, shift=(0, 0), scale=None):
@@ -318,111 +311,90 @@ def _pi0_row(field, row):
 
 
 def whittaker_checks(ws, N):
-    """All Whittaker-type identities on degrees <= N; returns a report."""
+    """All Whittaker-type identities on degrees <= N: {identity:
+    residual}."""
     field = ws.field
-    report = {}
+    out = {}
 
     # G = exp(V1/hbar) componentwise
     G = gaiotto_state(ws, N + 1)
     vec = field.uncleared(jack_to_fock(ws, G))
-    ok = True
+    cmp = []
     fact = field.one
     for n in range(N + 1):
         if n:
             fact = fact * field.num(n)
         expect = field.one / (field.hbar ** n * fact)
         for mu in partitions_of(n):
-            c = expect if mu == (1,) * n else field.zero
-            if vec.get(mu, field.zero) != c:
-                ok = False
-    report["gaiotto_is_exponential"] = ok
+            cmp.append((mu, vec.get(mu, field.zero), expect if mu == (1,) * n else field.zero))
+    out["gaiotto_is_exponential"] = residual(cmp)
 
     # H = U G = sum V_n / |V_n|^2
     H = h_state(ws, N + 1)
     vecH = field.uncleared(jack_to_fock(ws, H))
-    ok = True
-    for n in range(1, N + 1):
-        for mu in partitions_of(n):
-            expect = field.one / (field.hbar * field.num(n)) if mu == (n,) else field.zero
-            if vecH.get(mu, field.zero) != expect:
-                ok = False
-    report["H_is_sum_Vn"] = ok
+    out["H_is_sum_Vn"] = residual(
+        (mu, vecH.get(mu, field.zero),
+         field.one / (field.hbar * field.num(n)) if mu == (n,) else field.zero)
+        for n in range(1, N + 1) for mu in partitions_of(n))
 
     # first Whittaker: X^-(u) G = Y(u)^{-1} G, components of degree <= N
     lhs = pf_truncate(apply_X_minus(ws, G), N)
     rhs = pf_truncate(apply_diagonal(ws, state_truncate(G, N), Yinv_eig), N)
-    report["whittaker_minus"] = pf_eq(lhs, rhs)
+    out["whittaker_minus"] = pf_residual(lhs, rhs)
 
-    # second Whittaker: X^+(u) G vs P_u^-( Y(u+ebar) ) G: holds with a
-    # global minus sign under our tau~ convention
+    # second Whittaker: X^+(u) G = -P_u^-( Y(u+ebar) ) G: the global minus
+    # sign is that of our tau~ convention
     lhs = pf_truncate(apply_X_plus(ws, state_truncate(G, N - 1)), N)
     rhs = {}
     for lam, c in state_truncate(G, N).items():
         for key, val in sfun_to_pf_keys(field, Y_eig(field, lam).shift((-1, -1))).items():
             if isinstance(key, tuple) and key[0] == "p":
-                pf_accum(rhs, key, lam, c * val)
-    rhs = pf_truncate(rhs, N)
-    if pf_eq(lhs, pf_scale(rhs, -field.one)):
-        report["whittaker_plus"] = True
-        report["whittaker_plus_sign"] = -1
-    elif pf_eq(lhs, rhs):
-        report["whittaker_plus"] = True
-        report["whittaker_plus_sign"] = +1
-    else:
-        report["whittaker_plus"] = False
+                pf_accum(rhs, key, lam, -c * val)
+    out["whittaker_plus"] = pf_residual(lhs, pf_truncate(rhs, N))
 
     # generalized Whittaker for each lam with |lam| <= N, on one H context;
     # memos[i] holds the V_mu^dagger images of the i-th context vector
     ctx = h_context(ws, N)
     memos = [{} for _ in range(1 + len(ctx[2]))]
-    failing = [lam for nl in range(1, N + 1) for lam in partitions_of(nl)
-               if not _generalized_whittaker(ws, lam, N, ctx, memos)]
-    report["generalized_whittaker"] = not failing
-    if failing:
-        report["generalized_whittaker_first_fail"] = failing[0]
+    out["generalized_whittaker"] = res = {}
+    for nl in range(1, N + 1):
+        for lam in partitions_of(nl):
+            res.update(_generalized_whittaker(ws, lam, N, ctx, memos))
 
     # lifted identity on H
-    report["lifted_identity"] = _lifted_identity(ws, N, ctx)
+    out["lifted_identity"] = _lifted_identity(ws, N, ctx)
 
     # commutator [X+(z), X-(w)] = (Psi(z)-Psi(w))/(z-w) on Jack states
-    ok = True
+    out["x_commutator"] = res = {}
     for n in range(N + 1):
         for lam in partitions_of(n):
-            if not _commutator_check(ws, lam):
-                ok = False
-    report["x_commutator"] = ok
+            res.update(_commutator_check(ws, lam))
 
     # [dPhi, V1^pm] = pm X^pm on degrees <= N-1
-    ok = True
+    out["dPhi_V1_commutator"] = res = {}
     for n in range(max(0, N - 1)):
         for lam in partitions_of(n):
             st = {lam: field.one}
             lhs = pf_add(apply_dPhi(ws, apply_V1(ws, st, +1)),
                          pf_scale(_compose_V1(ws, apply_dPhi(ws, st), +1), -field.one))
-            if not pf_eq(lhs, apply_X_plus(ws, st)):
-                ok = False
+            res.update(pf_residual(lhs, apply_X_plus(ws, st), ("+", lam)))
             lhs = pf_add(apply_dPhi(ws, apply_V1(ws, st, -1)),
                          pf_scale(_compose_V1(ws, apply_dPhi(ws, st), -1), -field.one))
-            if not pf_eq(lhs, pf_scale(apply_X_minus(ws, st), -field.one)):
-                ok = False
-    report["dPhi_V1_commutator"] = ok
+            res.update(pf_residual(lhs, pf_scale(apply_X_minus(ws, st), -field.one),
+                                   ("-", lam)))
 
-    # leading term: sum of residues of X^pm equals V_1^pm
-    ok = True
+    # leading term: X^pm has poles only, and their residues sum to V_1^pm
+    out["x_leading_term"] = res = {}
     for n in range(N):
         for lam in partitions_of(n):
             st = {lam: field.one}
-            for sign, op in ((+1, apply_X_plus), (-1, apply_X_minus)):
-                tot = {}
+            for sign, name, op in ((1, "X+", apply_X_plus), (-1, "X-", apply_X_minus)):
+                tot, poly = {}, {}
                 for key, stv in op(ws, st).items():
-                    if not (isinstance(key, tuple) and key[0] == "p"):
-                        ok = False
-                        continue
-                    v_accum(tot, stv)
-                if tot != apply_V1(ws, st, sign):
-                    ok = False
-    report["x_leading_term"] = ok
-    return report
+                    v_accum(tot if isinstance(key, tuple) and key[0] == "p" else poly, stv)
+                res.update(map_residual(poly, {}, (name + " polynomial part", lam)))
+                res.update(map_residual(tot, apply_V1(ws, st, sign), (name, lam)))
+    return out
 
 
 def _compose_V1(ws, pf, sign):
@@ -446,11 +418,12 @@ def _generalized_whittaker(ws, lam, N, ctx, memos):
     The vacuum term is sum_{b in lam} 1/(z-[b]); at lam={1} this reduces
     to the familiar z^{-1}.  Components of degree <= N - |lam| are exact for H
     truncated at N and are the ones compared.  ctx and memos are as for
-    generalized_whittaker_lhs."""
+    generalized_whittaker_lhs.  Returns the residual keyed by (lam,
+    (PF key, partition))."""
     field = ws.field
     keep = N - size(lam)
     if keep < 0:
-        return True
+        return {}
     H = ctx[0]
     lhs = generalized_whittaker_lhs(ws, lam, N, ctx, memos)
     # RHS: diagonal P^-(T_{lam * mu}(z)) on each component, plus the vacuum
@@ -463,7 +436,7 @@ def _generalized_whittaker(ws, lam, N, ctx, memos):
             pf_accum(rhs, ("p", pole), mu, c * T.residue(pole, field))
     for bx in boxes(lam):
         pf_accum(rhs, ("p", bx), (), field.one)
-    return pf_eq(lhs, pf_clean(rhs))
+    return pf_residual(lhs, pf_clean(rhs), lam)
 
 
 def _lifted_identity(ws, N, ctx):
@@ -472,7 +445,7 @@ def _lifted_identity(ws, N, ctx):
 
     The w^{-1} part of the left side lowers degree, so with H truncated at N
     only components of degree <= N-1 are exact; both sides are compared
-    there."""
+    there, as rows per PF key."""
     field = ws.field
     H, _, parts = ctx
 
@@ -493,11 +466,16 @@ def _lifted_identity(ws, N, ctx):
                 nums, d = ws.psi_row(mu, s)
                 rhs.setdefault(("p", s), []).append((coeff, (cut(nums), d)))
     rhs = {key: row for key, row in ((k, field.combine(ts)) for k, ts in rhs.items()) if row[0]}
-    return lhs == rhs
+    zero = ({}, 1)
+    out = {}
+    for key in list(lhs) + [k for k in rhs if k not in lhs]:
+        out.update(rows_residual(field, lhs.get(key, zero), rhs.get(key, zero), key))
+    return out
 
 
 def _commutator_check(ws, lam):
-    """[X+(z), X-(w)] j_lam = (Psi_lam(z) - Psi_lam(w))/(z-w) j_lam."""
+    """[X+(z), X-(w)] j_lam = (Psi_lam(z) - Psi_lam(w))/(z-w) j_lam, as a
+    residual keyed by (lam, ((z-key, w-key), partition))."""
     field = ws.field
     st = {lam: field.one}
 
@@ -524,7 +502,7 @@ def _commutator_check(ws, lam):
     for pole in psi_fun.den:
         pf_accum(rhs, (("p", pole), ("p", pole)), lam,
                  -(psi_fun.residue(pole, field) * factor))
-    return lhs == pf_clean(rhs)
+    return pf_residual(lhs, pf_clean(rhs), lam)
 
 
 def delta_via_states(ws, row, ctx):

@@ -17,6 +17,7 @@ from .errors import JackLaxError, NotAPole, NotASimplePole
 from .fock import v_accum
 from .partitions import (add_box, add_set, rem_set, rem_set_plus,
                          remove_box, star_product)
+from .report import residual
 
 
 # ---------------------------------------------------------------------------
@@ -233,73 +234,56 @@ def star_residues(field, mu, nu):
 
 
 def verify_tau_identities(field, lam, s):
-    """Check the five appendix identities at (lam, s); returns a report
-    dict identity -> "PASS"/"FAIL"/"SKIP".
+    """The five appendix identities at (lam, s), as one residual keyed by
+    (identity, box); (iii) is skipped where [s] or [s+(1,1)] vanishes.
 
     Each product below (a tau value times T_1 or T_1^{-1}, or hbar over
     two forms) is one field.ratio, hbar = -e1 e2 entering as the forms e1,
     e2 with its sign in the prefactor, so only the sums of (iii)-(v) add
     field scalars."""
-    report = {}
     A = add_set(lam)
     if s not in A:
         raise JackLaxError("s must be addable to lam")
     lam_s = add_box(lam, s)
     e1e2 = ((1, 0), (0, 1))
+    out = []
 
     # (i) tau_{lam+s}^b = T1([s-b]) tau_lam^b for b != s addable
-    status = []
     for b in A:
         if b == s:
             continue
         up, down = _T1_forms((s[0] - b[0], s[1] - b[1]))
-        status.append(tau(field, lam_s, b) == field.ratio(up, down, tau(field, lam, b)))
-    report["tau_add_shift"] = _verdict(status)
+        out.append((("tau_add_shift", b), tau(field, lam_s, b),
+                    field.ratio(up, down, tau(field, lam, b))))
 
     # (ii) tau~_{lam+s}^t = T1([s-t])^{-1} tau~_lam^t for surviving corners
-    status = []
     for t in rem_set_plus(lam):
         if t not in rem_set_plus(lam_s):
             continue
         up, down = _T1_forms((s[0] - t[0], s[1] - t[1]))
-        status.append(tau_tilde(field, lam_s, t)
-                      == field.ratio(down, up, tau_tilde(field, lam, t)))
-    report["tau_tilde_add_shift"] = _verdict(status)
+        out.append((("tau_tilde_add_shift", t), tau_tilde(field, lam_s, t),
+                    field.ratio(down, up, tau_tilde(field, lam, t))))
 
     # (iii) hbar / ([s][s+(1,1)]) = 1 - T1([s])^{-1}
     s11 = (s[0] + 1, s[1] + 1)
     if field.lf(s) and field.lf(s11):
         up, down = _T1_forms(s)
-        lhs = field.ratio(e1e2, (s, s11), -field.one)
-        report["hbar_T1"] = "PASS" if lhs == field.one - field.ratio(down, up) else "FAIL"
-    else:
-        report["hbar_T1"] = "SKIP"
+        out.append((("hbar_T1", s), field.ratio(e1e2, (s, s11), -field.one),
+                    field.one - field.ratio(down, up)))
 
     # (iv) sum_q hbar tau_lam^q / ([s'-q][s'-q+(1,1)]) = tau_{lam-s'}^{s'}
     #      for removable s' (we use s if removable, else all removable)
-    targets = [s] if s in rem_set(lam) else rem_set(lam)
-    status = []
-    for sp in targets:
+    for sp in [s] if s in rem_set(lam) else rem_set(lam):
         acc = field.zero
         for q in A:
             d1 = (sp[0] - q[0], sp[1] - q[1])
             acc = acc + field.ratio(e1e2, (d1, (d1[0] + 1, d1[1] + 1)), -tau(field, lam, q))
-        status.append(acc == tau(field, remove_box(lam, sp), sp))
-    report["tau_sum"] = _verdict(status)
+        out.append((("tau_sum", sp), acc, tau(field, remove_box(lam, sp), sp)))
 
     # (v) sum_t hbar tau~_lam^t / ([s-t][s-t+(1,1)]) = -hbar + tau~_{lam+s}^{s+(1,1)}
     acc = field.zero
     for t in rem_set_plus(lam):
         d1 = (s[0] - t[0], s[1] - t[1])
         acc = acc + field.ratio(e1e2, (d1, (d1[0] + 1, d1[1] + 1)), -tau_tilde(field, lam, t))
-    rhs = tau_tilde(field, lam_s, s11) - field.hbar
-    report["tau_tilde_sum"] = "PASS" if acc == rhs else "FAIL"
-
-    return report
-
-
-def _verdict(status):
-    if not status:
-        return "SKIP"
-    return "PASS" if all(status) else "FAIL"
-
+    out.append((("tau_tilde_sum", s), acc, tau_tilde(field, lam_s, s11) - field.hbar))
+    return residual(out)

@@ -29,6 +29,7 @@ from .linalg import rank
 from .partitions import (SeriesZ, add_box, add_set, boxes, count_lattice_q,
                          eigen_pairs, pair_quads, partition, partitions_of,
                          series_P)
+from .report import SKIP, instance, map_residual, residual, row_residual, rows_residual
 from .spectral import T_star, tau, with_pole
 from jacklax import partitions as _parts
 
@@ -72,10 +73,6 @@ def full_trace(ws, row):
         z[lam] = z.get(lam, 0) + c
     q = ws.field.quotient
     return TraceVector(n, *({k: q(c, d) for k, c in part.items() if c} for part in (x, y, z)))
-
-
-def pf_eq(a, b):
-    return {k: v for k, v in a.items() if v} == {k: v for k, v in b.items() if v}
 
 
 # ---------------------------------------------------------------------------
@@ -144,9 +141,11 @@ def cokernel_relations(n):
 
 
 def verify_cokernel(n):
-    """Check the relations annihilate every basis trace and exhaust the
-    cokernel; returns a report dict."""
-    rows, _, M = trace_incidence_matrix(n)
+    """The relations annihilate every basis trace and exhaust the cokernel,
+    as one residual: ("annihilate", (s, pair)) for the relation R_n^s on
+    the trace of psi-hat_pair, then the cokernel dimension and the rank of
+    the relations, each against q(n)."""
+    rows, pairs, M = trace_incidence_matrix(n)
     row_pos = {r: i for i, r in enumerate(rows)}
     rels = cokernel_relations(n)
     rel_rows = []
@@ -156,22 +155,12 @@ def verify_cokernel(n):
             if coord in row_pos:
                 row[row_pos[coord]] = c
         rel_rows.append(row)
-    ok_annihilate = all(not sum(c * m for c, m in zip(row, col))
-                        for row in rel_rows for col in zip(*M))
-    r = rank(M)
-    coker_dim = len(rows) - r
+    cmp = [(("annihilate", (s, pair)), sum(c * m for c, m in zip(row, col)), 0)
+           for s, row in zip(rels, rel_rows) for pair, col in zip(pairs, zip(*M))]
     q = count_lattice_q(n)
     # the q(n) relations are linearly independent functionals
-    rel_rank = rank(rel_rows)
-    return {
-        "n": n,
-        "relations": len(rels),
-        "q(n)": q,
-        "annihilate": ok_annihilate,
-        "cokernel_dim": coker_dim,
-        "relation_rank": rel_rank,
-        "exhausts": coker_dim == q and rel_rank == q and ok_annihilate,
-    }
+    cmp += [("cokernel dim", len(rows) - rank(M), q), ("relation rank", rank(rel_rows), q)]
+    return residual(cmp)
 
 
 def resolvent_w_identity(ws, n):
@@ -179,7 +168,8 @@ def resolvent_w_identity(ws, n):
     (u-L)^{-1} w^n = sum_g (sum_{t in g} 1/(u-[t])) qhat_g/|jhat_g|^2
                    - sum_l (sum_{s in l} 1/(u-[s])) w qhat_l/|jhat_l|^2,
     verified as maps pole -> ExtVec: at each pole the rows of the two
-    sides, with qhat_g/|jhat_g|^2 = varpi_g q_g/|j_g|^2, combine to zero."""
+    sides, with qhat_g/|jhat_g|^2 = varpi_g q_g/|j_g|^2, combine to zero:
+    the residual keyed by (pole, coordinate)."""
     field = ws.field
     terms = {}
     nums, den = ws.expand_psi_hat(_basic_row(ws, (n, ())))
@@ -196,7 +186,10 @@ def resolvent_w_identity(ws, n):
         q, d = field.combine([(ws.varpi(lam) / ws.norm_sq(lam), q_poly_row(ws, lam))])
         for s in boxes(lam):
             terms.setdefault(s, []).append((1, (w_mul(q), d)))
-    return not any(field.combine(ts)[0] for ts in terms.values())
+    out = {}
+    for pole, ts in terms.items():
+        out.update(row_residual(field, ts, pole))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -351,39 +344,38 @@ def d_Pi(ws, z1, z2):
     return Pi(ext_mul(pi_plus(z1), pi_plus(z2)))
 
 
-def twisted_trace_checks(tb, tt):
-    """Tr(beta) = rho_* Tr(theta) on the traces tb = Tr(beta), tt = Tr(theta):
-    y equal, x(beta)=0, z(theta)=0, z(beta) = -x(theta)."""
-    return {
-        "y_equal": pf_eq(tb.y, tt.y),
-        "x_beta_zero": not tb.x,
-        "z_theta_zero": not tt.z,
-        "z_beta_is_minus_x_theta": pf_eq(tb.z, {k: -v for k, v in tt.x.items()}),
-    }
+def twisted_residual(tb, tt):
+    """Tr(beta) = rho_* Tr(theta) on the traces tb = Tr(beta), tt = Tr(theta),
+    as a residual: y equal, x(beta) = 0, z(theta) = 0, z(beta) = -x(theta)."""
+    out = map_residual(tb.y, tt.y, "y(beta) - y(theta)")
+    out.update(map_residual(tb.x, {}, "x(beta)"))
+    out.update(map_residual(tt.z, {}, "z(theta)"))
+    out.update(map_residual(tb.z, {k: -v for k, v in tt.x.items()}, "z(beta) + x(theta)"))
+    return out
 
 
 def verify_twisted_traces(ws, z1, z2):
-    """twisted_trace_checks on the traces of beta and theta of the cleared
-    rows z1 and z2."""
-    return twisted_trace_checks(full_trace(ws, beta(ws, z1, z2)),
-                                full_trace(ws, theta(ws, z1, z2)))
+    """twisted_residual of the traces of beta and theta of the cleared rows
+    z1 and z2."""
+    return twisted_residual(full_trace(ws, beta(ws, z1, z2)),
+                            full_trace(ws, theta(ws, z1, z2)))
 
 
 def y_trace_product_check(ws, lam, s, nu, t, t_prod, t_beta, star, T=None):
     """y_u(psi-hat psi-hat) = T_{lam*nu}/(u-[s+t]) and
     y_u(beta(psi-hat,psi-hat)) = T_{lam*nu} - 1, by residue comparison, on
     the traces t_prod and t_beta of the product and of beta of the pair
-    psi-hat_lam^s, psi-hat_nu^t; star is star_residues(field, lam, nu),
-    and T is T_{lam*nu} when the caller has it."""
+    psi-hat_lam^s, psi-hat_nu^t, as a residual; star is
+    star_residues(field, lam, nu), and T is T_{lam*nu} when the caller has
+    it."""
     field = ws.field
     if T is None:
         T = T_star(field, lam, nu)
     poly, res = with_pole(T, (s[0] + t[0], s[1] + t[1])).partial_fractions(field)
-    if poly:
-        return False
-    if not pf_eq(t_prod.y, res):
-        return False
-    return pf_eq(t_beta.y, star)
+    out = map_residual(dict(enumerate(poly)), {}, "polynomial part")
+    out.update(map_residual(t_prod.y, res, "y(product)"))
+    out.update(map_residual(t_beta.y, star, "y(beta)"))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -494,7 +486,7 @@ def _basic_row(ws, key):
 def conjecture_sweeps(max_degree):
     """The selection-rule, rho, and beta=rho.theta conjecture sweeps, in
     parts: pairs (fn, args) where fn(ws, *args) is a list of instance dicts
-    {id, status, witness}."""
+    (report.instance)."""
     for quad in pair_quads(max_degree):
         yield _selection_rule, quad
     for r in range(1, max_degree):
@@ -512,13 +504,8 @@ def _psi_hat_product(ws, lam, s, nu, t):
 def _selection_rule(ws, mu, s, nu, t):
     """The support of psi-hat products lies over mu union nu."""
     union = _parts.diagram_union(mu, nu)
-    nums, _ = ws.expand_psi_hat(_psi_hat_product(ws, mu, s, nu, t))
-    bad = [g for (g, u) in nums if not _parts.contains(g, union)]
-    return [{
-        "id": "selection-rule %s:%s * %s:%s" % (mu, s, nu, t),
-        "status": "PASS" if not bad else "FAIL",
-        "witness": "" if not bad else "support hits %s" % bad,
-    }]
+    return [instance("selection-rule %s:%s * %s:%s" % (mu, s, nu, t), _outside(
+        ws, _psi_hat_product(ws, mu, s, nu, t), lambda key: _parts.contains(key[0], union)))]
 
 
 def _rho_conjectures(ws, max_degree):
@@ -534,23 +521,19 @@ def _rho_conjectures(ws, max_degree):
                 continue
             lhs = field.combine([(1, beta_basic(ws, a, b))])
             rhs = rho_tilde(ws, a + b - 1, theta_basic(ws, a, b))
-            out.append({
-                "id": "beta=rho~theta (%d,%d)" % (a, b),
-                "status": "PASS" if lhs == rhs else "FAIL",
-                "witness": "",
-            })
+            out.append(instance("beta=rho~theta (%d,%d)" % (a, b),
+                                rows_residual(field, lhs, rhs)))
 
     # rho~ as a differential operator.  On F this is a proven lemma; the
     # conjectured extension to all of Z0 fails already on theta^{2,2}
     # (w-dependent elements), which is reported as such.
     for n in range(2, min(5, max_degree) + 1):
-        lemma_ok, ext_ok = True, True
-        witness = ""
+        lemma, ext = {}, {}
         fn = good_normalizer_F(ws, _basic_row(ws, (n, ())))
         # beta(w, w^k), with the factor hbar k / (n hbar)
         bws = [(k, beta_basic(ws, 1, k), field.hbar * field.num(k) / (field.num(n) * field.hbar))
                for k in range(1, n + 1)]
-        for zrow in null_module_span(ws, n, "Z0"):
+        for i, zrow in enumerate(null_module_span(ws, n, "Z0")):
             znums, zden = zrow
             lhs = rho_general(ws, fn, zrow)
             terms = []
@@ -560,16 +543,12 @@ def _rho_conjectures(ws, max_degree):
                     for nu, a2 in deriv_V({mu: a}, k).items():
                         bump(dz, (mm, nu), a2)
                 terms.append((c, (ext_mul(bn, dz), bd * zden)))
-            if lhs != field.combine(terms):
-                if all(m == 0 for (m, mu) in znums):
-                    lemma_ok = False
-                else:
-                    ext_ok = False
-                    witness = "fails on a w-dependent element, e.g. theta^{2,2}"
-        out.append({"id": "rho~ differential form on F (lemma) n=%d" % n,
-                    "status": "PASS" if lemma_ok else "FAIL", "witness": ""})
-        out.append({"id": "rho~ differential form on all of Z0 (conjectured) n=%d" % n,
-                    "status": "PASS" if ext_ok else "FAIL", "witness": witness})
+            on_F = all(m == 0 for (m, mu) in znums)
+            (lemma if on_F else ext).update(
+                rows_residual(field, lhs, field.combine(terms), ("Z0 element", i)))
+        out.append(instance("rho~ differential form on F (lemma) n=%d" % n, lemma))
+        out.append(instance("rho~ differential form on all of Z0 (conjectured) n=%d" % n, ext,
+                            known="fails on a w-dependent element, e.g. theta^{2,2}"))
 
     # beta(z,x) = rho(F(dPi(z,x))) theta(z,x) for good basic pairs; the
     # basic vectors are rows over 1, and so is dPi of two of them
@@ -582,24 +561,19 @@ def _rho_conjectures(ws, max_degree):
                     try:
                         f = good_normalizer_F(ws, (d_Pi(ws, z1[0], z2[0]), 1))
                     except NotGood:
-                        out.append({"id": ident, "status": "SKIP",
-                                    "witness": "dPi not good"})
+                        out.append(instance(ident, SKIP, "dPi not good"))
                         continue
                     except NotSplit as e:
                         # over Q(e1,e2) a z-trace need not split into forms
-                        out.append({"id": ident, "status": "SKIP",
-                                    "witness": "F(dPi): %s" % e})
+                        out.append(instance(ident, SKIP, "F(dPi): %s" % e))
                         continue
                     try:
                         rhs = rho_general(ws, f, theta(ws, z1, z2))
                     except NotInNullSpace:
-                        out.append({"id": ident, "status": "SKIP",
-                                    "witness": "theta not in Z0"})
+                        out.append(instance(ident, SKIP, "theta not in Z0"))
                         continue
                     lhs = field.combine([(1, beta(ws, z1, z2))])
-                    out.append({"id": ident,
-                                "status": "PASS" if lhs == rhs else "FAIL",
-                                "witness": ""})
+                    out.append(instance(ident, rows_residual(field, lhs, rhs)))
 
     # the hook-sum claim (known to be false; kept as an honest check)
     for lam in [(1,), (2, 1), (2, 2)]:
@@ -614,9 +588,8 @@ def _rho_conjectures(ws, max_degree):
         hu = field.one
         for b in boxes(lam):
             hu = hu * field.lf(_parts.hook(lam, b, "upper"))
-        out.append({"id": "hook-sum claim %s" % (lam,),
-                    "status": "PASS" if tot == hu else "FAIL",
-                    "witness": "sum != prod h^U"})
+        out.append(instance("hook-sum claim %s" % (lam,), residual([("sum", tot, hu)]),
+                            known="sum != prod h^U"))
     return out
 
 
@@ -635,26 +608,26 @@ def _product_evidence(ws, r, m):
     c1 = field.lf((0, -m)) / field.lf((r, -m))
     c2 = field.lf((r, 0)) / field.lf((r, -m))
     expect = {(lam1, (0, m)): c1, (lam2, (r, 0)): c2}
-    got = {k: v for k, v in exp.items() if v}
-    out.append({"id": "evidence-1 r=%d m=%d" % (r, m),
-                "status": "PASS" if got == expect else "FAIL",
-                "witness": "" if got == expect else repr(got)})
+    out.append(instance("evidence-1 r=%d m=%d" % (r, m), map_residual(exp, expect)))
 
     # case 2: psi^{(r,0)}_{1^r} psi^{(1,0)}_m (support check)
     if (1, 0) in add_set(row):
-        exp = set(ws.expand_psi_hat(_psi_hat_product(ws, col, (r, 0), row, (1, 0)))[0])
         allowed = {(lam1, (0, m)), (lam1, (r + 1, 0)), (lam2, (r, 0))}
-        out.append({"id": "evidence-2 r=%d m=%d" % (r, m),
-                    "status": "PASS" if exp <= allowed else "FAIL",
-                    "witness": "" if exp <= allowed else repr(exp)})
+        out.append(instance("evidence-2 r=%d m=%d" % (r, m), _outside(
+            ws, _psi_hat_product(ws, col, (r, 0), row, (1, 0)), allowed.__contains__)))
 
     # case 3: psi^{(0,1)}_{1^r} psi^{(1,0)}_m (support check)
-    exp = set(ws.expand_psi_hat(_psi_hat_product(ws, col, (0, 1), row, (1, 0)))[0])
     allowed = {(lam1, (0, m)), (lam1, (1, 1)), (lam2, (1, 1)), (lam2, (r, 0))}
-    out.append({"id": "evidence-3 r=%d m=%d" % (r, m),
-                "status": "PASS" if exp <= allowed else "FAIL",
-                "witness": "" if exp <= allowed else repr(exp)})
+    out.append(instance("evidence-3 r=%d m=%d" % (r, m), _outside(
+        ws, _psi_hat_product(ws, col, (0, 1), row, (1, 0)), allowed.__contains__)))
     return out
+
+
+def _outside(ws, row, allowed):
+    """The residual of a support claim: the psi-hat coefficients of the row
+    whose labels are not allowed (a predicate), each against 0."""
+    nums, d = ws.expand_psi_hat(row)
+    return {key: (ws.field.quotient(c, d), 0) for key, c in nums.items() if not allowed(key)}
 
 
 # ---------------------------------------------------------------------------
@@ -684,9 +657,8 @@ def koszul_A_series(n, order):
 
 
 def koszul_hilbert_check(order_z, order_x):
-    """Verify sum (-1)^n A^n z^n = (z;x)_inf to bidegree (z^order_z,
-    x^order_x), plus the telescoping identity."""
-    report = {}
+    """sum (-1)^n A^n z^n = (z;x)_inf to bidegree (z^order_z, x^order_x),
+    the telescoping identity and the first two A^n, as one residual."""
     As = [koszul_A_series(n, order_x) for n in range(order_z + 1)]
     # product side: prod_{l=0}^{order_x} (1 - z x^l), coefficient of z^n
     prod = [[Fraction(0)] * (order_x + 1) for _ in range(order_z + 1)]
@@ -698,22 +670,14 @@ def koszul_hilbert_check(order_z, order_x):
                 if prod[zn][xk]:
                     new[zn + 1][xk + l] -= prod[zn][xk]
         prod = new
-    ok = True
-    for nz in range(order_z + 1):
-        sign = -1 if nz % 2 else 1
-        for xk in range(order_x + 1):
-            if sign * As[nz].c[xk] != prod[nz][xk]:
-                ok = False
-    report["alternating_sum_matches_product"] = ok
+    cmp = [(("alternating sum", (nz, xk)), (-1) ** nz * As[nz].c[xk], prod[nz][xk])
+           for nz in range(order_z + 1) for xk in range(order_x + 1)]
     # telescoping (1 - x^{n+1}) A^{n+1} = x^n A^n
-    ok = True
     for n in range(order_z):
         lhs = As[n + 1] - SeriesZ(order_x, [Fraction(0)] * (n + 1) + [Fraction(1)]) * As[n + 1]
         rhs = SeriesZ(order_x, [Fraction(0)] * n + [Fraction(1)]) * As[n]
-        if lhs != rhs:
-            ok = False
-    report["telescoping"] = ok
-    report["A0_is_1"] = As[0].c[0] == 1 and all(v == 0 for v in As[0].c[1:])
+        cmp += [(("telescoping", (n, xk)), lhs.c[xk], rhs.c[xk]) for xk in range(order_x + 1)]
+    cmp += [(("A^0", xk), c, int(xk == 0)) for xk, c in enumerate(As[0].c)]
     if order_z >= 1:
-        report["A1_is_geometric"] = all(As[1].c[k] == 1 for k in range(order_x + 1))
-    return report
+        cmp += [(("A^1", xk), As[1].c[xk], 1) for xk in range(order_x + 1)]
+    return residual(cmp)

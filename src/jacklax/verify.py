@@ -23,7 +23,8 @@ from .partitions import (SeriesZ, add_box, add_set, boxes, count_by_corners,
                          partition_pairs, partitions_of, rem_set, rem_set_plus,
                          remove_box, series_P, series_P_xt, series_Q, size,
                          star_product)
-from .report import Report, instance
+from .report import (Report, instance, map_residual, residual, row_residual,
+                     rows_residual)
 from .spectral import (T_of_boxes, T_partition, T_star, tau, tau_hat, tau_tilde,
                        verify_tau_identities, with_pole)
 
@@ -70,32 +71,31 @@ def suite_counts(cfg):
     rep = Report("counts", cfg)
     P = series_P(12)
     rep.add("P(x) coefficients to x^12",
-            all(P.coeff(n) == count_partitions(n) for n in range(13)))
+            residual((n, P.coeff(n), count_partitions(n)) for n in range(13)))
     Pxt = series_P_xt(6)
     expected = {(0, 1): 1, (1, 2): 1, (2, 2): 2, (3, 2): 2, (3, 3): 1,
                 (4, 2): 3, (4, 3): 2}
-    ok = all(Pxt.coeff(n, r) == c for (n, r), c in expected.items())
-    ok = ok and all(Pxt.coeff(n, r) == count_by_corners(n, r)
-                    for n in range(7) for r in range(n + 2))
-    rep.add("P(x,t) coefficients to x^4", ok)
+    res = residual((nr, Pxt.coeff(*nr), c) for nr, c in expected.items())
+    res.update(residual((("corners", (n, r)), Pxt.coeff(n, r), count_by_corners(n, r))
+                        for n in range(7) for r in range(n + 2)))
+    rep.add("P(x,t) coefficients to x^4", res)
     s = series_P_xt(12).subs_t_poly([1, -1])
     rep.add("P(x,1-x) = 1 to x^12",
-            all(s.coeff(i) == (1 if i == 0 else 0) for i in range(13)))
+            residual((i, s.coeff(i), 1 if i == 0 else 0) for i in range(13)))
     lhs = series_P_xt(12).dt_at_1()
     rhs = series_P(12) / _one_minus_x(12)
-    rep.add("dP/dt at t=1 equals P(x)/(1-x) to x^12", lhs == rhs)
+    rep.add("dP/dt at t=1 equals P(x)/(1-x) to x^12",
+            residual((i, lhs.coeff(i), rhs.coeff(i)) for i in range(13)))
     dimser = series_P(9) / _one_minus_x(9)
     rep.add("graded dim H_n = [x^n] P(x)/(1-x) to x^9",
-            all(dimser.coeff(n) == dim_hn(n) for n in range(10)))
+            residual((n, dimser.coeff(n), dim_hn(n)) for n in range(10)))
     Q = series_Q(10)
     rep.add("Q(x) matches the lattice counts to x^10",
-            all(Q.coeff(n) == count_lattice_q(n) for n in range(11)))
+            residual((n, Q.coeff(n), count_lattice_q(n)) for n in range(11)))
     ker = tr_mod.kernel_dim_series(6)
     rep.add("kernel series x^4 + 2x^5 + 5x^6",
-            [ker.coeff(i) for i in range(7)] == [0, 0, 0, 0, 1, 2, 5])
-    kz = tr_mod.koszul_hilbert_check(6, 12)
-    rep.add("Koszul Hilbert identity to (z^6, x^12)",
-            all(kz.values()), "" if all(kz.values()) else repr(kz))
+            residual((i, ker.coeff(i), c) for i, c in enumerate([0, 0, 0, 0, 1, 2, 5])))
+    rep.add("Koszul Hilbert identity to (z^6, x^12)", tr_mod.koszul_hilbert_check(6, 12))
     return rep.done()
 
 
@@ -129,7 +129,7 @@ def suite_tau(cfg, max_size=None):
 
 
 def _tau_identities(ws, lam, s):
-    return "FAIL" not in verify_tau_identities(ws.field, lam, s).values()
+    return verify_tau_identities(ws.field, lam, s)
 
 
 def _kerov(ws, lam):
@@ -137,20 +137,16 @@ def _kerov(ws, lam):
     T = T_partition(f, lam)
     # u^{-1} T_lam: poles at the add set with residues tau
     poly, res = with_pole(T, (0, 0)).partial_fractions(f)
-    if poly:
-        return False
-    if res != {s: tau(f, lam, s) for s in add_set(lam)}:
-        return False
+    out = map_residual(dict(enumerate(poly)), {}, "u^-1 T polynomial part")
+    out.update(map_residual(res, {s: tau(f, lam, s) for s in add_set(lam)}, "u^-1 T residue"))
     # hatted: T - 1 has residues tau-hat and they sum to zero
     polyT, resT = T.partial_fractions(f)
-    if polyT != [f.one]:
-        return False
-    tot = f.zero
-    for s in add_set(lam):
-        if resT.get(s, f.zero) != tau_hat(f, lam, s):
-            return False
-        tot = tot + resT.get(s, f.zero)
-    return not tot
+    out.update(map_residual(dict(enumerate(polyT)), {0: f.one}, "T polynomial part"))
+    out.update(map_residual({s: resT.get(s, f.zero) for s in add_set(lam)},
+                            {s: tau_hat(f, lam, s) for s in add_set(lam)}, "T residue"))
+    out.update(residual([("T residue sum", sum((resT.get(s, f.zero) for s in add_set(lam)),
+                                               f.zero), 0)]))
+    return out
 
 
 def _norm_ratio(ws, lam, s):
@@ -158,13 +154,14 @@ def _norm_ratio(ws, lam, s):
     lam_s = add_box(lam, s)
     lhs = jack_norm_sq(f, lam_s) / jack_norm_sq(f, lam)
     rhs = tau_tilde(f, lam_s, (s[0] + 1, s[1] + 1)) / tau(f, lam, s)
-    return lhs == rhs
+    return residual([("|j_lam+s|^2 / |j_lam|^2", lhs, rhs)])
 
 
 def _star_factor(ws, lam, t):
     lhs = T_of_boxes(ws.field, star_product(lam, {t: 1}))
     rhs = T_partition(ws.field, lam).shift(t)
-    return lhs.num == rhs.num and lhs.den == rhs.den and lhs.pre == rhs.pre
+    return residual([("roots", lhs.num, rhs.num), ("poles", lhs.den, rhs.den),
+                     ("prefactor", lhs.pre, rhs.pre)])
 
 
 # ---------------------------------------------------------------------------
@@ -195,11 +192,6 @@ def suite_spectral(cfg, max_degree=None):
     return rep.done()
 
 
-def _vanishes(field, terms):
-    """sum c * nums / D over terms [(c, (nums, D))] is the zero vector."""
-    return not field.combine(terms)[0]
-
-
 def _ext_row(row):
     """A FockVec row as an ExtVec row."""
     return fock_to_ext(row[0]), row[1]
@@ -213,37 +205,36 @@ def _coords(row, basis):
 def _eigen(ws, lam, s):
     f = ws.field
     row = ws.psi_row(lam, s)
-    if not _vanishes(f, [(1, lax_apply(f, row)), (-f.lf(s), row)]):
-        return False
+    out = row_residual(f, [(1, lax_apply(f, row)), (-f.lf(s), row)], "L psi - [s] psi")
     nums, d = row
-    if not _vanishes(f, [(1, (pi0(nums), d)), (-1, ws.jack_row(lam))]):
-        return False
-    return pi_star(row, f) == ws.pi_star_psi(lam, s)
+    out.update(row_residual(f, [(1, (pi0(nums), d)), (-1, ws.jack_row(lam))], "pi0 psi - j"))
+    out.update(residual([("pi_* psi", pi_star(row, f), ws.pi_star_psi(lam, s))]))
+    return out
 
 
 def _psi_norms(ws, lam):
     f = ws.field
+    out = []
     for s in add_set(lam):
         row = ws.psi_row(lam, s)
         n2 = inner_hbar(row, row, f)
-        if n2 != jack_norm_sq(f, lam) / tau(f, lam, s):
-            return False
-        if n2 != _psi_norm_hooks(ws, lam, s):
-            return False
-    return True
+        out.append((("|j|^2 / tau", s), n2, jack_norm_sq(f, lam) / tau(f, lam, s)))
+        out.append((("hook product", s), n2, _psi_norm_hooks(ws, lam, s)))
+    return residual(out)
 
 
 def _phi_expansion(ws, r):
     f = ws.field
     col = (1,) * r
+    out = {}
     for s in add_set(col):
         nums, d = ws.psi_row(col, s)
         for k in range(r):
             got = {(0, mu): c for (m, mu), c in nums.items() if m == r - k}
-            if not _vanishes(f, [(1, (got, d)), (-phi_column_coeff(ws, r, k, s),
-                                                 _ext_row(ws.jack_row((1,) * k)))]):
-                return False
-    return True
+            out.update(row_residual(f, [(1, (got, d)), (-phi_column_coeff(ws, r, k, s),
+                                                        _ext_row(ws.jack_row((1,) * k)))],
+                                    (s, k)))
+    return out
 
 
 def _complete(ws, n):
@@ -252,14 +243,12 @@ def _complete(ws, n):
     norms, so this makes the Gram matrix diagonal and nonsingular: the
     psi-hat vectors are an orthogonal basis of H_n."""
     pairs = eigen_pairs(n)
-    if len(pairs) != dim_hn(n):
-        return False
     f = ws.field
-    for lam, s in pairs:
-        nums, d = ws.expand_psi_hat(ws.psi_hat_row(lam, s))
-        if list(nums) != [(lam, s)] or f.quotient(nums[(lam, s)], d) != f.one:
-            return False
-    return True
+    out = residual([("count", len(pairs), dim_hn(n))])
+    for label in pairs:
+        exp = f.uncleared(ws.expand_psi_hat(ws.psi_hat_row(*label)))
+        out.update(map_residual(exp, {label: f.one}, label))
+    return out
 
 
 def _self_adjoint(ws, n):
@@ -271,62 +260,63 @@ def _self_adjoint(ws, n):
     f = ws.field
     g, _ = ws.gram_row(n)
     imgs = [lax_apply(f, f.clear({key: f.one}))[0] for key in basis]
-    for i, ki in enumerate(basis):
-        for j in range(i, len(basis)):
-            kj = basis[j]
-            if imgs[j].get(ki, 0) * g[ki] != imgs[i].get(kj, 0) * g[kj]:
-                return False
-    return True
+    return residual(((ki, kj), imgs[j].get(ki, 0) * g[ki], imgs[i].get(kj, 0) * g[kj])
+                    for i, ki in enumerate(basis) for j, kj in enumerate(basis[i:], i))
 
 
 def _pi_diamond_ok(ws, n):
     basis = hn_basis(n)
-    mats = []
+    out, mats = {}, []
     for lam, s in eigen_pairs(n):
         img = pi_diamond(ws, ws.psi_row(lam, s))
-        if pi_diamond(ws, img) != img:
-            return False
+        out.update(rows_residual(ws.field, pi_diamond(ws, img), img, (lam, s)))
         mats.append(_coords(img, basis))
-    return rank(mats) == count_partitions(n + 1)
+    out.update(residual([("rank", rank(mats), count_partitions(n + 1))]))
+    return out
 
 
 def _jacksums(ws, lam):
     f = ws.field
     jack = _ext_row(ws.jack_row(lam))
     terms = [(tau(f, lam, s), ws.psi_row(lam, s)) for s in add_set(lam)]
-    if not _vanishes(f, terms + [(-1, jack)]):
-        return False
+    out = row_residual(f, terms + [(-1, jack)], "sum tau psi - j")
     terms = [(tau_tilde(f, lam, tp), psi_tilde_row(ws, lam, tp)) for tp in rem_set_plus(lam)]
-    return _vanishes(f, terms + [(-1, lax_apply(f, jack))])
+    out.update(row_residual(f, terms + [(-1, lax_apply(f, jack))], "sum tau~ psi~ - L j"))
+    return out
 
 
 def _shift_thm(ws, lam):
     """w psi_{lam-t}^t is the L+ eigenfunction (L-[t'])^{-1}-normalized."""
     f = ws.field
     jack = _ext_row(ws.jack_row(lam))
+    out = {}
     for tp in rem_set_plus(lam):
         pt = psi_tilde_row(ws, lam, tp)
         img, d = lax_apply(f, pt)
         # L+ eigen equation on the positive block
-        if not _vanishes(f, [(1, (pi_plus(img), d)), (-f.lf(tp), pt)]):
-            return False
+        out.update(row_residual(f, [(1, (pi_plus(img), d)), (-f.lf(tp), pt)], ("L+", tp)))
         # resolvent normalization: ([t'] - L) psi~ = -j_lam
-        if not _vanishes(f, [(f.lf(tp), pt), (-1, (img, d)), (1, jack)]):
-            return False
-    return True
+        out.update(row_residual(f, [(f.lf(tp), pt), (-1, (img, d)), (1, jack)],
+                                ("resolvent", tp)))
+    return out
 
 
 def _structural(ws, lam):
     n = size(lam)
+    f = ws.field
     rows = [_ext_row(ws.jack_row(lam))]
     for t in rem_set(lam):
         nums, d = ws.psi_row(remove_box(lam, t), t)
         rows.append((w_mul(nums), d))
-    for row in rows:
-        if any(mu != lam for mu, s in ws.expand_psi_hat(row)[0]):
-            return False
+    out = {}
+    for i, row in enumerate(rows):
+        nums, d = ws.expand_psi_hat(row)
+        out.update({(i, key): (f.quotient(c, d), 0) for key, c in nums.items()
+                    if key[0] != lam})
     basis = hn_basis(n)
-    return rank([_coords(row, basis) for row in rows]) == len(add_set(lam))
+    out.update(residual([("rank", rank([_coords(row, basis) for row in rows]),
+                          len(add_set(lam)))]))
+    return out
 
 
 def _psi_norm_hooks(ws, lam, s):
@@ -356,10 +346,9 @@ def suite_main_theorem(cfg, max_size=None):
 
 def _residual(ws, mu, nu):
     try:
-        res = lr_mod.main_theorem_residual(ws, mu, nu)
+        return lr_mod.main_theorem_residual(ws, mu, nu)
     except JackLaxError as e:
-        return str(e)
-    return not res or "residual at %s" % sorted(res)
+        return {"raised": (str(e), "nothing")}
 
 
 def _worked_lr_example(ws):
@@ -369,7 +358,8 @@ def _worked_lr_example(ws):
     tab = lr_mod.jack_lr(ws, (1, 1), (2,))
     chat = f.lf((2, 0)) * f.lf((0, -2)) / f.lf((2, -2))
     c = -f.lf((0, 1)) / f.lf((1, -1))
-    return tabh.get((2, 1, 1)) == chat and tab.get((2, 1, 1)) == c
+    return residual([("chat (2,1,1)", tabh.get((2, 1, 1)), chat),
+                     ("c (2,1,1)", tab.get((2, 1, 1)), c)])
 
 
 # ---------------------------------------------------------------------------
@@ -380,10 +370,10 @@ def suite_cokernel(cfg, to=None):
     to = suite_sizes("cokernel", cfg.mode, to=to)["to"]
     rep = Report("cokernel", cfg)
     for n in range(to + 1):
-        r = tr_mod.verify_cokernel(n)
-        rep.add("relations annihilate Tr, n=%d" % n, r["annihilate"])
-        rep.add("cokernel dim = q(%d) = %d" % (n, r["q(n)"]), r["exhausts"],
-                "" if r["exhausts"] else repr(r))
+        res = tr_mod.verify_cokernel(n)
+        rep.add("relations annihilate Tr, n=%d" % n,
+                {k: v for k, v in res.items() if k[0] == "annihilate"})
+        rep.add("cokernel dim = q(%d) = %d" % (n, count_lattice_q(n)), res)
     for n in range(min(to, 5) + 1):
         rep.check("resolvent w-identity n=%d" % n, tr_mod.resolvent_w_identity, n)
     return rep.done()
@@ -395,29 +385,28 @@ def suite_kernel(cfg, to=None):
     ser = tr_mod.kernel_dim_series(to)
     for n in range(to + 1):
         d = tr_mod.kernel_dimension(n)
-        h = tr_mod.hexagon_span_dimension(n)
-        ok = d == h == ser.coeff(n)
-        rep.add("dim ker Tr_%d = %d" % (n, d), ok,
-                "" if ok else "hexagon span %d, series %s" % (h, ser.coeff(n)))
+        rep.add("dim ker Tr_%d = %d" % (n, d),
+                residual([("hexagon span", tr_mod.hexagon_span_dimension(n), d),
+                          ("series", ser.coeff(n), d)]))
     for n in range(4, min(to, 7) + 1):
         rep.check("hexagons lie in ker Tr_%d" % n, _hexagons_in_kernel, n)
-    hx4 = tr_mod.kernel_basis(4)
+    hx4 = [(h.eta, frozenset(h.corners)) for h in tr_mod.kernel_basis(4)]
     rep.add("n=4 generator is Gamma_{1,2}^{(2,0),(1,1),(0,2)}",
-            len(hx4) == 1 and hx4[0].eta == (2, 1)
-            and set(hx4[0].corners) == {(2, 0), (1, 1), (0, 2)})
+            residual([("generators", hx4, [((2, 1), frozenset({(2, 0), (1, 1), (0, 2)}))])]))
     hx5 = {(h.eta, frozenset(h.corners)) for h in tr_mod.kernel_basis(5)}
     rep.add("n=5 generators are the expected pair",
-            hx5 == {((3, 1), frozenset({(2, 0), (1, 1), (0, 3)})),
-                    ((2, 1, 1), frozenset({(3, 0), (1, 1), (0, 2)}))})
+            residual([("generators", hx5, {((3, 1), frozenset({(2, 0), (1, 1), (0, 3)})),
+                                           ((2, 1, 1), frozenset({(3, 0), (1, 1), (0, 2)}))})]))
     return rep.done()
 
 
 def _hexagons_in_kernel(ws, n):
+    out = {}
     for hx in tr_mod.kernel_basis(n):
         tv = tr_mod.full_trace(ws, hx.value(ws))
-        if tv.x or tv.y or tv.z:
-            return False
-    return True
+        for part, values in (("x", tv.x), ("y", tv.y), ("z", tv.z)):
+            out.update(map_residual(values, {}, "%r %s" % (hx, part)))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -449,21 +438,26 @@ def suite_traces(cfg, max_degree=None):
 
 
 def _theta_beta_traces(ws, lam, s, nu, t):
-    t_prod, t_beta, tv = tr_mod.pair_traces(ws, ws.psi_hat_row(lam, s), ws.psi_hat_row(nu, t))
+    if size(lam) == size(nu):
+        # (nu, t, lam, s) is a quad too: the lesser of the two builds
+        quad = min((lam, s, nu, t), (nu, t, lam, s))
+        t_prod, t_beta, tv = ws.memo(("pair traces", *quad), _pair_traces, *quad)
+    else:
+        t_prod, t_beta, tv = _pair_traces(ws, lam, s, nu, t)
     chat, star, T = ws.memo(("theta/beta", lam, nu), _pair_data, lam, nu)
-    bad = []
-    if not tr_mod.pf_eq(tv.x, chat):
-        bad.append("x != chat")
-    if not tr_mod.pf_eq(tv.y, star):
-        bad.append("y != tau-hat(star)")
-    if tv.z:
-        bad.append("z != 0")
-    twisted = tr_mod.twisted_trace_checks(t_beta, tv)
-    if not all(twisted.values()):
-        bad.append("twisted: %r" % twisted)
-    if not tr_mod.y_trace_product_check(ws, lam, s, nu, t, t_prod, t_beta, star, T):
-        bad.append("y-product")
-    return "; ".join(bad) or True
+    out = map_residual(tv.x, chat, "x(theta) - chat")
+    out.update(map_residual(tv.y, star, "y(theta) - tau-hat(star)"))
+    out.update(map_residual(tv.z, {}, "z(theta)"))
+    out.update(tr_mod.twisted_residual(t_beta, tv))
+    out.update(tr_mod.y_trace_product_check(ws, lam, s, nu, t, t_prod, t_beta, star, T))
+    return out
+
+
+def _pair_traces(ws, lam, s, nu, t):
+    """The traces of the product, beta and theta of psi-hat_lam^s and
+    psi-hat_nu^t.  All three are symmetric in the two factors, so a quad
+    and its swapped twin (nu, t, lam, s) share them."""
+    return tr_mod.pair_traces(ws, ws.psi_hat_row(lam, s), ws.psi_hat_row(nu, t))
 
 
 def _pair_data(ws, lam, nu):
@@ -477,43 +471,38 @@ def _pair_data(ws, lam, nu):
 def _trace_chain(ws, n, picks, coeffs):
     f = ws.field
     basis = hn_basis(n)
-    for p, cs in zip(picks, coeffs):
+    out = {}
+    for i, (p, cs) in enumerate(zip(picks, coeffs)):
         zeta = {}
         for idx, c in zip(p, cs):
             bump(zeta, basis[idx], f.num(c))
         nums, d = row = f.clear(zeta)
         tv = tr_mod.full_trace(ws, row)
         tvd = tr_mod.full_trace(ws, pi_diamond(ws, row))
-        if not tr_mod.pf_eq(tv.x, tvd.x):
-            return False
+        out.update(map_residual(tv.x, tvd.x, "x(zeta_%d) - x(pi-diamond zeta_%d)" % (i, i)))
         tvp = tr_mod.full_trace(ws, (pi_plus(nums), d))
-        if not tr_mod.pf_eq(tv.z, tvp.z):
-            return False
+        out.update(map_residual(tv.z, tvp.z, "z(zeta_%d) - z(pi+ zeta_%d)" % (i, i)))
         tw = tr_mod.full_trace(ws, (w_mul(nums), d))
-        if not tr_mod.pf_eq(tw.z, tv.x):
-            return False
+        out.update(map_residual(tw.z, tv.x, "z(w zeta_%d) - x(zeta_%d)" % (i, i)))
         tpi = tr_mod.full_trace(ws, (Pi(nums), d))
-        if not tr_mod.pf_eq(tpi.x, tv.z):
-            return False
+        out.update(map_residual(tpi.x, tv.z, "x(Pi zeta_%d) - z(zeta_%d)" % (i, i)))
         # y_u(L zeta) = u y_u(zeta) - pi_* zeta
         tl = tr_mod.full_trace(ws, lax_apply(f, row))
-        tot = f.zero
-        for s0, c in tv.y.items():
-            tot = tot + c
-            if tl.y.get(s0, f.zero) != c * f.lf(s0):
-                return False
-        if tot - pi_star(row, f) != f.zero:
-            return False
-    return True
+        out.update(residual((("y(L zeta_%d) - [s] y(zeta_%d)" % (i, i), s0),
+                             tl.y.get(s0, f.zero), c * f.lf(s0)) for s0, c in tv.y.items()))
+        out.update(residual([("sum y(zeta_%d) - pi_* zeta_%d" % (i, i),
+                              sum(tv.y.values(), f.zero), pi_star(row, f))]))
+    return out
 
 
 def _null_ranks(ws, n):
-    return (tr_mod.null_module_rank(ws, n, "Z0") == tr_mod.null_module_expected_dim(n, "Z0")
-            and tr_mod.null_module_rank(ws, n, "X0") == tr_mod.null_module_expected_dim(n, "X0"))
+    return residual((which + " rank", tr_mod.null_module_rank(ws, n, which),
+                     tr_mod.null_module_expected_dim(n, which)) for which in ("Z0", "X0"))
 
 
 def _refined_pieri(ws, lam):
     f = ws.field
+    out = {}
     for s in add_set(lam):
         gamma = add_box(lam, s)
         a, da = ws.psi_row(lam, s)
@@ -529,9 +518,8 @@ def _refined_pieri(ws, lam):
             for t in add_set(lam):
                 if t != s:
                     terms.append((tau(f, lam, t), ws.psi_row(add_box(lam, t), s)))
-            if not _vanishes(f, terms):
-                return False
-    return True
+            out.update(row_residual(f, terms, (s, v)))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -558,13 +546,20 @@ def suite_pieri(cfg, max_total=None, marg_max=None):
 
 
 def _stanley_pieri(ws, r, mu):
-    direct = {g: c for g, c in lr_mod.jack_lr(ws, (1,) * r, mu).items() if c}
-    return pieri_stanley(ws.field, r, mu) == direct
+    return map_residual(pieri_stanley(ws.field, r, mu), lr_mod.jack_lr(ws, (1,) * r, mu))
 
 
 def _marginalize(ws, lam, s, nu, t):
-    return (lr_mod.marginalize(lr_mod.jacklax_lr(ws, lam, s, nu, t))
-            == lr_mod.jack_lr(ws, lam, nu))
+    """sum_u of the Jack-Lax coefficients c_{(lam,s),(nu,t)}^{(gamma,u)}
+    equals c_{lam nu}^gamma: one field.combine keyed by gamma of the psi-hat
+    expansion row of psi_lam^s psi_nu^t, each label's numerator over
+    pi_* psi_gamma^u, and the Jack expansion row of j_lam j_nu."""
+    f = ws.field
+    (a, da), (b, db) = ws.psi_row(lam, s), ws.psi_row(nu, t)
+    nums, d = ws.expand_psi_hat((ext_mul(a, b), da * db))
+    terms = [(f.one / ws.pi_star_psi(g, u), ({g: c}, d)) for (g, u), c in nums.items()]
+    terms.append((-1, ws.expand_in_jacks(lr_mod.jack_product(ws, lam, nu))))
+    return row_residual(f, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -578,9 +573,9 @@ def suite_delta(cfg):
                                        "4,1^3", "3,1^4")]
     rep.check("degree-8 4-cycle in ker Delta", lr_mod.delta_kernel_check, c8)
     rep.check("degree-7 6-cycle in ker Delta", lr_mod.delta_kernel_check, c7)
-    rep.add("rank ker Delta_7 = 2", lr_mod.delta_kernel_rank(7) == 2)
+    rep.add("rank ker Delta_7 = 2", residual([(7, lr_mod.delta_kernel_rank(7), 2)]))
     rep.add("ker Delta_n empty for 1<=n<7",
-            all(lr_mod.delta_kernel_rank(n) == 0 for n in range(1, 7)))
+            residual((n, lr_mod.delta_kernel_rank(n), 0) for n in range(1, 7)))
     rep.check("Delta(j_{1^2} j_2) equals varpi*varpi*(T-1)", _delta_worked_example)
     rep.check("Delta is not a ring homomorphism (witness j_1, j_1)", _delta_not_hom)
     return rep.done()
@@ -588,13 +583,16 @@ def suite_delta(cfg):
 
 def _delta_worked_example(ws):
     prod = lr_mod.jack_product(ws, (1, 1), (2,))
-    return lr_mod.delta_map(ws, prod) == lr_mod.delta_of_jack_product(ws, (1, 1), (2,))
+    return map_residual(lr_mod.delta_map(ws, prod),
+                        lr_mod.delta_of_jack_product(ws, (1, 1), (2,)))
 
 
 def _delta_not_hom(ws):
     d1 = lr_mod.delta_map(ws, ws.jack_row((1,)))
     dd = lr_mod.delta_map(ws, lr_mod.jack_product(ws, (1,), (1,)))
-    return d1 == {(0, 0): ws.field.one} and dd != d1
+    out = map_residual(d1, {(0, 0): ws.field.one}, "Delta(j_1)")
+    out.update(residual([("Delta(j_1 j_1) == Delta(j_1)", dd == d1, False)]))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -613,40 +611,42 @@ def suite_shc(cfg, max_degree=None):
     return rep.done()
 
 
+# The instance id and the PASS note of each identity of
+# shc.construction_from_lax_check, and the PASS notes of shc.whittaker_checks.
+_CONSTRUCTION = {
+    "xplus": ("X+ from Lax equals Jack-basis definition", ""),
+    "yinv": ("Y^{-1} from Lax equals diagonal u^{-1}T(u)", ""),
+    "xminus_lax": ("X- from Lax equals Jack-basis definition",
+                   "residue-convention variant differs by sign [-1]"),
+    "y_equals_minus_Pminus": ("Y from Lax equals -(hbar N)^{-1} P^-(Y(z))",
+                              "the unprojected form is ruled out by asymptotics; see README"),
+}
+_WHITTAKER_NOTES = {
+    "whittaker_plus": "holds with global sign -1",
+    "x_commutator": "with the Lax normalization the factor is hbar/ebar",
+    "generalized_whittaker": "vacuum term sum_{b in lam} 1/(z-[b])",
+}
+
+
 def _shc_construction(ws, max_degree):
-    c = shc_mod.construction_from_lax_check(ws, max_degree)
-    return [
-        instance("X+ from Lax equals Jack-basis definition", c["xplus"]),
-        instance("Y^{-1} from Lax equals diagonal u^{-1}T(u)", c["yinv"]),
-        instance("X- from Lax equals Jack-basis definition", c["xminus_lax"],
-                 "residue-convention variant differs by sign %s" % c["xminus_literal_sign"]),
-        instance("Y from Lax equals -(hbar N)^{-1} P^-(Y(z))", c["y_equals_minus_Pminus"],
-                 "the unprojected form is ruled out by asymptotics; see README"),
-    ]
+    return [instance(_CONSTRUCTION[k][0], res, _CONSTRUCTION[k][1])
+            for k, res in shc_mod.construction_from_lax_check(ws, max_degree).items()]
 
 
 def _shc_whittaker(ws, max_degree):
-    w = shc_mod.whittaker_checks(ws, max_degree)
-    notes = {
-        "whittaker_plus": "holds with global sign %s" % w.get("whittaker_plus_sign"),
-        "x_commutator": "with the Lax normalization the factor is hbar/ebar",
-        "generalized_whittaker": "vacuum term sum_{b in lam} 1/(z-[b])",
-    }
-    if "generalized_whittaker_first_fail" in w:
-        notes["generalized_whittaker"] = "first failing lam %s" % _fmt(
-            w["generalized_whittaker_first_fail"])
-    return [instance(k, ok, notes.get(k, "")) for k, ok in w.items()
-            if k not in ("whittaker_plus_sign", "generalized_whittaker_first_fail")]
+    return [instance(k, res, _WHITTAKER_NOTES.get(k, ""))
+            for k, res in shc_mod.whittaker_checks(ws, max_degree).items()]
 
 
 def _delta_via_states(ws, max_degree):
+    out = {}
     for n in range(1, max_degree + 1):
         ctx = shc_mod.h_context(ws, n)
         for lam in partitions_of(n):
             row = ws.jack_row(lam)
-            if shc_mod.delta_via_states(ws, row, ctx) != lr_mod.delta_map(ws, row):
-                return False
-    return True
+            out.update(map_residual(shc_mod.delta_via_states(ws, row, ctx),
+                                    lr_mod.delta_map(ws, row), lam))
+    return out
 
 
 # ---------------------------------------------------------------------------

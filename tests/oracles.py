@@ -116,12 +116,12 @@ from jacklax.partitions import (add_box, add_set, boxes, contains, diagram_union
 from jacklax.lr import jack_product
 from jacklax.shc import (Y_eig, Yinv_eig, _dagger_row, apply_dPhi, apply_diagonal,
                          apply_X_minus, apply_X_plus, fock_to_jack, h_state, jack_to_fock,
-                         pf_accum, pf_add, pf_clean, pf_scale, pf_truncate,
+                         pf_accum, pf_add, pf_clean, pf_residual, pf_scale, pf_truncate,
                          sfun_to_pf_keys)
 from jacklax.jack import jack_inv_norm_sq
 from jacklax.session import DualIndex
 from jacklax.spectral import SpectralFun, _forms_at, star_residues, tau, tau_hat, tau_tilde
-from jacklax.traces import TraceVector, pf_eq
+from jacklax.traces import TraceVector
 
 
 # ---------------------------------------------------------------------------
@@ -756,52 +756,34 @@ def field_construction_from_lax_check(ws, n):
                          c * c2 if scale is None else c * c2 / scale)
         return pf
 
-    ok_xplus = ok_xminus = ok_yinv = ok_y = True
-    alt_xminus_sign = set()
+    out = {"xplus": {}, "yinv": {}, "xminus_lax": {}, "y_equals_minus_Pminus": {}}
     for k in range(n + 1):
         for lam in partitions_of(k):
             jack = field.uncleared(ws.jack_row(lam))
             exp = expand_psi(fock_to_ext(jack))
-            if not pf_eq(resolvent(exp, op_A), apply_X_plus(ws, {lam: field.one})):
-                ok_xplus = False
-            if not pf_eq(resolvent(exp, pi0),
-                         apply_diagonal(ws, {lam: field.one}, Yinv_eig)):
-                ok_yinv = False
+            out["xplus"].update(pf_residual(resolvent(exp, op_A),
+                                            apply_X_plus(ws, {lam: field.one}), lam))
+            out["yinv"].update(pf_residual(resolvent(exp, pi0),
+                                           apply_diagonal(ws, {lam: field.one}, Yinv_eig), lam))
             if not lam:
                 continue
             exp = expand_psi(Pi(field_lax_apply(field, fock_to_ext(jack))))
             direct = apply_X_minus(ws, {lam: field.one})
-            if not pf_eq(resolvent(exp, pi0), direct):
-                ok_xminus = False
+            out["xminus_lax"].update(pf_residual(resolvent(exp, pi0), direct, lam))
             literal = {}
             for x in rem_set(lam):
                 res = Y_eig(field, lam).shift((-1, -1)).residue(x, field)
-                pf_accum(literal, ("p", x), remove_box(lam, x), res)
-            if pf_eq(literal, direct):
-                alt_xminus_sign.add(+1)
-            elif pf_eq(pf_scale(literal, -field.one), direct):
-                alt_xminus_sign.add(-1)
-            else:
-                alt_xminus_sign.add(0)
+                pf_accum(literal, ("p", x), remove_box(lam, x), -res)
+            out["xminus_lax"].update(pf_residual(literal, direct, ("residue variant", lam)))
             scale = field.hbar * field.num(k)
             expect = {}
             for key, val in sfun_to_pf_keys(field, Y_eig(field, lam)).items():
                 if isinstance(key, tuple) and key[0] == "p":
                     pf_accum(expect, key, lam, -val / scale)
-            if not pf_eq(resolvent(exp, op_A, (1, 1), scale), expect):
-                ok_y = False
-    return {
-        "xplus": ok_xplus,
-        "yinv": ok_yinv,
-        "xminus_lax": ok_xminus,
-        "xminus_literal_sign": sorted(alt_xminus_sign),
-        "y_equals_minus_Pminus": ok_y,
-    }
+            out["y_equals_minus_Pminus"].update(pf_residual(
+                resolvent(exp, op_A, (1, 1), scale), expect, lam))
+    return out
 
-
-# ---------------------------------------------------------------------------
-# the scalar layer, the point check and the recursions on field scalars
-# ---------------------------------------------------------------------------
 
 def lf_ratio(field, num_forms, den_forms, pre=None):
     """pre (default 1) times the product of the forms num_forms over the
@@ -1170,49 +1152,37 @@ def T1_scalar(field, form):
 def scalar_verify_tau_identities(field, lam, s):
     """spectral.verify_tau_identities with one field operation per factor:
     hbar, T_1 and the linear forms are multiplied and divided in, and tau,
-    tau~ come from plain_tau and plain_tau_tilde."""
-    def verdict(status):
-        return "SKIP" if not status else "PASS" if all(status) else "FAIL"
-
-    report = {}
+    tau~ come from plain_tau and plain_tau_tilde.  The same residual."""
+    out = []
     A = plain_add_set(lam)
     lam_s = plain_add_box(lam, s)
-    status = []
     for b in A:
         if b != s:
             rhs = T1_scalar(field, (s[0] - b[0], s[1] - b[1])) * plain_tau(field, lam, b)
-            status.append(plain_tau(field, lam_s, b) == rhs)
-    report["tau_add_shift"] = verdict(status)
-    status = []
+            out.append((("tau_add_shift", b), plain_tau(field, lam_s, b), rhs))
     for t in plain_rem_set_plus(lam):
         if t in plain_rem_set_plus(lam_s):
             rhs = plain_tau_tilde(field, lam, t) / T1_scalar(field, (s[0] - t[0], s[1] - t[1]))
-            status.append(plain_tau_tilde(field, lam_s, t) == rhs)
-    report["tau_tilde_add_shift"] = verdict(status)
+            out.append((("tau_tilde_add_shift", t), plain_tau_tilde(field, lam_s, t), rhs))
     if field.lf(s) and field.lf((s[0] + 1, s[1] + 1)):
         lhs = field.hbar / (field.lf(s) * field.lf((s[0] + 1, s[1] + 1)))
-        rhs = field.one - field.one / T1_scalar(field, s)
-        report["hbar_T1"] = "PASS" if lhs == rhs else "FAIL"
-    else:
-        report["hbar_T1"] = "SKIP"
+        out.append((("hbar_T1", s), lhs, field.one - field.one / T1_scalar(field, s)))
     R = plain_rem_set(lam)
-    status = []
     for sp in ([s] if s in R else R):
         acc = field.zero
         for q in A:
             d1 = (sp[0] - q[0], sp[1] - q[1])
             d2 = (d1[0] + 1, d1[1] + 1)
             acc = acc + field.hbar * plain_tau(field, lam, q) / (field.lf(d1) * field.lf(d2))
-        status.append(acc == plain_tau(field, plain_remove_box(lam, sp), sp))
-    report["tau_sum"] = verdict(status)
+        out.append((("tau_sum", sp), acc, plain_tau(field, plain_remove_box(lam, sp), sp)))
     acc = field.zero
     for t in plain_rem_set_plus(lam):
         d1 = (s[0] - t[0], s[1] - t[1])
         d2 = (d1[0] + 1, d1[1] + 1)
         acc = acc + field.hbar * plain_tau_tilde(field, lam, t) / (field.lf(d1) * field.lf(d2))
     rhs = -field.hbar + plain_tau_tilde(field, lam_s, (s[0] + 1, s[1] + 1))
-    report["tau_tilde_sum"] = "PASS" if acc == rhs else "FAIL"
-    return report
+    out.append((("tau_tilde_sum", s), acc, rhs))
+    return {obj: (lhs, rhs) for obj, lhs, rhs in out if lhs != rhs}
 
 
 def scalar_jhat_dagger(ws, lam, row, memo):

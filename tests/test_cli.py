@@ -188,10 +188,11 @@ def test_trace_witness_names_the_spec_point(monkeypatch):
     bad = [i for i in rep.instances if i["status"] == "FAIL"]
     assert bad
     for inst in bad:
-        # the star residues are computed once per quad, so the y-product
-        # check sees the same patched residues
-        assert inst["witness"] == ("%s: y != tau-hat(star); y-product"
-                                   % DEFAULT_SPEC_POINTS[0].key())
+        # the first mismatch is the first y coordinate of theta's trace
+        # against the patched residues
+        prefix = "%s: y(theta) - tau-hat(star) (" % DEFAULT_SPEC_POINTS[0].key()
+        assert inst["witness"].startswith(prefix), inst
+        assert inst["witness"].endswith(" != 0")
 
 
 def test_check_witness_names_the_failing_spec_point(monkeypatch):
@@ -199,12 +200,13 @@ def test_check_witness_names_the_failing_spec_point(monkeypatch):
     from jacklax.arith import DEFAULT_SPEC_POINTS
     bad = DEFAULT_SPEC_POINTS[1].key()
     real = verify._jacksums
-    monkeypatch.setattr(verify, "_jacksums",
-                        lambda ws, lam: ws.key() != bad and real(ws, lam))
+    monkeypatch.setattr(verify, "_jacksums", lambda ws, lam: (
+        {("sum tau psi - j", (0, lam)): (1, 0)} if ws.key() == bad else real(ws, lam)))
     rep = verify.suite_spectral(RunConfig(mode="specialized"), max_degree=2)
     failed = [i for i in rep.instances if i["status"] == "FAIL"]
     assert [i["id"] for i in failed] == ["jacksum {1^2}", "jacksum {1}", "jacksum {2}"]
-    assert all(i["witness"] == bad for i in failed)
+    assert [i["witness"] for i in failed] == [
+        "%s: sum tau psi - j (0, %s): 1 != 0" % (bad, lam) for lam in [(1, 1), (1,), (2,)]]
     assert all(i["witness"] == "" for i in rep.instances if i["status"] == "PASS")
 
 
@@ -218,16 +220,19 @@ def test_sweep_witness_names_the_failing_spec_point(monkeypatch):
     def fails_at_bad(ws, n):
         c = real(ws, n)
         if ws.key() == bad:
-            c["xplus"] = c["xminus_lax"] = False
+            c["xplus"] = {((1,), (("p", (0, 0)), (1,))): (ws.field.one, 0)}
+            c["xminus_lax"] = {((1,), (("p", (0, 0)), ())): (2, ws.field.one / 3)}
         return c
 
     monkeypatch.setattr(shc, "construction_from_lax_check", fails_at_bad)
     rep = suite_shc(RunConfig(mode="specialized"), max_degree=1)
     failed = {i["id"]: i["witness"] for i in rep.instances if i["status"] == "FAIL"}
+    # a FAIL shows its first mismatch, not the note a PASS shows
     assert failed == {
-        "X+ from Lax equals Jack-basis definition": bad,
+        "X+ from Lax equals Jack-basis definition":
+            "%s: ((1,), (('p', (0, 0)), (1,))): 1 != 0" % bad,
         "X- from Lax equals Jack-basis definition":
-            "%s: residue-convention variant differs by sign [-1]" % bad}
+            "%s: ((1,), (('p', (0, 0)), ())): 2 != 1/3" % bad}
     notes = {i["id"]: i["witness"] for i in rep.instances if i["status"] == "PASS"}
     assert notes["whittaker_plus"] == "holds with global sign -1"
 

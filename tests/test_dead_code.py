@@ -23,6 +23,9 @@ switch or a `den=None` default that selects a vector mode.
 Every target of the benchmark's tracer (bench/tracer.py TARGETS) resolves
 to a live name, and the README names exactly the Workspace.memo tags that
 src/ uses.
+
+A check returns its residual, a dict (see report.py), so no function of
+src/ returns a literal True or False but the predicates in PREDICATES.
 """
 
 import ast
@@ -44,6 +47,13 @@ TEST_ONLY = {
     # library computes at a point through SpecializedField directly
     "arith.Coeff.evaluate",
     "arith.BiPoly.evaluate",
+}
+# Functions of src/ ("module.name") that may return a literal True or
+# False, each with its reason.
+PREDICATES = {
+    # whether an input is an N-cycle: delta_kernel_check raises NotACycle
+    # on it, before any identity is checked
+    "lr.is_cycle",
 }
 # Methods that override a method of a standard-library base class, which
 # calls them by name ("module.Class.method").
@@ -229,3 +239,25 @@ def test_readme_names_every_memo_tag():
                 tags.add(ast.literal_eval(node.args[0].elts[0]))
     assert "psi-hat dual" in tags
     assert set(re.findall(r'`\("([^"]+)",', (ROOT / "README.md").read_text())) == tags
+
+
+def test_no_check_returns_a_bool():
+    # a check returns its residual; a literal True or False returned by a
+    # function of src/ is a leftover of the bool contract
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.ClassDef):
+                defs = [(node.name + "." + f.name, f) for f in node.body
+                        if isinstance(f, ast.FunctionDef)]
+            elif isinstance(node, ast.FunctionDef):
+                defs = [(node.name, node)]
+            else:
+                continue
+            for name, fn in defs:
+                qual = "%s.%s" % (path.stem, name)
+                found += ["%s:%d" % (qual, ret.lineno) for ret in ast.walk(fn)
+                          if isinstance(ret, ast.Return) and isinstance(ret.value, ast.Constant)
+                          and type(ret.value.value) is bool and qual not in PREDICATES]
+    assert found == []
+    assert PREDICATES <= {qual for qual, _ in _definitions()}

@@ -15,9 +15,10 @@ from jacklax.traces import (beta, beta_basic, cokernel_relations,
                             kernel_basis, kernel_dim_series, kernel_dimension,
                             koszul_A_series, koszul_hilbert_check,
                             null_module_expected_dim, null_module_rank, pair_traces,
-                            pf_eq, resolvent_w_identity, rho_general,
+                            resolvent_w_identity, rho_general,
                             theta, theta_basic, verify_cokernel,
                             verify_twisted_traces, y_trace_product_check)
+from jacklax.report import map_residual
 from oracles import q_poly_hat
 
 
@@ -34,7 +35,7 @@ def test_y_u_of_jack_hat(spec):
             got = full_trace(spec, _jack_hat_row(spec, lam)).y
             T = T_partition(F, lam)
             exp = {s: T.residue(s, F) for s in T.den}
-            assert pf_eq(got, exp)
+            assert map_residual(got, exp) == {}
 
 
 def test_trace_of_psi_hat(spec):
@@ -52,9 +53,7 @@ def test_trace_of_psi_hat(spec):
 
 def test_cokernel(spec):
     for n in range(0, 8):
-        rep = verify_cokernel(n)
-        assert rep["annihilate"], rep
-        assert rep["exhausts"], rep
+        assert verify_cokernel(n) == {}
 
 
 def test_cokernel_n0():
@@ -88,7 +87,7 @@ def test_cokernel_n4_list():
 
 def test_resolvent_w_identity(spec):
     for n in range(0, 5):
-        assert resolvent_w_identity(spec, n)
+        assert resolvent_w_identity(spec, n) == {}
 
 
 def test_kernel_dimensions():
@@ -191,12 +190,10 @@ def test_twisted_traces(spec):
              ((2,), (0, 2), (1, 1), (0, 1)),
              ((1,), (0, 1), (1,), (1, 0))]
     for lam, s, nu, t in cases:
-        rep = verify_twisted_traces(spec, spec.psi_hat_row(lam, s), spec.psi_hat_row(nu, t))
-        assert all(rep.values()), rep
-    rep = verify_twisted_traces(spec, R({(2, ()): one}), R({(3, ()): one}))
-    assert all(rep.values()), rep
-    rep = verify_twisted_traces(spec, R({(0, ()): one}), R({(2, (1,)): one}))
-    assert all(rep.values()), rep
+        assert verify_twisted_traces(spec, spec.psi_hat_row(lam, s),
+                                     spec.psi_hat_row(nu, t)) == {}
+    assert verify_twisted_traces(spec, R({(2, ()): one}), R({(3, ()): one})) == {}
+    assert verify_twisted_traces(spec, R({(0, ()): one}), R({(2, (1,)): one})) == {}
 
 
 def test_y_trace_product(spec):
@@ -204,7 +201,7 @@ def test_y_trace_product(spec):
                           ((), (0, 0), (2,), (1, 0))]:
         t_prod, t_beta, _ = pair_traces(spec, spec.psi_hat_row(lam, s), spec.psi_hat_row(nu, t))
         assert y_trace_product_check(spec, lam, s, nu, t, t_prod, t_beta,
-                                     star_residues(spec.field, lam, nu))
+                                     star_residues(spec.field, lam, nu)) == {}
 
 
 @pytest.mark.parametrize("point, maxn", [(0, 4), (1, 4), (2, 4), (None, 3)])
@@ -292,8 +289,8 @@ def test_trace_formula(spec):
                           ((2, 1), (2, 0), (1, 1), (2, 0)),
                           ((1, 1), (0, 1), (1, 1), (2, 0))]:
         tv = full_trace(spec, theta(spec, spec.psi_hat_row(lam, s), spec.psi_hat_row(nu, t)))
-        assert pf_eq(tv.x, lr.jack_lr(spec, lam, nu, hatted=True))
-        assert pf_eq(tv.y, star_residues(F, lam, nu))
+        assert map_residual(tv.x, lr.jack_lr(spec, lam, nu, hatted=True)) == {}
+        assert map_residual(tv.y, star_residues(F, lam, nu)) == {}
         assert not tv.z
 
 
@@ -319,8 +316,8 @@ def test_rho(spec):
         tv_in = full_trace(spec, zeta)
         tv_out = full_trace(spec, img)
         assert not tv_out.x
-        assert pf_eq(tv_out.y, tv_in.y)
-        assert pf_eq(tv_out.z, {k: -v for k, v in tv_in.x.items()})
+        assert map_residual(tv_out.y, tv_in.y) == {}
+        assert map_residual(tv_out.z, {k: -v for k, v in tv_in.x.items()}) == {}
     with pytest.raises(NotInNullSpace):
         rho_general(spec, xi, xi)
 
@@ -361,8 +358,7 @@ def test_good_normalizer(spec):
 
 
 def test_koszul():
-    rep = koszul_hilbert_check(6, 12)
-    assert all(rep.values()), rep
+    assert koszul_hilbert_check(6, 12) == {}
     A0 = koszul_A_series(0, 8)
     assert A0.coeff(0) == 1 and all(A0.coeff(k) == 0 for k in range(1, 9))
     A1 = koszul_A_series(1, 8)
