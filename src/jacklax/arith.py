@@ -856,15 +856,27 @@ DEFAULT_SPEC_POINTS = (
 # module keeps a cache keyed by a field.  An entry is only ever written
 # with the one value it has, so concurrent callers need no lock.
 #
-# Each field also owns the disk cache's scalar codec: dump(x) is x in the
-# field's own form as plain JSON numbers, and load(v) reads it back, raising
-# ValueError unless v is exactly what dump writes: ints of type int (no
-# bools or floats) in canonical form, so a loaded scalar is trusted without
-# being reduced again.
+# Each field also owns the disk cache's row codec: dump_row(row, index) is
+# the cleared row in the field's own row form as plain JSON numbers, each
+# key written as its index, in sorted key and term order, and
+# load_row(v, labels) reads it back, key i as labels[i], raising ValueError
+# unless v is exactly what dump_row writes: ints of type int (no bools or
+# floats), every index in range and distinct, and the row canonical (no
+# integer > 1 and no form of D dividing every numerator), so a loaded row
+# is trusted without being reduced again.  The check is once per row, not
+# once per coordinate.
 
 
-def _bad_scalar(v):
-    return ValueError("not a canonical cache scalar: %r" % (v,))
+def _bad_row(v):
+    return ValueError("not a canonical cache row: %r" % (v,))
+
+
+def _key_of(i, labels, nums):
+    """labels[i] for an index i of a row being loaded into nums; raises
+    unless i is an int in range that nums does not hold yet."""
+    if type(i) is not int or not 0 <= i < len(labels) or labels[i] in nums:
+        raise ValueError("bad row index %r" % (i,))
+    return labels[i]
 
 
 class Den:
@@ -1089,40 +1101,53 @@ class SymbolicField:
     def key(self):
         return "symbolic"
 
-    def dump(self, x):
-        """[[[i, j, coeff], ...], c, [[a, b, m], ...]]: the terms of x's
-        numerator, the integer and the prime forms of its denominator."""
-        return [[[i, j, v] for (i, j), v in sorted(x.num.t.items())], x.c,
-                [[a, b, m] for (a, b), m in sorted(x.forms.items())]]
+    def dump_row(self, row, index):
+        """[[[index[key], [[i, j, coeff], ...]], ...], c, [[a, b, m], ...]]:
+        each numerator as its terms, then the integer and the prime forms
+        of D."""
+        nums, d = row
+        c, forms = _den_parts(d)
+        return [[[index[key], [[i, j, v] for (i, j), v in sorted(p.t.items())]]
+                 for key, p in sorted(nums.items())],
+                c, [[a, b, m] for (a, b), m in sorted(forms.items())]]
 
-    def load(self, v):
-        """The Coeff of dump's form v; raises ValueError unless v is in
-        lowest terms: distinct nonzero terms, c > 0 prime to the content,
-        distinct prime forms (leading coefficient positive), none dividing
-        the numerator, and zero only as [[], 1, []]."""
-        terms, c, forms = v
-        t = {}
-        for i, j, a in terms:
-            if (not (type(i) is int and type(j) is int and type(a) is int
-                     and i >= 0 and j >= 0 and a) or (i, j) in t):
-                raise _bad_scalar(v)
-            t[(i, j)] = a
+    def load_row(self, v, labels):
+        """The row of dump_row's form v; raises ValueError unless each
+        numerator is distinct nonzero terms with exponents >= 0, c > 0 is
+        prime to the content of the numerators, and the forms are distinct
+        prime forms (leading coefficient positive), none dividing every
+        numerator."""
+        entries, c, forms = v
+        if not (type(c) is int and c >= 1):
+            raise _bad_row(v)
+        nums, g = {}, c
+        for i, terms in entries:
+            key = _key_of(i, labels, nums)
+            t = {}
+            for a, b, x in terms:
+                if (not (type(a) is int and type(b) is int and type(x) is int
+                         and a >= 0 and b >= 0 and x) or (a, b) in t):
+                    raise _bad_row(v)
+                t[(a, b)] = x
+            if not t:
+                raise _bad_row(v)
+            nums[key] = _bp(t)
+            if g != 1:
+                g = _igcd(g, _content(t))
+        if g != 1:
+            raise _bad_row(v)
         fs = {}
         for a, b, m in forms:
             if (not (type(a) is int and type(b) is int and type(m) is int
                      and m >= 1 and (a or b)) or (a, b) in fs
                     or _prime_form(a, b) != (1, (a, b))):
-                raise _bad_scalar(v)
+                raise _bad_row(v)
             fs[(a, b)] = m
-        if not (type(c) is int and c >= 1):
-            raise _bad_scalar(v)
-        if not t:
-            if c != 1 or fs:
-                raise _bad_scalar(v)
-            return _C_ZERO
-        if _igcd(_content(t), c) != 1 or any(_over_form(t, f) is not None for f in fs):
-            raise _bad_scalar(v)
-        return _make(t, c, fs)
+        if fs:
+            parts = [_graded(p.t) for p in nums.values()]
+            if any(all(_graded_over_form(ps, f) is not None for ps in parts) for f in fs):
+                raise _bad_row(v)
+        return nums, _den(c, fs)
 
 
 class SpecializedField:
@@ -1192,20 +1217,28 @@ class SpecializedField:
     def key(self):
         return self.point.key()
 
-    def dump(self, q):
-        """[numerator, denominator]."""
-        return [q.numerator, q.denominator]
+    def dump_row(self, row, index):
+        """[[[index[key], numerator], ...], D]."""
+        nums, d = row
+        return [[[index[key], v] for key, v in sorted(nums.items())], d]
 
-    def load(self, v):
-        """The Fraction of dump's form v; raises ValueError unless v is in
-        lowest terms with a positive denominator."""
-        num, den = v
-        if not (type(num) is int and type(den) is int and den >= 1):
-            raise _bad_scalar(v)
-        q = Fraction(num, den)
-        if q.denominator != den:
-            raise _bad_scalar(v)
-        return q
+    def load_row(self, v, labels):
+        """The row of dump_row's form v; raises ValueError unless the
+        numerators are nonzero and D is positive and prime to them."""
+        entries, d = v
+        if not (type(d) is int and d >= 1):
+            raise _bad_row(v)
+        nums, g = {}, d
+        for i, x in entries:
+            key = _key_of(i, labels, nums)
+            if not (type(x) is int and x):
+                raise _bad_row(v)
+            nums[key] = x
+            if g != 1:
+                g = _igcd(g, x)
+        if g != 1:
+            raise _bad_row(v)
+        return nums, d
 
 
 def _cancel(num, den):

@@ -145,12 +145,18 @@ def _run_check(i):
     """The instances of the i-th recorded check of _RUN: of each id, the
     gravest over the workspaces (FAIL over SKIP over PASS), the first among
     equals, a FAIL's witness prefixed with its workspace's spec point (or
-    "symbolic")."""
+    "symbolic").  A check or sweep that raises an Exception FAILs its id
+    with the residual {"raised": (message, "nothing")}."""
     wss, checks = _RUN
     kind, instance_id, fn, args = checks[i]
     merged = {}
     for ws in wss:
-        insts = fn(ws, *args) if kind == "sweep" else [instance(instance_id, fn(ws, *args))]
+        try:
+            got = fn(ws, *args)
+        except Exception as e:
+            insts = [instance(instance_id, {"raised": (str(e), "nothing")})]
+        else:
+            insts = got if kind == "sweep" else [instance(instance_id, got)]
         for inst in insts:
             cur = merged.get(inst["id"])
             if cur is None or _GRAVITY[inst["status"]] > _GRAVITY[cur["status"]]:
@@ -190,8 +196,10 @@ class Report:
 
     def sweep(self, fn, *args):
         """Record fn(ws, *args), a list of instance dicts per workspace,
-        merged over the workspaces as _run_check does."""
-        self._checks.append(("sweep", None, fn, args))
+        merged over the workspaces as _run_check does; if it raises, its
+        one instance is the FAIL "sweep <fn name><args>"."""
+        self._checks.append(("sweep", "sweep %s%r" % (fn.__name__.lstrip("_"), args),
+                             fn, args))
 
     def done(self):
         global _RUN

@@ -6,13 +6,13 @@ path.  The Workspace keeps cleared rows (field.clear), the one vector
 format of the library, and expands rows into rows; a field-scalar vector
 is made only where a value leaves the library (field.uncleared).
 
-Every derived layer (the Jacks of a degree with their norms and varpi, the
-psi and psi-hat rows, the Gram rows and the duals) is one entry of
-Workspace.memo, under a key tagged by its layer, and each accessor is one
-memo call to a builder.  The memo is append-only and its values are
-immutable; it is read without a lock, and a miss builds under one
-re-entrant lock, so each key is built once even when the Jack, psi and
-dual builders recurse into each other.
+Every derived layer (the Jacks of a degree, the norm and varpi of a
+partition, the psi and psi-hat rows, the Gram rows and the duals) is one
+entry of Workspace.memo, under a key tagged by its layer, and each
+accessor is one memo call to a builder.  The memo is append-only and its
+values are immutable; it is read without a lock, and a miss builds under
+one re-entrant lock, so each key is built once even when the Jack, psi
+and dual builders recurse into each other.
 
 Two orthogonal duals expand rows: a DualIndex per degree for the Jacks,
 and a PsiHatDual per degree for the psi-hats.  The psi-hat dual of degree
@@ -21,11 +21,12 @@ it holds the Jack dual of degree n and the psi-hat dual of degree n - 1,
 which the duals of every higher degree share.
 
 With a cache directory, each Jack degree is also kept on disk, one JSON file
-per (degree, mode).  In format 3 the dicts "jacks", "norms" and "varpi" are
-keyed by format_partition(lam); a Jack is a list of [index into
-partitions_of(n), scalar] terms, and every scalar is in the field's own
-form as JSON numbers (field.dump / field.load).  A file is trusted only if
-it holds exactly the partitions of its degree and every scalar is canonical;
+per (degree, mode).  In format 4 the file holds only the dict "jacks", keyed
+by format_partition(lam): each Jack is its cleared row in the field's own
+row form as JSON numbers, a key written as its index into partitions_of(n)
+(field.dump_row / field.load_row).  The norms and varpi have closed forms
+and are not stored.  A file is trusted only if it holds exactly the
+partitions of its degree and every row is canonical, one check per row;
 otherwise it is rebuilt, and `cache stat` applies the same check.
 """
 
@@ -34,6 +35,7 @@ import os
 import sys
 import tempfile
 import threading
+from functools import lru_cache
 
 from . import lax
 from .arith import SpecializedField, SpecPoint, SymbolicField
@@ -46,7 +48,9 @@ from .spectral import tau, tau_tilde
 
 
 # Version of the disk cache blob; a file in any other format is rebuilt.
-CACHE_FORMAT = 3
+CACHE_FORMAT = 4
+# The keys of a cache blob.
+_BLOB_KEYS = {"format", "degree", "mode", "jacks"}
 
 
 def _cache_env_dir():
@@ -89,13 +93,12 @@ class Workspace:
 
     def jack_degree(self, n):
         """{lam: cleared row of j_lam} over the partitions of n, built (or
-        loaded from the disk cache) on first use with the norms and
-        varpi."""
-        return self.memo(("jack", n), _jack_layer, n)[0]
+        loaded from the disk cache) on first use."""
+        return self.memo(("jack", n), _jack_layer, n)
 
     def _load_degree(self, n):
         path = self._cache_path(n)
-        if not path or not os.path.exists(path):
+        if not path:
             return None
         try:
             blob = _read_blob(path)
@@ -104,6 +107,8 @@ class Workspace:
                       % (path, blob.get("format"), CACHE_FORMAT), file=sys.stderr)
                 return None
             return _decode(blob, n, self.key(), self.field)
+        except FileNotFoundError:
+            return None
         except Exception:
             print("warning: corrupt cache file %s; rebuilding" % path, file=sys.stderr)
             try:
@@ -112,24 +117,18 @@ class Workspace:
                 pass
             return None
 
-    def _store_degree(self, n, rows, norms, vps):
-        """Write one degree, the Jacks given as rows, atomically: a private
-        temp file, then os.replace, so concurrent writers never see or
-        leave a partial file."""
+    def _store_degree(self, n, rows):
+        """Write the rows of one degree atomically: a private temp file,
+        then os.replace, so concurrent writers never see or leave a
+        partial file."""
         path = self._cache_path(n)
         if not path:
             return
         os.makedirs(self.cache_dir, exist_ok=True)
-        dump = self.field.dump
+        dump = self.field.dump_row
         index = {mu: i for i, mu in enumerate(partitions_of(n))}
         blob = {"format": CACHE_FORMAT, "degree": n, "mode": self.key(),
-                "jacks": {}, "norms": {}, "varpi": {}}
-        for lam in sorted(rows):
-            key = format_partition(lam)
-            vec = self.field.uncleared(rows[lam])
-            blob["jacks"][key] = [[index[mu], dump(c)] for mu, c in sorted(vec.items())]
-            blob["norms"][key] = dump(norms[lam])
-            blob["varpi"][key] = dump(vps[lam])
+                "jacks": {format_partition(lam): dump(row, index) for lam, row in rows.items()}}
         fd, tmp = tempfile.mkstemp(dir=self.cache_dir,
                                    prefix=os.path.basename(path) + ".", suffix=".tmp")
         try:
@@ -154,10 +153,13 @@ class Workspace:
         return self.jack_degree(sum(lam))[lam]
 
     def norm_sq(self, lam):
-        return self.memo(("jack", sum(lam)), _jack_layer, sum(lam))[1][lam]
+        """|j_lam|^2, by its hook product: no Jack is read."""
+        return self.memo(("norm", lam), _norm_sq, lam)
 
     def varpi(self, lam):
-        return self.memo(("jack", sum(lam)), _jack_layer, sum(lam))[2][lam]
+        """varpi_lam, the V_n coefficient of j_lam, by its content product:
+        no Jack is read."""
+        return self.memo(("varpi", lam), _varpi, lam)
 
     def gram_row(self, n):
         """The cleared row of the Gram weights <key, key> over the basis
@@ -255,7 +257,7 @@ class Workspace:
                     n, mode = blob["degree"], blob["mode"]
                     if name != _cache_name(n, mode):
                         raise ValueError("cache key mismatch")
-                    out[name] = "%d entries" % len(_decode(blob, n, mode, _field_of(mode))[0])
+                    out[name] = "%d entries" % len(_decode(blob, n, mode, _field_of(mode)))
                 except Exception:
                     out[name] = "corrupt"
         return out
@@ -288,19 +290,22 @@ class Workspace:
 # ----------------------------------------------------------------------
 
 def _jack_layer(ws, n):
-    """(rows, norms, varpi) of the Jacks of degree n, each a dict over
-    the partitions of n: loaded from the disk cache, or built (and
-    stored there if the workspace has a cache directory)."""
-    data = ws._load_degree(n)
-    if data is not None:
-        jacks, norms, vps = data
-        return {lam: ws.field.clear(vec) for lam, vec in jacks.items()}, norms, vps
-    rows = compute_homogeneous_jacks(ws, n)
-    norms = {lam: jack_norm_sq(ws.field, lam) for lam in rows}
-    vps = {lam: varpi(ws.field, lam) for lam in rows}
-    if ws._cache_path(n):
-        ws._store_degree(n, rows, norms, vps)
-    return rows, norms, vps
+    """{lam: cleared row of j_lam} over the partitions of n: loaded from
+    the disk cache, or built (and stored there if the workspace has a
+    cache directory)."""
+    rows = ws._load_degree(n)
+    if rows is None:
+        rows = compute_homogeneous_jacks(ws, n)
+        ws._store_degree(n, rows)
+    return rows
+
+
+def _norm_sq(ws, lam):
+    return jack_norm_sq(ws.field, lam)
+
+
+def _varpi(ws, lam):
+    return varpi(ws.field, lam)
 
 
 def _gram_row(ws, n):
@@ -461,32 +466,30 @@ def _read_blob(path):
 
 
 def _decode(blob, n, mode, field):
-    """({lam: Jack vector}, {lam: norm}, {lam: varpi}) of a current-format
-    blob of degree n in the given mode; raises unless it holds exactly the
-    partitions of n, each Jack term an index into partitions_of(n) with a
-    nonzero scalar, every scalar in the field's canonical form."""
-    if blob["degree"] != n or blob["mode"] != mode:
+    """{lam: cleared row of j_lam} of a current-format blob of degree n in
+    the given mode; raises unless it holds the dict "jacks" alone, keyed by
+    exactly the partitions of n, and every Jack is a nonzero canonical row
+    (field.load_row)."""
+    if blob.keys() != _BLOB_KEYS or blob["degree"] != n or blob["mode"] != mode:
         raise ValueError("cache key mismatch")
     labels = partitions_of(n)
-    keys = {format_partition(lam): lam for lam in labels}
-    jacks_in, norms_in, vps_in = blob["jacks"], blob["norms"], blob["varpi"]
-    if not jacks_in.keys() == norms_in.keys() == vps_in.keys() == keys.keys():
+    keys = _partition_keys(n)
+    jacks_in = blob["jacks"]
+    if jacks_in.keys() != keys.keys():
         raise ValueError("cache keys are not the partitions of %d" % n)
-    load = field.load
-    jacks, norms, vps = {}, {}, {}
-    for key, entry in jacks_in.items():
-        lam = keys[key]
-        vec = {}
-        for i, c in entry:
-            if type(i) is not int or not 0 <= i < len(labels) or labels[i] in vec:
-                raise ValueError("bad Jack term index %r" % (i,))
-            x = vec[labels[i]] = load(c)
-            if not x:
-                raise ValueError("zero Jack term")
-        jacks[lam] = vec
-        norms[lam] = load(norms_in[key])
-        vps[lam] = load(vps_in[key])
-    return jacks, norms, vps
+    load = field.load_row
+    rows = {}
+    for key, v in jacks_in.items():
+        row = rows[keys[key]] = load(v, labels)
+        if not row[0]:
+            raise ValueError("zero Jack")
+    return rows
+
+
+@lru_cache(maxsize=None)
+def _partition_keys(n):
+    """{format_partition(lam): lam} over the partitions of n."""
+    return {format_partition(lam): lam for lam in partitions_of(n)}
 
 
 def _cache_name(n, mode):

@@ -402,6 +402,14 @@ FORMAT_2_BLOB = (
     '{"1^2": "-2*e1^3*e2 + 2*e1^2*e2^2", "2": "2*e1^2*e2^2 - 2*e1*e2^3"}, "varpi": '
     '{"1^2": "e1", "2": "e2"}}')
 
+# jack_02_symbolic.json as the format-3 writer stored it: every Jack
+# coefficient, norm and varpi as its own scalar
+FORMAT_3_BLOB = (
+    '{"degree": 2, "format": 3, "jacks": {"1^2": [[0, [[[0, 0, 1]], 1, []]], [1, [[[1, 0, 1]], '
+    '1, []]]], "2": [[0, [[[0, 0, 1]], 1, []]], [1, [[[0, 1, 1]], 1, []]]]}, "mode": "symbolic", '
+    '"norms": {"1^2": [[[2, 2, 2], [3, 1, -2]], 1, []], "2": [[[1, 3, -2], [2, 2, 2]], 1, []]}, '
+    '"varpi": {"1^2": [[[1, 0, 1]], 1, []], "2": [[[0, 1, 1]], 1, []]}}')
+
 
 def _fields():
     from jacklax.arith import DEFAULT_SPEC_POINTS, SpecializedField, SymbolicField
@@ -444,63 +452,70 @@ def test_cache_roundtrip(tmp_path, capsys):
     assert r.returncode == 0 and r.stdout == "removed %d cache file(s)\n" % (4 * 7)
 
 
-def _set(table, key, value):
+def _set(key, value):
     def edit(blob):
-        blob[table][key] = value
+        blob["jacks"][key] = value
     return edit
 
 
-def _set_jack(terms):
-    return _set("jacks", "1,2", terms)
+def _row(*nums, c=1, forms=()):
+    """The symbolic row of the numerators nums (each a list of [i, j, coeff]
+    terms) at indexes 0, 1, ... over c times forms, as the cache stores it."""
+    return [[[i, t] for i, t in enumerate(nums)], c, [list(f) for f in forms]]
 
 
-# each breaks one rule of the canonical form; in degree 3 the partitions
-# are 1^3, 1,2 and 3 (indexes 0, 1, 2)
+E1, E2, ONE = [1, 0, 1], [0, 1, 1], [0, 0, 1]
+
+
+# each breaks one rule of the canonical row, in the Jack of 3 (or of 1,2);
+# in degree 3 the partitions are 1^3, 1,2 and 3 (indexes 0, 1, 2)
 NON_CANONICAL = [
-    pytest.param("symbolic", _set("norms", "3", [[[0, 0, True]], 1, []]), id="bool"),
-    pytest.param("symbolic", _set("norms", "3", [[[0, 0, 1.0]], 1, []]), id="float"),
-    pytest.param("symbolic", _set("norms", "3", [[[1, 0, 1], [1, 0, 2]], 1, []]),
-                 id="repeated term"),
-    pytest.param("symbolic", _set("norms", "3", [[[1, 0, 0], [0, 1, 1]], 1, []]),
-                 id="zero term"),
-    pytest.param("symbolic", _set("norms", "3", [[[-1, 2, 1]], 1, []]),
-                 id="negative e1 exponent"),
-    pytest.param("symbolic", _set("norms", "3", [[[2, -1, 1]], 1, []]),
-                 id="negative e2 exponent"),
-    pytest.param("symbolic", _set("norms", "3", [[[1, 0, 1]], 0, []]), id="c = 0"),
-    pytest.param("symbolic", _set("norms", "3", [[[1, 0, 1]], -1, []]), id="c < 0"),
-    pytest.param("symbolic", _set("varpi", "3", [[], 2, []]), id="zero over 2"),
-    pytest.param("symbolic", _set("varpi", "3", [[], 1, [[1, 0, 1]]]), id="zero over a form"),
-    pytest.param("symbolic", _set("norms", "3", [[[1, 0, 2], [0, 1, 4]], 6, []]),
+    pytest.param("symbolic", _set("3", _row([[0, 0, True]])), id="bool"),
+    pytest.param("symbolic", _set("3", _row([[0, 0, 1.0]])), id="float"),
+    pytest.param("symbolic", _set("3", _row([E1, [1, 0, 2]])), id="repeated term"),
+    pytest.param("symbolic", _set("3", _row([[1, 0, 0], E2])), id="zero term"),
+    pytest.param("symbolic", _set("3", _row([[-1, 2, 1]])), id="negative e1 exponent"),
+    pytest.param("symbolic", _set("3", _row([[2, -1, 1]])), id="negative e2 exponent"),
+    pytest.param("symbolic", _set("3", _row([E1], c=0)), id="c = 0"),
+    pytest.param("symbolic", _set("3", _row([E1], c=-1)), id="c < 0"),
+    pytest.param("symbolic", _set("3", _row(c=2)), id="zero over 2"),
+    pytest.param("symbolic", _set("3", _row(forms=[E1])), id="zero over a form"),
+    pytest.param("symbolic", _set("3", _row([[1, 0, 2], [0, 1, 4]], [[0, 0, 6]], c=6)),
                  id="content not prime to c"),
-    pytest.param("symbolic", _set("norms", "3", [[[0, 0, 1]], 1, [[2, 4, 1]]]),
-                 id="non-primitive form"),
-    pytest.param("symbolic", _set("norms", "3", [[[0, 0, 1]], 1, [[-1, 1, 1]]]),
+    pytest.param("symbolic", _set("3", _row([ONE], forms=[[2, 4, 1]])), id="non-primitive form"),
+    pytest.param("symbolic", _set("3", _row([ONE], forms=[[-1, 1, 1]])),
                  id="form of negative sign"),
-    pytest.param("symbolic", _set("norms", "3", [[[0, 0, 1]], 1, [[0, 0, 1]]]), id="zero form"),
-    pytest.param("symbolic", _set("norms", "3", [[[0, 0, 1]], 1, [[1, 1, 1], [1, 1, 1]]]),
+    pytest.param("symbolic", _set("3", _row([ONE], forms=[[0, 0, 1]])), id="zero form"),
+    pytest.param("symbolic", _set("3", _row([ONE], forms=[[1, 1, 1], [1, 1, 1]])),
                  id="repeated form"),
-    pytest.param("symbolic", _set("norms", "3", [[[0, 0, 1]], 1, [[1, 1, 0]]]),
-                 id="multiplicity 0"),
-    pytest.param("symbolic", _set("norms", "3", [[[1, 0, 1], [0, 1, 1]], 1, [[1, 1, 1]]]),
+    pytest.param("symbolic", _set("3", _row([ONE], forms=[[1, 1, 0]])), id="multiplicity 0"),
+    # e1 + e2 divides every numerator
+    pytest.param("symbolic", _set("3", _row([E1, E2], [[2, 0, 1], [1, 1, 1]], forms=[[1, 1, 1]])),
                  id="form divides the numerator"),
-    pytest.param("symbolic", _set_jack([[0, [[[0, 0, 1]], 1, []]], [3, [[[0, 0, 1]], 1, []]]]),
+    pytest.param("symbolic", _set("1,2", [[[0, [ONE]], [3, [ONE]]], 1, []]),
                  id="index past the end"),
-    pytest.param("symbolic", _set_jack([[-1, [[[0, 0, 1]], 1, []]]]), id="negative index"),
-    pytest.param("symbolic", _set_jack([[0, [[[0, 0, 1]], 1, []]], [0, [[[0, 0, 2]], 1, []]]]),
+    pytest.param("symbolic", _set("1,2", [[[-1, [ONE]]], 1, []]), id="negative index"),
+    pytest.param("symbolic", _set("1,2", [[[0, [ONE]], [0, [[0, 0, 2]]]], 1, []]),
                  id="repeated index"),
-    pytest.param("symbolic", _set_jack([[0, [[[0, 0, 1]], 1, []]], [1, [[], 1, []]]]),
-                 id="zero Jack term"),
-    pytest.param("symbolic", lambda blob: blob["norms"].pop("3"), id="missing key"),
-    pytest.param("symbolic", lambda blob: [blob[t].update({"4": blob[t]["3"]})
-                                           for t in ("jacks", "norms", "varpi")],
+    pytest.param("symbolic", _set("1,2", [[[[ONE]]], 1, []]), id="missing index"),
+    pytest.param("symbolic", _set("1,2", _row([ONE], [])), id="zero Jack term"),
+    pytest.param("symbolic", _set("1,2", _row()), id="zero Jack"),
+    pytest.param("symbolic", lambda blob: blob["jacks"].pop("3"), id="missing key"),
+    pytest.param("symbolic", lambda blob: blob["jacks"].update({"4": blob["jacks"]["3"]}),
                  id="extra key"),
-    pytest.param("symbolic", _set("norms", "4", [[[0, 0, 1]], 1, []]), id="extra norm"),
-    pytest.param("specialized", _set("norms", "3", [3, 0]), id="den = 0"),
-    pytest.param("specialized", _set("norms", "3", [-3, -2]), id="den < 0"),
-    pytest.param("specialized", _set("norms", "3", [6, 4]), id="not in lowest terms"),
-    pytest.param("specialized", _set("norms", "3", [0, 2]), id="zero over 2 at a point"),
-    pytest.param("specialized", _set("varpi", "3", [1.5, 1]), id="float at a point"),
+    # a format-3 table left in a format-4 file
+    pytest.param("symbolic", lambda blob: blob.update({"norms": {"3": [[ONE], 1, []]}}),
+                 id="extra norm"),
+    pytest.param("specialized", _set("3", [[[0, 3]], 0]), id="den = 0"),
+    pytest.param("specialized", _set("3", [[[0, 3]], -2]), id="den < 0"),
+    pytest.param("specialized", _set("3", [[[0, 6], [1, 4]], 2]), id="not in lowest terms"),
+    pytest.param("specialized", _set("3", [[[0, 0], [1, 1]], 2]), id="zero over 2 at a point"),
+    pytest.param("specialized", _set("3", [[[0, 1.5]], 1]), id="float at a point"),
+    pytest.param("specialized", _set("3", [[[0, True]], 1]), id="bool at a point"),
+    pytest.param("specialized", _set("3", [[[0, 1]], True]), id="bool D at a point"),
+    pytest.param("specialized", _set("3", [[[3, 1]], 1]), id="index past the end at a point"),
+    pytest.param("specialized", _set("3", [[[0, 1], [0, 2]], 1]),
+                 id="repeated index at a point"),
 ]
 
 
@@ -550,21 +565,43 @@ def test_verify_all_applies_each_size_option_where_taken(capsys):
 
 
 def test_cache_scalar_with_a_dividing_form_is_rebuilt(tmp_path):
-    # a stored denominator form that divides its numerator is not lowest
-    # terms: the file is not trusted, and the query prints what a cold run does
+    # a stored denominator form that divides every numerator of its row is
+    # not lowest terms: the file is not trusted, and the query prints what a
+    # cold run does
     cache = tmp_path / "cache"
     assert main(["cache", "warm", "--degree", "2", "--mode", "symbolic",
                  "--cache-dir", str(cache)]) == 0
     path = next(p for p in cache.iterdir() if p.name.startswith("jack_02"))
     blob = json.loads(path.read_text())
-    blob["norms"]["2"] = [[[2, 0, 1], [1, 1, 1]], 1, [[1, 1, 1]]]     # e1 (e1 + e2) / (e1 + e2)
+    # (e1 + e2) V1^2 + (e1^2 + e1 e2) V2 over e1 + e2
+    blob["jacks"]["1^2"] = _row([E1, E2], [[2, 0, 1], [1, 1, 1]], forms=[[1, 1, 1]])
     path.write_text(json.dumps(blob))
-    r = run_cli(["jack", "norm", "2", "--cache-dir", str(cache)])
+    r = run_cli(["jack", "show", "1^2", "--cache-dir", str(cache)])
     assert r.returncode == 0
     assert r.stderr == "warning: corrupt cache file %s; rebuilding\n" % path
-    cold = run_cli(["jack", "norm", "2"], env={k: v for k, v in os.environ.items()
-                                               if k != "JACKLAX_CACHE_DIR"})
-    assert r.stdout == cold.stdout and cold.stdout.startswith("|j_{2}|^2 = ")
+    cold = run_cli(["jack", "show", "1^2"], env={k: v for k, v in os.environ.items()
+                                                 if k != "JACKLAX_CACHE_DIR"})
+    assert r.stdout == cold.stdout and cold.stdout.startswith("j_{1^2} = ")
+
+
+def test_cache_row_with_a_form_dividing_some_numerators_loads(tmp_path, capsys):
+    # a form of D that divides only some numerators leaves the row in
+    # lowest terms, as an integer > 1 that divides only some does: the row
+    # is canonical and is read as it stands
+    from jacklax.session import Workspace
+    field = _fields()[0]
+    cache = tmp_path / "cache"
+    Workspace(field, str(cache)).jack_degree(2)
+    path = cache / "jack_02_symbolic.json"
+    blob = json.loads(path.read_text())
+    # ((e1 + e2) V1^2 + 2 V2) / (2 (e1 + e2))
+    blob["jacks"]["1^2"] = _row([E1, E2], [[0, 0, 2]], c=2, forms=[[1, 1, 1]])
+    path.write_text(json.dumps(blob))
+    assert Workspace(field, str(cache)).cache_stat()[path.name] == "2 entries"
+    nums, d = Workspace(field, str(cache)).jack_row((1, 1))
+    assert capsys.readouterr().err == ""
+    assert list(map(str, nums.values())) == ["e1 + e2", "2"] and str(d) == "2*e1 + 2*e2"
+    assert json.loads(path.read_text()) == blob
 
 
 def test_stale_cache_format_rebuilt(tmp_path, capsys):
@@ -578,16 +615,70 @@ def test_stale_cache_format_rebuilt(tmp_path, capsys):
     assert blob["format"] == CACHE_FORMAT
     # an old-format blob is not trusted, even when it parses
     del blob["format"]
-    blob["norms"]["2"] = "12345"
+    blob["jacks"]["2"] = "12345"
     path.write_text(json.dumps(blob))
     capsys.readouterr()
     ws2 = Workspace(SymbolicField(), str(cache))
-    assert ws2.norm_sq((2,)) == ws.norm_sq((2,))
+    assert ws2.jack_row((2,)) == ws.jack_row((2,))
     err = capsys.readouterr().err
     assert "stale cache file" in err and "corrupt" not in err
     rewritten = json.loads(path.read_text())
     assert rewritten["format"] == CACHE_FORMAT
-    assert rewritten["norms"]["2"] != "12345"
+    assert rewritten["jacks"]["2"] != "12345"
+
+
+def test_format_3_file_is_stale_and_rebuilt(tmp_path, capsys):
+    # a file of the format-3 writer reads stale in `cache stat`; the loader
+    # warns, rebuilds it in the current format and gives the cold rows
+    from jacklax.session import Workspace
+    field = _fields()[0]
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    path = cache / "jack_02_symbolic.json"
+    path.write_text(FORMAT_3_BLOB)
+    assert main(["cache", "stat", "--mode", "symbolic", "--cache-dir", str(cache)]) == 0
+    assert capsys.readouterr().out == "jack_02_symbolic.json: stale (format 3)\n"
+    warm = Workspace(field, str(cache)).jack_degree(2)
+    assert capsys.readouterr().err == (
+        "warning: stale cache file %s (format 3, want %d); rebuilding\n" % (path, CACHE_FORMAT))
+    assert warm == Workspace(field).jack_degree(2)
+    assert json.loads(path.read_text())["format"] == CACHE_FORMAT
+    assert Workspace(field, str(cache)).cache_stat()[path.name] == "2 entries"
+
+
+def test_cached_loads_build_nothing(tmp_path, monkeypatch):
+    # on a cache warmed to degree 6 in both modes a fresh workspace reads
+    # every Jack degree 0..6 from disk and builds none
+    from jacklax import session
+    cache = str(tmp_path / "cache")
+    for mode in ("symbolic", "specialized"):
+        assert main(["cache", "warm", "--degree", "6", "--mode", mode,
+                     "--cache-dir", cache]) == 0
+    cold = {field.key(): [session.Workspace(field).jack_degree(n) for n in range(7)]
+            for field in _fields()}
+
+    def unbuilt(ws, n):
+        raise AssertionError("a Jack degree was built, not loaded")
+
+    monkeypatch.setattr(session, "compute_homogeneous_jacks", unbuilt)
+    for field in _fields():
+        ws = session.Workspace(field, cache)
+        assert [ws.jack_degree(n) for n in range(7)] == cold[field.key()]
+
+
+@pytest.mark.parametrize("what", ["norm", "varpi"])
+def test_norm_and_varpi_read_no_cache_file(tmp_path, what):
+    # norms and varpi have closed forms: a query for one builds and stores
+    # no Jack, and prints what a run without a cache prints
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    env = {k: v for k, v in os.environ.items() if k != "JACKLAX_CACHE_DIR"}
+    warm = run_cli(["jack", what, "3,2", "--cache-dir", str(cache)], env=env)
+    cold = run_cli(["jack", what, "3,2"], env=env)
+    assert (warm.returncode, warm.stdout, warm.stderr) == (cold.returncode, cold.stdout, "")
+    assert cold.returncode == 0 and cold.stdout.startswith(
+        "|j_{2,3}|^2 = " if what == "norm" else "varpi_{2,3} = ")
+    assert list(cache.iterdir()) == []
 
 
 @pytest.mark.parametrize("text, status", [
@@ -596,8 +687,8 @@ def test_stale_cache_format_rebuilt(tmp_path, capsys):
     (json.dumps({"format": CACHE_FORMAT}), "corrupt"),
     (json.dumps({"degree": 3, "jacks": {"3": []}}), "stale (format None)"),
     (json.dumps({"format": 1, "degree": 3, "jacks": {"3": []}}), "stale (format 1)"),
-    # a current-format file whose norm has the non-primitive form 2*e1 + 4*e2
-    (_set("norms", "3", [[[0, 0, 1]], 1, [[2, 4, 1]]]), "corrupt"),
+    # a current-format file whose Jack has the non-primitive form 2*e1 + 4*e2
+    (_set("3", _row([ONE], forms=[[2, 4, 1]])), "corrupt"),
 ])
 def test_cache_stat_names_bad_files(tmp_path, capsys, text, status):
     # a file the loader would rebuild is reported as such, beside the good ones
@@ -699,7 +790,7 @@ def test_spec_point_parsing():
 
 def test_specialized_main_theorem_through_the_disk_cache(tmp_path, capsys, monkeypatch):
     # a cold run writes the cache, a warm run reads every Jack from it
-    # (clearing each to its row on first use), and both give the canonical
+    # (checking each row once, on first use), and both give the canonical
     # report of a run without a cache
     from jacklax import session
     argv = ["verify", "main-theorem", "--mode", "specialized", "--max-size", "5",

@@ -1,5 +1,5 @@
 """Property tests: the partition box moves, the two text formats and the
-two cache codecs round-trip, Coeff is a field with one canonical form, expressions in it
+two cache row codecs round-trip, Coeff is a field with one canonical form, expressions in it
 reduce as they do in the gcd oracle (and in sympy), the oracle's
 bivariate gcd agrees with sympy's, partial fractions reconstruct a SpectralFun
 and their polynomial part is the long-division quotient, a
@@ -12,6 +12,7 @@ Gaussian elimination with field division."""
 
 import json
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -96,27 +97,53 @@ def test_split_coeff_text_roundtrip(num, den):
     assert parse_coeff(render_coeff(c)) == c
 
 
+# rows over the partitions of 4, keyed by partition as the Jacks are
+ROW_LABELS = partitions_of(4)
+ROW_INDEX = {mu: i for i, mu in enumerate(ROW_LABELS)}
+
+
+def _roundtrip(F, row):
+    """The row's cache form through JSON; it reads back as the row and
+    writes back as itself."""
+    v = json.loads(json.dumps(F.dump_row(row, ROW_INDEX)))
+    assert F.load_row(v, ROW_LABELS) == row
+    assert F.dump_row(F.load_row(v, ROW_LABELS), ROW_INDEX) == v
+    return v
+
+
 @settings(max_examples=60, deadline=None)
-@given(COEFFS, st.integers(2, 6))
-def test_coeff_cache_codec_roundtrip(x, k):
-    # the cache form reads back through JSON; scaled by k it is no longer
-    # in lowest terms and is refused
+@given(st.dictionaries(st.sampled_from(ROW_LABELS), COEFFS.filter(bool), max_size=4),
+       st.integers(2, 6), FORMS, st.data())
+def test_symbolic_row_codec_roundtrip(vec, k, form, data):
+    # the cache form of a canonical row reads back through JSON; with every
+    # numerator and c times k, or every numerator and D times one of D's
+    # forms (a drawn one if D has none), it is not in lowest terms and is
+    # refused
     F = SymbolicField()
-    v = json.loads(json.dumps(F.dump(x)))
-    assert F.load(v) == x and F.dump(F.load(v)) == v
-    terms, c, forms = v
+    entries, c, forms = _roundtrip(F, F.clear(vec))
     with pytest.raises(ValueError):
-        F.load([[[i, j, a * k] for i, j, a in terms], c * k, forms])
+        F.load_row([[[i, [[a, b, x * k] for a, b, x in t]] for i, t in entries], c * k, forms],
+                   ROW_LABELS)
+    a, b = data.draw(st.sampled_from([f[:2] for f in forms])) if forms else form
+    g = abs(gcd(a, b)) * (1 if a > 0 or (not a and b > 0) else -1)
+    f = (a // g, b // g)
+    times = [[i, [[p, q, x] for (p, q), x in
+                  sorted((BiPoly({(p, q): x for p, q, x in t}) * BiPoly.lin(*f)).t.items())]]
+             for i, t in entries]
+    mults = {tuple(fm[:2]): fm[2] for fm in forms}
+    mults[f] = mults.get(f, 0) + 1
+    with pytest.raises(ValueError):
+        F.load_row([times, c, [[p, q, m] for (p, q), m in sorted(mults.items())]], ROW_LABELS)
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.fractions(), st.integers(2, 6))
-def test_fraction_cache_codec_roundtrip(q, k):
+@given(st.dictionaries(st.sampled_from(ROW_LABELS), st.fractions().filter(bool), max_size=4),
+       st.integers(2, 6))
+def test_point_row_codec_roundtrip(vec, k):
     F = SpecializedField(DEFAULT_SPEC_POINTS[0])
-    v = json.loads(json.dumps(F.dump(q)))
-    assert F.load(v) == q and F.dump(F.load(v)) == v
+    entries, d = _roundtrip(F, F.clear(vec))
     with pytest.raises(ValueError):
-        F.load([v[0] * k, v[1] * k])
+        F.load_row([[[i, x * k] for i, x in entries], d * k], ROW_LABELS)
 
 
 @settings(max_examples=30, deadline=None)

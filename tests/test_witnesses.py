@@ -7,12 +7,14 @@ and shc), and each mutant must FAIL some instance of the gating suites at
 small sizes with a witness that names the spec point, an object and both
 sides of the first mismatch."""
 
+import json
 import sys
 
 import pytest
 
 from jacklax import lax, session, spectral, traces
 from jacklax.arith import DEFAULT_SPEC_POINTS
+from jacklax.cli import main
 from jacklax.partitions import add_set, rem_set_plus
 from jacklax.report import SKIP, WITNESS_CUT, Report, RunConfig, instance, witness
 from jacklax.verify import SUITES
@@ -52,6 +54,16 @@ def _shifted_tau(monkeypatch):
     def tau(field, lam, s):
         return field.ratio(spectral._diffs(s, rem_set_plus(lam)),
                            spectral._diffs((s[0] + 1, s[1]), add_set(lam), s))
+    _patch_everywhere(monkeypatch, spectral.tau, tau)
+
+
+def _zeroed_tau(monkeypatch):
+    # the content [s] read as [s + (1, 0)] in the differences [s - t] to the
+    # outer corners t: where s + (1, 0) is one of them, tau is 0, and the
+    # norm ratio |j_lam+s|^2 / |j_lam|^2 = tau~ / tau divides by it
+    def tau(field, lam, s):
+        return field.ratio(spectral._diffs((s[0] + 1, s[1]), rem_set_plus(lam)),
+                           spectral._diffs(s, add_set(lam), s))
     _patch_everywhere(monkeypatch, spectral.tau, tau)
 
 
@@ -104,6 +116,45 @@ def test_a_check_that_returns_a_bool_raises():
 
 def _true(ws):
     return True
+
+
+def _tau_report(capsys, *extra):
+    assert main(["verify", "tau", "--max-size", "3", "--format", "json"] + list(extra)) == 1
+    blob = json.loads(capsys.readouterr().out)
+    blob.pop("elapsed_ms")
+    return blob
+
+
+def test_a_check_that_raises_fails_its_instance(monkeypatch, capsys):
+    # a division by the zero a defect makes FAILs the check that divides,
+    # names what it raised, and the run goes on to its other checks
+    monkeypatch.delenv("JACKLAX_CACHE_DIR", raising=False)
+    _zeroed_tau(monkeypatch)
+    serial = _tau_report(capsys)
+    assert _tau_report(capsys, "--jobs", "2") == serial
+    raised = [i for i in serial["instances"] if "raised: " in i["witness"]]
+    assert raised and all(i["status"] == "FAIL" and i["id"].startswith("norm ratio")
+                          and i["witness"].endswith(" != nothing") for i in raised)
+    assert len(serial["instances"]) > len(raised)
+
+
+def _raises(ws, n):
+    raise ValueError("no sweep of %d" % n)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_sweep_that_raises_fails_one_instance(jobs):
+    rep = Report("raises", RunConfig(points=POINTS, jobs=jobs))
+    rep.sweep(_raises, 3)
+    rep.check("a pass", _empty)
+    assert rep.done().instances == [
+        {"id": "a pass", "status": "PASS", "witness": ""},
+        {"id": "sweep raises(3,)", "status": "FAIL",
+         "witness": "%s: raised: no sweep of 3 != nothing" % POINTS[0].key()}]
+
+
+def _empty(ws):
+    return {}
 
 
 def _first_point_is(status):
