@@ -848,6 +848,18 @@ DEFAULT_SPEC_POINTS = (
 # one (least D, reduced once per row), so two canonical rows are equal
 # exactly when their vectors are.
 #
+# An orthogonal dual (session.DualIndex, session.PsiHatDual) expands a row
+# into pairings, one multiply-add per label, and a scale per label.  Its
+# scales are (scales, S) = dual_scales(scalars), made once per dual, and
+# dual_row(labels, pairings, scales, D S) is the row of the coefficients
+# {labels[i]: pairings[i] scale_i / D} over the nonzero pairings, for an
+# input row over D.  At a point the scales are the int numerators of the
+# scalars over one common S and the row is the products over D S, not in
+# lowest terms.  Over Q(e1,e2) each scale is its own reduced scalar (S =
+# 1): each pairing is divided by D's forms and its own scale's only, and
+# the row is clear of the reduced coefficients, the canonical row, so no
+# cofactor common to all the labels of a degree enters it.
+#
 # Each field also keeps the memos of scalars it computes over and over: lf's
 # forms (_lf_cache) and the transition measures tau and tau~ (tau_memo and
 # tau_tilde_memo, {(lam, box): scalar}, filled by spectral.tau and
@@ -1071,6 +1083,19 @@ class SymbolicField:
             k, g = den.c, den.forms
         return _assemble(t, c, f, 1, _NO_FORMS, k, g)
 
+    @staticmethod
+    def dual_scales(scalars):
+        """The reduced scalars themselves, over S = 1 (see dual_row)."""
+        return list(scalars), 1
+
+    def dual_row(self, labels, pairings, scales, den):
+        """The canonical row of {labels[i]: pairings[i] scales[i] / den}
+        over the nonzero pairings: each pairing reduced by den's forms,
+        then by its scale's in the product, and the row cleared once."""
+        q = self.quotient
+        return self.clear({labels[i]: s * q(a, den)
+                           for i, (a, s) in enumerate(zip(pairings, scales)) if a})
+
     def lf(self, form):
         c = self._lf_cache.get(form)
         if c is None:
@@ -1178,6 +1203,18 @@ class SpecializedField:
         # [a,b] is the integer a C e1 + b C e2 over C
         c = lcm(self.e1.denominator, self.e2.denominator)
         self.form_ints = (int(self.e1 * c), int(self.e2 * c), c)
+
+    @staticmethod
+    def dual_scales(scalars):
+        """(the int numerators of the scalars, their common S)."""
+        nums, s = v_clear(dict(enumerate(scalars)))
+        return list(nums.values()), s
+
+    @staticmethod
+    def dual_row(labels, pairings, scales, den):
+        """The row {labels[i]: pairings[i] scales[i]} over the nonzero
+        pairings, over den (an input D times S): not in lowest terms."""
+        return {labels[i]: a * s for i, (a, s) in enumerate(zip(pairings, scales)) if a}, den
 
     def lf(self, form):
         c = self._lf_cache.get(form)

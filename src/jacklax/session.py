@@ -18,7 +18,10 @@ Two orthogonal duals expand rows: a DualIndex per degree for the Jacks,
 and a PsiHatDual per degree for the psi-hats.  The psi-hat dual of degree
 n follows the corner recursion of psi, read through the adjoint Pi of w:
 it holds the Jack dual of degree n and the psi-hat dual of degree n - 1,
-which the duals of every higher degree share.
+which the duals of every higher degree share.  Each dual keeps one scale
+per label and ends its expansion in the field's dual_row step: at a point
+int numerators over one common denominator, over Q(e1,e2) the canonical
+row, at the least denominator of its coefficients.
 
 With a cache directory, each Jack degree is also kept on disk, one JSON file
 per (degree, mode).  In format 4 the file holds only the dict "jacks", keyed
@@ -174,8 +177,9 @@ class Workspace:
 
     def expand_in_jacks(self, row):
         """The Jack coefficients of the cleared row of a FockVec, as a
-        cleared row {lam: numerator} (not necessarily in lowest terms), each
-        homogeneous part by its Jack dual."""
+        cleared row {lam: numerator}, each homogeneous part by its Jack
+        dual: over Q(e1,e2) the canonical row, at a point not necessarily
+        in lowest terms."""
         nums, den = row
         degs = {sum(mu) for mu in nums}
         if len(degs) > 1:
@@ -213,8 +217,8 @@ class Workspace:
 
     def expand_psi_hat(self, row):
         """The psi-hat coefficients of the cleared row of a homogeneous
-        ExtVec, as a cleared row {(lam, s): numerator} (not in lowest
-        terms)."""
+        ExtVec, as a cleared row {(lam, s): numerator}: over Q(e1,e2) the
+        canonical row, at a point not in lowest terms."""
         nums, den = row
         if not nums:
             return {}, den
@@ -316,14 +320,16 @@ def _gram_row(ws, n):
 def _jack_dual(ws, n):
     f = ws.field
     labels = partitions_of(n)
-    nums, den = ws.gram_row(n)
-    gram = {mu: nums[(0, mu)] for mu in labels}, den
+    gram = f.clear({mu: monomial_norm_sq(mu, f) for mu in labels})
     return DualIndex(f, labels, [ws.jack_row(lam) for lam in labels], gram,
                      [jack_inv_norm_sq(f, lam) for lam in labels])
 
 
 def _psi_hat_row(ws, lam, s):
-    return ws.field.combine([(ws.field.one / ws.pi_star_psi(lam, s), ws.psi_row(lam, s))])
+    # the psi row first: it raises on a box not addable to lam, where
+    # pi_* psi = [s] varpi_lam may be 0
+    row = ws.psi_row(lam, s)
+    return ws.field.combine([(ws.field.one / ws.pi_star_psi(lam, s), row)])
 
 
 class DualIndex:
@@ -333,25 +339,29 @@ class DualIndex:
     <v, b_i> = sum_key v[key] b_i[key] <key, key>.  It is built from the
     cleared rows (B_i, D_i) of the b_i and the cleared row (g, G) of the
     Gram weights <key, key>: the index maps each key to
-    [(i, B_i[key] g[key])], and the scales[i] / (D_i G) are one cleared row
-    (S_i) over a common denominator S.  So a cleared row (a, D) of v
-    expands by multiply-adding numerators into the row
-    ({label_i: S_i sum_key a[key] B_i[key] g[key]}, D S): exact, with
-    every denominator carried, and not in lowest terms.  (At a point the
-    numerators are ints, over Q(e1,e2) polynomials: ring operations
-    only.)  The state is plain data: the field is passed to the
-    constructor only."""
+    [(i, B_i[key] g[key])], and each label keeps its scale over its own
+    D_i G as field.dual_scales makes it.  So a cleared row (a, D) of v
+    expands by multiply-adding numerators into the pairings
+    J_i = sum_key a[key] B_i[key] g[key], and field.dual_row turns them
+    into the row of the coefficients J_i scales[i] / (D D_i G), exact,
+    with every denominator carried.  (At a point the numerators are ints
+    over one common S of the scales, and the row is not in lowest terms;
+    over Q(e1,e2) they are polynomials, and the row is the canonical one,
+    each coefficient reduced by D's forms and its own scale's only.)  The
+    state is plain data and the field's dual_row step: the field is
+    passed to the constructor only."""
 
     def __init__(self, field, labels, rows, gram, scales):
         gnums, gden = gram
+        self.gram_den = gden
         self.labels = labels
         self.index = {}
         for i, (nums, _) in enumerate(rows):
             for key, c in nums.items():
                 self.index.setdefault(key, []).append((i, c * gnums[key]))
-        nums, self.den = field.clear({i: field.quotient(c, d * gden)
-                                      for i, (c, (_, d)) in enumerate(zip(scales, rows))})
-        self.scales = list(nums.values())
+        self.scales, self.den = field.dual_scales(
+            field.quotient(c, d * gden) for c, (_, d) in zip(scales, rows))
+        self.dual_row = field.dual_row
 
     def pairings(self, items):
         """The multiply-adds sum_key a[key] B_i[key] g[key] of the
@@ -366,9 +376,8 @@ class DualIndex:
     def row(self, nums, den):
         """The cleared row of the nonzero coefficients of the cleared row
         (nums, den), in label order."""
-        scales, labels = self.scales, self.labels
-        acc = self.pairings(nums.items())
-        return {labels[i]: a * scales[i] for i, a in enumerate(acc) if a}, den * self.den
+        return self.dual_row(self.labels, self.pairings(nums.items()), self.scales,
+                           den * self.den)
 
 
 class PsiHatDual:
@@ -380,10 +389,10 @@ class PsiHatDual:
             + sum_{t in R_lam} tau~_lam^{t+(1,1)} / [s-t-(1,1)]
                                <Pi zeta, psi_{lam-t}^t>.
     The Jack pairings <f, j_lam> are the multiply-adds J_lam of the Jack
-    DualIndex of degree n (its weights over D_lam G, G the Gram row's
-    denominator).  Each label i = (lam, s) has its own denominator
-    dens[i] = E_i: its pairing is P_i / (D E_i) for an input row over D,
-    with the integer (at a point)
+    DualIndex of degree n (its weights over D_lam G, G its gram_den).
+    Each label i = (lam, s) has its own denominator dens[i] = E_i: its
+    pairing is P_i / (D E_i) for an input row over D, with the integer (at
+    a point)
         P_i = jw_i J_lam + sum_t w_t P'_t
     over the numerators P'_t of the dual below (degree n - 1), jw_i and
     the w_t making the cleared row of 1/(D_lam G) and the
@@ -393,12 +402,14 @@ class PsiHatDual:
     A cleared row (a, D) of zeta splits into its w-layers; the dual of
     degree k pairs the layer of w^(n-k) with its Jacks and adds its corner
     terms over the pairings of the dual below, so Pi^(n-k) zeta is paired
-    with the psi of degree k.  The degree-n pairings P_i / (D E_i) times
-    the scales tau_lam^s pi_* psi_lam^s / |j_lam|^2, over the one cleared
-    row (S_i) over S of the scales / E_i, give the row
-    ({label_i: P_i S_i}, D S), in label order and not in lowest terms.
-    chain holds the duals of degrees 0..n-1, so row runs one flat loop.
-    The state is plain data: the workspace is passed to the constructor
+    with the psi of degree k.  The degree-n pairings P_i / D times the
+    label scales tau_lam^s pi_* psi_lam^s / (|j_lam|^2 E_i), made by
+    field.dual_scales, give the row by field.dual_row, in label order:
+    at a point the products over D S, S the scales' common denominator,
+    and over Q(e1,e2) the canonical row, each coefficient reduced by D's
+    forms and its own scale's only.  chain holds the duals of degrees
+    0..n-1, so row runs one flat loop.  The state is plain data and the
+    field's dual_row step: the workspace is passed to the constructor
     only."""
 
     def __init__(self, ws, n):
@@ -409,7 +420,7 @@ class PsiHatDual:
         self.chain = below.chain + (below,) if below else ()
         lam_pos = {lam: i for i, lam in enumerate(jack.labels)}
         prev_pos = {label: i for i, label in enumerate(below.labels)} if below else {}
-        gram_den = ws.gram_row(n)[1]
+        gram_den = jack.gram_den
         self.terms, self.dens = [], []
         for lam, s in labels:
             scalars = {-1: f.quotient(f.one, ws.jack_row(lam)[1] * gram_den)}
@@ -422,10 +433,10 @@ class PsiHatDual:
             jw = nums.pop(-1)
             self.terms.append((lam_pos[lam], jw, tuple(nums.items())))
             self.dens.append(den)
-        nums, self.den = f.clear({i: f.quotient(jack_inv_norm_sq(
-            f, lam, tau(f, lam, s) * ws.pi_star_psi(lam, s)), self.dens[i])
-            for i, (lam, s) in enumerate(labels)})
-        self.scales = list(nums.values())
+        self.scales, self.den = f.dual_scales(f.quotient(jack_inv_norm_sq(
+            f, lam, tau(f, lam, s) * ws.pi_star_psi(lam, s)), e)
+            for (lam, s), e in zip(labels, self.dens))
+        self.dual_row = f.dual_row
 
     def pairings(self, layer, below):
         """The numerators P_i, in label order, from the numerators
@@ -455,9 +466,7 @@ class PsiHatDual:
             if layer or acc is not None:
                 acc = dual.pairings(layer, acc)
         acc = self.pairings(layers[0], acc)
-        labels = self.labels
-        return ({labels[i]: a * s for i, (a, s) in enumerate(zip(acc, self.scales)) if a},
-                den * self.den)
+        return self.dual_row(self.labels, acc, self.scales, den * self.den)
 
 
 def _read_blob(path):

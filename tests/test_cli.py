@@ -11,7 +11,8 @@ from jacklax import cli
 from jacklax.cli import main
 from jacklax.report import RunConfig
 from jacklax.session import CACHE_FORMAT
-from jacklax.verify import suite_conjectures, suite_counts, suite_delta
+from jacklax.verify import (suite_conjectures, suite_counts, suite_delta, suite_main_theorem,
+                            suite_traces)
 
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -257,6 +258,10 @@ def test_size_zero_is_not_the_default(capsys):
     (["counts", "--kernel", "--to", "-2"], "bad size to=-2"),
     (["cache", "warm", "--degree", "-1", "--cache-dir", "never-made"], "bad size degree=-1"),
     (["psi", "show", "2,1", "(5,5)"], "box (5,5) not addable to 1,2"),
+    # the box is checked before pi_* psi = [s] varpi, here 0, divides
+    (["psi", "show", "1", "(0,0)", "--hatted"], "box (0,0) not addable to 1"),
+    (["psi", "show", "1", "(0,0)", "--hatted", "--mode", "specialized"],
+     "box (0,0) not addable to 1"),
     (["verify", "counts", "--jobs", "0"], "bad jobs=0"),
     (["verify", "tau", "--jobs", "-2"], "bad jobs=-2"),
     (["cache", "stat"], "no cache directory configured"),
@@ -353,6 +358,20 @@ def test_specialized_conjectures_report_unchanged():
     rep = suite_conjectures(RunConfig(mode="specialized"), max_degree=5)
     assert hashlib.sha256(rep.canonical_json().encode()).hexdigest() == \
         "41848688844e079055febf2fbfd8ab2e6ff358c1758e036301562ab7edbd544b"
+
+
+@pytest.mark.parametrize("suite, sizes, sha", [
+    (suite_main_theorem, {},
+     "4f50ed0ad4b32c486eed86b6bb7e5ef37c3deb7429f63831ab99b25db3a04e76"),
+    (suite_traces, {"max_degree": 4},
+     "83d2833e3347d40ca42d5960b6372bdcd80aa92e00cb672deca9d6a7477108ff"),
+])
+def test_symbolic_reports_unchanged(suite, sizes, sha):
+    # the canonical symbolic reports of the main theorem (default size) and
+    # of the traces, pinned so that a change of the symbolic row layer
+    # cannot change what a report says unnoticed
+    rep = suite(RunConfig(mode="symbolic"), **sizes)
+    assert hashlib.sha256(rep.canonical_json().encode()).hexdigest() == sha
 
 
 def _in_process(argv, capsys):

@@ -1,10 +1,11 @@
 import pytest
 
-from jacklax.arith import SymbolicField
+from jacklax.arith import DEFAULT_SPEC_POINTS, SpecializedField, SymbolicField
 from jacklax.fock import fock_mul, inner_hbar, v_accum
 from jacklax.jack import jack_norm_sq, pieri_stanley, varpi
 from jacklax.partitions import (add_box, add_set, parse_partition, partition_pairs,
                                 partitions_of, transpose)
+from jacklax.session import Workspace
 from jacklax.spectral import tau
 from jacklax import lr
 from oracles import (compute_integral_jacks, content_product_poly, homogeneous_jacks,
@@ -33,18 +34,31 @@ def test_lax_recursion_matches_gram_schmidt(sym, spec_all):
             assert ws.jack_degree(n) == {lam: ws.field.clear(v) for lam, v in want.items()}
 
 
+@pytest.mark.parametrize("field", [SymbolicField(), SpecializedField(DEFAULT_SPEC_POINTS[0])])
+def test_duals_build_no_gram_row(field):
+    # the Jack dual weighs the partitions of its degree only, and the
+    # psi-hat dual takes G from it: no Gram row over all of H_n is built
+    ws = Workspace(field, cache_dir="")
+    for n in range(6):
+        ws.jack_dual(n)
+        ws.psi_hat_solver(n)
+    assert not [key for key in ws._memo if key[0] == "gram"]
+
+
 @pytest.mark.parametrize("point, max_total", [(0, 7), (1, 7), (2, 7), (None, 5)])
 def test_jack_dual_matches_inner_hbar(point, max_total, sym, spec_all):
     # the replaced expansion, one inner_hbar per partition, stays as the
     # oracle: same dict, key order included
     ws = sym if point is None else spec_all[point]
-    # at a point the dual index holds int weights, int scale numerators
-    # and an int common denominator
-    runtime = ws.jack_dual(max_total)
-    ints = [w for pairs in runtime.index.values() for _, w in pairs]
-    ints += runtime.scales + [runtime.den]
-    assert all(type(x) is int for x in ints) == (point is not None)
-    vec = ws.field.uncleared
+    f = ws.field
+    if point is not None:
+        # at a point the dual index holds int weights, int scale numerators
+        # and an int common denominator
+        runtime = ws.jack_dual(max_total)
+        ints = [w for pairs in runtime.index.values() for _, w in pairs]
+        ints += runtime.scales + [runtime.den]
+        assert all(type(x) is int for x in ints)
+    vec = f.uncleared
     vecs = [vec(ws.jack_row(lam)) for n in range(max_total + 1) for lam in partitions_of(n)]
     mixed = {}
     for mu, nu in partition_pairs(max_total):
@@ -54,7 +68,10 @@ def test_jack_dual_matches_inner_hbar(point, max_total, sym, spec_all):
     # an inhomogeneous vector is expanded degree by degree
     vecs.append(v_accum(mixed, vec(ws.jack_row((1,)))))
     for v in vecs:
-        got = ws.field.uncleared(ws.expand_in_jacks(ws.field.clear(v)))
+        row = ws.expand_in_jacks(f.clear(v))
+        # over Q(e1,e2) an expansion row is the canonical one
+        assert point is not None or f.clear(f.uncleared(row)) == row
+        got = f.uncleared(row)
         assert list(got.items()) == list(inner_hbar_expand_in_jacks(ws, v).items())
 
 

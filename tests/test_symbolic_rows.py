@@ -102,6 +102,22 @@ def test_expansions_and_traces_match_coeff_vector_rows(sym, coeff_ws):
     assert _vec(sym, _mixed(sym)[1]) == _vec(coeff_ws, _mixed(coeff_ws)[1])
 
 
+def test_expansion_rows_are_canonical(sym):
+    # both duals return the least row: each coefficient is reduced by the
+    # input D's forms and its own scale's, and the row is cleared once, so
+    # no cofactor common to the labels of a degree is left in D
+    rows = [sym.expand_in_jacks(sym.jack_row(lam)) for n in range(7) for lam in partitions_of(n)]
+    rows += [sym.expand_in_jacks(jack_product(sym, mu, nu)) for mu, nu in partition_pairs(6)]
+    hats = [p for n in range(MAX_DEGREE + 1) for p in eigen_pairs(n)]
+    rows += [sym.expand_psi_hat(sym.psi_hat_row(lam, s)) for lam, s in hats]
+    for i, a in enumerate(hats):
+        for b in hats[i:]:
+            if a[0] and b[0] and sum(a[0]) + sum(b[0]) <= MAX_DEGREE:
+                rows.append(sym.expand_psi_hat(_hat_product(sym, a, b)))
+    for row in rows:
+        assert _canonical(sym, row)
+
+
 def _mixed(ws):
     jacks = [ws.jack_row(lam) for lam in ((2, 1), (1,), (3,))]
     return (ws.expand_in_jacks(ws.field.combine([(1, r) for r in jacks])),
