@@ -258,10 +258,6 @@ def test_size_zero_is_not_the_default(capsys):
     (["counts", "--kernel", "--to", "-2"], "bad size to=-2"),
     (["cache", "warm", "--degree", "-1", "--cache-dir", "never-made"], "bad size degree=-1"),
     (["psi", "show", "2,1", "(5,5)"], "box (5,5) not addable to 1,2"),
-    # the box is checked before pi_* psi = [s] varpi, here 0, divides
-    (["psi", "show", "1", "(0,0)", "--hatted"], "box (0,0) not addable to 1"),
-    (["psi", "show", "1", "(0,0)", "--hatted", "--mode", "specialized"],
-     "box (0,0) not addable to 1"),
     (["verify", "counts", "--jobs", "0"], "bad jobs=0"),
     (["verify", "tau", "--jobs", "-2"], "bad jobs=-2"),
     (["cache", "stat"], "no cache directory configured"),
@@ -306,6 +302,10 @@ def test_size_zero_is_not_the_default(capsys):
     (["lr", "compute", "--mu", "1", "--nu", "1", "--mode", "specialized",
       "--spec-points=-3/2,22/7;-10007,9973;-7919,104729"],
      "lr compute evaluates at one spec point, but --spec-points gives 3"),
+    # the box is checked before pi_* psi = [s] varpi, here 0, divides
+    (["psi", "show", "1", "(0,0)", "--hatted"], "box (0,0) not addable to 1"),
+    (["psi", "show", "1", "(0,0)", "--hatted", "--mode", "specialized"],
+     "box (0,0) not addable to 1"),
 ])
 def test_bad_input_exits_2_with_one_error_line(argv, needle):
     env = {k: v for k, v in os.environ.items() if k != "JACKLAX_CACHE_DIR"}
