@@ -121,7 +121,8 @@ def cmd_psi(args):
     ws = _workspace(args)
     lam = parse_partition(args.partition)
     s = _parse_box(args.box)
-    psi = ws.field.uncleared((ws.psi_hat_row if args.hatted else ws.psi_row)(lam, s))
+    from .lax import psi_from_jack
+    psi = ws.field.uncleared(psi_from_jack(ws, lam, s, args.hatted))
     name = "psihat" if args.hatted else "psi"
     print("%s_{%s}^{(%d,%d)}:" % (name, format_partition(lam), s[0], s[1]))
     byw = {}

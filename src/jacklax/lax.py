@@ -9,6 +9,26 @@ recursion
     psi_lam^s = j_lam + w * sum_{t in R_lam}
                    tau~_lam^{t+(1,1)} / [s-t-(1,1)] * psi_{lam-t}^t,
 and satisfy L psi = [s] psi with pi0 psi = j_lam.
+
+Each Jack splits into the eigenfunctions of its own partition,
+j_lam = sum_{s in A(lam)} tau_lam^s psi_lam^s (the spectral checks `jacksum`
+and `eigen`), so psi_lam^s is the spectral projection of j_lam:
+    psi_lam^s = prod_{u in A(lam), u != s} (L - [u]) j_lam
+                / prod_{o in R+(lam)} ([s] - [o]),
+as each factor L - [u] kills psi_lam^u and scales psi_lam^s by [s] - [u],
+and tau_lam^s = prod_o ([s] - [o]) / prod_{u != s} ([s] - [u]).  The forms
+[s] - [o] = [s-t-(1,1)] are those the corner recursion divides by, so the
+two paths fail at the same points.
+
+psi_from_jack runs the projector and reads j_lam only: `psi show` uses it,
+as one psi then costs one Jack degree and at most |A(lam)| - 1 Lax steps,
+where the recursion builds the psi rows of every degree below.
+Workspace.psi_row keeps the recursion, the cheaper way to every psi of a
+degree (the suites, `cache warm`, and the Jack builder, which needs the
+psi below its degree and so cannot use the projector): on a 2-core x86-64
+machine under CPython 3.11, the Jacks and every psi to degree 6 over
+Q(e1,e2) took 0.019 s by the recursion, and the projector took 0.031 s
+more for the psi alone; at a point to degree 8, 0.015 s against 0.029 s.
 """
 
 from functools import lru_cache
@@ -127,21 +147,26 @@ def lax_plus_shift_check(ws, n):
 # eigenfunctions
 # ---------------------------------------------------------------------------
 
-def compute_psi(ws, lam, s):
-    """psi_lam^s by the corner recursion in the module docstring.
-
-    Reads j_lam through ws.jack, whose builder in turn reads the
-    degree-(|lam|-1) eigenfunctions through ws.psi: the two recursions
-    alternate down the degrees.  Both run on cleared rows (ws.jack_row,
-    ws.psi_row, field.combine) and the psi row is returned."""
-    field = ws.field
-    if not lam:
-        if s != (0, 0):
-            raise NotAnAddableBox("only (0,0) is addable to the empty partition")
-        return field.clear({(0, ()): field.one})
+def _check_box(lam, s):
+    """Raise NotAnAddableBox unless s is addable to lam."""
+    if not lam and s != (0, 0):
+        raise NotAnAddableBox("only (0,0) is addable to the empty partition")
     if s not in add_set(lam):
         raise NotAnAddableBox("box (%d,%d) not addable to %s"
                               % (s[0], s[1], format_partition(lam)))
+
+
+def compute_psi(ws, lam, s):
+    """psi_lam^s by the corner recursion in the module docstring.
+
+    Reads j_lam through ws.jack_row, whose builder in turn reads the
+    degree-(|lam|-1) eigenfunctions through ws.psi_row: the two recursions
+    alternate down the degrees.  Both run on cleared rows (field.combine)
+    and the psi row is returned."""
+    field = ws.field
+    _check_box(lam, s)
+    if not lam:
+        return field.clear({(0, ()): field.one})
     nums, d = ws.jack_row(lam)
     terms = [(1, (fock_to_ext(nums), d))]
     for t in rem_set(lam):
@@ -152,6 +177,27 @@ def compute_psi(ws, lam, s):
         nums, d = ws.psi_row(remove_box(lam, t), t)
         terms.append((field.ratio((), (form,), tau_tilde(field, lam, tp)), (w_mul(nums), d)))
     return field.combine(terms)
+
+
+def psi_from_jack(ws, lam, s, hatted=False):
+    """The cleared row of psi_lam^s (psi-hat_lam^s if hatted) by the
+    spectral projector of the module docstring: one Jack row, |A(lam)| - 1
+    Lax steps, one field.combine per step, the last one scaled by
+    1 / prod_o ([s] - [o]), times 1 / ([s] varpi_lam) if hatted.  The box
+    is checked before any division."""
+    field = ws.field
+    _check_box(lam, s)
+    pre = field.one / ws.pi_star_psi(lam, s) if hatted else None
+    scale = field.ratio((), [(s[0] - o[0], s[1] - o[1]) for o in rem_set_plus(lam)], pre)
+    nums, d = ws.jack_row(lam)
+    row = (fock_to_ext(nums), d)
+    others = [u for u in add_set(lam) if u != s]
+    if not others:
+        return field.combine([(scale, row)])
+    for i, u in enumerate(others, 1):
+        c = scale if i == len(others) else field.one
+        row = field.combine([(c, lax_apply(field, row)), (-c * field.lf(u), row)])
+    return row
 
 
 def psi_tilde_row(ws, gamma, t_plus):

@@ -665,7 +665,7 @@ def test_format_3_file_is_stale_and_rebuilt(tmp_path, capsys):
     assert Workspace(field, str(cache)).cache_stat()[path.name] == "2 entries"
 
 
-def test_cached_loads_build_nothing(tmp_path, monkeypatch):
+def test_cached_loads_build_nothing(tmp_path, monkeypatch, capsys):
     # on a cache warmed to degree 6 in both modes a fresh workspace reads
     # every Jack degree 0..6 from disk and builds none
     from jacklax import session
@@ -679,10 +679,50 @@ def test_cached_loads_build_nothing(tmp_path, monkeypatch):
     def unbuilt(ws, n):
         raise AssertionError("a Jack degree was built, not loaded")
 
+    # one `psi show` per partition of degree <= 6, plain and hatted, each
+    # box in turn; the expected output is the corner recursion's rows
+    # (ws.psi_row, ws.psi_hat_row) through the same printer
+    from jacklax import lax
+    from jacklax.partitions import add_set, format_partition, partitions_of
+    keys = {"symbolic": "symbolic", "specialized": _fields()[1].key()}
+    queries = []
+    for mode in keys:
+        for n in range(7):
+            for i, lam in enumerate(partitions_of(n)):
+                box = "(%d,%d)" % add_set(lam)[i % len(add_set(lam))]
+                for hatted in ([], ["--hatted"]):
+                    queries.append((mode, n, ["psi", "show", format_partition(lam), box,
+                                              "--mode", mode, "--cache-dir", cache] + hatted))
+    capsys.readouterr()
+    want = []
+    with monkeypatch.context() as m:
+        m.setattr(lax, "psi_from_jack", lambda ws, lam, s, hatted=False:
+                  (ws.psi_hat_row if hatted else ws.psi_row)(lam, s))
+        for _, _, argv in queries:
+            assert main(argv) == 0
+            want.append(capsys.readouterr().out)
+
+    def unbuilt_psi(ws, lam, s):
+        raise AssertionError("a psi row was built by the corner recursion")
+
+    loaded = []
+
+    def read_blob(path, read=session._read_blob):
+        loaded.append(os.path.basename(path))
+        return read(path)
+
     monkeypatch.setattr(session, "compute_homogeneous_jacks", unbuilt)
+    monkeypatch.setattr(lax, "compute_psi", unbuilt_psi)
+    monkeypatch.setattr(session, "_read_blob", read_blob)
     for field in _fields():
         ws = session.Workspace(field, cache)
         assert [ws.jack_degree(n) for n in range(7)] == cold[field.key()]
+    # each psi query reads the Jack degree of its partition, and nothing else
+    for (mode, n, argv), out in zip(queries, want):
+        loaded.clear()
+        assert main(argv) == 0
+        assert capsys.readouterr().out == out
+        assert loaded == [session._cache_name(n, keys[mode])]
 
 
 @pytest.mark.parametrize("what", ["norm", "varpi"])

@@ -8,7 +8,7 @@ from jacklax.arith import DEFAULT_SPEC_POINTS, SpecializedField, SpecPoint, Symb
 from jacklax.errors import NotAnAddableBox, NotARemovableCorner, EmptyPartition
 from jacklax.fock import fock_to_ext, pi0, pi_star, v_accum, v_clear, v_scale, w_mul
 from jacklax.lax import (lax_apply, lax_plus_shift_check, op_A, op_B, phi_column_coeff,
-                         pi_diamond, q_poly_row)
+                         pi_diamond, psi_from_jack, q_poly_row)
 from jacklax.linalg import rank
 from jacklax.partitions import (add_box, add_set, eigen_pairs, partitions_of,
                                 rem_set, rem_set_plus, remove_box)
@@ -66,6 +66,29 @@ def test_eigen_equation_symbolic(sym):
                 assert F.uncleared(lax_apply(F, row)) == v_scale(psi, F.lf(s))
                 assert pi0(psi) == F.uncleared(sym.jack_row(lam))
                 assert pi_star(row, F) == sym.pi_star_psi(lam, s)
+
+
+@pytest.mark.parametrize("point, maxn", [(None, 6)] + [(p, 8) for p in DEFAULT_SPEC_POINTS] + [
+    # unvalidated points: at e1 = e2 the addable contents of (1) and (2,1)
+    # coincide, and the Jack builder divides by zero from degree 3 on; at
+    # (2, 3) they coincide at 6 pairs of degree <= 5 whose Jacks exist
+    (SpecPoint(2, 2, check=False), 5), (SpecPoint(-3, 2, check=False), 5),
+    (SpecPoint(2, 3, check=False), 5)], ids=str)
+def test_spectral_projector_matches_corner_recursion(point, maxn):
+    # psi and psi-hat from their own Jack equal the recursion's canonical
+    # rows, D included; where the recursion divides by zero, so does the
+    # projector
+    ws = Workspace(SymbolicField() if point is None else SpecializedField(point))
+    for n in range(maxn + 1):
+        for lam, s in eigen_pairs(n):
+            for hatted, oracle in ((False, ws.psi_row), (True, ws.psi_hat_row)):
+                try:
+                    want = oracle(lam, s)
+                except ZeroDivisionError:
+                    with pytest.raises(ZeroDivisionError):
+                        psi_from_jack(ws, lam, s, hatted)
+                    continue
+                assert psi_from_jack(ws, lam, s, hatted) == want, (lam, s, hatted)
 
 
 def test_psi_tilde(sym):
