@@ -1120,9 +1120,6 @@ class SymbolicField:
     def num(self, n):
         return Coeff.from_int(n)
 
-    def from_fraction(self, q):
-        return Coeff.from_fraction(q)
-
     def key(self):
         return "symbolic"
 
@@ -1247,9 +1244,6 @@ class SpecializedField:
 
     def num(self, n):
         return Fraction(n)
-
-    def from_fraction(self, q):
-        return Fraction(q)
 
     def key(self):
         return self.point.key()

@@ -70,7 +70,9 @@ def _workspace(args):
     return cfg.workspaces()[0]
 
 
-def _config(args):
+def _config(args, jobs=1):
+    """The RunConfig of a command: --cache-dir, or else JACKLAX_CACHE_DIR
+    (the library reads no environment), names its disk cache."""
     points = None
     if args.spec_points is not None:
         points = RunConfig.parse_points(args.spec_points)
@@ -78,7 +80,7 @@ def _config(args):
     if cache_dir and not _can_be_dir(cache_dir):
         raise JackLaxError("cache directory %s is not a directory and cannot be made one"
                            % cache_dir)
-    return RunConfig(mode=args.mode, points=points, cache_dir=cache_dir, jobs=args.jobs)
+    return RunConfig(mode=args.mode, points=points, cache_dir=cache_dir, jobs=jobs)
 
 
 def _can_be_dir(path):
@@ -245,7 +247,7 @@ def _option(dest):
 def cmd_verify(args):
     if args.out:
         _check_out(args.out)
-    cfg = _config(args)
+    cfg = _config(args, args.jobs)
     if args.suite != "all":
         _check_size_options(args)
         if args.include_conjectures:
@@ -291,11 +293,11 @@ class _Parser(argparse.ArgumentParser):
 
 def build_parser():
     ap = _Parser(prog="jacklax", description="Exact Jack/Lax computations and verification")
+    # the options of every command that works in workspaces (all but counts)
     common = _Parser(add_help=False)
     common.add_argument("--spec-points",
                         help="semicolon-separated e1,e2 rational pairs")
     common.add_argument("--cache-dir")
-    common.add_argument("--jobs", type=int, default=1)
 
     def add_mode(parser, default):
         parser.add_argument("--mode", choices=["symbolic", "specialized"],
@@ -329,6 +331,7 @@ def build_parser():
 
     p = sub.add_parser("verify", parents=[common],
                        help="run a verification suite (shc ... is verify shc ...)")
+    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("suite", choices=sorted(SUITES) + ["all"])
     p.add_argument("--max-size", type=int)
     p.add_argument("--max-degree", type=int)
@@ -339,14 +342,13 @@ def build_parser():
     add_mode(p, "specialized")
     p.set_defaults(fn=cmd_verify)
 
-    p = sub.add_parser("counts", parents=[common], help="counting functions")
+    p = sub.add_parser("counts", help="counting functions")
     p.add_argument("--kernel", action="store_true")
     p.add_argument("--to", type=int, default=8)
     p.add_argument("--partitions", type=int)
     p.add_argument("--corners", type=int, nargs=2, metavar=("N", "R"))
     p.add_argument("--lattice", type=int)
     p.add_argument("--dim-h", type=int)
-    add_mode(p, "symbolic")
     p.set_defaults(fn=cmd_counts)
 
     p = sub.add_parser("cache", parents=[common], help="disk cache operations")

@@ -159,8 +159,8 @@ def Pi(zeta):
     return {(m - 1, mu): c for (m, mu), c in zeta.items() if m > 0}
 
 
-def w_mul(zeta, k=1):
-    return {(m + k, mu): c for (m, mu), c in zeta.items()}
+def w_mul(zeta):
+    return {(m + 1, mu): c for (m, mu), c in zeta.items()}
 
 
 def pi_star(row, field):

@@ -300,8 +300,7 @@ def _as_box_multiset(x):
 # ---------------------------------------------------------------------------
 
 class SeriesZ:
-    """Formal power series in x truncated at a stated order; coefficients
-    may themselves be univariate polynomials in t (stored as dicts)."""
+    """Formal power series in x truncated at a stated order."""
 
     __slots__ = ("order", "c")
 
@@ -419,16 +418,16 @@ class SeriesXT:
     def coeff(self, i, j):
         return self.c[i][j]
 
-    def subs_t_poly(self, tpoly, order=None):
+    def subs_t_poly(self, tpoly):
         """Substitute t -> polynomial in x (list of x-coefficients)."""
-        order = self.order if order is None else order
+        order = self.order
         out = SeriesZ(order)
         # powers of tpoly as x-series
         powers = [SeriesZ.one(order)]
         base = SeriesZ(order, [Fraction(v) for v in tpoly])
         for _ in range(self.torder):
             powers.append(powers[-1] * base)
-        for i in range(min(self.order, order) + 1):
+        for i in range(order + 1):
             for j in range(self.torder + 1):
                 a = self.c[i][j]
                 if a == 0:
@@ -439,11 +438,10 @@ class SeriesXT:
                         out.c[i + k] += a * p.c[k]
         return out
 
-    def dt_at_1(self, order=None):
+    def dt_at_1(self):
         """d/dt at t=1, as an x-series."""
-        order = self.order if order is None else order
-        out = SeriesZ(order)
-        for i in range(min(self.order, order) + 1):
+        out = SeriesZ(self.order)
+        for i in range(self.order + 1):
             for j in range(1, self.torder + 1):
                 out.c[i] += j * self.c[i][j]
         return out

@@ -56,14 +56,12 @@ CACHE_FORMAT = 4
 _BLOB_KEYS = {"format", "degree", "mode", "jacks"}
 
 
-def _cache_env_dir():
-    return os.environ.get("JACKLAX_CACHE_DIR")
-
-
 class Workspace:
-    def __init__(self, field=None, cache_dir=None):
-        self.field = field if field is not None else SymbolicField()
-        self.cache_dir = cache_dir if cache_dir is not None else _cache_env_dir()
+    def __init__(self, field, cache_dir=None):
+        """A workspace over field; with a cache_dir (None or "" means none)
+        each Jack degree is also kept on disk there."""
+        self.field = field
+        self.cache_dir = cache_dir
         self._lock = threading.RLock()
         self._memo = {}     # (layer tag, *args) -> a value derived once (memo)
 

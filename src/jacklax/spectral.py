@@ -48,10 +48,6 @@ class SpectralFun:
         self.num = num
         self.den = den
 
-    @staticmethod
-    def one(field):
-        return SpectralFun(field.one)
-
     def degree(self):
         return sum(self.num.values()) - sum(self.den.values())
 

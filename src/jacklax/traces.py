@@ -30,7 +30,7 @@ from .partitions import (SeriesZ, add_box, add_set, boxes, count_lattice_q,
                          eigen_pairs, pair_quads, partition, partitions_of,
                          series_P)
 from .report import SKIP, instance, map_residual, residual, row_residual, rows_residual
-from .spectral import T_star, tau, with_pole
+from .spectral import tau, with_pole
 from jacklax import partitions as _parts
 
 
@@ -339,7 +339,7 @@ def theta_basic(ws, n, m):
     return theta(ws, _basic_row(ws, (n, ())), _basic_row(ws, (m, ())))
 
 
-def d_Pi(ws, z1, z2):
+def d_Pi(z1, z2):
     """The derivator of Pi up to sign: w^{-1} pi_+(a) pi_+(b)."""
     return Pi(ext_mul(pi_plus(z1), pi_plus(z2)))
 
@@ -361,17 +361,13 @@ def verify_twisted_traces(ws, z1, z2):
                             full_trace(ws, theta(ws, z1, z2)))
 
 
-def y_trace_product_check(ws, lam, s, nu, t, t_prod, t_beta, star, T=None):
+def y_trace_product_check(ws, lam, s, nu, t, t_prod, t_beta, star, T):
     """y_u(psi-hat psi-hat) = T_{lam*nu}/(u-[s+t]) and
     y_u(beta(psi-hat,psi-hat)) = T_{lam*nu} - 1, by residue comparison, on
     the traces t_prod and t_beta of the product and of beta of the pair
     psi-hat_lam^s, psi-hat_nu^t, as a residual; star is
-    star_residues(field, lam, nu), and T is T_{lam*nu} when the caller has
-    it."""
-    field = ws.field
-    if T is None:
-        T = T_star(field, lam, nu)
-    poly, res = with_pole(T, (s[0] + t[0], s[1] + t[1])).partial_fractions(field)
+    star_residues(field, lam, nu) and T is T_star(field, lam, nu)."""
+    poly, res = with_pole(T, (s[0] + t[0], s[1] + t[1])).partial_fractions(ws.field)
     out = map_residual(dict(enumerate(poly)), {}, "polynomial part")
     out.update(map_residual(t_prod.y, res, "y(product)"))
     out.update(map_residual(t_beta.y, star, "y(beta)"))
@@ -559,7 +555,7 @@ def _rho_conjectures(ws, max_degree):
                     z1, z2 = _basic_row(ws, k1), _basic_row(ws, k2)
                     ident = "beta=rho(F(dPi))theta %s,%s" % (k1, k2)
                     try:
-                        f = good_normalizer_F(ws, (d_Pi(ws, z1[0], z2[0]), 1))
+                        f = good_normalizer_F(ws, (d_Pi(z1[0], z2[0]), 1))
                     except NotGood:
                         out.append(instance(ident, SKIP, "dPi not good"))
                         continue

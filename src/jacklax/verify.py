@@ -30,8 +30,9 @@ from .spectral import (T_of_boxes, T_partition, T_star, tau, tau_hat, tau_tilde,
 
 
 # Default sizes of each suite's size keywords: {suite: {keyword: (symbolic,
-# specialized)}}.  The CLI fills max_size and max_total from --max-size,
-# max_degree from --max-degree and to from --to.
+# specialized)}}.  The CLI resolves every size once (suite_sizes), filling
+# max_size and max_total from --max-size, max_degree from --max-degree and
+# to from --to, and the suites take the resolved sizes.
 DEFAULT_SIZES = {
     "tau": {"max_size": (8, 8)},
     "spectral": {"max_degree": (7, 7)},
@@ -107,8 +108,7 @@ def _one_minus_x(order):
 # tau identities
 # ---------------------------------------------------------------------------
 
-def suite_tau(cfg, max_size=None):
-    max_size = suite_sizes("tau", cfg.mode, max_size=max_size)["max_size"]
+def suite_tau(cfg, max_size):
     rep = Report("tau", cfg)
     for n in range(0, max_size + 1):
         for lam in partitions_of(n):
@@ -168,8 +168,7 @@ def _star_factor(ws, lam, t):
 # spectral suite
 # ---------------------------------------------------------------------------
 
-def suite_spectral(cfg, max_degree=None):
-    max_degree = suite_sizes("spectral", cfg.mode, max_degree=max_degree)["max_degree"]
+def suite_spectral(cfg, max_degree):
     rep = Report("spectral", cfg)
     for n in range(max_degree + 1):
         rep.check("completeness H_%d" % n, _complete, n)
@@ -332,8 +331,7 @@ def _psi_norm_hooks(ws, lam, s):
 # main theorem
 # ---------------------------------------------------------------------------
 
-def suite_main_theorem(cfg, max_size=None):
-    max_size = suite_sizes("main-theorem", cfg.mode, max_size=max_size)["max_size"]
+def suite_main_theorem(cfg, max_size):
     rep = Report("main-theorem", cfg)
     for ws in rep.workspaces:
         for n in range(max_size + 1):
@@ -360,8 +358,7 @@ def _worked_lr_example(ws):
 # cokernel / kernel
 # ---------------------------------------------------------------------------
 
-def suite_cokernel(cfg, to=None):
-    to = suite_sizes("cokernel", cfg.mode, to=to)["to"]
+def suite_cokernel(cfg, to):
     rep = Report("cokernel", cfg)
     for n in range(to + 1):
         res = tr_mod.verify_cokernel(n)
@@ -373,8 +370,7 @@ def suite_cokernel(cfg, to=None):
     return rep.done()
 
 
-def suite_kernel(cfg, to=None):
-    to = suite_sizes("kernel", cfg.mode, to=to)["to"]
+def suite_kernel(cfg, to):
     rep = Report("kernel", cfg)
     ser = tr_mod.kernel_dim_series(to)
     for n in range(to + 1):
@@ -407,8 +403,7 @@ def _hexagons_in_kernel(ws, n):
 # traces suite
 # ---------------------------------------------------------------------------
 
-def suite_traces(cfg, max_degree=None):
-    max_degree = suite_sizes("traces", cfg.mode, max_degree=max_degree)["max_degree"]
+def suite_traces(cfg, max_degree):
     rep = Report("traces", cfg)
     for ws in rep.workspaces:
         ws.warm(max_degree)
@@ -520,9 +515,7 @@ def _refined_pieri(ws, lam):
 # LR oracle suite (Pieri agreement, marginalization, determination)
 # ---------------------------------------------------------------------------
 
-def suite_pieri(cfg, max_total=None, marg_max=None):
-    sizes = suite_sizes("pieri", cfg.mode, max_total=max_total, marg_max=marg_max)
-    max_total, marg_max = sizes["max_total"], sizes["marg_max"]
+def suite_pieri(cfg, max_total, marg_max):
     rep = Report("pieri", cfg)
     for total in range(1, max_total + 1):
         for r in range(1, total + 1):
@@ -593,8 +586,7 @@ def _delta_not_hom(ws):
 # SHc suite
 # ---------------------------------------------------------------------------
 
-def suite_shc(cfg, max_degree=None):
-    max_degree = suite_sizes("shc", cfg.mode, max_degree=max_degree)["max_degree"]
+def suite_shc(cfg, max_degree):
     rep = Report("shc", cfg)
     for ws in rep.workspaces:
         ws.warm(max_degree)
@@ -647,8 +639,7 @@ def _delta_via_states(ws, max_degree):
 # conjecture suite (never gating)
 # ---------------------------------------------------------------------------
 
-def suite_conjectures(cfg, max_degree=None):
-    max_degree = suite_sizes("conjectures", cfg.mode, max_degree=max_degree)["max_degree"]
+def suite_conjectures(cfg, max_degree):
     rep = Report("conjectures", cfg)
     for fn, args in tr_mod.conjecture_sweeps(max_degree):
         rep.sweep(fn, *args)

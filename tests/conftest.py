@@ -17,3 +17,11 @@ def spec():
 @pytest.fixture(scope="session")
 def spec_all():
     return [Workspace(SpecializedField(p)) for p in DEFAULT_SPEC_POINTS]
+
+
+@pytest.fixture(autouse=True)
+def _no_cache_dir_variable(monkeypatch):
+    """The CLI, run in process by many tests, honours JACKLAX_CACHE_DIR, so
+    every test starts without it and leaves the user's disk cache alone; a
+    test of the variable sets it itself."""
+    monkeypatch.delenv("JACKLAX_CACHE_DIR", raising=False)

@@ -124,6 +124,13 @@ from jacklax.spectral import SpectralFun, _forms_at, star_residues, tau, tau_hat
 from jacklax.traces import TraceVector
 
 
+def field_fraction(field, q):
+    """The rational q as a scalar of field: a Coeff over Q(e1,e2), a
+    Fraction at a spec point."""
+    q = Fraction(q)
+    return ArithCoeff.from_fraction(q) if field.symbolic else q
+
+
 # ---------------------------------------------------------------------------
 # monomial <-> power-sum transitions (rational, mode independent)
 # ---------------------------------------------------------------------------
@@ -265,7 +272,7 @@ def m_to_p(mvec, n, field):
             if q:
                 key = plist[i]
                 w = out.get(key)
-                term = c * field.from_fraction(q)
+                term = c * field_fraction(field, q)
                 w = term if w is None else w + term
                 if w:
                     out[key] = w
@@ -315,7 +322,7 @@ def compute_integral_jacks(field, n):
         for mu, c in vec.items():
             q = P2M[idx[mu]][col]
             if q:
-                lead = lead + c * field.from_fraction(q)
+                lead = lead + c * field_fraction(field, q)
         if not lead:
             raise JackLaxError("vanishing m_{1^n} coefficient at %s" % (lam,))
         scale = field.num(factorial(n)) / lead

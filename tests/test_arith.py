@@ -199,7 +199,7 @@ def test_sfun_partial_fraction_reconstruction():
 def test_sfun_equality():
     n = N(F)
     assert oracles.sfun_equal(n, n, F)
-    assert not oracles.sfun_equal(n, SpectralFun.one(F), F)
+    assert not oracles.sfun_equal(n, SpectralFun(F.one), F)
     # product of three N factors equals the corner form of {1,2}
     t12 = n * n.shift((1, 0)) * n.shift((0, 1))
     corner = oracles.sfun_from_factors(F, num=[(0, 0), (2, 1), (1, 2)],

@@ -361,7 +361,7 @@ def test_specialized_conjectures_report_unchanged():
 
 
 @pytest.mark.parametrize("suite, sizes, sha", [
-    (suite_main_theorem, {},
+    (suite_main_theorem, {"max_size": 6},
      "4f50ed0ad4b32c486eed86b6bb7e5ef37c3deb7429f63831ab99b25db3a04e76"),
     (suite_traces, {"max_degree": 4},
      "83d2833e3347d40ca42d5960b6372bdcd80aa92e00cb672deca9d6a7477108ff"),
@@ -440,6 +440,19 @@ def _same_degree(cold, warm, n):
     for lam in cold.jack_degree(n):
         assert warm.norm_sq(lam) == cold.norm_sq(lam)
         assert warm.varpi(lam) == cold.varpi(lam)
+
+
+def test_only_the_cli_reads_the_cache_dir_variable(tmp_path, monkeypatch):
+    # a library Workspace and a suite cache only in a directory they are
+    # given; the command line honours JACKLAX_CACHE_DIR
+    from jacklax.arith import SymbolicField
+    from jacklax.session import Workspace
+    monkeypatch.setenv("JACKLAX_CACHE_DIR", str(tmp_path))
+    Workspace(SymbolicField()).jack_degree(3)
+    suite_main_theorem(RunConfig(mode="symbolic"), max_size=3)
+    assert list(tmp_path.iterdir()) == []
+    assert main(["jack", "show", "1,2"]) == 0
+    assert (tmp_path / "jack_03_symbolic.json").is_file()
 
 
 def test_cache_roundtrip(tmp_path, capsys):

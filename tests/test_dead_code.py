@@ -26,6 +26,8 @@ src/ uses.
 
 A check returns its residual, a dict (see report.py), so no function of
 src/ returns a literal True or False but the predicates in PREDICATES.
+
+No module of src/ but cli.py reads the environment.
 """
 
 import ast
@@ -183,6 +185,22 @@ def test_overrides_override_a_base_class_method():
         modname, clsname, name = qual.split(".")
         cls = getattr(importlib.import_module("jacklax." + modname), clsname)
         assert name in vars(cls) and any(hasattr(base, name) for base in cls.__mro__[1:])
+
+
+def test_only_cli_reads_the_environment():
+    # settings are read once, at the command line: a Workspace or a suite
+    # depends only on its arguments, never on an environment variable
+    readers = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "cli.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            name = (node.id if isinstance(node, ast.Name) else
+                    node.attr if isinstance(node, ast.Attribute) else
+                    node.name if isinstance(node, ast.alias) else None)
+            if name in ("environ", "getenv"):
+                readers.append("%s:%d %s" % (path.name, node.lineno, name))
+    assert readers == []
 
 
 def test_only_arith_reads_the_symbolic_flag():

@@ -45,7 +45,7 @@ def test_psi_base_and_column(sym):
         sval = F.lf(s)
         exp = fock_to_ext(vec(sym.jack_row((1, 1, 1))))
         v_accum(exp, w_mul(fock_to_ext(vec(sym.jack_row((1, 1))))), sval)
-        v_accum(exp, w_mul(fock_to_ext(vec(sym.jack_row((1,)))), 2), sval * F.lf((2, 0)))
+        v_accum(exp, w_mul(w_mul(fock_to_ext(vec(sym.jack_row((1,)))))), sval * F.lf((2, 0)))
         v_accum(exp, {(3, ()): one}, sval * F.lf((2, 0)) * F.lf((1, 0)))
         psi = vec(sym.psi_row((1, 1, 1), s))
         assert psi == exp

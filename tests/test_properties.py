@@ -300,7 +300,7 @@ def test_partial_fractions_match_long_division(field, pre, den, extra, drop):
     # so every degree from below -1 to 3 is drawn, repeated roots and
     # roots cancelling poles included
     num = (den[drop:] + extra) if drop < len(den) else extra
-    f = oracles.sfun_from_factors(field, num, den) * field.from_fraction(pre)
+    f = oracles.sfun_from_factors(field, num, den) * oracles.field_fraction(field, pre)
     assert f.partial_fractions(field) == oracles.expanded_partial_fractions(f, field)
 
 
@@ -374,7 +374,7 @@ RATIO_FIELDS += [SpecializedField(SpecPoint(Fraction(-2, 5), Fraction(9, 8))), S
 @given(pre=st.fractions(max_denominator=50).filter(bool), num=st.lists(ROOTS, max_size=5),
        den=st.lists(ROOTS.filter(any), max_size=5), with_pre=st.booleans())
 def test_ratio_matches_one_operation_per_form(field, pre, num, den, with_pre):
-    pre = field.from_fraction(pre) if with_pre else None
+    pre = oracles.field_fraction(field, pre) if with_pre else None
     assert field.ratio(num, den, pre) == lf_ratio(field, num, den, pre)
     with pytest.raises((ZeroDivisionError, ZeroDenominator)):
         field.ratio(num, den + [(0, 0)], pre)
@@ -402,10 +402,10 @@ def test_combined_rows_match_v_accum(data):
         x = data.draw(st.sampled_from(SYM_FACTORS))(sym)
         for sign in (1, -1) if data.draw(st.booleans()) else (1,):
             terms.append((sign * c, v_clear(vec)))
-            sym_vec = {k: sym.from_fraction(v) for k, v in vec.items()}
-            sym_terms.append((sym.from_fraction(sign * c) * x, sym.clear(sym_vec)))
+            sym_vec = {k: oracles.field_fraction(sym, v) for k, v in vec.items()}
+            sym_terms.append((oracles.field_fraction(sym, sign * c) * x, sym.clear(sym_vec)))
             v_accum(want, vec, sign * c)
-            v_accum(sym_want, sym_vec, sym.from_fraction(sign * c) * x)
+            v_accum(sym_want, sym_vec, oracles.field_fraction(sym, sign * c) * x)
     nums, den = v_combine(terms)
     assert list(nums.items()) == list(v_clear(want)[0].items()) and den == v_clear(want)[1]
     row = sym.combine(sym_terms)

@@ -8,7 +8,7 @@ from jacklax.fock import (Pi, ext_mul, fock_to_ext, hn_basis, pi0, pi_plus,
 from jacklax.lax import lax_apply, op_A
 from jacklax.partitions import (add_box, add_set, parse_partition,
                                 partitions_of)
-from jacklax.spectral import T_partition, star_residues
+from jacklax.spectral import T_partition, T_star, star_residues
 from jacklax.traces import (beta, beta_basic, cokernel_relations,
                             conjecture_sweeps, d_Pi, full_trace,
                             good_normalizer_F, hexagon_span_dimension,
@@ -179,7 +179,7 @@ def test_theta_basics(spec):
     z1 = {(2, (1,)): one}
     z2 = {(1, (2,)): one}
     th = V(theta(spec, R(z1), R(z2)))
-    assert pi0(th) == pi0(V(lax_apply(F, R(d_Pi(spec, z1, z2)))))
+    assert pi0(th) == pi0(V(lax_apply(F, R(d_Pi(z1, z2)))))
     assert pi_plus(th) == w_mul(V(beta(spec, R(Pi(z1)), R(Pi(z2)))))
 
 
@@ -201,7 +201,8 @@ def test_y_trace_product(spec):
                           ((), (0, 0), (2,), (1, 0))]:
         t_prod, t_beta, _ = pair_traces(spec, spec.psi_hat_row(lam, s), spec.psi_hat_row(nu, t))
         assert y_trace_product_check(spec, lam, s, nu, t, t_prod, t_beta,
-                                     star_residues(spec.field, lam, nu)) == {}
+                                     star_residues(spec.field, lam, nu),
+                                     T_star(spec.field, lam, nu)) == {}
 
 
 @pytest.mark.parametrize("point, maxn", [(0, 4), (1, 4), (2, 4), (None, 3)])
@@ -406,7 +407,7 @@ def test_row_path_matches_field_oracles(point, maxn, sym, spec_all):
         assert _outcome(good_normalizer_F, ws, row) == \
             _outcome(field_good_normalizer_F, ws, prod, F.clear)
         p1, p2 = F.uncleared((a, da)), F.uncleared((b, db))
-        xi, zeta = d_Pi(ws, p1, p2), F.uncleared(theta(ws, (a, da), (b, db)))
+        xi, zeta = d_Pi(p1, p2), F.uncleared(theta(ws, (a, da), (b, db)))
         assert _outcome(rho_general, ws, F.clear(xi), F.clear(zeta)) == \
             _outcome(field_rho_general, ws, xi, zeta, F.clear)
         good = _outcome(field_good_normalizer_F, ws, xi)
