@@ -788,11 +788,10 @@ class SpecPoint:
 
     __slots__ = ("e1", "e2")
 
-    def __init__(self, e1, e2, check=True):
+    def __init__(self, e1, e2):
         self.e1 = Fraction(e1)
         self.e2 = Fraction(e2)
-        if check:
-            self.validate()
+        self.validate()
 
     def validate(self):
         if self.e1 == 0 or self.e2 == 0:
@@ -1135,14 +1134,14 @@ class SymbolicField:
 
     def load_row(self, v, labels):
         """The row of dump_row's form v; raises ValueError unless each
-        numerator is distinct nonzero terms with exponents >= 0, c > 0 is
-        prime to the content of the numerators, and the forms are distinct
-        prime forms (leading coefficient positive), none dividing every
-        numerator."""
+        numerator is distinct nonzero terms with exponents >= 0, c > 0, the
+        forms are distinct prime forms (leading coefficient positive), and
+        the row is canonical: _least_row, the reduction combine ends in,
+        gives its denominator back unchanged."""
         entries, c, forms = v
         if not (type(c) is int and c >= 1):
             raise _bad_row(v)
-        nums, g = {}, c
+        nums = {}
         for i, terms in entries:
             key = _key_of(i, labels, nums)
             t = {}
@@ -1154,10 +1153,6 @@ class SymbolicField:
             if not t:
                 raise _bad_row(v)
             nums[key] = _bp(t)
-            if g != 1:
-                g = _igcd(g, _content(t))
-        if g != 1:
-            raise _bad_row(v)
         fs = {}
         for a, b, m in forms:
             if (not (type(a) is int and type(b) is int and type(m) is int
@@ -1165,11 +1160,10 @@ class SymbolicField:
                     or _prime_form(a, b) != (1, (a, b))):
                 raise _bad_row(v)
             fs[(a, b)] = m
-        if fs:
-            parts = [_graded(p.t) for p in nums.values()]
-            if any(all(_graded_over_form(ps, f) is not None for ps in parts) for f in fs):
-                raise _bad_row(v)
-        return nums, _den(c, fs)
+        d = _den(c, fs)
+        if _least_row(nums, c, fs)[1] != d:
+            raise _bad_row(v)
+        return nums, d
 
 
 class SpecializedField:

@@ -14,10 +14,12 @@ import argparse
 import functools
 import json
 import os
+import shutil
 import sys
 
 from .arith import render_coeff, render_latex
 from .errors import BadBox, BadSize, JackLaxError
+from .fock import dim_hn
 from .partitions import (count_by_corners, count_lattice_q, count_partitions,
                          format_partition, parse_partition, series_P)
 from .report import RunConfig
@@ -64,23 +66,38 @@ def _workspace(args):
     """The one workspace of a query: symbolic, or at one spec point, the
     first default point unless --spec-points names another."""
     cfg = _config(args)
-    if cfg.mode == "specialized" and len(cfg.points) > 1 and args.spec_points is not None:
+    if args.spec_points is not None and len(cfg.points) > 1:
         raise JackLaxError("%s %s evaluates at one spec point, but --spec-points gives %d"
                            % (args.command, args.what, len(cfg.points)))
     return cfg.workspaces()[0]
 
 
 def _config(args, jobs=1):
-    """The RunConfig of a command: --cache-dir, or else JACKLAX_CACHE_DIR
-    (the library reads no environment), names its disk cache."""
+    """The RunConfig of a command; --spec-points is taken in specialized
+    mode only, as a symbolic run evaluates at no point."""
     points = None
     if args.spec_points is not None:
+        if args.mode != "specialized":
+            raise JackLaxError("--spec-points needs --mode specialized")
         points = RunConfig.parse_points(args.spec_points)
+    return RunConfig(mode=args.mode, points=points, cache_dir=_cache_dir(args), jobs=jobs)
+
+
+def _cache_dir(args):
+    """--cache-dir, or else JACKLAX_CACHE_DIR (the library reads no
+    environment): the disk cache of a command, or None."""
     cache_dir = args.cache_dir or os.environ.get("JACKLAX_CACHE_DIR")
     if cache_dir and not _can_be_dir(cache_dir):
         raise JackLaxError("cache directory %s is not a directory and cannot be made one"
                            % cache_dir)
-    return RunConfig(mode=args.mode, points=points, cache_dir=cache_dir, jobs=jobs)
+    return cache_dir
+
+
+def _required(cache_dir):
+    """The cache directory of a `cache` command, which has no use without one."""
+    if not cache_dir:
+        raise JackLaxError("no cache directory configured (use --cache-dir or JACKLAX_CACHE_DIR)")
+    return cache_dir
 
 
 def _can_be_dir(path):
@@ -101,6 +118,8 @@ def _check_out(path):
 
 
 def cmd_jack(args):
+    if args.hatted and args.what != "show":
+        raise JackLaxError("jack %s does not take --hatted (only jack show does)" % args.what)
     ws = _workspace(args)
     lam = parse_partition(args.partition)
     if args.what == "show":
@@ -173,54 +192,58 @@ def cmd_counts(args):
                     ("lattice", args.lattice), ("dim-h", args.dim_h)):
         if v is not None and v < 0:
             raise BadSize("bad size %s=%d for counts: sizes are >= 0" % (name, v))
+    # argparse lets at most one query through; --to sizes only --kernel and P
+    for dest, count in (("partitions", count_partitions),
+                        ("corners", lambda nr: count_by_corners(*nr)),
+                        ("lattice", count_lattice_q), ("dim_h", dim_hn)):
+        value = getattr(args, dest)
+        if value is not None:
+            if args.to is not None:
+                raise JackLaxError("counts --to goes with --kernel or alone, not with %s"
+                                   % _option(dest))
+            print(count(value))
+            return 0
+    to = 8 if args.to is None else args.to
     if args.kernel:
         from .traces import kernel_dim_series
-        ser = kernel_dim_series(args.to)
+        ser = kernel_dim_series(to)
         terms = []
-        for n in range(args.to + 1):
+        for n in range(to + 1):
             c = ser.coeff(n)
             if c:
                 terms.append(("%s" % c if c != 1 else "") + "x^%d" % n)
         print(" + ".join(terms) if terms else "0")
         return 0
-    if args.partitions is not None:
-        print(count_partitions(args.partitions))
-        return 0
-    if args.corners is not None:
-        n, r = args.corners
-        print(count_by_corners(n, r))
-        return 0
-    if args.lattice is not None:
-        print(count_lattice_q(args.lattice))
-        return 0
-    if args.dim_h is not None:
-        from .fock import dim_hn
-        print(dim_hn(args.dim_h))
-        return 0
-    P = series_P(args.to)
+    P = series_P(to)
     print(" + ".join("%sx^%d" % ("" if P.coeff(n) == 1 else P.coeff(n), n)
-                     for n in range(args.to + 1)))
+                     for n in range(to + 1)))
     return 0
 
 
-def cmd_cache(args):
+def cmd_cache_warm(args):
     cfg = _config(args)
-    if not cfg.cache_dir:
-        raise JackLaxError("no cache directory configured (use --cache-dir or JACKLAX_CACHE_DIR)")
-    if args.action == "warm" and args.degree < 0:
+    _required(cfg.cache_dir)
+    if args.degree < 0:
         raise BadSize("bad size degree=%d for cache warm: sizes are >= 0" % args.degree)
     wss = cfg.workspaces()
-    if args.action == "warm":
-        # the Jack degrees are what the disk cache stores
-        for ws in wss:
-            for n in range(args.degree + 1):
-                ws.jack_degree(n)
-        print("warmed to degree %d (%d workspace(s))" % (args.degree, len(wss)))
-    elif args.action == "stat":
-        for name, status in wss[0].cache_stat().items():
-            print("%s: %s" % (name, status))
-    elif args.action == "clear":
-        print("removed %d cache file(s)" % wss[0].cache_clear())
+    # the Jack degrees are what the disk cache stores
+    for ws in wss:
+        for n in range(args.degree + 1):
+            ws.jack_degree(n)
+    print("warmed to degree %d (%d workspace(s))" % (args.degree, len(wss)))
+    return 0
+
+
+def cmd_cache_stat(args):
+    from .session import cache_stat
+    for name, status in cache_stat(_required(_cache_dir(args))).items():
+        print("%s: %s" % (name, status))
+    return 0
+
+
+def cmd_cache_clear(args):
+    from .session import cache_clear
+    print("removed %d cache file(s)" % cache_clear(_required(_cache_dir(args))))
     return 0
 
 
@@ -283,12 +306,24 @@ def cmd_verify(args):
 
 
 class _Parser(argparse.ArgumentParser):
-    """An argparse parser whose usage errors end, like every other bad
-    input, in one line "error: ..." on stderr and exit code 2."""
+    """An argparse parser whose usage errors are, like every other bad
+    input, one line "error: ..." on stderr and exit code 2 (--help shows
+    the usage)."""
+
+    def __init__(self, **kw):
+        super().__init__(formatter_class=_help_formatter(), **kw)
 
     def error(self, message):
-        self.print_usage(sys.stderr)
         self.exit(2, "error: %s\n" % message)
+
+
+@functools.cache
+def _help_formatter():
+    """argparse's help formatter at the terminal width, measured once per
+    process: argparse makes a formatter for every option it adds, and each
+    would measure the terminal again."""
+    return functools.partial(argparse.HelpFormatter,
+                             width=shutil.get_terminal_size().columns - 2)
 
 
 def build_parser():
@@ -342,20 +377,27 @@ def build_parser():
     add_mode(p, "specialized")
     p.set_defaults(fn=cmd_verify)
 
-    p = sub.add_parser("counts", help="counting functions")
-    p.add_argument("--kernel", action="store_true")
-    p.add_argument("--to", type=int, default=8)
-    p.add_argument("--partitions", type=int)
-    p.add_argument("--corners", type=int, nargs=2, metavar=("N", "R"))
-    p.add_argument("--lattice", type=int)
-    p.add_argument("--dim-h", type=int)
+    p = sub.add_parser("counts", help="counting functions, one query per call")
+    query = p.add_mutually_exclusive_group()
+    query.add_argument("--kernel", action="store_true")
+    query.add_argument("--partitions", type=int)
+    query.add_argument("--corners", type=int, nargs=2, metavar=("N", "R"))
+    query.add_argument("--lattice", type=int)
+    query.add_argument("--dim-h", type=int)
+    p.add_argument("--to", type=int, help="degree of --kernel or of P alone (default 8)")
     p.set_defaults(fn=cmd_counts)
 
-    p = sub.add_parser("cache", parents=[common], help="disk cache operations")
-    p.add_argument("action", choices=["warm", "clear", "stat"])
-    p.add_argument("--degree", type=int, default=5)
-    add_mode(p, "symbolic")
-    p.set_defaults(fn=cmd_cache)
+    p = sub.add_parser("cache", help="disk cache operations")
+    actions = p.add_subparsers(dest="action", required=True)
+    a = actions.add_parser("warm", parents=[common], help="build the Jacks into the cache")
+    a.add_argument("--degree", type=int, default=5)
+    add_mode(a, "symbolic")
+    a.set_defaults(fn=cmd_cache_warm)
+    for action, fn, text in (("stat", cmd_cache_stat, "check every cache file"),
+                             ("clear", cmd_cache_clear, "remove every cache file")):
+        a = actions.add_parser(action, help=text)
+        a.add_argument("--cache-dir")
+        a.set_defaults(fn=fn)
     return ap
 
 

@@ -226,13 +226,12 @@ def zmu(mu):
     return z
 
 
-def hall_inner_alpha(f, g, field, alpha=None):
+def hall_inner_alpha(f, g, field):
     """alpha-deformed Hall product of two p-basis vectors.
 
     <p_mu, p_nu> = delta_{mu,nu} z_mu alpha^{#parts(mu)}.  (The exponent is
     the number of parts; that is what makes the integral Jacks orthogonal.)
     """
-    alpha = field.alpha if alpha is None else alpha
     if f and g:
         df = {sum(mu) for mu in f}
         dg = {sum(mu) for mu in g}
@@ -242,7 +241,7 @@ def hall_inner_alpha(f, g, field, alpha=None):
     for mu, a in f.items():
         b = g.get(mu)
         if b:
-            total = total + a * b * field.num(zmu(mu)) * alpha ** len(mu)
+            total = total + a * b * field.num(zmu(mu)) * field.alpha ** len(mu)
     return total
 
 

@@ -239,53 +239,6 @@ class Workspace:
             for lam, s in eigen_pairs(n):
                 self.psi_row(lam, s)
 
-    def cache_stat(self):
-        """{file name: "<k> entries", "corrupt", "stale (format N)" or
-        "temp"}; a file is checked as the loader checks it (in the field of
-        its own mode), so the loader would rebuild the corrupt and stale
-        files, and a temp file is one a writer killed before its os.replace
-        left.
-        Raises JackLaxError if the cache directory does not exist."""
-        out = {}
-        for name in sorted(os.listdir(self._existing_cache_dir())):
-            if _is_cache_temp(name):
-                out[name] = "temp"
-            elif name.startswith("jack_") and name.endswith(".json"):
-                try:
-                    blob = _read_blob(os.path.join(self.cache_dir, name))
-                    if blob.get("format") != CACHE_FORMAT:
-                        out[name] = "stale (format %s)" % blob.get("format")
-                        continue
-                    n, mode = blob["degree"], blob["mode"]
-                    if name != _cache_name(n, mode):
-                        raise ValueError("cache key mismatch")
-                    out[name] = "%d entries" % len(_decode(blob, n, mode, _field_of(mode)))
-                except Exception:
-                    out[name] = "corrupt"
-        return out
-
-    def cache_clear(self):
-        """Remove the cache files and the temp files of _store_degree;
-        returns how many were removed.  Raises JackLaxError if the cache
-        directory does not exist."""
-        n = 0
-        for name in list(os.listdir(self._existing_cache_dir())):
-            if (name.startswith("jack_") and name.endswith(".json")) or _is_cache_temp(name):
-                try:
-                    os.remove(os.path.join(self.cache_dir, name))
-                except FileNotFoundError:
-                    # taken by a writer's os.replace or by another clear
-                    continue
-                n += 1
-        return n
-
-    def _existing_cache_dir(self):
-        """The cache directory; a missing one is an error, not an empty
-        cache, so a mistyped path does not pass for one."""
-        if not self.cache_dir or not os.path.isdir(self.cache_dir):
-            raise JackLaxError("cache directory %s does not exist" % (self.cache_dir,))
-        return self.cache_dir
-
 
 # ----------------------------------------------------------------------
 # builders of the Workspace layers, each run once per key by Workspace.memo
@@ -465,6 +418,56 @@ class PsiHatDual:
                 acc = dual.pairings(layer, acc)
         acc = self.pairings(layers[0], acc)
         return self.dual_row(self.labels, acc, self.scales, den * self.den)
+
+
+def cache_stat(cache_dir):
+    """{file name: "<k> entries", "corrupt", "stale (format N)" or "temp"}
+    over the cache files of cache_dir; a file is checked as the loader
+    checks it (in the field of its own mode), so the loader would rebuild
+    the corrupt and stale files, and a temp file is one a writer killed
+    before its os.replace left.
+    Raises JackLaxError if the cache directory does not exist."""
+    out = {}
+    for name in _cache_listing(cache_dir):
+        if _is_cache_temp(name):
+            out[name] = "temp"
+        elif name.startswith("jack_") and name.endswith(".json"):
+            try:
+                blob = _read_blob(os.path.join(cache_dir, name))
+                if blob.get("format") != CACHE_FORMAT:
+                    out[name] = "stale (format %s)" % blob.get("format")
+                    continue
+                n, mode = blob["degree"], blob["mode"]
+                if name != _cache_name(n, mode):
+                    raise ValueError("cache key mismatch")
+                out[name] = "%d entries" % len(_decode(blob, n, mode, _field_of(mode)))
+            except Exception:
+                out[name] = "corrupt"
+    return out
+
+
+def cache_clear(cache_dir):
+    """Remove the cache files of cache_dir and the temp files of
+    Workspace._store_degree; returns how many were removed.
+    Raises JackLaxError if the cache directory does not exist."""
+    n = 0
+    for name in _cache_listing(cache_dir):
+        if (name.startswith("jack_") and name.endswith(".json")) or _is_cache_temp(name):
+            try:
+                os.remove(os.path.join(cache_dir, name))
+            except FileNotFoundError:
+                # taken by a writer's os.replace or by another clear
+                continue
+            n += 1
+    return n
+
+
+def _cache_listing(cache_dir):
+    """The sorted names in cache_dir; a missing directory is an error, not
+    an empty cache, so a mistyped path does not pass for one."""
+    if not os.path.isdir(cache_dir):
+        raise JackLaxError("cache directory %s does not exist" % (cache_dir,))
+    return sorted(os.listdir(cache_dir))
 
 
 def _read_blob(path):

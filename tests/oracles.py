@@ -100,8 +100,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial, gcd as _igcd
 
-from jacklax.arith import (_BP_ONE, _BP_ZERO, BiPoly, Den, SymbolicField, _lead_order,
-                           _parse_poly, _times_forms, render_coeff)
+from jacklax.arith import (_BP_ONE, _BP_ZERO, BiPoly, Den, SpecPoint, SymbolicField,
+                           _lead_order, _parse_poly, _times_forms, render_coeff)
 from jacklax.arith import Coeff as ArithCoeff
 from jacklax.errors import (JackLaxError, NotAnAddableBox, NotASimplePole, NotGood,
                             NotInNullSpace, PoleAtSpecPoint, ZeroDenominator)
@@ -122,6 +122,14 @@ from jacklax.jack import jack_inv_norm_sq
 from jacklax.session import DualIndex
 from jacklax.spectral import SpectralFun, _forms_at, star_residues, tau, tau_hat, tau_tilde
 from jacklax.traces import TraceVector
+
+
+def unchecked_point(e1, e2):
+    """The SpecPoint (e1, e2) without SpecPoint.validate: a point the
+    library rejects, for a test of what goes wrong there."""
+    p = SpecPoint.__new__(SpecPoint)
+    p.e1, p.e2 = Fraction(e1), Fraction(e2)
+    return p
 
 
 def field_fraction(field, q):

@@ -10,7 +10,7 @@ import pytest
 from jacklax import cli
 from jacklax.cli import main
 from jacklax.report import RunConfig
-from jacklax.session import CACHE_FORMAT
+from jacklax.session import CACHE_FORMAT, cache_clear, cache_stat
 from jacklax.verify import (suite_conjectures, suite_counts, suite_delta, suite_main_theorem,
                             suite_traces)
 
@@ -306,10 +306,26 @@ def test_size_zero_is_not_the_default(capsys):
     (["psi", "show", "1", "(0,0)", "--hatted"], "box (0,0) not addable to 1"),
     (["psi", "show", "1", "(0,0)", "--hatted", "--mode", "specialized"],
      "box (0,0) not addable to 1"),
+    # every option a command accepts is one it reads: cache stat and clear
+    # read only the directory, counts answers one query, --hatted belongs to
+    # jack show, and a symbolic run evaluates at no spec point
+    (["cache", "clear", "--mode", "specialized", "--cache-dir", "never-made"],
+     "unrecognized arguments: --mode specialized"),
+    (["cache", "stat", "--degree", "3", "--cache-dir", "never-made"],
+     "unrecognized arguments: --degree 3"),
+    (["counts", "--partitions", "4", "--lattice", "3"],
+     "argument --lattice: not allowed with argument --partitions"),
+    (["counts", "--kernel", "--dim-h", "3"], "argument --dim-h: not allowed with argument --kernel"),
+    (["counts", "--to", "5", "--partitions", "4"],
+     "counts --to goes with --kernel or alone, not with --partitions"),
+    (["jack", "norm", "1,2", "--hatted"], "jack norm does not take --hatted"),
+    (["jack", "varpi", "1,2", "--hatted"], "jack varpi does not take --hatted"),
+    (["jack", "show", "1,1", "--spec-points=-3/2,22/7"], "--spec-points needs --mode specialized"),
+    (["verify", "counts", "--mode", "symbolic", "--spec-points=-3/2,22/7"],
+     "--spec-points needs --mode specialized"),
 ])
 def test_bad_input_exits_2_with_one_error_line(argv, needle):
-    env = {k: v for k, v in os.environ.items() if k != "JACKLAX_CACHE_DIR"}
-    r = run_cli(argv, env=env)
+    r = run_cli(argv)
     assert r.returncode == 2
     assert r.stderr.splitlines() == [r.stderr.strip()]
     assert r.stderr.startswith("error: ") and needle in r.stderr
@@ -462,7 +478,7 @@ def test_cache_roundtrip(tmp_path, capsys):
     for mode in ("symbolic", "specialized"):
         r = run_cli(["cache", "warm", "--degree", "6", "--mode", mode], env=env)
         assert r.returncode == 0
-    r = run_cli(["cache", "stat", "--mode", "symbolic"], env=env)
+    r = run_cli(["cache", "stat"], env=env)
     assert len(r.stdout.splitlines()) == 4 * 7 and "corrupt" not in r.stdout
     # a warm cache gives the rows, norms and varpi of a cold build, in both modes
     for field in _fields():
@@ -474,13 +490,13 @@ def test_cache_roundtrip(tmp_path, capsys):
     # a file of the format-2 writer is stale, and it is rebuilt
     path = tmp_path / "cache" / "jack_02_symbolic.json"
     path.write_text(FORMAT_2_BLOB)
-    r = run_cli(["cache", "stat", "--mode", "symbolic"], env=env)
+    r = run_cli(["cache", "stat"], env=env)
     assert "jack_02_symbolic.json: stale (format 2)" in r.stdout.splitlines()
     sym = _fields()[0]
     _same_degree(Workspace(sym), Workspace(sym, cache), 2)
     assert "stale cache file" in capsys.readouterr().err
     assert json.loads(path.read_text())["format"] == CACHE_FORMAT
-    r = run_cli(["cache", "clear", "--mode", "symbolic"], env=env)
+    r = run_cli(["cache", "clear"], env=env)
     assert r.returncode == 0 and r.stdout == "removed %d cache file(s)\n" % (4 * 7)
 
 
@@ -565,7 +581,7 @@ def test_non_canonical_cache_entry_is_rebuilt(tmp_path, capsys, mode, edit):
     blob = json.loads(path.read_text())
     edit(blob)
     path.write_text(json.dumps(blob))
-    assert Workspace(field, str(cache)).cache_stat()[path.name] == "corrupt"
+    assert cache_stat(str(cache))[path.name] == "corrupt"
     capsys.readouterr()
     _same_degree(Workspace(field), Workspace(field, str(cache)), 3)
     assert capsys.readouterr().err == "warning: corrupt cache file %s; rebuilding\n" % path
@@ -611,8 +627,7 @@ def test_cache_scalar_with_a_dividing_form_is_rebuilt(tmp_path):
     r = run_cli(["jack", "show", "1^2", "--cache-dir", str(cache)])
     assert r.returncode == 0
     assert r.stderr == "warning: corrupt cache file %s; rebuilding\n" % path
-    cold = run_cli(["jack", "show", "1^2"], env={k: v for k, v in os.environ.items()
-                                                 if k != "JACKLAX_CACHE_DIR"})
+    cold = run_cli(["jack", "show", "1^2"])
     assert r.stdout == cold.stdout and cold.stdout.startswith("j_{1^2} = ")
 
 
@@ -629,7 +644,7 @@ def test_cache_row_with_a_form_dividing_some_numerators_loads(tmp_path, capsys):
     # ((e1 + e2) V1^2 + 2 V2) / (2 (e1 + e2))
     blob["jacks"]["1^2"] = _row([E1, E2], [[0, 0, 2]], c=2, forms=[[1, 1, 1]])
     path.write_text(json.dumps(blob))
-    assert Workspace(field, str(cache)).cache_stat()[path.name] == "2 entries"
+    assert cache_stat(str(cache))[path.name] == "2 entries"
     nums, d = Workspace(field, str(cache)).jack_row((1, 1))
     assert capsys.readouterr().err == ""
     assert list(map(str, nums.values())) == ["e1 + e2", "2"] and str(d) == "2*e1 + 2*e2"
@@ -668,14 +683,14 @@ def test_format_3_file_is_stale_and_rebuilt(tmp_path, capsys):
     cache.mkdir()
     path = cache / "jack_02_symbolic.json"
     path.write_text(FORMAT_3_BLOB)
-    assert main(["cache", "stat", "--mode", "symbolic", "--cache-dir", str(cache)]) == 0
+    assert main(["cache", "stat", "--cache-dir", str(cache)]) == 0
     assert capsys.readouterr().out == "jack_02_symbolic.json: stale (format 3)\n"
     warm = Workspace(field, str(cache)).jack_degree(2)
     assert capsys.readouterr().err == (
         "warning: stale cache file %s (format 3, want %d); rebuilding\n" % (path, CACHE_FORMAT))
     assert warm == Workspace(field).jack_degree(2)
     assert json.loads(path.read_text())["format"] == CACHE_FORMAT
-    assert Workspace(field, str(cache)).cache_stat()[path.name] == "2 entries"
+    assert cache_stat(str(cache))[path.name] == "2 entries"
 
 
 def test_cached_loads_build_nothing(tmp_path, monkeypatch, capsys):
@@ -744,9 +759,8 @@ def test_norm_and_varpi_read_no_cache_file(tmp_path, what):
     # no Jack, and prints what a run without a cache prints
     cache = tmp_path / "cache"
     cache.mkdir()
-    env = {k: v for k, v in os.environ.items() if k != "JACKLAX_CACHE_DIR"}
-    warm = run_cli(["jack", what, "3,2", "--cache-dir", str(cache)], env=env)
-    cold = run_cli(["jack", what, "3,2"], env=env)
+    warm = run_cli(["jack", what, "3,2", "--cache-dir", str(cache)])
+    cold = run_cli(["jack", what, "3,2"])
     assert (warm.returncode, warm.stdout, warm.stderr) == (cold.returncode, cold.stdout, "")
     assert cold.returncode == 0 and cold.stdout.startswith(
         "|j_{2,3}|^2 = " if what == "norm" else "varpi_{2,3} = ")
@@ -775,7 +789,7 @@ def test_cache_stat_names_bad_files(tmp_path, capsys, text, status):
                  "--cache-dir", str(cache)]) == 0
     (cache / "jack_03_symbolic.json").write_text(text)
     capsys.readouterr()
-    assert main(["cache", "stat", "--mode", "symbolic", "--cache-dir", str(cache)]) == 0
+    assert main(["cache", "stat", "--cache-dir", str(cache)]) == 0
     assert capsys.readouterr().out.splitlines() == [
         "jack_00_symbolic.json: 1 entries", "jack_01_symbolic.json: 1 entries",
         "jack_03_symbolic.json: " + status]
@@ -787,12 +801,54 @@ def test_cache_clear_and_stat_see_temp_files(tmp_path, capsys):
     cache.mkdir()
     (cache / "jack_03_symbolic.json.abc123.tmp").write_text("{")
     (cache / "notes.tmp").write_text("kept")
-    args = ["--mode", "symbolic", "--cache-dir", str(cache)]
+    args = ["--cache-dir", str(cache)]
     assert main(["cache", "stat"] + args) == 0
     assert capsys.readouterr().out.splitlines() == ["jack_03_symbolic.json.abc123.tmp: temp"]
     assert main(["cache", "clear"] + args) == 0
     assert capsys.readouterr().out.splitlines() == ["removed 1 cache file(s)"]
     assert [p.name for p in cache.iterdir()] == ["notes.tmp"]
+
+
+def test_cache_stat_and_clear_build_no_workspace(tmp_path, capsys, monkeypatch):
+    # stat and clear read the directory alone, in no field's workspace
+    from jacklax import session
+    cache = str(tmp_path / "cache")
+    assert main(["cache", "warm", "--degree", "2", "--cache-dir", cache]) == 0
+
+    def unbuilt(*args):
+        raise AssertionError("a Workspace was built")
+
+    monkeypatch.setattr(session, "Workspace", unbuilt)
+    capsys.readouterr()
+    assert main(["cache", "stat", "--cache-dir", cache]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "jack_00_symbolic.json: 1 entries", "jack_01_symbolic.json: 1 entries",
+        "jack_02_symbolic.json: 2 entries"]
+    assert main(["cache", "clear", "--cache-dir", cache]) == 0
+    assert capsys.readouterr().out == "removed 3 cache file(s)\n"
+    assert os.listdir(cache) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["cache", "clear", "--mode", "specialized"],
+    ["cache", "stat", "--degree", "3"],
+    ["counts", "--partitions", "4", "--lattice", "3"],
+    ["counts", "--to", "5", "--partitions", "4"],
+    ["jack", "norm", "1,2", "--hatted"],
+    ["jack", "show", "1,1", "--spec-points=-3/2,22/7"],
+])
+def test_refused_option_leaves_the_cache_as_it_was(tmp_path, capsys, monkeypatch, argv):
+    # an option a command does not read is refused before any work: one
+    # error line, nothing on stdout, and the cache directory untouched
+    cache = tmp_path / "cache"
+    assert main(["cache", "warm", "--degree", "2", "--cache-dir", str(cache)]) == 0
+    before = {p.name: p.read_bytes() for p in cache.iterdir()}
+    capsys.readouterr()
+    monkeypatch.setenv("JACKLAX_CACHE_DIR", str(cache))
+    rc, out, err = _in_process(argv, capsys)
+    assert (rc, out) == (2, "")
+    assert err.splitlines() == [err.strip()] and err.startswith("error: ")
+    assert {p.name: p.read_bytes() for p in cache.iterdir()} == before
 
 
 def test_store_skipped_when_clear_takes_its_temp_file(tmp_path, monkeypatch):
@@ -805,7 +861,7 @@ def test_store_skipped_when_clear_takes_its_temp_file(tmp_path, monkeypatch):
     replace = os.replace
 
     def clear_then_replace(src, dst):
-        assert ws.cache_clear() == 1
+        assert cache_clear(str(cache)) == 1
         replace(src, dst)
 
     monkeypatch.setattr(os, "replace", clear_then_replace)
@@ -834,17 +890,14 @@ def test_cache_warm_builds_only_the_jack_degrees(tmp_path, capsys, monkeypatch):
 
 def test_concurrent_cache_warm(tmp_path):
     shared, serial = tmp_path / "shared", tmp_path / "serial"
-    env = dict(os.environ)
-    env.pop("JACKLAX_CACHE_DIR", None)
     cmd = [sys.executable, "-m", "jacklax.cli", "cache", "warm", "--degree", "5",
            "--cache-dir"]
-    procs = [subprocess.Popen(cmd + [str(shared)], env=env, stdout=subprocess.PIPE,
+    procs = [subprocess.Popen(cmd + [str(shared)], stdout=subprocess.PIPE,
                               stderr=subprocess.PIPE, text=True) for _ in range(2)]
     for p in procs:
         out, err = p.communicate(timeout=120)
         assert p.returncode == 0, err
-    assert run_cli(["cache", "warm", "--degree", "5", "--cache-dir", str(serial)],
-                   env=env).returncode == 0
+    assert run_cli(["cache", "warm", "--degree", "5", "--cache-dir", str(serial)]).returncode == 0
     names = sorted(p.name for p in shared.iterdir())
     assert names == sorted(p.name for p in serial.iterdir())
     assert names == ["jack_%02d_symbolic.json" % n for n in range(6)]

@@ -88,7 +88,12 @@ def _verify(rng, paths):
 
 
 def _cache(rng, paths):
-    argv = ["cache", rng.choice(["warm", "stat", "clear", "purge"])]
+    action = rng.choice(["warm", "stat", "clear", "purge"])
+    argv = ["cache", action]
+    if action in ("stat", "clear") and rng.random() < 0.8:
+        # mostly the one option stat and clear take; else the options of warm
+        _maybe(rng, argv, "--cache-dir", paths, 0.8)
+        return argv
     _maybe(rng, argv, "--degree", SIZES, 0.6)
     return _common(rng, argv, paths)
 
@@ -107,8 +112,7 @@ def _run(argv, capsys):
     return rc, out, err
 
 
-def test_cli_fuzz(tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv("JACKLAX_CACHE_DIR", raising=False)
+def test_cli_fuzz(tmp_path, capsys):
     (tmp_path / "cache").mkdir()
     (tmp_path / "file").write_text("not a directory\n")
     paths = [str(tmp_path / p) for p in ("cache", "missing/dir", "file", "file/sub", "o.json")]

@@ -72,8 +72,8 @@ def test_eigen_equation_symbolic(sym):
     # unvalidated points: at e1 = e2 the addable contents of (1) and (2,1)
     # coincide, and the Jack builder divides by zero from degree 3 on; at
     # (2, 3) they coincide at 6 pairs of degree <= 5 whose Jacks exist
-    (SpecPoint(2, 2, check=False), 5), (SpecPoint(-3, 2, check=False), 5),
-    (SpecPoint(2, 3, check=False), 5)], ids=str)
+    (oracles.unchecked_point(2, 2), 5), (oracles.unchecked_point(-3, 2), 5),
+    (oracles.unchecked_point(2, 3), 5)], ids=str)
 def test_spectral_projector_matches_corner_recursion(point, maxn):
     # psi and psi-hat from their own Jack equal the recursion's canonical
     # rows, D included; where the recursion divides by zero, so does the
@@ -318,7 +318,6 @@ def test_psi_hat_solver_reads_no_psi_of_its_degree(field, n, monkeypatch):
     # the psi-hat dual of H_n comes from the corner recursion: the Jacks and
     # tau~ of each degree k <= n, and psi only through the Jacks (of degree
     # k - 1)
-    monkeypatch.delenv("JACKLAX_CACHE_DIR", raising=False)
     degrees = []
     read = Workspace.psi_row
 
@@ -516,7 +515,6 @@ def test_second_round_of_accessors_builds_nothing(monkeypatch):
     # the same objects
     from collections import Counter
     from jacklax import lax, session
-    monkeypatch.delenv("JACKLAX_CACHE_DIR", raising=False)
     builds = Counter()
 
     def spy(name, build):
@@ -561,7 +559,6 @@ def test_concurrent_solver_builds_each_jack_degree_once(monkeypatch):
     import threading
     import time
     from jacklax import session
-    monkeypatch.delenv("JACKLAX_CACHE_DIR", raising=False)
     degrees = []
     build = session.compute_homogeneous_jacks
 

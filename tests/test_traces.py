@@ -440,7 +440,6 @@ def test_dual_indexes_build_without_vectors(monkeypatch):
         calls.append(row)
         return {}
 
-    monkeypatch.delenv("JACKLAX_CACHE_DIR", raising=False)
     monkeypatch.setattr(SpecializedField, "uncleared", staticmethod(counting))
     ws = Workspace(SpecializedField(DEFAULT_SPEC_POINTS[2]))
     for n in range(6):

@@ -94,7 +94,6 @@ def _failures():
 @pytest.mark.parametrize("mutate", [_doubled_lax_apply, _shifted_tau, _scaled_psi_hat_dual,
                                     _swapped_beta_theta])
 def test_every_mutant_fails_with_a_witness(mutate, monkeypatch):
-    monkeypatch.delenv("JACKLAX_CACHE_DIR", raising=False)
     assert _failures() == []
     mutate(monkeypatch)
     failed = _failures()
@@ -128,7 +127,6 @@ def _tau_report(capsys, *extra):
 def test_a_check_that_raises_fails_its_instance(monkeypatch, capsys):
     # a division by the zero a defect makes FAILs the check that divides,
     # names what it raised, and the run goes on to its other checks
-    monkeypatch.delenv("JACKLAX_CACHE_DIR", raising=False)
     _zeroed_tau(monkeypatch)
     serial = _tau_report(capsys)
     assert _tau_report(capsys, "--jobs", "2") == serial
