@@ -10,7 +10,8 @@ hook norms, hbar = -e1*e2), so a Coeff keeps its denominator factored: a
 positive integer times a multiset of prime forms, reduced by trial
 division of the numerator, with no polynomial gcd.  Dividing by a Coeff
 factors its numerator into forms and raises NotSplit if it is not an
-integer times forms.
+integer times forms.  A numerator (BiPoly) keeps each of its homogeneous
+parts as one integer, its coefficients packed in signed slots.
 
 Conventions used everywhere:
   hbar = -e1*e2, ebar = e1 + e2, and a "linear form" is an integer pair
@@ -26,60 +27,164 @@ from .fock import v_accum, v_clear, v_combine, v_uncleared
 
 
 # ---------------------------------------------------------------------------
-# BiPoly: sparse integer polynomials in e1, e2
+# BiPoly: integer polynomials in e1, e2, one packed integer per graded part
 # ---------------------------------------------------------------------------
 
+# With x = e1/e2 the homogeneous part of degree d of a polynomial is
+# e2^d x^lo p(x), p an integer polynomial with p(0) != 0, and a BiPoly keeps
+# it as the triple (d, lo, p(2^w)): the coefficients of p are the signed
+# w-bit slots of one int (Kronecker substitution), slot i holding the
+# coefficient of e1^(lo+i) e2^(d-lo-i).  Evaluation at 2^w is a ring map,
+# so a sum or a product of parts is one big-int operation, exact whatever
+# the slots hold.  Reading the slots back (an unpack, a zero test, a
+# division) is right only while every coefficient is below 2^(w-1) in
+# absolute value, where the signed slots of an int are unique.  So each
+# value carries a bound m >= |coefficient| with m < 2^(w-1): a sum gets
+# m1 + m2, a product m1 m2 times the shorter span d - lo + 1.  An operation
+# whose bound would reach 2^(w-1) first reads its operands' exact bounds
+# from their slots and, if that is not enough, repacks them at a width
+# that holds it (w doubles from _W0 and is never cut).  A value has one
+# width; values of two widths meet at the wider one.
+
+_W0 = 64
+_new = object.__new__
+
+
+def _width(m):
+    """The least slot width _W0 2^j whose signed slots hold |c| <= m."""
+    w = _W0
+    while m >> (w - 1):
+        w <<= 1
+    return w
+
+
+def _digits(n, w):
+    """The signed w-bit slots of n, lowest first."""
+    out, h = [], 1 << (w - 1)
+    mask = (h << 1) - 1
+    while n:
+        c = ((n + h) & mask) - h
+        out.append(c)
+        n = (n - c) >> w
+    return out
+
+
+def _pack(t):
+    """(parts, width, bound) of the term dict t: each part summed at its
+    own slots, then shifted down by its lowest nonzero one (n & -n is n's
+    lowest set bit, which lies in that slot).  A homogeneous t that fits
+    _W0-bit slots, the common case, is packed in one pass."""
+    d, n, m = None, 0, 0
+    for (i, j), c in t.items():
+        if c:
+            if d is None:
+                d = i + j
+            elif d != i + j:
+                d = -1
+            n += c << _W0 * i
+            if c > m or -c > m:
+                m = abs(c)
+    if d is None:
+        return (), _W0, 0
+    if d >= 0 and not m >> (_W0 - 1):
+        lo = ((n & -n).bit_length() - 1) // _W0
+        return ((d, lo, n >> _W0 * lo),), _W0, m
+    w, rows = _width(m), {}
+    for (i, j), c in t.items():
+        if c:
+            rows[i + j] = rows.get(i + j, 0) + (c << w * i)
+    parts = []
+    for d in sorted(rows, reverse=True):
+        n = rows[d]
+        lo = ((n & -n).bit_length() - 1) // w
+        parts.append((d, lo, n >> w * lo))
+    return tuple(parts), w, m
+
+
 class BiPoly:
-    """Integer polynomial in e1, e2; terms is {(deg1, deg2): coeff != 0}.
+    """Integer polynomial in e1, e2 as packed parts (see above): parts
+    (d, lo, p(2^w)) by falling degree, at slot width w with bound m.
+    BiPoly(terms) packs a term dict {(deg1, deg2): coeff}; t unpacks one.
 
     It is also the numerator ring of a cleared row over Q(e1,e2): +, -, *
     and ** mix it with ints, and // is exact division (linalg.rank's
     fraction-free elimination), raising ArithmeticError if it is not
-    exact.  A BiPoly is never changed once made."""
+    exact.  The value of a BiPoly never changes once made; only its bound
+    may be tightened to the exact one (see _fit)."""
 
-    __slots__ = ("t",)
+    __slots__ = ("parts", "width", "bound")
 
     def __init__(self, terms=None):
-        self.t = {k: v for k, v in (terms or {}).items() if v}
+        self.parts, self.width, self.bound = _pack(terms or {})
+
+    @property
+    def t(self):
+        """The terms {(deg1, deg2): coeff != 0}, unpacked."""
+        return {(i, d - i): c for d, lo, n in self.parts
+                for i, c in enumerate(_digits(n, self.width), lo) if c}
 
     @staticmethod
     def const(n):
-        return BiPoly({(0, 0): n} if n else {})
+        return _bp(((0, 0, n),), _width(abs(n)), abs(n)) if n else _BP_ZERO
 
     @staticmethod
     def lin(a, b):
-        t = {}
-        if a:
-            t[(1, 0)] = a
-        if b:
-            t[(0, 1)] = b
-        return BiPoly(t)
+        return BiPoly({(1, 0): a, (0, 1): b})
 
     def __bool__(self):
-        return bool(self.t)
+        return bool(self.parts)
 
     def __eq__(self, other):
         if type(other) is int:
-            return self.t == ({(0, 0): other} if other else {})
+            return self.parts == (((0, 0, other),) if other else ())
         if type(other) is not BiPoly:
             return NotImplemented
-        return self.t == other.t
+        w = max(self.width, other.width)
+        return _at(self, w).parts == _at(other, w).parts
 
     def __hash__(self):
-        t = self.t
-        if t.keys() <= {(0, 0)}:
-            return hash(t.get((0, 0), 0))
-        return hash(frozenset(t.items()))
+        p = self.parts
+        if not p or not p[0][0]:
+            return hash(p[0][2] if p else 0)  # a constant hashes as its int
+        return hash(tuple((d, lo, tuple(_digits(n, self.width))) for d, lo, n in p))
 
     def __neg__(self):
-        return _bp({k: -v for k, v in self.t.items()})
+        return _bp(tuple([(d, lo, -n) for d, lo, n in self.parts]), self.width, self.bound)
 
     def __add__(self, other):
-        if type(other) is BiPoly:
-            return _bp(_t_add(self.t, other.t))
-        if type(other) is not int:
-            return NotImplemented
-        return _bp(_t_add(self.t, {(0, 0): other})) if other else self
+        if type(other) is not BiPoly:
+            if type(other) is not int:
+                return NotImplemented
+            if not other:
+                return self
+            other = BiPoly.const(other)
+        w, m = self.width, self.bound + other.bound
+        if other.width != w or m >> (w - 1):
+            (self, other), m, w = _fit(lambda x, y: x.bound + y.bound, self, other)
+        p, q = self.parts, other.parts
+        try:
+            ((d, lo, n1),), ((d2, l2, n2),) = p, q
+        except ValueError:  # a zero or an inhomogeneous term
+            if not (p and q):
+                return self if p else other
+            return _bp(_summed(p + q, w), w, m)
+        if d != d2:
+            return _bp(_summed(p + q, w), w, m)
+        if lo != l2:
+            if lo < l2:
+                n2 <<= w * (l2 - lo)
+            else:
+                n1, lo = n1 << w * (lo - l2), l2
+        n = n1 + n2
+        if not n:
+            return _BP_ZERO
+        mask = (1 << w) - 1
+        while not n & mask:
+            n >>= w
+            lo += 1
+        r = _new(BiPoly)
+        r.parts, r.width, r.bound = ((d, lo, n),), w, m
+        return r
 
     __radd__ = __add__
 
@@ -92,34 +197,51 @@ class BiPoly:
         return -self + other
 
     def __mul__(self, other):
-        if type(other) is BiPoly:
-            t = other.t
-            return _bp(_t_mul(self.t, t)) if t and self.t else _BP_ZERO
-        if type(other) is int:
-            return _bp(_scaled(self.t, other)) if other else _BP_ZERO
-        return NotImplemented
+        if type(other) is not BiPoly:
+            if type(other) is not int:
+                return NotImplemented
+            return _scaled(self, other) if other else _BP_ZERO
+        w = self.width
+        try:
+            ((d1, l1, n1),), ((d2, l2, n2),) = self.parts, other.parts
+        except ValueError:  # a zero or an inhomogeneous factor
+            pass
+        else:
+            m = self.bound * other.bound * (d1 - l1 + 1 if d1 - l1 < d2 - l2 else d2 - l2 + 1)
+            if other.width == w and not m >> (w - 1):
+                r = _new(BiPoly)
+                r.parts, r.width, r.bound = ((d1 + d2, l1 + l2, n1 * n2),), w, m
+                return r
+        m = _product_bound(self, other)
+        if other.width != w or m >> (w - 1):
+            (self, other), m, w = _fit(_product_bound, self, other)
+        return _bp(_summed([(d1 + d2, l1 + l2, n1 * n2) for d1, l1, n1 in self.parts
+                            for d2, l2, n2 in other.parts], w), w, m)
 
     __rmul__ = __mul__
 
     def __pow__(self, k):
-        out = _ONE_T
+        out = _BP_ONE
         for _ in range(k):
-            out = _t_mul(out, self.t)
-        return _bp(out)
+            out = out * self
+        return out
 
     def __floordiv__(self, other):
         if type(other) is int:
             other = BiPoly.const(other)
         elif type(other) is not BiPoly:
             return NotImplemented
-        if not other.t:
+        if not other.parts:
             raise ZeroDivisionError("division by zero")
-        if not self.t:
-            return self
-        q = _exact_quotient(self.t, other.t)
-        if q is None:
-            raise ArithmeticError("%s does not divide %s" % (other, self))
-        return _bp(q)
+        q, x = _BP_ZERO, self
+        while x.parts:
+            # graded long division: the top part of x over the top part of
+            # other, times other, comes off x and takes x's top part with it
+            part = _part_quotient(x, other)
+            if part is None:
+                raise ArithmeticError("%s does not divide %s" % (other, self))
+            q, x = q + part, x - part * other
+        return q
 
     def __rfloordiv__(self, other):
         if type(other) is not int:
@@ -138,19 +260,128 @@ class BiPoly:
     __repr__ = __str__
 
 
-_BP_ZERO = BiPoly()
-_BP_ONE = BiPoly.const(1)
-
-
-def _bp(t):
-    """A BiPoly on the term dict t, which has no zero coefficients."""
-    p = BiPoly.__new__(BiPoly)
-    p.t = t
+def _bp(parts, w, m):
+    """The BiPoly of normal parts (falling degree, each nonzero with a
+    nonzero slot 0) packed at width w, with bound m < 2^(w-1)."""
+    p = _new(BiPoly)
+    p.parts, p.width, p.bound = parts, w, m
     return p
 
 
+_BP_ZERO = _bp((), _W0, 0)
+_BP_ONE = BiPoly.const(1)
+
+
+def _summed(parts, w):
+    """The normal parts of the sum of parts [(d, lo, n), ...] at width w."""
+    acc = {}
+    for d, lo, n in parts:
+        if d in acc:
+            l0, n0 = acc[d]
+            k = min(lo, l0)
+            lo, n = k, (n0 << w * (l0 - k)) + (n << w * (lo - k))
+        acc[d] = lo, n
+    out, mask = [], (1 << w) - 1
+    for d, (lo, n) in sorted(acc.items(), reverse=True):
+        if n:
+            while not n & mask:
+                n >>= w
+                lo += 1
+            out.append((d, lo, n))
+    return tuple(out)
+
+
+def _at(x, w):
+    """x repacked at the width w >= x.width."""
+    v = x.width
+    if w == v:
+        return x
+    return _bp(tuple((d, lo, sum(c << w * i for i, c in enumerate(_digits(n, v))))
+                     for d, lo, n in x.parts), w, x.bound)
+
+
+def _product_bound(x, y):
+    # a coefficient of x y sums at most min(#terms) products
+    return x.bound * y.bound * min(sum(d - lo + 1 for d, lo, _ in x.parts),
+                                   sum(d - lo + 1 for d, lo, _ in y.parts))
+
+
+def _fit(bound, *xs):
+    """(xs, m, w): the values xs at one width w that holds m = bound(*xs),
+    the carried bounds tried first, then the exact ones read from the
+    slots, and w widened past the widest of xs only if m needs it.  An
+    exact bound is kept: it tightens the value's bound in place, and the
+    value itself does not change."""
+    w, m = max(x.width for x in xs), bound(*xs)
+    if m >> (w - 1):
+        for x in xs:
+            x.bound = max((abs(c) for _, _, n in x.parts for c in _digits(n, x.width)),
+                          default=0)
+        m = bound(*xs)
+        w = max(w, _width(m))
+    return [_at(x, w) for x in xs], m, w
+
+
+def _scaled(x, k):
+    """x times the nonzero int k."""
+    if k == 1:
+        return x
+    m = x.bound * abs(k)
+    if m >> (x.width - 1):
+        (x,), m, _ = _fit(lambda y: y.bound * abs(k), x)
+    return _bp(tuple([(d, lo, n * k) for d, lo, n in x.parts]), x.width, m)
+
+
+def _divided(x, k):
+    """x over a nonzero int k that divides every coefficient."""
+    if k == 1:
+        return x
+    return _bp(tuple([(d, lo, n // k) for d, lo, n in x.parts]), x.width, x.bound // abs(k))
+
+
+_FITS = {}
+
+
+def _fits(q, w, slots, s):
+    """Whether the signed w-bit slots of q, `slots` of them at most, all
+    lie in [-2^s, 2^s), s < w - 1: adding 2^s to every slot must leave
+    each in [0, 2^(s+1)), with no borrow or carry between slots."""
+    c = _FITS.get((w, slots, s))
+    if c is None:
+        r = ((1 << w * slots) - 1) // ((1 << w) - 1)
+        c = _FITS[w, slots, s] = (r << s, ~(r * ((2 << s) - 1)))
+    q += c[0]
+    return q >= 0 and not q & c[1]
+
+
+def _content(x, g=0):
+    """gcd(g, the coefficients of x).  The content of x divides each
+    packed part, so h = gcd(g, parts) is a multiple of the answer, and it
+    is the answer if each part is h times an int whose slots lie in
+    [-2^s, 2^s) with h 2^s < 2^(w-1) (see _fits): then h q(x) packs to the
+    part, so it is the part.  Only otherwise are the slots read."""
+    for _, _, n in x.parts:
+        g = _igcd(g, n)
+        if g == 1:
+            return 1
+    w = x.width
+    s = w - 1 - g.bit_length()
+    if s > 0 and all(_fits(n // g, w, n.bit_length() // w + 1, s) for _, _, n in x.parts):
+        return g
+    return _igcd(g, *(c for _, _, n in x.parts for c in _digits(n, w)))
+
+
+def _ends(x):
+    """(number of slots, lowest slot, top slot) of the top part of a
+    nonzero x: a top slot t != 0 puts |n| in (2^(wt-1), 2^(wt+w-1)), the
+    slots being below 2^(w-1), so n's bit length fixes t."""
+    w, n = x.width, x.parts[0][2]
+    t, h = n.bit_length() // w, 1 << (w - 1)
+    return t + 1, ((n + h) & ((h << 1) - 1)) - h, (n + (1 << w * t - 1)) >> w * t if t else n
+
+
 # ---------------------------------------------------------------------------
-# linear forms acting on term dicts
+# linear forms acting on BiPolys
 # ---------------------------------------------------------------------------
 
 # Every denominator is an integer times primitive linear forms f = (a, b),
@@ -180,153 +411,104 @@ def _form_product(forms):
     return k, out
 
 
-def _times_forms(t, forms):
-    """The terms of t * [forms]: the powers of e1 and e2 shift the
-    exponents, and each other form is one pass over each graded part (see
-    _graded), a part p times a e1 + b e2 having the coefficients
-    b p_i + a p_(i-1)."""
-    m1, m2 = forms.get((1, 0), 0), forms.get((0, 1), 0)
-    if m1 or m2:
-        t = {(i + m1, j + m2): c for (i, j), c in t.items()}
-    rest = [(f, m) for f, m in forms.items() if f[0] and f[1] and m]
-    if not rest:
-        return t
-    out = {}
-    for p in _graded(t).values():
-        for (a, b), m in rest:
-            for _ in range(m):
-                p = [b * x + a * y for x, y in zip(p + [0], [0] + p)]
-        out[len(p) - 1] = p
-    return _ungraded(out)
+def _times_forms(x, forms):
+    """x * [forms]: e1 and e2 shift each part's d and lo, and the other
+    forms multiply each packed part by their product at 2^w, which takes
+    the bound m to m times the product s of the (|a| + |b|)^multiplicity."""
+    if not forms or not x.parts:
+        return x
+    up = m1 = 0
+    s = 1
+    for (a, b), e in forms.items():
+        up += e
+        if not b:
+            m1 += e
+        elif a:
+            s *= (a + abs(b)) ** e
+    if not up:
+        return x
+    m = x.bound * s
+    if m >> (x.width - 1):
+        (x,), m, _ = _fit(lambda y: y.bound * s, x)
+    w, g = x.width, 1
+    if s != 1:
+        for (a, b), e in forms.items():
+            if a and b:
+                g *= ((a << w) + b) ** e
+    return _bp(tuple([(d + up, lo + m1, n * g) for d, lo, n in x.parts]), w, m)
 
 
-def _over_form(t, f):
-    """The terms of t / [f] if the prime form f divides t, else None."""
-    q = _graded_over_form(_graded(t), f)
-    return None if q is None else _ungraded(q)
+def _over_form(x, f):
+    """x / [f] if the prime form f = (a, b) divides x, else None.
+
+    [f] divides x exactly when it divides each part e2^d x^lo p(x): e1
+    when lo > 0, e2 when p has degree below d - lo, and any other form
+    when a x + b divides p, that is when p(2^w) = (a 2^w + b) q for an
+    int q whose slots are the quotient's.  A nonzero remainder proves that
+    f does not divide.  Else q is accepted if its slots lie in [-2^s, 2^s)
+    with (|a| + |b|) 2^s < 2^(w-1): then (a x + b) q(x) has slots below
+    2^(w-1) and packs to p(2^w), so it is p.  A true quotient has
+    coefficients at most |p|_1 / max(|a|, |b|) (synthetic division from
+    the end where the ratio is at most 1), and x is widened first until
+    that bound is below 2^s: then the test decides."""
+    a, b = f
+    w, parts = x.width, x.parts
+    if not (a and b):
+        out = []
+        for d, lo, n in parts:
+            if not lo if a else lo + n.bit_length() // w >= d:
+                return None
+            out.append((d - 1, lo - a, n))
+        return _bp(tuple(out), w, x.bound)
+    g = (a << w) + b
+    try:
+        (d, lo, n), = parts
+    except ValueError:  # an inhomogeneous x
+        out, top = [], 0
+        for d, lo, n in parts:
+            q, r = divmod(n, g)
+            if r:
+                return None
+            out.append((d - 1, lo, q))
+            top = max(top, n.bit_length() // w + 1)
+    else:
+        q, r = divmod(n, g)
+        if r:
+            return None
+        out, top = ((d - 1, lo, q),), n.bit_length() // w + 1
+    ab = -b if b < 0 else b  # a > 0 in a prime form
+    big, e = a if a > ab else ab, (a + ab).bit_length()
+    m, s = x.bound * top // big, w - 1 - e
+    if m >> s:
+        (x,), _, _ = _fit(lambda y: y.bound * top // big << e, x)
+        return _over_form(x, f)  # at its exact bound, or at a wider width
+    for _, _, q in out:
+        if not _fits(q, w, top, s):
+            return None
+    return _bp(tuple(out), w, m)
 
 
-def _strip(t, forms, cands=None):
-    """Divide t by each form of the multiset forms (those in cands, if
+def _strip(x, forms, cands=None):
+    """Divide x by each form of the multiset forms (those in cands, if
     given) as often as it divides, up to the form's multiplicity: the
     quotient and the forms left over."""
-    ps, left = None, forms
+    left = forms
+    if not x.parts[-1][0]:
+        return x, forms  # a nonzero constant term: no form divides x
     for f in forms if cands is None else cands:
-        if ps is None:
-            ps = _graded(t)
-        m = forms[f]
         k = 0
-        while k < m:
-            q = _graded_over_form(ps, f)
+        while k < forms[f]:
+            q = _over_form(x, f)
             if q is None:
                 break
-            ps = q
-            k += 1
+            x, k = q, k + 1
         if k:
             if left is forms:
                 left = dict(forms)
-            if k == m:
+            left[f] -= k
+            if not left[f]:
                 del left[f]
-            else:
-                left[f] = m - k
-    return (t if left is forms else _ungraded(ps)), left
-
-
-# For trial division a term dict is read as its graded parts {d: [c_0, ...,
-# c_d]}, the part of degree d being sum c_i e1^i e2^(d-i): division by a
-# form is then one synthetic division on each list.
-
-def _graded(t):
-    """The graded parts of the term dict t."""
-    parts = {}
-    for (i, j), c in t.items():
-        p = parts.get(i + j)
-        if p is None:
-            p = parts[i + j] = [0] * (i + j + 1)
-        p[i] = c
-    return parts
-
-
-def _ungraded(ps):
-    """The term dict of graded parts."""
-    t = {}
-    for d, p in ps.items():
-        t.update(((i, d - i), c) for i, c in enumerate(p) if c)
-    return t
-
-
-def _graded_over_form(ps, f):
-    """The graded parts of ps / [f] if the prime form f divides ps, else
-    None.
-
-    [f] divides a polynomial exactly when it divides each homogeneous
-    part, i.e. when each part vanishes at (e1, e2) = (-b, a).  With x =
-    e1/e2 a part of degree d is e2^d p(x): e1 divides it when c_0 = 0, e2
-    when c_d = 0, and any other form when p(x) / (a x + b), one synthetic
-    division from the top, is exact over Z (Gauss)."""
-    a, b = f
-    out = {}
-    for d, p in ps.items():
-        if not b:
-            q = None if p[0] else p[1:]
-        elif not a:
-            q = None if p[-1] else p[:-1]
-        else:
-            q = _root_quotient(p, a, b)
-        if q is None:
-            return None
-        out[d - 1] = q
-    return out
-
-
-def _content(t):
-    g = 0
-    for v in t.values():
-        g = _igcd(g, v)
-        if g == 1:
-            break
-    return g
-
-
-def _scaled(t, k):
-    return t if k == 1 else {key: v * k for key, v in t.items()}
-
-
-def _divided(t, k):
-    return t if k == 1 else {key: v // k for key, v in t.items()}
-
-
-def _t_add(a, b):
-    if len(b) > len(a):
-        a, b = b, a
-    out = dict(a)
-    for k, v in b.items():
-        w = out.get(k, 0) + v
-        if w:
-            out[k] = w
-        else:
-            del out[k]
-    return out
-
-
-def _t_mul(a, b):
-    if len(b) > len(a):
-        a, b = b, a
-    if len(b) == 1:
-        ((p, q), v), = b.items()
-        if not p and not q:
-            return _scaled(a, v)
-        return {(i + p, j + q): c * v for (i, j), c in a.items()}
-    out = {}
-    for (i, j), x in a.items():
-        for (k, l), y in b.items():
-            key = (i + k, j + l)
-            w = out.get(key, 0) + x * y
-            if w:
-                out[key] = w
-            else:
-                del out[key]
-    return out
+    return x, left
 
 
 def _merged(f1, f2):
@@ -346,114 +528,73 @@ def _divisors(n):
     return [x for x in range(1, min(n, _SAFE_SPAN) + 1) if not n % x]
 
 
-_ONE_T = {(0, 0): 1}
+def _factor(x):
+    """(k, forms, rest) with x = k * [forms] * rest for a nonzero BiPoly
+    x: k its content with the sign of its leading coefficient, forms
+    {prime form: multiplicity} and rest a primitive BiPoly that no linear
+    form divides, 1 when x splits.
 
-
-def _factor(t):
-    """(k, forms, rest) with t = k * [forms] * rest for a nonzero term dict
-    t: k its content with the sign of its leading coefficient, forms {prime
-    form: multiplicity} and rest a primitive term dict that no linear form
-    divides, _ONE_T when t splits.
-
-    A form divides t only if it divides the top-degree part T of t.  After
-    T's powers of e1 and e2 come out, T is e2^n p(e1/e2) with p(0) and its
-    leading coefficient nonzero, and each form (a, b) dividing it is a
+    A form divides x only if it divides the top-degree part T of x.  After
+    the powers of e1 and e2 come out, T is e2^n x^lo p(e1/e2) with p(0) and
+    its leading coefficient nonzero, and each form (a, b) dividing it is a
     rational root -b/a of p: a divides the leading and b the trailing
     coefficient.  Candidates are drawn up to _SAFE_SPAN, past any form a
     partition of size <= 64 makes; a last linear factor needs no search."""
-    k = _content(t)
-    if t[max(t, key=_lead_order)] < 0:
+    k = _content(x)
+    if _ends(x)[2] < 0:
         k = -k
-    i0, j0 = min(i for i, _ in t), min(j for _, j in t)
+    w = x.width
+    i0 = min(lo for _, lo, _ in x.parts)
+    j0 = min(d - lo - n.bit_length() // w for d, lo, n in x.parts)
     forms = {f: m for f, m in (((1, 0), i0), ((0, 1), j0)) if m}
-    t = {(i - i0, j - j0): c // k for (i, j), c in t.items()}
-    d = max(i + j for i, j in t)
-    top = {i: c for (i, j), c in t.items() if i + j == d}
-    p = [top.get(i, 0) for i in range(min(top), max(top) + 1)]
-    for a in _divisors(p[-1]):
-        for b0 in _divisors(p[0]):
-            for b in (b0, -b0):
-                while (len(p) > 1 and _igcd(a, b0) == 1 and not p[-1] % a
-                       and not p[0] % b):
-                    q = _root_quotient(p, a, b)
+    x = _bp(tuple((d - i0 - j0, lo - i0, n // k) for d, lo, n in x.parts), w, x.bound // abs(k))
+    top = _bp(x.parts[:1], w, x.bound)
+    for a in _divisors(_ends(top)[2]):
+        for b0 in _divisors(_ends(top)[1]):
+            for b in (b0, -b0) if _igcd(a, b0) == 1 else ():
+                while True:
+                    slots, low, lead = _ends(top)
+                    q = None if slots < 2 or lead % a or low % b else _over_form(top, (a, b))
                     if q is None:
                         break
-                    p = q
-                    q = _over_form(t, (a, b))
+                    top, q = q, _over_form(x, (a, b))
                     if q is not None:
-                        t = q
-                        forms[(a, b)] = forms.get((a, b), 0) + 1
-    if len(p) == 2:
+                        x, forms[(a, b)] = q, forms.get((a, b), 0) + 1
+    slots, low, lead = _ends(top)
+    if slots == 2:
         # a last linear factor of T is read off, whatever its size
-        f = _prime_form(p[1], p[0])[1]
-        q = _over_form(t, f)
+        f = _prime_form(lead, low)[1]
+        q = _over_form(x, f)
         if q is not None:
-            t = q
-            forms[f] = forms.get(f, 0) + 1
-    return k, forms, t
+            x, forms[f] = q, forms.get(f, 0) + 1
+    return k, forms, x
 
 
-def _lead_order(key):
-    # canonical term order: total degree, then e1-degree
-    return (key[0] + key[1], key[0])
-
-
-def _exact_quotient(a, r):
-    """a / r for nonzero term dicts if r divides a, else None, by graded
-    long division (see _graded).  The top part of a quotient is the top
-    part of a over the top part of r: with x = e1/e2 that is a long
-    division of integer lists, exact over Z when it is exact at all
-    (Gauss).  That part times the lower parts of r comes off the lower
-    parts of a, which are then divided the same way."""
-    ps, rs = _graded(a), _graded(r)
-    dr = max(rs)
-    top = rs.pop(dr)
-    er = dr
-    while not top[er]:
-        er -= 1
-    lc = top[er]
-    q = {}
-    while ps:
-        da = max(ps)
-        p = ps.pop(da)
-        if not any(p):
-            continue
-        dq = da - dr
-        if dq < 0:
+def _part_quotient(x, r):
+    """The top part of x over the top part of r, as a BiPoly, if it is
+    exact, else None.  With p and p' their polynomials in e1/e2, it is
+    tried first at the operands' width w: a nonzero remainder of p(2^w)
+    by p'(2^w) proves that p' does not divide p (evaluation at 2^w is a
+    ring map), and a quotient whose slots lie in [-2^s, 2^s), with
+    2^s |p'|_1 <= 2^(w-1), is p / p', as in _over_form.  A quotient that
+    does not fit is tried again at a width where the true one must:
+    Q = p / p' has |Q|_inf <= 2^deg(Q) |p|_2 (Mignotte, as |lc Q| <=
+    |lc p|), so there the test decides."""
+    sx, sr = _ends(x)[0], _ends(r)[0]
+    big = x.bound * sx << (sx - 1)
+    norm = (r.bound * sr).bit_length()
+    w = max(x.width, r.width)
+    for w in (w, max(w, _width((1 << big.bit_length() + norm) - 1))):
+        (dx, lx, nx), (dr, lr, nr) = _at(x, w).parts[0], _at(r, w).parts[0]
+        q, rem = divmod(nx, nr)
+        d, lo, s = dx - dr, lx - lr, w - 1 - norm
+        if rem or lo < 0:
             return None
-        qd = [0] * (dq + 1)
-        for i in range(da, er - 1, -1):
-            c = p[i]
-            if c:
-                if c % lc or i - er > dq:
-                    return None
-                c = qd[i - er] = c // lc
-                for j in range(er + 1):
-                    p[i - er + j] -= c * top[j]
-        if any(p[:er]):
-            return None
-        q[dq] = qd
-        for d, v in rs.items():
-            w = ps.get(dq + d)
-            if w is None:
-                w = ps[dq + d] = [0] * (dq + d + 1)
-            for i, x in enumerate(qd):
-                if x:
-                    for j, y in enumerate(v):
-                        w[i + j] -= x * y
-    return _ungraded(q)
-
-
-def _root_quotient(p, a, b):
-    """p(x) / (a x + b) (little-endian integer lists) if exact, else None."""
-    q = [0] * (len(p) - 1)
-    r = 0
-    for i in range(len(p) - 1, 0, -1):
-        r = p[i] - b * r
-        if r % a:
-            return None
-        r = q[i - 1] = r // a
-    return q if p[0] == b * r else None
+        if s > 0 and _fits(q, w, sx, s):
+            if lo + q.bit_length() // w > d:
+                return None
+            return _bp(((d, lo, q),), w, min(big, 1 << s))
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -463,9 +604,9 @@ def _root_quotient(p, a, b):
 _NO_FORMS = {}
 
 
-def _make(t, c, forms):
+def _make(num, c, forms):
     x = Coeff.__new__(Coeff)
-    x.num, x.c, x.forms, x._den = _bp(t), c, forms, None
+    x.num, x.c, x.forms, x._den = num, c, forms, None
     return x
 
 
@@ -480,22 +621,23 @@ def _assemble(a, ca, fa, cb, fb, k, g):
     ca, cb = ca // h, cb // h
     if k < 0:
         k, cb = -k, -cb
-    h = _igcd(_content(a), k)
-    a, k = _divided(a, h), k // h
+    if k != 1:
+        h = _content(a, k)
+        a, k = _divided(a, h), k // h
     return _make(_times_forms(_scaled(a, cb), up), ca * k, _merged(fa, g))
 
 
 def _quotient(x, y):
     """The Coeff x / y.  Raises NotSplit unless y's numerator is an integer
     times linear forms."""
-    b = y.num.t
-    if not b:
+    b = y.num
+    if not b.parts:
         raise ZeroDenominator("division by zero")
-    a = x.num.t
-    if not a:
+    a = x.num
+    if not a.parts:
         return _C_ZERO
     k, g, rest = _factor(b)
-    if rest != _ONE_T:
+    if rest.parts != _BP_ONE.parts:
         raise NotSplit("cannot divide by %s: it is not an integer times linear "
                        "forms a*e1 + b*e2" % render_poly(y.num))
     return _assemble(a, x.c, x.forms, y.c, y.forms, k, g)
@@ -514,40 +656,40 @@ class Coeff:
     __slots__ = ("num", "c", "forms", "_den")
 
     def __init__(self, num, den=_BP_ONE):
-        q = _quotient(_make(num.t, 1, _NO_FORMS), _make(den.t, 1, _NO_FORMS))
+        q = _quotient(_make(num, 1, _NO_FORMS), _make(den, 1, _NO_FORMS))
         self.num, self.c, self.forms, self._den = q.num, q.c, q.forms, None
 
     # -- constructors
     @staticmethod
     def from_int(n):
-        return _make({(0, 0): n} if n else {}, 1, _NO_FORMS)
+        return _make(BiPoly.const(n), 1, _NO_FORMS)
 
     @staticmethod
     def from_fraction(q):
         q = Fraction(q)
-        return _make({(0, 0): q.numerator} if q else {}, q.denominator, _NO_FORMS)
+        return _make(BiPoly.const(q.numerator), q.denominator, _NO_FORMS)
 
     @staticmethod
     def lf(a, b):
-        return _make(BiPoly.lin(a, b).t, 1, _NO_FORMS)
+        return _make(BiPoly.lin(a, b), 1, _NO_FORMS)
 
     @property
     def den(self):
         """The expanded denominator, a BiPoly."""
         d = self._den
         if d is None:
-            d = self._den = _bp(_times_forms({(0, 0): self.c}, self.forms))
+            d = self._den = _times_forms(BiPoly.const(self.c), self.forms)
         return d
 
     # -- predicates
     def __bool__(self):
-        return bool(self.num.t)
+        return bool(self.num.parts)
 
     def __eq__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return (self.num.t == other.num.t and self.c == other.c
+        return (self.num == other.num and self.c == other.c
                 and self.forms == other.forms)
 
     def __hash__(self):
@@ -555,16 +697,16 @@ class Coeff:
 
     # -- arithmetic
     def __neg__(self):
-        return _make({k: -v for k, v in self.num.t.items()}, self.c, self.forms)
+        return _make(-self.num, self.c, self.forms)
 
     def __add__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self.num.t, other.num.t
-        if not b:
+        a, b = self.num, other.num
+        if not b.parts:
             return self
-        if not a:
+        if not a.parts:
             return other
         c1, f1, c2, f2 = self.c, self.forms, other.c, other.forms
         # only a form of equal multiplicity in both denominators, and only
@@ -577,11 +719,11 @@ class Coeff:
             a = _times_forms(a, {f: m - f1.get(f, 0) for f, m in forms.items()})
             b = _times_forms(b, {f: m - f2.get(f, 0) for f, m in forms.items()})
         g = _igcd(c1, c2)
-        t = _t_add(_scaled(a, c2 // g), _scaled(b, c1 // g))
-        if not t:
+        t = _scaled(a, c2 // g) + _scaled(b, c1 // g)
+        if not t.parts:
             return _C_ZERO
         t, forms = _strip(t, forms, cands)
-        h = _igcd(_content(t), g) if g != 1 else 1
+        h = _content(t, g) if g != 1 else 1
         return _make(_divided(t, h), c1 // g * c2 // h, forms)
 
     __radd__ = __add__
@@ -599,8 +741,8 @@ class Coeff:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self.num.t, other.num.t
-        if not a or not b:
+        a, b = self.num, other.num
+        if not a.parts or not b.parts:
             return _C_ZERO
         c1, f1, c2, f2 = self.c, self.forms, other.c, other.forms
         # cross-cancel: forms first, then the integers
@@ -609,12 +751,12 @@ class Coeff:
         if f1:
             b, f1 = _strip(b, f1)
         if c2 != 1:
-            h = _igcd(_content(a), c2)
+            h = _content(a, c2)
             a, c2 = _divided(a, h), c2 // h
         if c1 != 1:
-            h = _igcd(_content(b), c1)
+            h = _content(b, c1)
             b, c1 = _divided(b, h), c1 // h
-        return _make(_t_mul(a, b), c1 * c2, _merged(f1, f2))
+        return _make(a * b, c1 * c2, _merged(f1, f2))
 
     __rmul__ = __mul__
 
@@ -657,7 +799,7 @@ def _coerce(x):
     if isinstance(x, Coeff):
         return x
     if type(x) is BiPoly:
-        return _make(x.t, 1, _NO_FORMS)
+        return _make(x, 1, _NO_FORMS)
     if isinstance(x, int):
         return Coeff.from_int(x)
     if isinstance(x, Fraction):
@@ -672,23 +814,20 @@ _C_ONE = Coeff.from_int(1)
 # canonical text form and parsing
 # ---------------------------------------------------------------------------
 
-def _term_sort_key(k):
-    # total degree descending, then e1-degree descending
-    return (-(k[0] + k[1]), -k[0])
-
-
 # spellings of a polynomial: the variables, a power and the product
 _TEXT = (("e1", "e2"), "%s^%d", "*")
 _LATEX = (("e_1", "e_2"), "%s^{%d}", " ")
 
 
 def _render_poly(p, spelling):
-    if not p.t:
+    if not p.parts:
         return "0"
     names, power, times = spelling
     parts = []
-    for (i, j) in sorted(p.t, key=_term_sort_key):
-        c = p.t[(i, j)]
+    # total degree descending, then e1-degree descending: the parts in
+    # their order, each from its top slot
+    for i, j, c in [(i, d - i, c) for d, lo, n in p.parts
+                    for i, c in reversed(list(enumerate(_digits(n, p.width), lo))) if c]:
         monos = [v if k == 1 else power % (v, k) for v, k in zip(names, (i, j)) if k]
         if not monos:
             body = str(abs(c))
@@ -916,7 +1055,7 @@ class Den:
         return hash((self.c, frozenset(self.forms.items())))
 
     def __repr__(self):
-        return render_poly(_bp(_times_forms({(0, 0): self.c}, self.forms)))
+        return render_poly(_times_forms(BiPoly.const(self.c), self.forms))
 
 
 def _den(c, forms):
@@ -934,23 +1073,23 @@ def _den_parts(d):
 
 
 def _parts(x):
-    """(numerator terms, c, forms) with x = num / (c [forms]) for a scalar
-    x (Coeff, int or Fraction) or a row numerator (BiPoly)."""
+    """(numerator, c, forms) with x = num / (c [forms]) for a scalar x
+    (Coeff, int or Fraction) or a row numerator (BiPoly)."""
     tp = type(x)
     if tp is BiPoly:
-        return x.t, 1, _NO_FORMS
+        return x, 1, _NO_FORMS
     if tp is Coeff:
-        return x.num.t, x.c, x.forms
+        return x.num, x.c, x.forms
     if tp is int:
-        return ({(0, 0): x} if x else {}), 1, _NO_FORMS
+        return BiPoly.const(x), 1, _NO_FORMS
     if tp is Fraction:
-        return ({(0, 0): x.numerator} if x else {}), x.denominator, _NO_FORMS
+        return BiPoly.const(x.numerator), x.denominator, _NO_FORMS
     raise TypeError("not a scalar of Q(e1,e2): %r" % (x,))
 
 
 def _lift(t, k, forms, have):
-    """The terms of t * k * [forms - have], for have a sub-multiset of
-    forms: with k = K / c, the numerator over K [forms] of t / (c [have])."""
+    """t * k * [forms - have], for have a sub-multiset of forms: with
+    k = K / c, the numerator over K [forms] of t / (c [have])."""
     t = _scaled(t, k)
     if have == forms:
         return t
@@ -966,37 +1105,25 @@ def _least_row(nums, k, forms):
     if k != 1:
         g = k
         for v in nums.values():
-            g = _igcd(g, _content(v.t))
+            g = _content(v, g)
             if g == 1:
                 break
         if g != 1:
-            nums = {key: _bp(_divided(v.t, g)) for key, v in nums.items()}
+            nums = {key: _divided(v, g) for key, v in nums.items()}
             k //= g
-    if not forms:
-        return nums, k
-    graded = {key: _graded(v.t) for key, v in nums.items()}
-    left = forms
+    left = dict(forms)
     for f, m in forms.items():
         for _ in range(m):
             qs = {}
-            for key, ps in graded.items():
-                q = _graded_over_form(ps, f)
+            for key, v in nums.items():
+                q = _over_form(v, f)
                 if q is None:
                     break
                 qs[key] = q
-            else:
-                graded = qs
-                if left is forms:
-                    left = dict(forms)
-                if left[f] == 1:
-                    del left[f]
-                else:
-                    left[f] -= 1
-                continue
-            break
-    if left is not forms:
-        nums = {key: _bp(_ungraded(ps)) for key, ps in graded.items()}
-    return nums, _den(k, left)
+            if len(qs) < len(nums):
+                break
+            nums, left[f] = qs, left[f] - 1
+    return nums, _den(k, {f: m for f, m in left.items() if m})
 
 
 class SymbolicField:
@@ -1036,7 +1163,7 @@ class SymbolicField:
             for f, m in fs.items():
                 if forms.get(f, 0) < m:
                     forms[f] = m
-        return ({key: _bp(_lift(t, k // c, forms, fs)) for key, t, c, fs in parts},
+        return ({key: _lift(t, k // c, forms, fs) for key, t, c, fs in parts},
                 _den(k, forms))
 
     def uncleared(self, row):
@@ -1064,7 +1191,7 @@ class SymbolicField:
         out = {}
         for t, cc, cf, nums in parts:
             mult = _lift(t, k // cc, forms, cf)
-            v_accum(out, nums, None if mult == _ONE_T else _bp(mult))
+            v_accum(out, nums, None if mult.parts == _BP_ONE.parts else mult)
         return _least_row(out, k, forms)
 
     def quotient(self, num, den):
@@ -1072,7 +1199,7 @@ class SymbolicField:
         and den a row denominator: reduced by trial division by den's forms
         and one integer gcd."""
         t, c, f = _parts(num)
-        if not t:
+        if not t.parts:
             return _C_ZERO
         if type(den) is int:
             if den == 1:
@@ -1112,9 +1239,10 @@ class SymbolicField:
         pre = self.one if pre is None else pre
         if not kn or not pre:
             return self.zero
-        up, down = _cancel(up, down)
+        if up and down:
+            up, down = _cancel(up, down)
         h = _igcd(kn, kd)
-        return _assemble(pre.num.t, pre.c, pre.forms, kn // h, up, kd // h, down)
+        return _assemble(pre.num, pre.c, pre.forms, kn // h, up, kd // h, down)
 
     def num(self, n):
         return Coeff.from_int(n)
@@ -1152,7 +1280,7 @@ class SymbolicField:
                 t[(a, b)] = x
             if not t:
                 raise _bad_row(v)
-            nums[key] = _bp(t)
+            nums[key] = _bp(*_pack(t))
         fs = {}
         for a, b, m in forms:
             if (not (type(a) is int and type(b) is int and type(m) is int
@@ -1267,14 +1395,14 @@ class SpecializedField:
 
 
 def _cancel(num, den):
+    """The form multisets num and den with their common forms taken out."""
     num, den = dict(num), dict(den)
-    for k in list(num):
-        if k in den:
-            m = min(num[k], den[k])
-            num[k] -= m
-            den[k] -= m
-            if not num[k]:
-                del num[k]
-            if not den[k]:
-                del den[k]
+    for f in num.keys() & den.keys():
+        m = min(num[f], den[f])
+        num[f] -= m
+        den[f] -= m
+        if not num[f]:
+            del num[f]
+        if not den[f]:
+            del den[f]
     return num, den

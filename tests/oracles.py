@@ -68,6 +68,14 @@ linear forms and reduces by trial division.  Here Coeff is the reduced
 fraction of two integer polynomials, whatever its denominator, reduced by
 a bivariate gcd (a primitive PRS over Z[e2][e1]).
 
+A BiPoly packs each homogeneous part into one integer, its coefficients
+in signed slots of a width it carries (Kronecker substitution), and adds,
+multiplies and divides parts as integers.  Here an integer polynomial is a
+term dict {(deg1, deg2): coeff}: sums and products run term by term, a
+form divides by synthetic division of each graded part, exact division is
+graded long division, and _factor and _least_row split and reduce on
+coefficient lists.
+
 The single-box partition helpers (add_set, rem_set, rem_set_plus,
 transpose, add_box, remove_box) are memoised and return tuples, tau and
 tau~ are memoised per field, and the tau identities, jhat_lam^dagger and
@@ -100,8 +108,9 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial, gcd as _igcd
 
-from jacklax.arith import (_BP_ONE, _BP_ZERO, BiPoly, Den, SpecPoint, SymbolicField,
-                           _lead_order, _parse_poly, _times_forms, render_coeff)
+from jacklax.arith import (_BP_ONE, _BP_ZERO, _SAFE_SPAN as SAFE_SPAN, BiPoly, Den,
+                           SpecPoint, SymbolicField, _parse_poly, _prime_form,
+                           render_coeff)
 from jacklax.arith import Coeff as ArithCoeff
 from jacklax.errors import (JackLaxError, NotAnAddableBox, NotASimplePole, NotGood,
                             NotInNullSpace, PoleAtSpecPoint, ZeroDenominator)
@@ -1076,6 +1085,11 @@ def expanded_partial_fractions(fun, field):
     return _trim_poly(q), res
 
 
+def _lead_order(key):
+    # canonical term order: total degree, then e1-degree
+    return (key[0] + key[1], key[0])
+
+
 def lead_coeff(p):
     """The coefficient of the leading term of the BiPoly p (in the term
     order of arith)."""
@@ -1680,3 +1694,258 @@ def parse_coeff(s):
         num, den = s.split(" / ")
         return Coeff(_parse_poly(num), _parse_poly(den))
     return Coeff(_parse_poly(s), _BP_ONE)
+
+
+# ---------------------------------------------------------------------------
+# integer polynomials as term dicts {(deg1, deg2): coeff}
+# ---------------------------------------------------------------------------
+
+# The arithmetic BiPoly ran before it packed each graded part into one
+# integer: sums and products term by term, trial division by a form as
+# synthetic division of each graded part's coefficient list, exact division
+# as graded long division, and the split of a polynomial into linear forms.
+
+def _times_forms(t, forms):
+    """The terms of t * [forms]: the powers of e1 and e2 shift the
+    exponents, and each other form is one pass over each graded part (see
+    _graded), a part p times a e1 + b e2 having the coefficients
+    b p_i + a p_(i-1)."""
+    m1, m2 = forms.get((1, 0), 0), forms.get((0, 1), 0)
+    if m1 or m2:
+        t = {(i + m1, j + m2): c for (i, j), c in t.items()}
+    rest = [(f, m) for f, m in forms.items() if f[0] and f[1] and m]
+    if not rest:
+        return t
+    out = {}
+    for p in _graded(t).values():
+        for (a, b), m in rest:
+            for _ in range(m):
+                p = [b * x + a * y for x, y in zip(p + [0], [0] + p)]
+        out[len(p) - 1] = p
+    return _ungraded(out)
+
+
+def _over_form(t, f):
+    """The terms of t / [f] if the prime form f divides t, else None."""
+    q = _graded_over_form(_graded(t), f)
+    return None if q is None else _ungraded(q)
+
+
+def _graded(t):
+    """The graded parts of the term dict t."""
+    parts = {}
+    for (i, j), c in t.items():
+        p = parts.get(i + j)
+        if p is None:
+            p = parts[i + j] = [0] * (i + j + 1)
+        p[i] = c
+    return parts
+
+
+def _ungraded(ps):
+    """The term dict of graded parts."""
+    t = {}
+    for d, p in ps.items():
+        t.update(((i, d - i), c) for i, c in enumerate(p) if c)
+    return t
+
+
+def _graded_over_form(ps, f):
+    """The graded parts of ps / [f] if the prime form f divides ps, else
+    None.
+
+    [f] divides a polynomial exactly when it divides each homogeneous
+    part, i.e. when each part vanishes at (e1, e2) = (-b, a).  With x =
+    e1/e2 a part of degree d is e2^d p(x): e1 divides it when c_0 = 0, e2
+    when c_d = 0, and any other form when p(x) / (a x + b), one synthetic
+    division from the top, is exact over Z (Gauss)."""
+    a, b = f
+    out = {}
+    for d, p in ps.items():
+        if not b:
+            q = None if p[0] else p[1:]
+        elif not a:
+            q = None if p[-1] else p[:-1]
+        else:
+            q = _root_quotient(p, a, b)
+        if q is None:
+            return None
+        out[d - 1] = q
+    return out
+
+
+def _content(t):
+    g = 0
+    for v in t.values():
+        g = _igcd(g, v)
+        if g == 1:
+            break
+    return g
+
+
+def _scaled(t, k):
+    return t if k == 1 else {key: v * k for key, v in t.items()}
+
+
+def _t_add(a, b):
+    if len(b) > len(a):
+        a, b = b, a
+    out = dict(a)
+    for k, v in b.items():
+        w = out.get(k, 0) + v
+        if w:
+            out[k] = w
+        else:
+            del out[k]
+    return out
+
+
+def _t_mul(a, b):
+    if len(b) > len(a):
+        a, b = b, a
+    if len(b) == 1:
+        ((p, q), v), = b.items()
+        if not p and not q:
+            return _scaled(a, v)
+        return {(i + p, j + q): c * v for (i, j), c in a.items()}
+    out = {}
+    for (i, j), x in a.items():
+        for (k, l), y in b.items():
+            key = (i + k, j + l)
+            w = out.get(key, 0) + x * y
+            if w:
+                out[key] = w
+            else:
+                del out[key]
+    return out
+
+
+def _divisors(n):
+    n = abs(n)
+    return [x for x in range(1, min(n, SAFE_SPAN) + 1) if not n % x]
+
+
+_ONE_T = {(0, 0): 1}
+
+
+def _factor(t):
+    """(k, forms, rest) with t = k * [forms] * rest for a nonzero term dict
+    t: k its content with the sign of its leading coefficient, forms {prime
+    form: multiplicity} and rest a primitive term dict that no linear form
+    divides, _ONE_T when t splits.
+
+    A form divides t only if it divides the top-degree part T of t.  After
+    T's powers of e1 and e2 come out, T is e2^n p(e1/e2) with p(0) and its
+    leading coefficient nonzero, and each form (a, b) dividing it is a
+    rational root -b/a of p: a divides the leading and b the trailing
+    coefficient.  Candidates are drawn up to SAFE_SPAN, past any form a
+    partition of size <= 64 makes; a last linear factor needs no search."""
+    k = _content(t)
+    if t[max(t, key=_lead_order)] < 0:
+        k = -k
+    i0, j0 = min(i for i, _ in t), min(j for _, j in t)
+    forms = {f: m for f, m in (((1, 0), i0), ((0, 1), j0)) if m}
+    t = {(i - i0, j - j0): c // k for (i, j), c in t.items()}
+    d = max(i + j for i, j in t)
+    top = {i: c for (i, j), c in t.items() if i + j == d}
+    p = [top.get(i, 0) for i in range(min(top), max(top) + 1)]
+    for a in _divisors(p[-1]):
+        for b0 in _divisors(p[0]):
+            for b in (b0, -b0):
+                while (len(p) > 1 and _igcd(a, b0) == 1 and not p[-1] % a
+                       and not p[0] % b):
+                    q = _root_quotient(p, a, b)
+                    if q is None:
+                        break
+                    p = q
+                    q = _over_form(t, (a, b))
+                    if q is not None:
+                        t = q
+                        forms[(a, b)] = forms.get((a, b), 0) + 1
+    if len(p) == 2:
+        # a last linear factor of T is read off, whatever its size
+        f = _prime_form(p[1], p[0])[1]
+        q = _over_form(t, f)
+        if q is not None:
+            t = q
+            forms[f] = forms.get(f, 0) + 1
+    return k, forms, t
+
+
+def _exact_quotient(a, r):
+    """a / r for nonzero term dicts if r divides a, else None, by graded
+    long division (see _graded).  The top part of a quotient is the top
+    part of a over the top part of r: with x = e1/e2 that is a long
+    division of integer lists, exact over Z when it is exact at all
+    (Gauss).  That part times the lower parts of r comes off the lower
+    parts of a, which are then divided the same way."""
+    ps, rs = _graded(a), _graded(r)
+    dr = max(rs)
+    top = rs.pop(dr)
+    er = dr
+    while not top[er]:
+        er -= 1
+    lc = top[er]
+    q = {}
+    while ps:
+        da = max(ps)
+        p = ps.pop(da)
+        if not any(p):
+            continue
+        dq = da - dr
+        if dq < 0:
+            return None
+        qd = [0] * (dq + 1)
+        for i in range(da, er - 1, -1):
+            c = p[i]
+            if c:
+                if c % lc or i - er > dq:
+                    return None
+                c = qd[i - er] = c // lc
+                for j in range(er + 1):
+                    p[i - er + j] -= c * top[j]
+        if any(p[:er]):
+            return None
+        q[dq] = qd
+        for d, v in rs.items():
+            w = ps.get(dq + d)
+            if w is None:
+                w = ps[dq + d] = [0] * (dq + d + 1)
+            for i, x in enumerate(qd):
+                if x:
+                    for j, y in enumerate(v):
+                        w[i + j] -= x * y
+    return _ungraded(q)
+
+
+def _root_quotient(p, a, b):
+    """p(x) / (a x + b) (little-endian integer lists) if exact, else None."""
+    q = [0] * (len(p) - 1)
+    r = 0
+    for i in range(len(p) - 1, 0, -1):
+        r = p[i] - b * r
+        if r % a:
+            return None
+        r = q[i - 1] = r // a
+    return q if p[0] == b * r else None
+
+
+def _least_row(nums, k, forms):
+    """The canonical (numerator term dicts, c, forms) of the vector
+    nums / (k [forms]), nums a dict of nonzero term dicts: the integer and
+    the forms that divide every numerator come out."""
+    if k != 1:
+        g = k
+        for t in nums.values():
+            g = _igcd(g, _content(t))
+        nums = {key: {e: c // g for e, c in t.items()} for key, t in nums.items()}
+        k //= g
+    left = dict(forms)
+    for f in forms:
+        while left.get(f):
+            qs = {key: _over_form(t, f) for key, t in nums.items()}
+            if None in qs.values():
+                break
+            nums = qs
+            left[f] -= 1
+    return nums, k, {f: m for f, m in left.items() if m}

@@ -107,6 +107,49 @@ def test_field_axioms_randomized():
         assert a + F.zero == a and a * F.one == a
 
 
+@pytest.mark.parametrize("k", [64, 128, 256])
+def test_packed_slots_never_alias(k):
+    # A BiPoly packs each graded part as p(2^K), p the part in x = e1/e2.
+    # e1 - 2^K e2 is x - 2^K, which vanishes at x = 2^K: in K-bit slots it
+    # packs to 0, and a residual that is this value would read as a PASS.
+    # Each value below would alias in a slot one bit too narrow for it; each
+    # must be nonzero, differ from 0 and unpack to its own terms.
+    x, y = BiPoly.lin(1, 0), BiPoly.lin(0, 1)
+    big, half, root = 2 ** k, 2 ** (k - 1), 2 ** (k // 2)
+    cases = [
+        (BiPoly({(1, 0): 1, (0, 1): -big}), {(1, 0): 1, (0, 1): -big}),
+        (x - big * y, {(1, 0): 1, (0, 1): -big}),
+        (x * x - BiPoly.const(big) * y * y, {(2, 0): 1, (0, 2): -big}),
+        # (x - 2^(K/2)) (x + 2^(K/2)) = x^2 - 2^K
+        ((x - root * y) * (x + root * y), {(2, 0): 1, (0, 2): -big}),
+        # a middle coefficient 2^(K-1), one bit past a signed K-bit slot
+        ((x + (half - 1) * y) * (x + y), {(2, 0): 1, (1, 1): half, (0, 2): half - 1}),
+        ((half - 1) * x + x + y, {(1, 0): half, (0, 1): 1}),
+        # quotients whose slots leave K bits
+        (((x - big * y) * (x + y)) // (x + y), {(1, 0): 1, (0, 1): -big}),
+        (((x - big * y) * (2 * x + 3 * y)) // (2 * x + 3 * y), {(1, 0): 1, (0, 1): -big}),
+        (((half - 1) * x + half * y) * (x - y) // (x - y), {(1, 0): half - 1, (0, 1): half}),
+    ]
+    # a quotient with larger coefficients than its dividend: those of
+    # c (x + y)^20 (x - y) stay below 2^(K-1), those of c (x + y)^20 do not
+    c = half // 100000
+    binomials = c * (x + y) ** 20
+    product = BiPoly((binomials * (x - y)).t)
+    assert max(map(abs, product.t.values())) < half and product.width == k
+    cases.append((product // (x - y), binomials.t))
+    assert max(map(abs, binomials.t.values())) > half
+    for value, terms in cases:
+        assert value and value != 0 and value.t == terms
+        assert value == BiPoly(terms) and hash(value) == hash(BiPoly(terms))
+    # the same through Coeff: the residual of e1 against 2^K e2, and a
+    # division by a form that leaves the aliasing value
+    ex, ey = Coeff(x), Coeff(y)
+    assert ex - big * ey and ex - big * ey != F.zero
+    q = (ex * ex - F.num(big) * ey * ey) / (ex - F.num(root) * ey)
+    assert q == ex + F.num(root) * ey and q.num.t == {(1, 0): 1, (0, 1): root}
+    assert (ex - F.num(big) * ey) / (ex + ey) != (ex - F.num(big) * ey + ey) / (ex + ey)
+
+
 def test_canonical_text_roundtrip():
     samples = [
         F.num(0), F.num(7), F.num(-7),

@@ -16,7 +16,8 @@ by name.
 
 The fields own the row format (clear, uncleared, combine, quotient and
 lax_ints), so the recursions and expansions run one code path for both;
-only arith.py, which defines the fields, may read the `symbolic` flag.
+only arith.py, which defines the fields, may read the `symbolic` flag,
+and only arith.py reads the storage of a BiPoly or a Coeff.
 Operators take and return cleared rows, so no function takes a `cleared`
 switch or a `den=None` default that selects a vector mode.
 
@@ -212,6 +213,31 @@ def test_only_arith_reads_the_symbolic_flag():
             if isinstance(node, ast.Attribute) and node.attr == "symbolic":
                 readers.append("%s:%d" % (path.name, node.lineno))
     assert readers == []
+
+
+def test_only_arith_reads_the_scalar_storage():
+    # BiPoly's packed parts and Coeff's reduced form are arith.py's own:
+    # every other module goes through their operators.  The storage names
+    # are the classes' slots and BiPoly.t; those that another module's own
+    # class also stores (SpectralFun.num, SeriesZ.c, ...) cannot be told
+    # apart by ast and are left out.
+    from jacklax.arith import BiPoly, Coeff
+    storage = set(BiPoly.__slots__) | set(Coeff.__slots__) | {"t"}
+    own, reads = set(), []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "arith.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                    and getattr(node.value, "id", None) == "self"):
+                own.add(node.attr)
+            elif (isinstance(node, ast.Assign) and len(node.targets) == 1
+                  and getattr(node.targets[0], "id", None) == "__slots__"):
+                own.update(ast.literal_eval(node.value))
+            elif isinstance(node, ast.Attribute) and node.attr in storage:
+                reads.append((node.attr, "%s:%d" % (path.name, node.lineno)))
+    assert storage - own >= {"parts", "width", "bound", "t", "_den"}
+    assert [where for attr, where in reads if attr not in own] == []
 
 
 def test_no_vector_mode_switch():

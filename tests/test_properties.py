@@ -7,8 +7,11 @@ combination of basis vectors expands back to its coefficients, the Lax
 operator and beta on integer numerators agree with their field-scalar
 oracles, field.ratio agrees with one field operation per form, cleared
 rows sum as v_accum does, the closed-form point check agrees with the
-scan over difference vectors, and the fraction-free rank agrees with
-Gaussian elimination with field division."""
+scan over difference vectors, the fraction-free rank agrees with
+Gaussian elimination with field division, and the packed BiPoly
+arithmetic (ring operations, exact and form division, the split into
+forms, the row reduction and codec) agrees with the term-dict arithmetic
+it replaced, at coefficients across the slot limit."""
 
 import json
 from fractions import Fraction
@@ -21,7 +24,8 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 import oracles  # noqa: E402
 from jacklax.arith import (BiPoly, Coeff, SpecializedField, SpecPoint,  # noqa: E402
-                           SymbolicField, DEFAULT_SPEC_POINTS, parse_coeff, render_coeff)
+                           SymbolicField, DEFAULT_SPEC_POINTS, parse_coeff, render_coeff,
+                           _W0, _den_parts, _factor, _least_row, _over_form)
 from jacklax.errors import BadSpecPoint, ZeroDenominator  # noqa: E402
 from jacklax.fock import bump, hn_basis, v_accum, v_clear, v_combine  # noqa: E402
 from jacklax.lax import lax_apply  # noqa: E402
@@ -515,3 +519,117 @@ def test_bareiss_rank_examples():
     assert rank([[0, 0, 1], [0, 0, 2], [1, 1, 0]]) == 2
     assert rank([[2, 4], [3, 6], [0, 0]]) == 1
     assert rank([]) == 0 and rank([[], []]) == 0
+
+
+# ---------------------------------------------------------------------------
+# packed BiPoly arithmetic against the term-dict oracle
+# ---------------------------------------------------------------------------
+
+# coefficients small, at and across 2^(K-1) for the first slot width K, and
+# far past it, so that sums and products must widen their slots
+HALF = 1 << (_W0 - 1)
+PACK_COEFS = st.one_of(st.integers(-6, 6), st.integers(HALF - 3, HALF + 3),
+                       st.integers(-HALF - 3, -HALF + 3), st.integers(-2**130, 2**130))
+# term dicts of degree <= 6: any terms, or the terms of one homogeneous part
+POLY_TERMS = st.one_of(
+    st.dictionaries(st.tuples(st.integers(0, 6), st.integers(0, 6)).filter(lambda k: sum(k) <= 6),
+                    PACK_COEFS, max_size=6),
+    st.integers(0, 6).flatmap(lambda d: st.dictionaries(
+        st.integers(0, d).map(lambda i: (i, d - i)), PACK_COEFS, max_size=5)))
+PRIME_FORMS = FORMS.map(lambda f: oracles._prime_form(*f)[1])
+
+
+def _nonzero(t):
+    return {k: v for k, v in t.items() if v}
+
+
+@settings(max_examples=150, deadline=None)
+@given(POLY_TERMS, POLY_TERMS, st.integers(0, 3))
+def test_packed_ring_ops_match_term_dicts(a, b, k):
+    x, y = BiPoly(a), BiPoly(b)
+    a, b = _nonzero(a), _nonzero(b)
+    assert x.t == a and y.t == b
+    assert (x + y).t == oracles._t_add(a, b)
+    assert (x - y).t == oracles._t_add(a, {key: -v for key, v in b.items()})
+    assert (x * y).t == (oracles._t_mul(a, b) if a and b else {})
+    power = oracles._ONE_T
+    for _ in range(k):
+        power = oracles._t_mul(power, a)
+    assert (x ** k).t == _nonzero(power)
+
+
+@settings(max_examples=150, deadline=None)
+@given(POLY_TERMS, POLY_TERMS.filter(_nonzero), POLY_TERMS)
+def test_exact_division_matches_term_dicts(a, b, c):
+    # x y // y is x, and x // y raises exactly when the oracle finds no
+    # quotient
+    x, y = BiPoly(a), BiPoly(b)
+    assert (x * y) // y == x
+    q = oracles._exact_quotient(_nonzero(c), _nonzero(b)) if _nonzero(c) else {}
+    if q is None:
+        with pytest.raises(ArithmeticError):
+            BiPoly(c) // y
+    else:
+        assert (BiPoly(c) // y).t == q
+
+
+@settings(max_examples=150, deadline=None)
+@given(POLY_TERMS.filter(_nonzero), PRIME_FORMS, st.integers(0, 2))
+def test_division_by_a_form_matches_term_dicts(a, f, m):
+    # a times f^m, divided by f as often as it divides
+    t = oracles._times_forms(_nonzero(a), {f: m})
+    x = BiPoly(t)
+    while True:
+        q = _over_form(x, f)
+        assert (q.t if q is not None else None) == oracles._over_form(t, f)
+        if q is None:
+            break
+        x, t = q, q.t
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(st.integers(-12, 12), PACK_COEFS).filter(bool),
+       st.lists(PRIME_FORMS, max_size=4), POLY_TERMS.filter(_nonzero))
+def test_factor_matches_term_dicts(k, forms, rest):
+    # an integer times forms times any polynomial splits as in the oracle
+    t = oracles._scaled(oracles._times_forms(_nonzero(rest), dict.fromkeys(forms, 1)), k)
+    ok, oforms, orest = oracles._factor(t)
+    pk, pforms, prest = _factor(BiPoly(t))
+    assert (pk, pforms, prest.t) == (ok, oforms, orest)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.dictionaries(st.sampled_from(ROW_LABELS), POLY_TERMS.filter(_nonzero), min_size=1,
+                       max_size=4),
+       st.integers(1, 12), st.lists(PRIME_FORMS, max_size=3), st.integers(1, 12),
+       st.lists(PRIME_FORMS, max_size=3))
+def test_least_row_and_row_codec_match_term_dicts(nums, k, forms, h, common):
+    # a row over k [forms] whose numerators share h [common] reduces as in
+    # the oracle, and its canonical form survives the cache codec
+    nums = {key: oracles._scaled(oracles._times_forms(_nonzero(t), dict.fromkeys(common, 1)), h)
+            for key, t in nums.items()}
+    den = dict.fromkeys(forms, 0)
+    for f in forms + common:
+        den[f] = den.get(f, 0) + 1
+    onums, ok, oforms = oracles._least_row(nums, k * h, den)
+    pnums, d = _least_row({key: BiPoly(t) for key, t in nums.items()}, k * h, den)
+    assert {key: v.t for key, v in pnums.items()} == onums
+    assert _den_parts(d) == (ok, oforms)
+    F = SymbolicField()
+    v = json.loads(json.dumps(F.dump_row((pnums, d), ROW_INDEX)))
+    assert v[0] == [[ROW_INDEX[key], [[i, j, c] for (i, j), c in sorted(onums[key].items())]]
+                    for key in sorted(onums)]
+    assert F.load_row(v, ROW_LABELS) == (pnums, d)
+
+
+@settings(max_examples=100, deadline=None)
+@given(POLY_TERMS.filter(_nonzero))
+def test_equal_values_at_two_widths_are_equal(t):
+    # x at its own width and x carried to a wider one by a sum whose bound
+    # needs it: equal, with one hash and one set of terms
+    x = BiPoly(t)
+    big = BiPoly.const(2 ** 300)
+    y = (x + big) - big
+    assert y.width > x.width
+    assert y == x and x == y and hash(y) == hash(x) and y.t == x.t == _nonzero(t)
+    assert y != 0 and y
