@@ -23,7 +23,7 @@ from functools import lru_cache
 from math import gcd as _igcd, lcm
 
 from .errors import BadSpecPoint, NotSplit, PoleAtSpecPoint, ZeroDenominator
-from .fock import v_accum, v_clear, v_combine, v_uncleared
+from .fock import v_accum, v_clear, v_combine
 
 
 # ---------------------------------------------------------------------------
@@ -998,8 +998,10 @@ DEFAULT_SPEC_POINTS = (
 # the row is clear of the reduced coefficients, the canonical row, so no
 # cofactor common to all the labels of a degree enters it.
 #
-# Each field also keeps the memos of scalars it computes over and over: lf's
-# forms (_lf_cache) and the transition measures tau and tau~ (tau_memo and
+# Both fields derive from _Field, which sets their constants and defines lf,
+# num (quotient(n, 1)) and uncleared ({key: quotient(v, D)}) once.  It also
+# keeps the memos of scalars a field computes over and over: lf's forms
+# (_lf_cache) and the transition measures tau and tau~ (tau_memo and
 # tau_tilde_memo, {(lam, box): scalar}, filled by spectral.tau and
 # spectral.tau_tilde).  A value depends on the field's point, so the memos
 # live and die with the field and two fields never share an entry; no
@@ -1126,22 +1128,56 @@ def _least_row(nums, k, forms):
     return nums, _den(k, {f: m for f, m in left.items() if m})
 
 
-class SymbolicField:
+class _Field:
+    """The constants, memos, lf, num and uncleared of both fields, over
+    each field's own quotient."""
+
+    def __init__(self, e1, e2):
+        self.zero, self.one = self.num(0), self.num(1)
+        self.e1, self.e2 = e1, e2
+        self.hbar = -e1 * e2
+        self.ebar = e1 + e2
+        self.alpha = -e2 / e1
+        self._lf_cache = {}
+        self.tau_memo, self.tau_tilde_memo = {}, {}
+
+    def lf(self, form):
+        """The scalar [a,b] = a e1 + b e2 of the form (a, b), memoised."""
+        c = self._lf_cache.get(form)
+        if c is None:
+            c = self._lf_cache[form] = form[0] * self.e1 + form[1] * self.e2
+        return c
+
+    def num(self, n):
+        return self.quotient(n, 1)
+
+    def uncleared(self, row):
+        nums, d = row
+        q = self.quotient
+        return {key: q(v, d) for key, v in nums.items()}
+
+
+def _lcm_den(dens):
+    """(k, forms) of the lcm k [forms] of the denominators c [fs] over
+    dens [(c, fs)]."""
+    k, forms = 1, {}
+    for c, fs in dens:
+        if c != 1:
+            k = lcm(k, c)
+        for f, m in fs.items():
+            if forms.get(f, 0) < m:
+                forms[f] = m
+    return k, forms
+
+
+class SymbolicField(_Field):
     """Scalars are Coeff values; identities hold as rational functions.
     Row numerators are BiPoly values over a Den (or a positive int)."""
 
     symbolic = True
 
     def __init__(self):
-        self.zero = _C_ZERO
-        self.one = _C_ONE
-        self._lf_cache = {}
-        self.tau_memo, self.tau_tilde_memo = {}, {}
-        self.e1 = Coeff.lf(1, 0)
-        self.e2 = Coeff.lf(0, 1)
-        self.hbar = -self.e1 * self.e2
-        self.ebar = self.e1 + self.e2
-        self.alpha = -self.e2 / self.e1
+        super().__init__(Coeff.lf(1, 0), Coeff.lf(0, 1))
         self.lax_ints = (self.ebar.num, self.hbar.num, 1)
 
     def clear(self, vec):
@@ -1156,38 +1192,22 @@ class SymbolicField:
         else:
             return nums, 1
         parts = [(key,) + _parts(x) for key, x in vec.items()]
-        k, forms = 1, {}
-        for _, _, c, fs in parts:
-            if c != 1:
-                k = lcm(k, c)
-            for f, m in fs.items():
-                if forms.get(f, 0) < m:
-                    forms[f] = m
+        k, forms = _lcm_den((c, fs) for _, _, c, fs in parts)
         return ({key: _lift(t, k // c, forms, fs) for key, t, c, fs in parts},
                 _den(k, forms))
-
-    def uncleared(self, row):
-        nums, d = row
-        return {key: self.quotient(v, d) for key, v in nums.items()}
 
     def combine(self, terms):
         """The canonical row of sum c * nums / D: each term lifted to the
         lcm of the c-denominators times D by one ring multiplier, the
         numerators summed by v_accum, then reduced once."""
-        parts, k, forms = [], 1, {}
+        parts = []
         for c, (nums, d) in terms:
             t, cc, cf = _parts(c)
             if not t or not nums:
                 continue
             dk, df = _den_parts(d)
-            cc *= dk
-            cf = _merged(cf, df)
-            if cc != 1:
-                k = lcm(k, cc)
-            for f, m in cf.items():
-                if forms.get(f, 0) < m:
-                    forms[f] = m
-            parts.append((t, cc, cf, nums))
+            parts.append((t, cc * dk, _merged(cf, df), nums))
+        k, forms = _lcm_den((cc, cf) for _, cc, cf, _ in parts)
         out = {}
         for t, cc, cf, nums in parts:
             mult = _lift(t, k // cc, forms, cf)
@@ -1222,13 +1242,6 @@ class SymbolicField:
         return self.clear({labels[i]: s * q(a, den)
                            for i, (a, s) in enumerate(zip(pairings, scales)) if a})
 
-    def lf(self, form):
-        c = self._lf_cache.get(form)
-        if c is None:
-            c = Coeff.lf(form[0], form[1])
-            self._lf_cache[form] = c
-        return c
-
     def ratio(self, num_forms, den_forms, pre=None):
         """pre (default 1) times the product of the linear forms num_forms
         over the product of den_forms (forms may repeat), assembled from
@@ -1243,9 +1256,6 @@ class SymbolicField:
             up, down = _cancel(up, down)
         h = _igcd(kn, kd)
         return _assemble(pre.num, pre.c, pre.forms, kn // h, up, kd // h, down)
-
-    def num(self, n):
-        return Coeff.from_int(n)
 
     def key(self):
         return "symbolic"
@@ -1294,26 +1304,17 @@ class SymbolicField:
         return nums, d
 
 
-class SpecializedField:
+class SpecializedField(_Field):
     """Scalars are Fractions obtained by evaluating at a SpecPoint."""
 
     symbolic = False
     clear = staticmethod(v_clear)
-    uncleared = staticmethod(v_uncleared)
     combine = staticmethod(v_combine)
     quotient = Fraction
 
     def __init__(self, point):
+        super().__init__(point.e1, point.e2)
         self.point = point
-        self.zero = Fraction(0)
-        self.one = Fraction(1)
-        self._lf_cache = {}
-        self.tau_memo, self.tau_tilde_memo = {}, {}
-        self.e1 = point.e1
-        self.e2 = point.e2
-        self.hbar = -self.e1 * self.e2
-        self.ebar = self.e1 + self.e2
-        self.alpha = -self.e2 / self.e1
         # (L ebar, L hbar, L) with L the lcm of the denominators of ebar
         # and hbar: the integer constants lax.lax_apply runs on
         lax_den = lcm(self.ebar.denominator, self.hbar.denominator)
@@ -1334,13 +1335,6 @@ class SpecializedField:
         """The row {labels[i]: pairings[i] scales[i]} over the nonzero
         pairings, over den (an input D times S): not in lowest terms."""
         return {labels[i]: a * s for i, (a, s) in enumerate(zip(pairings, scales)) if a}, den
-
-    def lf(self, form):
-        c = self._lf_cache.get(form)
-        if c is None:
-            c = form[0] * self.e1 + form[1] * self.e2
-            self._lf_cache[form] = c
-        return c
 
     def ratio(self, num_forms, den_forms, pre=None):
         """As SymbolicField.ratio, built as one Fraction: the integer
@@ -1363,9 +1357,6 @@ class SpecializedField:
             num *= pre.numerator
             den *= pre.denominator
         return Fraction(num, den)
-
-    def num(self, n):
-        return Fraction(n)
 
     def key(self):
         return self.point.key()

@@ -247,20 +247,15 @@ def cmd_cache_clear(args):
     return 0
 
 
-# each size option (by its argparse dest) and the DEFAULT_SIZES keywords it sets
-_SIZE_OPTIONS = {"max_size": ("max_size", "max_total"), "max_degree": ("max_degree",),
-                 "to": ("to",)}
-
-
-def _check_size_options(args):
+def _check_size_options(suite, given):
     """A named suite rejects a size option it does not take (verify all
-    applies each option to the suites that take it)."""
-    kws = DEFAULT_SIZES.get(args.suite, {})
-    takes = [dest for dest, keys in _SIZE_OPTIONS.items() if any(k in kws for k in keys)]
-    for dest in _SIZE_OPTIONS:
-        if getattr(args, dest) is not None and dest not in takes:
+    applies each option to the suites that take it); each DEFAULT_SIZES
+    keyword is the dest of its option."""
+    takes = list(DEFAULT_SIZES.get(suite, {}))
+    for dest, size in given.items():
+        if size is not None and dest not in takes:
             raise BadSize("verify %s takes %s, not %s" % (
-                args.suite, " or ".join(map(_option, takes)) or "no size option", _option(dest)))
+                suite, " or ".join(map(_option, takes)) or "no size option", _option(dest)))
 
 
 def _option(dest):
@@ -271,15 +266,15 @@ def cmd_verify(args):
     if args.out:
         _check_out(args.out)
     cfg = _config(args, args.jobs)
+    given = {"max_size": args.max_size, "max_degree": args.max_degree, "to": args.to}
     if args.suite != "all":
-        _check_size_options(args)
+        _check_size_options(args.suite, given)
         if args.include_conjectures:
             raise JackLaxError("verify %s does not take --include-conjectures (only verify "
                                "all does)" % args.suite)
     suites = list(SUITES) if args.suite == "all" else [args.suite]
     if "conjectures" in suites and args.suite == "all" and not args.include_conjectures:
         suites.remove("conjectures")
-    given = {kw: getattr(args, dest) for dest, kws in _SIZE_OPTIONS.items() for kw in kws}
     # every size is checked before any suite runs
     sizes = {name: suite_sizes(name, cfg.mode, **given) for name in suites}
     reports = []

@@ -14,7 +14,6 @@ scalars; zero coefficients are never stored.  The V-monomial inner product is di
     <V_mu, V_mu> = prod_k (hbar*k)^{d_k} d_k!   (d_k = multiplicity of k).
 """
 
-from fractions import Fraction
 from functools import lru_cache
 from math import factorial, gcd, lcm
 
@@ -89,12 +88,6 @@ def v_combine(terms):
         den //= g
         out = {k: v // g for k, v in out.items()}
     return out, den
-
-
-def v_uncleared(row):
-    """The vector of rational entries of a cleared row."""
-    nums, den = row
-    return {k: Fraction(v, den) for k, v in nums.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,12 @@ States are kept in Jack coordinates: {lam: scalar} meaning sum c_lam j_lam.
 Their Fock images are cleared rows (jack_to_fock), and a row comes back to
 Jack coordinates through the Jack dual (fock_to_jack).
 Operator values that are rational in the formal variable z are stored as
-partial-fraction maps {key: state} with keys
+partial fractions, sparse vectors {(key, partition): scalar} built by
+fock.bump and fock.v_accum, with keys
     None        constant part,
     ("z", k)    z^k (k >= 1),
-    ("p", box)  1/(z - [box]).
+    ("p", box)  1/(z - [box]);
+by_pole regroups one as {key: state}.
 """
 
 from .errors import JackLaxError
@@ -19,7 +21,7 @@ from .jack import jack_inv_norm_sq
 from .lax import lax_apply, op_A, op_B
 from .partitions import (add_box, add_set, boxes, partitions_of, rem_set,
                          remove_box, size)
-from .spectral import T_partition, T_star, tau, tau_tilde, with_pole
+from .spectral import T_partition, star_residues, tau, tau_tilde, with_pole
 from .report import map_residual, residual, rows_residual
 
 
@@ -27,31 +29,13 @@ from .report import map_residual, residual, rows_residual
 # partial-fraction values
 # ---------------------------------------------------------------------------
 
-def pf_accum(pf, key, lam, c):
-    if c:
-        bump(pf.setdefault(key, {}), lam, c)
-
-
-def pf_clean(pf):
-    return {k: v for k, v in pf.items() if v}
-
-
-def pf_scale(pf, c):
-    return {k: v_scale(v, c) for k, v in pf.items()}
-
-
-def pf_add(a, b):
-    out = {k: dict(v) for k, v in a.items()}
-    for k, v in b.items():
-        v_accum(out.setdefault(k, {}), v)
-    return pf_clean(out)
-
-
-def pf_residual(a, b, label=None):
-    """The residual of two PF values, keyed by (PF key, partition) as in
-    report.map_residual."""
-    return map_residual({(k, lam): c for k, st in a.items() for lam, c in st.items()},
-                        {(k, lam): c for k, st in b.items() for lam, c in st.items()}, label)
+def by_pole(pf):
+    """{key: state} of a PF value, the keys and each key's partitions in
+    first-seen order."""
+    out = {}
+    for (key, lam), c in pf.items():
+        out.setdefault(key, {})[lam] = c
+    return out
 
 
 def sfun_to_pf_keys(field, fun):
@@ -63,7 +47,7 @@ def sfun_to_pf_keys(field, fun):
             out[None if k == 0 else ("z", k)] = c
     for pole, c in res.items():
         if c:
-            out[("p", pole)] = out.get(("p", pole), field.zero) + c
+            out[("p", pole)] = c
     return out
 
 
@@ -97,17 +81,13 @@ def apply_diagonal(ws, state, eig):
     out = {}
     for lam, c in state.items():
         for key, val in sfun_to_pf_keys(field, eig(field, lam)).items():
-            pf_accum(out, key, lam, c * val)
-    return pf_clean(out)
+            bump(out, (key, lam), c * val)
+    return out
 
 
 def apply_dPhi(ws, state):
     """dPhi(z): diagonal with eigenvalue sum_{b in lam} 1/(z-[b])."""
-    out = {}
-    for lam, c in state.items():
-        for b in boxes(lam):
-            pf_accum(out, ("p", b), lam, c)
-    return pf_clean(out)
+    return {(("p", b), lam): c for lam, c in state.items() for b in boxes(lam)}
 
 
 def apply_U(ws, state):
@@ -124,9 +104,8 @@ def apply_X_plus(ws, state):
     out = {}
     for lam, c in state.items():
         for s in add_set(lam):
-            target = add_box(lam, s)
-            pf_accum(out, ("p", s), target, c * tau(field, lam, s))
-    return pf_clean(out)
+            bump(out, (("p", s), add_box(lam, s)), c * tau(field, lam, s))
+    return out
 
 
 def apply_X_minus(ws, state):
@@ -136,9 +115,8 @@ def apply_X_minus(ws, state):
     for lam, c in state.items():
         for x in rem_set(lam):
             tp = (x[0] + 1, x[1] + 1)
-            pf_accum(out, ("p", x), remove_box(lam, x),
-                     c * tau_tilde(field, lam, tp))
-    return pf_clean(out)
+            bump(out, (("p", x), remove_box(lam, x)), c * tau_tilde(field, lam, tp))
+    return out
 
 
 def apply_V1(ws, state, sign):
@@ -222,15 +200,11 @@ def h_context(ws, N):
     FockVec rows."""
     H = h_state(ws, N)
     return (H, jack_to_fock(ws, H),
-            [(key, jack_to_fock(ws, st)) for key, st in apply_dPhi(ws, H).items()])
+            [(key, jack_to_fock(ws, st)) for key, st in by_pole(apply_dPhi(ws, H)).items()])
 
 
 def state_truncate(state, N):
     return {lam: c for lam, c in state.items() if size(lam) <= N}
-
-
-def pf_truncate(pf, N):
-    return pf_clean({k: state_truncate(v, N) for k, v in pf.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -255,24 +229,24 @@ def construction_from_lax_check(ws, n):
             # resolvent of j in the eigenbasis, honestly via the expansion
             exp = field.uncleared(ws.expand_psi_hat((fock_to_ext(nums), d)))
             # --- X+ = A (z-L)^{-1} pi0
-            out["xplus"].update(pf_residual(_resolvent_pf(ws, exp, op_A, memo),
-                                            apply_X_plus(ws, {lam: field.one}), lam))
+            out["xplus"].update(map_residual(_resolvent_pf(ws, exp, op_A, memo),
+                                             apply_X_plus(ws, {lam: field.one}), lam))
             # --- Y^{-1} = pi0 (z-L)^{-1}
-            out["yinv"].update(pf_residual(_resolvent_pf(ws, exp, _pi0_row, memo),
-                                           apply_diagonal(ws, {lam: field.one}, Yinv_eig), lam))
+            out["yinv"].update(map_residual(_resolvent_pf(ws, exp, _pi0_row, memo),
+                                            apply_diagonal(ws, {lam: field.one}, Yinv_eig), lam))
             if not lam:
                 continue
             # --- X- = pi0 (z-L)^{-1} A^dag
             exp = field.uncleared(ws.expand_psi_hat(op_B(field, ws.jack_row(lam))))
             direct = apply_X_minus(ws, {lam: field.one})
-            out["xminus_lax"].update(pf_residual(_resolvent_pf(ws, exp, _pi0_row, memo),
-                                                 direct, lam))
+            out["xminus_lax"].update(map_residual(_resolvent_pf(ws, exp, _pi0_row, memo),
+                                                  direct, lam))
             # the residue-convention variant differs by a global sign
             literal = {}
             for x in rem_set(lam):
                 res = Y_eig(field, lam).shift((-1, -1)).residue(x, field)
-                pf_accum(literal, ("p", x), remove_box(lam, x), -res)
-            out["xminus_lax"].update(pf_residual(literal, direct, ("residue variant", lam)))
+                bump(literal, (("p", x), remove_box(lam, x)), -res)
+            out["xminus_lax"].update(map_residual(literal, direct, ("residue variant", lam)))
             # --- Y: (hbar N)^{-1} A (z - ebar - L)^{-1} A^dag equals the
             # negated pole part -P_z^-(Y(z)) (the unprojected Y(z) itself
             # is ruled out by asymptotics: LHS ~ 1/z while Y ~ z)
@@ -281,8 +255,8 @@ def construction_from_lax_check(ws, n):
             expect = {}
             for key, val in ypf.items():
                 if isinstance(key, tuple) and key[0] == "p":
-                    pf_accum(expect, key, lam, -val / scale)
-            out["y_equals_minus_Pminus"].update(pf_residual(
+                    bump(expect, (key, lam), -val / scale)
+            out["y_equals_minus_Pminus"].update(map_residual(
                 _resolvent_pf(ws, exp, op_A, memo, (1, 1), scale), expect, lam))
     return out
 
@@ -302,7 +276,7 @@ def _resolvent_pf(ws, exp, image, memo, shift=(0, 0), scale=None):
         if scale is not None:
             c = c / scale
         for g, c2 in img.items():
-            pf_accum(pf, ("p", (s[0] + shift[0], s[1] + shift[1])), g, c * c2)
+            bump(pf, (("p", (s[0] + shift[0], s[1] + shift[1])), g), c * c2)
     return pf
 
 
@@ -338,19 +312,19 @@ def whittaker_checks(ws, N):
         for n in range(1, N + 1) for mu in partitions_of(n))
 
     # first Whittaker: X^-(u) G = Y(u)^{-1} G, components of degree <= N
-    lhs = pf_truncate(apply_X_minus(ws, G), N)
-    rhs = pf_truncate(apply_diagonal(ws, state_truncate(G, N), Yinv_eig), N)
-    out["whittaker_minus"] = pf_residual(lhs, rhs)
+    # (X^- lowers the degree of G, truncated at N + 1, by one)
+    out["whittaker_minus"] = map_residual(
+        apply_X_minus(ws, G), apply_diagonal(ws, state_truncate(G, N), Yinv_eig))
 
     # second Whittaker: X^+(u) G = -P_u^-( Y(u+ebar) ) G: the global minus
     # sign is that of our tau~ convention
-    lhs = pf_truncate(apply_X_plus(ws, state_truncate(G, N - 1)), N)
+    lhs = apply_X_plus(ws, state_truncate(G, N - 1))
     rhs = {}
     for lam, c in state_truncate(G, N).items():
         for key, val in sfun_to_pf_keys(field, Y_eig(field, lam).shift((-1, -1))).items():
             if isinstance(key, tuple) and key[0] == "p":
-                pf_accum(rhs, key, lam, -c * val)
-    out["whittaker_plus"] = pf_residual(lhs, pf_truncate(rhs, N))
+                bump(rhs, (key, lam), -c * val)
+    out["whittaker_plus"] = map_residual(lhs, rhs)
 
     # generalized Whittaker for each lam with |lam| <= N, on one H context;
     # memos[i] holds the V_mu^dagger images of the i-th context vector
@@ -375,13 +349,13 @@ def whittaker_checks(ws, N):
     for n in range(max(0, N - 1)):
         for lam in partitions_of(n):
             st = {lam: field.one}
-            lhs = pf_add(apply_dPhi(ws, apply_V1(ws, st, +1)),
-                         pf_scale(_compose_V1(ws, apply_dPhi(ws, st), +1), -field.one))
-            res.update(pf_residual(lhs, apply_X_plus(ws, st), ("+", lam)))
-            lhs = pf_add(apply_dPhi(ws, apply_V1(ws, st, -1)),
-                         pf_scale(_compose_V1(ws, apply_dPhi(ws, st), -1), -field.one))
-            res.update(pf_residual(lhs, pf_scale(apply_X_minus(ws, st), -field.one),
-                                   ("-", lam)))
+            lhs = v_accum(apply_dPhi(ws, apply_V1(ws, st, +1)),
+                          _compose_V1(ws, apply_dPhi(ws, st), +1), -field.one)
+            res.update(map_residual(lhs, apply_X_plus(ws, st), ("+", lam)))
+            lhs = v_accum(apply_dPhi(ws, apply_V1(ws, st, -1)),
+                          _compose_V1(ws, apply_dPhi(ws, st), -1), -field.one)
+            res.update(map_residual(lhs, v_scale(apply_X_minus(ws, st), -field.one),
+                                    ("-", lam)))
 
     # leading term: X^pm has poles only, and their residues sum to V_1^pm
     out["x_leading_term"] = res = {}
@@ -390,15 +364,16 @@ def whittaker_checks(ws, N):
             st = {lam: field.one}
             for sign, name, op in ((1, "X+", apply_X_plus), (-1, "X-", apply_X_minus)):
                 tot, poly = {}, {}
-                for key, stv in op(ws, st).items():
-                    v_accum(tot if isinstance(key, tuple) and key[0] == "p" else poly, stv)
+                for (key, g), c in op(ws, st).items():
+                    bump(tot if isinstance(key, tuple) and key[0] == "p" else poly, g, c)
                 res.update(map_residual(poly, {}, (name + " polynomial part", lam)))
                 res.update(map_residual(tot, apply_V1(ws, st, sign), (name, lam)))
     return out
 
 
 def _compose_V1(ws, pf, sign):
-    return pf_clean({k: apply_V1(ws, v, sign) for k, v in pf.items()})
+    return {(key, lam): c for key, st in by_pole(pf).items()
+            for lam, c in apply_V1(ws, st, sign).items()}
 
 
 def generalized_whittaker_lhs(ws, lam, N, ctx, memos):
@@ -406,10 +381,12 @@ def generalized_whittaker_lhs(ws, lam, N, ctx, memos):
     h_context(ws, N) and memos[i] the V_mu^dagger memo of its i-th vector
     (H first, then the parts of dPhi(H))."""
     _, vec, parts = ctx
-    a = apply_dPhi(ws, jhat_dagger(ws, lam, vec, memos[0]))
-    b = pf_clean({k: jhat_dagger(ws, lam, v, memo)
-                  for (k, v), memo in zip(parts, memos[1:])})
-    return pf_truncate(pf_add(pf_scale(a, -ws.field.one), b), N - size(lam))
+    out = v_scale(apply_dPhi(ws, jhat_dagger(ws, lam, vec, memos[0])), -ws.field.one)
+    for (key, v), memo in zip(parts, memos[1:]):
+        for mu, c in jhat_dagger(ws, lam, v, memo).items():
+            bump(out, (key, mu), c)
+    keep = N - size(lam)
+    return {k: c for k, c in out.items() if size(k[1]) <= keep}
 
 
 def _generalized_whittaker(ws, lam, N, ctx, memos):
@@ -431,12 +408,11 @@ def _generalized_whittaker(ws, lam, N, ctx, memos):
     for mu, c in state_truncate(H, keep).items():
         if not mu:
             continue
-        T = T_star(field, lam, mu)
-        for pole in T.den:
-            pf_accum(rhs, ("p", pole), mu, c * T.residue(pole, field))
+        for pole, r in star_residues(field, lam, mu).items():
+            bump(rhs, (("p", pole), mu), c * r)
     for bx in boxes(lam):
-        pf_accum(rhs, ("p", bx), (), field.one)
-    return pf_residual(lhs, pf_clean(rhs), lam)
+        bump(rhs, (("p", bx), ()), field.one)
+    return map_residual(lhs, rhs, lam)
 
 
 def _lifted_identity(ws, N, ctx):
@@ -458,7 +434,8 @@ def _lifted_identity(ws, N, ctx):
         val = field.combine([(1, (cut(Pi(img)), den)), (-1, (cut(img), den))])
         if val[0]:
             lhs[key] = val
-    rhs = {("p", (0, 0)): [(1, field.clear({(0, ()): field.one}))]}
+    nums, d = field.clear({(0, ()): field.one})
+    rhs = {("p", (0, 0)): [(1, (cut(nums), d))]}
     for mu, c in H.items():
         for s in add_set(mu):
             coeff = c * tau(field, mu, s) * field.lf(s)
@@ -481,18 +458,15 @@ def _commutator_check(ws, lam):
 
     def bivariate(inner, outer, inner_is_z):
         out = {}
-        for ki, sti in inner(ws, st).items():
-            for ko, sto in outer(ws, sti).items():
-                key = (ki, ko) if inner_is_z else (ko, ki)
-                v_accum(out.setdefault(key, {}), sto)
-        return pf_clean(out)
+        for ki, sti in by_pole(inner(ws, st)).items():
+            for (ko, g), c in outer(ws, sti).items():
+                out[((ki, ko) if inner_is_z else (ko, ki), g)] = c
+        return out
 
     # X+(z) X-(w): X- acts first (w-keys inside), then X+ (z-keys outside)
     lhs = bivariate(apply_X_minus, apply_X_plus, inner_is_z=False)
     # minus X-(w) X+(z): X+ acts first (z-keys inside), then X- (w-keys)
-    for key, stv in bivariate(apply_X_plus, apply_X_minus, inner_is_z=True).items():
-        v_accum(lhs.setdefault(key, {}), stv, -field.one)
-    lhs = pf_clean(lhs)
+    v_accum(lhs, bivariate(apply_X_plus, apply_X_minus, inner_is_z=True), -field.one)
     # RHS: (Psi(z)-Psi(w))/(z-w) collapses to -sum_p r_p/((z-p)(w-p)).
     # With the Lax-normalized X^+- the commutator carries the global factor
     # hbar/ebar (sum of Psi residues is ebar while [V1+, V1-] gives hbar).
@@ -500,9 +474,8 @@ def _commutator_check(ws, lam):
     psi_fun = Psi_eig(field, lam)
     factor = field.hbar / field.ebar
     for pole in psi_fun.den:
-        pf_accum(rhs, (("p", pole), ("p", pole)), lam,
-                 -(psi_fun.residue(pole, field) * factor))
-    return pf_residual(lhs, pf_clean(rhs), lam)
+        bump(rhs, ((("p", pole), ("p", pole)), lam), -(psi_fun.residue(pole, field) * factor))
+    return map_residual(lhs, rhs, lam)
 
 
 def delta_via_states(ws, row, ctx):

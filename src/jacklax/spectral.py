@@ -220,13 +220,7 @@ def tau_tilde(field, lam, t_plus):
 
 def star_residues(field, mu, nu):
     """{pole: Res T_{mu*nu}} over all poles (must be simple)."""
-    T = T_star(field, mu, nu)
-    out = {}
-    for pole, m in T.den.items():
-        if m != 1:
-            raise NotASimplePole("T_{mu*nu} has a pole of order %d" % m)
-        out[pole] = T.residue(pole, field)
-    return out
+    return T_star(field, mu, nu).partial_fractions(field)[1]
 
 
 def verify_tau_identities(field, lam, s):

@@ -571,8 +571,10 @@ def _rho_conjectures(ws, max_degree):
                     lhs = field.combine([(1, beta(ws, z1, z2))])
                     out.append(instance(ident, rows_residual(field, lhs, rhs)))
 
-    # the hook-sum claim (known to be false; kept as an honest check)
+    # the hook-sum claim to max_degree (known to be false; kept as an honest check)
     for lam in [(1,), (2, 1), (2, 2)]:
+        if _parts.size(lam) > max_degree:
+            break
         tot = field.zero
         for s in add_set(lam):
             lam_s = add_box(lam, s)

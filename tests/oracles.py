@@ -35,7 +35,10 @@ Here H, its Fock image and each jhat_lam^dagger image are rebuilt for
 every partition, and Delta pairs field-scalar vectors.  The shc
 construction check expands its resolvents on rows in the psi-hat basis;
 here it runs on vectors in the psi basis, with A, B and the Jack
-coordinates on field scalars.
+coordinates on field scalars.  The shc checks keep a partial-fraction
+value as one flat sparse vector {(pole key, partition): scalar}; here it
+is a nested map {pole key: {partition: scalar}} with its own helpers
+(pf_accum, pf_add, ...), flattened only to be compared.
 
 At a specialized point each product of linear forms (field.ratio) is one
 integer ratio, SpecPoint.validate decides from e1/e2 in lowest terms, and
@@ -116,17 +119,16 @@ from jacklax.errors import (JackLaxError, NotAnAddableBox, NotASimplePole, NotGo
                             NotInNullSpace, PoleAtSpecPoint, ZeroDenominator)
 from jacklax.fock import (Pi, _as_ext, bump, degree_of, deriv_V, ext_mul, fock_to_ext,
                           hall_inner_alpha, hn_basis, monomial_norm_sq, pi0, v_accum,
-                          v_clear, v_scale, v_uncleared, w_mul)
+                          v_clear, v_scale, w_mul)
 from jacklax.lax import lax_apply, psi_tilde_row, q_poly_row
 from jacklax.linalg import invert, matvec
 from jacklax.partitions import (add_box, add_set, boxes, contains, diagram_union,
                                  eigen_pairs, partition, partitions_of, rem_set,
                                  remove_box, size)
 from jacklax.lr import jack_product
-from jacklax.shc import (Y_eig, Yinv_eig, _dagger_row, apply_dPhi, apply_diagonal,
-                         apply_X_minus, apply_X_plus, fock_to_jack, h_state, jack_to_fock,
-                         pf_accum, pf_add, pf_clean, pf_residual, pf_scale, pf_truncate,
-                         sfun_to_pf_keys)
+from jacklax.report import map_residual
+from jacklax.shc import (Y_eig, Yinv_eig, _dagger_row, apply_diagonal, apply_X_minus,
+                         apply_X_plus, fock_to_jack, h_state, jack_to_fock, sfun_to_pf_keys)
 from jacklax.jack import jack_inv_norm_sq
 from jacklax.session import DualIndex
 from jacklax.spectral import SpectralFun, _forms_at, star_residues, tau, tau_hat, tau_tilde
@@ -542,6 +544,8 @@ class CoeffVectorField(SymbolicField):
         return out, 1
 
     def quotient(self, num, den):
+        if type(num) is int:
+            num = ArithCoeff.from_int(num)
         return num if den == 1 else num / den
 
 
@@ -611,8 +615,8 @@ def field_combine(terms):
     """The cleared row of sum c * nums / D over terms [(c, (nums, D))] at a
     point, summed as Fraction vectors and cleared afterwards."""
     out = {}
-    for c, row in terms:
-        v_accum(out, v_uncleared(row), Fraction(c))
+    for c, (nums, d) in terms:
+        v_accum(out, {k: Fraction(v, d) for k, v in nums.items()}, Fraction(c))
     return v_clear(out)
 
 
@@ -698,6 +702,60 @@ def field_good_normalizer_F(ws, xi):
 # the shc states rebuilt per partition
 # ---------------------------------------------------------------------------
 
+# Partial fractions as nested maps {key: state}, each state {lam: scalar}.
+
+def pf_accum(pf, key, lam, c):
+    if c:
+        bump(pf.setdefault(key, {}), lam, c)
+
+
+def pf_clean(pf):
+    return {k: v for k, v in pf.items() if v}
+
+
+def pf_scale(pf, c):
+    return {k: v_scale(v, c) for k, v in pf.items()}
+
+
+def pf_add(a, b):
+    out = {k: dict(v) for k, v in a.items()}
+    for k, v in b.items():
+        v_accum(out.setdefault(k, {}), v)
+    return pf_clean(out)
+
+
+def pf_truncate(pf, N):
+    return pf_clean({k: {lam: c for lam, c in v.items() if size(lam) <= N}
+                     for k, v in pf.items()})
+
+
+def pf_flat(pf):
+    """The flat sparse vector {(key, lam): scalar} of a nested PF value."""
+    return {(k, lam): c for k, st in pf.items() for lam, c in st.items()}
+
+
+def pf_nested(flat):
+    """The nested PF value of a flat one."""
+    out = {}
+    for (k, lam), c in flat.items():
+        pf_accum(out, k, lam, c)
+    return out
+
+
+def pf_residual(a, b, label=None):
+    """The residual of two nested PF values, keyed by (PF key, partition)."""
+    return map_residual(pf_flat(a), pf_flat(b), label)
+
+
+def apply_dPhi(state):
+    """dPhi(z) on a state, a nested PF value."""
+    out = {}
+    for lam, c in state.items():
+        for b in boxes(lam):
+            pf_accum(out, ("p", b), lam, c)
+    return out
+
+
 def annihilate(nums, mu):
     """prod_k (k d/dV_k) over the parts k of mu, on the numerators of a
     FockVec row (or a FockVec); V_mu^dagger is hbar^l(mu) times this."""
@@ -733,8 +791,8 @@ def apply_jhat_dagger(ws, mu, state):
 def generalized_whittaker_lhs(ws, lam, N):
     """-[dPhi, jhat_lam^dagger]|H> on degrees <= N - |lam|, H truncated at N."""
     H = h_state(ws, N)
-    a = apply_dPhi(ws, apply_jhat_dagger(ws, lam, H))
-    b = pf_clean({k: apply_jhat_dagger(ws, lam, v) for k, v in apply_dPhi(ws, H).items()})
+    a = apply_dPhi(apply_jhat_dagger(ws, lam, H))
+    b = pf_clean({k: apply_jhat_dagger(ws, lam, v) for k, v in apply_dPhi(H).items()})
     return pf_truncate(pf_add(pf_scale(a, -ws.field.one), b), N - size(lam))
 
 
@@ -743,7 +801,7 @@ def delta_via_states(ws, zeta, N):
     H truncated at N, each part of dPhi(H) paired with zeta on field
     scalars."""
     out = {}
-    for key, st in apply_dPhi(ws, h_state(ws, N)).items():
+    for key, st in apply_dPhi(h_state(ws, N)).items():
         val = field_inner_hbar(zeta, ws.field.uncleared(jack_to_fock(ws, st)), ws.field)
         if val:
             out[key[1]] = val
@@ -786,13 +844,14 @@ def field_construction_from_lax_check(ws, n):
             jack = field.uncleared(ws.jack_row(lam))
             exp = expand_psi(fock_to_ext(jack))
             out["xplus"].update(pf_residual(resolvent(exp, op_A),
-                                            apply_X_plus(ws, {lam: field.one}), lam))
-            out["yinv"].update(pf_residual(resolvent(exp, pi0),
-                                           apply_diagonal(ws, {lam: field.one}, Yinv_eig), lam))
+                                            pf_nested(apply_X_plus(ws, {lam: field.one})), lam))
+            out["yinv"].update(pf_residual(
+                resolvent(exp, pi0),
+                pf_nested(apply_diagonal(ws, {lam: field.one}, Yinv_eig)), lam))
             if not lam:
                 continue
             exp = expand_psi(Pi(field_lax_apply(field, fock_to_ext(jack))))
-            direct = apply_X_minus(ws, {lam: field.one})
+            direct = pf_nested(apply_X_minus(ws, {lam: field.one}))
             out["xminus_lax"].update(pf_residual(resolvent(exp, pi0), direct, lam))
             literal = {}
             for x in rem_set(lam):

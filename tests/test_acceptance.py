@@ -207,7 +207,7 @@ def test_criterion_12_counting(spec_cfg):
 
 def test_criterion_13_oracle_equivalence(spec_cfg):
     t0 = time.monotonic()
-    rep = vf.suite_pieri(spec_cfg, max_total=7, marg_max=6)
+    rep = vf.suite_pieri(spec_cfg, max_size=7)
     ok = rep.all_pass()
     # symbolic spot check of the worked Pieri value
     F = SymbolicField()

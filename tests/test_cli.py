@@ -126,7 +126,7 @@ def test_report_determinism():
     ("kernel", {"to": 6}),
     ("cokernel", {"to": 6}),
     ("main-theorem", {"max_size": 5}),
-    ("pieri", {"max_total": 4, "marg_max": 4}),
+    ("pieri", {"max_size": 4}),
     ("tau", {"max_size": 4}),
     ("delta", {}),
     ("shc", {"max_degree": 3}),
@@ -134,14 +134,27 @@ def test_report_determinism():
     ("conjectures", {"max_degree": 4}),
 ])
 def test_suite_parallel_matches_serial(suite, kwargs, monkeypatch):
+    _parallel_matches_serial(suite, kwargs, "specialized", monkeypatch)
+
+
+@pytest.mark.parametrize("suite, kwargs", [
+    ("shc", {"max_degree": 3}),
+    ("pieri", {"max_size": 4}),
+    ("tau", {"max_size": 4}),
+])
+def test_symbolic_suite_parallel_matches_serial(suite, kwargs, monkeypatch):
+    _parallel_matches_serial(suite, kwargs, "symbolic", monkeypatch)
+
+
+def _parallel_matches_serial(suite, kwargs, mode, monkeypatch):
     from jacklax import report
     from jacklax.verify import SUITES
     pools = []
     real = report._fork_pool
     monkeypatch.setattr(report, "_fork_pool", lambda n: pools.append(n) or real(n))
-    r1 = SUITES[suite](RunConfig(mode="specialized", jobs=1), **kwargs)
+    r1 = SUITES[suite](RunConfig(mode=mode, jobs=1), **kwargs)
     assert pools == []
-    r2 = SUITES[suite](RunConfig(mode="specialized", jobs=2), **kwargs)
+    r2 = SUITES[suite](RunConfig(mode=mode, jobs=2), **kwargs)
     # the per-workspace checks of every suite ran in one fork pool, also in
     # suites that ran them serially before (tau, delta, shc, conjectures,
     # spectral, kernel, cokernel); counts has no per-workspace checks
@@ -170,9 +183,9 @@ def test_checks_take_their_loop_values_as_arguments(monkeypatch):
     handed = []
     for name, fn_index in (("check", 1), ("sweep", 0)):
         monkeypatch.setattr(Report, name, _spy(getattr(Report, name), fn_index, handed))
-    sizes = {"tau": {"max_size": 2}, "spectral": {"max_degree": 2},
+    sizes = {"tau": {"max_size": 4}, "spectral": {"max_degree": 2},
              "main-theorem": {"max_size": 3}, "cokernel": {"to": 2}, "kernel": {"to": 4},
-             "traces": {"max_degree": 2}, "pieri": {"max_total": 2, "marg_max": 2},
+             "traces": {"max_degree": 2}, "pieri": {"max_size": 2},
              "shc": {"max_degree": 1}, "conjectures": {"max_degree": 2}}
     for suite, fn in SUITES.items():
         fn(RunConfig(mode="specialized", jobs=1), **sizes.get(suite, {}))
@@ -238,14 +251,40 @@ def test_sweep_witness_names_the_failing_spec_point(monkeypatch):
     assert notes["whittaker_plus"] == "holds with global sign -1"
 
 
+# The instance ids of every sized suite at size 0: only size-0 checks run,
+# and shc's identities, which are named without a size, hold at degree 0.
+SIZE_ZERO_IDS = {
+    ("tau", "--max-size"): [
+        "identities {0} s=((0, 0),)", "kerov expansion {0}",
+        "star factor {0} * box((0, 0),)", "star factor {0} * box((0, 1),)",
+        "star factor {0} * box((1, 0),)", "star factor {0} * box((1, 2),)"],
+    ("spectral", "--max-degree"): ["completeness H_0", "eigen {0} s=((0, 0),)",
+                                   "self-adjointness L_0", "shift property n=0"],
+    ("main-theorem", "--max-size"): [],
+    ("cokernel", "--to"): ["cokernel dim = q(0) = 1", "relations annihilate Tr, n=0",
+                           "resolvent w-identity n=0"],
+    ("kernel", "--to"): ["dim ker Tr_0 = 0"],
+    ("traces", "--max-degree"): [],
+    ("pieri", "--max-size"): [],
+    ("shc", "--max-degree"): [
+        "Delta = <zeta| dPhi(u) U |G> agrees with the LR module", "H_is_sum_Vn",
+        "X+ from Lax equals Jack-basis definition", "X- from Lax equals Jack-basis definition",
+        "Y from Lax equals -(hbar N)^{-1} P^-(Y(z))",
+        "Y^{-1} from Lax equals diagonal u^{-1}T(u)", "dPhi_V1_commutator",
+        "gaiotto_is_exponential", "generalized_whittaker", "lifted_identity",
+        "whittaker_minus", "whittaker_plus", "x_commutator", "x_leading_term"],
+    ("conjectures", "--max-degree"): [],
+}
+
+
 def test_size_zero_is_not_the_default(capsys):
-    assert main(["verify", "cokernel", "--to", "0", "--format", "json"]) == 0
-    ids = [i["id"] for i in json.loads(capsys.readouterr().out)["instances"]]
-    assert ids == ["cokernel dim = q(0) = 1", "relations annihilate Tr, n=0",
-                   "resolvent w-identity n=0"]
-    assert main(["verify", "kernel", "--to", "0", "--format", "json"]) == 0
-    ids = [i["id"] for i in json.loads(capsys.readouterr().out)["instances"]]
-    assert [i for i in ids if i.startswith("dim ker")] == ["dim ker Tr_0 = 0"]
+    from jacklax.verify import DEFAULT_SIZES
+    assert {(suite, "--" + kw.replace("_", "-")) for suite, kws in DEFAULT_SIZES.items()
+            for kw in kws} == set(SIZE_ZERO_IDS)
+    for (suite, option), want in SIZE_ZERO_IDS.items():
+        assert main(["verify", suite, option, "0", "--format", "json"]) == 0, suite
+        ids = [i["id"] for i in json.loads(capsys.readouterr().out)["instances"]]
+        assert ids == want, suite
 
 
 @pytest.mark.parametrize("argv,needle", [

@@ -305,3 +305,14 @@ def test_no_check_returns_a_bool():
                           and type(ret.value.value) is bool and qual not in PREDICATES]
     assert found == []
     assert PREDICATES <= {qual for qual, _ in _definitions()}
+
+
+def test_every_size_keyword_is_a_verify_option():
+    # a suite's size keywords are set by the verify options of the same
+    # dest, so no size is a knob that no option reaches
+    from jacklax.cli import build_parser
+    from jacklax.verify import DEFAULT_SIZES
+    verify = build_parser()._subparsers._group_actions[0].choices["verify"]
+    dests = {a.dest for a in verify._actions if a.dest in ("max_size", "max_degree", "to")}
+    assert dests == {"max_size", "max_degree", "to"}
+    assert {kw for kws in DEFAULT_SIZES.values() for kw in kws} <= dests

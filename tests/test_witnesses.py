@@ -22,7 +22,7 @@ from jacklax.verify import SUITES
 # small sizes of the gating suites (conjectures never gate)
 SIZES = {"tau": {"max_size": 3}, "spectral": {"max_degree": 3},
          "main-theorem": {"max_size": 3}, "cokernel": {"to": 2}, "kernel": {"to": 4},
-         "traces": {"max_degree": 3}, "pieri": {"max_total": 3, "marg_max": 3},
+         "traces": {"max_degree": 3}, "pieri": {"max_size": 3},
          "shc": {"max_degree": 2}}
 POINTS = DEFAULT_SPEC_POINTS[:2]
 
